@@ -25,7 +25,7 @@ fn main() {
     for id in QueryId::ALL {
         print!("{:<6}", id.name());
         for &c in &cores {
-            let options = ExecutionOptions::with_threads(c).with_strategy(bench::join_strategy());
+            let options = ExecutionOptions::with_threads(c);
             let m = bench::measure(id, &graph, &options);
             print!(" {:>9.4}", m.total_seconds);
         }

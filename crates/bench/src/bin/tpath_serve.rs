@@ -24,8 +24,7 @@
 //!   and print the counter/gauge lines (the live dashboard view).
 //! * `--dump-metrics` — write the final Prometheus scrape to a file.
 //!
-//! The registered set is Q1, Q5, Q9 and the REACH closure; the join strategy
-//! follows `TPATH_JOIN_STRATEGY` (`hash` | `merge` | `auto`, default `auto`).
+//! The registered set is Q1, Q5, Q9 and the REACH closure.
 //!
 //! Besides verifying every answer, the binary scrapes its own metrics through
 //! the server (mid-ingest, so queries are genuinely in flight) and fails if
@@ -108,8 +107,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let strategy = bench::join_strategy();
-    let options = ExecutionOptions::with_threads(1).with_strategy(strategy);
+    let options = ExecutionOptions::with_threads(1);
     let config = ContactTracingConfig::with_persons(args.persons)
         .with_seed(args.seed)
         .with_time_points(args.time_points)
@@ -152,7 +150,7 @@ fn main() -> ExitCode {
     let server = Server::start(Arc::clone(&graph), args.readers);
     println!(
         "# tpath-serve: {} persons, {} batches, {} mutations, {} registered queries, \
-         {} ad-hoc queries, {} workers, strategy {strategy}",
+         {} ad-hoc queries, {} workers",
         args.persons,
         batches.len(),
         mutations,

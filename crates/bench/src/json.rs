@@ -1,9 +1,9 @@
 //! A minimal JSON value type and serialiser for the machine-readable benchmark
-//! output (`BENCH_<label>.json`).
+//! output of `tpath-bench`.
 //!
-//! The workspace's `serde` dependency is an offline shim without `serde_json` (see
-//! `vendor/README.md`), so the perf harness renders its report with this ~hundred-line
-//! writer instead.  Only what the report needs is supported: objects with ordered
+//! The offline build has no `serde_json` (see `vendor/README.md`), so the benchmark
+//! renders its report with this ~hundred-line writer instead.  Only what the report
+//! needs is supported: objects with ordered
 //! keys, arrays, strings, integers, finite floats, booleans and null.
 
 use std::fmt::Write as _;

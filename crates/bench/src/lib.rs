@@ -10,8 +10,7 @@
 
 use std::time::Instant;
 
-use engine::{ExecutionOptions, GraphRelations, JoinStrategy, QueryOutput};
-use trpq::parser::MatchClause;
+use engine::{ExecutionOptions, GraphRelations};
 use trpq::queries::QueryId;
 use workload::{ContactTracingConfig, ScaleFactor};
 
@@ -41,20 +40,12 @@ pub fn scale_divisor() -> usize {
     std::env::var("TPATH_SCALE_DIVISOR").ok().and_then(|s| s.parse().ok()).unwrap_or(25)
 }
 
-/// The join strategy taken from `TPATH_JOIN_STRATEGY` (`hash` | `merge` | `auto`,
-/// default `auto`).
-pub fn join_strategy() -> JoinStrategy {
-    std::env::var("TPATH_JOIN_STRATEGY").ok().and_then(|s| s.parse().ok()).unwrap_or_default()
-}
-
-/// The execution options taken from `TPATH_THREADS` (default: all cores) and
-/// `TPATH_JOIN_STRATEGY` (default: auto).
+/// The execution options taken from `TPATH_THREADS` (default: all cores).
 pub fn execution_options() -> ExecutionOptions {
-    let options = match std::env::var("TPATH_THREADS").ok().and_then(|s| s.parse().ok()) {
+    match std::env::var("TPATH_THREADS").ok().and_then(|s| s.parse().ok()) {
         Some(threads) => ExecutionOptions::with_threads(threads),
         None => ExecutionOptions::default(),
-    };
-    options.with_strategy(join_strategy())
+    }
 }
 
 /// The peak resident set size of this process in bytes (`VmHWM`), if the platform
@@ -139,24 +130,7 @@ pub fn measure(
     options: &ExecutionOptions,
 ) -> QueryMeasurement {
     let answers = engine::Query::benchmark(id).with_options(*options).run(graph);
-    summarize(answers.into_output().expect("the default mode materialises"))
-}
-
-/// Compiles and runs a query given as a parsed clause — for harness workloads beyond
-/// Q1–Q12, such as the [`REACH_QUERY_TEXT`] reachability query.
-pub fn measure_clause(
-    clause: &MatchClause,
-    graph: &GraphRelations,
-    options: &ExecutionOptions,
-) -> QueryMeasurement {
-    let answers = engine::Query::from_clause(clause)
-        .expect("harness queries compile")
-        .with_options(*options)
-        .run(graph);
-    summarize(answers.into_output().expect("the default mode materialises"))
-}
-
-fn summarize(out: QueryOutput) -> QueryMeasurement {
+    let out = answers.into_output().expect("the default mode materialises");
     QueryMeasurement {
         interval_seconds: out.stats.interval_time.as_secs_f64(),
         total_seconds: out.stats.total_time.as_secs_f64(),
@@ -190,28 +164,19 @@ mod tests {
     }
 
     #[test]
-    fn reach_query_parses_and_measures() {
+    fn reach_and_recur_queries_parse_and_run() {
         let (graph, _) = build_graph_with(ContactTracingConfig::with_persons(60));
-        let clause = trpq::parser::parse_match(REACH_QUERY_TEXT).unwrap();
-        let m = measure_clause(&clause, &graph, &ExecutionOptions::sequential());
-        assert!(m.total_seconds >= m.interval_seconds);
-    }
-
-    #[test]
-    fn recur_query_parses_and_measures() {
-        let (graph, _) = build_graph_with(ContactTracingConfig::with_persons(60));
-        let clause = trpq::parser::parse_match(RECUR_QUERY_TEXT).unwrap();
-        let m = measure_clause(&clause, &graph, &ExecutionOptions::sequential());
-        assert!(m.total_seconds >= m.interval_seconds);
+        for text in [REACH_QUERY_TEXT, RECUR_QUERY_TEXT] {
+            let query = engine::Query::parse(text).unwrap();
+            let stats = query.with_options(ExecutionOptions::sequential()).run(&graph).stats();
+            assert!(stats.total_time >= stats.interval_time, "{text}");
+        }
     }
 
     #[test]
     fn environment_defaults_are_sane() {
         assert!(scale_divisor() >= 1);
         assert!(execution_options().parallelism.threads() >= 1);
-        // TPATH_JOIN_STRATEGY is unset in the test environment, so the adaptive
-        // default applies.
-        assert_eq!(join_strategy(), JoinStrategy::Auto);
         // Peak RSS is best-effort: Some on Linux, None elsewhere — never a panic.
         let _ = peak_rss_bytes();
     }

@@ -67,14 +67,6 @@ pub fn all() -> Vec<Lint> {
             check: check_unwrap_under_lock,
         },
         Lint {
-            id: "deprecated-entry-point",
-            summary: "no calls to the deprecated execute_clause/execute_text/execute_query wrappers",
-            fixture: "deprecated_entry_point.rs",
-            fixture_path: "crates/rogue/src/lib.rs",
-            applies: |p| p.ends_with(".rs"),
-            check: check_deprecated_entry_point,
-        },
-        Lint {
             id: "wallclock-in-test",
             summary: "deterministic test paths must not read wall-clock time",
             fixture: "wallclock_in_test.rs",
@@ -207,28 +199,6 @@ fn check_unwrap_under_lock(path: &str, src: &Source) -> Vec<Finding> {
         if !src.in_test[i] && line.contains(".lock()") && line.contains("let ") {
             guards.push(start_depth);
         }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
-// deprecated-entry-point
-
-fn check_deprecated_entry_point(path: &str, src: &Source) -> Vec<Finding> {
-    const WRAPPERS: &[&str] = &["execute_clause(", "execute_text(", "execute_query("];
-    let mut out = Vec::new();
-    for (i, line) in src.lines.iter().enumerate() {
-        if !contains_any(line, WRAPPERS) {
-            continue;
-        }
-        out.push(finding(
-            "deprecated-entry-point",
-            path,
-            i,
-            "calls a deprecated one-shot execution wrapper; build an engine::Query (or call \
-             engine::execute/execute_answers) so options and answer modes stay explicit"
-                .to_owned(),
-        ));
     }
     out
 }
@@ -395,8 +365,8 @@ mod tests {
 
     #[test]
     fn comments_and_strings_never_fire() {
-        let src = "// calls execute_text( in prose\nconst HELP: &str = \"execute_query(...)\";\n";
-        assert!(run("deprecated-entry-point", "crates/x/src/lib.rs", src).is_empty());
+        let src = "// calls Instant::now( in prose\nconst HELP: &str = \"SystemTime::now(...)\";\n";
+        assert!(run("wallclock-in-test", "tests/prose.rs", src).is_empty());
     }
 
     #[test]

@@ -3,8 +3,10 @@
 //! The merge join is the order-exploiting counterpart of [`crate::operators::join`]:
 //! when both inputs are sorted by the join key, a single linear pass pairs up the
 //! matching key groups without building a hash table.  The interval variant keeps only
-//! temporally-aligned matches, exactly like `interval_hash_join`, and is the engine's
-//! `JoinStrategy::Merge` implementation.
+//! temporally-aligned matches, exactly like `interval_hash_join`.  The engine no longer
+//! executes these kernels (its hops probe the adjacency indexes); the gallop variants
+//! are read only by the benchmark's kernel timings and the plain variants are the
+//! reference `tests/merge_equivalence.rs` pins them to.
 
 use tgraph::Interval;
 
@@ -137,8 +139,8 @@ where
 
 /// Temporally-aligned merge join with galloping group seeks: identical output to
 /// [`interval_merge_join`], with the seek behaviour of [`merge_join_gallop`].
-/// This is what the engine's merge strategy runs against the key-sorted row
-/// permutations, so very selective hops stop paying for the whole permutation.
+/// Run against the key-sorted row permutations, very selective probes stop paying
+/// for the whole permutation.
 pub fn interval_merge_join_gallop<'a, L, R, K, FL, FR, IL, IR>(
     left: &'a [L],
     right: &'a [R],

@@ -1,4 +1,4 @@
-//! A chunked data-parallel executor built on `crossbeam` scoped threads.
+//! A chunked data-parallel executor built on `std::thread::scope`.
 //!
 //! The paper's implementation uses Rayon as "an interface over dataflow operators";
 //! this module provides the same programming model — split an input collection into
@@ -61,14 +61,14 @@ where
         return op(items);
     }
     let chunks = balanced_chunks(items, threads);
-    let mut results: Vec<Vec<U>> = Vec::with_capacity(chunks.len());
-    crossbeam::scope(|scope| {
-        let handles: Vec<_> = chunks.iter().map(|chunk| scope.spawn(|_| op(chunk))).collect();
-        for handle in handles {
-            results.push(handle.join().expect("dataflow worker thread panicked"));
-        }
-    })
-    .expect("crossbeam scope failed");
+    let op = &op;
+    let results: Vec<Vec<U>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = chunks.iter().map(|chunk| scope.spawn(move || op(chunk))).collect();
+        handles
+            .into_iter()
+            .map(|handle| handle.join().expect("dataflow worker thread panicked"))
+            .collect()
+    });
     let total: usize = results.iter().map(Vec::len).sum();
     let mut out = Vec::with_capacity(total);
     for r in results {

@@ -19,8 +19,7 @@
 //!   Temporal Path Queries*).
 //!
 //! The enumeration order and the compact projection are both pinned against the
-//! materialised table by `tests/answer_modes.rs` on random graphs under every join
-//! strategy.
+//! materialised table by `tests/answer_modes.rs` on random graphs.
 
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap};
@@ -36,7 +35,7 @@ use crate::executor::{execute_answers, ExecutionOptions, QueryOutput, QueryStats
 use crate::plan::{EnginePlan, PlanSet, TemporalLink};
 use crate::relations::GraphRelations;
 use crate::steps::expand::expand_chunk_sorted;
-use dataflow::{kway_merge_dedup, JoinStrategy};
+use dataflow::kway_merge_dedup;
 
 /// How [`Query::run`] shapes its answers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -118,12 +117,6 @@ impl Query {
     /// Replaces the execution options wholesale.
     pub fn with_options(mut self, options: ExecutionOptions) -> Self {
         self.options = options;
-        self
-    }
-
-    /// Pins the join strategy.
-    pub fn with_strategy(mut self, strategy: JoinStrategy) -> Self {
-        self.options = self.options.with_strategy(strategy);
         self
     }
 
@@ -906,10 +899,7 @@ mod tests {
         assert_eq!(by_id.table(), by_plan.table());
         assert_eq!(by_id.mode(), AnswerMode::Materialized);
         // Builder knobs land in the options.
-        let q = Query::benchmark(QueryId::Q1)
-            .with_strategy(JoinStrategy::Merge)
-            .with_mode(AnswerMode::Compact);
-        assert_eq!(q.options().join_strategy, JoinStrategy::Merge);
+        let q = Query::benchmark(QueryId::Q1).with_mode(AnswerMode::Compact);
         assert_eq!(q.options().answer_mode, AnswerMode::Compact);
         assert_eq!(q.plan_set().graph, "contact_tracing");
         assert_eq!(AnswerMode::Enumerate.name(), "enum");

@@ -12,7 +12,6 @@
 //! `p[1,1]` is `p`, `p[0,0]` is the empty path, and an unsatisfiable `p[n,m]` with
 //! `n > m` relates nothing (its alternative is dropped).
 
-use dataflow::JoinStrategy;
 use trpq::ast::Axis;
 use trpq::parser::{
     Direction, EdgePattern, MatchClause, NodePattern, PatternPart, Regex, RegexAtom, RegexItem,
@@ -24,17 +23,8 @@ use crate::plan::{
     TemporalLink,
 };
 
-/// Compiles a parsed clause into a set of engine plans (one per union alternative),
-/// leaving the join strategy adaptive (`Auto`).
+/// Compiles a parsed clause into a set of engine plans (one per union alternative).
 pub fn compile(clause: &MatchClause) -> Result<PlanSet> {
-    compile_with_strategy(clause, JoinStrategy::Auto)
-}
-
-/// Compiles a parsed clause and bakes a join strategy into the plan set, so callers
-/// that pre-compile queries can pin the physical join implementation once instead of
-/// deciding per execution.  [`ExecutionOptions`](crate::executor::ExecutionOptions)
-/// with a non-`Auto` strategy still takes precedence at run time.
-pub fn compile_with_strategy(clause: &MatchClause, strategy: JoinStrategy) -> Result<PlanSet> {
     // Assign variable slots in order of first appearance.
     let mut variables: Vec<String> = Vec::new();
     for part in &clause.parts {
@@ -68,7 +58,7 @@ pub fn compile_with_strategy(clause: &MatchClause, strategy: JoinStrategy) -> Re
     }
 
     let plans = alternatives.into_iter().map(assemble_plan).collect::<Result<Vec<_>>>()?;
-    Ok(PlanSet { plans, variables, graph: clause.graph.clone(), join_strategy: strategy })
+    Ok(PlanSet { plans, variables, graph: clause.graph.clone() })
 }
 
 /// Intermediate op used during compilation: a structural micro-op, a temporal shift

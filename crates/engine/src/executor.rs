@@ -8,19 +8,15 @@ use std::time::Duration;
 
 use obs::{Span, Stopwatch};
 
-use dataflow::{kway_merge_dedup, par_chunk_flat_map, JoinStrategy, Parallelism};
-use trpq::parser::MatchClause;
-use trpq::queries::QueryId;
-use trpq::Result;
+use dataflow::{kway_merge_dedup, par_chunk_flat_map, Parallelism};
 
 use crate::answers::{compact_from_chains, AnswerCursor, AnswerMode, AnswerSet, Answers};
 use crate::bindings::{Binding, BindingTable};
 use crate::chain::Chain;
-use crate::compiler::compile;
 use crate::plan::{EnginePlan, PlanSet, TemporalLink};
 use crate::relations::GraphRelations;
 use crate::steps::closure::apply_time_closure;
-use crate::steps::expand::{expand_chains, expand_chunk_sorted};
+use crate::steps::expand::expand_chunk_sorted;
 use crate::steps::structural::apply_segment;
 use crate::steps::temporal::apply_shift;
 use crate::steps::StepStats;
@@ -30,12 +26,6 @@ use crate::steps::StepStats;
 pub struct ExecutionOptions {
     /// Degree of data parallelism for the interval evaluation and the point expansion.
     pub parallelism: Parallelism,
-    /// How the temporally-aligned joins of the structural step are executed, and
-    /// whether the final binding table is assembled by k-way-merging sorted runs
-    /// (merge / auto) or by sorting the concatenated rows (hash).  `Auto` (the
-    /// default) defers to the strategy compiled into the plan set, deciding per join
-    /// from input sortedness when that one is `Auto` too.
-    pub join_strategy: JoinStrategy,
     /// How [`execute_answers`] (and [`crate::answers::Query::run`]) shapes its
     /// answers: a materialised table, compact per-pair interval sets, or a lazy
     /// enumeration cursor.  [`execute`] always materialises and ignores this knob.
@@ -47,7 +37,7 @@ pub struct ExecutionOptions {
     /// by the property tests in `tests/plan_optimizer.rs`).
     pub optimize: bool,
     /// Whether this execution records into the process-wide metric registry
-    /// ([`obs::global`]): span timings, row counters, join-strategy decisions,
+    /// ([`obs::global`]): span timings, row counters, hop-join counts,
     /// closure rounds.  On by default — recording is a handful of relaxed
     /// atomics per *query* (not per row), cheap enough for release builds.
     /// When off, spans are no-ops that never read the clock and nothing is
@@ -59,7 +49,6 @@ impl Default for ExecutionOptions {
     fn default() -> Self {
         ExecutionOptions {
             parallelism: Parallelism::available(),
-            join_strategy: JoinStrategy::Auto,
             answer_mode: AnswerMode::Materialized,
             optimize: true,
             telemetry: true,
@@ -76,12 +65,6 @@ impl ExecutionOptions {
     /// Uses exactly `threads` worker threads.
     pub fn with_threads(threads: usize) -> Self {
         ExecutionOptions { parallelism: Parallelism::with_threads(threads), ..Default::default() }
-    }
-
-    /// Pins the join strategy, overriding whatever the plan set was compiled with.
-    pub fn with_strategy(mut self, strategy: JoinStrategy) -> Self {
-        self.join_strategy = strategy;
-        self
     }
 
     /// Selects the answer mode for [`execute_answers`].
@@ -159,16 +142,6 @@ fn effective_plan_set<'a>(
     }
 }
 
-/// The join strategy in effect for one execution: the options take precedence unless
-/// left at `Auto`, in which case the strategy compiled into the plan set applies (and
-/// `Auto` there means per-join adaptive selection).
-pub fn effective_strategy(plan_set: &PlanSet, options: &ExecutionOptions) -> JoinStrategy {
-    match options.join_strategy {
-        JoinStrategy::Auto => plan_set.join_strategy,
-        pinned => pinned,
-    }
-}
-
 /// The outcome of Steps 1–2: the interval-level chains of every union alternative,
 /// with the measurements taken so far.  Step 3 (or its lazy/compact replacement)
 /// decides what becomes of the chains.
@@ -198,7 +171,7 @@ impl IntervalPhase {
 
     /// Folds the finished execution into the metric registry: one histogram
     /// sample per span-tree node with a measured duration, plus the row /
-    /// round / join-decision counters.  No-op when telemetry is off.
+    /// round / hop-join counters.  No-op when telemetry is off.
     fn record_metrics(&self, stats: &QueryStats, telemetry: bool) {
         if !telemetry {
             return;
@@ -212,7 +185,6 @@ impl IntervalPhase {
         m.closure_rounds.add(stats.closure_rounds as u64);
         m.time_rounds.add(stats.time_rounds as u64);
         m.joins_hash.add(self.step_stats.hash_joins.load(Ordering::Relaxed) as u64);
-        m.joins_merge.add(self.step_stats.merge_joins.load(Ordering::Relaxed) as u64);
         let closure_nanos = self.step_stats.closure_nanos.load(Ordering::Relaxed);
         if closure_nanos > 0 {
             m.span_closure.record(closure_nanos);
@@ -226,7 +198,6 @@ fn run_interval_phase(
     plan_set: &PlanSet,
     graph: &GraphRelations,
     options: &ExecutionOptions,
-    strategy: JoinStrategy,
 ) -> IntervalPhase {
     // Every debug execution audits its plan set: a malformed plan (hand-built,
     // or corrupted by a future compiler bug) is rejected with a diagnostic
@@ -240,45 +211,29 @@ fn run_interval_phase(
     let per_plan_chains: Vec<Vec<Chain>> = plan_set
         .plans
         .iter()
-        .map(|plan| run_plan(plan, graph, options.parallelism, strategy, &step_stats))
+        .map(|plan| run_plan(plan, graph, options.parallelism, &step_stats))
         .collect();
     let interval_time = start.elapsed();
     let interval_rows = per_plan_chains.iter().map(Vec::len).sum();
     IntervalPhase { per_plan_chains, interval_time, interval_rows, step_stats, start }
 }
 
-/// Step 3: expands the interval-level chains into the full binding table.
+/// Step 3: expands the interval-level chains into the full binding table.  Every
+/// worker emits an ordered, deduplicated run; the final table is their k-way merge,
+/// so no post-union sort is needed.
 fn materialize(
     plan_set: &PlanSet,
     options: &ExecutionOptions,
-    strategy: JoinStrategy,
     per_plan_chains: &[Vec<Chain>],
 ) -> BindingTable {
     let num_slots = plan_set.variables.len();
-    if strategy == JoinStrategy::Hash {
-        // Hash path: concatenate the per-chunk rows and sort the result once.
-        let mut table = BindingTable::new(plan_set.variables.clone());
-        for (plan, chains) in plan_set.plans.iter().zip(per_plan_chains) {
-            let chunk_rows = par_chunk_flat_map(chains, options.parallelism, |chunk| {
-                let mut partial = BindingTable::new(plan_set.variables.clone());
-                expand_chains(plan, num_slots, chunk, &mut partial);
-                partial.into_rows()
-            });
-            table.extend_rows(chunk_rows);
-        }
-        table.sort_dedup();
-        table
-    } else {
-        // Sorted path: every worker emits an ordered, deduplicated run; the final
-        // table is their k-way merge, so the post-union sort disappears.
-        let mut runs: Vec<Vec<Vec<Binding>>> = Vec::new();
-        for (plan, chains) in plan_set.plans.iter().zip(per_plan_chains) {
-            runs.extend(par_chunk_flat_map(chains, options.parallelism, |chunk| {
-                vec![expand_chunk_sorted(plan, &plan_set.variables, num_slots, chunk)]
-            }));
-        }
-        BindingTable::from_rows(plan_set.variables.clone(), kway_merge_dedup(runs))
+    let mut runs: Vec<Vec<Vec<Binding>>> = Vec::new();
+    for (plan, chains) in plan_set.plans.iter().zip(per_plan_chains) {
+        runs.extend(par_chunk_flat_map(chains, options.parallelism, |chunk| {
+            vec![expand_chunk_sorted(plan, &plan_set.variables, num_slots, chunk)]
+        }));
     }
+    BindingTable::from_rows(plan_set.variables.clone(), kway_merge_dedup(runs))
 }
 
 /// Executes a compiled plan set over a graph, materialising the full binding table
@@ -290,10 +245,9 @@ pub fn execute(
 ) -> QueryOutput {
     let plan_set = effective_plan_set(plan_set, graph, options);
     let plan_set = plan_set.as_ref();
-    let strategy = effective_strategy(plan_set, options);
-    let phase = run_interval_phase(plan_set, graph, options, strategy);
+    let phase = run_interval_phase(plan_set, graph, options);
     let step3 = Span::enter(options.telemetry.then(|| &crate::telemetry::metrics().span_step3));
-    let table = materialize(plan_set, options, strategy, &phase.per_plan_chains);
+    let table = materialize(plan_set, options, &phase.per_plan_chains);
     step3.finish();
     let stats = phase.finish(table.len());
     phase.record_metrics(&stats, options.telemetry);
@@ -310,13 +264,12 @@ pub fn execute_answers(
 ) -> Answers {
     let plan_set = effective_plan_set(plan_set, graph, options);
     let plan_set = plan_set.as_ref();
-    let strategy = effective_strategy(plan_set, options);
     let telemetry = options.telemetry;
-    let phase = run_interval_phase(plan_set, graph, options, strategy);
+    let phase = run_interval_phase(plan_set, graph, options);
     match options.answer_mode {
         AnswerMode::Materialized => {
             let step3 = Span::enter(telemetry.then(|| &crate::telemetry::metrics().span_step3));
-            let table = materialize(plan_set, options, strategy, &phase.per_plan_chains);
+            let table = materialize(plan_set, options, &phase.per_plan_chains);
             step3.finish();
             let stats = phase.finish(table.len());
             phase.record_metrics(&stats, telemetry);
@@ -342,63 +295,16 @@ pub fn execute_answers(
     }
 }
 
-/// Compiles and executes a parsed `MATCH` clause.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `engine::Query::from_clause(clause)?.with_options(options).run(graph)`"
-)]
-pub fn execute_clause(
-    clause: &MatchClause,
-    graph: &GraphRelations,
-    options: &ExecutionOptions,
-) -> Result<QueryOutput> {
-    let plan_set = compile(clause)?;
-    Ok(execute(&plan_set, graph, options))
-}
-
-/// Parses, compiles and executes a query given in the practical surface syntax.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `engine::Query::parse(query)?.with_options(options).run(graph)`"
-)]
-pub fn execute_text(
-    query: &str,
-    graph: &GraphRelations,
-    options: &ExecutionOptions,
-) -> Result<QueryOutput> {
-    let clause = trpq::parser::parse_match(query)?;
-    let plan_set = compile(&clause)?;
-    Ok(execute(&plan_set, graph, options))
-}
-
-/// Executes one of the paper's benchmark queries Q1–Q12, using the precompiled plan
-/// table of [`crate::queries`].
-#[deprecated(
-    since = "0.1.0",
-    note = "use `engine::Query::benchmark(id).with_options(options).run(graph)`"
-)]
-pub fn execute_query(
-    id: QueryId,
-    graph: &GraphRelations,
-    options: &ExecutionOptions,
-) -> QueryOutput {
-    let plan_set = crate::queries::plan_for(id);
-    execute(&plan_set, graph, options)
-}
-
 /// Runs Steps 1–2 of a single plan: seeds the first segment with every live node row
 /// (chunked across worker threads), then alternates structural segments and temporal
-/// links (plain shifts or time-aware closures).  The seed rows of every chunk are
-/// ascending node-row indices, so the first hop of each chunk sees key-sorted input —
-/// which is what lets `Auto` start on the merge path.
+/// links (plain shifts or time-aware closures).
 fn run_plan(
     plan: &EnginePlan,
     graph: &GraphRelations,
     parallelism: Parallelism,
-    strategy: JoinStrategy,
     stats: &StepStats,
 ) -> Vec<Chain> {
-    run_plan_seeded(plan, graph, &graph.seed_rows(), parallelism, strategy, stats)
+    run_plan_seeded(plan, graph, &graph.seed_rows(), parallelism, stats)
 }
 
 /// Runs Steps 1–2 of a single plan from an explicit set of seed node rows.
@@ -407,14 +313,12 @@ fn run_plan(
 /// a refresh re-runs the SPJ pipeline and fixpoints only from the node rows a batch
 /// could have affected, instead of from every row like [`execute`] does.  The
 /// returned chains record their seed row ([`Chain::seed`]), so callers can group
-/// them back by starting node.  Seed rows should be ascending for the `Auto`
-/// strategy to start on the merge path (any order is correct).
+/// them back by starting node.
 pub fn run_plan_seeded(
     plan: &EnginePlan,
     graph: &GraphRelations,
     seed_rows: &[u32],
     parallelism: Parallelism,
-    strategy: JoinStrategy,
     stats: &StepStats,
 ) -> Vec<Chain> {
     // Seeded execution bypasses `run_interval_phase`, so it audits its plan
@@ -431,11 +335,11 @@ pub fn run_plan_seeded(
                 chains = match &plan.links[index - 1] {
                     TemporalLink::Shift(shift) => apply_shift(graph, chains, shift),
                     TemporalLink::Closure(closure) => {
-                        apply_time_closure(graph, chains, closure, strategy, stats)
+                        apply_time_closure(graph, chains, closure, stats)
                     }
                 };
             }
-            chains = apply_segment(graph, chains, segment, strategy, stats);
+            chains = apply_segment(graph, chains, segment, stats);
             if chains.is_empty() {
                 break;
             }
@@ -449,6 +353,8 @@ mod tests {
     use super::*;
     use crate::answers::Query;
     use tgraph::{Interval, Itpg, ItpgBuilder};
+    use trpq::queries::QueryId;
+    use trpq::Result;
 
     fn iv(a: u64, b: u64) -> Interval {
         Interval::of(a, b)
@@ -478,8 +384,7 @@ mod tests {
         GraphRelations::from_itpg(&tiny())
     }
 
-    /// The tests run everything through the [`Query`] builder (these shadow the
-    /// deprecated free functions the glob import would otherwise bring in).
+    /// The tests run everything through the [`Query`] builder.
     fn execute_text(
         query: &str,
         graph: &GraphRelations,
@@ -656,60 +561,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(strict.stats.output_rows, 0);
-
-        // All strategies and parallel execution agree on the mixed plan.
-        for query in [
-            "MATCH (x:Person {risk = 'high'})-/(FWD/:meets/FWD/NEXT*)[1,_]/-({test = 'pos'}) ON g",
-            "MATCH (x:Person)-/(FWD/:meets/FWD/NEXT)[0,2]/-(y:Person) ON g",
-            "MATCH (x:Person)-/(BWD/:meets/BWD/PREV)*/-(y:Person) ON g",
-        ] {
-            let hash = execute_text(
-                query,
-                &g,
-                &ExecutionOptions::sequential().with_strategy(JoinStrategy::Hash),
-            )
-            .unwrap();
-            for strategy in [JoinStrategy::Merge, JoinStrategy::Auto] {
-                let alt = execute_text(
-                    query,
-                    &g,
-                    &ExecutionOptions::sequential().with_strategy(strategy),
-                )
-                .unwrap();
-                assert_eq!(hash.table, alt.table, "{query} under {strategy}");
-            }
-            let par = execute_text(query, &g, &ExecutionOptions::with_threads(4)).unwrap();
-            assert_eq!(hash.table, par.table, "{query} in parallel");
-        }
-    }
-
-    #[test]
-    fn closure_queries_agree_across_strategies_and_parallelism() {
-        let g = relations();
-        for query in [
-            "MATCH (x:Person)-/(FWD/:meets/FWD)*/-(y:Person) ON g",
-            "MATCH (x:Person)-/(FWD/:meets/FWD + FWD/:visits/FWD)*/-(y) ON g",
-            "MATCH (x)-/FWD*/-(y) ON g",
-        ] {
-            let hash = execute_text(
-                query,
-                &g,
-                &ExecutionOptions::sequential().with_strategy(JoinStrategy::Hash),
-            )
-            .unwrap();
-            for strategy in [JoinStrategy::Merge, JoinStrategy::Auto] {
-                let alt = execute_text(
-                    query,
-                    &g,
-                    &ExecutionOptions::sequential().with_strategy(strategy),
-                )
-                .unwrap();
-                assert_eq!(hash.table, alt.table, "{query} under {strategy}");
-                assert_eq!(hash.stats.interval_rows, alt.stats.interval_rows, "{query}");
-            }
-            let par = execute_text(query, &g, &ExecutionOptions::with_threads(4)).unwrap();
-            assert_eq!(hash.table, par.table, "{query} in parallel");
-        }
     }
 
     #[test]
@@ -747,6 +598,12 @@ mod tests {
             "MATCH (x:Person) ON g",
             "MATCH (x:Person {risk = 'high'})-/FWD/:meets/FWD/NEXT*/-({test = 'pos'}) ON g",
             "MATCH (x:Person {test = 'pos'})-/PREV*/FWD/:visits/FWD/-(z:Room) ON g",
+            "MATCH (x:Person)-/(FWD/:meets/FWD)*/-(y:Person) ON g",
+            "MATCH (x:Person)-/(FWD/:meets/FWD + FWD/:visits/FWD)*/-(y) ON g",
+            "MATCH (x)-/FWD*/-(y) ON g",
+            "MATCH (x:Person {risk = 'high'})-/(FWD/:meets/FWD/NEXT*)[1,_]/-({test = 'pos'}) ON g",
+            "MATCH (x:Person)-/(FWD/:meets/FWD/NEXT)[0,2]/-(y:Person) ON g",
+            "MATCH (x:Person)-/(BWD/:meets/BWD/PREV)*/-(y:Person) ON g",
         ] {
             let seq = execute_text(query, &g, &ExecutionOptions::sequential()).unwrap();
             let par = execute_text(query, &g, &ExecutionOptions::with_threads(4)).unwrap();
@@ -761,46 +618,5 @@ mod tests {
             let out = execute_query(id, &g, &ExecutionOptions::sequential());
             assert_eq!(out.stats.output_rows, out.table.len(), "{}", id.name());
         }
-    }
-
-    #[test]
-    fn join_strategies_produce_identical_tables() {
-        let g = relations();
-        for id in QueryId::ALL {
-            let hash = execute_query(
-                id,
-                &g,
-                &ExecutionOptions::sequential().with_strategy(JoinStrategy::Hash),
-            );
-            for strategy in [JoinStrategy::Merge, JoinStrategy::Auto] {
-                let alt =
-                    execute_query(id, &g, &ExecutionOptions::sequential().with_strategy(strategy));
-                assert_eq!(hash.table, alt.table, "{} under {strategy}", id.name());
-                assert_eq!(
-                    hash.stats.interval_rows,
-                    alt.stats.interval_rows,
-                    "{} under {strategy}",
-                    id.name()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn compiled_strategy_applies_unless_options_override() {
-        let g = relations();
-        let clause = trpq::parser::parse_match("MATCH (x:Person {risk = 'high'}) ON g").unwrap();
-        let merge_planned =
-            crate::compiler::compile_with_strategy(&clause, JoinStrategy::Merge).unwrap();
-        assert_eq!(merge_planned.join_strategy, JoinStrategy::Merge);
-        // Options left at Auto defer to the plan; pinning them overrides it.
-        let deferred = execute(&merge_planned, &g, &ExecutionOptions::sequential());
-        let overridden = execute(
-            &merge_planned,
-            &g,
-            &ExecutionOptions::sequential().with_strategy(JoinStrategy::Hash),
-        );
-        assert_eq!(deferred.table, overridden.table);
-        assert_eq!(compile(&clause).unwrap().join_strategy, JoinStrategy::Auto);
     }
 }

@@ -53,14 +53,10 @@ pub use answers::{
 };
 pub use bindings::{Binding, BindingTable, TimeRef};
 pub use chain::TimeLag;
-pub use compiler::{compile, compile_with_strategy};
-pub use dataflow::JoinStrategy;
+pub use compiler::compile;
 pub use executor::{
-    effective_strategy, execute, execute_answers, run_plan_seeded, ExecutionOptions, QueryOutput,
-    QueryStats,
+    execute, execute_answers, run_plan_seeded, ExecutionOptions, QueryOutput, QueryStats,
 };
-#[allow(deprecated)]
-pub use executor::{execute_clause, execute_query, execute_text};
 pub use plan::analyze::{
     analyze, optimized_for, static_bounds, Analysis, Diagnostic, DiagnosticKind, PlanBounds,
     SchemaSummary, Severity,

@@ -7,7 +7,6 @@
 //! A query whose surface syntax contains unions compiles to several plans
 //! (a [`PlanSet`]), whose results are unioned.
 
-use dataflow::JoinStrategy;
 use tgraph::{Interval, Time, Value};
 use trpq::parser::{CmpOp, Constraint};
 
@@ -376,11 +375,6 @@ pub struct PlanSet {
     pub variables: Vec<String>,
     /// The graph name the query addresses (`ON …`).
     pub graph: String,
-    /// The join strategy baked in at compile time
-    /// ([`compile_with_strategy`](crate::compiler::compile_with_strategy)); `Auto`
-    /// defers the choice to the executor, which may still be overridden per run
-    /// through [`ExecutionOptions`](crate::executor::ExecutionOptions).
-    pub join_strategy: JoinStrategy,
 }
 
 impl PlanSet {
@@ -550,12 +544,8 @@ mod tests {
             links: vec![TemporalLink::Shift(Shift { forward: true, min: 0, max: None })],
         };
         assert!(!shifted.is_purely_structural());
-        let set = PlanSet {
-            plans: vec![plain, shifted],
-            variables: vec!["x".into()],
-            graph: "g".into(),
-            join_strategy: JoinStrategy::Auto,
-        };
+        let set =
+            PlanSet { plans: vec![plain, shifted], variables: vec!["x".into()], graph: "g".into() };
         assert!(!set.is_purely_structural());
     }
 }

@@ -132,11 +132,11 @@ pub struct GraphRelations {
     edge_rows_by_tgt: Arc<Vec<Vec<u32>>>,
     node_existence: Arc<Vec<IntervalSet>>,
     edge_existence: Arc<Vec<IntervalSet>>,
-    // Key-sorted permutations of the two relations, precomputed at load time so
-    // merge joins can scan them without sorting (see the `sorted_*` accessors).
+    // Key-sorted permutations of the two relations (see the `sorted_*` accessors).
+    // Read only by the benchmark's merge kernels — the engine's hops probe the
+    // per-key indexes above.
     node_rows_by_id_sorted: Arc<Vec<u32>>,
     edge_rows_by_src_sorted: Arc<Vec<u32>>,
-    edge_rows_by_tgt_sorted: Arc<Vec<u32>>,
     // Liveness of every row.  `from_itpg` produces all-live relations;
     // `apply_delta` tombstones the rows of touched objects instead of compacting
     // the row vectors, so row indices of *untouched* objects stay stable (which is
@@ -213,8 +213,6 @@ impl GraphRelations {
             sorted_permutation(&node_rows_by_id, |r| nodes[r as usize].interval);
         let edge_rows_by_src_sorted =
             sorted_permutation(&edge_rows_by_src, |r| edges[r as usize].interval);
-        let edge_rows_by_tgt_sorted =
-            sorted_permutation(&edge_rows_by_tgt, |r| edges[r as usize].interval);
 
         let node_row_live = vec![true; nodes.len()];
         let edge_row_live = vec![true; edges.len()];
@@ -232,7 +230,6 @@ impl GraphRelations {
             edge_existence: Arc::new(edge_existence),
             node_rows_by_id_sorted: Arc::new(node_rows_by_id_sorted),
             edge_rows_by_src_sorted: Arc::new(edge_rows_by_src_sorted),
-            edge_rows_by_tgt_sorted: Arc::new(edge_rows_by_tgt_sorted),
             node_row_live: Arc::new(node_row_live),
             edge_row_live: Arc::new(edge_row_live),
             dead_node_rows: 0,
@@ -250,7 +247,7 @@ impl GraphRelations {
     }
 
     /// The number of physical columns `self` still shares with `other` — a
-    /// diagnostic for copy-on-write behaviour (15 right after
+    /// diagnostic for copy-on-write behaviour (14 right after
     /// [`GraphRelations::snapshot`], decreasing only as deltas diverge the
     /// copies column by column).
     pub fn shared_columns(&self, other: &GraphRelations) -> usize {
@@ -268,10 +265,6 @@ impl GraphRelations {
             + usize::from(Arc::ptr_eq(
                 &self.edge_rows_by_src_sorted,
                 &other.edge_rows_by_src_sorted,
-            ))
-            + usize::from(Arc::ptr_eq(
-                &self.edge_rows_by_tgt_sorted,
-                &other.edge_rows_by_tgt_sorted,
             ))
             + usize::from(Arc::ptr_eq(&self.node_row_live, &other.node_row_live))
             + usize::from(Arc::ptr_eq(&self.edge_row_live, &other.edge_row_live))
@@ -339,7 +332,6 @@ impl GraphRelations {
         // New permutation entries, accumulated as (key, interval, row) triples.
         let mut new_by_node: Vec<(usize, Interval, u32)> = Vec::new();
         let mut new_by_src: Vec<(usize, Interval, u32)> = Vec::new();
-        let mut new_by_tgt: Vec<(usize, Interval, u32)> = Vec::new();
 
         if !touched_nodes.is_empty() {
             let nodes = Arc::make_mut(&mut self.nodes);
@@ -407,7 +399,6 @@ impl GraphRelations {
                     edge_rows_by_src[src.index()].push(row);
                     edge_rows_by_tgt[tgt.index()].push(row);
                     new_by_src.push((src.index(), segment, row));
-                    new_by_tgt.push((tgt.index(), segment, row));
                     edges.push(EdgeRow {
                         edge: e,
                         src,
@@ -423,7 +414,7 @@ impl GraphRelations {
         }
 
         // The permutations are only rebuilt for the relation that changed, so a
-        // node-only batch leaves both edge permutations shared with snapshots.
+        // node-only batch leaves the edge permutation shared with snapshots.
         if stats.node_rows_added + stats.node_rows_retracted > 0 {
             let nodes = &self.nodes;
             self.node_rows_by_id_sorted = Arc::new(merge_permutation(
@@ -440,12 +431,6 @@ impl GraphRelations {
                 &self.edge_row_live,
                 new_by_src,
                 |r| (edges[r as usize].src.index(), edges[r as usize].interval),
-            ));
-            self.edge_rows_by_tgt_sorted = Arc::new(merge_permutation(
-                &self.edge_rows_by_tgt_sorted,
-                &self.edge_row_live,
-                new_by_tgt,
-                |r| (edges[r as usize].tgt.index(), edges[r as usize].interval),
             ));
         }
         stats
@@ -538,20 +523,16 @@ impl GraphRelations {
         &self.edge_rows_by_tgt[node.index()]
     }
 
-    /// Row indices of the Nodes relation sorted by `(node id, interval start)` — the
-    /// key-sorted permutation merge joins scan when hopping onto nodes.
+    /// Row indices of the Nodes relation sorted by `(node id, interval start)`.  Read
+    /// only by the benchmark's merge kernels.
     pub fn node_rows_sorted_by_id(&self) -> &[u32] {
         &self.node_rows_by_id_sorted
     }
 
     /// Row indices of the Edges relation sorted by `(source node, interval start)`.
+    /// Read only by the benchmark's merge kernels.
     pub fn edge_rows_sorted_by_src(&self) -> &[u32] {
         &self.edge_rows_by_src_sorted
-    }
-
-    /// Row indices of the Edges relation sorted by `(target node, interval start)`.
-    pub fn edge_rows_sorted_by_tgt(&self) -> &[u32] {
-        &self.edge_rows_by_tgt_sorted
     }
 
     /// The coalesced existence intervals of an object.
@@ -739,11 +720,11 @@ mod tests {
     #[test]
     fn sorted_permutations_cover_all_rows_in_key_order() {
         let rel = GraphRelations::from_itpg(&sample());
-        let by_src = rel.edge_rows_sorted_by_tgt();
+        let by_src = rel.edge_rows_sorted_by_src();
         assert_eq!(by_src.len(), rel.edge_rows().len());
         assert!(by_src.windows(2).all(|w| {
             let (a, b) = (&rel.edge_rows()[w[0] as usize], &rel.edge_rows()[w[1] as usize]);
-            (a.tgt, a.interval.start()) <= (b.tgt, b.interval.start())
+            (a.src, a.interval.start()) <= (b.src, b.interval.start())
         }));
         let by_node = rel.node_rows_sorted_by_id();
         assert_eq!(by_node.len(), rel.node_rows().len());
@@ -751,7 +732,6 @@ mod tests {
             let (a, b) = (&rel.node_rows()[w[0] as usize], &rel.node_rows()[w[1] as usize]);
             (a.node, a.interval.start()) <= (b.node, b.interval.start())
         }));
-        assert_eq!(rel.edge_rows_sorted_by_src().len(), rel.edge_rows().len());
     }
 
     /// Asserts the invariants a delta must preserve: permutations cover exactly the
@@ -764,7 +744,6 @@ mod tests {
             (0..rel.edge_rows().len() as u32).filter(|&r| rel.is_edge_row_live(r)).count();
         assert_eq!(rel.node_rows_sorted_by_id().len(), live_nodes);
         assert_eq!(rel.edge_rows_sorted_by_src().len(), live_edges);
-        assert_eq!(rel.edge_rows_sorted_by_tgt().len(), live_edges);
         assert_eq!(rel.seed_rows().len(), live_nodes);
         assert_eq!(rel.stats().temporal_nodes, live_nodes);
         assert_eq!(rel.stats().temporal_edges, live_edges);
@@ -776,13 +755,8 @@ mod tests {
             let (a, b) = (&rel.edge_rows()[w[0] as usize], &rel.edge_rows()[w[1] as usize]);
             (a.src, a.interval.start()) <= (b.src, b.interval.start())
         }));
-        assert!(rel.edge_rows_sorted_by_tgt().windows(2).all(|w| {
-            let (a, b) = (&rel.edge_rows()[w[0] as usize], &rel.edge_rows()[w[1] as usize]);
-            (a.tgt, a.interval.start()) <= (b.tgt, b.interval.start())
-        }));
         assert!(rel.node_rows_sorted_by_id().iter().all(|&r| rel.is_node_row_live(r)));
         assert!(rel.edge_rows_sorted_by_src().iter().all(|&r| rel.is_edge_row_live(r)));
-        assert!(rel.edge_rows_sorted_by_tgt().iter().all(|&r| rel.is_edge_row_live(r)));
     }
 
     #[test]
@@ -855,7 +829,7 @@ mod tests {
         let mut itpg = sample();
         let mut rel = GraphRelations::from_itpg(&itpg);
         let pinned = rel.snapshot();
-        assert_eq!(pinned.shared_columns(&rel), 15, "a fresh snapshot shares every column");
+        assert_eq!(pinned.shared_columns(&rel), 14, "a fresh snapshot shares every column");
 
         // An edge-only batch must not copy any node column: the writer diverges
         // the edge storage while the snapshot keeps the old version.
@@ -866,7 +840,7 @@ mod tests {
         rel.apply_delta(&itpg, &applied.touched);
 
         let shared = pinned.shared_columns(&rel);
-        assert!(shared < 15, "the edge columns must have diverged");
+        assert!(shared < 14, "the edge columns must have diverged");
         assert!(shared >= 6, "the six node columns (and edge names) must still be shared");
         // The pinned snapshot is immutable: it still shows the pre-batch state,
         // while the live relations show the post-batch state.
@@ -878,7 +852,7 @@ mod tests {
         // (unique ownership — no second copy), and a fresh snapshot re-shares.
         drop(pinned);
         let again = rel.snapshot();
-        assert_eq!(again.shared_columns(&rel), 15);
+        assert_eq!(again.shared_columns(&rel), 14);
     }
 
     #[test]

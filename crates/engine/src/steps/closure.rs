@@ -48,7 +48,6 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 
-use dataflow::JoinStrategy;
 use tgraph::{Interval, IntervalSet, Time};
 
 use crate::chain::{Chain, Position, TimeLag};
@@ -118,17 +117,15 @@ impl StructuralCursor for FrontierEntry {
 /// Applies a purely structural closure operator to a batch of cursors, returning one
 /// output cursor per reachable `(source, row, coalesced interval)` triple.  The output
 /// is emitted in canonical `(input cursor, position, interval)` order, so its
-/// cardinality and content are independent of the join strategy used for the inner
-/// hops.
+/// cardinality and content are independent of the order the inner hops derive rows in.
 pub fn apply_closure<C: StructuralCursor>(
     graph: &GraphRelations,
     cursors: Vec<C>,
     closure: &ClosureOp,
-    strategy: JoinStrategy,
     stats: &StepStats,
 ) -> Vec<C> {
     let watch = stats.timed.then(obs::Stopwatch::start);
-    let out = apply_closure_untimed(graph, cursors, closure, strategy, stats);
+    let out = apply_closure_untimed(graph, cursors, closure, stats);
     if let Some(watch) = watch {
         stats.closure_nanos.fetch_add(watch.elapsed_nanos(), Ordering::Relaxed);
     }
@@ -139,7 +136,6 @@ fn apply_closure_untimed<C: StructuralCursor>(
     graph: &GraphRelations,
     cursors: Vec<C>,
     closure: &ClosureOp,
-    strategy: JoinStrategy,
     stats: &StepStats,
 ) -> Vec<C> {
     debug_assert!(
@@ -165,7 +161,7 @@ fn apply_closure_untimed<C: StructuralCursor>(
     // rounds replace the frontier instead of accumulating, coalescing within each
     // depth level only.
     for _ in 0..closure.min {
-        frontier = apply_round(graph, frontier, closure, strategy, stats);
+        frontier = apply_round(graph, frontier, closure, stats);
         if frontier.is_empty() {
             return Vec::new();
         }
@@ -186,7 +182,7 @@ fn apply_closure_untimed<C: StructuralCursor>(
     let mut delta = frontier;
     let mut remaining = closure.max.map(|m| u64::from(m - closure.min));
     while !delta.is_empty() && remaining != Some(0) {
-        let produced = apply_round(graph, delta, closure, strategy, stats);
+        let produced = apply_round(graph, delta, closure, stats);
         let mut novel = Vec::new();
         for entry in produced {
             let seen = reached.entry(entry.source).or_default().entry(entry.position).or_default();
@@ -228,7 +224,6 @@ fn apply_round(
     graph: &GraphRelations,
     mut frontier: Vec<FrontierEntry>,
     closure: &ClosureOp,
-    strategy: JoinStrategy,
     stats: &StepStats,
 ) -> Vec<FrontierEntry> {
     stats.closure_rounds.fetch_add(1, Ordering::Relaxed);
@@ -244,7 +239,7 @@ fn apply_round(
                 break;
             }
             match step {
-                ClosureStep::Micro(op) => current = apply_op(graph, current, op, strategy, stats),
+                ClosureStep::Micro(op) => current = apply_op(graph, current, op, stats),
                 ClosureStep::Shift(_) => {
                     unreachable!("structural closures contain no temporal steps")
                 }
@@ -257,7 +252,7 @@ fn apply_round(
 
 /// Canonicalises a frontier: groups entries by `(source, position)`, coalesces their
 /// intervals, and emits them in sorted order.  This keeps round inputs and outputs
-/// identical across join strategies and bounds the frontier size by the number of
+/// independent of derivation order and bounds the frontier size by the number of
 /// `(source, row)` pairs times the number of coalesced intervals.
 fn coalesce_frontier(entries: Vec<FrontierEntry>) -> Vec<FrontierEntry> {
     let mut grouped: BTreeMap<(u32, Position), IntervalSet> = BTreeMap::new();
@@ -422,7 +417,6 @@ fn apply_band_steps(
     graph: &GraphRelations,
     mut bands: Vec<BandState>,
     steps: &[ClosureStep],
-    strategy: JoinStrategy,
     stats: &StepStats,
 ) -> Vec<BandState> {
     for step in steps {
@@ -433,9 +427,9 @@ fn apply_band_steps(
             // A nested time-crossing closure runs its own band fixpoint over the
             // current states; a structural nested closure is just a micro-op.
             ClosureStep::Micro(MicroOp::Closure(inner)) if inner.is_time_crossing() => {
-                run_band_fixpoint(graph, bands, inner, strategy, stats)
+                run_band_fixpoint(graph, bands, inner, stats)
             }
-            ClosureStep::Micro(op) => apply_op(graph, bands, op, strategy, stats),
+            ClosureStep::Micro(op) => apply_op(graph, bands, op, stats),
             ClosureStep::Shift(shift) => {
                 let mut out = Vec::new();
                 for band in &bands {
@@ -454,7 +448,6 @@ fn apply_band_round(
     graph: &GraphRelations,
     mut frontier: Vec<BandState>,
     closure: &ClosureOp,
-    strategy: JoinStrategy,
     stats: &StepStats,
 ) -> Vec<BandState> {
     stats.time_closure_rounds.fetch_add(1, Ordering::Relaxed);
@@ -465,7 +458,7 @@ fn apply_band_round(
         } else {
             frontier.clone()
         };
-        produced.extend(apply_band_steps(graph, input, steps, strategy, stats));
+        produced.extend(apply_band_steps(graph, input, steps, stats));
     }
     canonicalize_bands(produced)
 }
@@ -514,7 +507,6 @@ fn run_band_fixpoint(
     graph: &GraphRelations,
     seeds: Vec<BandState>,
     closure: &ClosureOp,
-    strategy: JoinStrategy,
     stats: &StepStats,
 ) -> Vec<BandState> {
     if seeds.is_empty() || closure.max.is_some_and(|m| m < closure.min) {
@@ -524,7 +516,7 @@ fn run_band_fixpoint(
 
     // Phase 1: exactly `min` applications, replacing the frontier per depth level.
     for _ in 0..closure.min {
-        frontier = apply_band_round(graph, frontier, closure, strategy, stats);
+        frontier = apply_band_round(graph, frontier, closure, stats);
         if frontier.is_empty() {
             return Vec::new();
         }
@@ -542,7 +534,7 @@ fn run_band_fixpoint(
     let mut delta = frontier;
     let mut remaining = closure.max.map(|m| u64::from(m - closure.min));
     while !delta.is_empty() && remaining != Some(0) {
-        let produced = apply_band_round(graph, delta, closure, strategy, stats);
+        let produced = apply_band_round(graph, delta, closure, stats);
         let mut novel = Vec::new();
         for band in produced {
             let stored = reached.entry((band.source, band.position)).or_default();
@@ -571,8 +563,7 @@ fn run_band_fixpoint(
         remaining = remaining.map(|r| r - 1);
     }
 
-    // Emit in canonical order so the result is independent of derivation order (and
-    // hence of the join strategy).
+    // Emit in canonical order so the result is independent of derivation order.
     let mut out = Vec::new();
     for ((source, position), stored) in &reached {
         for sb in stored {
@@ -612,11 +603,10 @@ pub fn apply_time_closure(
     graph: &GraphRelations,
     chains: Vec<Chain>,
     closure: &ClosureOp,
-    strategy: JoinStrategy,
     stats: &StepStats,
 ) -> Vec<Chain> {
     let watch = stats.timed.then(obs::Stopwatch::start);
-    let out = apply_time_closure_untimed(graph, chains, closure, strategy, stats);
+    let out = apply_time_closure_untimed(graph, chains, closure, stats);
     if let Some(watch) = watch {
         stats.closure_nanos.fetch_add(watch.elapsed_nanos(), Ordering::Relaxed);
     }
@@ -627,7 +617,6 @@ fn apply_time_closure_untimed(
     graph: &GraphRelations,
     chains: Vec<Chain>,
     closure: &ClosureOp,
-    strategy: JoinStrategy,
     stats: &StepStats,
 ) -> Vec<Chain> {
     if chains.is_empty() || closure.max.is_some_and(|m| m < closure.min) {
@@ -645,7 +634,7 @@ fn apply_time_closure_untimed(
             lag: TimeLag::zero(),
         })
         .collect();
-    let bands = run_band_fixpoint(graph, seeds, closure, strategy, stats);
+    let bands = run_band_fixpoint(graph, seeds, closure, stats);
 
     let mut by_source: Vec<Vec<&BandState>> = vec![Vec::new(); distinct.len()];
     for band in &bands {
@@ -730,27 +719,11 @@ mod tests {
     }
 
     fn run(graph: &GraphRelations, seeds: Vec<Chain>, op: &ClosureOp) -> Vec<Chain> {
-        let stats = StepStats::default();
-        let hash = apply_closure(graph, seeds.clone(), op, JoinStrategy::Hash, &stats);
-        for strategy in [JoinStrategy::Merge, JoinStrategy::Auto] {
-            let alt = apply_closure(graph, seeds.clone(), op, strategy, &stats);
-            let lhs: Vec<String> = hash.iter().map(|c| format!("{c:?}")).collect();
-            let rhs: Vec<String> = alt.iter().map(|c| format!("{c:?}")).collect();
-            assert_eq!(lhs, rhs, "{strategy} closure disagrees with hash");
-        }
-        hash
+        apply_closure(graph, seeds, op, &StepStats::default())
     }
 
     fn run_time(graph: &GraphRelations, seeds: Vec<Chain>, op: &ClosureOp) -> Vec<Chain> {
-        let stats = StepStats::default();
-        let hash = apply_time_closure(graph, seeds.clone(), op, JoinStrategy::Hash, &stats);
-        for strategy in [JoinStrategy::Merge, JoinStrategy::Auto] {
-            let alt = apply_time_closure(graph, seeds.clone(), op, strategy, &stats);
-            let lhs: Vec<String> = hash.iter().map(|c| format!("{c:?}")).collect();
-            let rhs: Vec<String> = alt.iter().map(|c| format!("{c:?}")).collect();
-            assert_eq!(lhs, rhs, "{strategy} time closure disagrees with hash");
-        }
-        hash
+        apply_time_closure(graph, seeds, op, &StepStats::default())
     }
 
     #[test]
@@ -810,13 +783,7 @@ mod tests {
         b.add_existence(e2, iv(4, 7)).unwrap();
         let g = GraphRelations::from_itpg(&b.domain(iv(0, 9)).build().unwrap());
         let stats = StepStats::default();
-        let out = apply_closure(
-            &g,
-            vec![Chain::seed(row_of(&g, "a"), &g)],
-            &star(),
-            JoinStrategy::Hash,
-            &stats,
-        );
+        let out = apply_closure(&g, vec![Chain::seed(row_of(&g, "a"), &g)], &star(), &stats);
         // a over its whole row (0 steps; the [4,5] round trip adds no new coverage),
         // b over the edge window [2,5].
         assert_eq!(reached(&g, &out), vec![("a".to_owned(), iv(0, 9)), ("b".to_owned(), iv(2, 5))]);
@@ -869,9 +836,9 @@ mod tests {
         let g = chain_graph();
         let seed = || Chain::seed(row_of(&g, "a"), &g);
         let single_stats = StepStats::default();
-        let single = apply_closure(&g, vec![seed()], &star(), JoinStrategy::Hash, &single_stats);
+        let single = apply_closure(&g, vec![seed()], &star(), &single_stats);
         let dup_stats = StepStats::default();
-        let dup = apply_closure(&g, vec![seed(), seed()], &star(), JoinStrategy::Hash, &dup_stats);
+        let dup = apply_closure(&g, vec![seed(), seed()], &star(), &dup_stats);
         assert_eq!(
             single_stats.closure_rounds.load(Ordering::Relaxed),
             dup_stats.closure_rounds.load(Ordering::Relaxed),
@@ -882,9 +849,9 @@ mod tests {
 
         // Same for the time-aware fixpoint.
         let single_stats = StepStats::default();
-        apply_time_closure(&g, vec![seed()], &mixed_star(), JoinStrategy::Hash, &single_stats);
+        apply_time_closure(&g, vec![seed()], &mixed_star(), &single_stats);
         let dup_stats = StepStats::default();
-        apply_time_closure(&g, vec![seed(), seed()], &mixed_star(), JoinStrategy::Hash, &dup_stats);
+        apply_time_closure(&g, vec![seed(), seed()], &mixed_star(), &dup_stats);
         assert_eq!(
             single_stats.time_closure_rounds.load(Ordering::Relaxed),
             dup_stats.time_closure_rounds.load(Ordering::Relaxed),

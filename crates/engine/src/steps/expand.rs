@@ -31,9 +31,9 @@ pub fn expand_chains(
 
 /// Expands one chunk of chains into a sorted, deduplicated run of binding rows.
 ///
-/// This is the unit of work on the executor's sorted (merge / auto join strategy)
-/// path: each parallel worker returns an ordered run, and the final binding table is
-/// assembled with a k-way merge of the runs instead of sorting their concatenation.
+/// This is the executor's unit of Step-3 work: each parallel worker returns an ordered
+/// run, and the final binding table is assembled with a k-way merge of the runs
+/// instead of sorting their concatenation.
 pub fn expand_chunk_sorted(
     plan: &EnginePlan,
     columns: &[String],

@@ -19,11 +19,9 @@ pub struct StepStats {
     /// group mixing structural and temporal navigation (`(FWD/NEXT)*` and friends) to
     /// a band frontier.  Zero for plans without mixed repetition.
     pub time_closure_rounds: AtomicUsize,
-    /// Number of structural hop joins resolved to the hash algorithm (per hop batch,
-    /// not per cursor) — the decisions `JoinStrategy::Auto` actually took.
+    /// Number of structural hop joins executed (per hop batch, not per cursor); every
+    /// hop probes the hash adjacency indexes.
     pub hash_joins: AtomicUsize,
-    /// Number of structural hop joins resolved to the gallop merge algorithm.
-    pub merge_joins: AtomicUsize,
     /// Nanoseconds spent inside closure fixpoints (structural and time-crossing),
     /// accumulated only when [`StepStats::timed`] is set.  Feeds the
     /// `query/step12/closure` span.

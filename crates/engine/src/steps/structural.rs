@@ -5,26 +5,14 @@
 //! hop is a temporally-aligned join between the current chains and the adjacent
 //! Nodes/Edges rows (equal adjacency keys, intersecting validity intervals), every
 //! filter prunes rows and clamps intervals, and a [`MicroOp::Closure`] repeats an
-//! inner pipeline to a fixpoint (see [`crate::steps::closure`]).  The physical join
-//! implementation is selected by a [`JoinStrategy`]:
-//!
-//! * `Hash` probes the per-node adjacency indexes built at load time (a hash join
-//!   whose build side is precomputed);
-//! * `Merge` runs a sort-merge join against the key-sorted row permutations of
-//!   [`GraphRelations`], sorting the chains by their join key first if needed.  The
-//!   merge uses galloping group seeks ([`interval_merge_join_gallop`]), so a very
-//!   selective batch of chains skips the unmatched key groups of the permutation
-//!   instead of scanning them;
-//! * `Auto` picks merge when the chains are already key-sorted — which the seed-row
-//!   expansion naturally produces for the first hop — *and* the chain batch is not
-//!   vanishingly small relative to the permutation
-//!   ([`JoinStrategy::resolve_with_hint`]); hash otherwise.
+//! inner pipeline to a fixpoint (see [`crate::steps::closure`]).  Every hop probes the
+//! per-node adjacency indexes [`GraphRelations`] builds at load time — a hash join
+//! whose build side is precomputed.
 //!
 //! The pipeline is generic over a [`StructuralCursor`]: the executor drives it with
 //! full [`Chain`]s, while the closure operator drives the same joins with its
 //! lightweight tagged frontier entries (the "delta" of the semi-naive iteration).
 
-use dataflow::{interval_merge_join_gallop, is_key_sorted, JoinStrategy, ResolvedJoin};
 use tgraph::Interval;
 
 use crate::chain::{BoundVar, Chain, Position};
@@ -88,16 +76,14 @@ impl StructuralCursor for Chain {
 }
 
 /// Applies every operation of a segment to the given chains, returning the surviving
-/// chains.  Hops execute their joins according to `strategy`; closure rounds are
-/// counted in `stats`.
+/// chains.  Hop joins and closure rounds are counted in `stats`.
 pub fn apply_segment(
     graph: &GraphRelations,
     chains: Vec<Chain>,
     segment: &Segment,
-    strategy: JoinStrategy,
     stats: &StepStats,
 ) -> Vec<Chain> {
-    apply_ops(graph, chains, &segment.ops, strategy, stats)
+    apply_ops(graph, chains, &segment.ops, stats)
 }
 
 /// Applies a sequence of micro-operations to a batch of cursors.
@@ -105,12 +91,11 @@ pub(crate) fn apply_ops<C: StructuralCursor>(
     graph: &GraphRelations,
     cursors: Vec<C>,
     ops: &[MicroOp],
-    strategy: JoinStrategy,
     stats: &StepStats,
 ) -> Vec<C> {
     let mut current = cursors;
     for op in ops {
-        current = apply_op(graph, current, op, strategy, stats);
+        current = apply_op(graph, current, op, stats);
         if current.is_empty() {
             break;
         }
@@ -124,7 +109,6 @@ pub(crate) fn apply_op<C: StructuralCursor>(
     graph: &GraphRelations,
     cursors: Vec<C>,
     op: &MicroOp,
-    strategy: JoinStrategy,
     stats: &StepStats,
 ) -> Vec<C> {
     match op {
@@ -138,8 +122,8 @@ pub(crate) fn apply_op<C: StructuralCursor>(
                 cursor
             })
             .collect(),
-        MicroOp::Hop(direction) => apply_hop(graph, cursors, *direction, strategy, stats),
-        MicroOp::Closure(closure) => apply_closure(graph, cursors, closure, strategy, stats),
+        MicroOp::Hop(direction) => apply_hop(graph, cursors, *direction, stats),
+        MicroOp::Closure(closure) => apply_closure(graph, cursors, closure, stats),
     }
 }
 
@@ -151,87 +135,46 @@ fn apply_hop<C: StructuralCursor>(
     graph: &GraphRelations,
     cursors: Vec<C>,
     direction: HopDirection,
-    strategy: JoinStrategy,
     stats: &StepStats,
 ) -> Vec<C> {
     let (node_cursors, edge_cursors): (Vec<C>, Vec<C>) =
         cursors.into_iter().partition(|c| matches!(c.position(), Position::NodeRow(_)));
     let mut out = Vec::with_capacity(node_cursors.len() + edge_cursors.len());
     if !node_cursors.is_empty() {
-        hop_from_nodes(graph, node_cursors, direction, strategy, stats, &mut out);
+        hop_from_nodes(graph, &node_cursors, direction, stats, &mut out);
     }
     if !edge_cursors.is_empty() {
-        hop_from_edges(graph, edge_cursors, direction, strategy, stats, &mut out);
+        hop_from_edges(graph, &edge_cursors, direction, stats, &mut out);
     }
     out
 }
 
-/// Counts one resolved join decision (per hop batch) into the step stats.
-fn count_join(stats: &StepStats, resolved: ResolvedJoin) {
-    let counter = match resolved {
-        ResolvedJoin::Hash => &stats.hash_joins,
-        ResolvedJoin::Merge => &stats.merge_joins,
-    };
-    counter.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+/// Counts one hop join (per hop batch, not per cursor) into the step stats.
+fn count_join(stats: &StepStats) {
+    stats.hash_joins.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
 }
 
 /// Joins node-positioned cursors with the Edges relation on the adjacency key
 /// (source node for forward hops, target node for backward hops).
 fn hop_from_nodes<C: StructuralCursor>(
     graph: &GraphRelations,
-    mut cursors: Vec<C>,
+    cursors: &[C],
     direction: HopDirection,
-    strategy: JoinStrategy,
     stats: &StepStats,
     out: &mut Vec<C>,
 ) {
-    let key = |c: &C| match c.position() {
-        Position::NodeRow(r) => graph.node_rows()[r as usize].node.index(),
-        Position::EdgeRow(_) => unreachable!("node hop over an edge-positioned cursor"),
-    };
-    type EdgeKeyFn = fn(&GraphRelations, u32) -> usize;
-    let (perm, edge_key): (&[u32], EdgeKeyFn) = match direction {
-        HopDirection::Forward => {
-            (graph.edge_rows_sorted_by_src(), |g, r| g.edge_rows()[r as usize].src.index())
-        }
-        HopDirection::Backward => {
-            (graph.edge_rows_sorted_by_tgt(), |g, r| g.edge_rows()[r as usize].tgt.index())
-        }
-    };
-    let sorted = is_key_sorted(&cursors, key);
-    let resolved = strategy.resolve_with_hint(sorted, cursors.len(), perm.len());
-    count_join(stats, resolved);
-    match resolved {
-        ResolvedJoin::Hash => {
-            for cursor in &cursors {
-                let node = graph.node_rows()[match cursor.position() {
-                    Position::NodeRow(r) => r,
-                    Position::EdgeRow(_) => unreachable!(),
-                } as usize]
-                    .node;
-                let rows = match direction {
-                    HopDirection::Forward => graph.out_edge_rows(node),
-                    HopDirection::Backward => graph.in_edge_rows(node),
-                };
-                extend_with_edge_rows(graph, cursor, rows, out);
-            }
-        }
-        ResolvedJoin::Merge => {
-            if !sorted {
-                cursors.sort_by_key(key);
-            }
-            let joined = interval_merge_join_gallop(
-                &cursors,
-                perm,
-                key,
-                |&r| edge_key(graph, r),
-                |c| c.interval(),
-                |&r| graph.edge_rows()[r as usize].interval,
-            );
-            out.extend(joined.into_iter().map(|(cursor, &edge_row, interval)| {
-                cursor.moved_to(Position::EdgeRow(edge_row), interval)
-            }));
-        }
+    count_join(stats);
+    for cursor in cursors {
+        let node = graph.node_rows()[match cursor.position() {
+            Position::NodeRow(r) => r,
+            Position::EdgeRow(_) => unreachable!("node hop over an edge-positioned cursor"),
+        } as usize]
+            .node;
+        let rows = match direction {
+            HopDirection::Forward => graph.out_edge_rows(node),
+            HopDirection::Backward => graph.in_edge_rows(node),
+        };
+        extend_with_edge_rows(graph, cursor, rows, out);
     }
 }
 
@@ -239,9 +182,8 @@ fn hop_from_nodes<C: StructuralCursor>(
 /// (target node for forward hops, source node for backward hops).
 fn hop_from_edges<C: StructuralCursor>(
     graph: &GraphRelations,
-    mut cursors: Vec<C>,
+    cursors: &[C],
     direction: HopDirection,
-    strategy: JoinStrategy,
     stats: &StepStats,
     out: &mut Vec<C>,
 ) {
@@ -255,33 +197,9 @@ fn hop_from_edges<C: StructuralCursor>(
             HopDirection::Backward => row.src,
         }
     };
-    let key = |c: &C| endpoint(c).index();
-    let sorted = is_key_sorted(&cursors, key);
-    let perm_len = graph.node_rows_sorted_by_id().len();
-    let resolved = strategy.resolve_with_hint(sorted, cursors.len(), perm_len);
-    count_join(stats, resolved);
-    match resolved {
-        ResolvedJoin::Hash => {
-            for cursor in &cursors {
-                extend_with_node_rows(graph, cursor, graph.rows_of_node(endpoint(cursor)), out);
-            }
-        }
-        ResolvedJoin::Merge => {
-            if !sorted {
-                cursors.sort_by_key(key);
-            }
-            let joined = interval_merge_join_gallop(
-                &cursors,
-                graph.node_rows_sorted_by_id(),
-                key,
-                |&r| graph.node_rows()[r as usize].node.index(),
-                |c| c.interval(),
-                |&r| graph.node_rows()[r as usize].interval,
-            );
-            out.extend(joined.into_iter().map(|(cursor, &node_row, interval)| {
-                cursor.moved_to(Position::NodeRow(node_row), interval)
-            }));
-        }
+    count_join(stats);
+    for cursor in cursors {
+        extend_with_node_rows(graph, cursor, graph.rows_of_node(endpoint(cursor)), out);
     }
 }
 
@@ -366,21 +284,9 @@ mod tests {
         (0..graph.node_rows().len() as u32).map(|r| Chain::seed(r, graph)).collect()
     }
 
-    /// Applies the segment under every strategy, asserts that all strategies agree on
-    /// the result multiset, and returns the hash-strategy result (whose order the
-    /// expectations below are written against).
-    fn apply_checked(graph: &GraphRelations, segment: &Segment) -> Vec<Chain> {
-        let stats = StepStats::default();
-        let hash = apply_segment(graph, seeds(graph), segment, JoinStrategy::Hash, &stats);
-        for strategy in [JoinStrategy::Merge, JoinStrategy::Auto] {
-            let alt = apply_segment(graph, seeds(graph), segment, strategy, &stats);
-            let mut lhs: Vec<String> = hash.iter().map(|c| format!("{c:?}")).collect();
-            let mut rhs: Vec<String> = alt.iter().map(|c| format!("{c:?}")).collect();
-            lhs.sort();
-            rhs.sort();
-            assert_eq!(lhs, rhs, "{strategy} strategy disagrees with hash");
-        }
-        hash
+    /// Applies the segment to one seed chain per node row.
+    fn apply_to_all_nodes(graph: &GraphRelations, segment: &Segment) -> Vec<Chain> {
+        apply_segment(graph, seeds(graph), segment, &StepStats::default())
     }
 
     #[test]
@@ -392,7 +298,7 @@ mod tests {
             &[Constraint::Prop("risk".into(), Value::str("high"))],
         );
         let segment = Segment { ops: vec![MicroOp::Filter(filter), MicroOp::Bind(0)] };
-        let result = apply_checked(&g, &segment);
+        let result = apply_to_all_nodes(&g, &segment);
         assert_eq!(result.len(), 1);
         assert_eq!(g.object_name(result[0].position.object(&g)), "bob");
         assert_eq!(result[0].interval, iv(1, 9));
@@ -403,7 +309,7 @@ mod tests {
             None,
             &[Constraint::Time(trpq::parser::CmpOp::Lt, 4)],
         );
-        let clamped = apply_checked(&g, &Segment { ops: vec![MicroOp::Filter(time_filter)] });
+        let clamped = apply_to_all_nodes(&g, &Segment { ops: vec![MicroOp::Filter(time_filter)] });
         // Every node row survives but clamped below time 4; the Room row starts at 3.
         assert_eq!(clamped.len(), 3);
         assert!(clamped.iter().all(|c| c.interval.end() <= 3));
@@ -425,7 +331,7 @@ mod tests {
                 MicroOp::Hop(HopDirection::Forward),
             ],
         };
-        let result = apply_checked(&g, &segment);
+        let result = apply_to_all_nodes(&g, &segment);
         assert_eq!(result.len(), 1);
         assert_eq!(g.object_name(result[0].position.object(&g)), "bob");
         // Interval is the intersection of ann [1,9], meets [5,6], bob [1,9].
@@ -444,7 +350,7 @@ mod tests {
                 MicroOp::Hop(HopDirection::Backward),
             ],
         };
-        let result = apply_checked(&g, &segment);
+        let result = apply_to_all_nodes(&g, &segment);
         assert_eq!(result.len(), 1);
         assert_eq!(g.object_name(result[0].position.object(&g)), "bob");
         assert_eq!(result[0].interval, iv(6, 8));
@@ -460,6 +366,6 @@ mod tests {
             ],
         };
         // The room has no outgoing edges.
-        assert!(apply_checked(&g, &segment).is_empty());
+        assert!(apply_to_all_nodes(&g, &segment).is_empty());
     }
 }

@@ -58,11 +58,8 @@ pub(crate) struct EngineMetrics {
     /// `tpath_engine_closure_rounds_total{kind="time"}`.
     pub time_rounds: Arc<Counter>,
     /// `tpath_engine_join_decisions_total{algorithm="hash"}` — structural
-    /// hops resolved to the hash join.
+    /// hop joins executed, one per hop batch.
     pub joins_hash: Arc<Counter>,
-    /// `tpath_engine_join_decisions_total{algorithm="merge"}` — structural
-    /// hops resolved to the gallop merge join.
-    pub joins_merge: Arc<Counter>,
     /// `tpath_engine_cursor_rows_total` — rows yielded by enumeration
     /// cursors (recorded when the cursor drops).
     pub cursor_rows: Arc<Counter>,
@@ -87,7 +84,7 @@ pub(crate) fn metrics() -> &'static EngineMetrics {
         let reg = obs::global();
         let rows_help = "Rows produced by query executions, by pipeline stage.";
         let rounds_help = "Closure fixpoint rounds executed, by closure kind.";
-        let joins_help = "Structural hop joins, by the algorithm the strategy resolved to.";
+        let joins_help = "Structural hop joins executed, by join algorithm.";
         EngineMetrics {
             queries: reg.counter(
                 "tpath_engine_queries_total",
@@ -122,11 +119,6 @@ pub(crate) fn metrics() -> &'static EngineMetrics {
                 "tpath_engine_join_decisions_total",
                 joins_help,
                 &[("algorithm", "hash")],
-            ),
-            joins_merge: reg.counter(
-                "tpath_engine_join_decisions_total",
-                joins_help,
-                &[("algorithm", "merge")],
             ),
             cursor_rows: reg.counter(
                 "tpath_engine_cursor_rows_total",

@@ -3,10 +3,7 @@
 
 use engine::bindings::BindingTable;
 use engine::plan::PlanSet;
-use engine::{
-    compile, effective_strategy, DeltaStats, ExecutionOptions, GraphRelations, JoinStrategy,
-    TableCursor,
-};
+use engine::{compile, DeltaStats, ExecutionOptions, GraphRelations, TableCursor};
 use tgraph::{AppliedBatch, Batch, Interval, Itpg};
 use trpq::queries::QueryId;
 
@@ -122,9 +119,7 @@ impl LiveGraph {
     /// computed immediately (a full evaluation); subsequent [`LiveGraph::refresh`]
     /// calls keep it in sync with applied batches.
     pub fn register(&mut self, plan_set: PlanSet) -> LiveQueryId {
-        let strategy = self.strategy_for(&plan_set);
-        let state =
-            QueryState::build(plan_set, &self.relations, self.options.parallelism, strategy);
+        let state = QueryState::build(plan_set, &self.relations, self.options.parallelism);
         self.queries.push(state);
         LiveQueryId(self.queries.len() - 1)
     }
@@ -143,12 +138,10 @@ impl LiveGraph {
     /// Folds every batch applied since the last refresh into the query's
     /// maintained answer.  A refresh with nothing pending is a cheap no-op.
     pub fn refresh(&mut self, id: LiveQueryId) -> RefreshStats {
-        let strategy = self.strategy_for(self.queries[id.0].plan_set());
         let stats = self.queries[id.0].refresh(
             &self.itpg,
             &self.relations,
             self.options.parallelism,
-            strategy,
             self.last_epoch,
         );
         if self.options.telemetry {
@@ -203,10 +196,6 @@ impl LiveGraph {
     /// new tables.
     pub fn table_handles(&self) -> Vec<std::sync::Arc<BindingTable>> {
         self.queries.iter().map(|q| q.table_handle()).collect()
-    }
-
-    fn strategy_for(&self, plan_set: &PlanSet) -> JoinStrategy {
-        effective_strategy(plan_set, &self.options)
     }
 }
 

@@ -11,7 +11,7 @@ use engine::bindings::{Binding, BindingTable};
 use engine::plan::{EnginePlan, PlanSet};
 use engine::steps::expand::expand_chains;
 use engine::steps::StepStats;
-use engine::{run_plan_seeded, GraphRelations, JoinStrategy};
+use engine::{run_plan_seeded, GraphRelations};
 use tgraph::{Interval, Itpg, NodeId, Object};
 
 /// Handle to a query registered on a [`crate::LiveGraph`].
@@ -95,7 +95,6 @@ impl QueryState {
         plan_set: PlanSet,
         graph: &GraphRelations,
         parallelism: Parallelism,
-        strategy: JoinStrategy,
     ) -> Self {
         let step_stats = StepStats::default();
         let num_slots = plan_set.variables.len();
@@ -103,7 +102,7 @@ impl QueryState {
         let mut plans = Vec::with_capacity(plan_set.plans.len());
         for plan in &plan_set.plans {
             let bounds = engine::static_bounds(plan, graph.domain());
-            let chains = run_plan_seeded(plan, graph, &seeds, parallelism, strategy, &step_stats);
+            let chains = run_plan_seeded(plan, graph, &seeds, parallelism, &step_stats);
             let mut cache = PlanCache {
                 bounds,
                 bounds_domain: graph.domain(),
@@ -159,7 +158,6 @@ impl QueryState {
         itpg: &Itpg,
         graph: &GraphRelations,
         parallelism: Parallelism,
-        strategy: JoinStrategy,
         epoch: Option<u64>,
     ) -> RefreshStats {
         let started = obs::Stopwatch::start();
@@ -188,14 +186,8 @@ impl QueryState {
                     // per-seed cache is superseded wholesale.
                     stats.fallback_full = true;
                     cache.by_seed.clear();
-                    let chains = run_plan_seeded(
-                        plan,
-                        graph,
-                        &graph.seed_rows(),
-                        parallelism,
-                        strategy,
-                        &step_stats,
-                    );
+                    let chains =
+                        run_plan_seeded(plan, graph, &graph.seed_rows(), parallelism, &step_stats);
                     cache.full = expand_group(plan, &self.plan_set.variables, num_slots, &chains);
                 }
                 Some(hops) => {
@@ -206,8 +198,7 @@ impl QueryState {
                         .flat_map(|&n| graph.rows_of_node(n).iter().copied())
                         .collect();
                     seeds.sort_unstable();
-                    let chains =
-                        run_plan_seeded(plan, graph, &seeds, parallelism, strategy, &step_stats);
+                    let chains = run_plan_seeded(plan, graph, &seeds, parallelism, &step_stats);
                     let mut recomputed = group_by_seed_node(graph, chains);
                     for &node in &affected {
                         let rows = match recomputed.remove(&node.0) {

@@ -5,18 +5,16 @@
 //! edge.  A [`TemporalObject`] is a pair `(o, t)` of an object and a time point, the
 //! unit over which `NavL[PC,NOI]` expressions are evaluated.
 
-use serde::{Deserialize, Serialize};
-
 use crate::interval::Time;
 
 /// Identifier of a node within a temporal property graph.
 ///
 /// Node ids are dense indices assigned in insertion order by the graph builders.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
 /// Identifier of an edge within a temporal property graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EdgeId(pub u32);
 
 impl NodeId {
@@ -36,7 +34,7 @@ impl EdgeId {
 }
 
 /// A node or an edge.  Nodes and edges are first-class citizens in the TRPQ language.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Object {
     /// A node object.
     Node(NodeId),
@@ -93,7 +91,7 @@ impl From<EdgeId> for Object {
 /// Temporal objects are the elements navigated by TRPQs.  Note that a temporal object
 /// does not need to *exist* (have `ξ(o, t) = true`) to be navigated through; existence
 /// is checked explicitly with the `∃` test of the language.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TemporalObject {
     /// The underlying node or edge.
     pub object: Object,

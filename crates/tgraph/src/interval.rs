@@ -8,8 +8,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{GraphError, Result};
 
 /// A time point.  The paper represents the universe of time points by the natural
@@ -17,7 +15,7 @@ use crate::error::{GraphError, Result};
 pub type Time = u64;
 
 /// A closed interval `[start, end]` of time points with `start ≤ end`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Interval {
     start: Time,
     end: Time,

@@ -8,13 +8,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::interval::{Interval, Time};
 
 /// A coalesced, ordered set of intervals.  Conceptually a finite set of time points,
 /// stored compactly as maximal intervals.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct IntervalSet {
     intervals: Vec<Interval>,
 }

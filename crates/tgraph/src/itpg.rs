@@ -5,8 +5,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{GraphError, Result};
 use crate::ids::{EdgeId, NodeId, Object};
 use crate::interval::{Interval, Time};
@@ -15,7 +13,7 @@ use crate::value::Value;
 use crate::valued::ValuedIntervals;
 
 /// Per-object payload shared by nodes and edges in the interval-based representation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct IntervalObjectData {
     pub(crate) name: String,
     pub(crate) label: String,
@@ -26,7 +24,7 @@ pub(crate) struct IntervalObjectData {
 }
 
 /// An interval-timestamped temporal property graph.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Itpg {
     pub(crate) domain: Interval,
     pub(crate) nodes: Vec<IntervalObjectData>,

@@ -9,8 +9,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{GraphError, Result};
 use crate::ids::{EdgeId, NodeId, Object, TemporalObject};
 use crate::interval::{Interval, Time};
@@ -18,7 +16,7 @@ use crate::interval_set::IntervalSet;
 use crate::value::Value;
 
 /// Per-object payload shared by nodes and edges in the point-based representation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct PointObjectData {
     pub(crate) name: String,
     pub(crate) label: String,
@@ -30,7 +28,7 @@ pub(crate) struct PointObjectData {
 }
 
 /// A point-timestamped temporal property graph.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tpg {
     pub(crate) domain: Interval,
     pub(crate) nodes: Vec<PointObjectData>,

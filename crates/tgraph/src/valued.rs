@@ -7,15 +7,13 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::interval::{Interval, Time};
 use crate::interval_set::IntervalSet;
 use crate::value::Value;
 
 /// The value history of one property: a coalesced, time-ordered list of
 /// `(value, interval)` pairs with non-overlapping intervals.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ValuedIntervals {
     entries: Vec<(Value, Interval)>,
 }

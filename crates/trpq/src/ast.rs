@@ -15,11 +15,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use tgraph::{Time, Value};
 
 /// A navigation axis: single-step structural or temporal movement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Axis {
     /// `F` / `FWD`: move forward along an edge (node → edge → target node), staying at
     /// the same time point.
@@ -68,7 +67,7 @@ impl fmt::Display for Axis {
 }
 
 /// A condition on a temporal object `(o, t)` (grammar (3) of the paper).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TestExpr {
     /// `Node`: the object is a node.
     Node,
@@ -203,7 +202,7 @@ impl fmt::Display for TestExpr {
 }
 
 /// A temporal regular path query (grammar (2) of the paper).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Path {
     /// A test: stays on the current temporal object if the test is satisfied.
     Test(TestExpr),

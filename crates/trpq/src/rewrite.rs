@@ -21,8 +21,6 @@
 //!   closure);
 //! * the reserved word `time` becomes the `< k` test and its Boolean combinations.
 
-use serde::{Deserialize, Serialize};
-
 use crate::ast::{Axis, Path, TestExpr};
 use crate::error::{QueryError, Result};
 use crate::parser::{
@@ -32,7 +30,7 @@ use crate::parser::{
 
 /// Where a bound variable sits in the pattern, used by engines to build binding
 /// tables.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Variable {
     /// The variable name.
     pub name: String,

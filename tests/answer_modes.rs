@@ -5,14 +5,11 @@
 //! * `AnswerMode::Compact` equals the projection of the materialised table onto
 //!   `(first object, last object, last binding time)`, coalesced;
 //!
-//! for all benchmark queries Q1–Q12 plus the REACH / RECUR closure workloads,
-//! under every join strategy.
+//! for all benchmark queries Q1–Q12 plus the REACH / RECUR closure workloads.
 
 use proptest::prelude::*;
 
-use engine::{
-    AnswerMode, Binding, CompactAnswers, ExecutionOptions, GraphRelations, JoinStrategy, Query,
-};
+use engine::{AnswerMode, Binding, CompactAnswers, ExecutionOptions, GraphRelations, Query};
 use tgraph::{Interval, IntervalSet, Itpg, ItpgBuilder, Time};
 use trpq::queries::QueryId;
 
@@ -122,18 +119,14 @@ proptest! {
     #[test]
     fn answer_modes_agree_on_random_graphs(spec in graph_spec_strategy()) {
         let graph = GraphRelations::from_itpg(&build_graph(&spec));
-        for strategy in JoinStrategy::ALL {
-            let options = ExecutionOptions::sequential().with_strategy(strategy);
-            for id in QueryId::ALL {
-                let query = Query::benchmark(id).with_options(options);
-                check_modes(&query, &graph, &format!("{} under {strategy}", id.name()));
-            }
-            for (name, text) in [("REACH", REACH), ("RECUR", RECUR)] {
-                let query = Query::parse(text)
-                    .expect("closure workloads compile")
-                    .with_options(options);
-                check_modes(&query, &graph, &format!("{name} under {strategy}"));
-            }
+        let options = ExecutionOptions::sequential();
+        for id in QueryId::ALL {
+            let query = Query::benchmark(id).with_options(options);
+            check_modes(&query, &graph, id.name());
+        }
+        for (name, text) in [("REACH", REACH), ("RECUR", RECUR)] {
+            let query = Query::parse(text).expect("closure workloads compile").with_options(options);
+            check_modes(&query, &graph, name);
         }
     }
 }

@@ -2,10 +2,9 @@
 //! (`MicroOp::Closure`) against the reference evaluators: on random small ITPGs and
 //! random star / bounded-repetition contact-chain queries, the engine's binding
 //! table — expanded to `(x, t) → (y, t)` pairs — must equal the relation computed by
-//! the polynomial-time TPG evaluator on the expanded graph, membership must agree
+//! the polynomial-time TPG evaluator on the expanded graph, and membership must agree
 //! with `trpq::eval::eval_contains_itpg` (the ground-truth dispatcher over the
-//! interval representation), and the hash and merge join strategies must produce
-//! identical tables.
+//! interval representation).
 //!
 //! The generated graphs are referentially consistent (an edge exists only while both
 //! endpoints exist), as produced by every loader in this repository; on such graphs
@@ -17,7 +16,7 @@ use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
-use engine::{ExecutionOptions, GraphRelations, JoinStrategy, TimeRef};
+use engine::{ExecutionOptions, GraphRelations, TimeRef};
 use tgraph::{Interval, IntervalSet, Itpg, ItpgBuilder, TemporalObject, Time};
 use trpq::eval::quad_table::Quad;
 use trpq::eval::{eval_contains_itpg, tpg::eval_path};
@@ -129,14 +128,10 @@ fn mixed_query_strategy() -> impl Strategy<Value = String> {
 /// The engine's binding table expanded to `(x, t) → (y, t′)` temporal-object pairs.
 /// Purely structural results bind snapshot intervals (`t = t′`); time-crossing
 /// results (mixed repetition) bind points on both sides.
-fn engine_pairs(
-    graph: &GraphRelations,
-    query: &str,
-    strategy: JoinStrategy,
-) -> BTreeSet<(TemporalObject, TemporalObject)> {
+fn engine_pairs(graph: &GraphRelations, query: &str) -> BTreeSet<(TemporalObject, TemporalObject)> {
     let out = engine::Query::parse(query)
         .expect("closure queries compile onto the engine")
-        .with_options(ExecutionOptions::sequential().with_strategy(strategy))
+        .with_options(ExecutionOptions::sequential())
         .run(graph)
         .into_output()
         .expect("the default mode materialises");
@@ -183,15 +178,8 @@ proptest! {
                 .map(|q| (q.src, q.dst))
                 .collect();
 
-        // Engine under the hash strategy must equal the reference…
-        let hash = engine_pairs(&relations, &query, JoinStrategy::Hash);
-        prop_assert_eq!(&hash, &reference, "engine (hash) vs TPG reference on {}", query);
-
-        // …and the merge / auto strategies must equal the hash strategy.
-        for strategy in [JoinStrategy::Merge, JoinStrategy::Auto] {
-            let alt = engine_pairs(&relations, &query, strategy);
-            prop_assert_eq!(&alt, &reference, "engine ({:?}) disagrees on {}", strategy, query);
-        }
+        let engine = engine_pairs(&relations, &query);
+        prop_assert_eq!(&engine, &reference, "engine vs TPG reference on {}", query);
 
         // Membership spot-checks against the ITPG ground-truth dispatcher: a few
         // pairs in the relation and a few outside it.
@@ -245,15 +233,8 @@ proptest! {
                 .map(|q| (q.src, q.dst))
                 .collect();
 
-        // Engine under the hash strategy must equal the reference…
-        let hash = engine_pairs(&relations, &query, JoinStrategy::Hash);
-        prop_assert_eq!(&hash, &reference, "engine (hash) vs TPG reference on {}", query);
-
-        // …and the merge / auto strategies must equal it too.
-        for strategy in [JoinStrategy::Merge, JoinStrategy::Auto] {
-            let alt = engine_pairs(&relations, &query, strategy);
-            prop_assert_eq!(&alt, &reference, "engine ({:?}) disagrees on {}", strategy, query);
-        }
+        let engine = engine_pairs(&relations, &query);
+        prop_assert_eq!(&engine, &reference, "engine vs TPG reference on {}", query);
 
         // Membership spot-checks against the ITPG ground-truth dispatcher.
         for &(src, dst) in reference.iter().take(2) {
@@ -288,9 +269,7 @@ fn contact_chain_example_matches_reference() {
     let rewritten = rewrite_match(&clause).unwrap();
     let reference: BTreeSet<(TemporalObject, TemporalObject)> =
         eval_path(&rewritten.path, &itpg.to_tpg()).iter().map(|q| (q.src, q.dst)).collect();
-    for strategy in [JoinStrategy::Hash, JoinStrategy::Merge, JoinStrategy::Auto] {
-        assert_eq!(engine_pairs(&relations, query, strategy), reference, "{strategy}");
-    }
+    assert_eq!(engine_pairs(&relations, query), reference);
     // The three-hop chain p0 → p3 is only live at the single instant where all
     // meeting windows intersect.
     let p0 = TemporalObject::new(tgraph::Object::Node(ids[0]), 5);
@@ -323,9 +302,7 @@ fn recurring_contact_chain_matches_reference() {
     let rewritten = rewrite_match(&clause).unwrap();
     let reference: BTreeSet<(TemporalObject, TemporalObject)> =
         eval_path(&rewritten.path, &itpg.to_tpg()).iter().map(|q| (q.src, q.dst)).collect();
-    for strategy in [JoinStrategy::Hash, JoinStrategy::Merge, JoinStrategy::Auto] {
-        assert_eq!(engine_pairs(&relations, query, strategy), reference, "{strategy}");
-    }
+    assert_eq!(engine_pairs(&relations, query), reference);
     // The full three-meeting recurrence threads p0@3 → p1@4 → p2@5 → p3@6: the last
     // meeting only happens at 5, forcing the whole schedule.
     let p0 = TemporalObject::new(tgraph::Object::Node(ids[0]), 3);

@@ -5,7 +5,7 @@
 
 use std::collections::BTreeSet;
 
-use engine::{ExecutionOptions, GraphRelations, JoinStrategy, TimeRef};
+use engine::{ExecutionOptions, GraphRelations, TimeRef};
 use tgraph::{Itpg, TemporalObject};
 use trpq::eval::tpg::eval_path;
 use trpq::queries::QueryId;
@@ -130,38 +130,8 @@ fn parallel_and_sequential_execution_agree_on_synthetic_data() {
         let seq = run_query(id, &graph, &ExecutionOptions::sequential());
         let par = run_query(id, &graph, &ExecutionOptions::with_threads(8));
         assert_eq!(seq.table, par.table, "{}", id.name());
-    }
-}
-
-#[test]
-fn all_join_strategies_agree_on_synthetic_data() {
-    // The hash and sort-merge join implementations (and the adaptive Auto mode) must
-    // produce identical binding tables, sequentially and chunked across workers.
-    let config = ContactTracingConfig::with_persons(150).with_seed(41).with_positivity_rate(0.15);
-    let graph = GraphRelations::from_itpg(&workload::generate(&config));
-    for id in QueryId::ALL {
-        let reference = run_query(
-            id,
-            &graph,
-            &ExecutionOptions::sequential().with_strategy(JoinStrategy::Hash),
-        );
-        for strategy in [JoinStrategy::Merge, JoinStrategy::Auto] {
-            for options in [
-                ExecutionOptions::sequential().with_strategy(strategy),
-                ExecutionOptions::with_threads(4).with_strategy(strategy),
-            ] {
-                let alt = run_query(id, &graph, &options);
-                assert_eq!(
-                    reference.table,
-                    alt.table,
-                    "{} disagrees under {strategy} with {} threads",
-                    id.name(),
-                    options.parallelism.threads()
-                );
-                assert_eq!(reference.stats.interval_rows, alt.stats.interval_rows);
-                assert_eq!(reference.stats.output_rows, alt.stats.output_rows);
-            }
-        }
+        assert_eq!(seq.stats.interval_rows, par.stats.interval_rows, "{}", id.name());
+        assert_eq!(seq.stats.output_rows, par.stats.output_rows, "{}", id.name());
     }
 }
 

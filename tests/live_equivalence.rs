@@ -6,12 +6,11 @@
 //!   `from_itpg` build of the final graph;
 //! * **(b) maintenance** — after every batch, every maintained query answer
 //!   (Q1–Q12 plus the REACH structural closure and the RECUR time-aware
-//!   closure) equals a from-scratch `execute` on the materialized graph, under
-//!   the hash, merge and auto join strategies alike.
+//!   closure) equals a from-scratch `execute` on the materialized graph.
 
 use proptest::prelude::*;
 
-use engine::{compile, execute, ExecutionOptions, GraphRelations, JoinStrategy};
+use engine::{compile, execute, ExecutionOptions, GraphRelations};
 use live::LiveGraph;
 use tgraph::{Batch, Interval, IntervalSet, Itpg, Mutation};
 use trpq::queries::QueryId;
@@ -219,7 +218,7 @@ proptest! {
     }
 
     /// Property (b): maintained answers equal from-scratch execution for the
-    /// full benchmark suite under every join strategy, at every epoch.
+    /// full benchmark suite, at every epoch.
     #[test]
     fn maintained_answers_equal_from_scratch_execution(
         nodes in prop::collection::vec(node_spec(), 2..5),
@@ -242,30 +241,23 @@ proptest! {
             names.push(name.to_string());
         }
 
-        for strategy in JoinStrategy::ALL {
-            let options = ExecutionOptions::sequential().with_strategy(strategy);
-            let mut live = LiveGraph::with_options(
-                Itpg::empty(Interval::of(0, MAX_TIME)),
-                options,
-            );
-            let handles: Vec<_> =
-                plan_sets.iter().map(|p| live.register(p.clone())).collect();
-            for batch in &batches {
-                live.apply(batch).expect("generated batches are valid");
-                let refreshed = live.refresh_all();
-                let scratch = GraphRelations::from_itpg(live.itpg());
-                for (index, (plan_set, name)) in plan_sets.iter().zip(&names).enumerate() {
-                    let expected = execute(plan_set, &scratch, &options);
-                    prop_assert_eq!(
-                        live.table(handles[index]),
-                        &expected.table,
-                        "{} under {} at epoch {:?} diverged",
-                        name,
-                        strategy,
-                        live.epoch()
-                    );
-                    prop_assert_eq!(refreshed[index].output_rows, expected.table.len());
-                }
+        let options = ExecutionOptions::sequential();
+        let mut live = LiveGraph::with_options(Itpg::empty(Interval::of(0, MAX_TIME)), options);
+        let handles: Vec<_> = plan_sets.iter().map(|p| live.register(p.clone())).collect();
+        for batch in &batches {
+            live.apply(batch).expect("generated batches are valid");
+            let refreshed = live.refresh_all();
+            let scratch = GraphRelations::from_itpg(live.itpg());
+            for (index, (plan_set, name)) in plan_sets.iter().zip(&names).enumerate() {
+                let expected = execute(plan_set, &scratch, &options);
+                prop_assert_eq!(
+                    live.table(handles[index]),
+                    &expected.table,
+                    "{} at epoch {:?} diverged",
+                    name,
+                    live.epoch()
+                );
+                prop_assert_eq!(refreshed[index].output_rows, expected.table.len());
             }
         }
     }

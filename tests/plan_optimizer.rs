@@ -3,9 +3,9 @@
 //! statically-empty plans, prune dead closure alternatives, and tighten
 //! closure `[n, m]` windows — but on the graph its schema summary came from,
 //! the rewritten plan set must produce byte-identical answers in every answer
-//! mode (materialised table, enumeration cursor, compact intervals) and under
-//! every join strategy, for all benchmark queries Q1–Q12 plus the REACH /
-//! RECUR closure workloads, on randomly generated ITPGs.
+//! mode (materialised table, enumeration cursor, compact intervals), for all
+//! benchmark queries Q1–Q12 plus the REACH / RECUR closure workloads, on
+//! randomly generated ITPGs.
 //!
 //! Alongside the equivalence, the analyzer's cardinality claim is pinned: the
 //! `PlanBounds::max_rows` upper bound must dominate the actual Step-1/2
@@ -14,8 +14,8 @@
 use proptest::prelude::*;
 
 use engine::{
-    analyze, AnswerMode, Binding, DiagnosticKind, ExecutionOptions, GraphRelations, JoinStrategy,
-    Query, SchemaSummary,
+    analyze, AnswerMode, Binding, DiagnosticKind, ExecutionOptions, GraphRelations, Query,
+    SchemaSummary,
 };
 use tgraph::{Interval, IntervalSet, Itpg, ItpgBuilder, Time};
 use trpq::queries::QueryId;
@@ -124,18 +124,14 @@ proptest! {
     #[test]
     fn optimized_equals_unoptimized_on_random_graphs(spec in graph_spec_strategy()) {
         let graph = GraphRelations::from_itpg(&build_graph(&spec));
-        for strategy in JoinStrategy::ALL {
-            let options = ExecutionOptions::sequential().with_strategy(strategy);
-            for id in QueryId::ALL {
-                let query = Query::benchmark(id).with_options(options);
-                check_equivalence(&query, &graph, &format!("{} under {strategy}", id.name()));
-            }
-            for (name, text) in [("REACH", REACH), ("RECUR", RECUR)] {
-                let query = Query::parse(text)
-                    .expect("closure workloads compile")
-                    .with_options(options);
-                check_equivalence(&query, &graph, &format!("{name} under {strategy}"));
-            }
+        let options = ExecutionOptions::sequential();
+        for id in QueryId::ALL {
+            let query = Query::benchmark(id).with_options(options);
+            check_equivalence(&query, &graph, id.name());
+        }
+        for (name, text) in [("REACH", REACH), ("RECUR", RECUR)] {
+            let query = Query::parse(text).expect("closure workloads compile").with_options(options);
+            check_equivalence(&query, &graph, name);
         }
     }
 
