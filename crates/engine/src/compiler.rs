@@ -386,6 +386,22 @@ mod tests {
     }
 
     #[test]
+    fn only_repetitions_of_a_group_are_fixpoints() {
+        for id in QueryId::ALL {
+            let plan_set = compile(&id.clause()).unwrap();
+            assert!(plan_set.plans.iter().all(|plan| !plan.has_fixpoint()), "{}", id.name());
+        }
+        // `NEXT*` above is a plain shift; a repeated group is a closure, inside a
+        // segment when structural and between two when it crosses time.
+        for text in [
+            "MATCH (x:Person)-/(FWD/:meets/FWD)*/-(y:Person) ON g",
+            "MATCH (x:Person)-/(FWD/:meets/FWD/NEXT)[0,2]/-(y:Person) ON g",
+        ] {
+            assert!(compile_text(text).plans[0].has_fixpoint(), "{text}");
+        }
+    }
+
+    #[test]
     fn unions_expand_into_multiple_plans() {
         let plan_set = compile(&QueryId::Q12.clause()).unwrap();
         assert_eq!(plan_set.plans.len(), 2);

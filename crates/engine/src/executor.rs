@@ -1,7 +1,8 @@
 //! The query executor: runs compiled plans over the interval relations, following the
 //! three-step architecture of Section VI (structural interval evaluation → interval
 //! temporal pruning → point expansion), with chunked data parallelism over the seed
-//! rows.
+//! rows; within a worker, a plan without fixpoints takes its seeds through Steps 1–2
+//! in batches (`SEED_BATCH`) so the intermediate chains stay small.
 
 use std::sync::atomic::Ordering;
 use std::time::Duration;
@@ -13,6 +14,7 @@ use dataflow::{kway_merge_dedup, par_chunk_flat_map, Parallelism};
 use crate::answers::{compact_from_chains, AnswerCursor, AnswerMode, AnswerSet, Answers};
 use crate::bindings::{Binding, BindingTable};
 use crate::chain::Chain;
+use crate::plan::analyze::{analyze, SchemaSummary};
 use crate::plan::{EnginePlan, PlanSet, TemporalLink};
 use crate::relations::GraphRelations;
 use crate::steps::closure::apply_time_closure;
@@ -127,7 +129,9 @@ pub struct QueryOutput {
 
 /// The plan set a query actually runs: the semantic optimizer's rewrite when
 /// [`ExecutionOptions::optimize`] is on (the default), the compiled plans verbatim
-/// otherwise.
+/// otherwise.  The optimizer reads the summary memoised in `graph`; only the
+/// first optimized execution on a version of the relations pays (and, with
+/// telemetry on, records) the scan behind it.
 fn effective_plan_set<'a>(
     plan_set: &'a PlanSet,
     graph: &GraphRelations,
@@ -136,7 +140,8 @@ fn effective_plan_set<'a>(
     if options.optimize {
         let _span =
             Span::enter(options.telemetry.then(|| &crate::telemetry::metrics().span_analyze));
-        std::borrow::Cow::Owned(crate::plan::analyze::optimized_for(plan_set, graph))
+        let schema = SchemaSummary::of_recorded(graph, options.telemetry);
+        std::borrow::Cow::Owned(analyze(plan_set, &schema).optimized)
     } else {
         std::borrow::Cow::Borrowed(plan_set)
     }
@@ -328,24 +333,65 @@ pub fn run_plan_seeded(
         let issues = crate::plan::audit::audit_plan(plan, None);
         assert!(issues.is_empty(), "refusing to execute a malformed plan: {issues:?}");
     }
+    // A plan with a fixpoint keeps each worker's seeds together: the closures
+    // seed once per distinct start state of the batch they are handed.
+    let batch_len = if plan.has_fixpoint() { usize::MAX } else { SEED_BATCH };
     par_chunk_flat_map(seed_rows, parallelism, |rows| {
-        let mut chains: Vec<Chain> = rows.iter().map(|&r| Chain::seed(r, graph)).collect();
-        for (index, segment) in plan.segments.iter().enumerate() {
-            if index > 0 {
-                chains = match &plan.links[index - 1] {
-                    TemporalLink::Shift(shift) => apply_shift(graph, chains, shift),
-                    TemporalLink::Closure(closure) => {
-                        apply_time_closure(graph, chains, closure, stats)
-                    }
-                };
-            }
-            chains = apply_segment(graph, chains, segment, stats);
-            if chains.is_empty() {
-                break;
-            }
+        if rows.len() <= batch_len {
+            return run_batch(plan, graph, rows, stats);
         }
+        // Hop joins stay counted once per worker: a fixpoint-free pipeline runs a
+        // prefix of its hops on every batch, the whole worker chunk would have
+        // run the longest of them.
+        let mut hop_joins = 0;
+        // One chain per seed is where the unbatched pipeline starts as well.
+        let mut chains = Vec::with_capacity(rows.len());
+        for batch in rows.chunks(batch_len) {
+            let batch_stats = StepStats::default();
+            chains.append(&mut run_batch(plan, graph, batch, &batch_stats));
+            hop_joins = hop_joins.max(batch_stats.hash_joins.load(Ordering::Relaxed));
+        }
+        stats.hash_joins.fetch_add(hop_joins, Ordering::Relaxed);
         chains
     })
+}
+
+/// Seed rows a fixpoint-free pipeline takes through Steps 1–2 at a time.
+///
+/// A hop can fan one seed out to dozens of chains and every step holds its
+/// input and its output at once, so all seeds in one batch peak at several
+/// times the chains that survive (Q12 at G6: ≈ 95 MB to keep ≈ 30 MB), in
+/// vectors of tens of MB.  Vectors that size are beyond what the allocator
+/// recycles: whether such a query grows the heap and gives it back, one page
+/// fault per 4 KB, or finds the room already there depends on the state of the
+/// heap it starts from, which no query controls — unbatched, `adhoc-g6` takes
+/// 0 or ≈ 90 000 faults a round (a quarter of `ops_per_s`) from one run to the
+/// next.  A batch keeps the intermediate vectors in the hundreds of KB; only
+/// the surviving chains grow large.  The size is not tuned: 256 to 8192 time
+/// the same.
+const SEED_BATCH: usize = 1024;
+
+/// Steps 1–2 of one plan from one batch of seed rows.
+fn run_batch(
+    plan: &EnginePlan,
+    graph: &GraphRelations,
+    rows: &[u32],
+    stats: &StepStats,
+) -> Vec<Chain> {
+    let mut chains: Vec<Chain> = rows.iter().map(|&r| Chain::seed(r, graph)).collect();
+    for (index, segment) in plan.segments.iter().enumerate() {
+        if index > 0 {
+            chains = match &plan.links[index - 1] {
+                TemporalLink::Shift(shift) => apply_shift(graph, chains, shift),
+                TemporalLink::Closure(closure) => apply_time_closure(graph, chains, closure, stats),
+            };
+        }
+        chains = apply_segment(graph, chains, segment, stats);
+        if chains.is_empty() {
+            break;
+        }
+    }
+    chains
 }
 
 #[cfg(test)]
@@ -608,6 +654,62 @@ mod tests {
             let seq = execute_text(query, &g, &ExecutionOptions::sequential()).unwrap();
             let par = execute_text(query, &g, &ExecutionOptions::with_threads(4)).unwrap();
             assert_eq!(seq.table, par.table, "query {query}");
+        }
+    }
+
+    /// `people` persons in a ring of `meets` edges, every third one high-risk
+    /// and every fifth one testing positive late: more seed rows than one batch.
+    fn ring(people: usize) -> GraphRelations {
+        let mut b = ItpgBuilder::new();
+        let nodes: Vec<_> =
+            (0..people).map(|i| b.add_node(&format!("p{i}"), "Person").unwrap()).collect();
+        for (i, &node) in nodes.iter().enumerate() {
+            b.add_existence(node, iv(1, 10)).unwrap();
+            let risk = if i % 3 == 0 { "high" } else { "low" };
+            b.set_property(node, "risk", risk, iv(1, 10)).unwrap();
+            if i % 5 == 0 {
+                b.set_property(node, "test", "pos", iv(8, 10)).unwrap();
+            }
+            let meets =
+                b.add_edge(&format!("m{i}"), "meets", node, nodes[(i + 1) % people]).unwrap();
+            b.add_existence(meets, iv(2 + (i % 4) as u64, 6)).unwrap();
+        }
+        GraphRelations::from_itpg(&b.domain(iv(1, 10)).build().unwrap())
+    }
+
+    #[test]
+    fn seed_batches_leave_chains_and_hop_counts_as_one_batch_would() {
+        let g = ring(2 * SEED_BATCH + 300);
+        let seeds = g.seed_rows();
+        assert!(seeds.len() > 2 * SEED_BATCH);
+        for text in [
+            "MATCH (x:Person {risk = 'high'})-[z:meets]->(y:Person {risk = 'low'}) ON g",
+            "MATCH (x:Person {risk = 'high'})-/FWD/:meets/FWD/NEXT*/-({test = 'pos'}) ON g",
+            "MATCH (x:Person {risk = 'none'})-/FWD/:meets/FWD/-(y) ON g",
+        ] {
+            let plan_set = crate::compiler::compile(&trpq::parser::parse_match(text).unwrap());
+            for plan in &plan_set.unwrap().plans {
+                assert!(!plan.has_fixpoint(), "{text}");
+                let batched = StepStats::default();
+                let chains = run_plan_seeded(plan, &g, &seeds, Parallelism::sequential(), &batched);
+                // Slices no longer than a batch run as one batch each.
+                let (mut expected, mut furthest) = (Vec::new(), 0);
+                for slice in seeds.chunks(SEED_BATCH - 7) {
+                    let stats = StepStats::default();
+                    expected.extend(run_plan_seeded(
+                        plan,
+                        &g,
+                        slice,
+                        Parallelism::sequential(),
+                        &stats,
+                    ));
+                    furthest = furthest.max(stats.hash_joins.load(Ordering::Relaxed));
+                }
+                assert_eq!(chains, expected, "{text}");
+                assert_eq!(chains.is_empty(), text.contains("'none'"), "{text}");
+                assert_eq!(furthest == 0, chains.is_empty(), "{text}");
+                assert_eq!(batched.hash_joins.load(Ordering::Relaxed), furthest, "{text}");
+            }
         }
     }
 

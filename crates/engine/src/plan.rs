@@ -363,6 +363,13 @@ impl EnginePlan {
     pub fn is_purely_structural(&self) -> bool {
         self.links.is_empty()
     }
+
+    /// True if the plan repeats a sub-expression to a fixpoint: a structural
+    /// closure inside a segment or a time-crossing one between two.
+    pub fn has_fixpoint(&self) -> bool {
+        self.links.iter().any(|link| matches!(link, TemporalLink::Closure(_)))
+            || self.segments.iter().flat_map(|s| &s.ops).any(|op| matches!(op, MicroOp::Closure(_)))
+    }
 }
 
 /// The compiled form of one `MATCH` clause: one plan per union alternative plus the

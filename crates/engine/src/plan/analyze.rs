@@ -34,10 +34,11 @@
 //! `tests/plan_optimizer.rs`).  The executor applies the pass behind
 //! [`ExecutionOptions::optimize`](crate::executor::ExecutionOptions::optimize).
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
+use std::sync::Arc;
 
-use tgraph::{Interval, Value};
+use tgraph::{EdgeId, Interval, NodeId, Value};
 
 use crate::chain::TimeLag;
 use crate::plan::{
@@ -64,88 +65,72 @@ const MAX_SIMULATED_ITERATIONS: u32 = 128;
 /// abstract interpreter needs to decide whether a sequence of hops and filters
 /// can match *anything*, without touching rows.
 ///
-/// Built once per analysis by [`SchemaSummary::of`] (one pass over the live
-/// rows), or label-free by [`SchemaSummary::universal`] for callers that need
-/// graph-independent bounds (live registration caches those per domain).
-#[derive(Debug, Clone)]
+/// [`SchemaSummary::of`] reads the summary memoised in the relations: one scan
+/// of the live rows per *version* of a [`GraphRelations`], shared by every
+/// clone, snapshot and pinned epoch of that version, and never run at load or
+/// on a delta.  [`SchemaSummary::universal`] is the label-free summary for
+/// callers that need graph-independent bounds (live registration caches those
+/// per domain).
+///
+/// The representation is canonical — labels and per-label property pairs are
+/// sorted — so two summaries of the same live content are `==`, whatever row
+/// order deltas left behind.
+#[derive(Debug, Clone, PartialEq)]
 pub struct SchemaSummary {
     /// False for [`SchemaSummary::universal`]: label and property filters are
     /// assumed satisfiable, only object-kind and time reasoning applies.
     exact: bool,
     /// The temporal domain of the graph.
     domain: Interval,
-    /// Distinct node labels; indices are the abstract node objects.
+    /// Distinct node labels, sorted; indices are the abstract node objects.
     node_labels: Vec<String>,
-    /// Distinct edge labels; indices are the abstract edge objects.
+    /// Distinct edge labels, sorted; indices are the abstract edge objects.
     edge_labels: Vec<String>,
-    /// Distinct `(property, value)` pairs seen on rows of each node label.
-    node_props: Vec<Vec<(String, Value)>>,
-    /// Distinct `(property, value)` pairs seen on rows of each edge label.
-    edge_props: Vec<Vec<(String, Value)>>,
-    /// `(node label, edge label)`: some node of that label has an outgoing
-    /// edge of that label.
-    out_adj: BTreeSet<(u32, u32)>,
-    /// `(node label, edge label)`: some node of that label has an incoming
-    /// edge of that label.
-    in_adj: BTreeSet<(u32, u32)>,
-    /// `(edge label, node label)`: some edge of that label has a source node
-    /// of that label.
-    src_of: BTreeSet<(u32, u32)>,
-    /// `(edge label, node label)`: some edge of that label has a target node
-    /// of that label.
-    tgt_of: BTreeSet<(u32, u32)>,
+    /// Distinct `(property, value)` pairs seen on rows of each node label,
+    /// sorted.
+    node_props: Vec<PropPairs>,
+    /// Distinct `(property, value)` pairs seen on rows of each edge label,
+    /// sorted.
+    edge_props: Vec<PropPairs>,
+    /// Dense node label × edge label matrix, row-major by node label: the
+    /// [`ADJ_SOURCE`] bit says some node of that label is the source of an edge
+    /// of that label, [`ADJ_TARGET`] the same for targets.
+    adjacency: Vec<u8>,
     /// Live node row count (Step-1 seed count).
     node_rows: u128,
     /// Live edge row count.
     edge_rows: u128,
 }
 
+/// The distinct `(property, value)` pairs of one label, sorted.
+type PropPairs = Vec<(String, Value)>;
+
+/// [`SchemaSummary::adjacency`] bit: the node label occurs as an edge source.
+const ADJ_SOURCE: u8 = 1;
+/// [`SchemaSummary::adjacency`] bit: the node label occurs as an edge target.
+const ADJ_TARGET: u8 = 2;
+
 impl SchemaSummary {
-    /// Summarises the live rows of a graph.
-    pub fn of(relations: &GraphRelations) -> Self {
-        let mut schema = SchemaSummary {
-            exact: true,
-            domain: relations.domain(),
-            node_labels: Vec::new(),
-            edge_labels: Vec::new(),
-            node_props: Vec::new(),
-            edge_props: Vec::new(),
-            out_adj: BTreeSet::new(),
-            in_adj: BTreeSet::new(),
-            src_of: BTreeSet::new(),
-            tgt_of: BTreeSet::new(),
-            node_rows: 0,
-            edge_rows: 0,
-        };
-        // Nodes have one label for their whole lifetime, so a dense id → label
-        // map is enough to label edge endpoints.
-        let mut label_of_node: Vec<Option<u32>> = vec![None; relations.num_nodes()];
-        for (index, row) in relations.node_rows().iter().enumerate() {
-            if !relations.is_node_row_live(index as u32) {
-                continue;
+    /// The summary of the live rows of `relations`, from the memo the relations
+    /// carry: the first call on a version of the relations scans them, every
+    /// other is a reference bump.
+    pub fn of(relations: &GraphRelations) -> Arc<SchemaSummary> {
+        Self::of_recorded(relations, false)
+    }
+
+    /// [`SchemaSummary::of`] for the executor: when this call is the one that
+    /// scans and `telemetry` is on, the scan is counted and timed.
+    pub(crate) fn of_recorded(relations: &GraphRelations, telemetry: bool) -> Arc<SchemaSummary> {
+        Arc::clone(relations.schema_cell().get_or_init(|| {
+            let metrics = telemetry.then(crate::telemetry::metrics);
+            let span = obs::Span::enter(metrics.map(|m| &m.span_schema_scan));
+            let summary = Arc::new(scan(relations));
+            span.finish();
+            if let Some(metrics) = metrics {
+                metrics.schema_scans.inc();
             }
-            schema.node_rows += 1;
-            let label = intern(&mut schema.node_labels, &mut schema.node_props, &row.label);
-            label_of_node[row.node.index()] = Some(label);
-            note_props(&mut schema.node_props[label as usize], &row.props);
-        }
-        for (index, row) in relations.edge_rows().iter().enumerate() {
-            if !relations.is_edge_row_live(index as u32) {
-                continue;
-            }
-            schema.edge_rows += 1;
-            let label = intern(&mut schema.edge_labels, &mut schema.edge_props, &row.label);
-            note_props(&mut schema.edge_props[label as usize], &row.props);
-            if let Some(src) = label_of_node[row.src.index()] {
-                schema.out_adj.insert((src, label));
-                schema.src_of.insert((label, src));
-            }
-            if let Some(tgt) = label_of_node[row.tgt.index()] {
-                schema.in_adj.insert((tgt, label));
-                schema.tgt_of.insert((label, tgt));
-            }
-        }
-        schema
+            summary
+        }))
     }
 
     /// A label-free summary over the given domain: one abstract node, one
@@ -160,10 +145,7 @@ impl SchemaSummary {
             edge_labels: vec!["*".to_owned()],
             node_props: vec![Vec::new()],
             edge_props: vec![Vec::new()],
-            out_adj: BTreeSet::from([(0, 0)]),
-            in_adj: BTreeSet::from([(0, 0)]),
-            src_of: BTreeSet::from([(0, 0)]),
-            tgt_of: BTreeSet::from([(0, 0)]),
+            adjacency: vec![ADJ_SOURCE | ADJ_TARGET],
             node_rows: u128::MAX,
             edge_rows: u128::MAX,
         }
@@ -184,22 +166,24 @@ impl SchemaSummary {
         (0..self.node_labels.len() as u32).map(AbsObj::Node).collect()
     }
 
+    /// The abstract objects one hop away: a row of the adjacency matrix for a
+    /// node label, a column for an edge label.
     fn hop(&self, obj: AbsObj, direction: HopDirection) -> impl Iterator<Item = AbsObj> + '_ {
-        let (table, node_side): (&BTreeSet<(u32, u32)>, bool) = match (obj, direction) {
-            (AbsObj::Node(_), HopDirection::Forward) => (&self.out_adj, false),
-            (AbsObj::Node(_), HopDirection::Backward) => (&self.in_adj, false),
-            (AbsObj::Edge(_), HopDirection::Forward) => (&self.tgt_of, true),
-            (AbsObj::Edge(_), HopDirection::Backward) => (&self.src_of, true),
+        let forward = direction == HopDirection::Forward;
+        let (from_node, key, others) = match obj {
+            AbsObj::Node(label) => (true, label as usize, self.edge_labels.len()),
+            AbsObj::Edge(label) => (false, label as usize, self.node_labels.len()),
         };
-        let key = match obj {
-            AbsObj::Node(label) | AbsObj::Edge(label) => label,
-        };
-        table.range((key, 0)..=(key, u32::MAX)).map(move |&(_, other)| {
-            if node_side {
-                AbsObj::Node(other)
+        // Leaving a node forward, or an edge backward, crosses a source end.
+        let bit = if from_node == forward { ADJ_SOURCE } else { ADJ_TARGET };
+        let stride = self.edge_labels.len();
+        (0..others).filter_map(move |other| {
+            let (cell, reached) = if from_node {
+                (key * stride + other, AbsObj::Edge(other as u32))
             } else {
-                AbsObj::Edge(other)
-            }
+                (other * stride + key, AbsObj::Node(other as u32))
+            };
+            (self.adjacency[cell] & bit != 0).then_some(reached)
         })
     }
 
@@ -228,22 +212,176 @@ impl SchemaSummary {
     }
 }
 
-fn intern(labels: &mut Vec<String>, props: &mut Vec<Vec<(String, Value)>>, label: &str) -> u32 {
-    match labels.iter().position(|l| l == label) {
-        Some(index) => index as u32,
-        None => {
-            labels.push(label.to_owned());
-            props.push(Vec::new());
-            (labels.len() - 1) as u32
+impl fmt::Display for SchemaSummary {
+    /// What the optimizer analysed against: labels with their distinct
+    /// property-pair counts, the label adjacency as `source -[edge]-> target`
+    /// triples, live row counts and the domain.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let kind = if self.exact { "exact" } else { "universal" };
+        writeln!(f, "schema ({kind}) over {}", self.domain)?;
+        for (what, labels, props, rows) in [
+            ("node", &self.node_labels, &self.node_props, self.node_rows),
+            ("edge", &self.edge_labels, &self.edge_props, self.edge_rows),
+        ] {
+            write!(f, "  {what} labels:")?;
+            for (label, props) in labels.iter().zip(props) {
+                write!(f, " {label} ({} property pairs)", props.len())?;
+            }
+            // The universal summary's row counts are "unknown", not numbers.
+            if self.exact {
+                write!(f, "; {rows} live rows")?;
+            }
+            writeln!(f)?;
         }
+        for (edge, label) in self.edge_labels.iter().enumerate() {
+            let ends = |direction| {
+                let labels: Vec<&str> = self
+                    .hop(AbsObj::Edge(edge as u32), direction)
+                    .map(|(AbsObj::Node(node) | AbsObj::Edge(node))| {
+                        self.node_labels[node as usize].as_str()
+                    })
+                    .collect();
+                labels.join("|")
+            };
+            writeln!(
+                f,
+                "  adjacency: ({}) -[{label}]-> ({})",
+                ends(HopDirection::Backward),
+                ends(HopDirection::Forward)
+            )?;
+        }
+        Ok(())
     }
 }
 
-fn note_props(seen: &mut Vec<(String, Value)>, props: &[(std::sync::Arc<str>, Value)]) {
-    for (name, value) in props {
-        if !seen.iter().any(|(p, v)| p.as_str() == name.as_ref() && v == value) {
-            seen.push((name.as_ref().to_owned(), value.clone()));
+/// One relation's side of the scan: labels interned in first-seen order, with
+/// the distinct property pairs of each.
+#[derive(Default)]
+struct LabelScan<'a> {
+    /// The label allocation seen last and its index.  Rows loaded together
+    /// share one `Arc` per label and objects of a label mostly sit together,
+    /// so this pointer compare answers for nearly every object.
+    last_label: Option<(*const u8, u32)>,
+    /// The fallback, by spelling: the same label arrives in a different
+    /// allocation whenever labels alternate and after every delta.
+    by_name: HashMap<&'a str, u32>,
+    labels: Vec<&'a str>,
+    /// Per label, the property list noted last: a row mostly repeats the one
+    /// before it (the next state of the same object, the next edge of the same
+    /// meeting), and an equal list has nothing new to hash.
+    last_props: Vec<&'a [(Arc<str>, Value)]>,
+    props: HashSet<(u32, &'a str, &'a Value)>,
+}
+
+impl<'a> LabelScan<'a> {
+    fn intern(&mut self, label: &'a Arc<str>) -> u32 {
+        let name: &'a str = label;
+        if let Some((pointer, index)) = self.last_label {
+            if pointer == name.as_ptr() {
+                return index;
+            }
         }
+        let next = self.labels.len() as u32;
+        let index = *self.by_name.entry(name).or_insert(next);
+        if index == next {
+            self.labels.push(name);
+            self.last_props.push(&[]);
+        }
+        self.last_label = Some((name.as_ptr(), index));
+        index
+    }
+
+    fn note_props(&mut self, label: u32, props: &'a [(Arc<str>, Value)]) {
+        let last = &mut self.last_props[label as usize];
+        if *last != props {
+            *last = props;
+            self.props.extend(props.iter().map(|(name, value)| (label, &**name, value)));
+        }
+    }
+
+    /// The labels sorted, the property pairs grouped under them and sorted,
+    /// and the map from scan index to sorted position.
+    fn finish(self) -> (Vec<String>, Vec<PropPairs>, Vec<u32>) {
+        let mut order: Vec<u32> = (0..self.labels.len() as u32).collect();
+        order.sort_unstable_by_key(|&index| self.labels[index as usize]);
+        let mut position = vec![0u32; order.len()];
+        for (sorted, &index) in order.iter().enumerate() {
+            position[index as usize] = sorted as u32;
+        }
+        let labels = order.iter().map(|&index| self.labels[index as usize].to_owned()).collect();
+        let mut props = vec![Vec::new(); order.len()];
+        for (label, name, value) in self.props {
+            props[position[label as usize] as usize].push((name.to_owned(), value.clone()));
+        }
+        for pairs in &mut props {
+            pairs.sort_unstable();
+        }
+        (labels, props, position)
+    }
+}
+
+/// The one pass behind [`SchemaSummary::of`].  Facts that belong to an object —
+/// its label, an edge's endpoints — are taken once per live object through the
+/// per-object row indexes (which list live rows only); the rows themselves are
+/// visited just for their property values.
+fn scan(relations: &GraphRelations) -> SchemaSummary {
+    let (node_rows, edge_rows) = (relations.node_rows(), relations.edge_rows());
+    let mut nodes = LabelScan::default();
+    // Nodes have one label for their whole lifetime, so a dense id → label map
+    // is enough to label edge endpoints.
+    let mut label_of_node: Vec<Option<u32>> = vec![None; relations.num_nodes()];
+    for (id, slot) in label_of_node.iter_mut().enumerate() {
+        let rows = relations.rows_of_node(NodeId(id as u32));
+        let Some(&first) = rows.first() else { continue };
+        let label = nodes.intern(&node_rows[first as usize].label);
+        *slot = Some(label);
+        for &row in rows {
+            nodes.note_props(label, &node_rows[row as usize].props);
+        }
+    }
+    let mut edges = LabelScan::default();
+    // End bits per edge label (outer) and node label (inner), in scan indices.
+    let mut ends: Vec<Vec<u8>> = Vec::new();
+    for id in 0..relations.num_edges() {
+        let rows = relations.rows_of_edge(EdgeId(id as u32));
+        let Some(&first) = rows.first() else { continue };
+        let edge = &edge_rows[first as usize];
+        let label = edges.intern(&edge.label);
+        if ends.len() <= label as usize {
+            ends.push(vec![0; nodes.labels.len()]);
+        }
+        let bits = &mut ends[label as usize];
+        if let Some(src) = label_of_node[edge.src.index()] {
+            bits[src as usize] |= ADJ_SOURCE;
+        }
+        if let Some(tgt) = label_of_node[edge.tgt.index()] {
+            bits[tgt as usize] |= ADJ_TARGET;
+        }
+        for &row in rows {
+            edges.note_props(label, &edge_rows[row as usize].props);
+        }
+    }
+
+    let (node_labels, node_props, node_position) = nodes.finish();
+    let (edge_labels, edge_props, edge_position) = edges.finish();
+    let mut adjacency = vec![0u8; node_labels.len() * edge_labels.len()];
+    for (edge, bits) in ends.iter().enumerate() {
+        for (node, &bits) in bits.iter().enumerate() {
+            let (node, edge) = (node_position[node] as usize, edge_position[edge] as usize);
+            adjacency[node * edge_labels.len() + edge] = bits;
+        }
+    }
+    let stats = relations.stats();
+    SchemaSummary {
+        exact: true,
+        domain: relations.domain(),
+        node_labels,
+        edge_labels,
+        node_props,
+        edge_props,
+        adjacency,
+        node_rows: stats.temporal_nodes as u128,
+        edge_rows: stats.temporal_edges as u128,
     }
 }
 
@@ -439,8 +577,8 @@ pub fn analyze(plan_set: &PlanSet, schema: &SchemaSummary) -> Analysis {
     }
 }
 
-/// Convenience: summarises `graph` and returns the optimized plan set.  This
-/// is what the executor applies behind
+/// Convenience: the plan set optimized against `graph`'s memoised summary —
+/// what the executor runs behind
 /// [`ExecutionOptions::optimize`](crate::executor::ExecutionOptions::optimize).
 pub fn optimized_for(plan_set: &PlanSet, graph: &GraphRelations) -> PlanSet {
     analyze(plan_set, &SchemaSummary::of(graph)).optimized
@@ -1298,6 +1436,37 @@ mod tests {
         let rendered = analysis.diagnostics[0].to_string();
         assert!(rendered.contains("plan 0"), "{rendered}");
         assert!(rendered.contains("[empty-plan]"), "{rendered}");
+    }
+
+    #[test]
+    fn summaries_are_canonical_and_render_what_was_analysed() {
+        let summary = SchemaSummary::of(&graph());
+        assert_eq!(summary.node_labels, ["Person", "Room"]);
+        assert_eq!(summary.edge_labels, ["meets", "visits"]);
+        assert_eq!(
+            summary.node_props[0],
+            [("risk".to_owned(), Value::str("high")), ("risk".to_owned(), Value::str("low"))]
+        );
+        assert_eq!((summary.node_rows, summary.edge_rows), (3, 2));
+        // Person is the source of both edge labels; only `visits` reaches a Room.
+        let hop = |obj, direction| summary.hop(obj, direction).collect::<Vec<_>>();
+        assert_eq!(hop(AbsObj::Node(0), HopDirection::Forward), [AbsObj::Edge(0), AbsObj::Edge(1)]);
+        assert_eq!(hop(AbsObj::Node(0), HopDirection::Backward), [AbsObj::Edge(0)]);
+        assert_eq!(hop(AbsObj::Node(1), HopDirection::Backward), [AbsObj::Edge(1)]);
+        assert_eq!(hop(AbsObj::Node(1), HopDirection::Forward), []);
+        assert_eq!(hop(AbsObj::Edge(1), HopDirection::Forward), [AbsObj::Node(1)]);
+        assert_eq!(hop(AbsObj::Edge(1), HopDirection::Backward), [AbsObj::Node(0)]);
+        assert_eq!(
+            summary.to_string(),
+            "schema (exact) over [0, 10]\n  \
+             node labels: Person (2 property pairs) Room (0 property pairs); 3 live rows\n  \
+             edge labels: meets (0 property pairs) visits (0 property pairs); 2 live rows\n  \
+             adjacency: (Person) -[meets]-> (Person)\n  \
+             adjacency: (Person) -[visits]-> (Room)\n"
+        );
+        let universal = SchemaSummary::universal(Interval::of(0, 10)).to_string();
+        assert!(universal.starts_with("schema (universal) over [0, 10]\n"), "{universal}");
+        assert!(universal.ends_with("adjacency: (*) -[*]-> (*)\n"), "{universal}");
     }
 
     #[test]

@@ -12,10 +12,12 @@
 //! relations are exactly the "# temp. nodes" / "# temp. edges" columns of Table I.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use dataflow::SortedRelation;
 use tgraph::{EdgeId, Interval, IntervalSet, Itpg, NodeId, Object, Time, Value};
+
+use crate::plan::analyze::SchemaSummary;
 
 /// One temporally-constant state of a node.
 #[derive(Debug, Clone, PartialEq)]
@@ -119,6 +121,12 @@ pub struct CanonicalRelations {
 /// them.  This is what makes epoch-based MVCC serving (`crates/live`) cheap: a
 /// reader pins an immutable snapshot while the writer diverges the next epoch
 /// from it, and a batch touching only edges never copies any node column.
+///
+/// The relations also carry the memo of their own [`SchemaSummary`] — the
+/// statistics the semantic optimizer reads.  Nothing computes it at load or on
+/// a delta: the first [`SchemaSummary::of`] on a *version* of the relations
+/// scans once and every later call, on this value or on any clone, snapshot or
+/// pinned epoch of the same version, is a reference bump.
 #[derive(Debug, Clone)]
 pub struct GraphRelations {
     domain: Interval,
@@ -147,6 +155,13 @@ pub struct GraphRelations {
     edge_row_live: Arc<Vec<bool>>,
     dead_node_rows: usize,
     dead_edge_rows: usize,
+    // The memoised summary of *this version* of the relations.  The cell sits
+    // behind its own `Arc` so that clones share it: a bare `OnceLock` would be
+    // cloned empty into every snapshot, each reader would scan again and none
+    // would write back.  `apply_delta` — the only mutator — swaps in a fresh
+    // empty cell, so snapshots of the previous version keep their summary and
+    // the new version scans at most once, on its first reader.
+    schema: Arc<OnceLock<Arc<SchemaSummary>>>,
 }
 
 impl GraphRelations {
@@ -234,11 +249,13 @@ impl GraphRelations {
             edge_row_live: Arc::new(edge_row_live),
             dead_node_rows: 0,
             dead_edge_rows: 0,
+            schema: Arc::default(),
         }
     }
 
     /// An immutable copy-on-write snapshot of the relations: the returned value
-    /// shares every column with `self` until one of the two diverges through
+    /// shares every column — and the [`SchemaSummary`] memo, whichever of the
+    /// two fills it — with `self` until one of the two diverges through
     /// [`GraphRelations::apply_delta`].  Taking a snapshot is O(number of
     /// columns), not O(graph); this is the read view MVCC epochs in
     /// `crates/live` hand to concurrent readers.
@@ -249,7 +266,10 @@ impl GraphRelations {
     /// The number of physical columns `self` still shares with `other` — a
     /// diagnostic for copy-on-write behaviour (14 right after
     /// [`GraphRelations::snapshot`], decreasing only as deltas diverge the
-    /// copies column by column).
+    /// copies column by column).  The [`SchemaSummary`] memo is not a column:
+    /// it is derived from the fourteen, never written by a delta, and every
+    /// delta replaces it whole, so counting it would only report "a delta
+    /// happened".
     pub fn shared_columns(&self, other: &GraphRelations) -> usize {
         usize::from(Arc::ptr_eq(&self.nodes, &other.nodes))
             + usize::from(Arc::ptr_eq(&self.edges, &other.edges))
@@ -282,11 +302,16 @@ impl GraphRelations {
     /// content.  The key-sorted permutations are maintained by filtering the
     /// retracted entries out of the old (still sorted) permutation and
     /// [`SortedRelation::union_merge`]-ing the new rows in — no re-sort of the
-    /// surviving entries, no segment recomputation for untouched objects.
+    /// surviving entries, no segment recomputation for untouched objects.  The
+    /// [`SchemaSummary`] memo is dropped, not maintained: the next reader of the
+    /// new version scans it.
     pub fn apply_delta(&mut self, graph: &Itpg, touched: &[Object]) -> DeltaStats {
         debug_assert!(graph.num_nodes() >= self.node_names.len());
         debug_assert!(graph.num_edges() >= self.edge_names.len());
         let mut stats = DeltaStats::default();
+        // A new version: forget the summary without touching the old cell, which
+        // snapshots of the previous version still share.
+        self.schema = Arc::default();
         self.domain = graph.domain();
 
         // The columns are copy-on-write (see the struct docs): every write below
@@ -434,6 +459,11 @@ impl GraphRelations {
             ));
         }
         stats
+    }
+
+    /// The memo cell [`SchemaSummary::of`] reads and fills.
+    pub(crate) fn schema_cell(&self) -> &OnceLock<Arc<SchemaSummary>> {
+        &self.schema
     }
 
     /// The temporal domain of the graph.

@@ -20,7 +20,8 @@ pub struct StepStats {
     /// a band frontier.  Zero for plans without mixed repetition.
     pub time_closure_rounds: AtomicUsize,
     /// Number of structural hop joins executed (per hop batch, not per cursor); every
-    /// hop probes the hash adjacency indexes.
+    /// hop probes the hash adjacency indexes.  The executor counts a worker's seed
+    /// batches as the one batch they stand for.
     pub hash_joins: AtomicUsize,
     /// Nanoseconds spent inside closure fixpoints (structural and time-crossing),
     /// accumulated only when [`StepStats::timed`] is set.  Feeds the

@@ -13,6 +13,8 @@
 //! query                      total execution
 //! ├── compile                parse + plan compilation (Query::parse)
 //! ├── analyze                semantic optimizer pass (optimize = true)
+//! │   └── schema_scan        the SchemaSummary scan — only in the first
+//! │                          optimized execution on a relations version
 //! ├── step12                 structural + temporal interval evaluation
 //! │   └── closure            closure fixpoints inside Steps 1–2
 //! └── step3 | compact | cursor_open
@@ -36,6 +38,11 @@ pub(crate) struct EngineMetrics {
     pub span_compile: Arc<Histogram>,
     /// `span="query/analyze"` — the semantic optimizer pass.
     pub span_analyze: Arc<Histogram>,
+    /// `span="query/analyze/schema_scan"` — the one `SchemaSummary` scan of a
+    /// relations version, recorded by the execution that found the memo empty.
+    pub span_schema_scan: Arc<Histogram>,
+    /// `tpath_engine_schema_scans_total` — scans recorded in that span.
+    pub schema_scans: Arc<Counter>,
     /// `span="query/step12"` — Steps 1–2 (interval phase).
     pub span_step12: Arc<Histogram>,
     /// `span="query/step12/closure"` — time inside closure fixpoints.
@@ -94,6 +101,12 @@ pub(crate) fn metrics() -> &'static EngineMetrics {
             span_query: span(reg, "query"),
             span_compile: span(reg, "query/compile"),
             span_analyze: span(reg, "query/analyze"),
+            span_schema_scan: span(reg, "query/analyze/schema_scan"),
+            schema_scans: reg.counter(
+                "tpath_engine_schema_scans_total",
+                "SchemaSummary scans run by optimized executions (one per relations version).",
+                &[],
+            ),
             span_step12: span(reg, "query/step12"),
             span_closure: span(reg, "query/step12/closure"),
             span_step3: span(reg, "query/step3"),

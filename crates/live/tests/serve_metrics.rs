@@ -6,6 +6,8 @@
 //! * recording from workers — including the epoch bookkeeping that runs while
 //!   the manager's `MutexGuard` is live — never acquires the registry lock
 //!   (the worker-pool variant of obs's own `recording_does_not_lock` pin);
+//! * the `SchemaSummary` scan behind ad-hoc requests runs once per published
+//!   epoch however many workers race for it, and never on the writer;
 //! * a `Request::Metrics` scrape served by the same pool is well-formed in
 //!   both formats, and every `Response` carries a populated [`ServeHealth`].
 //!
@@ -55,6 +57,7 @@ fn worker_pool_recording_matches_serial_replay_without_locking() {
     let busy = reg.gauge("tpath_serve_busy_workers", "Busy workers.", &[]);
     let depth = reg.gauge("tpath_serve_queue_depth", "Queue depth.", &[]);
     let workers = reg.gauge("tpath_serve_workers", "Workers in the pool.", &[]);
+    let scans = reg.counter("tpath_engine_schema_scans_total", "SchemaSummary scans.", &[]);
 
     let server = Server::start(Arc::clone(&graph), 4);
     // Warm-up: one request per code path, so every OnceLock handle set and
@@ -109,6 +112,30 @@ fn worker_pool_recording_matches_serial_replay_without_locking() {
     // counters, the epoch gauges updated while the manager's MutexGuard was
     // live — touched the registry lock.  Only registration and snapshots do.
     assert_eq!(reg.lock_acquisitions(), base_locks, "metric recording acquired the registry lock");
+
+    // One schema scan per epoch.  An ingest publishes a new relations version
+    // and costs the writer no scan; of the ad-hoc requests the four workers then
+    // race over at that epoch exactly one scans, the rest share its memo through
+    // their pins; the next epoch owes one scan again.
+    for epoch in [PER_MODE + 2, PER_MODE + 3] {
+        let base_scans = scans.get();
+        let mut batch = Batch::new(epoch);
+        let name = format!("q{epoch}");
+        batch.add_node(&name, "Person").add_existence(&name, Interval::of(1, 9));
+        let published = graph.ingest(&batch).unwrap().version;
+        assert_eq!(scans.get(), base_scans, "ingest and publish scan nothing");
+        let tickets: Vec<_> =
+            [AnswerMode::Materialized, AnswerMode::Compact, AnswerMode::Enumerate]
+                .into_iter()
+                .cycle()
+                .take(24)
+                .map(|mode| server.submit(request(mode)))
+                .collect();
+        for ticket in tickets {
+            assert_eq!(ticket.wait().unwrap().epoch.version(), published);
+        }
+        assert_eq!(scans.get() - base_scans, 1, "24 ad-hoc requests at one epoch, one scan");
+    }
 
     // A scrape through the same worker pool, while the server is live.
     let response = server.submit(Request::Metrics(MetricsFormat::Prometheus)).wait().unwrap();

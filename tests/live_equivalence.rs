@@ -6,11 +6,14 @@
 //!   `from_itpg` build of the final graph;
 //! * **(b) maintenance** — after every batch, every maintained query answer
 //!   (Q1–Q12 plus the REACH structural closure and the RECUR time-aware
-//!   closure) equals a from-scratch `execute` on the materialized graph.
+//!   closure) equals a from-scratch `execute` on the materialized graph;
+//! * **(c) statistics** — after every batch, retractions included, the
+//!   `SchemaSummary` memoised in the maintained relations equals the summary
+//!   of a bulk build of the graph.
 
 use proptest::prelude::*;
 
-use engine::{compile, execute, ExecutionOptions, GraphRelations};
+use engine::{compile, execute, ExecutionOptions, GraphRelations, SchemaSummary};
 use live::LiveGraph;
 use tgraph::{Batch, Interval, IntervalSet, Itpg, Mutation};
 use trpq::queries::QueryId;
@@ -261,4 +264,45 @@ proptest! {
             }
         }
     }
+
+    /// Property (c): the summary the optimizer reads is the scan of the current
+    /// version.  It is read before each batch, so a memo carried across the
+    /// delta would be caught after it.  The delta language never deletes an
+    /// object; what retracts schema content is overwriting a property, so the
+    /// stream ends with batches flipping every drawn person's `risk` and
+    /// overwriting their `test`, which removes `(risk, high)` or `(test, pos)`
+    /// from the alphabet when the last carrier flips.
+    #[test]
+    fn memoised_summary_equals_the_bulk_summary_after_every_batch(
+        nodes in prop::collection::vec(node_spec(), 2..6),
+        edges in prop::collection::vec(edge_spec(), 0..8),
+        cuts in prop::collection::vec(0..64usize, 0..4),
+        rotations in prop::collection::vec(0..16usize, 8),
+        flips in prop::collection::vec(any::<bool>(), 6),
+    ) {
+        let mut live = LiveGraph::new(Interval::of(0, MAX_TIME));
+        for batch in &chunk(&build_mutations(&nodes, &edges), &cuts, &rotations) {
+            apply_and_compare_summaries(&mut live, batch);
+        }
+        for (index, spec) in nodes.iter().enumerate().filter(|(i, n)| flips[*i] && !n.room) {
+            let mut batch = Batch::new(live.epoch().map_or(1, |epoch| epoch + 1));
+            let name = format!("n{index}");
+            let node = live.itpg().object_by_name(&name).expect("every node was ingested");
+            for &interval in live.itpg().existence(node).intervals() {
+                let risk = if spec.high_risk { "low" } else { "high" };
+                batch.set_property(name.as_str(), "risk", risk, interval);
+                batch.set_property(name.as_str(), "test", "neg", interval);
+            }
+            apply_and_compare_summaries(&mut live, &batch);
+        }
+    }
+}
+
+fn apply_and_compare_summaries(live: &mut LiveGraph, batch: &Batch) {
+    let before = SchemaSummary::of(live.relations());
+    live.apply(batch).expect("generated batches are valid");
+    let after = SchemaSummary::of(live.relations());
+    assert!(!std::sync::Arc::ptr_eq(&before, &after), "a delta must start a new memo");
+    let bulk = GraphRelations::from_itpg(live.itpg());
+    assert_eq!(after, SchemaSummary::of(&bulk), "epoch {:?}", live.epoch());
 }

@@ -5,7 +5,9 @@
 //! the rewritten plan set must produce byte-identical answers in every answer
 //! mode (materialised table, enumeration cursor, compact intervals), for all
 //! benchmark queries Q1–Q12 plus the REACH / RECUR closure workloads, on
-//! randomly generated ITPGs.
+//! randomly generated ITPGs — bulk-loaded, and mutated batch by batch through
+//! a `LiveGraph`, where the summary the optimizer reads is re-scanned once per
+//! relations version.
 //!
 //! Alongside the equivalence, the analyzer's cardinality claim is pinned: the
 //! `PlanBounds::max_rows` upper bound must dominate the actual Step-1/2
@@ -17,7 +19,8 @@ use engine::{
     analyze, AnswerMode, Binding, DiagnosticKind, ExecutionOptions, GraphRelations, Query,
     SchemaSummary,
 };
-use tgraph::{Interval, IntervalSet, Itpg, ItpgBuilder, Time};
+use live::LiveGraph;
+use tgraph::{Batch, Interval, IntervalSet, Itpg, ItpgBuilder, Object, Time};
 use trpq::queries::QueryId;
 
 const MAX_TIME: Time = 7;
@@ -118,20 +121,98 @@ fn check_equivalence(query: &Query, graph: &GraphRelations, label: &str) {
     assert_eq!(compact_opt, compact_raw, "{label}: compact answers must agree");
 }
 
+/// [`check_equivalence`] for Q1–Q12 + REACH + RECUR.
+fn check_all_queries(graph: &GraphRelations, context: &str) {
+    let options = ExecutionOptions::sequential();
+    for id in QueryId::ALL {
+        let query = Query::benchmark(id).with_options(options);
+        check_equivalence(&query, graph, &format!("{} {context}", id.name()));
+    }
+    for (name, text) in [("REACH", REACH), ("RECUR", RECUR)] {
+        let query = Query::parse(text).expect("closure workloads compile").with_options(options);
+        check_equivalence(&query, graph, &format!("{name} {context}"));
+    }
+}
+
+/// Three batches that change what the optimizer may prune, each valid on the
+/// graph the previous one left: `growth`'s nodes as new objects, `growth`'s
+/// edges between any two nodes old or new, and finally every person's `risk`
+/// overwritten to `'low'` — which retracts `(risk, high)` from the schema, so
+/// every plan filtering on it must turn statically empty only *now*.
+fn growth_batch(step: usize, graph: &Itpg, growth: &GraphSpec) -> Batch {
+    let mut batch = Batch::new(step as u64 + 1);
+    match step {
+        0 => {
+            for (i, (intervals, high, _)) in growth.nodes.iter().enumerate() {
+                let name = format!("g{i}");
+                batch.add_node(name.as_str(), if i % 2 == 0 { "Person" } else { "Room" });
+                for iv in IntervalSet::from_intervals(intervals.iter().copied()).intervals() {
+                    batch.add_existence(name.as_str(), *iv);
+                    batch.set_property(
+                        name.as_str(),
+                        "risk",
+                        if *high { "high" } else { "low" },
+                        *iv,
+                    );
+                }
+            }
+        }
+        1 => {
+            let nodes: Vec<_> = graph.node_ids().collect();
+            for (k, (src, tgt, desired, label_choice)) in growth.edges.iter().enumerate() {
+                let (src, tgt) = (nodes[src % nodes.len()], nodes[tgt % nodes.len()]);
+                let joint = graph.existence(src.into()).intersection(graph.existence(tgt.into()));
+                let clamped = joint.clamp(desired);
+                if clamped.is_empty() {
+                    continue;
+                }
+                let name = format!("f{k}");
+                batch.add_edge(
+                    name.as_str(),
+                    if *label_choice == 0 { "meets" } else { "visits" },
+                    graph.name(src.into()),
+                    graph.name(tgt.into()),
+                );
+                for iv in clamped.intervals() {
+                    batch.add_existence(name.as_str(), *iv);
+                }
+            }
+        }
+        _ => {
+            for node in graph.node_ids().map(Object::Node) {
+                if graph.label(node) == "Person" {
+                    for iv in graph.existence(node).intervals() {
+                        batch.set_property(graph.name(node), "risk", "low", *iv);
+                    }
+                }
+            }
+        }
+    }
+    batch
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     #[test]
     fn optimized_equals_unoptimized_on_random_graphs(spec in graph_spec_strategy()) {
-        let graph = GraphRelations::from_itpg(&build_graph(&spec));
-        let options = ExecutionOptions::sequential();
-        for id in QueryId::ALL {
-            let query = Query::benchmark(id).with_options(options);
-            check_equivalence(&query, &graph, id.name());
-        }
-        for (name, text) in [("REACH", REACH), ("RECUR", RECUR)] {
-            let query = Query::parse(text).expect("closure workloads compile").with_options(options);
-            check_equivalence(&query, &graph, name);
+        check_all_queries(&GraphRelations::from_itpg(&build_graph(&spec)), "bulk-loaded");
+    }
+
+    #[test]
+    fn optimized_equals_unoptimized_on_live_mutated_graphs(
+        spec in graph_spec_strategy(),
+        growth in graph_spec_strategy(),
+    ) {
+        let mut live = LiveGraph::with_options(build_graph(&spec), ExecutionOptions::sequential());
+        // Fill the memo of the version each batch is about to replace.
+        check_all_queries(live.relations(), "before any batch");
+        for step in 0..3 {
+            let batch = growth_batch(step, live.itpg(), &growth);
+            if !batch.is_empty() {
+                live.apply(&batch).expect("growth batches are valid by construction");
+            }
+            check_all_queries(live.relations(), &format!("after batch {step}"));
         }
     }
 
