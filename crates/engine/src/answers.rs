@@ -362,7 +362,7 @@ pub(crate) fn compact_from_chains(
         return compact;
     }
     for (plan, chains) in plan_set.plans.iter().zip(per_plan_chains) {
-        let lag_indices = closure_lag_indices(plan);
+        let lag_indices = plan.lag_indices();
         for chain in chains {
             let (Some(source), Some(target)) = (
                 chain.bound.iter().find(|b| b.slot == 0),
@@ -384,22 +384,6 @@ pub(crate) fn compact_from_chains(
         }
     }
     compact
-}
-
-/// Per link, the index into a chain's recorded lags (closure links only) — the same
-/// scan [`crate::steps::expand`] performs per expansion.
-fn closure_lag_indices(plan: &EnginePlan) -> Vec<Option<usize>> {
-    plan.links
-        .iter()
-        .scan(0usize, |next, link| match link {
-            TemporalLink::Shift(_) => Some(None),
-            TemporalLink::Closure(_) => {
-                let index = *next;
-                *next += 1;
-                Some(Some(index))
-            }
-        })
-        .collect()
 }
 
 /// The time points of `segment` from which all *later* segments can be assigned

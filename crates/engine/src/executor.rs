@@ -2,7 +2,10 @@
 //! three-step architecture of Section VI (structural interval evaluation → interval
 //! temporal pruning → point expansion), with chunked data parallelism over the seed
 //! rows; within a worker, a plan without fixpoints takes its seeds through Steps 1–2
-//! in batches (`SEED_BATCH`) so the intermediate chains stay small.
+//! in batches (`SEED_BATCH`) so the intermediate vectors stay small.  Inside a batch
+//! a match is a fixed-width [`Cursor`] writing its history to the batch's [`Trail`];
+//! the owned [`Chain`]s everything downstream consumes are built at the end of the
+//! batch, for the cursors that survived it.
 
 use std::sync::atomic::Ordering;
 use std::time::Duration;
@@ -13,7 +16,7 @@ use dataflow::{kway_merge_dedup, par_chunk_flat_map, Parallelism};
 
 use crate::answers::{compact_from_chains, AnswerCursor, AnswerMode, AnswerSet, Answers};
 use crate::bindings::{Binding, BindingTable};
-use crate::chain::Chain;
+use crate::chain::{Chain, Cursor, Trail};
 use crate::plan::analyze::{analyze, SchemaSummary};
 use crate::plan::{EnginePlan, PlanSet, TemporalLink};
 use crate::relations::GraphRelations;
@@ -190,6 +193,7 @@ impl IntervalPhase {
         m.closure_rounds.add(stats.closure_rounds as u64);
         m.time_rounds.add(stats.time_rounds as u64);
         m.joins_hash.add(self.step_stats.hash_joins.load(Ordering::Relaxed) as u64);
+        m.hop_cursors.add(self.step_stats.hop_cursors.load(Ordering::Relaxed) as u64);
         let closure_nanos = self.step_stats.closure_nanos.load(Ordering::Relaxed);
         if closure_nanos > 0 {
             m.span_closure.record(closure_nanos);
@@ -337,19 +341,22 @@ pub fn run_plan_seeded(
     // seed once per distinct start state of the batch they are handed.
     let batch_len = if plan.has_fixpoint() { usize::MAX } else { SEED_BATCH };
     par_chunk_flat_map(seed_rows, parallelism, |rows| {
+        // One chain per seed is where a pipeline without fan-out ends as well.
+        let mut chains = Vec::with_capacity(rows.len());
         if rows.len() <= batch_len {
-            return run_batch(plan, graph, rows, stats);
+            run_batch(plan, graph, rows, stats, &mut chains);
+            return chains;
         }
         // Hop joins stay counted once per worker: a fixpoint-free pipeline runs a
         // prefix of its hops on every batch, the whole worker chunk would have
         // run the longest of them.
         let mut hop_joins = 0;
-        // One chain per seed is where the unbatched pipeline starts as well.
-        let mut chains = Vec::with_capacity(rows.len());
         for batch in rows.chunks(batch_len) {
             let batch_stats = StepStats::default();
-            chains.append(&mut run_batch(plan, graph, batch, &batch_stats));
+            run_batch(plan, graph, batch, &batch_stats, &mut chains);
             hop_joins = hop_joins.max(batch_stats.hash_joins.load(Ordering::Relaxed));
+            let hop_cursors = batch_stats.hop_cursors.load(Ordering::Relaxed);
+            stats.hop_cursors.fetch_add(hop_cursors, Ordering::Relaxed);
         }
         stats.hash_joins.fetch_add(hop_joins, Ordering::Relaxed);
         chains
@@ -358,40 +365,46 @@ pub fn run_plan_seeded(
 
 /// Seed rows a fixpoint-free pipeline takes through Steps 1–2 at a time.
 ///
-/// A hop can fan one seed out to dozens of chains and every step holds its
+/// A hop can fan one seed out to dozens of cursors and every step holds its
 /// input and its output at once, so all seeds in one batch peak at several
-/// times the chains that survive (Q12 at G6: ≈ 95 MB to keep ≈ 30 MB), in
-/// vectors of tens of MB.  Vectors that size are beyond what the allocator
-/// recycles: whether such a query grows the heap and gives it back, one page
-/// fault per 4 KB, or finds the room already there depends on the state of the
-/// heap it starts from, which no query controls — unbatched, `adhoc-g6` takes
-/// 0 or ≈ 90 000 faults a round (a quarter of `ops_per_s`) from one run to the
-/// next.  A batch keeps the intermediate vectors in the hundreds of KB; only
-/// the surviving chains grow large.  The size is not tuned: 256 to 8192 time
-/// the same.
+/// times the matches that survive, in vectors of tens of MB.  Vectors that size
+/// are beyond what the allocator recycles: whether such a query grows the heap
+/// and gives it back, one page fault per 4 KB, or finds the room already there
+/// depends on the state of the heap it starts from, which no query controls —
+/// unbatched, `adhoc-g6` takes 0 or ≈ 90 000 faults a round (a quarter of
+/// `ops_per_s`) from one run to the next.  A batch keeps the intermediate
+/// vectors in the hundreds of KB; only the surviving chains grow large.  A
+/// batch also bounds the [`Trail`]: the history of every match the batch
+/// started, dead or alive, is dropped with it.  The size is not tuned: 256 to
+/// 8192 time the same.
 const SEED_BATCH: usize = 1024;
 
-/// Steps 1–2 of one plan from one batch of seed rows.
+/// Steps 1–2 of one plan from one batch of seed rows: the surviving cursors are
+/// appended to `chains`, each spelled out from the batch's trail.
 fn run_batch(
     plan: &EnginePlan,
     graph: &GraphRelations,
     rows: &[u32],
     stats: &StepStats,
-) -> Vec<Chain> {
-    let mut chains: Vec<Chain> = rows.iter().map(|&r| Chain::seed(r, graph)).collect();
+    chains: &mut Vec<Chain>,
+) {
+    let mut trail = Trail::default();
+    let mut cursors: Vec<Cursor> = rows.iter().map(|&r| Cursor::seed(r, graph)).collect();
     for (index, segment) in plan.segments.iter().enumerate() {
         if index > 0 {
-            chains = match &plan.links[index - 1] {
-                TemporalLink::Shift(shift) => apply_shift(graph, chains, shift),
-                TemporalLink::Closure(closure) => apply_time_closure(graph, chains, closure, stats),
+            cursors = match &plan.links[index - 1] {
+                TemporalLink::Shift(shift) => apply_shift(graph, cursors, shift, &mut trail),
+                TemporalLink::Closure(closure) => {
+                    apply_time_closure(graph, cursors, closure, &mut trail, stats)
+                }
             };
         }
-        chains = apply_segment(graph, chains, segment, stats);
-        if chains.is_empty() {
-            break;
+        cursors = apply_segment(graph, cursors, segment, &mut trail, stats);
+        if cursors.is_empty() {
+            return;
         }
     }
-    chains
+    chains.extend(cursors.iter().map(|cursor| trail.materialize(cursor)));
 }
 
 #[cfg(test)]
@@ -693,7 +706,7 @@ mod tests {
                 let batched = StepStats::default();
                 let chains = run_plan_seeded(plan, &g, &seeds, Parallelism::sequential(), &batched);
                 // Slices no longer than a batch run as one batch each.
-                let (mut expected, mut furthest) = (Vec::new(), 0);
+                let (mut expected, mut furthest, mut traversals) = (Vec::new(), 0, 0);
                 for slice in seeds.chunks(SEED_BATCH - 7) {
                     let stats = StepStats::default();
                     expected.extend(run_plan_seeded(
@@ -704,11 +717,15 @@ mod tests {
                         &stats,
                     ));
                     furthest = furthest.max(stats.hash_joins.load(Ordering::Relaxed));
+                    traversals += stats.hop_cursors.load(Ordering::Relaxed);
                 }
                 assert_eq!(chains, expected, "{text}");
                 assert_eq!(chains.is_empty(), text.contains("'none'"), "{text}");
                 assert_eq!(furthest == 0, chains.is_empty(), "{text}");
                 assert_eq!(batched.hash_joins.load(Ordering::Relaxed), furthest, "{text}");
+                // Traversals, unlike joins, are counted per cursor: batches add up.
+                assert_eq!(batched.hop_cursors.load(Ordering::Relaxed), traversals, "{text}");
+                assert!(traversals >= chains.len(), "{text}");
             }
         }
     }

@@ -370,6 +370,23 @@ impl EnginePlan {
         self.links.iter().any(|link| matches!(link, TemporalLink::Closure(_)))
             || self.segments.iter().flat_map(|s| &s.ops).any(|op| matches!(op, MicroOp::Closure(_)))
     }
+
+    /// Per link, the index into a chain's recorded lags
+    /// ([`crate::chain::Chain::lags`]): closure links record one each, in crossing
+    /// order, plain shifts none.
+    pub fn lag_indices(&self) -> Vec<Option<usize>> {
+        self.links
+            .iter()
+            .scan(0usize, |next, link| match link {
+                TemporalLink::Shift(_) => Some(None),
+                TemporalLink::Closure(_) => {
+                    let index = *next;
+                    *next += 1;
+                    Some(Some(index))
+                }
+            })
+            .collect()
+    }
 }
 
 /// The compiled form of one `MATCH` clause: one plan per union alternative plus the

@@ -50,7 +50,7 @@ use std::sync::atomic::Ordering;
 
 use tgraph::{Interval, IntervalSet, Time};
 
-use crate::chain::{Chain, Position, TimeLag};
+use crate::chain::{Cursor, Position, TimeLag, Trail, TrailEvent};
 use crate::plan::{ClosureOp, ClosureStep, MicroOp, Shift};
 use crate::relations::GraphRelations;
 use crate::steps::structural::{apply_op, StructuralCursor};
@@ -79,7 +79,7 @@ fn dedup_seeds<C: StructuralCursor>(cursors: &[C]) -> (Vec<(Position, Interval)>
 /// descends from, the row it sits on, and the validity interval it covers.  This is
 /// the lightweight "delta" cursor the structural pipeline is driven with inside the
 /// loop; the full input cursors are only touched again when the results are emitted.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct FrontierEntry {
     /// Index into the closure's distinct seed list.
     source: u32,
@@ -105,12 +105,6 @@ impl StructuralCursor for FrontierEntry {
     fn with_interval(mut self, interval: Interval) -> Self {
         self.interval = interval;
         self
-    }
-
-    fn record_binding(&mut self, _slot: u32, _graph: &GraphRelations) {
-        // Fails identically in debug and release: silently dropping a binding would
-        // corrupt query output without a diagnostic.
-        unreachable!("the compiler never places a Bind inside a closure");
     }
 }
 
@@ -277,7 +271,7 @@ fn coalesce_frontier(entries: Vec<FrontierEntry>) -> Vec<FrontierEntry> {
 /// One state of the time-aware fixpoint: an interval-annotated reachable state
 /// describing the exact relation `{(t, t′) | t ∈ dep, t′ ∈ cur, t′ − t ∈ lag}`
 /// between the departure times of the seed and the arrival times on `position`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct BandState {
     /// Index into the closure's distinct seed list.
     source: u32,
@@ -301,16 +295,12 @@ impl StructuralCursor for BandState {
     }
 
     fn moved_to(&self, position: Position, interval: Interval) -> Self {
-        BandState { position, cur: interval, ..self.clone() }
+        BandState { position, cur: interval, ..*self }
     }
 
     fn with_interval(mut self, interval: Interval) -> Self {
         self.cur = interval;
         self
-    }
-
-    fn record_binding(&mut self, _slot: u32, _graph: &GraphRelations) {
-        unreachable!("the compiler never places a Bind inside a closure");
     }
 }
 
@@ -370,10 +360,9 @@ fn shift_band(graph: &GraphRelations, band: &BandState, shift: &Shift, out: &mut
     // against the still-tight pre-shift lag (the exact composition of two bands
     // intersects the departures with `[cur.start − lag.hi, cur.end − lag.lo]`);
     // afterwards the information is gone.
-    let Some(band) = normalize(band.clone()) else {
+    let Some(band) = normalize(*band) else {
         return;
     };
-    let band = &band;
     let object = band.position.object(graph);
     // `cur` is contained in the current row's validity interval, which never spans an
     // existence gap, so one maximal existence interval covers every departure point.
@@ -406,7 +395,7 @@ fn shift_band(graph: &GraphRelations, band: &BandState, shift: &Shift, out: &mut
             }
         };
         let Some(cur) = arrival.intersect(&row_interval) else { continue };
-        if let Some(next) = normalize(BandState { position, cur, lag, ..band.clone() }) {
+        if let Some(next) = normalize(BandState { position, cur, lag, ..band }) {
             out.push(next);
         }
     }
@@ -557,7 +546,7 @@ fn run_band_fixpoint(
                     stored.push(StoredBand { dep: band.dep, lag: band.lag, cur: fresh.clone() })
                 }
             }
-            novel.extend(fresh.intervals().iter().map(|&cur| BandState { cur, ..band.clone() }));
+            novel.extend(fresh.intervals().iter().map(|&cur| BandState { cur, ..band }));
         }
         delta = novel;
         remaining = remaining.map(|r| r - 1);
@@ -595,18 +584,21 @@ fn fold_into(reached: &mut BTreeMap<(u32, Position), Vec<StoredBand>>, band: &Ba
     }
 }
 
-/// Applies a time-crossing closure link to a batch of chains: each chain's current
+/// Applies a time-crossing closure link to a batch of cursors: each cursor's current
 /// segment ends at the departure times for which the closure admits a traversal, a
-/// new segment starts on the reached row over the arrival times, and the chain
-/// records the admissible time skew as a [`TimeLag`] for Step 3's point expansion.
+/// new segment starts on the reached row over the arrival times, and the admissible
+/// time skew is recorded as a [`TimeLag`] for Step 3's point expansion — two trail
+/// entries per emitted band, on top of the history the cursor shares with the
+/// other bands of its seed.
 pub fn apply_time_closure(
     graph: &GraphRelations,
-    chains: Vec<Chain>,
+    cursors: Vec<Cursor>,
     closure: &ClosureOp,
+    trail: &mut Trail,
     stats: &StepStats,
-) -> Vec<Chain> {
+) -> Vec<Cursor> {
     let watch = stats.timed.then(obs::Stopwatch::start);
-    let out = apply_time_closure_untimed(graph, chains, closure, stats);
+    let out = apply_time_closure_untimed(graph, cursors, closure, trail, stats);
     if let Some(watch) = watch {
         stats.closure_nanos.fetch_add(watch.elapsed_nanos(), Ordering::Relaxed);
     }
@@ -615,14 +607,15 @@ pub fn apply_time_closure(
 
 fn apply_time_closure_untimed(
     graph: &GraphRelations,
-    chains: Vec<Chain>,
+    cursors: Vec<Cursor>,
     closure: &ClosureOp,
+    trail: &mut Trail,
     stats: &StepStats,
-) -> Vec<Chain> {
-    if chains.is_empty() || closure.max.is_some_and(|m| m < closure.min) {
+) -> Vec<Cursor> {
+    if cursors.is_empty() || closure.max.is_some_and(|m| m < closure.min) {
         return Vec::new();
     }
-    let (distinct, seed_of) = dedup_seeds(&chains);
+    let (distinct, seed_of) = dedup_seeds(&cursors);
     let seeds: Vec<BandState> = distinct
         .iter()
         .enumerate()
@@ -641,14 +634,11 @@ fn apply_time_closure_untimed(
         by_source[band.source as usize].push(band);
     }
     let mut out = Vec::new();
-    for (chain, seed) in chains.iter().zip(&seed_of) {
+    for (cursor, seed) in cursors.iter().zip(&seed_of) {
         for band in &by_source[*seed as usize] {
-            let mut next = chain.clone();
-            next.seg_intervals.push(band.dep);
-            next.lags.push(band.lag);
-            next.position = band.position;
-            next.interval = band.cur;
-            out.push(next);
+            let ended = trail.record(cursor.trail, TrailEvent::SegmentEnd(band.dep));
+            let crossed = trail.record(ended, TrailEvent::Lag(band.lag));
+            out.push(cursor.next_segment(crossed, band.position, band.cur));
         }
     }
     out
@@ -712,24 +702,27 @@ mod tests {
             .unwrap() as u32
     }
 
-    fn reached(graph: &GraphRelations, out: &[Chain]) -> Vec<(String, Interval)> {
+    fn reached(graph: &GraphRelations, out: &[Cursor]) -> Vec<(String, Interval)> {
         out.iter()
             .map(|c| (graph.object_name(c.position.object(graph)).to_owned(), c.interval))
             .collect()
     }
 
-    fn run(graph: &GraphRelations, seeds: Vec<Chain>, op: &ClosureOp) -> Vec<Chain> {
+    fn run(graph: &GraphRelations, seeds: Vec<Cursor>, op: &ClosureOp) -> Vec<Cursor> {
         apply_closure(graph, seeds, op, &StepStats::default())
     }
 
-    fn run_time(graph: &GraphRelations, seeds: Vec<Chain>, op: &ClosureOp) -> Vec<Chain> {
-        apply_time_closure(graph, seeds, op, &StepStats::default())
+    /// Crosses the closure and spells the arrivals out as chains.
+    fn run_time(graph: &GraphRelations, seeds: Vec<Cursor>, op: &ClosureOp) -> Vec<Chain> {
+        let mut trail = Trail::default();
+        let out = apply_time_closure(graph, seeds, op, &mut trail, &StepStats::default());
+        out.iter().map(|c| trail.materialize(c)).collect()
     }
 
     #[test]
     fn star_reaches_transitively_with_narrowing_intervals() {
         let g = chain_graph();
-        let seed = Chain::seed(row_of(&g, "a"), &g);
+        let seed = Cursor::seed(row_of(&g, "a"), &g);
         let out = run(&g, vec![seed], &star());
         // 0 steps: a on [0,9]; 1 step: b on [1,6]; 2 steps: c on [4,6]; 3: d on [5,5].
         assert_eq!(
@@ -746,7 +739,7 @@ mod tests {
     #[test]
     fn bounds_control_iteration_depth() {
         let g = chain_graph();
-        let seed = || vec![Chain::seed(row_of(&g, "a"), &g)];
+        let seed = || vec![Cursor::seed(row_of(&g, "a"), &g)];
         // Exactly two hops: only c, over the intersection [4,6].
         let exact2 = ClosureOp::structural(vec![meets_hop()], 2, Some(2));
         assert_eq!(reached(&g, &run(&g, seed(), &exact2)), vec![("c".to_owned(), iv(4, 6))]);
@@ -783,7 +776,7 @@ mod tests {
         b.add_existence(e2, iv(4, 7)).unwrap();
         let g = GraphRelations::from_itpg(&b.domain(iv(0, 9)).build().unwrap());
         let stats = StepStats::default();
-        let out = apply_closure(&g, vec![Chain::seed(row_of(&g, "a"), &g)], &star(), &stats);
+        let out = apply_closure(&g, vec![Cursor::seed(row_of(&g, "a"), &g)], &star(), &stats);
         // a over its whole row (0 steps; the [4,5] round trip adds no new coverage),
         // b over the edge window [2,5].
         assert_eq!(reached(&g, &out), vec![("a".to_owned(), iv(0, 9)), ("b".to_owned(), iv(2, 5))]);
@@ -799,7 +792,7 @@ mod tests {
             MicroOp::Hop(HopDirection::Backward),
         ];
         let both = ClosureOp::structural(vec![meets_hop(), backward], 0, None);
-        let out = run(&g, vec![Chain::seed(row_of(&g, "c"), &g)], &both);
+        let out = run(&g, vec![Cursor::seed(row_of(&g, "c"), &g)], &both);
         let names: Vec<String> = reached(&g, &out).into_iter().map(|(n, _)| n).collect();
         // From c, forward reaches d, backward reaches b and then a.
         assert_eq!(names, vec!["a", "b", "c", "d"]);
@@ -818,7 +811,7 @@ mod tests {
         b.add_existence(e1, iv(1, 2)).unwrap();
         b.add_existence(e1, iv(6, 7)).unwrap();
         let g = GraphRelations::from_itpg(&b.domain(iv(0, 9)).build().unwrap());
-        let out = run(&g, vec![Chain::seed(row_of(&g, "a"), &g)], &star());
+        let out = run(&g, vec![Cursor::seed(row_of(&g, "a"), &g)], &star());
         assert_eq!(
             reached(&g, &out),
             vec![
@@ -834,7 +827,7 @@ mod tests {
         // Two chains entering the closure on the same (row, interval) must not add
         // rounds: the fixpoint is seeded once per distinct start state.
         let g = chain_graph();
-        let seed = || Chain::seed(row_of(&g, "a"), &g);
+        let seed = || Cursor::seed(row_of(&g, "a"), &g);
         let single_stats = StepStats::default();
         let single = apply_closure(&g, vec![seed()], &star(), &single_stats);
         let dup_stats = StepStats::default();
@@ -849,9 +842,10 @@ mod tests {
 
         // Same for the time-aware fixpoint.
         let single_stats = StepStats::default();
-        apply_time_closure(&g, vec![seed()], &mixed_star(), &single_stats);
+        apply_time_closure(&g, vec![seed()], &mixed_star(), &mut Trail::default(), &single_stats);
         let dup_stats = StepStats::default();
-        apply_time_closure(&g, vec![seed(), seed()], &mixed_star(), &dup_stats);
+        let dup_seeds = vec![seed(), seed()];
+        apply_time_closure(&g, dup_seeds, &mixed_star(), &mut Trail::default(), &dup_stats);
         assert_eq!(
             single_stats.time_closure_rounds.load(Ordering::Relaxed),
             dup_stats.time_closure_rounds.load(Ordering::Relaxed),
@@ -862,7 +856,7 @@ mod tests {
     #[test]
     fn mixed_closure_advances_through_time() {
         let g = chain_graph();
-        let out = run_time(&g, vec![Chain::seed(row_of(&g, "a"), &g)], &mixed_star());
+        let out = run_time(&g, vec![Cursor::seed(row_of(&g, "a"), &g)], &mixed_star());
         // Each iteration is one meets-hop (intersecting the edge window) followed by
         // exactly one step forward in time; the band tracks which departures at `a`
         // admit the traversal and at which (shifted) arrival times it lands.
@@ -890,15 +884,33 @@ mod tests {
     }
 
     #[test]
+    fn a_crossing_records_two_trail_entries_per_band() {
+        let g = chain_graph();
+        let mut trail = Trail::default();
+        // The cursor arrives with one entry of its own, shared by its four bands.
+        let mut seed = Cursor::seed(row_of(&g, "a"), &g);
+        seed.bind(0, &g, &mut trail);
+        let out =
+            apply_time_closure(&g, vec![seed], &mixed_star(), &mut trail, &StepStats::default());
+        assert_eq!(out.len(), 4);
+        assert_eq!(trail.len(), 1 + 2 * out.len());
+        for cursor in &out {
+            let chain = trail.materialize(cursor);
+            assert_eq!((chain.bound.len(), chain.seg_intervals.len(), chain.lags.len()), (1, 1, 1));
+            assert_eq!((cursor.seed, cursor.segment), (seed.seed, 1));
+        }
+    }
+
+    #[test]
     fn mixed_closure_respects_depth_bounds() {
         let g = chain_graph();
         let body = mixed_star();
         let exactly_two = ClosureOp { min: 2, max: Some(2), ..body.clone() };
-        let out = run_time(&g, vec![Chain::seed(row_of(&g, "a"), &g)], &exactly_two);
-        let names: Vec<String> = reached(&g, &out).into_iter().map(|(n, _)| n).collect();
+        let out = run_time(&g, vec![Cursor::seed(row_of(&g, "a"), &g)], &exactly_two);
+        let names: Vec<&str> = out.iter().map(|c| g.object_name(c.position.object(&g))).collect();
         assert_eq!(names, vec!["c"]);
         let unsat = ClosureOp { min: 3, max: Some(1), ..body };
-        assert!(run_time(&g, vec![Chain::seed(row_of(&g, "a"), &g)], &unsat).is_empty());
+        assert!(run_time(&g, vec![Cursor::seed(row_of(&g, "a"), &g)], &unsat).is_empty());
     }
 
     #[test]
@@ -915,7 +927,7 @@ mod tests {
         ];
         steps.push(ClosureStep::Shift(Shift { forward: false, min: 1, max: Some(1) }));
         let op = ClosureOp { alternatives: vec![steps], min: 1, max: Some(1) };
-        let out = run_time(&g, vec![Chain::seed(row_of(&g, "b"), &g)], &op);
+        let out = run_time(&g, vec![Cursor::seed(row_of(&g, "b"), &g)], &op);
         assert_eq!(out.len(), 1);
         let chain = &out[0];
         assert_eq!(g.object_name(chain.position.object(&g)), "a");

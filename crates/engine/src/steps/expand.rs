@@ -17,15 +17,18 @@ use crate::chain::Chain;
 use crate::plan::{EnginePlan, TemporalLink};
 
 /// Expands the chains produced by a plan into binding rows and appends them to the
-/// table.
+/// table.  What depends on the plan alone is worked out once, and the per-chain
+/// state borrows from the chain, so a chain costs no allocation beyond its rows.
 pub fn expand_chains(
     plan: &EnginePlan,
     num_slots: usize,
     chains: &[Chain],
     table: &mut BindingTable,
 ) {
+    let lag_indices = plan.lag_indices();
+    let mut times: Vec<Time> = Vec::with_capacity(plan.segments.len());
     for chain in chains {
-        expand_chain(plan, num_slots, chain, table);
+        expand_chain(plan, &lag_indices, num_slots, chain, &mut times, table);
     }
 }
 
@@ -46,7 +49,14 @@ pub fn expand_chunk_sorted(
     partial.into_rows()
 }
 
-fn expand_chain(plan: &EnginePlan, num_slots: usize, chain: &Chain, table: &mut BindingTable) {
+fn expand_chain(
+    plan: &EnginePlan,
+    lag_indices: &[Option<usize>],
+    num_slots: usize,
+    chain: &Chain,
+    times: &mut Vec<Time>,
+    table: &mut BindingTable,
+) {
     if plan.is_purely_structural() {
         // All bindings share the chain's final interval, interpreted snapshot-wise.
         let mut row = Vec::with_capacity(num_slots);
@@ -61,39 +71,33 @@ fn expand_chain(plan: &EnginePlan, num_slots: usize, chain: &Chain, table: &mut 
         return;
     }
 
-    let intervals = chain.all_segment_intervals();
     // The last segment that actually binds an output variable; later segments only
     // need a feasibility check.
     let last_bound_segment = chain.bound.iter().map(|b| b.segment as usize).max().unwrap_or(0);
-    // Per link, the index into the chain's recorded lags (closure links only),
-    // precomputed once so the per-point admissibility checks below stay O(1).
-    let lag_indices: Vec<Option<usize>> = plan
-        .links
-        .iter()
-        .scan(0usize, |next, link| match link {
-            TemporalLink::Shift(_) => Some(None),
-            TemporalLink::Closure(_) => {
-                let index = *next;
-                *next += 1;
-                Some(Some(index))
-            }
-        })
-        .collect();
-    let ctx = Expansion { plan, chain, intervals: &intervals, lag_indices, last_bound_segment };
-    let mut times: Vec<Time> = Vec::with_capacity(intervals.len());
-    enumerate(&ctx, num_slots, 0, &mut times, table);
+    let ctx = Expansion { plan, chain, lag_indices, last_bound_segment };
+    enumerate(&ctx, num_slots, 0, times, table);
 }
 
 /// The per-chain context of one point expansion.
 struct Expansion<'a> {
     plan: &'a EnginePlan,
     chain: &'a Chain,
-    intervals: &'a [tgraph::Interval],
-    lag_indices: Vec<Option<usize>>,
+    /// [`EnginePlan::lag_indices`], so the per-point admissibility checks stay O(1).
+    lag_indices: &'a [Option<usize>],
     last_bound_segment: usize,
 }
 
 impl Expansion<'_> {
+    /// Number of segments the chain covers, the current (finished) one included.
+    fn segments(&self) -> usize {
+        self.chain.seg_intervals.len() + 1
+    }
+
+    /// The final interval of a segment of the chain.
+    fn interval(&self, segment: usize) -> tgraph::Interval {
+        self.chain.seg_intervals.get(segment).copied().unwrap_or(self.chain.interval)
+    }
+
     /// True if the temporal link entering `segment` admits moving from time `from` to
     /// time `to` for this chain: a plain shift checks its step bounds, a time-aware
     /// closure checks the time skew the chain recorded while crossing it.
@@ -138,13 +142,12 @@ fn enumerate(
         }
         return;
     }
-    let window = ctx.intervals[segment];
-    for t in window.points() {
+    for t in ctx.interval(segment).points() {
         if segment > 0 && !ctx.link_admits(segment, times[segment - 1], t) {
             continue;
         }
         times.push(t);
-        if segment == ctx.last_bound_segment && segment + 1 >= ctx.intervals.len() {
+        if segment == ctx.last_bound_segment && segment + 1 >= ctx.segments() {
             emit_row(ctx.chain, num_slots, times, table);
         } else {
             enumerate(ctx, num_slots, segment + 1, times, table);
@@ -156,10 +159,10 @@ fn enumerate(
 /// True if segments `segment..` can be assigned time points consistent with the link
 /// constraints, given that segment `segment - 1` was assigned `previous`.
 fn feasible(ctx: &Expansion<'_>, segment: usize, previous: Time) -> bool {
-    if segment >= ctx.intervals.len() {
+    if segment >= ctx.segments() {
         return true;
     }
-    ctx.intervals[segment]
+    ctx.interval(segment)
         .points()
         .any(|t| ctx.link_admits(segment, previous, t) && feasible(ctx, segment + 1, t))
 }

@@ -23,6 +23,11 @@ pub struct StepStats {
     /// hop probes the hash adjacency indexes.  The executor counts a worker's seed
     /// batches as the one batch they stand for.
     pub hash_joins: AtomicUsize,
+    /// Number of cursors the structural hop joins produced, summed over every hop
+    /// batch (one add per batch, inside and outside closures).  The chains Steps 1–2
+    /// return divided by this is the phase's yield: how many of the traversals it
+    /// made survived every later filter.
+    pub hop_cursors: AtomicUsize,
     /// Nanoseconds spent inside closure fixpoints (structural and time-crossing),
     /// accumulated only when [`StepStats::timed`] is set.  Feeds the
     /// `query/step12/closure` span.

@@ -9,22 +9,28 @@
 //! per-node adjacency indexes [`GraphRelations`] builds at load time — a hash join
 //! whose build side is precomputed.
 //!
-//! The pipeline is generic over a [`StructuralCursor`]: the executor drives it with
-//! full [`Chain`]s, while the closure operator drives the same joins with its
-//! lightweight tagged frontier entries (the "delta" of the semi-naive iteration).
+//! The pipeline is generic over a [`StructuralCursor`] — a `Copy` position-plus-interval
+//! that a hop moves and a filter narrows: the executor drives it with lean
+//! [`Cursor`]s, whose recorded history lives in the batch's [`Trail`], while the closure
+//! operators drive the same joins with their tagged frontier entries (the "delta" of
+//! the semi-naive iteration).  Nothing a hop or a filter does allocates per cursor.
+
+use std::sync::atomic::Ordering;
 
 use tgraph::Interval;
 
-use crate::chain::{BoundVar, Chain, Position};
+use crate::chain::{Cursor, Position, Trail};
 use crate::plan::{HopDirection, MicroOp, ObjFilter, Segment};
 use crate::relations::GraphRelations;
 use crate::steps::closure::apply_closure;
 use crate::steps::StepStats;
 
 /// The state threaded through a structural pipeline: a position in the row relations
-/// plus the validity interval accumulated so far.  Implemented by [`Chain`] (the
-/// executor's full match state) and by the closure fixpoint's frontier entries.
-pub trait StructuralCursor: Clone {
+/// plus the validity interval accumulated so far.  Implemented by [`Cursor`] (the
+/// executor's in-flight match) and by the closure fixpoints' frontier entries.  The
+/// `Copy` bound is the point: a hop fans one cursor out to every adjacent row, so
+/// whatever implements this is copied once per traversal.
+pub trait StructuralCursor: Copy {
     /// The row the cursor currently sits on.
     fn position(&self) -> Position;
 
@@ -35,17 +41,12 @@ pub trait StructuralCursor: Clone {
     /// hops, which fan one cursor out to several adjacent rows.
     fn moved_to(&self, position: Position, interval: Interval) -> Self;
 
-    /// The cursor with its interval narrowed in place.  Used by filters, which keep
-    /// the position and never fan out, so no clone is needed.
+    /// The cursor with its interval narrowed.  Used by filters, which keep the
+    /// position and never fan out.
     fn with_interval(self, interval: Interval) -> Self;
-
-    /// Records a variable binding at the current position.  Only full chains carry
-    /// bindings; the compiler never places a [`MicroOp::Bind`] inside a closure, so
-    /// frontier cursors treat this as unreachable.
-    fn record_binding(&mut self, slot: u32, graph: &GraphRelations);
 }
 
-impl StructuralCursor for Chain {
+impl StructuralCursor for Cursor {
     fn position(&self) -> Position {
         self.position
     }
@@ -55,47 +56,37 @@ impl StructuralCursor for Chain {
     }
 
     fn moved_to(&self, position: Position, interval: Interval) -> Self {
-        let mut next = self.clone();
-        next.position = position;
-        next.interval = interval;
-        next
+        Cursor { position, interval, ..*self }
     }
 
     fn with_interval(mut self, interval: Interval) -> Self {
         self.interval = interval;
         self
     }
-
-    fn record_binding(&mut self, slot: u32, graph: &GraphRelations) {
-        self.bound.push(BoundVar {
-            slot,
-            segment: self.current_segment(),
-            object: self.position.object(graph),
-        });
-    }
 }
 
-/// Applies every operation of a segment to the given chains, returning the surviving
-/// chains.  Hop joins and closure rounds are counted in `stats`.
+/// Applies every operation of a segment to the given cursors, returning the
+/// survivors.  Bindings are recorded in `trail`; hop joins, hop outputs and closure
+/// rounds are counted in `stats`.
 pub fn apply_segment(
     graph: &GraphRelations,
-    chains: Vec<Chain>,
+    cursors: Vec<Cursor>,
     segment: &Segment,
+    trail: &mut Trail,
     stats: &StepStats,
-) -> Vec<Chain> {
-    apply_ops(graph, chains, &segment.ops, stats)
-}
-
-/// Applies a sequence of micro-operations to a batch of cursors.
-pub(crate) fn apply_ops<C: StructuralCursor>(
-    graph: &GraphRelations,
-    cursors: Vec<C>,
-    ops: &[MicroOp],
-    stats: &StepStats,
-) -> Vec<C> {
+) -> Vec<Cursor> {
     let mut current = cursors;
-    for op in ops {
-        current = apply_op(graph, current, op, stats);
+    for op in &segment.ops {
+        match op {
+            // A segment is the only place the compiler puts a binding, and the only
+            // cursor with somewhere to record one is the executor's.
+            MicroOp::Bind(slot) => {
+                for cursor in &mut current {
+                    cursor.bind(*slot as u32, graph, trail);
+                }
+            }
+            op => current = apply_op(graph, current, op, stats),
+        }
         if current.is_empty() {
             break;
         }
@@ -115,92 +106,65 @@ pub(crate) fn apply_op<C: StructuralCursor>(
         MicroOp::Filter(filter) => {
             cursors.into_iter().filter_map(|cursor| apply_filter(graph, cursor, filter)).collect()
         }
-        MicroOp::Bind(slot) => cursors
-            .into_iter()
-            .map(|mut cursor| {
-                cursor.record_binding(*slot as u32, graph);
-                cursor
-            })
-            .collect(),
-        MicroOp::Hop(direction) => apply_hop(graph, cursors, *direction, stats),
+        // Fails identically in debug and release: silently dropping a binding would
+        // corrupt query output without a diagnostic.
+        MicroOp::Bind(_) => unreachable!("the compiler places a Bind only in a segment"),
+        MicroOp::Hop(direction) => apply_hop(graph, &cursors, *direction, stats),
         MicroOp::Closure(closure) => apply_closure(graph, cursors, closure, stats),
     }
 }
 
-/// One structural step for a whole batch of cursors: node → incident edge, or edge →
-/// endpoint node, keeping only temporally-aligned matches (non-empty interval
-/// intersections).  A batch is homogeneous in position kind by construction (hops
-/// alternate between node and edge rows), but both kinds are handled for robustness.
+/// One structural step for a whole batch of cursors: node → incident edge (a join
+/// with the Edges relation on the adjacency key: source node for forward hops,
+/// target node for backward ones), or edge → endpoint node (a join with the Nodes
+/// relation on the endpoint key), keeping only temporally-aligned matches (non-empty
+/// interval intersections).  A batch is homogeneous in position kind by construction
+/// (hops alternate between node and edge rows) except past a closure that reaches
+/// both; each cursor is dispatched on its own kind, and the batch counts one join
+/// per relation it probed.
 fn apply_hop<C: StructuralCursor>(
     graph: &GraphRelations,
-    cursors: Vec<C>,
+    cursors: &[C],
     direction: HopDirection,
     stats: &StepStats,
 ) -> Vec<C> {
-    let (node_cursors, edge_cursors): (Vec<C>, Vec<C>) =
-        cursors.into_iter().partition(|c| matches!(c.position(), Position::NodeRow(_)));
-    let mut out = Vec::with_capacity(node_cursors.len() + edge_cursors.len());
-    if !node_cursors.is_empty() {
-        hop_from_nodes(graph, &node_cursors, direction, stats, &mut out);
-    }
-    if !edge_cursors.is_empty() {
-        hop_from_edges(graph, &edge_cursors, direction, stats, &mut out);
-    }
-    out
-}
-
-/// Counts one hop join (per hop batch, not per cursor) into the step stats.
-fn count_join(stats: &StepStats) {
-    stats.hash_joins.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-}
-
-/// Joins node-positioned cursors with the Edges relation on the adjacency key
-/// (source node for forward hops, target node for backward hops).
-fn hop_from_nodes<C: StructuralCursor>(
-    graph: &GraphRelations,
-    cursors: &[C],
-    direction: HopDirection,
-    stats: &StepStats,
-    out: &mut Vec<C>,
-) {
-    count_join(stats);
+    let (node_rows, edge_rows) = (graph.node_rows(), graph.edge_rows());
+    let (mut from_nodes, mut from_edges) = (false, false);
+    let mut out = Vec::with_capacity(cursors.len());
     for cursor in cursors {
-        let node = graph.node_rows()[match cursor.position() {
-            Position::NodeRow(r) => r,
-            Position::EdgeRow(_) => unreachable!("node hop over an edge-positioned cursor"),
-        } as usize]
-            .node;
-        let rows = match direction {
-            HopDirection::Forward => graph.out_edge_rows(node),
-            HopDirection::Backward => graph.in_edge_rows(node),
-        };
-        extend_with_edge_rows(graph, cursor, rows, out);
-    }
-}
-
-/// Joins edge-positioned cursors with the Nodes relation on the endpoint key
-/// (target node for forward hops, source node for backward hops).
-fn hop_from_edges<C: StructuralCursor>(
-    graph: &GraphRelations,
-    cursors: &[C],
-    direction: HopDirection,
-    stats: &StepStats,
-    out: &mut Vec<C>,
-) {
-    let endpoint = |c: &C| {
-        let row = &graph.edge_rows()[match c.position() {
-            Position::EdgeRow(r) => r,
-            Position::NodeRow(_) => unreachable!("edge hop over a node-positioned cursor"),
-        } as usize];
-        match direction {
-            HopDirection::Forward => row.tgt,
-            HopDirection::Backward => row.src,
+        let interval = cursor.interval();
+        match cursor.position() {
+            Position::NodeRow(r) => {
+                from_nodes = true;
+                let node = node_rows[r as usize].node;
+                let adjacent = match direction {
+                    HopDirection::Forward => graph.out_edge_rows(node),
+                    HopDirection::Backward => graph.in_edge_rows(node),
+                };
+                for &row in adjacent {
+                    if let Some(interval) = interval.intersect(&edge_rows[row as usize].interval) {
+                        out.push(cursor.moved_to(Position::EdgeRow(row), interval));
+                    }
+                }
+            }
+            Position::EdgeRow(r) => {
+                from_edges = true;
+                let edge = &edge_rows[r as usize];
+                let endpoint = match direction {
+                    HopDirection::Forward => edge.tgt,
+                    HopDirection::Backward => edge.src,
+                };
+                for &row in graph.rows_of_node(endpoint) {
+                    if let Some(interval) = interval.intersect(&node_rows[row as usize].interval) {
+                        out.push(cursor.moved_to(Position::NodeRow(row), interval));
+                    }
+                }
+            }
         }
-    };
-    count_join(stats);
-    for cursor in cursors {
-        extend_with_node_rows(graph, cursor, graph.rows_of_node(endpoint(cursor)), out);
     }
+    stats.hash_joins.fetch_add(from_nodes as usize + from_edges as usize, Ordering::Relaxed);
+    stats.hop_cursors.fetch_add(out.len(), Ordering::Relaxed);
+    out
 }
 
 fn apply_filter<C: StructuralCursor>(
@@ -225,37 +189,10 @@ fn apply_filter<C: StructuralCursor>(
     Some(cursor.with_interval(interval))
 }
 
-fn extend_with_edge_rows<C: StructuralCursor>(
-    graph: &GraphRelations,
-    cursor: &C,
-    rows: &[u32],
-    out: &mut Vec<C>,
-) {
-    for &edge_row in rows {
-        let row_interval = graph.edge_rows()[edge_row as usize].interval;
-        if let Some(interval) = cursor.interval().intersect(&row_interval) {
-            out.push(cursor.moved_to(Position::EdgeRow(edge_row), interval));
-        }
-    }
-}
-
-fn extend_with_node_rows<C: StructuralCursor>(
-    graph: &GraphRelations,
-    cursor: &C,
-    rows: &[u32],
-    out: &mut Vec<C>,
-) {
-    for &node_row in rows {
-        let row_interval = graph.node_rows()[node_row as usize].interval;
-        if let Some(interval) = cursor.interval().intersect(&row_interval) {
-            out.push(cursor.moved_to(Position::NodeRow(node_row), interval));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chain::Chain;
     use tgraph::{Interval, ItpgBuilder, Value};
     use trpq::parser::Constraint;
 
@@ -280,13 +217,13 @@ mod tests {
         GraphRelations::from_itpg(&b.domain(iv(1, 11)).build().unwrap())
     }
 
-    fn seeds(graph: &GraphRelations) -> Vec<Chain> {
-        (0..graph.node_rows().len() as u32).map(|r| Chain::seed(r, graph)).collect()
-    }
-
-    /// Applies the segment to one seed chain per node row.
+    /// Applies the segment to one seed cursor per node row and spells the survivors
+    /// out as chains.
     fn apply_to_all_nodes(graph: &GraphRelations, segment: &Segment) -> Vec<Chain> {
-        apply_segment(graph, seeds(graph), segment, &StepStats::default())
+        let seeds = (0..graph.node_rows().len() as u32).map(|r| Cursor::seed(r, graph)).collect();
+        let mut trail = Trail::default();
+        let cursors = apply_segment(graph, seeds, segment, &mut trail, &StepStats::default());
+        cursors.iter().map(|c| trail.materialize(c)).collect()
     }
 
     #[test]

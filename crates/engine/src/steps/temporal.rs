@@ -8,45 +8,56 @@
 //! intersected with the object's rows, which both starts the next segment and prunes
 //! matches that can never satisfy the temporal constraint (the pruning the paper
 //! describes for Q7).
+//!
+//! A shift ends a segment, which is something a match *records*: the departure
+//! interval goes to the batch's [`Trail`] once per shifted cursor, and the cursors
+//! that start the next segment — one per row of the object the arrival window
+//! meets — all continue from that one entry.
 
-use crate::chain::{Chain, Position};
+use crate::chain::{Cursor, Position, Trail, TrailEvent};
 use crate::plan::Shift;
 use crate::relations::GraphRelations;
 
-/// Applies a temporal shift to every chain, finishing their current segment and
+/// Applies a temporal shift to every cursor, finishing their current segment and
 /// seeding the next one on the same object at the shifted times.
-pub fn apply_shift(graph: &GraphRelations, chains: Vec<Chain>, shift: &Shift) -> Vec<Chain> {
-    let mut out = Vec::with_capacity(chains.len());
-    for chain in chains {
-        let object = chain.position.object(graph);
+pub fn apply_shift(
+    graph: &GraphRelations,
+    cursors: Vec<Cursor>,
+    shift: &Shift,
+    trail: &mut Trail,
+) -> Vec<Cursor> {
+    let mut out = Vec::with_capacity(cursors.len());
+    for cursor in &cursors {
+        let object = cursor.position.object(graph);
         // The departure interval lies inside a single maximal existence interval of
         // the object (rows never span existence gaps), and the practical language
         // requires every intermediate time point to exist, so arrivals stay inside it.
-        let Some(within) = graph.existence_interval_at(object, chain.interval.start()) else {
+        let Some(within) = graph.existence_interval_at(object, cursor.interval.start()) else {
             continue;
         };
-        let Some(arrival) = shift.arrival_from_interval(chain.interval, within) else {
+        let Some(arrival) = shift.arrival_from_interval(cursor.interval, within) else {
             continue;
         };
-        let row_indices: Vec<u32> = match object {
-            tgraph::Object::Node(node) => graph.rows_of_node(node).to_vec(),
-            tgraph::Object::Edge(edge) => graph.rows_of_edge(edge).to_vec(),
+        // Recorded by the first row the cursor lands on, shared by the rest.
+        let mut ended = None;
+        let mut land = |position: Position, row_interval| {
+            if let Some(interval) = arrival.intersect(row_interval) {
+                let entry = *ended.get_or_insert_with(|| {
+                    trail.record(cursor.trail, TrailEvent::SegmentEnd(cursor.interval))
+                });
+                out.push(cursor.next_segment(entry, position, interval));
+            }
         };
-        for row in row_indices {
-            let (position, row_interval) = match chain.position {
-                Position::NodeRow(_) => {
-                    (Position::NodeRow(row), graph.node_rows()[row as usize].interval)
+        match object {
+            tgraph::Object::Node(node) => {
+                for &row in graph.rows_of_node(node) {
+                    land(Position::NodeRow(row), &graph.node_rows()[row as usize].interval);
                 }
-                Position::EdgeRow(_) => {
-                    (Position::EdgeRow(row), graph.edge_rows()[row as usize].interval)
+            }
+            tgraph::Object::Edge(edge) => {
+                for &row in graph.rows_of_edge(edge) {
+                    land(Position::EdgeRow(row), &graph.edge_rows()[row as usize].interval);
                 }
-            };
-            if let Some(interval) = arrival.intersect(&row_interval) {
-                let mut next = chain.clone();
-                next.seg_intervals.push(chain.interval);
-                next.position = position;
-                next.interval = interval;
-                out.push(next);
             }
         }
     }
@@ -56,6 +67,7 @@ pub fn apply_shift(graph: &GraphRelations, chains: Vec<Chain>, shift: &Shift) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chain::Chain;
     use tgraph::{Interval, ItpgBuilder};
 
     fn iv(a: u64, b: u64) -> Interval {
@@ -72,8 +84,11 @@ mod tests {
         GraphRelations::from_itpg(&b.domain(iv(0, 12)).build().unwrap())
     }
 
-    fn chain_at(graph: &GraphRelations, row: usize) -> Chain {
-        Chain::seed(row as u32, graph)
+    /// Shifts the seed cursor of one node row and spells the arrivals out as chains.
+    fn shift_from(graph: &GraphRelations, row: usize, shift: &Shift) -> Vec<Chain> {
+        let mut trail = Trail::default();
+        let shifted = apply_shift(graph, vec![Cursor::seed(row as u32, graph)], shift, &mut trail);
+        shifted.iter().map(|c| trail.materialize(c)).collect()
     }
 
     #[test]
@@ -85,11 +100,9 @@ mod tests {
             .iter()
             .position(|r| r.prop("test").is_some())
             .expect("positive-test row exists");
-        let chain = chain_at(&g, pos_row);
-        assert_eq!(chain.interval, iv(7, 8));
+        assert_eq!(Cursor::seed(pos_row as u32, &g).interval, iv(7, 8));
         // PREV*: arrival anywhere earlier within the existence interval [2,8].
-        let shifted =
-            apply_shift(&g, vec![chain.clone()], &Shift { forward: false, min: 0, max: None });
+        let shifted = shift_from(&g, pos_row, &Shift { forward: false, min: 0, max: None });
         let intervals: Vec<Interval> = shifted.iter().map(|c| c.interval).collect();
         assert_eq!(intervals.len(), 2); // lands on the [2,6] row and the [7,8] row
         assert!(intervals.contains(&iv(2, 6)));
@@ -97,7 +110,7 @@ mod tests {
         assert!(shifted.iter().all(|c| c.seg_intervals == vec![iv(7, 8)]));
 
         // PREV[0,1]: at most one step back.
-        let shifted = apply_shift(&g, vec![chain], &Shift { forward: false, min: 0, max: Some(1) });
+        let shifted = shift_from(&g, pos_row, &Shift { forward: false, min: 0, max: Some(1) });
         let intervals: Vec<Interval> = shifted.iter().map(|c| c.interval).collect();
         assert!(intervals.contains(&iv(6, 6)));
         assert!(intervals.contains(&iv(7, 8)));
@@ -106,10 +119,9 @@ mod tests {
     #[test]
     fn forward_shift_cannot_jump_over_an_existence_gap() {
         let g = graph();
-        let chain = chain_at(&g, 0); // [2,6] state
-
-        // NEXT*: can reach up to time 8, but never the [10,11] state across the gap.
-        let shifted = apply_shift(&g, vec![chain], &Shift { forward: true, min: 0, max: None });
+        // NEXT* from the [2,6] state: can reach up to time 8, but never the [10,11]
+        // state across the gap.
+        let shifted = shift_from(&g, 0, &Shift { forward: true, min: 0, max: None });
         assert!(shifted.iter().all(|c| c.interval.end() <= 8));
         assert_eq!(shifted.len(), 2);
     }
@@ -117,19 +129,28 @@ mod tests {
     #[test]
     fn minimum_step_counts_prune_departures() {
         let g = graph();
-        let chain = chain_at(&g, 0); // [2,6]
-
-        // NEXT[5,_]: only departures early enough can move 5 steps while existing.
-        let shifted = apply_shift(&g, vec![chain], &Shift { forward: true, min: 5, max: None });
+        // NEXT[5,_] from [2,6]: only departures early enough can move 5 steps while
+        // existing.
+        let shifted = shift_from(&g, 0, &Shift { forward: true, min: 5, max: None });
         // Arrival window is [7, 8]: reachable only from departure times 2 or 3.
         assert_eq!(shifted.len(), 1);
         assert_eq!(shifted[0].interval, iv(7, 8));
         // A shift larger than the existence interval yields nothing.
-        let none = apply_shift(
-            &g,
-            vec![chain_at(&g, 0)],
-            &Shift { forward: true, min: 12, max: Some(20) },
-        );
-        assert!(none.is_empty());
+        assert!(shift_from(&g, 0, &Shift { forward: true, min: 12, max: Some(20) }).is_empty());
+    }
+
+    #[test]
+    fn a_shift_records_one_segment_end_however_many_rows_it_lands_on() {
+        let g = graph();
+        let mut trail = Trail::default();
+        let star = Shift { forward: true, min: 0, max: None };
+        let landed = apply_shift(&g, vec![Cursor::seed(0, &g)], &star, &mut trail);
+        assert_eq!(landed.len(), 2);
+        assert_eq!(trail.len(), 1, "two arrivals share one segment-end entry");
+        assert!(landed.iter().all(|c| c.trail == 0 && c.segment == 1 && c.seed == 0));
+        // A cursor that lands nowhere records nothing.
+        let nowhere = Shift { forward: true, min: 12, max: Some(20) };
+        assert!(apply_shift(&g, vec![Cursor::seed(0, &g)], &nowhere, &mut trail).is_empty());
+        assert_eq!(trail.len(), 1);
     }
 }

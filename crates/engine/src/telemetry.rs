@@ -67,6 +67,10 @@ pub(crate) struct EngineMetrics {
     /// `tpath_engine_join_decisions_total{algorithm="hash"}` — structural
     /// hop joins executed, one per hop batch.
     pub joins_hash: Arc<Counter>,
+    /// `tpath_engine_hop_cursors_total` — cursors those hop joins produced.
+    /// `rows_total{stage="interval"}` over this is the yield of Steps 1–2:
+    /// the share of traversals that survived every later filter.
+    pub hop_cursors: Arc<Counter>,
     /// `tpath_engine_cursor_rows_total` — rows yielded by enumeration
     /// cursors (recorded when the cursor drops).
     pub cursor_rows: Arc<Counter>,
@@ -132,6 +136,11 @@ pub(crate) fn metrics() -> &'static EngineMetrics {
                 "tpath_engine_join_decisions_total",
                 joins_help,
                 &[("algorithm", "hash")],
+            ),
+            hop_cursors: reg.counter(
+                "tpath_engine_hop_cursors_total",
+                "Cursors produced by structural hop joins (traversals made by Steps 1-2).",
+                &[],
             ),
             cursor_rows: reg.counter(
                 "tpath_engine_cursor_rows_total",

@@ -1,7 +1,8 @@
 //! End-to-end pins for the engine's telemetry: the `telemetry = false` knob
-//! really records nothing, enabled runs count executions, and an enumeration
-//! cursor's peak-buffered high-water mark survives being abandoned mid-drain
-//! (the regression that motivated recording it on cursor drop).
+//! really records nothing, enabled runs count executions and the cursors their
+//! hop joins produced, and an enumeration cursor's peak-buffered high-water mark
+//! survives being abandoned mid-drain (the regression that motivated recording
+//! it on cursor drop).
 //!
 //! Everything lives in one test function: the metrics are process-global, and
 //! a single test per binary keeps the before/after assertions race-free.
@@ -11,15 +12,22 @@ use tgraph::{Interval, ItpgBuilder};
 
 const QUERY: &str = "MATCH (x:Person {risk = 'high'}) ON g";
 
+/// One match of two hops: of the four persons only ann has an outgoing edge.
+const HOP_QUERY: &str = "MATCH (x:Person {risk = 'high'})-[:meets]->(y:Person) ON g";
+
 /// Four high-risk persons, each an independent answer row — enough to drain a
-/// cursor partially and leave work buffered behind it.
+/// cursor partially and leave work buffered behind it — and one meeting.
 fn graph() -> GraphRelations {
     let mut b = ItpgBuilder::new();
+    let mut persons = Vec::new();
     for name in ["ann", "bob", "cal", "dee"] {
         let node = b.add_node(name, "Person").unwrap();
         b.add_existence(node, Interval::of(1, 9)).unwrap();
         b.set_property(node, "risk", "high", Interval::of(1, 9)).unwrap();
+        persons.push(node);
     }
+    let meets = b.add_edge("m", "meets", persons[0], persons[1]).unwrap();
+    b.add_existence(meets, Interval::of(2, 3)).unwrap();
     GraphRelations::from_itpg(&b.build().unwrap())
 }
 
@@ -53,6 +61,18 @@ fn telemetry_gates_and_peak_buffered_retention() {
     assert_eq!(answers.stats().output_rows, expected_rows);
     assert_eq!(queries.get(), before + 1);
     drop(answers);
+
+    // Hop outputs are flushed once per execution, and only by an enabled one.
+    let hop_cursors = reg.counter("tpath_engine_hop_cursors_total", "Hop join outputs.", &[]);
+    let hops_before = hop_cursors.get();
+    let run_hops = |telemetry| {
+        let options = ExecutionOptions::sequential().with_telemetry(telemetry);
+        Query::parse(HOP_QUERY).unwrap().with_options(options).run(&graph).stats().interval_rows
+    };
+    assert_eq!(run_hops(false), 1);
+    assert_eq!(hop_cursors.get(), hops_before, "telemetry = false must record nothing");
+    assert_eq!(run_hops(true), 1);
+    assert_eq!(hop_cursors.get(), hops_before + 2, "node → edge → node, one cursor each");
 
     // Enumerate, drain two of eight rows, then abandon the cursor: stats()
     // exposes the live high-water mark mid-drain, and dropping the cursor

@@ -11,13 +11,17 @@
 //!
 //! Alongside the equivalence, the analyzer's cardinality claim is pinned: the
 //! `PlanBounds::max_rows` upper bound must dominate the actual Step-1/2
-//! interval row count.
+//! interval row count.  And on the same graphs and queries, Steps 1–2 are pinned
+//! to be oblivious to how their seed rows are batched: every batch records into
+//! a trail of its own, and the chains built from it must not show where the
+//! batch boundaries fell.
 
 use proptest::prelude::*;
 
+use dataflow::Parallelism;
 use engine::{
-    analyze, AnswerMode, Binding, DiagnosticKind, ExecutionOptions, GraphRelations, Query,
-    SchemaSummary,
+    analyze, run_plan_seeded, AnswerMode, Binding, DiagnosticKind, EnginePlan, ExecutionOptions,
+    GraphRelations, Query, SchemaSummary, StepStats,
 };
 use live::LiveGraph;
 use tgraph::{Batch, Interval, IntervalSet, Itpg, ItpgBuilder, Object, Time};
@@ -236,6 +240,39 @@ proptest! {
                 output.stats.interval_rows,
                 budget
             );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn split_seed_runs_return_the_same_chains_in_the_same_order(
+        spec in graph_spec_strategy(),
+        cuts in prop::collection::vec(0..64usize, 0..4),
+    ) {
+        let graph = GraphRelations::from_itpg(&build_graph(&spec));
+        let seeds = graph.seed_rows();
+        let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (seeds.len() + 1)).collect();
+        cuts.push(seeds.len());
+        cuts.sort_unstable();
+        let run = |plan: &EnginePlan, rows: &[u32]| {
+            run_plan_seeded(plan, &graph, rows, Parallelism::sequential(), &StepStats::default())
+        };
+        let closures = [REACH, RECUR].map(|text| Query::parse(text).expect("compiles"));
+        let queries = QueryId::ALL.iter().map(|&id| Query::benchmark(id)).chain(closures);
+        for (index, query) in queries.enumerate() {
+            for plan in &query.plan_set().plans {
+                let whole = run(plan, &seeds[..]);
+                let mut pieces = Vec::new();
+                let mut from = 0;
+                for &cut in &cuts {
+                    pieces.extend(run(plan, &seeds[from..cut]));
+                    from = cut;
+                }
+                prop_assert_eq!(&whole, &pieces, "query #{} split at {:?}", index + 1, cuts);
+            }
         }
     }
 }
