@@ -2,12 +2,15 @@
 //! three-step architecture of Section VI (structural interval evaluation → interval
 //! temporal pruning → point expansion), with chunked data parallelism over the seed
 //! rows; within a worker, a plan without fixpoints takes its seeds through Steps 1–2
-//! in batches (`SEED_BATCH`) so the intermediate vectors stay small.  Inside a batch
+//! in batches (`SEED_BATCH`) so the intermediate vectors stay small — and so the
+//! first batch can tell the rest what the plan is like: when it throws most of its
+//! traversals away at a later filter, the remaining batches run under backward
+//! viability masks (`viability_gate`, [`crate::steps::viability`]).  Inside a batch
 //! a match is a fixed-width [`Cursor`] writing its history to the batch's [`Trail`];
 //! the owned [`Chain`]s everything downstream consumes are built at the end of the
 //! batch, for the cursors that survived it.
 
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use obs::{Span, Stopwatch};
@@ -24,6 +27,7 @@ use crate::steps::closure::apply_time_closure;
 use crate::steps::expand::expand_chunk_sorted;
 use crate::steps::structural::apply_segment;
 use crate::steps::temporal::apply_shift;
+use crate::steps::viability::Viability;
 use crate::steps::StepStats;
 
 /// Knobs controlling the execution of a query.
@@ -194,6 +198,14 @@ impl IntervalPhase {
         m.time_rounds.add(stats.time_rounds as u64);
         m.joins_hash.add(self.step_stats.hash_joins.load(Ordering::Relaxed) as u64);
         m.hop_cursors.add(self.step_stats.hop_cursors.load(Ordering::Relaxed) as u64);
+        for (counter, count) in [
+            (&m.viability_built, &self.step_stats.viability_built),
+            (&m.viability_abandoned, &self.step_stats.viability_abandoned),
+            (&m.viability_skipped, &self.step_stats.viability_skipped),
+            (&m.viability_rows, &self.step_stats.viability_rows_visited),
+        ] {
+            counter.add(count.load(Ordering::Relaxed) as u64);
+        }
         let closure_nanos = self.step_stats.closure_nanos.load(Ordering::Relaxed);
         if closure_nanos > 0 {
             m.span_closure.record(closure_nanos);
@@ -337,30 +349,7 @@ pub fn run_plan_seeded(
         let issues = crate::plan::audit::audit_plan(plan, None);
         assert!(issues.is_empty(), "refusing to execute a malformed plan: {issues:?}");
     }
-    // A plan with a fixpoint keeps each worker's seeds together: the closures
-    // seed once per distinct start state of the batch they are handed.
-    let batch_len = if plan.has_fixpoint() { usize::MAX } else { SEED_BATCH };
-    par_chunk_flat_map(seed_rows, parallelism, |rows| {
-        // One chain per seed is where a pipeline without fan-out ends as well.
-        let mut chains = Vec::with_capacity(rows.len());
-        if rows.len() <= batch_len {
-            run_batch(plan, graph, rows, stats, &mut chains);
-            return chains;
-        }
-        // Hop joins stay counted once per worker: a fixpoint-free pipeline runs a
-        // prefix of its hops on every batch, the whole worker chunk would have
-        // run the longest of them.
-        let mut hop_joins = 0;
-        for batch in rows.chunks(batch_len) {
-            let batch_stats = StepStats::default();
-            run_batch(plan, graph, batch, &batch_stats, &mut chains);
-            hop_joins = hop_joins.max(batch_stats.hash_joins.load(Ordering::Relaxed));
-            let hop_cursors = batch_stats.hop_cursors.load(Ordering::Relaxed);
-            stats.hop_cursors.fetch_add(hop_cursors, Ordering::Relaxed);
-        }
-        stats.hash_joins.fetch_add(hop_joins, Ordering::Relaxed);
-        chains
-    })
+    run_plan_batched(plan, graph, seed_rows, parallelism, stats, SEED_BATCH)
 }
 
 /// Seed rows a fixpoint-free pipeline takes through Steps 1–2 at a time.
@@ -379,27 +368,154 @@ pub fn run_plan_seeded(
 /// 8192 time the same.
 const SEED_BATCH: usize = 1024;
 
+/// [`run_plan_seeded`] with the batch length as a parameter, for the tests that
+/// pin masked ≡ unmasked on graphs far smaller than [`SEED_BATCH`] rows.
+///
+/// A plan with a fixpoint keeps each worker's seeds together — the closures seed
+/// once per distinct start state of the batch they are handed — and so do seeds
+/// that fit one batch.  Anything else runs its first batch on the calling thread
+/// as the *sample* [`viability_gate`] reads, then the rest, batch by batch across
+/// the workers, under whatever masks the gate built.  Masks never change the
+/// chains or their order, which is by seed whatever the batching.
+pub(crate) fn run_plan_batched(
+    plan: &EnginePlan,
+    graph: &GraphRelations,
+    seed_rows: &[u32],
+    parallelism: Parallelism,
+    stats: &StepStats,
+    batch_len: usize,
+) -> Vec<Chain> {
+    if plan.has_fixpoint() || seed_rows.len() <= batch_len {
+        return par_chunk_flat_map(seed_rows, parallelism, |rows| {
+            // One chain per seed is where a pipeline without fan-out ends as well.
+            let mut chains = Vec::with_capacity(rows.len());
+            run_batch(plan, graph, rows, None, stats, &mut chains);
+            chains
+        });
+    }
+    let (sample, rest) = seed_rows.split_at(batch_len);
+    let mut chains = Vec::with_capacity(seed_rows.len());
+    let sample_stats = StepStats::default();
+    run_batch(plan, graph, sample, None, &sample_stats, &mut chains);
+    let traversals = sample_stats.hop_cursors.load(Ordering::Relaxed);
+    stats.hop_cursors.fetch_add(traversals, Ordering::Relaxed);
+    let remaining_batches = rest.len().div_ceil(batch_len);
+    let viability = viability_gate(plan, graph, traversals, chains.len(), remaining_batches, stats);
+    // Hop joins stay counted as the one batch all of them stand for: a
+    // fixpoint-free pipeline runs a prefix of its hops on every batch, one batch
+    // of every seed would have run the longest of them.
+    let furthest = AtomicUsize::new(sample_stats.hash_joins.load(Ordering::Relaxed));
+    let run_batches = |rows: &[u32], chains: &mut Vec<Chain>| {
+        for batch in rows.chunks(batch_len) {
+            let batch_stats = StepStats::default();
+            run_batch(plan, graph, batch, viability.as_ref(), &batch_stats, chains);
+            furthest.fetch_max(batch_stats.hash_joins.load(Ordering::Relaxed), Ordering::Relaxed);
+            let hop_cursors = batch_stats.hop_cursors.load(Ordering::Relaxed);
+            stats.hop_cursors.fetch_add(hop_cursors, Ordering::Relaxed);
+        }
+    };
+    if parallelism.threads() <= 1 {
+        // Straight into the vector the sample started: no second copy of the chains.
+        run_batches(rest, &mut chains);
+    } else {
+        chains.extend(par_chunk_flat_map(rest, parallelism, |rows| {
+            let mut chains = Vec::with_capacity(rows.len());
+            run_batches(rows, &mut chains);
+            chains
+        }));
+    }
+    stats.hash_joins.fetch_add(furthest.into_inner(), Ordering::Relaxed);
+    chains
+}
+
+/// Decides, from what the sample batch did, whether the remaining batches of a
+/// plan run under backward viability masks ([`crate::steps::viability`]), and
+/// builds them if so.  There is no option: the inputs are the sample's counters,
+/// the plan and the number of batches left.
+///
+/// *Waste.*  A survivor went through every hop of the plan, so of the sample's
+/// `traversals` (hop outputs) `survivors × hops` were useful and the rest were
+/// thrown away by a later filter.  On a G6 graph (26 792 node rows, 27 batches)
+/// the sample wastes nothing for Q1–Q4 and Q6, which make no hops, ≈ 83 % of
+/// Q5's traversals and ≥ 97 % of Q9–Q12's.
+///
+/// *Threshold: one half.*  A mask removes wasted traversals only, so below one
+/// half it cannot even halve the work, while the backward pass reads the same
+/// row structs through the same indexes as the forward pass it prunes.  Q5 sits
+/// closest to the line of the queries measured: at ≈ 83 % waste its backward pass
+/// costs about what it saves forward, 296 k rows visited for 227 k traversals
+/// removed, and Steps 1–2 still go from 24.4 to 11.6 ms — a visit is a bit test
+/// and an interval comparison, a wasted traversal also writes a cursor and takes
+/// it through the next filter.
+///
+/// *Budget: one row visit per wasted traversal.*  A row the backward pass visits
+/// and a traversal the forward pass wastes both cost one row-struct read
+/// (≈ 85–120 ns at G6), so the pass may visit as many rows as the remaining
+/// batches are expected to waste, `waste × remaining_batches`, and no more: at
+/// worst a masked run reads about twice what the unmasked one would have, and
+/// usually far less (Q11: 157 k visits for 321 k traversals removed, 47.8 →
+/// 7.4 ms).  The dense scan counts against the budget, which is what keeps a plan
+/// seeded from its selective end unmasked: Q7 and Q8 start on `test = 'pos'` and
+/// waste most of a sample of ≈ 50–110 traversals — a budget of 1–2 k rows against
+/// a 26 792-row scan, refused before it starts.
+fn viability_gate(
+    plan: &EnginePlan,
+    graph: &GraphRelations,
+    traversals: usize,
+    survivors: usize,
+    remaining_batches: usize,
+    stats: &StepStats,
+) -> Option<Viability> {
+    let waste = traversals.saturating_sub(survivors * plan.hop_count());
+    let viability = (2 * waste > traversals)
+        .then(|| Viability::build(plan, graph, waste * remaining_batches))
+        .flatten();
+    let outcome = match &viability {
+        Some(built) if built.complete => &stats.viability_built,
+        Some(_) => &stats.viability_abandoned,
+        None => &stats.viability_skipped,
+    };
+    outcome.fetch_add(1, Ordering::Relaxed);
+    if let Some(built) = &viability {
+        stats.viability_rows_visited.fetch_add(built.rows_visited, Ordering::Relaxed);
+    }
+    viability
+}
+
 /// Steps 1–2 of one plan from one batch of seed rows: the surviving cursors are
-/// appended to `chains`, each spelled out from the batch's trail.
+/// appended to `chains`, each spelled out from the batch's trail.  Under
+/// `viability` a seed, a shift and a hop only choose rows the masks allow.
 fn run_batch(
     plan: &EnginePlan,
     graph: &GraphRelations,
     rows: &[u32],
+    viability: Option<&Viability>,
     stats: &StepStats,
     chains: &mut Vec<Chain>,
 ) {
     let mut trail = Trail::default();
-    let mut cursors: Vec<Cursor> = rows.iter().map(|&r| Cursor::seed(r, graph)).collect();
+    let masks = |segment: usize| viability.map(|v| v.segment(segment));
+    let seeds = masks(0).and_then(|first| first.entry());
+    let mut cursors: Vec<Cursor> = match seeds {
+        None => rows.iter().map(|&r| Cursor::seed(r, graph)).collect(),
+        Some(mask) => {
+            rows.iter().filter(|&&r| mask.contains(r)).map(|&r| Cursor::seed(r, graph)).collect()
+        }
+    };
     for (index, segment) in plan.segments.iter().enumerate() {
+        let viable = masks(index);
         if index > 0 {
             cursors = match &plan.links[index - 1] {
-                TemporalLink::Shift(shift) => apply_shift(graph, cursors, shift, &mut trail),
+                TemporalLink::Shift(shift) => {
+                    let landing = viable.and_then(|next| next.entry());
+                    apply_shift(graph, cursors, shift, landing, &mut trail)
+                }
                 TemporalLink::Closure(closure) => {
                     apply_time_closure(graph, cursors, closure, &mut trail, stats)
                 }
             };
         }
-        cursors = apply_segment(graph, cursors, segment, &mut trail, stats);
+        cursors = apply_segment(graph, cursors, segment, viable, &mut trail, stats);
         if cursors.is_empty() {
             return;
         }
@@ -670,8 +786,10 @@ mod tests {
         }
     }
 
-    /// `people` persons in a ring of `meets` edges, every third one high-risk
-    /// and every fifth one testing positive late: more seed rows than one batch.
+    /// `people` persons in a ring, each meeting the next three, every third one
+    /// high-risk and every fiftieth one testing positive late: more seed rows than
+    /// one batch, and a query ending on `test = 'pos'` throws nearly every
+    /// traversal away.
     fn ring(people: usize) -> GraphRelations {
         let mut b = ItpgBuilder::new();
         let nodes: Vec<_> =
@@ -680,32 +798,46 @@ mod tests {
             b.add_existence(node, iv(1, 10)).unwrap();
             let risk = if i % 3 == 0 { "high" } else { "low" };
             b.set_property(node, "risk", risk, iv(1, 10)).unwrap();
-            if i % 5 == 0 {
+            if i % 50 == 0 {
                 b.set_property(node, "test", "pos", iv(8, 10)).unwrap();
             }
-            let meets =
-                b.add_edge(&format!("m{i}"), "meets", node, nodes[(i + 1) % people]).unwrap();
-            b.add_existence(meets, iv(2 + (i % 4) as u64, 6)).unwrap();
+            for ahead in 1..=3 {
+                let name = format!("m{i}_{ahead}");
+                let meets = b.add_edge(&name, "meets", node, nodes[(i + ahead) % people]).unwrap();
+                b.add_existence(meets, iv(2 + ((i + ahead) % 4) as u64, 6)).unwrap();
+            }
         }
         GraphRelations::from_itpg(&b.domain(iv(1, 10)).build().unwrap())
     }
 
+    fn plans(text: &str) -> Vec<EnginePlan> {
+        crate::compiler::compile(&trpq::parser::parse_match(text).unwrap()).unwrap().plans
+    }
+
+    /// `(passes that left masks in force, gate outcomes of any kind)`.
+    fn viability_outcomes(stats: &StepStats) -> (usize, usize) {
+        let masked = stats.viability_built.load(Ordering::Relaxed)
+            + stats.viability_abandoned.load(Ordering::Relaxed);
+        (masked, masked + stats.viability_skipped.load(Ordering::Relaxed))
+    }
+
     #[test]
-    fn seed_batches_leave_chains_and_hop_counts_as_one_batch_would() {
+    fn seed_batches_leave_chains_and_hop_joins_as_one_batch_would() {
         let g = ring(2 * SEED_BATCH + 300);
         let seeds = g.seed_rows();
         assert!(seeds.len() > 2 * SEED_BATCH);
+        let mut masked_queries = Vec::new();
         for text in [
             "MATCH (x:Person {risk = 'high'})-[z:meets]->(y:Person {risk = 'low'}) ON g",
             "MATCH (x:Person {risk = 'high'})-/FWD/:meets/FWD/NEXT*/-({test = 'pos'}) ON g",
             "MATCH (x:Person {risk = 'none'})-/FWD/:meets/FWD/-(y) ON g",
         ] {
-            let plan_set = crate::compiler::compile(&trpq::parser::parse_match(text).unwrap());
-            for plan in &plan_set.unwrap().plans {
+            for plan in &plans(text) {
                 assert!(!plan.has_fixpoint(), "{text}");
                 let batched = StepStats::default();
                 let chains = run_plan_seeded(plan, &g, &seeds, Parallelism::sequential(), &batched);
-                // Slices no longer than a batch run as one batch each.
+                // Slices no longer than a batch run as one batch each: no sample,
+                // no gate, no mask.
                 let (mut expected, mut furthest, mut traversals) = (Vec::new(), 0, 0);
                 for slice in seeds.chunks(SEED_BATCH - 7) {
                     let stats = StepStats::default();
@@ -718,15 +850,169 @@ mod tests {
                     ));
                     furthest = furthest.max(stats.hash_joins.load(Ordering::Relaxed));
                     traversals += stats.hop_cursors.load(Ordering::Relaxed);
+                    assert_eq!(viability_outcomes(&stats), (0, 0), "{text}");
                 }
                 assert_eq!(chains, expected, "{text}");
                 assert_eq!(chains.is_empty(), text.contains("'none'"), "{text}");
                 assert_eq!(furthest == 0, chains.is_empty(), "{text}");
                 assert_eq!(batched.hash_joins.load(Ordering::Relaxed), furthest, "{text}");
-                // Traversals, unlike joins, are counted per cursor: batches add up.
-                assert_eq!(batched.hop_cursors.load(Ordering::Relaxed), traversals, "{text}");
-                assert!(traversals >= chains.len(), "{text}");
+                // Traversals, unlike joins, are counted per cursor: batches add up —
+                // unless a mask kept the later batches off rows that lead nowhere.
+                let (masked, outcomes) = viability_outcomes(&batched);
+                assert_eq!(outcomes, 1, "one gate decision per multi-batch call: {text}");
+                let whole = batched.hop_cursors.load(Ordering::Relaxed);
+                assert!(whole <= traversals && whole >= chains.len(), "{text}");
+                assert_eq!(whole == traversals, masked == 0, "{text}");
+                masked_queries.extend((masked == 1).then_some(text));
             }
+        }
+        // Only the query ending on the rare filter wastes more than half its sample.
+        assert_eq!(masked_queries.len(), 1);
+        assert!(masked_queries[0].ends_with("({test = 'pos'}) ON g"));
+    }
+
+    /// A hand-built contact graph of 36 persons and three rooms, small enough to
+    /// reason about and irregular enough to matter: meetings with the next, second
+    /// next and fifth next person at different times, one or two room visits each,
+    /// existence gaps, risk flipping mid-life (several rows per person), a late
+    /// positive test on every ninth.  Person `i` is high-risk when `i % 3` is
+    /// `high_residue`: the first seed row is high-risk for residue 0 and low-risk
+    /// for 1, and wasteful for the queries seeded from its kind either way — what
+    /// a sample of one row needs to see.
+    fn contact(high_residue: usize) -> GraphRelations {
+        let mut b = ItpgBuilder::new();
+        let people = 36;
+        let nodes: Vec<_> =
+            (0..people).map(|i| b.add_node(&format!("p{i}"), "Person").unwrap()).collect();
+        let rooms: Vec<_> = (0..3).map(|i| b.add_node(&format!("r{i}"), "Room").unwrap()).collect();
+        for &room in &rooms {
+            b.add_existence(room, iv(1, 20)).unwrap();
+        }
+        let lifetime =
+            |i: usize| if i % 7 == 3 { vec![iv(1, 8), iv(11, 20)] } else { vec![iv(1, 20)] };
+        // An edge exists only while both its endpoints do.
+        let while_both = |during: Interval, i: usize, j: Option<usize>| -> Vec<Interval> {
+            let mut parts = vec![during];
+            for alive in [Some(i), j].into_iter().flatten().map(lifetime) {
+                parts = parts
+                    .iter()
+                    .flat_map(|part| alive.iter().filter_map(|a| part.intersect(a)))
+                    .collect();
+            }
+            parts
+        };
+        for (i, &node) in nodes.iter().enumerate() {
+            let high = i % 3 == high_residue;
+            for alive in lifetime(i) {
+                b.add_existence(node, alive).unwrap();
+                let (risk, flipped) = if high { ("high", "low") } else { ("low", "high") };
+                if i % 4 == 2 && alive.contains_interval(&iv(9, 10)) {
+                    b.set_property(node, "risk", risk, iv(alive.start(), 9)).unwrap();
+                    b.set_property(node, "risk", flipped, iv(10, 20)).unwrap();
+                } else {
+                    b.set_property(node, "risk", risk, alive).unwrap();
+                }
+            }
+            if i % 9 == 4 {
+                b.set_property(node, "test", "pos", iv(15, 20)).unwrap();
+            }
+            let k = i as u64;
+            for (ahead, during) in
+                [(1, iv(2 + k % 5, 6 + k % 5)), (2, iv(9, 12)), (5, iv(14 + k % 3, 17))]
+            {
+                let other = (i + ahead) % people;
+                let name = format!("m{i}_{ahead}");
+                let meets = b.add_edge(&name, "meets", node, nodes[other]).unwrap();
+                for part in while_both(during, i, Some(other)) {
+                    b.add_existence(meets, part).unwrap();
+                }
+            }
+            let visits = b.add_edge(&format!("v{i}"), "visits", node, rooms[(i / 2) % 3]).unwrap();
+            let second = (i % 2 == 0).then_some(iv(12, 14));
+            for during in std::iter::once(iv(3 + k % 4, 7 + k % 4)).chain(second) {
+                for part in while_both(during, i, None) {
+                    b.add_existence(visits, part).unwrap();
+                }
+            }
+        }
+        GraphRelations::from_itpg(&b.domain(iv(1, 20)).build().unwrap())
+    }
+
+    #[test]
+    fn masked_batches_return_the_unmasked_chains_in_the_same_order() {
+        use QueryId::{Q10, Q11, Q12, Q5, Q9};
+        for (high_residue, low_yield) in [(0, &[Q9, Q10, Q11, Q12][..]), (1, &[Q5][..])] {
+            let g = contact(high_residue);
+            let seeds = g.seed_rows();
+            let mut answered = 0;
+            for id in QueryId::ALL {
+                for plan in &crate::queries::plan_for(id).plans {
+                    // All seeds in one batch: the run no mask can touch.
+                    let plain = StepStats::default();
+                    let expected = run_plan_batched(
+                        plan,
+                        &g,
+                        &seeds,
+                        Parallelism::sequential(),
+                        &plain,
+                        seeds.len(),
+                    );
+                    assert_eq!(viability_outcomes(&plain), (0, 0));
+                    answered += usize::from(!expected.is_empty());
+                    for (batch_len, threads) in [(1, 1), (3, 1), (8, 1), (3, 4)] {
+                        let context = format!("{} × {batch_len} × {threads} threads", id.name());
+                        let stats = StepStats::default();
+                        let parallelism = Parallelism::with_threads(threads);
+                        let chains =
+                            run_plan_batched(plan, &g, &seeds, parallelism, &stats, batch_len);
+                        assert_eq!(chains, expected, "{context}");
+                        let (masked, outcomes) = viability_outcomes(&stats);
+                        assert_eq!(outcomes, 1, "{context}");
+                        let (whole, unmasked) = (&stats.hop_cursors, &plain.hop_cursors);
+                        assert!(
+                            whole.load(Ordering::Relaxed) <= unmasked.load(Ordering::Relaxed),
+                            "{context}"
+                        );
+                        if low_yield.contains(&id) {
+                            assert_eq!(masked, 1, "{context}: the sample wastes its traversals");
+                            assert!(
+                                whole.load(Ordering::Relaxed) < unmasked.load(Ordering::Relaxed),
+                                "{context}"
+                            );
+                        }
+                    }
+                }
+            }
+            assert!(answered >= 10, "most plans must match something: {answered}");
+        }
+    }
+
+    #[test]
+    fn a_backward_pass_cut_short_at_any_row_leaves_the_run_exact() {
+        let g = contact(0);
+        let seeds = g.seed_rows();
+        for id in [QueryId::Q9, QueryId::Q11] {
+            let plan = &crate::queries::plan_for(id).plans[0];
+            let run = |viability: Option<&Viability>| {
+                let (mut chains, stats) = (Vec::new(), StepStats::default());
+                run_batch(plan, &g, &seeds, viability, &stats, &mut chains);
+                (chains, stats.hop_cursors.load(Ordering::Relaxed))
+            };
+            let (expected, unmasked) = run(None);
+            assert!(!expected.is_empty(), "{}", id.name());
+            let full = Viability::build(plan, &g, usize::MAX).expect("anchored on the end");
+            assert!(full.complete);
+            let (mut partial, mut fewest) = (0, unmasked);
+            for budget in 0..=full.rows_visited {
+                let viability = Viability::build(plan, &g, budget);
+                let (chains, traversals) = run(viability.as_ref());
+                assert_eq!(chains, expected, "{} at budget {budget}", id.name());
+                assert!(traversals <= unmasked);
+                fewest = fewest.min(traversals);
+                partial += usize::from(viability.is_some_and(|v| !v.complete));
+            }
+            assert!(partial > 0, "some budgets must end the pass part-way");
+            assert!(fewest < unmasked, "the masks must have removed traversals");
         }
     }
 

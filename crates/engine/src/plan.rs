@@ -371,6 +371,12 @@ impl EnginePlan {
             || self.segments.iter().flat_map(|s| &s.ops).any(|op| matches!(op, MicroOp::Closure(_)))
     }
 
+    /// Number of structural hops a match makes on its way through the plan, not
+    /// counting the ones repeated inside a closure.
+    pub fn hop_count(&self) -> usize {
+        self.segments.iter().flat_map(|s| &s.ops).filter(|op| matches!(op, MicroOp::Hop(_))).count()
+    }
+
     /// Per link, the index into a chain's recorded lags
     /// ([`crate::chain::Chain::lags`]): closure links record one each, in crossing
     /// order, plain shifts none.

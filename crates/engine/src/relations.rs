@@ -576,7 +576,11 @@ impl GraphRelations {
     /// The maximal existence interval of an object containing the time point `t`,
     /// if the object exists at `t`.
     pub fn existence_interval_at(&self, object: Object, t: Time) -> Option<Interval> {
-        self.existence(object).intervals().iter().find(|iv| iv.contains(t)).copied()
+        // Sorted and disjoint: the only candidate is the first interval not ending
+        // before `t`.
+        let intervals = self.existence(object).intervals();
+        let candidate = intervals.get(intervals.partition_point(|iv| iv.end() < t))?;
+        candidate.contains(t).then_some(*candidate)
     }
 
     /// The display name of an object (e.g. `"n7"`).
@@ -883,6 +887,27 @@ mod tests {
         drop(pinned);
         let again = rel.snapshot();
         assert_eq!(again.shared_columns(&rel), 14);
+    }
+
+    #[test]
+    fn existence_lookup_finds_the_interval_around_a_time_point() {
+        // Four existence intervals, three gaps.
+        let mut b = ItpgBuilder::new();
+        let n = b.add_node("n", "Person").unwrap();
+        let pieces = [iv(2, 4), iv(7, 7), iv(10, 15), iv(18, 20)];
+        for piece in pieces {
+            b.add_existence(n, piece).unwrap();
+        }
+        let rel = GraphRelations::from_itpg(&b.domain(iv(0, 22)).build().unwrap());
+        let at = |t| rel.existence_interval_at(Object::Node(NodeId(0)), t);
+        for piece in pieces {
+            assert_eq!(at(piece.start()), Some(piece));
+            assert_eq!(at(piece.end()), Some(piece));
+        }
+        assert_eq!(at(12), Some(iv(10, 15)), "inside a middle interval");
+        for outside in [0, 1, 5, 6, 8, 9, 16, 17, 21, 22] {
+            assert_eq!(at(outside), None, "time {outside} is before, in a gap, or after");
+        }
     }
 
     #[test]

@@ -233,7 +233,7 @@ fn apply_round(
                 break;
             }
             match step {
-                ClosureStep::Micro(op) => current = apply_op(graph, current, op, stats),
+                ClosureStep::Micro(op) => current = apply_op(graph, current, op, None, stats),
                 ClosureStep::Shift(_) => {
                     unreachable!("structural closures contain no temporal steps")
                 }
@@ -418,7 +418,7 @@ fn apply_band_steps(
             ClosureStep::Micro(MicroOp::Closure(inner)) if inner.is_time_crossing() => {
                 run_band_fixpoint(graph, bands, inner, stats)
             }
-            ClosureStep::Micro(op) => apply_op(graph, bands, op, stats),
+            ClosureStep::Micro(op) => apply_op(graph, bands, op, None, stats),
             ClosureStep::Shift(shift) => {
                 let mut out = Vec::new();
                 for band in &bands {

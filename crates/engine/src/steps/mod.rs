@@ -1,9 +1,11 @@
-//! The three evaluation steps of Section VI, plus the closure fixpoint operator.
+//! The three evaluation steps of Section VI, plus the closure fixpoint operator and
+//! the backward viability masks Steps 1–2 of a low-yield plan run under.
 
 pub mod closure;
 pub mod expand;
 pub mod structural;
 pub mod temporal;
+pub mod viability;
 
 use std::sync::atomic::{AtomicU64, AtomicUsize};
 
@@ -20,14 +22,30 @@ pub struct StepStats {
     /// a band frontier.  Zero for plans without mixed repetition.
     pub time_closure_rounds: AtomicUsize,
     /// Number of structural hop joins executed (per hop batch, not per cursor); every
-    /// hop probes the hash adjacency indexes.  The executor counts a worker's seed
-    /// batches as the one batch they stand for.
+    /// hop probes the hash adjacency indexes.  The executor counts the seed batches
+    /// of a fixpoint-free plan as the one batch they stand for: the furthest hop any
+    /// of them still had a cursor for.
     pub hash_joins: AtomicUsize,
     /// Number of cursors the structural hop joins produced, summed over every hop
     /// batch (one add per batch, inside and outside closures).  The chains Steps 1–2
     /// return divided by this is the phase's yield: how many of the traversals it
-    /// made survived every later filter.
+    /// made survived every later filter.  Batches that ran under viability masks
+    /// count the traversals they made, not the ones the masks spared them.
     pub hop_cursors: AtomicUsize,
+    /// Backward viability passes ([`viability`]) that walked the whole plan back to
+    /// its seeds.  This and the three counters below move once per
+    /// `run_plan_seeded` call that takes a fixpoint-free plan through more than one
+    /// seed batch — never per row — and exactly one of the three outcomes moves.
+    pub viability_built: AtomicUsize,
+    /// Backward passes that ran out of their budget part-way: the masks nearest the
+    /// plan's selective end (at least the scanned one) were in force, the steps
+    /// before them ran unmasked.
+    pub viability_abandoned: AtomicUsize,
+    /// Calls whose sample batch did not ask for a backward pass (it wasted at most
+    /// half its traversals), or asked for one its budget could not start.
+    pub viability_skipped: AtomicUsize,
+    /// Row indices the backward passes looked at.
+    pub viability_rows_visited: AtomicUsize,
     /// Nanoseconds spent inside closure fixpoints (structural and time-crossing),
     /// accumulated only when [`StepStats::timed`] is set.  Feeds the
     /// `query/step12/closure` span.

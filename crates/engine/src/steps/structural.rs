@@ -14,6 +14,12 @@
 //! [`Cursor`]s, whose recorded history lives in the batch's [`Trail`], while the closure
 //! operators drive the same joins with their tagged frontier entries (the "delta" of
 //! the semi-naive iteration).  Nothing a hop or a filter does allocates per cursor.
+//!
+//! A hop is also where a match *chooses* rows, and so where the executor's backward
+//! viability masks ([`crate::steps::viability`]) are consulted: when the segment comes
+//! with masks, an adjacent row whose bit is clear is skipped before its row struct is
+//! read — no match landing there could reach the end of the plan.  The closure
+//! fixpoints pass no mask.
 
 use std::sync::atomic::Ordering;
 
@@ -23,6 +29,7 @@ use crate::chain::{Cursor, Position, Trail};
 use crate::plan::{HopDirection, MicroOp, ObjFilter, Segment};
 use crate::relations::GraphRelations;
 use crate::steps::closure::apply_closure;
+use crate::steps::viability::{RowMask, SegmentMasks};
 use crate::steps::StepStats;
 
 /// The state threaded through a structural pipeline: a position in the row relations
@@ -67,16 +74,18 @@ impl StructuralCursor for Cursor {
 
 /// Applies every operation of a segment to the given cursors, returning the
 /// survivors.  Bindings are recorded in `trail`; hop joins, hop outputs and closure
-/// rounds are counted in `stats`.
+/// rounds are counted in `stats`.  With `viable`, a hop lands only on the rows the
+/// segment's masks allow.
 pub fn apply_segment(
     graph: &GraphRelations,
     cursors: Vec<Cursor>,
     segment: &Segment,
+    viable: Option<&SegmentMasks>,
     trail: &mut Trail,
     stats: &StepStats,
 ) -> Vec<Cursor> {
     let mut current = cursors;
-    for op in &segment.ops {
+    for (index, op) in segment.ops.iter().enumerate() {
         match op {
             // A segment is the only place the compiler puts a binding, and the only
             // cursor with somewhere to record one is the executor's.
@@ -85,7 +94,10 @@ pub fn apply_segment(
                     cursor.bind(*slot as u32, graph, trail);
                 }
             }
-            op => current = apply_op(graph, current, op, stats),
+            op => {
+                let landing = viable.and_then(|masks| masks.landing(index));
+                current = apply_op(graph, current, op, landing, stats);
+            }
         }
         if current.is_empty() {
             break;
@@ -95,11 +107,13 @@ pub fn apply_segment(
 }
 
 /// Applies one micro-operation to a batch of cursors.  Also driven directly by the
-/// closure fixpoints, which interleave micro-operations with temporal steps.
+/// closure fixpoints, which interleave micro-operations with temporal steps and
+/// pass no `landing` mask (only a hop reads it).
 pub(crate) fn apply_op<C: StructuralCursor>(
     graph: &GraphRelations,
     cursors: Vec<C>,
     op: &MicroOp,
+    landing: Option<&RowMask>,
     stats: &StepStats,
 ) -> Vec<C> {
     match op {
@@ -109,7 +123,12 @@ pub(crate) fn apply_op<C: StructuralCursor>(
         // Fails identically in debug and release: silently dropping a binding would
         // corrupt query output without a diagnostic.
         MicroOp::Bind(_) => unreachable!("the compiler places a Bind only in a segment"),
-        MicroOp::Hop(direction) => apply_hop(graph, &cursors, *direction, stats),
+        // Two copies of the join: the one every closure and every unmasked batch
+        // runs tests nothing per adjacent row.
+        MicroOp::Hop(direction) => match landing {
+            None => apply_hop(graph, &cursors, *direction, |_| true, stats),
+            Some(mask) => apply_hop(graph, &cursors, *direction, |row| mask.contains(row), stats),
+        },
         MicroOp::Closure(closure) => apply_closure(graph, cursors, closure, stats),
     }
 }
@@ -121,11 +140,13 @@ pub(crate) fn apply_op<C: StructuralCursor>(
 /// interval intersections).  A batch is homogeneous in position kind by construction
 /// (hops alternate between node and edge rows) except past a closure that reaches
 /// both; each cursor is dispatched on its own kind, and the batch counts one join
-/// per relation it probed.
+/// per relation it probed.  `viable` (a landing mask's bit test: fixpoint-free plans
+/// only, so one kind of row) is asked before the adjacent row itself is read.
 fn apply_hop<C: StructuralCursor>(
     graph: &GraphRelations,
     cursors: &[C],
     direction: HopDirection,
+    viable: impl Fn(u32) -> bool,
     stats: &StepStats,
 ) -> Vec<C> {
     let (node_rows, edge_rows) = (graph.node_rows(), graph.edge_rows());
@@ -141,7 +162,7 @@ fn apply_hop<C: StructuralCursor>(
                     HopDirection::Forward => graph.out_edge_rows(node),
                     HopDirection::Backward => graph.in_edge_rows(node),
                 };
-                for &row in adjacent {
+                for &row in adjacent.iter().filter(|&&row| viable(row)) {
                     if let Some(interval) = interval.intersect(&edge_rows[row as usize].interval) {
                         out.push(cursor.moved_to(Position::EdgeRow(row), interval));
                     }
@@ -154,7 +175,7 @@ fn apply_hop<C: StructuralCursor>(
                     HopDirection::Forward => edge.tgt,
                     HopDirection::Backward => edge.src,
                 };
-                for &row in graph.rows_of_node(endpoint) {
+                for &row in graph.rows_of_node(endpoint).iter().filter(|&&row| viable(row)) {
                     if let Some(interval) = interval.intersect(&node_rows[row as usize].interval) {
                         out.push(cursor.moved_to(Position::NodeRow(row), interval));
                     }
@@ -222,7 +243,7 @@ mod tests {
     fn apply_to_all_nodes(graph: &GraphRelations, segment: &Segment) -> Vec<Chain> {
         let seeds = (0..graph.node_rows().len() as u32).map(|r| Cursor::seed(r, graph)).collect();
         let mut trail = Trail::default();
-        let cursors = apply_segment(graph, seeds, segment, &mut trail, &StepStats::default());
+        let cursors = apply_segment(graph, seeds, segment, None, &mut trail, &StepStats::default());
         cursors.iter().map(|c| trail.materialize(c)).collect()
     }
 

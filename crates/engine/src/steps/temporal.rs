@@ -13,19 +13,28 @@
 //! interval goes to the batch's [`Trail`] once per shifted cursor, and the cursors
 //! that start the next segment — one per row of the object the arrival window
 //! meets — all continue from that one entry.
+//!
+//! Those rows are *chosen* here, so this is also where the next segment's entry mask
+//! ([`crate::steps::viability`]) is consulted: a row of the object from which no match
+//! can reach the end of the plan is skipped before its interval is read, and a cursor
+//! whose object has no viable row records nothing, like one that lands nowhere.
 
 use crate::chain::{Cursor, Position, Trail, TrailEvent};
 use crate::plan::Shift;
 use crate::relations::GraphRelations;
+use crate::steps::viability::RowMask;
 
 /// Applies a temporal shift to every cursor, finishing their current segment and
-/// seeding the next one on the same object at the shifted times.
+/// seeding the next one on the same object at the shifted times — on the rows of
+/// `landing` only, when the next segment comes with an entry mask.
 pub fn apply_shift(
     graph: &GraphRelations,
     cursors: Vec<Cursor>,
     shift: &Shift,
+    landing: Option<&RowMask>,
     trail: &mut Trail,
 ) -> Vec<Cursor> {
+    let viable = |row: u32| landing.is_none_or(|mask| mask.contains(row));
     let mut out = Vec::with_capacity(cursors.len());
     for cursor in &cursors {
         let object = cursor.position.object(graph);
@@ -50,12 +59,12 @@ pub fn apply_shift(
         };
         match object {
             tgraph::Object::Node(node) => {
-                for &row in graph.rows_of_node(node) {
+                for &row in graph.rows_of_node(node).iter().filter(|&&row| viable(row)) {
                     land(Position::NodeRow(row), &graph.node_rows()[row as usize].interval);
                 }
             }
             tgraph::Object::Edge(edge) => {
-                for &row in graph.rows_of_edge(edge) {
+                for &row in graph.rows_of_edge(edge).iter().filter(|&&row| viable(row)) {
                     land(Position::EdgeRow(row), &graph.edge_rows()[row as usize].interval);
                 }
             }
@@ -87,7 +96,8 @@ mod tests {
     /// Shifts the seed cursor of one node row and spells the arrivals out as chains.
     fn shift_from(graph: &GraphRelations, row: usize, shift: &Shift) -> Vec<Chain> {
         let mut trail = Trail::default();
-        let shifted = apply_shift(graph, vec![Cursor::seed(row as u32, graph)], shift, &mut trail);
+        let shifted =
+            apply_shift(graph, vec![Cursor::seed(row as u32, graph)], shift, None, &mut trail);
         shifted.iter().map(|c| trail.materialize(c)).collect()
     }
 
@@ -144,13 +154,13 @@ mod tests {
         let g = graph();
         let mut trail = Trail::default();
         let star = Shift { forward: true, min: 0, max: None };
-        let landed = apply_shift(&g, vec![Cursor::seed(0, &g)], &star, &mut trail);
+        let landed = apply_shift(&g, vec![Cursor::seed(0, &g)], &star, None, &mut trail);
         assert_eq!(landed.len(), 2);
         assert_eq!(trail.len(), 1, "two arrivals share one segment-end entry");
         assert!(landed.iter().all(|c| c.trail == 0 && c.segment == 1 && c.seed == 0));
         // A cursor that lands nowhere records nothing.
         let nowhere = Shift { forward: true, min: 12, max: Some(20) };
-        assert!(apply_shift(&g, vec![Cursor::seed(0, &g)], &nowhere, &mut trail).is_empty());
+        assert!(apply_shift(&g, vec![Cursor::seed(0, &g)], &nowhere, None, &mut trail).is_empty());
         assert_eq!(trail.len(), 1);
     }
 }

@@ -71,6 +71,18 @@ pub(crate) struct EngineMetrics {
     /// `rows_total{stage="interval"}` over this is the yield of Steps 1–2:
     /// the share of traversals that survived every later filter.
     pub hop_cursors: Arc<Counter>,
+    /// `tpath_engine_viability_passes_total{outcome="built"}` — backward
+    /// viability passes that reached the seeds: every step ran masked.
+    pub viability_built: Arc<Counter>,
+    /// `outcome="abandoned"` — passes whose budget ran out part-way; the masks
+    /// nearest the plan's selective end were in force.
+    pub viability_abandoned: Arc<Counter>,
+    /// `outcome="skipped"` — multi-batch runs of a fixpoint-free plan whose
+    /// sample batch did not ask for a pass, or could not pay for its scan.
+    pub viability_skipped: Arc<Counter>,
+    /// `tpath_engine_viability_rows_total` — row indices those passes looked
+    /// at; against the fall of `hop_cursors` it is what the masks cost.
+    pub viability_rows: Arc<Counter>,
     /// `tpath_engine_cursor_rows_total` — rows yielded by enumeration
     /// cursors (recorded when the cursor drops).
     pub cursor_rows: Arc<Counter>,
@@ -96,6 +108,11 @@ pub(crate) fn metrics() -> &'static EngineMetrics {
         let rows_help = "Rows produced by query executions, by pipeline stage.";
         let rounds_help = "Closure fixpoint rounds executed, by closure kind.";
         let joins_help = "Structural hop joins executed, by join algorithm.";
+        let passes_help = "Backward viability passes over multi-batch fixpoint-free plans, \
+                           by outcome.";
+        let passes = |outcome: &'static str| {
+            reg.counter("tpath_engine_viability_passes_total", passes_help, &[("outcome", outcome)])
+        };
         EngineMetrics {
             queries: reg.counter(
                 "tpath_engine_queries_total",
@@ -140,6 +157,14 @@ pub(crate) fn metrics() -> &'static EngineMetrics {
             hop_cursors: reg.counter(
                 "tpath_engine_hop_cursors_total",
                 "Cursors produced by structural hop joins (traversals made by Steps 1-2).",
+                &[],
+            ),
+            viability_built: passes("built"),
+            viability_abandoned: passes("abandoned"),
+            viability_skipped: passes("skipped"),
+            viability_rows: reg.counter(
+                "tpath_engine_viability_rows_total",
+                "Row indices visited by backward viability passes.",
                 &[],
             ),
             cursor_rows: reg.counter(

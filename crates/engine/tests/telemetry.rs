@@ -1,6 +1,7 @@
 //! End-to-end pins for the engine's telemetry: the `telemetry = false` knob
-//! really records nothing, enabled runs count executions and the cursors their
-//! hop joins produced, and an enumeration cursor's peak-buffered high-water mark
+//! really records nothing, enabled runs count executions, the cursors their
+//! hop joins produced and the backward viability pass a low-yield multi-batch
+//! run takes, and an enumeration cursor's peak-buffered high-water mark
 //! survives being abandoned mid-drain (the regression that motivated recording
 //! it on cursor drop).
 //!
@@ -28,6 +29,34 @@ fn graph() -> GraphRelations {
     }
     let meets = b.add_edge("m", "meets", persons[0], persons[1]).unwrap();
     b.add_existence(meets, Interval::of(2, 3)).unwrap();
+    GraphRelations::from_itpg(&b.build().unwrap())
+}
+
+/// Ends on a filter one person in fifty passes: nearly every traversal is wasted.
+const LOW_YIELD_QUERY: &str =
+    "MATCH (x:Person {risk = 'high'})-/FWD/:meets/FWD/NEXT*/-({test = 'pos'}) ON g";
+
+/// 2 400 persons — three seed batches — in a ring, each meeting the next three,
+/// every third one high-risk, every fiftieth one testing positive late.
+fn ring() -> GraphRelations {
+    let people = 2400;
+    let mut b = ItpgBuilder::new();
+    let nodes: Vec<_> =
+        (0..people).map(|i| b.add_node(&format!("p{i}"), "Person").unwrap()).collect();
+    for (i, &node) in nodes.iter().enumerate() {
+        b.add_existence(node, Interval::of(1, 10)).unwrap();
+        let risk = if i % 3 == 0 { "high" } else { "low" };
+        b.set_property(node, "risk", risk, Interval::of(1, 10)).unwrap();
+        if i % 50 == 0 {
+            b.set_property(node, "test", "pos", Interval::of(8, 10)).unwrap();
+        }
+        for ahead in 1..=3 {
+            let meets = b
+                .add_edge(&format!("m{i}_{ahead}"), "meets", node, nodes[(i + ahead) % people])
+                .unwrap();
+            b.add_existence(meets, Interval::of(2, 6)).unwrap();
+        }
+    }
     GraphRelations::from_itpg(&b.build().unwrap())
 }
 
@@ -73,6 +102,40 @@ fn telemetry_gates_and_peak_buffered_retention() {
     assert_eq!(hop_cursors.get(), hops_before, "telemetry = false must record nothing");
     assert_eq!(run_hops(true), 1);
     assert_eq!(hop_cursors.get(), hops_before + 2, "node → edge → node, one cursor each");
+
+    // A multi-batch run of a fixpoint-free plan records one gate outcome, and
+    // the rows its backward pass visited: here the sample batch wastes its
+    // traversals and the pass reaches the seeds.  Nothing moves with telemetry off.
+    let ring = ring();
+    let passes = |outcome| {
+        let help = "Backward viability passes.";
+        reg.counter("tpath_engine_viability_passes_total", help, &[("outcome", outcome)]).get()
+    };
+    let visited = reg.counter("tpath_engine_viability_rows_total", "Rows visited.", &[]);
+    let viability = || (passes("built"), passes("abandoned"), passes("skipped"), visited.get());
+    let (built, abandoned, skipped, rows) = viability();
+    let hops_before = hop_cursors.get();
+    let run_low_yield = |telemetry| {
+        let options = ExecutionOptions::sequential().with_telemetry(telemetry);
+        Query::parse(LOW_YIELD_QUERY).unwrap().with_options(options).run(&ring).stats()
+    };
+    let matches = run_low_yield(false).interval_rows;
+    assert_eq!(matches, 48, "one of the three persons before each of the 48 positives");
+    assert_eq!(viability(), (built, abandoned, skipped, rows), "telemetry = false");
+    assert_eq!(run_low_yield(true).interval_rows, matches);
+    assert_eq!(
+        (passes("built"), passes("abandoned"), passes("skipped")),
+        (built + 1, abandoned, skipped)
+    );
+    assert!(visited.get() > rows + 2400, "at least the dense scan of the node rows");
+    let masked_traversals = hop_cursors.get() - hops_before;
+    assert!(
+        masked_traversals < 800 * 6 / 2,
+        "800 high-risk seeds make 6 traversals each unmasked, {masked_traversals} masked"
+    );
+    // The structural queries above ran one batch: no gate, no outcome.
+    assert_eq!(run_hops(true), 1);
+    assert_eq!(viability().2, skipped);
 
     // Enumerate, drain two of eight rows, then abandon the cursor: stats()
     // exposes the live high-water mark mid-drain, and dropping the cursor

@@ -14,7 +14,11 @@
 //! interval row count.  And on the same graphs and queries, Steps 1–2 are pinned
 //! to be oblivious to how their seed rows are batched: every batch records into
 //! a trail of its own, and the chains built from it must not show where the
-//! batch boundaries fell.
+//! batch boundaries fell — nor whether the later batches ran under backward
+//! viability masks, which a mid-size generated graph pins for Q1–Q12 together
+//! with *which* of them the executor's gate decides to mask.
+
+use std::sync::atomic::Ordering;
 
 use proptest::prelude::*;
 
@@ -272,6 +276,71 @@ proptest! {
                     from = cut;
                 }
                 prop_assert_eq!(&whole, &pieces, "query #{} split at {:?}", index + 1, cuts);
+            }
+        }
+    }
+}
+
+/// `(passes that left masks in force, gate outcomes of any kind)`.
+fn viability_outcomes(stats: &StepStats) -> (usize, usize) {
+    let count = |counter: &std::sync::atomic::AtomicUsize| counter.load(Ordering::Relaxed);
+    let masked = count(&stats.viability_built) + count(&stats.viability_abandoned);
+    (masked, masked + count(&stats.viability_skipped))
+}
+
+/// The random graphs above have a handful of seed rows, so every run on them is
+/// one batch and never meets a mask.  This one — the paper's G3, 4 000 persons,
+/// deterministic — has enough node rows for ten seed batches and meetings dense
+/// enough that a backward pass fits its budget (at G1 Q9's does not): run whole,
+/// each of Q1–Q12 must return the chains of its seeds run slice by slice (a
+/// slice is a single batch, which never samples and never masks), in the same
+/// order, on 1, 2 and 8 threads sharing the masks; and the gate must have built
+/// masks for exactly the queries whose sample batch wastes its traversals on a
+/// filter at the far end of the plan: Q5 and Q9–Q12.
+#[test]
+fn masked_runs_return_the_chains_of_their_unmasked_slices() {
+    let config = workload::ScaleFactor::G3.paper_config().with_seed(20);
+    let graph = GraphRelations::from_itpg(&workload::generate(&config));
+    let seeds = graph.seed_rows();
+    // Far below any batch length the executor could pick, and pinned below: a
+    // slice that took the multi-batch path would record a gate outcome.
+    let slice_len = 128;
+    assert!(seeds.len() > 16 * slice_len, "{} seed rows", seeds.len());
+    for id in QueryId::ALL {
+        let query = Query::benchmark(id);
+        for plan in &query.plan_set().plans {
+            let mut pieces = Vec::new();
+            let sliced = StepStats::default();
+            for slice in seeds.chunks(slice_len) {
+                pieces.extend(run_plan_seeded(
+                    plan,
+                    &graph,
+                    slice,
+                    Parallelism::sequential(),
+                    &sliced,
+                ));
+            }
+            assert_eq!(viability_outcomes(&sliced), (0, 0), "{}: slices never sample", id.name());
+            for threads in [1, 2, 8] {
+                let stats = StepStats::default();
+                let parallelism = Parallelism::with_threads(threads);
+                let whole = run_plan_seeded(plan, &graph, &seeds, parallelism, &stats);
+                assert_eq!(whole, pieces, "{} on {threads} threads", id.name());
+                let (masked, outcomes) = viability_outcomes(&stats);
+                assert_eq!(outcomes, 1, "{}: one gate decision per run", id.name());
+                let low_yield = matches!(
+                    id,
+                    QueryId::Q5 | QueryId::Q9 | QueryId::Q10 | QueryId::Q11 | QueryId::Q12
+                );
+                assert_eq!(masked == 1, low_yield, "{} on {threads} threads", id.name());
+                let traversals = stats.hop_cursors.load(Ordering::Relaxed);
+                let unmasked = sliced.hop_cursors.load(Ordering::Relaxed);
+                if low_yield {
+                    assert!(traversals < unmasked, "{}: {traversals} of {unmasked}", id.name());
+                    assert!(stats.viability_rows_visited.load(Ordering::Relaxed) > 0);
+                } else {
+                    assert_eq!(traversals, unmasked, "{}", id.name());
+                }
             }
         }
     }
