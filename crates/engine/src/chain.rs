@@ -34,6 +34,13 @@ impl Position {
         }
     }
 
+    /// The index of the row in its relation.
+    pub fn row(self) -> u32 {
+        match self {
+            Position::NodeRow(r) | Position::EdgeRow(r) => r,
+        }
+    }
+
     /// The validity interval of the underlying row.
     pub fn row_interval(self, graph: &GraphRelations) -> Interval {
         match self {

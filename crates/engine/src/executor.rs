@@ -5,10 +5,12 @@
 //! in batches (`SEED_BATCH`) so the intermediate vectors stay small — and so the
 //! first batch can tell the rest what the plan is like: when it throws most of its
 //! traversals away at a later filter, the remaining batches run under backward
-//! viability masks (`viability_gate`, [`crate::steps::viability`]).  Inside a batch
-//! a match is a fixed-width [`Cursor`] writing its history to the batch's [`Trail`];
-//! the owned [`Chain`]s everything downstream consumes are built at the end of the
-//! batch, for the cursors that survived it.
+//! viability masks (`viability_gate`, [`crate::steps::viability`]).  A plan with a
+//! fixpoint runs one batch per worker and has no sample; it runs masked, fixpoints
+//! included, when the filter its masks would anchor on is selective
+//! (`fixpoint_gate`).  Inside a batch a match is a fixed-width [`Cursor`] writing
+//! its history to the batch's [`Trail`]; the owned [`Chain`]s everything downstream
+//! consumes are built at the end of the batch, for the cursors that survived it.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
@@ -372,10 +374,11 @@ const SEED_BATCH: usize = 1024;
 /// pin masked ≡ unmasked on graphs far smaller than [`SEED_BATCH`] rows.
 ///
 /// A plan with a fixpoint keeps each worker's seeds together — the closures seed
-/// once per distinct start state of the batch they are handed — and so do seeds
-/// that fit one batch.  Anything else runs its first batch on the calling thread
-/// as the *sample* [`viability_gate`] reads, then the rest, batch by batch across
-/// the workers, under whatever masks the gate built.  Masks never change the
+/// once per distinct start state of the batch they are handed — under the masks
+/// [`fixpoint_gate`] builds on the calling thread, if any; seeds that fit one batch
+/// stay together too, unmasked.  Anything else runs its first batch on the calling
+/// thread as the *sample* [`viability_gate`] reads, then the rest, batch by batch
+/// across the workers, under whatever masks the gate built.  Masks never change the
 /// chains or their order, which is by seed whatever the batching.
 pub(crate) fn run_plan_batched(
     plan: &EnginePlan,
@@ -385,13 +388,19 @@ pub(crate) fn run_plan_batched(
     stats: &StepStats,
     batch_len: usize,
 ) -> Vec<Chain> {
-    if plan.has_fixpoint() || seed_rows.len() <= batch_len {
-        return par_chunk_flat_map(seed_rows, parallelism, |rows| {
+    let one_batch_each = |viability: Option<&Viability>| {
+        par_chunk_flat_map(seed_rows, parallelism, |rows| {
             // One chain per seed is where a pipeline without fan-out ends as well.
             let mut chains = Vec::with_capacity(rows.len());
-            run_batch(plan, graph, rows, None, stats, &mut chains);
+            run_batch(plan, graph, rows, viability, stats, &mut chains);
             chains
-        });
+        })
+    };
+    if plan.has_fixpoint() {
+        return one_batch_each(fixpoint_gate(plan, graph, stats).as_ref());
+    }
+    if seed_rows.len() <= batch_len {
+        return one_batch_each(None);
     }
     let (sample, rest) = seed_rows.split_at(batch_len);
     let mut chains = Vec::with_capacity(seed_rows.len());
@@ -467,24 +476,65 @@ fn viability_gate(
     stats: &StepStats,
 ) -> Option<Viability> {
     let waste = traversals.saturating_sub(survivors * plan.hop_count());
-    let viability = (2 * waste > traversals)
-        .then(|| Viability::build(plan, graph, waste * remaining_batches))
-        .flatten();
-    let outcome = match &viability {
-        Some(built) if built.complete => &stats.viability_built,
-        Some(_) => &stats.viability_abandoned,
-        None => &stats.viability_skipped,
+    let outcome = if 2 * waste > traversals {
+        Viability::build(plan, graph, waste * remaining_batches, |_, _| true)
+    } else {
+        Err(0)
     };
-    outcome.fetch_add(1, Ordering::Relaxed);
-    if let Some(built) = &viability {
-        stats.viability_rows_visited.fetch_add(built.rows_visited, Ordering::Relaxed);
-    }
-    viability
+    counted(outcome, stats)
+}
+
+/// Decides whether a plan with a fixpoint runs under backward viability masks
+/// ([`crate::steps::viability`]), which then reach inside its closures, and builds
+/// them if so.  Such a plan runs one batch per worker, so there is no sample to
+/// read: the inputs are the plan and the dense scan of the filter the masks would
+/// anchor on, and the masks are built once, here, and shared by every worker.
+///
+/// *Rule: the anchor keeps at most half of its relation's live rows.*  A mask
+/// removes a state only if its row is not viable, and the rows the scan keeps are
+/// viable by definition — the closure adds to them whatever reaches them — so an
+/// anchor that keeps most rows cannot remove most of the work, while the backward
+/// fixpoint still reads every row it keeps through the same indexes as the forward
+/// one.  The benchmark's two fixpoint plans sit far from the line on either side.
+/// RECUR ends on `({test = 'pos'})`, 0.7–1.5 % of the ≈ 5 400 node rows of a G2
+/// graph: its masks take RECUR's Steps 1–2 over `closure-g2`'s 24 seed-42 graphs
+/// from 2 122 to 849 ms on one thread and the closure's sources from every
+/// high-risk row to 9–109 per graph, for backward passes of 6.5–37 k row visits
+/// (the scan included) and 0.07–0.76 ms each.  REACH ends on `(y:Person)`, 98 %,
+/// and stops after the scan: ≈ 0.04 ms against the ≈ 2 ms REACH takes.  No
+/// budget: the backward fixpoint visits each row at most once per step of a
+/// closure body, so its cost is bounded by the graph, not by how often the
+/// forward fixpoint would iterate.
+fn fixpoint_gate(
+    plan: &EnginePlan,
+    graph: &GraphRelations,
+    stats: &StepStats,
+) -> Option<Viability> {
+    counted(Viability::build(plan, graph, usize::MAX, anchor_is_selective), stats)
+}
+
+/// [`fixpoint_gate`]'s rule: the anchor scan kept at most half of the `live` rows.
+pub(crate) fn anchor_is_selective(kept: usize, live: usize) -> bool {
+    2 * kept <= live
+}
+
+/// Counts a gate's outcome — built, abandoned part-way or skipped — and the rows
+/// its backward pass visited, and hands back the masks it left in force.
+fn counted(outcome: Result<Viability, usize>, stats: &StepStats) -> Option<Viability> {
+    let (counter, visited) = match &outcome {
+        Ok(built) if built.complete => (&stats.viability_built, built.rows_visited),
+        Ok(built) => (&stats.viability_abandoned, built.rows_visited),
+        Err(visited) => (&stats.viability_skipped, *visited),
+    };
+    counter.fetch_add(1, Ordering::Relaxed);
+    stats.viability_rows_visited.fetch_add(visited, Ordering::Relaxed);
+    outcome.ok()
 }
 
 /// Steps 1–2 of one plan from one batch of seed rows: the surviving cursors are
 /// appended to `chains`, each spelled out from the batch's trail.  Under
-/// `viability` a seed, a shift and a hop only choose rows the masks allow.
+/// `viability` a seed, a shift, a hop and a closure only choose rows the masks
+/// allow.
 fn run_batch(
     plan: &EnginePlan,
     graph: &GraphRelations,
@@ -511,7 +561,8 @@ fn run_batch(
                     apply_shift(graph, cursors, shift, landing, &mut trail)
                 }
                 TemporalLink::Closure(closure) => {
-                    apply_time_closure(graph, cursors, closure, &mut trail, stats)
+                    let masks = viable.and_then(|next| next.entry_closure());
+                    apply_time_closure(graph, cursors, closure, masks, &mut trail, stats)
                 }
             };
         }
@@ -987,6 +1038,52 @@ mod tests {
         }
     }
 
+    /// `closure-g2`'s two plans — REACH also ending on RECUR's rare filter — and
+    /// whether [`fixpoint_gate`] masks them.
+    const FIXPOINTS: [(&str, bool); 3] = [
+        ("MATCH (x:Person {risk = 'high'})-/(FWD/:meets/FWD)*/-({test = 'pos'}) ON g", true),
+        (
+            "MATCH (x:Person {risk = 'high'})-/(FWD/:meets/FWD/NEXT)*/NEXT*/-({test = 'pos'}) ON g",
+            true,
+        ),
+        ("MATCH (x:Person {risk = 'high'})-/(FWD/:meets/FWD)*/-(y:Person) ON g", false),
+    ];
+
+    #[test]
+    fn masked_fixpoints_return_the_unmasked_chains_in_the_same_order() {
+        let work = |stats: &StepStats| {
+            let rounds = &stats.time_closure_rounds;
+            (stats.hop_cursors.load(Ordering::Relaxed), rounds.load(Ordering::Relaxed))
+        };
+        let mut pruned = [0; FIXPOINTS.len()];
+        for g in [contact(0), contact(1), ring(150)] {
+            let seeds = g.seed_rows();
+            for (index, (text, masked)) in FIXPOINTS.into_iter().enumerate() {
+                let plan = &plans(text)[0];
+                assert!(plan.has_fixpoint());
+                // All seeds in one batch and no masks: what the gate replaced.
+                let (plain, mut expected) = (StepStats::default(), Vec::new());
+                run_batch(plan, &g, &seeds, None, &plain, &mut expected);
+                assert!(!expected.is_empty(), "{text}");
+                for threads in [1, 2, 8] {
+                    let stats = StepStats::default();
+                    let parallelism = Parallelism::with_threads(threads);
+                    let chains = run_plan_seeded(plan, &g, &seeds, parallelism, &stats);
+                    assert_eq!(chains, expected, "{text} on {threads} threads");
+                    let outcomes = viability_outcomes(&stats);
+                    assert_eq!(outcomes, (usize::from(masked), 1), "{text} on {threads} threads");
+                    if threads == 1 {
+                        let (work, unmasked) = (work(&stats), work(&plain));
+                        assert!(work.0 <= unmasked.0 && work.1 <= unmasked.1, "{text}");
+                        assert!(masked || work == unmasked, "{text}");
+                        pruned[index] += usize::from(work.0 < unmasked.0);
+                    }
+                }
+            }
+        }
+        assert_eq!(pruned.map(|graphs| graphs > 0), [true, true, false], "{pruned:?}");
+    }
+
     #[test]
     fn a_backward_pass_cut_short_at_any_row_leaves_the_run_exact() {
         let g = contact(0);
@@ -1000,11 +1097,12 @@ mod tests {
             };
             let (expected, unmasked) = run(None);
             assert!(!expected.is_empty(), "{}", id.name());
-            let full = Viability::build(plan, &g, usize::MAX).expect("anchored on the end");
+            let full =
+                Viability::build(plan, &g, usize::MAX, |_, _| true).expect("anchored on the end");
             assert!(full.complete);
             let (mut partial, mut fewest) = (0, unmasked);
             for budget in 0..=full.rows_visited {
-                let viability = Viability::build(plan, &g, budget);
+                let viability = Viability::build(plan, &g, budget, |_, _| true).ok();
                 let (chains, traversals) = run(viability.as_ref());
                 assert_eq!(chains, expected, "{} at budget {budget}", id.name());
                 assert!(traversals <= unmasked);

@@ -367,8 +367,21 @@ impl EnginePlan {
     /// True if the plan repeats a sub-expression to a fixpoint: a structural
     /// closure inside a segment or a time-crossing one between two.
     pub fn has_fixpoint(&self) -> bool {
-        self.links.iter().any(|link| matches!(link, TemporalLink::Closure(_)))
-            || self.segments.iter().flat_map(|s| &s.ops).any(|op| matches!(op, MicroOp::Closure(_)))
+        self.closures().next().is_some()
+    }
+
+    /// The closures of the plan, structural ones inside its segments first and
+    /// then the time-crossing links; closures nested in them are not listed.
+    pub(crate) fn closures(&self) -> impl Iterator<Item = &ClosureOp> {
+        let structural = self.segments.iter().flat_map(|s| &s.ops).filter_map(|op| match op {
+            MicroOp::Closure(closure) => Some(closure),
+            _ => None,
+        });
+        let links = self.links.iter().filter_map(|link| match link {
+            TemporalLink::Closure(closure) => Some(closure),
+            TemporalLink::Shift(_) => None,
+        });
+        structural.chain(links)
     }
 
     /// Number of structural hops a match makes on its way through the plan, not

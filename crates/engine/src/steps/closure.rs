@@ -44,6 +44,16 @@
 //! `(position, interval)` — e.g. many chains entering a closure on the same row —
 //! share one seed and one `reached` map, so duplicate seeds add no rounds and no
 //! re-derivation (the per-seed-chunk duplication previously tracked in ROADMAP.md).
+//!
+//! Both fixpoints run under the executor's backward viability masks when the plan's
+//! anchor is selective ([`crate::steps::viability`], [`ClosureMasks`]): a body hop
+//! lands only on the rows its step's mask allows (`apply_round` /
+//! `apply_band_steps` hand the mask to `apply_op`), a body shift likewise
+//! (`shift_band`), and a reached state is emitted only onto a row of the exit mask.
+//! A state on any other row has no descendant from which the plan can still end, so
+//! the semi-naive loop simply never derives it; on the rows it does derive, the
+//! `(source, row)` subtraction and the canonical emission order are those of the
+//! unmasked run.  Nested closures run unmasked.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
@@ -54,6 +64,7 @@ use crate::chain::{Cursor, Position, TimeLag, Trail, TrailEvent};
 use crate::plan::{ClosureOp, ClosureStep, MicroOp, Shift};
 use crate::relations::GraphRelations;
 use crate::steps::structural::{apply_op, StructuralCursor};
+use crate::steps::viability::{ClosureMasks, RowMask};
 use crate::steps::StepStats;
 
 /// Maps each input cursor to a seed index, deduplicating cursors that share their
@@ -112,14 +123,16 @@ impl StructuralCursor for FrontierEntry {
 /// output cursor per reachable `(source, row, coalesced interval)` triple.  The output
 /// is emitted in canonical `(input cursor, position, interval)` order, so its
 /// cardinality and content are independent of the order the inner hops derive rows in.
+/// Under `masks` the body's hops land, and the output sits, only on viable rows.
 pub fn apply_closure<C: StructuralCursor>(
     graph: &GraphRelations,
     cursors: Vec<C>,
     closure: &ClosureOp,
+    masks: Option<&ClosureMasks>,
     stats: &StepStats,
 ) -> Vec<C> {
     let watch = stats.timed.then(obs::Stopwatch::start);
-    let out = apply_closure_untimed(graph, cursors, closure, stats);
+    let out = apply_closure_untimed(graph, cursors, closure, masks, stats);
     if let Some(watch) = watch {
         stats.closure_nanos.fetch_add(watch.elapsed_nanos(), Ordering::Relaxed);
     }
@@ -130,6 +143,7 @@ fn apply_closure_untimed<C: StructuralCursor>(
     graph: &GraphRelations,
     cursors: Vec<C>,
     closure: &ClosureOp,
+    masks: Option<&ClosureMasks>,
     stats: &StepStats,
 ) -> Vec<C> {
     debug_assert!(
@@ -155,7 +169,7 @@ fn apply_closure_untimed<C: StructuralCursor>(
     // rounds replace the frontier instead of accumulating, coalescing within each
     // depth level only.
     for _ in 0..closure.min {
-        frontier = apply_round(graph, frontier, closure, stats);
+        frontier = apply_round(graph, frontier, closure, masks, stats);
         if frontier.is_empty() {
             return Vec::new();
         }
@@ -176,7 +190,7 @@ fn apply_closure_untimed<C: StructuralCursor>(
     let mut delta = frontier;
     let mut remaining = closure.max.map(|m| u64::from(m - closure.min));
     while !delta.is_empty() && remaining != Some(0) {
-        let produced = apply_round(graph, delta, closure, stats);
+        let produced = apply_round(graph, delta, closure, masks, stats);
         let mut novel = Vec::new();
         for entry in produced {
             let seen = reached.entry(entry.source).or_default().entry(entry.position).or_default();
@@ -204,6 +218,9 @@ fn apply_closure_untimed<C: StructuralCursor>(
     for (cursor, seed) in cursors.iter().zip(&seed_of) {
         let Some(rows) = reached.get(seed) else { continue };
         for (position, covered) in rows {
+            if !exits_onto(masks, *position) {
+                continue;
+            }
             for &interval in covered.intervals() {
                 out.push(cursor.moved_to(*position, interval));
             }
@@ -212,12 +229,23 @@ fn apply_closure_untimed<C: StructuralCursor>(
     out
 }
 
+/// True if the closure may emit a state onto `position` under `masks`.
+fn exits_onto(masks: Option<&ClosureMasks>, position: Position) -> bool {
+    masks.is_none_or(|masks| masks.exit().contains(position.row()))
+}
+
+/// The landing mask of step `step` of the body alternative at `alternative`.
+fn landing(masks: Option<&ClosureMasks>, alternative: usize, step: usize) -> Option<&RowMask> {
+    masks.and_then(|masks| masks.steps(alternative)[step].as_ref())
+}
+
 /// One application of the inner pipeline: every union alternative is applied to the
 /// frontier and the results are unioned and coalesced.
 fn apply_round(
     graph: &GraphRelations,
     mut frontier: Vec<FrontierEntry>,
     closure: &ClosureOp,
+    masks: Option<&ClosureMasks>,
     stats: &StepStats,
 ) -> Vec<FrontierEntry> {
     stats.closure_rounds.fetch_add(1, Ordering::Relaxed);
@@ -228,12 +256,15 @@ fn apply_round(
         } else {
             frontier.clone()
         };
-        for step in steps {
+        for (step_index, step) in steps.iter().enumerate() {
             if current.is_empty() {
                 break;
             }
             match step {
-                ClosureStep::Micro(op) => current = apply_op(graph, current, op, None, stats),
+                ClosureStep::Micro(op) => {
+                    let landing = landing(masks, index, step_index);
+                    current = apply_op(graph, current, op, landing, stats);
+                }
                 ClosureStep::Shift(_) => {
                     unreachable!("structural closures contain no temporal steps")
                 }
@@ -351,8 +382,14 @@ fn normalize(mut band: BandState) -> Option<BandState> {
 /// Applies a temporal shift to a band: the arrival coordinate advances through the
 /// maximal existence interval of the current object (every intermediate time point
 /// must exist), the lag widens by the shift bounds, and the result lands on every row
-/// of the object intersecting the arrival window.
-fn shift_band(graph: &GraphRelations, band: &BandState, shift: &Shift, out: &mut Vec<BandState>) {
+/// of the object intersecting the arrival window — of `landing`'s rows, under a mask.
+fn shift_band(
+    graph: &GraphRelations,
+    band: &BandState,
+    shift: &Shift,
+    landing: Option<&RowMask>,
+    out: &mut Vec<BandState>,
+) {
     if shift.is_unsatisfiable() {
         return;
     }
@@ -385,7 +422,7 @@ fn shift_band(graph: &GraphRelations, band: &BandState, shift: &Shift, out: &mut
         tgraph::Object::Node(node) => graph.rows_of_node(node),
         tgraph::Object::Edge(edge) => graph.rows_of_edge(edge),
     };
-    for &row in rows {
+    for &row in rows.iter().filter(|&&row| landing.is_none_or(|mask| mask.contains(row))) {
         let (position, row_interval) = match band.position {
             Position::NodeRow(_) => {
                 (Position::NodeRow(row), graph.node_rows()[row as usize].interval)
@@ -401,28 +438,32 @@ fn shift_band(graph: &GraphRelations, band: &BandState, shift: &Shift, out: &mut
     }
 }
 
-/// Applies one alternative's step sequence to a band batch.
+/// Applies the step sequence of the body alternative at `alternative` to a band
+/// batch.
 fn apply_band_steps(
     graph: &GraphRelations,
     mut bands: Vec<BandState>,
-    steps: &[ClosureStep],
+    closure: &ClosureOp,
+    alternative: usize,
+    masks: Option<&ClosureMasks>,
     stats: &StepStats,
 ) -> Vec<BandState> {
-    for step in steps {
+    for (index, step) in closure.alternatives[alternative].iter().enumerate() {
         if bands.is_empty() {
             break;
         }
+        let landing = landing(masks, alternative, index);
         bands = match step {
             // A nested time-crossing closure runs its own band fixpoint over the
             // current states; a structural nested closure is just a micro-op.
             ClosureStep::Micro(MicroOp::Closure(inner)) if inner.is_time_crossing() => {
-                run_band_fixpoint(graph, bands, inner, stats)
+                run_band_fixpoint(graph, bands, inner, None, stats)
             }
-            ClosureStep::Micro(op) => apply_op(graph, bands, op, None, stats),
+            ClosureStep::Micro(op) => apply_op(graph, bands, op, landing, stats),
             ClosureStep::Shift(shift) => {
                 let mut out = Vec::new();
                 for band in &bands {
-                    shift_band(graph, band, shift, &mut out);
+                    shift_band(graph, band, shift, landing, &mut out);
                 }
                 out
             }
@@ -437,17 +478,18 @@ fn apply_band_round(
     graph: &GraphRelations,
     mut frontier: Vec<BandState>,
     closure: &ClosureOp,
+    masks: Option<&ClosureMasks>,
     stats: &StepStats,
 ) -> Vec<BandState> {
     stats.time_closure_rounds.fetch_add(1, Ordering::Relaxed);
     let mut produced = Vec::new();
-    for (index, steps) in closure.alternatives.iter().enumerate() {
+    for index in 0..closure.alternatives.len() {
         let input = if index + 1 == closure.alternatives.len() {
             std::mem::take(&mut frontier)
         } else {
             frontier.clone()
         };
-        produced.extend(apply_band_steps(graph, input, steps, stats));
+        produced.extend(apply_band_steps(graph, input, closure, index, masks, stats));
     }
     canonicalize_bands(produced)
 }
@@ -496,6 +538,7 @@ fn run_band_fixpoint(
     graph: &GraphRelations,
     seeds: Vec<BandState>,
     closure: &ClosureOp,
+    masks: Option<&ClosureMasks>,
     stats: &StepStats,
 ) -> Vec<BandState> {
     if seeds.is_empty() || closure.max.is_some_and(|m| m < closure.min) {
@@ -505,7 +548,7 @@ fn run_band_fixpoint(
 
     // Phase 1: exactly `min` applications, replacing the frontier per depth level.
     for _ in 0..closure.min {
-        frontier = apply_band_round(graph, frontier, closure, stats);
+        frontier = apply_band_round(graph, frontier, closure, masks, stats);
         if frontier.is_empty() {
             return Vec::new();
         }
@@ -523,7 +566,7 @@ fn run_band_fixpoint(
     let mut delta = frontier;
     let mut remaining = closure.max.map(|m| u64::from(m - closure.min));
     while !delta.is_empty() && remaining != Some(0) {
-        let produced = apply_band_round(graph, delta, closure, stats);
+        let produced = apply_band_round(graph, delta, closure, masks, stats);
         let mut novel = Vec::new();
         for band in produced {
             let stored = reached.entry((band.source, band.position)).or_default();
@@ -589,16 +632,18 @@ fn fold_into(reached: &mut BTreeMap<(u32, Position), Vec<StoredBand>>, band: &Ba
 /// new segment starts on the reached row over the arrival times, and the admissible
 /// time skew is recorded as a [`TimeLag`] for Step 3's point expansion — two trail
 /// entries per emitted band, on top of the history the cursor shares with the
-/// other bands of its seed.
+/// other bands of its seed.  Under `masks` the body's hops and shifts land, and the
+/// emitted bands sit, only on viable rows.
 pub fn apply_time_closure(
     graph: &GraphRelations,
     cursors: Vec<Cursor>,
     closure: &ClosureOp,
+    masks: Option<&ClosureMasks>,
     trail: &mut Trail,
     stats: &StepStats,
 ) -> Vec<Cursor> {
     let watch = stats.timed.then(obs::Stopwatch::start);
-    let out = apply_time_closure_untimed(graph, cursors, closure, trail, stats);
+    let out = apply_time_closure_untimed(graph, cursors, closure, masks, trail, stats);
     if let Some(watch) = watch {
         stats.closure_nanos.fetch_add(watch.elapsed_nanos(), Ordering::Relaxed);
     }
@@ -609,6 +654,7 @@ fn apply_time_closure_untimed(
     graph: &GraphRelations,
     cursors: Vec<Cursor>,
     closure: &ClosureOp,
+    masks: Option<&ClosureMasks>,
     trail: &mut Trail,
     stats: &StepStats,
 ) -> Vec<Cursor> {
@@ -627,10 +673,10 @@ fn apply_time_closure_untimed(
             lag: TimeLag::zero(),
         })
         .collect();
-    let bands = run_band_fixpoint(graph, seeds, closure, stats);
+    let bands = run_band_fixpoint(graph, seeds, closure, masks, stats);
 
     let mut by_source: Vec<Vec<&BandState>> = vec![Vec::new(); distinct.len()];
-    for band in &bands {
+    for band in bands.iter().filter(|band| exits_onto(masks, band.position)) {
         by_source[band.source as usize].push(band);
     }
     let mut out = Vec::new();
@@ -709,13 +755,13 @@ mod tests {
     }
 
     fn run(graph: &GraphRelations, seeds: Vec<Cursor>, op: &ClosureOp) -> Vec<Cursor> {
-        apply_closure(graph, seeds, op, &StepStats::default())
+        apply_closure(graph, seeds, op, None, &StepStats::default())
     }
 
     /// Crosses the closure and spells the arrivals out as chains.
     fn run_time(graph: &GraphRelations, seeds: Vec<Cursor>, op: &ClosureOp) -> Vec<Chain> {
         let mut trail = Trail::default();
-        let out = apply_time_closure(graph, seeds, op, &mut trail, &StepStats::default());
+        let out = apply_time_closure(graph, seeds, op, None, &mut trail, &StepStats::default());
         out.iter().map(|c| trail.materialize(c)).collect()
     }
 
@@ -776,7 +822,7 @@ mod tests {
         b.add_existence(e2, iv(4, 7)).unwrap();
         let g = GraphRelations::from_itpg(&b.domain(iv(0, 9)).build().unwrap());
         let stats = StepStats::default();
-        let out = apply_closure(&g, vec![Cursor::seed(row_of(&g, "a"), &g)], &star(), &stats);
+        let out = apply_closure(&g, vec![Cursor::seed(row_of(&g, "a"), &g)], &star(), None, &stats);
         // a over its whole row (0 steps; the [4,5] round trip adds no new coverage),
         // b over the edge window [2,5].
         assert_eq!(reached(&g, &out), vec![("a".to_owned(), iv(0, 9)), ("b".to_owned(), iv(2, 5))]);
@@ -829,9 +875,9 @@ mod tests {
         let g = chain_graph();
         let seed = || Cursor::seed(row_of(&g, "a"), &g);
         let single_stats = StepStats::default();
-        let single = apply_closure(&g, vec![seed()], &star(), &single_stats);
+        let single = apply_closure(&g, vec![seed()], &star(), None, &single_stats);
         let dup_stats = StepStats::default();
-        let dup = apply_closure(&g, vec![seed(), seed()], &star(), &dup_stats);
+        let dup = apply_closure(&g, vec![seed(), seed()], &star(), None, &dup_stats);
         assert_eq!(
             single_stats.closure_rounds.load(Ordering::Relaxed),
             dup_stats.closure_rounds.load(Ordering::Relaxed),
@@ -842,10 +888,17 @@ mod tests {
 
         // Same for the time-aware fixpoint.
         let single_stats = StepStats::default();
-        apply_time_closure(&g, vec![seed()], &mixed_star(), &mut Trail::default(), &single_stats);
+        apply_time_closure(
+            &g,
+            vec![seed()],
+            &mixed_star(),
+            None,
+            &mut Trail::default(),
+            &single_stats,
+        );
         let dup_stats = StepStats::default();
         let dup_seeds = vec![seed(), seed()];
-        apply_time_closure(&g, dup_seeds, &mixed_star(), &mut Trail::default(), &dup_stats);
+        apply_time_closure(&g, dup_seeds, &mixed_star(), None, &mut Trail::default(), &dup_stats);
         assert_eq!(
             single_stats.time_closure_rounds.load(Ordering::Relaxed),
             dup_stats.time_closure_rounds.load(Ordering::Relaxed),
@@ -890,8 +943,14 @@ mod tests {
         // The cursor arrives with one entry of its own, shared by its four bands.
         let mut seed = Cursor::seed(row_of(&g, "a"), &g);
         seed.bind(0, &g, &mut trail);
-        let out =
-            apply_time_closure(&g, vec![seed], &mixed_star(), &mut trail, &StepStats::default());
+        let out = apply_time_closure(
+            &g,
+            vec![seed],
+            &mixed_star(),
+            None,
+            &mut trail,
+            &StepStats::default(),
+        );
         assert_eq!(out.len(), 4);
         assert_eq!(trail.len(), 1 + 2 * out.len());
         for cursor in &out {

@@ -1,5 +1,6 @@
 //! The three evaluation steps of Section VI, plus the closure fixpoint operator and
-//! the backward viability masks Steps 1–2 of a low-yield plan run under.
+//! the backward viability masks Steps 1–2 of a low-yield plan — fixpoints included —
+//! run under.
 
 pub mod closure;
 pub mod expand;
@@ -35,14 +36,17 @@ pub struct StepStats {
     /// Backward viability passes ([`viability`]) that walked the whole plan back to
     /// its seeds.  This and the three counters below move once per
     /// `run_plan_seeded` call that takes a fixpoint-free plan through more than one
-    /// seed batch — never per row — and exactly one of the three outcomes moves.
+    /// seed batch, and once per call of a plan with a fixpoint — never per row —
+    /// and exactly one of the three outcomes moves.
     pub viability_built: AtomicUsize,
     /// Backward passes that ran out of their budget part-way: the masks nearest the
     /// plan's selective end (at least the scanned one) were in force, the steps
     /// before them ran unmasked.
     pub viability_abandoned: AtomicUsize,
     /// Calls whose sample batch did not ask for a backward pass (it wasted at most
-    /// half its traversals), or asked for one its budget could not start.
+    /// half its traversals), or asked for one its budget could not start, and
+    /// calls of a plan with a fixpoint whose anchor keeps more than half its
+    /// relation's rows (after the scan that found out).
     pub viability_skipped: AtomicUsize,
     /// Row indices the backward passes looked at.
     pub viability_rows_visited: AtomicUsize,

@@ -19,7 +19,7 @@
 //! viability masks ([`crate::steps::viability`]) are consulted: when the segment comes
 //! with masks, an adjacent row whose bit is clear is skipped before its row struct is
 //! read — no match landing there could reach the end of the plan.  The closure
-//! fixpoints pass no mask.
+//! fixpoints pass the mask of their body step the same way.
 
 use std::sync::atomic::Ordering;
 
@@ -75,7 +75,7 @@ impl StructuralCursor for Cursor {
 /// Applies every operation of a segment to the given cursors, returning the
 /// survivors.  Bindings are recorded in `trail`; hop joins, hop outputs and closure
 /// rounds are counted in `stats`.  With `viable`, a hop lands only on the rows the
-/// segment's masks allow.
+/// segment's masks allow, and a closure runs under its own.
 pub fn apply_segment(
     graph: &GraphRelations,
     cursors: Vec<Cursor>,
@@ -94,6 +94,10 @@ pub fn apply_segment(
                     cursor.bind(*slot as u32, graph, trail);
                 }
             }
+            MicroOp::Closure(closure) => {
+                let masks = viable.and_then(|masks| masks.closure(index));
+                current = apply_closure(graph, current, closure, masks, stats);
+            }
             op => {
                 let landing = viable.and_then(|masks| masks.landing(index));
                 current = apply_op(graph, current, op, landing, stats);
@@ -107,8 +111,9 @@ pub fn apply_segment(
 }
 
 /// Applies one micro-operation to a batch of cursors.  Also driven directly by the
-/// closure fixpoints, which interleave micro-operations with temporal steps and
-/// pass no `landing` mask (only a hop reads it).
+/// closure fixpoints, which interleave micro-operations with temporal steps and pass
+/// their body step's `landing` mask (only a hop reads it).  A closure reached here
+/// is nested in another one and runs unmasked.
 pub(crate) fn apply_op<C: StructuralCursor>(
     graph: &GraphRelations,
     cursors: Vec<C>,
@@ -123,13 +128,13 @@ pub(crate) fn apply_op<C: StructuralCursor>(
         // Fails identically in debug and release: silently dropping a binding would
         // corrupt query output without a diagnostic.
         MicroOp::Bind(_) => unreachable!("the compiler places a Bind only in a segment"),
-        // Two copies of the join: the one every closure and every unmasked batch
-        // runs tests nothing per adjacent row.
+        // Two copies of the join: the one every unmasked batch or closure runs tests
+        // nothing per adjacent row.
         MicroOp::Hop(direction) => match landing {
             None => apply_hop(graph, &cursors, *direction, |_| true, stats),
             Some(mask) => apply_hop(graph, &cursors, *direction, |row| mask.contains(row), stats),
         },
-        MicroOp::Closure(closure) => apply_closure(graph, cursors, closure, stats),
+        MicroOp::Closure(closure) => apply_closure(graph, cursors, closure, None, stats),
     }
 }
 
@@ -140,8 +145,9 @@ pub(crate) fn apply_op<C: StructuralCursor>(
 /// interval intersections).  A batch is homogeneous in position kind by construction
 /// (hops alternate between node and edge rows) except past a closure that reaches
 /// both; each cursor is dispatched on its own kind, and the batch counts one join
-/// per relation it probed.  `viable` (a landing mask's bit test: fixpoint-free plans
-/// only, so one kind of row) is asked before the adjacent row itself is read.
+/// per relation it probed.  `viable` (a landing mask's bit test: masks exist only
+/// where every closure body returns to the kind of row it started on, so a masked
+/// batch lands on one kind of row) is asked before the adjacent row itself is read.
 fn apply_hop<C: StructuralCursor>(
     graph: &GraphRelations,
     cursors: &[C],

@@ -72,13 +72,15 @@ pub(crate) struct EngineMetrics {
     /// the share of traversals that survived every later filter.
     pub hop_cursors: Arc<Counter>,
     /// `tpath_engine_viability_passes_total{outcome="built"}` — backward
-    /// viability passes that reached the seeds: every step ran masked.
+    /// viability passes that reached the seeds: every step ran masked, closure
+    /// bodies included.
     pub viability_built: Arc<Counter>,
     /// `outcome="abandoned"` — passes whose budget ran out part-way; the masks
     /// nearest the plan's selective end were in force.
     pub viability_abandoned: Arc<Counter>,
     /// `outcome="skipped"` — multi-batch runs of a fixpoint-free plan whose
-    /// sample batch did not ask for a pass, or could not pay for its scan.
+    /// sample batch did not ask for a pass, or could not pay for its scan, and
+    /// runs of a plan with a fixpoint whose anchor is not selective.
     pub viability_skipped: Arc<Counter>,
     /// `tpath_engine_viability_rows_total` — row indices those passes looked
     /// at; against the fall of `hop_cursors` it is what the masks cost.
@@ -108,8 +110,8 @@ pub(crate) fn metrics() -> &'static EngineMetrics {
         let rows_help = "Rows produced by query executions, by pipeline stage.";
         let rounds_help = "Closure fixpoint rounds executed, by closure kind.";
         let joins_help = "Structural hop joins executed, by join algorithm.";
-        let passes_help = "Backward viability passes over multi-batch fixpoint-free plans, \
-                           by outcome.";
+        let passes_help = "Backward viability passes over multi-batch fixpoint-free plans \
+                           and plans with a fixpoint, by outcome.";
         let passes = |outcome: &'static str| {
             reg.counter("tpath_engine_viability_passes_total", passes_help, &[("outcome", outcome)])
         };

@@ -1,7 +1,8 @@
 //! End-to-end pins for the engine's telemetry: the `telemetry = false` knob
 //! really records nothing, enabled runs count executions, the cursors their
 //! hop joins produced and the backward viability pass a low-yield multi-batch
-//! run takes, and an enumeration cursor's peak-buffered high-water mark
+//! run takes — or a plan with a fixpoint, built or skipped by its anchor — and
+//! an enumeration cursor's peak-buffered high-water mark
 //! survives being abandoned mid-drain (the regression that motivated recording
 //! it on cursor drop).
 //!
@@ -36,10 +37,15 @@ fn graph() -> GraphRelations {
 const LOW_YIELD_QUERY: &str =
     "MATCH (x:Person {risk = 'high'})-/FWD/:meets/FWD/NEXT*/-({test = 'pos'}) ON g";
 
-/// 2 400 persons — three seed batches — in a ring, each meeting the next three,
-/// every third one high-risk, every fiftieth one testing positive late.
-fn ring() -> GraphRelations {
-    let people = 2400;
+/// The closure workloads of `closure-g2`: RECUR ends on the filter one person in
+/// fifty passes, REACH on every person.
+const RECUR: &str =
+    "MATCH (x:Person {risk = 'high'})-/(FWD/:meets/FWD/NEXT)*/NEXT*/-({test = 'pos'}) ON g";
+const REACH: &str = "MATCH (x:Person {risk = 'high'})-/(FWD/:meets/FWD)*/-(y:Person) ON g";
+
+/// `people` persons in a ring, each meeting the next three, every third one
+/// high-risk, every fiftieth one testing positive late.
+fn ring(people: usize) -> GraphRelations {
     let mut b = ItpgBuilder::new();
     let nodes: Vec<_> =
         (0..people).map(|i| b.add_node(&format!("p{i}"), "Person").unwrap()).collect();
@@ -106,7 +112,7 @@ fn telemetry_gates_and_peak_buffered_retention() {
     // A multi-batch run of a fixpoint-free plan records one gate outcome, and
     // the rows its backward pass visited: here the sample batch wastes its
     // traversals and the pass reaches the seeds.  Nothing moves with telemetry off.
-    let ring = ring();
+    let three_batches = ring(2400);
     let passes = |outcome| {
         let help = "Backward viability passes.";
         reg.counter("tpath_engine_viability_passes_total", help, &[("outcome", outcome)]).get()
@@ -117,7 +123,7 @@ fn telemetry_gates_and_peak_buffered_retention() {
     let hops_before = hop_cursors.get();
     let run_low_yield = |telemetry| {
         let options = ExecutionOptions::sequential().with_telemetry(telemetry);
-        Query::parse(LOW_YIELD_QUERY).unwrap().with_options(options).run(&ring).stats()
+        Query::parse(LOW_YIELD_QUERY).unwrap().with_options(options).run(&three_batches).stats()
     };
     let matches = run_low_yield(false).interval_rows;
     assert_eq!(matches, 48, "one of the three persons before each of the 48 positives");
@@ -136,6 +142,26 @@ fn telemetry_gates_and_peak_buffered_retention() {
     // The structural queries above ran one batch: no gate, no outcome.
     assert_eq!(run_hops(true), 1);
     assert_eq!(viability().2, skipped);
+
+    // A plan with a fixpoint records one outcome per run: RECUR's anchor keeps
+    // two node rows of 62, so its masks are built; REACH's keeps all 62, so it
+    // is skipped after the scan, whose rows are all it records as visited.
+    let small = ring(60);
+    let run_closure = |text, telemetry| {
+        let options = ExecutionOptions::sequential().with_telemetry(telemetry);
+        Query::parse(text).unwrap().with_options(options).run(&small).stats().interval_rows
+    };
+    let before = viability();
+    let (recur, reach) = (run_closure(RECUR, false), run_closure(REACH, false));
+    assert!(recur > 0 && reach > 0);
+    assert_eq!(viability(), before, "telemetry = false");
+    assert_eq!(run_closure(RECUR, true), recur);
+    let (built, abandoned, skipped, rows) = before;
+    let (recur_built, recur_abandoned, recur_skipped, recur_rows) = viability();
+    assert_eq!((recur_built, recur_abandoned, recur_skipped), (built + 1, abandoned, skipped));
+    assert!(recur_rows > rows + 62, "the scan and the walk back through the closure");
+    assert_eq!(run_closure(REACH, true), reach);
+    assert_eq!(viability(), (built + 1, abandoned, skipped + 1, recur_rows + 62));
 
     // Enumerate, drain two of eight rows, then abandon the cursor: stats()
     // exposes the live high-water mark mid-drain, and dropping the cursor

@@ -16,7 +16,8 @@
 //! a trail of its own, and the chains built from it must not show where the
 //! batch boundaries fell — nor whether the later batches ran under backward
 //! viability masks, which a mid-size generated graph pins for Q1–Q12 together
-//! with *which* of them the executor's gate decides to mask.
+//! with *which* of them the executor's gate decides to mask; a smaller one pins
+//! the gate of the fixpoint plans, which masks RECUR and not REACH.
 
 use std::sync::atomic::Ordering;
 
@@ -289,7 +290,8 @@ fn viability_outcomes(stats: &StepStats) -> (usize, usize) {
 }
 
 /// The random graphs above have a handful of seed rows, so every run on them is
-/// one batch and never meets a mask.  This one — the paper's G3, 4 000 persons,
+/// one batch and never samples: only REACH and RECUR, whose fixpoints run one batch
+/// whatever the seeds, may meet a mask there.  This one — the paper's G3, 4 000 persons,
 /// deterministic — has enough node rows for ten seed batches and meetings dense
 /// enough that a backward pass fits its budget (at G1 Q9's does not): run whole,
 /// each of Q1–Q12 must return the chains of its seeds run slice by slice (a
@@ -343,6 +345,38 @@ fn masked_runs_return_the_chains_of_their_unmasked_slices() {
                 }
             }
         }
+    }
+}
+
+/// A plan with a fixpoint has no sample batch; the executor masks it — closures
+/// included — when the filter its masks anchor on keeps at most half its
+/// relation's rows.  On the paper's G1 (1 000 persons, deterministic) RECUR's
+/// `({test = 'pos'})` does and REACH's `(y:Person)` does not: one outcome per run,
+/// built for RECUR and skipped for REACH after the scan alone, and the same chains
+/// on 1, 2 and 8 threads sharing the masks.
+#[test]
+fn fixpoint_plans_are_masked_only_behind_a_selective_anchor() {
+    let config = workload::ScaleFactor::G1.paper_config().with_seed(20);
+    let graph = GraphRelations::from_itpg(&workload::generate(&config));
+    let seeds = graph.seed_rows();
+    let live = graph.stats().temporal_nodes;
+    for (text, built) in [(RECUR, true), (REACH, false)] {
+        let query = Query::parse(text).expect("compiles");
+        let plan = &query.plan_set().plans[0];
+        let mut answers = Vec::new();
+        for threads in [1, 2, 8] {
+            let stats = StepStats::default();
+            let parallelism = Parallelism::with_threads(threads);
+            answers.push(run_plan_seeded(plan, &graph, &seeds, parallelism, &stats));
+            let count = |counter: &std::sync::atomic::AtomicUsize| counter.load(Ordering::Relaxed);
+            let outcome = (count(&stats.viability_built), count(&stats.viability_skipped));
+            assert_eq!(outcome, (usize::from(built), usize::from(!built)), "{text}");
+            assert_eq!(count(&stats.viability_abandoned), 0, "{text}: no budget to run out of");
+            let visited = count(&stats.viability_rows_visited);
+            assert_eq!(visited == live, !built, "{text}: {visited} rows visited of {live}");
+        }
+        assert!(!answers[0].is_empty(), "{text}");
+        assert!(answers.iter().all(|chains| *chains == answers[0]), "{text}");
     }
 }
 
