@@ -12,25 +12,13 @@ use crate::sorted::coalesce_sorted;
 /// Coalesces `(key, interval)` rows: rows with the same key whose intervals overlap or
 /// meet are merged into maximal intervals.  The output is sorted by key and interval.
 ///
-/// Implemented as sort + one linear coalescing pass; inputs that are already sorted by
-/// `(key, interval.start)` can skip the sort by calling
-/// [`coalesce_sorted`] directly, and several sorted
-/// runs can be combined with [`crate::sorted::coalesce_kway`].
+/// Implemented as sort + one linear coalescing pass.
 pub fn coalesce<K>(mut rows: Vec<(K, Interval)>) -> Vec<(K, Interval)>
 where
     K: Ord + Clone,
 {
     rows.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
     coalesce_sorted(rows)
-}
-
-/// The total number of time points covered by a set of keyed interval rows,
-/// counting each `(key, time point)` pair once.
-pub fn point_count<K>(rows: &[(K, Interval)]) -> u64
-where
-    K: Ord + Clone,
-{
-    coalesce(rows.to_vec()).iter().map(|(_, iv)| iv.num_points()).sum()
 }
 
 #[cfg(test)]
@@ -51,13 +39,6 @@ mod tests {
             coalesced,
             vec![("a", Interval::of(1, 6)), ("a", Interval::of(9, 9)), ("b", Interval::of(2, 7)),]
         );
-    }
-
-    #[test]
-    fn point_count_deduplicates_overlaps() {
-        let rows =
-            vec![("a", Interval::of(1, 4)), ("a", Interval::of(3, 6)), ("b", Interval::of(1, 1))];
-        assert_eq!(point_count(&rows), 7);
     }
 
     #[test]

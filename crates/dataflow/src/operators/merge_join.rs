@@ -11,7 +11,7 @@
 use tgraph::Interval;
 
 /// True if `key` is non-decreasing over `items` — the precondition of the merge joins.
-pub fn is_key_sorted<T, K, F>(items: &[T], key: F) -> bool
+fn is_key_sorted<T, K, F>(items: &[T], key: F) -> bool
 where
     K: Ord,
     F: Fn(&T) -> K,

@@ -4,8 +4,8 @@ pub mod coalesce;
 pub mod join;
 pub mod merge_join;
 
-pub use coalesce::{coalesce, point_count};
+pub use coalesce::coalesce;
 pub use join::{hash_join, interval_hash_join};
 pub use merge_join::{
-    interval_merge_join, interval_merge_join_gallop, is_key_sorted, merge_join, merge_join_gallop,
+    interval_merge_join, interval_merge_join_gallop, merge_join, merge_join_gallop,
 };

@@ -3,8 +3,7 @@
 //! The paper's implementation uses Rayon as "an interface over dataflow operators";
 //! this module provides the same programming model — split an input collection into
 //! chunks, apply an operator to every chunk on its own worker thread, and concatenate
-//! the per-chunk outputs — with an explicit, configurable degree of parallelism so the
-//! Figure 3 experiment (execution time vs. number of cores) can sweep it.
+//! the per-chunk outputs — with an explicit, configurable degree of parallelism.
 
 use std::num::NonZeroUsize;
 
@@ -94,37 +93,6 @@ fn balanced_chunks<T>(items: &[T], chunks: usize) -> Vec<&[T]> {
     out
 }
 
-/// Parallel map over the items of a slice, preserving order.
-pub fn par_map<T, U, F>(items: &[T], parallelism: Parallelism, op: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    par_chunk_flat_map(items, parallelism, |chunk| chunk.iter().map(&op).collect())
-}
-
-/// Parallel flat-map over the items of a slice, preserving order.
-pub fn par_flat_map<T, U, F>(items: &[T], parallelism: Parallelism, op: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> Vec<U> + Sync,
-{
-    par_chunk_flat_map(items, parallelism, |chunk| chunk.iter().flat_map(&op).collect())
-}
-
-/// Parallel filter over the items of a slice, preserving order.
-pub fn par_filter<T, F>(items: &[T], parallelism: Parallelism, predicate: F) -> Vec<T>
-where
-    T: Sync + Send + Clone,
-    F: Fn(&T) -> bool + Sync,
-{
-    par_chunk_flat_map(items, parallelism, |chunk| {
-        chunk.iter().filter(|item| predicate(item)).cloned().collect()
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -154,11 +122,15 @@ mod tests {
 
     #[test]
     fn map_filter_and_flat_map() {
+        // Chunk operators whose outputs shrink or grow still concatenate in order.
         let items: Vec<u64> = (0..100).collect();
         let p = Parallelism::with_threads(4);
-        assert_eq!(par_map(&items, p, |x| x + 1)[99], 100);
-        assert_eq!(par_filter(&items, p, |x| x % 2 == 0).len(), 50);
-        let expanded = par_flat_map(&items, p, |x| vec![*x, *x]);
+        let run = |op: fn(&u64) -> Vec<u64>| {
+            par_chunk_flat_map(&items, p, |chunk| chunk.iter().flat_map(op).collect())
+        };
+        assert_eq!(run(|x| vec![x + 1])[99], 100);
+        assert_eq!(run(|x| if x % 2 == 0 { vec![*x] } else { vec![] }).len(), 50);
+        let expanded = run(|x| vec![*x, *x]);
         assert_eq!(expanded.len(), 200);
         assert_eq!(&expanded[0..4], &[0, 0, 1, 1]);
     }
@@ -198,12 +170,14 @@ mod tests {
 
     #[test]
     fn degenerate_inputs() {
-        let empty: Vec<u64> = Vec::new();
-        assert!(par_map(&empty, Parallelism::with_threads(8), |x| *x).is_empty());
-        let single = vec![42u64];
-        assert_eq!(par_map(&single, Parallelism::with_threads(8), |x| *x), vec![42]);
+        let times_ten = |chunk: &[u64]| chunk.iter().map(|x| x * 10).collect::<Vec<_>>();
+        assert!(par_chunk_flat_map(&[], Parallelism::with_threads(8), times_ten).is_empty());
+        assert_eq!(par_chunk_flat_map(&[42], Parallelism::with_threads(8), times_ten), vec![420]);
         // More threads than items.
         let few: Vec<u64> = (0..3).collect();
-        assert_eq!(par_map(&few, Parallelism::with_threads(16), |x| x * 10), vec![0, 10, 20]);
+        assert_eq!(
+            par_chunk_flat_map(&few, Parallelism::with_threads(16), times_ten),
+            vec![0, 10, 20]
+        );
     }
 }

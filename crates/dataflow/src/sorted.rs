@@ -1,143 +1,20 @@
-//! A sorted columnar representation of interval relations, plus the k-way-merge
-//! machinery that exploits it.
+//! The merge machinery for sorted runs.
 //!
-//! [`SortedRelation`] keeps `(key, interval, payload)` rows sorted by join key, then
-//! interval start — the invariant under which joins degrade to linear merges
-//! ([`mod@crate::operators::merge_join`]) and temporal coalescing degrades to a single
-//! scan ([`coalesce_sorted`]).  [`kway_merge`] combines several sorted runs (for
-//! example the per-chunk outputs of the parallel executor) into one sorted run with a
-//! binary heap instead of re-sorting the concatenation.
+//! [`kway_merge_dedup`] combines several sorted runs (for example the per-chunk
+//! outputs of the parallel executor) into one sorted, duplicate-free run with a
+//! binary heap instead of re-sorting the concatenation; `coalesce_sorted` is the
+//! linear pass behind [`crate::operators::coalesce::coalesce`].
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use tgraph::Interval;
 
-/// An interval relation whose rows are sorted by `(key, interval.start, interval.end)`.
-///
-/// The sort invariant is established on construction and maintained by every
-/// operation, so consumers can rely on it without re-checking.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct SortedRelation<K, V> {
-    rows: Vec<(K, Interval, V)>,
-}
-
-impl<K: Ord, V> SortedRelation<K, V> {
-    /// Builds a sorted relation from arbitrary rows, sorting them.
-    pub fn from_rows(mut rows: Vec<(K, Interval, V)>) -> Self {
-        rows.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-        SortedRelation { rows }
-    }
-
-    /// Wraps rows that are already sorted; returns `None` if they are not.
-    pub fn from_sorted(rows: Vec<(K, Interval, V)>) -> Option<Self> {
-        let sorted = rows.windows(2).all(|w| (&w[0].0, w[0].1) <= (&w[1].0, w[1].1));
-        sorted.then_some(SortedRelation { rows })
-    }
-
-    /// The empty relation.
-    pub fn empty() -> Self {
-        SortedRelation { rows: Vec::new() }
-    }
-
-    /// The number of rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True if the relation has no rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// Borrows the rows (sorted by key, then interval start).
-    pub fn rows(&self) -> &[(K, Interval, V)] {
-        &self.rows
-    }
-
-    /// Consumes the relation and returns its rows.
-    pub fn into_rows(self) -> Vec<(K, Interval, V)> {
-        self.rows
-    }
-
-    /// Iterates over the rows.
-    pub fn iter(&self) -> std::slice::Iter<'_, (K, Interval, V)> {
-        self.rows.iter()
-    }
-
-    /// Merges two sorted relations into one, preserving the sort invariant with a
-    /// linear two-way merge (no re-sort).
-    pub fn union_merge(self, other: SortedRelation<K, V>) -> Self {
-        let mut out = Vec::with_capacity(self.rows.len() + other.rows.len());
-        let (mut a, mut b) = (self.rows.into_iter(), other.rows.into_iter());
-        let (mut next_a, mut next_b) = (a.next(), b.next());
-        loop {
-            match (next_a, next_b) {
-                (Some(ra), Some(rb)) => {
-                    if (&ra.0, ra.1) <= (&rb.0, rb.1) {
-                        out.push(ra);
-                        next_a = a.next();
-                        next_b = Some(rb);
-                    } else {
-                        out.push(rb);
-                        next_a = Some(ra);
-                        next_b = b.next();
-                    }
-                }
-                (Some(ra), None) => {
-                    out.push(ra);
-                    out.extend(a);
-                    break;
-                }
-                (None, Some(rb)) => {
-                    out.push(rb);
-                    out.extend(b);
-                    break;
-                }
-                (None, None) => break,
-            }
-        }
-        SortedRelation { rows: out }
-    }
-}
-
-impl<K: Ord + Clone, V> SortedRelation<K, V> {
-    /// Temporally-aligned merge join with another sorted relation: pairs rows with
-    /// equal keys whose intervals intersect; the output row carries the intersection
-    /// and both payloads, and the output relation is again key/start-sorted.
-    pub fn interval_merge_join<'a, W>(
-        &'a self,
-        other: &'a SortedRelation<K, W>,
-    ) -> SortedRelation<K, (&'a V, &'a W)> {
-        let joined = crate::operators::merge_join::interval_merge_join(
-            &self.rows,
-            &other.rows,
-            |l| l.0.clone(),
-            |r| r.0.clone(),
-            |l| l.1,
-            |r| r.1,
-        );
-        let mut rows: Vec<(K, Interval, (&V, &W))> =
-            joined.into_iter().map(|(l, r, iv)| (l.0.clone(), iv, (&l.2, &r.2))).collect();
-        // The join emits keys in order, but the intersections within one key group are
-        // not necessarily start-sorted; restore the invariant.
-        rows.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-        SortedRelation { rows }
-    }
-
-    /// Coalesces the `(key, interval)` projection of the relation in a single linear
-    /// pass (see [`coalesce_sorted`]).
-    pub fn coalesce_keys(&self) -> Vec<(K, Interval)> {
-        coalesce_sorted(self.rows.iter().map(|(k, iv, _)| (k.clone(), *iv)))
-    }
-}
-
 /// Merges sorted runs into one sorted sequence with a binary heap.
 ///
 /// Each run must be sorted (`Ord` on the element type); ties across runs are broken by
-/// run index, making the merge deterministic.  This is the order-exploiting rewrite of
-/// `concatenate + sort` used to combine per-worker outputs.
-pub fn kway_merge<T: Ord>(runs: Vec<Vec<T>>) -> Vec<T> {
+/// run index, making the merge deterministic.
+fn kway_merge<T: Ord>(runs: Vec<Vec<T>>) -> Vec<T> {
     let total: usize = runs.iter().map(Vec::len).sum();
     let mut iters: Vec<std::vec::IntoIter<T>> = runs.into_iter().map(Vec::into_iter).collect();
     let mut heap: BinaryHeap<Reverse<(T, usize)>> = BinaryHeap::with_capacity(iters.len());
@@ -156,8 +33,9 @@ pub fn kway_merge<T: Ord>(runs: Vec<Vec<T>>) -> Vec<T> {
     out
 }
 
-/// [`kway_merge`] with duplicate elimination: equal elements (within or across runs)
-/// are emitted once.
+/// Merges sorted runs into one sorted sequence in which equal elements (within or
+/// across runs) are emitted once — the order-exploiting rewrite of
+/// `concatenate + sort + dedup` used to combine per-worker outputs.
 pub fn kway_merge_dedup<T: Ord>(runs: Vec<Vec<T>>) -> Vec<T> {
     let mut out = kway_merge(runs);
     out.dedup();
@@ -166,10 +44,8 @@ pub fn kway_merge_dedup<T: Ord>(runs: Vec<Vec<T>>) -> Vec<T> {
 
 /// Coalesces `(key, interval)` rows that are sorted by `(key, interval.start)` in one
 /// linear pass: rows with the same key whose intervals overlap or meet are merged into
-/// maximal intervals.  Produces the same output as
-/// [`crate::operators::coalesce::coalesce`] but without hashing, by exploiting the
-/// sort order.
-pub fn coalesce_sorted<K, I>(rows: I) -> Vec<(K, Interval)>
+/// maximal intervals.
+pub(crate) fn coalesce_sorted<K, I>(rows: I) -> Vec<(K, Interval)>
 where
     K: Ord + Clone,
     I: IntoIterator<Item = (K, Interval)>,
@@ -198,13 +74,6 @@ where
     out
 }
 
-/// Coalesces several key/start-sorted runs of `(key, interval)` rows by k-way-merging
-/// them and coalescing the merged stream in the same pass.  The sorted, multi-run
-/// rewrite of [`crate::operators::coalesce::coalesce`].
-pub fn coalesce_kway<K: Ord + Clone>(runs: Vec<Vec<(K, Interval)>>) -> Vec<(K, Interval)> {
-    coalesce_sorted(kway_merge(runs))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,49 +81,6 @@ mod tests {
 
     fn iv(a: u64, b: u64) -> Interval {
         Interval::of(a, b)
-    }
-
-    #[test]
-    fn construction_sorts_and_validates() {
-        let rel = SortedRelation::from_rows(vec![
-            ("b", iv(1, 2), 0u8),
-            ("a", iv(5, 9), 1),
-            ("a", iv(0, 3), 2),
-        ]);
-        let keys: Vec<(&str, Interval)> = rel.iter().map(|(k, i, _)| (*k, *i)).collect();
-        assert_eq!(keys, vec![("a", iv(0, 3)), ("a", iv(5, 9)), ("b", iv(1, 2))]);
-        assert!(SortedRelation::from_sorted(rel.clone().into_rows()).is_some());
-        assert!(
-            SortedRelation::from_sorted(vec![("b", iv(1, 2), 0u8), ("a", iv(0, 3), 1)]).is_none()
-        );
-        assert!(SortedRelation::<u32, ()>::empty().is_empty());
-    }
-
-    #[test]
-    fn union_merge_preserves_the_invariant() {
-        let a = SortedRelation::from_rows(vec![(1u32, iv(0, 1), "a"), (3, iv(0, 1), "c")]);
-        let b = SortedRelation::from_rows(vec![(2u32, iv(0, 1), "b"), (3, iv(0, 0), "d")]);
-        let merged = a.union_merge(b);
-        assert_eq!(merged.len(), 4);
-        assert!(SortedRelation::from_sorted(merged.into_rows()).is_some());
-    }
-
-    #[test]
-    fn interval_merge_join_on_sorted_relations() {
-        let people = SortedRelation::from_rows(vec![
-            (10u32, iv(1, 9), "ann"),
-            (20, iv(1, 4), "bob-low"),
-            (20, iv(5, 9), "bob-high"),
-        ]);
-        let meets =
-            SortedRelation::from_rows(vec![(20u32, iv(3, 3), "cafe"), (20, iv(5, 6), "park")]);
-        let joined = people.interval_merge_join(&meets);
-        let rows: Vec<(u32, Interval, (&str, &str))> =
-            joined.iter().map(|(k, i, (p, m))| (*k, *i, (**p, **m))).collect();
-        assert_eq!(
-            rows,
-            vec![(20, iv(3, 3), ("bob-low", "cafe")), (20, iv(5, 6), ("bob-high", "park")),]
-        );
     }
 
     #[test]
@@ -280,10 +106,11 @@ mod tests {
 
     #[test]
     fn coalesce_kway_merges_across_runs() {
+        // Sorted runs merged by `kway_merge` are sorted input for `coalesce_sorted`.
         let runs =
             vec![vec![("a", iv(1, 3)), ("b", iv(0, 0))], vec![("a", iv(4, 6)), ("b", iv(2, 4))]];
         let mut flat: Vec<(&str, Interval)> = runs.iter().flatten().copied().collect();
         flat.sort_unstable();
-        assert_eq!(coalesce_kway(runs), coalesce(flat));
+        assert_eq!(coalesce_sorted(kway_merge(runs)), coalesce(flat));
     }
 }

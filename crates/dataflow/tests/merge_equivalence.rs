@@ -1,15 +1,16 @@
-//! Property tests pinning the sorted/merge operators to their hash-based
-//! counterparts: on arbitrary keyed interval relations,
+//! Property tests pinning the sorted/merge operators to their references: on
+//! arbitrary keyed interval relations,
 //!
 //! * `interval_merge_join` produces the same multiset of joined rows as
-//!   `interval_hash_join`;
-//! * the k-way-merge / linear-scan coalesce (`coalesce_kway`, `coalesce_sorted`)
-//!   produces exactly the same output as `coalesce`.
+//!   `interval_hash_join`, and its galloping variant exactly the same rows;
+//! * `kway_merge_dedup` of sorted runs equals sorting and deduplicating their
+//!   concatenation.
 
 use proptest::prelude::*;
 
-use dataflow::sorted::{coalesce_kway, coalesce_sorted, kway_merge_dedup, SortedRelation};
-use dataflow::{coalesce, interval_hash_join, interval_merge_join, interval_merge_join_gallop};
+use dataflow::{
+    interval_hash_join, interval_merge_join, interval_merge_join_gallop, kway_merge_dedup,
+};
 use tgraph::Interval;
 
 const MAX_TIME: u64 = 15;
@@ -35,10 +36,6 @@ fn rows_strategy() -> impl Strategy<Value = Vec<Row>> {
             .map(|(id, (key, interval))| Row { key, interval, id: id as u32 })
             .collect()
     })
-}
-
-fn keyed_intervals_strategy() -> impl Strategy<Value = Vec<(u32, Interval)>> {
-    prop::collection::vec((0..=MAX_KEY, interval_strategy()), 0..24)
 }
 
 proptest! {
@@ -89,56 +86,6 @@ proptest! {
         .map(|(l, r, iv)| (l.id, r.id, iv))
         .collect();
         prop_assert_eq!(plain, galloped);
-    }
-
-    #[test]
-    fn sorted_relation_join_equals_hash_join(
-        left in rows_strategy(),
-        right in rows_strategy(),
-    ) {
-        let left_rel = SortedRelation::from_rows(
-            left.iter().map(|r| (r.key, r.interval, r.id)).collect(),
-        );
-        let right_rel = SortedRelation::from_rows(
-            right.iter().map(|r| (r.key, r.interval, r.id)).collect(),
-        );
-        let joined = left_rel.interval_merge_join(&right_rel);
-        // The output relation maintains the key/start sort invariant…
-        prop_assert!(SortedRelation::from_sorted(joined.rows().to_vec()).is_some());
-        // …and carries the same multiset of (left id, right id, interval) matches.
-        let mut merged: Vec<(u32, u32, Interval)> =
-            joined.iter().map(|(_, iv, (l, r))| (**l, **r, *iv)).collect();
-        let mut hashed: Vec<(u32, u32, Interval)> =
-            interval_hash_join(&left, &right, |l| l.key, |r| r.key, |l| l.interval, |r| r.interval)
-                .into_iter()
-                .map(|(l, r, iv)| (l.id, r.id, iv))
-                .collect();
-        merged.sort_unstable();
-        hashed.sort_unstable();
-        prop_assert_eq!(merged, hashed);
-    }
-
-    #[test]
-    fn sorted_and_kway_coalesce_equal_hash_coalesce(
-        rows in keyed_intervals_strategy(),
-        cut in 0..100usize,
-    ) {
-        let reference = coalesce(rows.clone());
-
-        let mut sorted = rows.clone();
-        sorted.sort_unstable();
-        prop_assert_eq!(coalesce_sorted(sorted.clone()), reference.clone());
-
-        // Split the sorted rows into two sorted runs at an arbitrary point and merge
-        // them back through the k-way path.
-        let cut = cut.min(sorted.len());
-        let (a, b) = sorted.split_at(cut);
-        prop_assert_eq!(coalesce_kway(vec![a.to_vec(), b.to_vec()]), reference.clone());
-
-        // Interleaved runs (round-robin) must coalesce identically too.
-        let evens: Vec<_> = sorted.iter().copied().step_by(2).collect();
-        let odds: Vec<_> = sorted.iter().copied().skip(1).step_by(2).collect();
-        prop_assert_eq!(coalesce_kway(vec![evens, odds]), reference);
     }
 
     #[test]

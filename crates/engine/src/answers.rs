@@ -605,7 +605,6 @@ impl AnswerCursor {
             self.next_pending += 1;
             let run = expand_chunk_sorted(
                 &self.plans[p.plan],
-                &self.columns,
                 self.num_slots,
                 std::slice::from_ref(&p.chain),
             );

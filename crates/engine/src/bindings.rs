@@ -136,12 +136,6 @@ impl BindingTable {
         self.rows.is_empty()
     }
 
-    /// Appends a row; the number of bindings must match the number of columns.
-    pub fn push_row(&mut self, row: Vec<Binding>) {
-        debug_assert_eq!(row.len(), self.columns.len());
-        self.rows.push(row);
-    }
-
     /// Sorts the rows into a canonical order and removes duplicates.
     pub fn sort_dedup(&mut self) {
         self.rows.sort_unstable();
@@ -220,9 +214,7 @@ mod tests {
     #[test]
     fn table_push_sort_dedup() {
         let mut t = BindingTable::new(vec!["x".into()]);
-        t.push_row(vec![Binding::at_point(obj(1), 5)]);
-        t.push_row(vec![Binding::at_point(obj(0), 3)]);
-        t.push_row(vec![Binding::at_point(obj(1), 5)]);
+        t.extend_rows([(1, 5), (0, 3), (1, 5)].map(|(o, t)| vec![Binding::at_point(obj(o), t)]));
         assert_eq!(t.len(), 3);
         t.sort_dedup();
         assert_eq!(t.len(), 2);
@@ -243,16 +235,22 @@ mod tests {
 
     #[test]
     fn point_tuple_count_expands_intervals() {
-        let mut t = BindingTable::new(vec!["x".into()]);
-        t.push_row(vec![Binding::over_interval(obj(0), Interval::of(1, 9))]);
-        t.push_row(vec![Binding::at_point(obj(1), 4)]);
+        let t = BindingTable::from_rows(
+            vec!["x".into()],
+            vec![
+                vec![Binding::over_interval(obj(0), Interval::of(1, 9))],
+                vec![Binding::at_point(obj(1), 4)],
+            ],
+        );
         assert_eq!(t.point_tuple_count(), 10);
     }
 
     #[test]
     fn rendering_produces_object_and_time_columns() {
-        let mut t = BindingTable::new(vec!["x".into(), "y".into()]);
-        t.push_row(vec![Binding::at_point(obj(7), 5), Binding::at_point(obj(6), 9)]);
+        let t = BindingTable::from_rows(
+            vec!["x".into(), "y".into()],
+            vec![vec![Binding::at_point(obj(7), 5), Binding::at_point(obj(6), 9)]],
+        );
         let rendered = t.render(|o| match o {
             Object::Node(n) => format!("n{}", n.0),
             Object::Edge(e) => format!("e{}", e.0),

@@ -241,22 +241,28 @@ fn run_interval_phase(
     IntervalPhase { per_plan_chains, interval_time, interval_rows, step_stats, start }
 }
 
-/// Step 3: expands the interval-level chains into the full binding table.  Every
-/// worker emits an ordered, deduplicated run; the final table is their k-way merge,
-/// so no post-union sort is needed.
+/// Step 3: expands the interval-level chains into the full binding table, then
+/// finalises and records the measurements.  Every worker emits an ordered,
+/// deduplicated run; the final table is their k-way merge, so no post-union sort
+/// is needed.
 fn materialize(
     plan_set: &PlanSet,
     options: &ExecutionOptions,
-    per_plan_chains: &[Vec<Chain>],
-) -> BindingTable {
+    phase: &IntervalPhase,
+) -> QueryOutput {
+    let step3 = Span::enter(options.telemetry.then(|| &crate::telemetry::metrics().span_step3));
     let num_slots = plan_set.variables.len();
     let mut runs: Vec<Vec<Vec<Binding>>> = Vec::new();
-    for (plan, chains) in plan_set.plans.iter().zip(per_plan_chains) {
+    for (plan, chains) in plan_set.plans.iter().zip(&phase.per_plan_chains) {
         runs.extend(par_chunk_flat_map(chains, options.parallelism, |chunk| {
-            vec![expand_chunk_sorted(plan, &plan_set.variables, num_slots, chunk)]
+            vec![expand_chunk_sorted(plan, num_slots, chunk)]
         }));
     }
-    BindingTable::from_rows(plan_set.variables.clone(), kway_merge_dedup(runs))
+    let table = BindingTable::from_rows(plan_set.variables.clone(), kway_merge_dedup(runs));
+    step3.finish();
+    let stats = phase.finish(table.len());
+    phase.record_metrics(&stats, options.telemetry);
+    QueryOutput { table, stats }
 }
 
 /// Executes a compiled plan set over a graph, materialising the full binding table
@@ -267,14 +273,8 @@ pub fn execute(
     options: &ExecutionOptions,
 ) -> QueryOutput {
     let plan_set = effective_plan_set(plan_set, graph, options);
-    let plan_set = plan_set.as_ref();
-    let phase = run_interval_phase(plan_set, graph, options);
-    let step3 = Span::enter(options.telemetry.then(|| &crate::telemetry::metrics().span_step3));
-    let table = materialize(plan_set, options, &phase.per_plan_chains);
-    step3.finish();
-    let stats = phase.finish(table.len());
-    phase.record_metrics(&stats, options.telemetry);
-    QueryOutput { table, stats }
+    let phase = run_interval_phase(&plan_set, graph, options);
+    materialize(&plan_set, options, &phase)
 }
 
 /// Executes a compiled plan set over a graph, shaping the answers according to
@@ -291,11 +291,7 @@ pub fn execute_answers(
     let phase = run_interval_phase(plan_set, graph, options);
     match options.answer_mode {
         AnswerMode::Materialized => {
-            let step3 = Span::enter(telemetry.then(|| &crate::telemetry::metrics().span_step3));
-            let table = materialize(plan_set, options, &phase.per_plan_chains);
-            step3.finish();
-            let stats = phase.finish(table.len());
-            phase.record_metrics(&stats, telemetry);
+            let QueryOutput { table, stats } = materialize(plan_set, options, &phase);
             Answers::new(AnswerSet::Table(table), stats)
         }
         AnswerMode::Compact => {

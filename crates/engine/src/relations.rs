@@ -14,7 +14,6 @@
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
-use dataflow::SortedRelation;
 use tgraph::{EdgeId, Interval, IntervalSet, Itpg, NodeId, Object, Time, Value};
 
 use crate::plan::analyze::SchemaSummary;
@@ -122,11 +121,12 @@ pub struct CanonicalRelations {
 /// reader pins an immutable snapshot while the writer diverges the next epoch
 /// from it, and a batch touching only edges never copies any node column.
 ///
-/// The relations also carry the memo of their own [`SchemaSummary`] — the
-/// statistics the semantic optimizer reads.  Nothing computes it at load or on
-/// a delta: the first [`SchemaSummary::of`] on a *version* of the relations
-/// scans once and every later call, on this value or on any clone, snapshot or
-/// pinned epoch of the same version, is a reference bump.
+/// The relations also carry a memo of what is derived from them: their
+/// [`SchemaSummary`] — the statistics the semantic optimizer reads — and the
+/// two key-sorted row permutations.  Nothing computes either at load or on a
+/// delta: the first reader of a *version* of the relations computes it once
+/// and every later call, on this value or on any clone, snapshot or pinned
+/// epoch of the same version, reads it back.
 #[derive(Debug, Clone)]
 pub struct GraphRelations {
     domain: Interval,
@@ -140,11 +140,6 @@ pub struct GraphRelations {
     edge_rows_by_tgt: Arc<Vec<Vec<u32>>>,
     node_existence: Arc<Vec<IntervalSet>>,
     edge_existence: Arc<Vec<IntervalSet>>,
-    // Key-sorted permutations of the two relations (see the `sorted_*` accessors).
-    // Read only by the benchmark's merge kernels — the engine's hops probe the
-    // per-key indexes above.
-    node_rows_by_id_sorted: Arc<Vec<u32>>,
-    edge_rows_by_src_sorted: Arc<Vec<u32>>,
     // Liveness of every row.  `from_itpg` produces all-live relations;
     // `apply_delta` tombstones the rows of touched objects instead of compacting
     // the row vectors, so row indices of *untouched* objects stay stable (which is
@@ -155,13 +150,21 @@ pub struct GraphRelations {
     edge_row_live: Arc<Vec<bool>>,
     dead_node_rows: usize,
     dead_edge_rows: usize,
-    // The memoised summary of *this version* of the relations.  The cell sits
-    // behind its own `Arc` so that clones share it: a bare `OnceLock` would be
-    // cloned empty into every snapshot, each reader would scan again and none
-    // would write back.  `apply_delta` — the only mutator — swaps in a fresh
-    // empty cell, so snapshots of the previous version keep their summary and
-    // the new version scans at most once, on its first reader.
-    schema: Arc<OnceLock<Arc<SchemaSummary>>>,
+    // What is derived from *this version* of the relations.  The cells sit
+    // behind one `Arc` so that clones share them: a bare `OnceLock` would be
+    // cloned empty into every snapshot, each reader would compute again and
+    // none would write back.  `apply_delta` — the only mutator — swaps in a
+    // fresh empty memo, so snapshots of the previous version keep theirs and
+    // the new version computes each entry at most once, on its first reader.
+    memo: Arc<VersionMemo>,
+}
+
+/// The per-version memo of [`GraphRelations`].
+#[derive(Debug, Default)]
+struct VersionMemo {
+    schema: OnceLock<Arc<SchemaSummary>>,
+    node_rows_sorted_by_id: OnceLock<Vec<u32>>,
+    edge_rows_sorted_by_src: OnceLock<Vec<u32>>,
 }
 
 impl GraphRelations {
@@ -221,14 +224,6 @@ impl GraphRelations {
             }
         }
 
-        // Flatten the adjacency lists into key-sorted permutations.  The lists are
-        // already grouped by ascending key; within one key group the rows are ordered
-        // by interval start (ties broken by row index for determinism).
-        let node_rows_by_id_sorted =
-            sorted_permutation(&node_rows_by_id, |r| nodes[r as usize].interval);
-        let edge_rows_by_src_sorted =
-            sorted_permutation(&edge_rows_by_src, |r| edges[r as usize].interval);
-
         let node_row_live = vec![true; nodes.len()];
         let edge_row_live = vec![true; edges.len()];
         GraphRelations {
@@ -243,33 +238,30 @@ impl GraphRelations {
             edge_rows_by_tgt: Arc::new(edge_rows_by_tgt),
             node_existence: Arc::new(node_existence),
             edge_existence: Arc::new(edge_existence),
-            node_rows_by_id_sorted: Arc::new(node_rows_by_id_sorted),
-            edge_rows_by_src_sorted: Arc::new(edge_rows_by_src_sorted),
             node_row_live: Arc::new(node_row_live),
             edge_row_live: Arc::new(edge_row_live),
             dead_node_rows: 0,
             dead_edge_rows: 0,
-            schema: Arc::default(),
+            memo: Arc::default(),
         }
     }
 
     /// An immutable copy-on-write snapshot of the relations: the returned value
-    /// shares every column — and the [`SchemaSummary`] memo, whichever of the
-    /// two fills it — with `self` until one of the two diverges through
-    /// [`GraphRelations::apply_delta`].  Taking a snapshot is O(number of
-    /// columns), not O(graph); this is the read view MVCC epochs in
-    /// `crates/live` hand to concurrent readers.
+    /// shares every column — and the memo of the [`SchemaSummary`] and the
+    /// sorted permutations, whichever of the two fills it — with `self` until
+    /// one of the two diverges through [`GraphRelations::apply_delta`].  Taking
+    /// a snapshot is O(number of columns), not O(graph); this is the read view
+    /// MVCC epochs in `crates/live` hand to concurrent readers.
     pub fn snapshot(&self) -> GraphRelations {
         self.clone()
     }
 
     /// The number of physical columns `self` still shares with `other` — a
-    /// diagnostic for copy-on-write behaviour (14 right after
+    /// diagnostic for copy-on-write behaviour (12 right after
     /// [`GraphRelations::snapshot`], decreasing only as deltas diverge the
-    /// copies column by column).  The [`SchemaSummary`] memo is not a column:
-    /// it is derived from the fourteen, never written by a delta, and every
-    /// delta replaces it whole, so counting it would only report "a delta
-    /// happened".
+    /// copies column by column).  The memo is not a column: it is derived from
+    /// the twelve, never written by a delta, and every delta replaces it whole,
+    /// so counting it would only report "a delta happened".
     pub fn shared_columns(&self, other: &GraphRelations) -> usize {
         usize::from(Arc::ptr_eq(&self.nodes, &other.nodes))
             + usize::from(Arc::ptr_eq(&self.edges, &other.edges))
@@ -281,11 +273,6 @@ impl GraphRelations {
             + usize::from(Arc::ptr_eq(&self.edge_rows_by_tgt, &other.edge_rows_by_tgt))
             + usize::from(Arc::ptr_eq(&self.node_existence, &other.node_existence))
             + usize::from(Arc::ptr_eq(&self.edge_existence, &other.edge_existence))
-            + usize::from(Arc::ptr_eq(&self.node_rows_by_id_sorted, &other.node_rows_by_id_sorted))
-            + usize::from(Arc::ptr_eq(
-                &self.edge_rows_by_src_sorted,
-                &other.edge_rows_by_src_sorted,
-            ))
             + usize::from(Arc::ptr_eq(&self.node_row_live, &other.node_row_live))
             + usize::from(Arc::ptr_eq(&self.edge_row_live, &other.edge_row_live))
     }
@@ -299,19 +286,16 @@ impl GraphRelations {
     /// changed (including newly created objects) must appear in `touched`.  The
     /// rows of touched objects are retracted (tombstoned, see the field docs) and
     /// recomputed from `graph`; rows of untouched objects keep their indices and
-    /// content.  The key-sorted permutations are maintained by filtering the
-    /// retracted entries out of the old (still sorted) permutation and
-    /// [`SortedRelation::union_merge`]-ing the new rows in — no re-sort of the
-    /// surviving entries, no segment recomputation for untouched objects.  The
-    /// [`SchemaSummary`] memo is dropped, not maintained: the next reader of the
-    /// new version scans it.
+    /// content and are not recomputed.  The memo ([`SchemaSummary`], sorted
+    /// permutations) is dropped, not maintained: the next reader of the new
+    /// version computes what it asks for.
     pub fn apply_delta(&mut self, graph: &Itpg, touched: &[Object]) -> DeltaStats {
         debug_assert!(graph.num_nodes() >= self.node_names.len());
         debug_assert!(graph.num_edges() >= self.edge_names.len());
         let mut stats = DeltaStats::default();
-        // A new version: forget the summary without touching the old cell, which
+        // A new version: forget the memo without touching the old one, which
         // snapshots of the previous version still share.
-        self.schema = Arc::default();
+        self.memo = Arc::default();
         self.domain = graph.domain();
 
         // The columns are copy-on-write (see the struct docs): every write below
@@ -354,9 +338,6 @@ impl GraphRelations {
 
         let mut label_cache: HashMap<String, Arc<str>> = HashMap::new();
         let mut prop_name_cache: HashMap<String, Arc<str>> = HashMap::new();
-        // New permutation entries, accumulated as (key, interval, row) triples.
-        let mut new_by_node: Vec<(usize, Interval, u32)> = Vec::new();
-        let mut new_by_src: Vec<(usize, Interval, u32)> = Vec::new();
 
         if !touched_nodes.is_empty() {
             let nodes = Arc::make_mut(&mut self.nodes);
@@ -383,7 +364,6 @@ impl GraphRelations {
                     });
                     let row = nodes.len() as u32;
                     node_rows_by_id[n.index()].push(row);
-                    new_by_node.push((n.index(), segment, row));
                     nodes.push(NodeRow { node: n, label: label.clone(), props, interval: segment });
                     node_row_live.push(true);
                     stats.node_rows_added += 1;
@@ -423,7 +403,6 @@ impl GraphRelations {
                     edge_rows_by_id[e.index()].push(row);
                     edge_rows_by_src[src.index()].push(row);
                     edge_rows_by_tgt[tgt.index()].push(row);
-                    new_by_src.push((src.index(), segment, row));
                     edges.push(EdgeRow {
                         edge: e,
                         src,
@@ -437,33 +416,12 @@ impl GraphRelations {
                 }
             }
         }
-
-        // The permutations are only rebuilt for the relation that changed, so a
-        // node-only batch leaves the edge permutation shared with snapshots.
-        if stats.node_rows_added + stats.node_rows_retracted > 0 {
-            let nodes = &self.nodes;
-            self.node_rows_by_id_sorted = Arc::new(merge_permutation(
-                &self.node_rows_by_id_sorted,
-                &self.node_row_live,
-                new_by_node,
-                |r| (nodes[r as usize].node.index(), nodes[r as usize].interval),
-            ));
-        }
-        if stats.edge_rows_added + stats.edge_rows_retracted > 0 {
-            let edges = &self.edges;
-            self.edge_rows_by_src_sorted = Arc::new(merge_permutation(
-                &self.edge_rows_by_src_sorted,
-                &self.edge_row_live,
-                new_by_src,
-                |r| (edges[r as usize].src.index(), edges[r as usize].interval),
-            ));
-        }
         stats
     }
 
     /// The memo cell [`SchemaSummary::of`] reads and fills.
     pub(crate) fn schema_cell(&self) -> &OnceLock<Arc<SchemaSummary>> {
-        &self.schema
+        &self.memo.schema
     }
 
     /// The temporal domain of the graph.
@@ -553,16 +511,22 @@ impl GraphRelations {
         &self.edge_rows_by_tgt[node.index()]
     }
 
-    /// Row indices of the Nodes relation sorted by `(node id, interval start)`.  Read
-    /// only by the benchmark's merge kernels.
+    /// Live row indices of the Nodes relation sorted by `(node id, interval)`,
+    /// ties broken by row index.  Computed on the first call per version (see
+    /// the struct docs).  Read only by the benchmark's merge kernels.
     pub fn node_rows_sorted_by_id(&self) -> &[u32] {
-        &self.node_rows_by_id_sorted
+        self.memo.node_rows_sorted_by_id.get_or_init(|| {
+            sorted_permutation(&self.node_rows_by_id, |r| self.nodes[r as usize].interval)
+        })
     }
 
-    /// Row indices of the Edges relation sorted by `(source node, interval start)`.
-    /// Read only by the benchmark's merge kernels.
+    /// Live row indices of the Edges relation sorted by `(source node,
+    /// interval)`, ties broken by row index.  Computed on the first call per
+    /// version.  Read only by the benchmark's merge kernels.
     pub fn edge_rows_sorted_by_src(&self) -> &[u32] {
-        &self.edge_rows_by_src_sorted
+        self.memo.edge_rows_sorted_by_src.get_or_init(|| {
+            sorted_permutation(&self.edge_rows_by_src, |r| self.edges[r as usize].interval)
+        })
     }
 
     /// The coalesced existence intervals of an object.
@@ -613,32 +577,6 @@ impl GraphRelations {
     }
 }
 
-/// Maintains one key-sorted permutation across a delta: the surviving entries of
-/// the old permutation (which stay `(key, start)`-sorted — tombstoning preserves
-/// relative order) are [`SortedRelation::union_merge`]d with the sorted entries of
-/// the newly appended rows, so no re-sort of the old permutation is ever paid.
-fn merge_permutation(
-    old: &[u32],
-    live: &[bool],
-    mut added: Vec<(usize, Interval, u32)>,
-    key_of: impl Fn(u32) -> (usize, Interval),
-) -> Vec<u32> {
-    added.sort_unstable_by_key(|&(key, interval, row)| (key, interval, row));
-    let survivors: Vec<(usize, Interval, u32)> = old
-        .iter()
-        .filter(|&&row| live[row as usize])
-        .map(|&row| {
-            let (key, interval) = key_of(row);
-            (key, interval, row)
-        })
-        .collect();
-    let old_rel = SortedRelation::from_sorted(survivors)
-        .expect("surviving permutation entries stay key/start-sorted");
-    let new_rel =
-        SortedRelation::from_sorted(added).expect("freshly sorted entries satisfy the invariant");
-    old_rel.union_merge(new_rel).into_rows().into_iter().map(|(_, _, row)| row).collect()
-}
-
 /// Splits the lifetime of an object into maximal intervals during which none of its
 /// property values change, staying within its existence intervals.
 fn object_segments(graph: &Itpg, object: Object) -> Vec<Interval> {
@@ -664,7 +602,7 @@ fn object_segments(graph: &Itpg, object: Object) -> Vec<Interval> {
 }
 
 /// Flattens per-key adjacency lists (indexed by ascending key) into one key-sorted
-/// row permutation, ordering each key group by interval start and then row index.
+/// row permutation, ordering each key group by interval and then row index.
 fn sorted_permutation<F: Fn(u32) -> Interval>(by_key: &[Vec<u32>], interval: F) -> Vec<u32> {
     let mut out = Vec::with_capacity(by_key.iter().map(Vec::len).sum());
     for rows in by_key {
@@ -863,7 +801,7 @@ mod tests {
         let mut itpg = sample();
         let mut rel = GraphRelations::from_itpg(&itpg);
         let pinned = rel.snapshot();
-        assert_eq!(pinned.shared_columns(&rel), 14, "a fresh snapshot shares every column");
+        assert_eq!(pinned.shared_columns(&rel), 12, "a fresh snapshot shares every column");
 
         // An edge-only batch must not copy any node column: the writer diverges
         // the edge storage while the snapshot keeps the old version.
@@ -874,8 +812,8 @@ mod tests {
         rel.apply_delta(&itpg, &applied.touched);
 
         let shared = pinned.shared_columns(&rel);
-        assert!(shared < 14, "the edge columns must have diverged");
-        assert!(shared >= 6, "the six node columns (and edge names) must still be shared");
+        assert!(shared < 12, "the edge columns must have diverged");
+        assert!(shared >= 6, "the five node columns and the edge names must still be shared");
         // The pinned snapshot is immutable: it still shows the pre-batch state,
         // while the live relations show the post-batch state.
         assert_eq!(pinned.canonical_snapshot(), before);
@@ -886,7 +824,49 @@ mod tests {
         // (unique ownership — no second copy), and a fresh snapshot re-shares.
         drop(pinned);
         let again = rel.snapshot();
-        assert_eq!(again.shared_columns(&rel), 14);
+        assert_eq!(again.shared_columns(&rel), 12);
+    }
+
+    /// The rows a relations value lists through its two permutations, in order.
+    fn permuted_rows(rel: &GraphRelations) -> (Vec<NodeRow>, Vec<EdgeRow>) {
+        let nodes = rel.node_rows_sorted_by_id().iter().map(|&r| &rel.node_rows()[r as usize]);
+        let edges = rel.edge_rows_sorted_by_src().iter().map(|&r| &rel.edge_rows()[r as usize]);
+        (nodes.cloned().collect(), edges.cloned().collect())
+    }
+
+    #[test]
+    fn permutations_are_memoised_per_version() {
+        let mut itpg = sample();
+        let mut rel = GraphRelations::from_itpg(&itpg);
+        // Read before the delta, so the version being replaced has a filled memo
+        // that the snapshot shares.
+        let before =
+            (rel.node_rows_sorted_by_id().to_vec(), rel.edge_rows_sorted_by_src().to_vec());
+        let pinned = rel.snapshot();
+        assert!(std::ptr::eq(pinned.node_rows_sorted_by_id(), rel.node_rows_sorted_by_id()));
+        assert!(std::ptr::eq(pinned.edge_rows_sorted_by_src(), rel.edge_rows_sorted_by_src()));
+
+        let mut batch = tgraph::Batch::new(1);
+        batch
+            .set_property("n1", "risk", "high", iv(6, 9))
+            .add_node("n0", "Person")
+            .add_existence("n0", iv(2, 8))
+            .add_edge("e0", "meets", "n0", "n1")
+            .add_existence("e0", iv(4, 5))
+            .add_existence("e1", iv(8, 8));
+        let applied = itpg.apply_batch(&batch).unwrap();
+        rel.apply_delta(&itpg, &applied.touched);
+
+        // The snapshot keeps the permutations of its own version …
+        assert_eq!(pinned.node_rows_sorted_by_id(), before.0);
+        assert_eq!(pinned.edge_rows_sorted_by_src(), before.1);
+        // … and the new version lists the rows a bulk load of the new graph lists.
+        assert_delta_invariants(&rel);
+        assert_eq!(permuted_rows(&rel), permuted_rows(&GraphRelations::from_itpg(&itpg)));
+        assert!(std::ptr::eq(
+            rel.node_rows_sorted_by_id(),
+            rel.snapshot().node_rows_sorted_by_id()
+        ));
     }
 
     #[test]

@@ -12,23 +12,24 @@
 
 use tgraph::Time;
 
-use crate::bindings::{Binding, BindingTable};
+use crate::bindings::Binding;
 use crate::chain::Chain;
 use crate::plan::{EnginePlan, TemporalLink};
 
-/// Expands the chains produced by a plan into binding rows and appends them to the
-/// table.  What depends on the plan alone is worked out once, and the per-chain
-/// state borrows from the chain, so a chain costs no allocation beyond its rows.
+/// Expands the chains produced by a plan into binding rows of `num_slots`
+/// bindings each and appends them to `rows`.  What depends on the plan alone is
+/// worked out once, and the per-chain state borrows from the chain, so a chain
+/// costs no allocation beyond its rows.
 pub fn expand_chains(
     plan: &EnginePlan,
     num_slots: usize,
     chains: &[Chain],
-    table: &mut BindingTable,
+    rows: &mut Vec<Vec<Binding>>,
 ) {
     let lag_indices = plan.lag_indices();
     let mut times: Vec<Time> = Vec::with_capacity(plan.segments.len());
     for chain in chains {
-        expand_chain(plan, &lag_indices, num_slots, chain, &mut times, table);
+        expand_chain(plan, &lag_indices, num_slots, chain, &mut times, rows);
     }
 }
 
@@ -39,14 +40,14 @@ pub fn expand_chains(
 /// instead of sorting their concatenation.
 pub fn expand_chunk_sorted(
     plan: &EnginePlan,
-    columns: &[String],
     num_slots: usize,
     chains: &[Chain],
-) -> Vec<Vec<crate::bindings::Binding>> {
-    let mut partial = BindingTable::new(columns.to_vec());
-    expand_chains(plan, num_slots, chains, &mut partial);
-    partial.sort_dedup();
-    partial.into_rows()
+) -> Vec<Vec<Binding>> {
+    let mut rows = Vec::new();
+    expand_chains(plan, num_slots, chains, &mut rows);
+    rows.sort_unstable();
+    rows.dedup();
+    rows
 }
 
 fn expand_chain(
@@ -55,7 +56,7 @@ fn expand_chain(
     num_slots: usize,
     chain: &Chain,
     times: &mut Vec<Time>,
-    table: &mut BindingTable,
+    rows: &mut Vec<Vec<Binding>>,
 ) {
     if plan.is_purely_structural() {
         // All bindings share the chain's final interval, interpreted snapshot-wise.
@@ -67,7 +68,7 @@ fn expand_chain(
             };
             row.push(Binding::over_interval(var.object, chain.interval));
         }
-        table.push_row(row);
+        rows.push(row);
         return;
     }
 
@@ -75,7 +76,7 @@ fn expand_chain(
     // need a feasibility check.
     let last_bound_segment = chain.bound.iter().map(|b| b.segment as usize).max().unwrap_or(0);
     let ctx = Expansion { plan, chain, lag_indices, last_bound_segment };
-    enumerate(&ctx, num_slots, 0, times, table);
+    enumerate(&ctx, num_slots, 0, times, rows);
 }
 
 /// The per-chain context of one point expansion.
@@ -128,7 +129,7 @@ fn enumerate(
     num_slots: usize,
     segment: usize,
     times: &mut Vec<Time>,
-    table: &mut BindingTable,
+    rows: &mut Vec<Vec<Binding>>,
 ) {
     if segment > ctx.last_bound_segment {
         // All remaining segments are unbound: check that a consistent completion
@@ -137,7 +138,7 @@ fn enumerate(
         debug_assert!(!times.is_empty(), "at least one segment enumerated");
         if let Some(&last) = times.last() {
             if feasible(ctx, segment, last) {
-                emit_row(ctx.chain, num_slots, times, table);
+                emit_row(ctx.chain, num_slots, times, rows);
             }
         }
         return;
@@ -148,9 +149,9 @@ fn enumerate(
         }
         times.push(t);
         if segment == ctx.last_bound_segment && segment + 1 >= ctx.segments() {
-            emit_row(ctx.chain, num_slots, times, table);
+            emit_row(ctx.chain, num_slots, times, rows);
         } else {
-            enumerate(ctx, num_slots, segment + 1, times, table);
+            enumerate(ctx, num_slots, segment + 1, times, rows);
         }
         times.pop();
     }
@@ -167,7 +168,7 @@ fn feasible(ctx: &Expansion<'_>, segment: usize, previous: Time) -> bool {
         .any(|t| ctx.link_admits(segment, previous, t) && feasible(ctx, segment + 1, t))
 }
 
-fn emit_row(chain: &Chain, num_slots: usize, times: &[Time], table: &mut BindingTable) {
+fn emit_row(chain: &Chain, num_slots: usize, times: &[Time], rows: &mut Vec<Vec<Binding>>) {
     let mut row = Vec::with_capacity(num_slots);
     for slot in 0..num_slots {
         let Some(var) = chain.bound.iter().find(|b| b.slot as usize == slot) else {
@@ -176,7 +177,7 @@ fn emit_row(chain: &Chain, num_slots: usize, times: &[Time], table: &mut Binding
         };
         row.push(Binding::at_point(var.object, times[var.segment as usize]));
     }
-    table.push_row(row);
+    rows.push(row);
 }
 
 #[cfg(test)]
@@ -213,6 +214,14 @@ mod tests {
         Object::Node(NodeId(0))
     }
 
+    /// The sorted, deduplicated `(x, y)` time points one chain expands to.
+    fn point_pairs(plan: &EnginePlan, chain: Chain) -> Vec<(Time, Time)> {
+        expand_chunk_sorted(plan, 2, &[chain])
+            .iter()
+            .map(|r| (r[0].time.as_point().unwrap(), r[1].time.as_point().unwrap()))
+            .collect()
+    }
+
     #[test]
     fn structural_chains_keep_interval_bindings() {
         let chain = Chain {
@@ -223,11 +232,11 @@ mod tests {
             position: Position::NodeRow(0),
             interval: iv(2, 5),
         };
-        let mut table = BindingTable::new(vec!["x".into()]);
-        expand_chains(&structural_plan(), 1, &[chain], &mut table);
-        assert_eq!(table.len(), 1);
-        assert_eq!(table.rows()[0][0].time, TimeRef::Interval(iv(2, 5)));
-        assert_eq!(table.point_tuple_count(), 4);
+        let mut rows = Vec::new();
+        expand_chains(&structural_plan(), 1, &[chain], &mut rows);
+        assert_eq!(rows.len(), 1);
+        assert_eq!(rows[0][0].time, TimeRef::Interval(iv(2, 5)));
+        assert_eq!(rows[0][0].time.num_points(), 4);
     }
 
     #[test]
@@ -246,14 +255,7 @@ mod tests {
             interval: iv(5, 9),
         };
         let plan = shifted_plan(Shift { forward: true, min: 2, max: Some(4) });
-        let mut table = BindingTable::new(vec!["x".into(), "y".into()]);
-        expand_chains(&plan, 2, &[chain], &mut table);
-        table.sort_dedup();
-        let pairs: Vec<(Time, Time)> = table
-            .rows()
-            .iter()
-            .map(|r| (r[0].time.as_point().unwrap(), r[1].time.as_point().unwrap()))
-            .collect();
+        let pairs = point_pairs(&plan, chain);
         // Valid pairs: t0 in [3,4], t1 in [5,9], t1 - t0 in [2,4].
         let expected: Vec<(Time, Time)> = (3..=4u64)
             .flat_map(|t0| (5..=9u64).map(move |t1| (t0, t1)))
@@ -277,12 +279,10 @@ mod tests {
             interval: iv(8, 9),
         };
         let plan = shifted_plan(Shift { forward: true, min: 0, max: Some(2) });
-        let mut table = BindingTable::new(vec!["x".into()]);
-        expand_chains(&plan, 1, &[chain], &mut table);
-        table.sort_dedup();
+        let rows = expand_chunk_sorted(&plan, 1, &[chain]);
         // Only departure times 6, 7 … wait: departures are [0,6] and arrivals [8,9]
         // with a maximum shift of 2, so only t0 = 6 (→ 8) is feasible.
-        let times: Vec<Time> = table.rows().iter().map(|r| r[0].time.as_point().unwrap()).collect();
+        let times: Vec<Time> = rows.iter().map(|r| r[0].time.as_point().unwrap()).collect();
         assert_eq!(times, vec![6]);
     }
 
@@ -300,15 +300,7 @@ mod tests {
             interval: iv(2, 6),
         };
         let plan = shifted_plan(Shift { forward: false, min: 1, max: Some(1) });
-        let mut table = BindingTable::new(vec!["x".into(), "y".into()]);
-        expand_chains(&plan, 2, &[chain], &mut table);
-        table.sort_dedup();
-        let pairs: Vec<(Time, Time)> = table
-            .rows()
-            .iter()
-            .map(|r| (r[0].time.as_point().unwrap(), r[1].time.as_point().unwrap()))
-            .collect();
-        assert_eq!(pairs, vec![(7, 6)]);
+        assert_eq!(point_pairs(&plan, chain), vec![(7, 6)]);
     }
 
     #[test]
@@ -326,16 +318,8 @@ mod tests {
             position: Position::NodeRow(0),
             interval: iv(6, 7),
         };
-        let mut table = BindingTable::new(vec!["x".into(), "y".into()]);
-        expand_chains(&closure_plan(), 2, &[chain], &mut table);
-        table.sort_dedup();
-        let pairs: Vec<(Time, Time)> = table
-            .rows()
-            .iter()
-            .map(|r| (r[0].time.as_point().unwrap(), r[1].time.as_point().unwrap()))
-            .collect();
         // t0 in [3,5], t1 in [6,7], t1 − t0 in [2,3].
-        assert_eq!(pairs, vec![(3, 6), (4, 6), (4, 7), (5, 7)]);
+        assert_eq!(point_pairs(&closure_plan(), chain), vec![(3, 6), (4, 6), (4, 7), (5, 7)]);
 
         // A negative lag (backward navigation inside the closure).
         let backward = Chain {
@@ -349,14 +333,6 @@ mod tests {
             position: Position::NodeRow(0),
             interval: iv(3, 5),
         };
-        let mut table = BindingTable::new(vec!["x".into(), "y".into()]);
-        expand_chains(&closure_plan(), 2, &[backward], &mut table);
-        table.sort_dedup();
-        let pairs: Vec<(Time, Time)> = table
-            .rows()
-            .iter()
-            .map(|r| (r[0].time.as_point().unwrap(), r[1].time.as_point().unwrap()))
-            .collect();
-        assert_eq!(pairs, vec![(6, 4), (7, 5)]);
+        assert_eq!(point_pairs(&closure_plan(), backward), vec![(6, 4), (7, 5)]);
     }
 }

@@ -112,14 +112,14 @@ impl QueryState {
             match seeding_hops(&bounds) {
                 Some(_) => {
                     for (node, group) in group_by_seed_node(graph, chains) {
-                        let rows = expand_group(plan, &plan_set.variables, num_slots, &group);
+                        let rows = expand_group(plan, num_slots, &group);
                         if !rows.is_empty() {
                             cache.by_seed.insert(node, rows);
                         }
                     }
                 }
                 None => {
-                    cache.full = expand_group(plan, &plan_set.variables, num_slots, &chains);
+                    cache.full = expand_group(plan, num_slots, &chains);
                 }
             }
             plans.push(cache);
@@ -188,7 +188,7 @@ impl QueryState {
                     cache.by_seed.clear();
                     let chains =
                         run_plan_seeded(plan, graph, &graph.seed_rows(), parallelism, &step_stats);
-                    cache.full = expand_group(plan, &self.plan_set.variables, num_slots, &chains);
+                    cache.full = expand_group(plan, num_slots, &chains);
                 }
                 Some(hops) => {
                     let affected = affected_nodes(itpg, &touched, hops);
@@ -202,9 +202,7 @@ impl QueryState {
                     let mut recomputed = group_by_seed_node(graph, chains);
                     for &node in &affected {
                         let rows = match recomputed.remove(&node.0) {
-                            Some(group) => {
-                                expand_group(plan, &self.plan_set.variables, num_slots, &group)
-                            }
+                            Some(group) => expand_group(plan, num_slots, &group),
                             None => Vec::new(),
                         };
                         if rows.is_empty() {
@@ -261,13 +259,12 @@ fn group_by_seed_node(
 /// Step 3 for one group of chains: expansion into (unsorted) binding rows.
 fn expand_group(
     plan: &EnginePlan,
-    variables: &[String],
     num_slots: usize,
     chains: &[engine::chain::Chain],
 ) -> Vec<Vec<Binding>> {
-    let mut partial = BindingTable::new(variables.to_vec());
-    expand_chains(plan, num_slots, chains, &mut partial);
-    partial.into_rows()
+    let mut rows = Vec::new();
+    expand_chains(plan, num_slots, chains, &mut rows);
+    rows
 }
 
 /// The nodes whose seeds a delta touching `touched` can have affected, for a
