@@ -1,7 +1,6 @@
 //! Shared helpers for the benchmark harness: the closure workload queries, JSON
-//! rendering and a peak-memory probe, read by `tpath-bench`, `tpath-serve` and the
-//! workspace analyzer (`crates/check`).  The paper's experiments live in the
-//! `paper` binary.
+//! rendering and a peak-memory probe, read by `tpath-bench` and the workspace
+//! analyzer (`crates/check`).  The paper's experiments live in the `paper` binary.
 
 pub mod json;
 

@@ -4,13 +4,13 @@
 //! rows; within a worker, a plan without fixpoints takes its seeds through Steps 1–2
 //! in batches (`SEED_BATCH`) so the intermediate vectors stay small — and so the
 //! first batch can tell the rest what the plan is like: when it throws most of its
-//! traversals away at a later filter, the remaining batches run under backward
-//! viability masks (`viability_gate`, [`crate::steps::viability`]).  A plan with a
-//! fixpoint runs one batch per worker and has no sample; it runs masked, fixpoints
-//! included, when the filter its masks would anchor on is selective
-//! (`fixpoint_gate`).  Inside a batch a match is a fixed-width [`Cursor`] writing
-//! its history to the batch's [`Trail`]; the owned [`Chain`]s everything downstream
-//! consumes are built at the end of the batch, for the cursors that survived it.
+//! traversals away at a later filter, the remaining batches may run under backward
+//! viability masks ([`crate::steps::viability`]).  A plan with a fixpoint runs one
+//! batch per worker and has no sample.  Either way masks are built only when the
+//! filter they would anchor on is selective (`viability_gate`), fixpoints included.
+//! Inside a batch a match is a fixed-width [`Cursor`] writing its history to the
+//! batch's [`Trail`]; the owned [`Chain`]s everything downstream consumes are built
+//! at the end of the batch, for the cursors that survived it.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
@@ -202,7 +202,6 @@ impl IntervalPhase {
         m.hop_cursors.add(self.step_stats.hop_cursors.load(Ordering::Relaxed) as u64);
         for (counter, count) in [
             (&m.viability_built, &self.step_stats.viability_built),
-            (&m.viability_abandoned, &self.step_stats.viability_abandoned),
             (&m.viability_skipped, &self.step_stats.viability_skipped),
             (&m.viability_rows, &self.step_stats.viability_rows_visited),
         ] {
@@ -371,11 +370,11 @@ const SEED_BATCH: usize = 1024;
 ///
 /// A plan with a fixpoint keeps each worker's seeds together — the closures seed
 /// once per distinct start state of the batch they are handed — under the masks
-/// [`fixpoint_gate`] builds on the calling thread, if any; seeds that fit one batch
+/// [`viability_gate`] builds on the calling thread, if any; seeds that fit one batch
 /// stay together too, unmasked.  Anything else runs its first batch on the calling
-/// thread as the *sample* [`viability_gate`] reads, then the rest, batch by batch
-/// across the workers, under whatever masks the gate built.  Masks never change the
-/// chains or their order, which is by seed whatever the batching.
+/// thread as the *sample* that sets the gate's scan limit, then the rest, batch by
+/// batch across the workers, under whatever masks the gate built.  Masks never
+/// change the chains or their order, which is by seed whatever the batching.
 pub(crate) fn run_plan_batched(
     plan: &EnginePlan,
     graph: &GraphRelations,
@@ -393,7 +392,7 @@ pub(crate) fn run_plan_batched(
         })
     };
     if plan.has_fixpoint() {
-        return one_batch_each(fixpoint_gate(plan, graph, stats).as_ref());
+        return one_batch_each(viability_gate(plan, graph, usize::MAX, stats).as_ref());
     }
     if seed_rows.len() <= batch_len {
         return one_batch_each(None);
@@ -404,8 +403,10 @@ pub(crate) fn run_plan_batched(
     run_batch(plan, graph, sample, None, &sample_stats, &mut chains);
     let traversals = sample_stats.hop_cursors.load(Ordering::Relaxed);
     stats.hop_cursors.fetch_add(traversals, Ordering::Relaxed);
-    let remaining_batches = rest.len().div_ceil(batch_len);
-    let viability = viability_gate(plan, graph, traversals, chains.len(), remaining_batches, stats);
+    let waste = traversals.saturating_sub(chains.len() * plan.hop_count());
+    let scan_limit =
+        if 2 * waste > traversals { waste * rest.len().div_ceil(batch_len) } else { 0 };
+    let viability = viability_gate(plan, graph, scan_limit, stats);
     // Hop joins stay counted as the one batch all of them stand for: a
     // fixpoint-free pipeline runs a prefix of its hops on every batch, one batch
     // of every seed would have run the longest of them.
@@ -433,93 +434,51 @@ pub(crate) fn run_plan_batched(
     chains
 }
 
-/// Decides, from what the sample batch did, whether the remaining batches of a
-/// plan run under backward viability masks ([`crate::steps::viability`]), and
-/// builds them if so.  There is no option: the inputs are the sample's counters,
-/// the plan and the number of batches left.
+/// Decides whether Steps 1–2 of a plan run under backward viability masks
+/// ([`crate::steps::viability`]), builds them if so, and counts the outcome — built
+/// or skipped — with the rows the backward pass visited.  There is no option: the
+/// inputs are the plan, the graph, and `scan_limit`, the most live rows the pass may
+/// scan for its anchor.  Masks are all or nothing: the pass either reads no row,
+/// stops after the scan, or walks back to the seeds.
 ///
-/// *Waste.*  A survivor went through every hop of the plan, so of the sample's
-/// `traversals` (hop outputs) `survivors × hops` were useful and the rest were
-/// thrown away by a later filter.  On a G6 graph (26 792 node rows, 27 batches)
-/// the sample wastes nothing for Q1–Q4 and Q6, which make no hops, ≈ 83 % of
-/// Q5's traversals and ≥ 97 % of Q9–Q12's.
+/// *Anchor: at most half of its relation's live rows, for every plan.*  A mask
+/// removes only rows from which the anchor cannot be reached, so an anchor that
+/// keeps most rows cannot remove most of the work (argued beside the rule in
+/// [`crate::steps::viability`]).  The benchmark's anchors sit far from the line:
+/// the masked ones keep ≈ 18 % of the node rows (Q5: high-risk persons) or
+/// ≈ 1–2 % (Q9–Q12 and RECUR: positive tests); REACH's `(y:Person)` keeps 98 % and
+/// stops after a ≈ 0.04 ms scan.
 ///
-/// *Threshold: one half.*  A mask removes wasted traversals only, so below one
-/// half it cannot even halve the work, while the backward pass reads the same
-/// row structs through the same indexes as the forward pass it prunes.  Q5 sits
-/// closest to the line of the queries measured: at ≈ 83 % waste its backward pass
-/// costs about what it saves forward, 296 k rows visited for 227 k traversals
-/// removed, and Steps 1–2 still go from 24.4 to 11.6 ms — a visit is a bit test
-/// and an interval comparison, a wasted traversal also writes a cursor and takes
-/// it through the next filter.
+/// *Scan limit.*  A plan with a fixpoint runs one batch per worker, so there is no
+/// sample to read: it passes `usize::MAX`, and its masks reach inside its closures.
+/// A fixpoint-free plan passes what its sample batch says the remaining batches
+/// will waste.  A survivor went through every hop of the plan, so of the sample's
+/// traversals (hop outputs) `survivors × hops` were useful and the rest were thrown
+/// away by a later filter.  A mask removes wasted traversals only, so a sample that
+/// wastes at most half cannot even halve the work, and the limit is 0.  Otherwise
+/// it is `waste × remaining_batches`: a row the scan reads and a traversal the
+/// forward pass wastes both cost one row-struct read (≈ 85–120 ns at G6), so the
+/// expected waste must pay for the scan.  On a G6 graph (26 792 node rows, 27
+/// batches) the sample wastes nothing for Q1–Q4 and Q6, which make no hops,
+/// ≈ 83 % of Q5's traversals and ≥ 97 % of Q9–Q12's; Q7 and Q8 start on
+/// `test = 'pos'` and waste most of a sample of ≈ 50–110 traversals — a limit of
+/// 1–2 k rows against a 26 792-row scan, refused without reading a row.
 ///
-/// *Budget: one row visit per wasted traversal.*  A row the backward pass visits
-/// and a traversal the forward pass wastes both cost one row-struct read
-/// (≈ 85–120 ns at G6), so the pass may visit as many rows as the remaining
-/// batches are expected to waste, `waste × remaining_batches`, and no more: at
-/// worst a masked run reads about twice what the unmasked one would have, and
-/// usually far less (Q11: 157 k visits for 321 k traversals removed, 47.8 →
-/// 7.4 ms).  The dense scan counts against the budget, which is what keeps a plan
-/// seeded from its selective end unmasked: Q7 and Q8 start on `test = 'pos'` and
-/// waste most of a sample of ≈ 50–110 traversals — a budget of 1–2 k rows against
-/// a 26 792-row scan, refused before it starts.
+/// *No budget.*  Once the scan is read the walk goes on to the seeds, because a row
+/// crosses each plan step at most once — a hop or a shift reverses each row of its
+/// landing mask and adds each row it finds once (`from.contains`), a closure's
+/// semi-naive walk reverses only what has not yet `crossed` a body step — so a
+/// finished walk costs a fixed number of passes over the relations, however many
+/// traversals the forward pass would make.
 fn viability_gate(
     plan: &EnginePlan,
     graph: &GraphRelations,
-    traversals: usize,
-    survivors: usize,
-    remaining_batches: usize,
+    scan_limit: usize,
     stats: &StepStats,
 ) -> Option<Viability> {
-    let waste = traversals.saturating_sub(survivors * plan.hop_count());
-    let outcome = if 2 * waste > traversals {
-        Viability::build(plan, graph, waste * remaining_batches, |_, _| true)
-    } else {
-        Err(0)
-    };
-    counted(outcome, stats)
-}
-
-/// Decides whether a plan with a fixpoint runs under backward viability masks
-/// ([`crate::steps::viability`]), which then reach inside its closures, and builds
-/// them if so.  Such a plan runs one batch per worker, so there is no sample to
-/// read: the inputs are the plan and the dense scan of the filter the masks would
-/// anchor on, and the masks are built once, here, and shared by every worker.
-///
-/// *Rule: the anchor keeps at most half of its relation's live rows.*  A mask
-/// removes a state only if its row is not viable, and the rows the scan keeps are
-/// viable by definition — the closure adds to them whatever reaches them — so an
-/// anchor that keeps most rows cannot remove most of the work, while the backward
-/// fixpoint still reads every row it keeps through the same indexes as the forward
-/// one.  The benchmark's two fixpoint plans sit far from the line on either side.
-/// RECUR ends on `({test = 'pos'})`, 0.7–1.5 % of the ≈ 5 400 node rows of a G2
-/// graph: its masks take RECUR's Steps 1–2 over `closure-g2`'s 24 seed-42 graphs
-/// from 2 122 to 849 ms on one thread and the closure's sources from every
-/// high-risk row to 9–109 per graph, for backward passes of 6.5–37 k row visits
-/// (the scan included) and 0.07–0.76 ms each.  REACH ends on `(y:Person)`, 98 %,
-/// and stops after the scan: ≈ 0.04 ms against the ≈ 2 ms REACH takes.  No
-/// budget: the backward fixpoint visits each row at most once per step of a
-/// closure body, so its cost is bounded by the graph, not by how often the
-/// forward fixpoint would iterate.
-fn fixpoint_gate(
-    plan: &EnginePlan,
-    graph: &GraphRelations,
-    stats: &StepStats,
-) -> Option<Viability> {
-    counted(Viability::build(plan, graph, usize::MAX, anchor_is_selective), stats)
-}
-
-/// [`fixpoint_gate`]'s rule: the anchor scan kept at most half of the `live` rows.
-pub(crate) fn anchor_is_selective(kept: usize, live: usize) -> bool {
-    2 * kept <= live
-}
-
-/// Counts a gate's outcome — built, abandoned part-way or skipped — and the rows
-/// its backward pass visited, and hands back the masks it left in force.
-fn counted(outcome: Result<Viability, usize>, stats: &StepStats) -> Option<Viability> {
+    let outcome = Viability::build(plan, graph, scan_limit);
     let (counter, visited) = match &outcome {
-        Ok(built) if built.complete => (&stats.viability_built, built.rows_visited),
-        Ok(built) => (&stats.viability_abandoned, built.rows_visited),
+        Ok(built) => (&stats.viability_built, built.rows_visited),
         Err(visited) => (&stats.viability_skipped, *visited),
     };
     counter.fetch_add(1, Ordering::Relaxed);
@@ -861,10 +820,9 @@ mod tests {
         crate::compiler::compile(&trpq::parser::parse_match(text).unwrap()).unwrap().plans
     }
 
-    /// `(passes that left masks in force, gate outcomes of any kind)`.
+    /// `(passes that built masks, gate outcomes of any kind)`.
     fn viability_outcomes(stats: &StepStats) -> (usize, usize) {
-        let masked = stats.viability_built.load(Ordering::Relaxed)
-            + stats.viability_abandoned.load(Ordering::Relaxed);
+        let masked = stats.viability_built.load(Ordering::Relaxed);
         (masked, masked + stats.viability_skipped.load(Ordering::Relaxed))
     }
 
@@ -916,6 +874,23 @@ mod tests {
         // Only the query ending on the rare filter wastes more than half its sample.
         assert_eq!(masked_queries.len(), 1);
         assert!(masked_queries[0].ends_with("({test = 'pos'}) ON g"));
+    }
+
+    #[test]
+    fn a_wasteful_sample_behind_an_unselective_anchor_is_skipped_after_the_scan() {
+        let g = ring(2 * SEED_BATCH + 300);
+        let seeds = g.seed_rows();
+        // Every edge of the ring is a meeting, so the sample throws all its
+        // traversals away at `:visits` — but the anchor, `(y:Person)`, keeps every
+        // node row.
+        let plan = &plans("MATCH (x:Person)-[z:visits]->(y:Person) ON g")[0];
+        let stats = StepStats::default();
+        let chains = run_plan_seeded(plan, &g, &seeds, Parallelism::sequential(), &stats);
+        assert!(chains.is_empty());
+        assert!(stats.hop_cursors.load(Ordering::Relaxed) > 0, "every traversal is wasted");
+        assert_eq!(viability_outcomes(&stats), (0, 1));
+        let visited = stats.viability_rows_visited.load(Ordering::Relaxed);
+        assert_eq!(visited, g.stats().temporal_nodes, "the scan and nothing else");
     }
 
     /// A hand-built contact graph of 36 persons and three rooms, small enough to
@@ -1035,7 +1010,7 @@ mod tests {
     }
 
     /// `closure-g2`'s two plans — REACH also ending on RECUR's rare filter — and
-    /// whether [`fixpoint_gate`] masks them.
+    /// whether [`viability_gate`] masks them.
     const FIXPOINTS: [(&str, bool); 3] = [
         ("MATCH (x:Person {risk = 'high'})-/(FWD/:meets/FWD)*/-({test = 'pos'}) ON g", true),
         (
@@ -1078,36 +1053,6 @@ mod tests {
             }
         }
         assert_eq!(pruned.map(|graphs| graphs > 0), [true, true, false], "{pruned:?}");
-    }
-
-    #[test]
-    fn a_backward_pass_cut_short_at_any_row_leaves_the_run_exact() {
-        let g = contact(0);
-        let seeds = g.seed_rows();
-        for id in [QueryId::Q9, QueryId::Q11] {
-            let plan = &crate::queries::plan_for(id).plans[0];
-            let run = |viability: Option<&Viability>| {
-                let (mut chains, stats) = (Vec::new(), StepStats::default());
-                run_batch(plan, &g, &seeds, viability, &stats, &mut chains);
-                (chains, stats.hop_cursors.load(Ordering::Relaxed))
-            };
-            let (expected, unmasked) = run(None);
-            assert!(!expected.is_empty(), "{}", id.name());
-            let full =
-                Viability::build(plan, &g, usize::MAX, |_, _| true).expect("anchored on the end");
-            assert!(full.complete);
-            let (mut partial, mut fewest) = (0, unmasked);
-            for budget in 0..=full.rows_visited {
-                let viability = Viability::build(plan, &g, budget, |_, _| true).ok();
-                let (chains, traversals) = run(viability.as_ref());
-                assert_eq!(chains, expected, "{} at budget {budget}", id.name());
-                assert!(traversals <= unmasked);
-                fewest = fewest.min(traversals);
-                partial += usize::from(viability.is_some_and(|v| !v.complete));
-            }
-            assert!(partial > 0, "some budgets must end the pass part-way");
-            assert!(fewest < unmasked, "the masks must have removed traversals");
-        }
     }
 
     #[test]

@@ -34,19 +34,15 @@ pub struct StepStats {
     /// count the traversals they made, not the ones the masks spared them.
     pub hop_cursors: AtomicUsize,
     /// Backward viability passes ([`viability`]) that walked the whole plan back to
-    /// its seeds.  This and the three counters below move once per
+    /// its seeds.  This and the two counters below move once per
     /// `run_plan_seeded` call that takes a fixpoint-free plan through more than one
     /// seed batch, and once per call of a plan with a fixpoint — never per row —
-    /// and exactly one of the three outcomes moves.
+    /// and exactly one of the two outcomes moves.
     pub viability_built: AtomicUsize,
-    /// Backward passes that ran out of their budget part-way: the masks nearest the
-    /// plan's selective end (at least the scanned one) were in force, the steps
-    /// before them ran unmasked.
-    pub viability_abandoned: AtomicUsize,
-    /// Calls whose sample batch did not ask for a backward pass (it wasted at most
-    /// half its traversals), or asked for one its budget could not start, and
-    /// calls of a plan with a fixpoint whose anchor keeps more than half its
-    /// relation's rows (after the scan that found out).
+    /// Calls that ran unmasked: the plan has no selective filter to anchor on, or a
+    /// closure the walk cannot follow; the sample batch wasted at most half its
+    /// traversals, or too few to pay for the anchor's scan; or the scan found the
+    /// anchor keeps more than half its relation's live rows.
     pub viability_skipped: AtomicUsize,
     /// Row indices the backward passes looked at.
     pub viability_rows_visited: AtomicUsize,

@@ -38,10 +38,10 @@
 //! * the pass only follows the indexes, which hold no tombstoned row, and its one
 //!   dense scan skips dead rows.
 //!
-//! Nothing here is kept: the executor builds the masks of one plan inside one
-//! `run_plan_seeded` call — when its sample batch says a fixpoint-free plan wastes its
-//! traversals, or when the anchor of a plan with a fixpoint is selective, see the
-//! gates there — and drops them with it.
+//! Masks are all or nothing: a pass that starts walks back to the seeds, and its cost
+//! is bounded by the graph — a row crosses each plan step at most once.  Nothing here
+//! is kept: the executor builds the masks of one plan inside one `run_plan_seeded`
+//! call, under the scan limit its gate sets, and drops them with it.
 
 use tgraph::{Interval, Object};
 
@@ -205,25 +205,23 @@ pub(crate) struct Viability {
     /// Row indices the pass looked at: the live rows of its dense scan plus every
     /// set bit it reversed and every adjacent row it tested.
     pub(crate) rows_visited: usize,
-    /// False if the budget ran out before the pass reached the seeds.  The masks
-    /// built until then — the ones nearest the selective end, at least the scanned
-    /// one — stay in force; the steps before them are unconstrained.
-    pub(crate) complete: bool,
 }
 
 impl Viability {
-    /// Walks `plan` backwards from its last selective filter, visiting at most
-    /// `budget` rows, if `selective(kept, live)` accepts the rows that filter keeps
-    /// of the live rows of its relation.  `Err` carries the rows visited when the
-    /// pass builds nothing: the plan has no filter that selects rows, a closure body
-    /// that does not return to the kind of row it started on or that nests another
-    /// closure, a budget that does not cover the dense scan, or an anchor
-    /// `selective` refuses.
+    /// Walks `plan` backwards from its last selective filter — the *anchor* — to its
+    /// seeds, leaving a mask at every step.  `Err` carries the rows visited when the
+    /// pass builds nothing:
+    ///
+    /// * `Err(0)`, reading no row, when the plan has no filter that selects rows, a
+    ///   closure body that does not return to the kind of row it started on or that
+    ///   nests another closure, or an anchor whose relation has more than
+    ///   `scan_limit` live rows;
+    /// * `Err(live)`, after the dense scan of those `live` rows, when the anchor keeps
+    ///   more than half of them ([`anchor_is_selective`]).
     pub(crate) fn build(
         plan: &EnginePlan,
         graph: &GraphRelations,
-        budget: usize,
-        selective: impl Fn(usize, usize) -> bool,
+        scan_limit: usize,
     ) -> Result<Self, usize> {
         if !plan.closures().all(keeps_row_kind) {
             return Err(0);
@@ -236,82 +234,60 @@ impl Viability {
                 ops: segment.ops.iter().map(|_| None).collect(),
             })
             .collect();
-        let mut pass = Pass { graph, budget, visited: 0 };
+        let mut pass = Pass { graph, visited: 0 };
         // Seeds are node rows and only a hop outside a closure changes the kind of
         // row under the cursor.
         let mut on_nodes = plan.hop_count() % 2 == 0;
         // The rows a match may sit on before the step last walked over; `None`
         // until the walk meets the filter it anchors on.
         let mut current: Option<RowMask> = None;
-        let complete = 'walk: {
-            for (index, segment) in plan.segments.iter().enumerate().rev() {
-                for (op_index, op) in segment.ops.iter().enumerate().rev() {
-                    let slot = &mut segments[index].ops[op_index];
-                    match op {
-                        MicroOp::Bind(_) => {}
-                        MicroOp::Filter(filter) => match &mut current {
-                            Some(mask) => pass.filter(mask, filter, on_nodes),
-                            None if selects_rows(filter) => {
-                                let (mask, live) = pass.scan(filter, on_nodes).ok_or(0usize)?;
-                                if !selective(mask.len(), live) {
-                                    return Err(pass.visited);
-                                }
-                                current = Some(mask);
-                            }
-                            None => {}
-                        },
-                        MicroOp::Hop(direction) => {
-                            let landed_on_nodes = on_nodes;
-                            on_nodes = !on_nodes;
-                            if let Some(landing) = current.take() {
-                                current = pass.reverse_hop(&landing, *direction, landed_on_nodes);
-                                *slot = Some(StepMasks::Rows(landing));
-                                if current.is_none() {
-                                    break 'walk false;
-                                }
-                            }
+        for (index, segment) in plan.segments.iter().enumerate().rev() {
+            for (op_index, op) in segment.ops.iter().enumerate().rev() {
+                let slot = &mut segments[index].ops[op_index];
+                match op {
+                    MicroOp::Bind(_) => {}
+                    MicroOp::Filter(filter) => match &mut current {
+                        Some(mask) => pass.filter(mask, filter, on_nodes),
+                        None if selects_rows(filter) => {
+                            current = Some(pass.scan(filter, on_nodes, scan_limit)?);
                         }
-                        MicroOp::Closure(closure) => {
-                            if let Some(after) = current.take() {
-                                let Some((before, masks)) =
-                                    pass.reverse_closure(closure, after, on_nodes)
-                                else {
-                                    break 'walk false;
-                                };
-                                current = Some(before);
-                                *slot = Some(StepMasks::Closure(masks));
-                            }
+                        None => {}
+                    },
+                    MicroOp::Hop(direction) => {
+                        let landed_on_nodes = on_nodes;
+                        on_nodes = !on_nodes;
+                        if let Some(landing) = current.take() {
+                            current = Some(pass.reverse_hop(&landing, *direction, landed_on_nodes));
+                            *slot = Some(StepMasks::Rows(landing));
                         }
                     }
-                }
-                if index == 0 {
-                    break;
-                }
-                let Some(entry) = current.take() else { continue };
-                let (before, masks) = match &plan.links[index - 1] {
-                    TemporalLink::Shift(shift) => {
-                        let before = pass.reverse_shift(&entry, shift, on_nodes);
-                        (before, StepMasks::Rows(entry))
-                    }
-                    TemporalLink::Closure(closure) => {
-                        match pass.reverse_closure(closure, entry, on_nodes) {
-                            Some((before, masks)) => (Some(before), StepMasks::Closure(masks)),
-                            None => break 'walk false,
+                    MicroOp::Closure(closure) => {
+                        if let Some(after) = current.take() {
+                            let (before, masks) = pass.reverse_closure(closure, after, on_nodes);
+                            current = Some(before);
+                            *slot = Some(StepMasks::Closure(masks));
                         }
                     }
-                };
-                segments[index].entry = Some(masks);
-                current = before;
-                if current.is_none() {
-                    break 'walk false;
                 }
             }
-            true
-        };
-        if complete {
-            segments[0].entry = Some(StepMasks::Rows(current.ok_or(0usize)?));
+            if index == 0 {
+                break;
+            }
+            let Some(entry) = current.take() else { continue };
+            let (before, masks) = match &plan.links[index - 1] {
+                TemporalLink::Shift(shift) => {
+                    (pass.reverse_shift(&entry, shift, on_nodes), StepMasks::Rows(entry))
+                }
+                TemporalLink::Closure(closure) => {
+                    let (before, masks) = pass.reverse_closure(closure, entry, on_nodes);
+                    (before, StepMasks::Closure(masks))
+                }
+            };
+            segments[index].entry = Some(masks);
+            current = Some(before);
         }
-        Ok(Viability { segments, rows_visited: pass.visited, complete })
+        segments[0].entry = Some(StepMasks::Rows(current.ok_or(0usize)?));
+        Ok(Viability { segments, rows_visited: pass.visited })
     }
 
     /// The masks of the segment at `index`.
@@ -326,6 +302,15 @@ fn selects_rows(filter: &ObjFilter) -> bool {
     filter.label.is_some() || !filter.props.is_empty() || !filter.time.is_empty()
 }
 
+/// True if the anchor keeps at most half of its relation's `live` rows, the rule
+/// that admits masks for every plan.  A mask removes only rows from which the anchor
+/// cannot be reached, and the rows the anchor keeps are viable by definition, so an
+/// anchor that keeps most rows cannot remove most of the work — while the backward
+/// pass reads every row it keeps through the same indexes as the forward pass.
+fn anchor_is_selective(kept: usize, live: usize) -> bool {
+    2 * kept <= live
+}
+
 /// True if every alternative of the body ends on the kind of row it started on —
 /// an even number of hops — and nests no closure, so the walk knows which relation
 /// each of its steps sits on.
@@ -338,18 +323,16 @@ fn keeps_row_kind(closure: &ClosureOp) -> bool {
     })
 }
 
-/// One backward walk: the graph, and the row visits spent against the budget.
+/// One backward walk: the graph, and the rows it visited.
 struct Pass<'a> {
     graph: &'a GraphRelations,
-    budget: usize,
     visited: usize,
 }
 
 impl Pass<'_> {
-    /// Counts `rows` visits; false once the budget is overdrawn.
-    fn charge(&mut self, rows: usize) -> bool {
+    /// Counts `rows` visits.
+    fn charge(&mut self, rows: usize) {
         self.visited += rows;
-        self.visited <= self.budget
     }
 
     /// An empty mask of the node or the edge relation.
@@ -393,14 +376,20 @@ impl Pass<'_> {
     }
 
     /// The dense scan the walk starts from: the live rows of the relation that pass
-    /// `filter`, and how many live rows it has.  `None` if the budget does not cover
-    /// the scan; then nothing is read.
-    fn scan(&mut self, filter: &ObjFilter, on_nodes: bool) -> Option<(RowMask, usize)> {
+    /// `filter`.  `Err(0)`, reading nothing, if the relation has more than
+    /// `scan_limit` live rows; `Err(live)` if the filter keeps more than half of them.
+    fn scan(
+        &mut self,
+        filter: &ObjFilter,
+        on_nodes: bool,
+        scan_limit: usize,
+    ) -> Result<RowMask, usize> {
         let stats = self.graph.stats();
         let live = if on_nodes { stats.temporal_nodes } else { stats.temporal_edges };
-        if !self.charge(live) {
-            return None;
+        if live > scan_limit {
+            return Err(0);
         }
+        self.charge(live);
         let rows = self.relation_len(on_nodes);
         let mut mask = RowMask::empty(rows);
         for row in 0..rows as u32 {
@@ -413,26 +402,29 @@ impl Pass<'_> {
                 mask.insert(row);
             }
         }
-        Some((mask, live))
+        if anchor_is_selective(mask.len(), live) {
+            Ok(mask)
+        } else {
+            Err(live)
+        }
     }
 
-    /// Walks back over a filter: the rows of `mask` that pass it.  Bounded by what
-    /// the step before already paid for, so it is counted but never stops the walk.
+    /// Walks back over a filter: the rows of `mask` that pass it.
     fn filter(&mut self, mask: &mut RowMask, filter: &ObjFilter, on_nodes: bool) {
-        self.visited += mask.len();
+        self.charge(mask.len());
         mask.retain(|row| self.accepts(filter, on_nodes, row));
     }
 
     /// Walks back over a hop: the rows from which the hop reaches a row of `landing`
     /// at a time both rows exist.  A forward hop node → edge came from a row of the
     /// edge's source and edge → node from an edge whose target the node is; a
-    /// backward hop swaps the endpoints.  `None` if the budget ran out.
+    /// backward hop swaps the endpoints.
     fn reverse_hop(
         &mut self,
         landing: &RowMask,
         direction: HopDirection,
         landed_on_nodes: bool,
-    ) -> Option<RowMask> {
+    ) -> RowMask {
         let graph = self.graph;
         let (node_rows, edge_rows) = (graph.node_rows(), graph.edge_rows());
         let forward = direction == HopDirection::Forward;
@@ -445,9 +437,7 @@ impl Pass<'_> {
                 } else {
                     graph.out_edge_rows(node.node)
                 };
-                if !self.charge(1 + adjacent.len()) {
-                    return None;
-                }
+                self.charge(1 + adjacent.len());
                 for &edge in adjacent {
                     if !from.contains(edge)
                         && edge_rows[edge as usize].interval.overlaps(&node.interval)
@@ -460,9 +450,7 @@ impl Pass<'_> {
             for row in landing.rows() {
                 let edge = &edge_rows[row as usize];
                 let states = graph.rows_of_node(if forward { edge.src } else { edge.tgt });
-                if !self.charge(1 + states.len()) {
-                    return None;
-                }
+                self.charge(1 + states.len());
                 for &node in states {
                     if !from.contains(node)
                         && node_rows[node as usize].interval.overlaps(&edge.interval)
@@ -472,18 +460,13 @@ impl Pass<'_> {
                 }
             }
         }
-        Some(from)
+        from
     }
 
     /// Walks back over a shift: the rows of the same object from which `shift`
     /// arrives, within the existence interval that holds the row, at a time some row
-    /// of `landing` covers.  `None` if the budget ran out.
-    fn reverse_shift(
-        &mut self,
-        landing: &RowMask,
-        shift: &Shift,
-        on_nodes: bool,
-    ) -> Option<RowMask> {
+    /// of `landing` covers.
+    fn reverse_shift(&mut self, landing: &RowMask, shift: &Shift, on_nodes: bool) -> RowMask {
         let graph = self.graph;
         let mut from = self.empty(on_nodes);
         for row in landing.rows() {
@@ -492,9 +475,7 @@ impl Pass<'_> {
                 Object::Node(node) => graph.rows_of_node(node),
                 Object::Edge(edge) => graph.rows_of_edge(edge),
             };
-            if !self.charge(1 + states.len()) {
-                return None;
-            }
+            self.charge(1 + states.len());
             for &state in states {
                 if from.contains(state) {
                     continue;
@@ -509,7 +490,7 @@ impl Pass<'_> {
                 }
             }
         }
-        Some(from)
+        from
     }
 
     /// Walks back over a closure that may emit onto the rows of `after`: the least
@@ -518,14 +499,13 @@ impl Pass<'_> {
     /// keeps the rows already reversed across it and reverses only the new ones, so
     /// a row crosses each step at most once and the work is bounded by the graph,
     /// whatever the window.  Returns `V` and the masks: `after` as the exit, and what
-    /// crossed each hop and shift as the rows it may land on.  `None` if the budget
-    /// ran out.
+    /// crossed each hop and shift as the rows it may land on.
     fn reverse_closure(
         &mut self,
         closure: &ClosureOp,
         after: RowMask,
         on_nodes: bool,
-    ) -> Option<(RowMask, ClosureMasks)> {
+    ) -> (RowMask, ClosureMasks) {
         // Per alternative and step, the rows after the step already reversed.
         let mut crossed: Vec<Vec<RowMask>> = closure
             .alternatives
@@ -563,12 +543,10 @@ impl Pass<'_> {
                             self.filter(&mut rows, filter, kind)
                         }
                         ClosureStep::Micro(MicroOp::Hop(direction)) => {
-                            rows = self.reverse_hop(&rows, *direction, kind)?;
+                            rows = self.reverse_hop(&rows, *direction, kind);
                             kind = !kind;
                         }
-                        ClosureStep::Shift(shift) => {
-                            rows = self.reverse_shift(&rows, shift, kind)?
-                        }
+                        ClosureStep::Shift(shift) => rows = self.reverse_shift(&rows, shift, kind),
                         // Bodies bind nothing, and nested closures were refused.
                         ClosureStep::Micro(MicroOp::Bind(_) | MicroOp::Closure(_)) => {}
                     }
@@ -596,14 +574,13 @@ impl Pass<'_> {
                     .collect()
             })
             .collect();
-        Some((viable, ClosureMasks { exit: after, steps }))
+        (viable, ClosureMasks { exit: after, steps })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::anchor_is_selective;
     use crate::plan::Segment;
     use tgraph::{Batch, Interval, Itpg, ItpgBuilder};
 
@@ -670,10 +647,7 @@ mod tests {
     }
 
     fn build_all(plan: &EnginePlan, graph: &GraphRelations) -> Viability {
-        let built =
-            Viability::build(plan, graph, usize::MAX, |_, _| true).expect("the plan has an anchor");
-        assert!(built.complete);
-        built
+        Viability::build(plan, graph, usize::MAX).expect("the plan has a selective anchor")
     }
 
     #[test]
@@ -740,15 +714,16 @@ mod tests {
     #[test]
     fn a_time_filter_excludes_the_rows_it_clamps_to_nothing() {
         let graph = GraphRelations::from_itpg(&contacts());
-        let early = plan("MATCH (x:Person)-[:meets]->(y:Person {time < '8'}) ON g");
+        let early =
+            plan("MATCH (x:Person)-[:meets]->(y:Person {risk = 'low' AND time < '8'}) ON g");
         let built = build_all(&early, &graph);
         // Segment ops: [filter x, bind, FWD, filter :meets, FWD, filter y, bind].
         let end = node_rows_named(&graph, built.segment(0).landing(4).expect("edge → node"));
         assert!(end.contains(&("bob".to_owned(), iv(1, 7))));
         assert!(!end.contains(&("bob".to_owned(), iv(8, 10))), "[8, 10] clamps to nothing");
-        assert_eq!(end.len(), 4, "one row per person: {end:?}");
+        assert_eq!(end.len(), 2, "one row per low-risk person: {end:?}");
         // A filter further back clamps the same way: no meeting exists before 2.
-        let never = plan("MATCH (x:Person)-[:meets {time < '2'}]->(y:Person) ON g");
+        let never = plan("MATCH (x:Person)-[:meets {time < '2'}]->(y:Person {risk = 'low'}) ON g");
         let built = build_all(&never, &graph);
         assert_eq!(built.segment(0).landing(2).map(RowMask::len), Some(0));
         assert_eq!(built.segment(0).entry().map(RowMask::len), Some(0));
@@ -771,7 +746,7 @@ mod tests {
             }],
             links: vec![],
         };
-        assert_eq!(Viability::build(&unselective, &graph, usize::MAX, |_, _| true).err(), Some(0));
+        assert_eq!(Viability::build(&unselective, &graph, usize::MAX).err(), Some(0));
         // Filters that select nothing after the anchor do not hide it.
         let mut anchored = unselective.clone();
         anchored.segments[0].ops[2] =
@@ -784,8 +759,7 @@ mod tests {
         // so nothing reaches him, and the body's hops keep what they crossed.
         let star =
             plan("MATCH (x:Person {risk = 'high'})-/(FWD/:meets/FWD)*/-({test = 'pos'}) ON g");
-        let built = Viability::build(&star, &graph, usize::MAX, anchor_is_selective).unwrap();
-        assert!(built.complete);
+        let built = build_all(&star, &graph);
         // Segment ops: [filter x, bind, closure, filter pos].
         let masks = built.segment(0).closure(2).expect("the closure has masks");
         assert_eq!(node_rows_named(&graph, masks.exit()), [("bob".to_owned(), iv(8, 10))]);
@@ -803,8 +777,7 @@ mod tests {
         let recur = plan(
             "MATCH (x:Person {risk = 'high'})-/(FWD/:meets/FWD/NEXT)*/NEXT*/-({test = 'pos'}) ON g",
         );
-        let built = Viability::build(&recur, &graph, usize::MAX, anchor_is_selective).unwrap();
-        assert!(built.complete);
+        let built = build_all(&recur, &graph);
         let end = built.segment(2).entry().expect("the scanned mask");
         assert_eq!(node_rows_named(&graph, end), [("bob".to_owned(), iv(8, 10))]);
         let masks = built.segment(1).entry_closure().expect("the closure link has masks");
@@ -832,10 +805,7 @@ mod tests {
         // the pass reads.
         let reach = plan("MATCH (x:Person {risk = 'high'})-/(FWD/:meets/FWD)*/-(y:Person) ON g");
         let live = graph.stats().temporal_nodes;
-        assert_eq!(
-            Viability::build(&reach, &graph, usize::MAX, anchor_is_selective).err(),
-            Some(live)
-        );
+        assert_eq!(Viability::build(&reach, &graph, usize::MAX).err(), Some(live));
 
         // A body that ends on the other kind of row, or nests a closure, leaves the
         // walk not knowing which relation it is on.
@@ -846,8 +816,7 @@ mod tests {
         ] {
             let fixpoint = plan(text);
             assert!(fixpoint.has_fixpoint(), "{text}");
-            let built = Viability::build(&fixpoint, &graph, usize::MAX, |_, _| true);
-            assert_eq!(built.err(), Some(0), "{text}");
+            assert_eq!(Viability::build(&fixpoint, &graph, usize::MAX).err(), Some(0), "{text}");
         }
     }
 
@@ -911,33 +880,22 @@ mod tests {
     }
 
     #[test]
-    fn a_spent_budget_keeps_the_masks_nearest_the_end() {
+    fn the_scan_limit_admits_an_anchor_relation_of_at_most_that_many_live_rows() {
         let graph = GraphRelations::from_itpg(&contacts());
         let q9 = plan(Q9);
-        let full = build_all(&q9, &graph);
-        // In plan order; the walk fills them from the back.
-        let masks = |v: &Viability| -> Vec<Option<Vec<u32>>> {
+        // In plan order.
+        let masks = |v: &Viability| -> [Vec<u32>; 4] {
             let first = v.segment(0);
             [first.entry(), first.landing(2), first.landing(4), v.segment(1).entry()]
-                .map(|mask| mask.map(|m| m.rows().collect()))
-                .into()
+                .map(|mask| mask.expect("every step chooses under a mask").rows().collect())
         };
-        let scan = graph.stats().temporal_nodes;
-        let unpaid = Viability::build(&q9, &graph, scan - 1, |_, _| true);
-        assert_eq!(unpaid.err(), Some(0), "cannot pay for the scan, so reads nothing");
-        let mut stages = std::collections::BTreeSet::new();
-        for budget in scan..=full.rows_visited {
-            let built =
-                Viability::build(&q9, &graph, budget, |_, _| true).expect("the scan is paid for");
-            let have = masks(&built);
-            let missing = have.iter().take_while(|mask| mask.is_none()).count();
-            assert!(missing < have.len(), "the scanned mask is always kept");
-            // What was built is whole, and everything before it is unconstrained.
-            assert_eq!(have[missing..], masks(&full)[missing..], "budget {budget}");
-            assert_eq!(built.complete, missing == 0, "budget {budget}");
-            assert!(built.rows_visited >= scan && built.rows_visited <= full.rows_visited);
-            stages.insert(missing);
-        }
-        assert_eq!(stages.into_iter().collect::<Vec<_>>(), [0, 1, 2, 3]);
+        let live = graph.stats().temporal_nodes;
+        let refused = Viability::build(&q9, &graph, live - 1);
+        assert_eq!(refused.err(), Some(0), "one live row too many, so nothing is read");
+        let at_limit = Viability::build(&q9, &graph, live).expect("the scan fits");
+        let unlimited = build_all(&q9, &graph);
+        assert_eq!(masks(&at_limit), masks(&unlimited));
+        assert_eq!(at_limit.rows_visited, unlimited.rows_visited);
+        assert!(at_limit.rows_visited > live, "the walk goes on past the scan");
     }
 }

@@ -75,12 +75,9 @@ pub(crate) struct EngineMetrics {
     /// viability passes that reached the seeds: every step ran masked, closure
     /// bodies included.
     pub viability_built: Arc<Counter>,
-    /// `outcome="abandoned"` — passes whose budget ran out part-way; the masks
-    /// nearest the plan's selective end were in force.
-    pub viability_abandoned: Arc<Counter>,
-    /// `outcome="skipped"` — multi-batch runs of a fixpoint-free plan whose
-    /// sample batch did not ask for a pass, or could not pay for its scan, and
-    /// runs of a plan with a fixpoint whose anchor is not selective.
+    /// `outcome="skipped"` — runs left unmasked: no selective anchor, a sample
+    /// batch that wasted too little to pay for the anchor's scan, or an anchor
+    /// that keeps more than half its relation's rows.
     pub viability_skipped: Arc<Counter>,
     /// `tpath_engine_viability_rows_total` — row indices those passes looked
     /// at; against the fall of `hop_cursors` it is what the masks cost.
@@ -162,7 +159,6 @@ pub(crate) fn metrics() -> &'static EngineMetrics {
                 &[],
             ),
             viability_built: passes("built"),
-            viability_abandoned: passes("abandoned"),
             viability_skipped: passes("skipped"),
             viability_rows: reg.counter(
                 "tpath_engine_viability_rows_total",

@@ -118,8 +118,8 @@ fn telemetry_gates_and_peak_buffered_retention() {
         reg.counter("tpath_engine_viability_passes_total", help, &[("outcome", outcome)]).get()
     };
     let visited = reg.counter("tpath_engine_viability_rows_total", "Rows visited.", &[]);
-    let viability = || (passes("built"), passes("abandoned"), passes("skipped"), visited.get());
-    let (built, abandoned, skipped, rows) = viability();
+    let viability = || (passes("built"), passes("skipped"), visited.get());
+    let (built, skipped, rows) = viability();
     let hops_before = hop_cursors.get();
     let run_low_yield = |telemetry| {
         let options = ExecutionOptions::sequential().with_telemetry(telemetry);
@@ -127,12 +127,9 @@ fn telemetry_gates_and_peak_buffered_retention() {
     };
     let matches = run_low_yield(false).interval_rows;
     assert_eq!(matches, 48, "one of the three persons before each of the 48 positives");
-    assert_eq!(viability(), (built, abandoned, skipped, rows), "telemetry = false");
+    assert_eq!(viability(), (built, skipped, rows), "telemetry = false");
     assert_eq!(run_low_yield(true).interval_rows, matches);
-    assert_eq!(
-        (passes("built"), passes("abandoned"), passes("skipped")),
-        (built + 1, abandoned, skipped)
-    );
+    assert_eq!((passes("built"), passes("skipped")), (built + 1, skipped));
     assert!(visited.get() > rows + 2400, "at least the dense scan of the node rows");
     let masked_traversals = hop_cursors.get() - hops_before;
     assert!(
@@ -141,7 +138,7 @@ fn telemetry_gates_and_peak_buffered_retention() {
     );
     // The structural queries above ran one batch: no gate, no outcome.
     assert_eq!(run_hops(true), 1);
-    assert_eq!(viability().2, skipped);
+    assert_eq!(viability().1, skipped);
 
     // A plan with a fixpoint records one outcome per run: RECUR's anchor keeps
     // two node rows of 62, so its masks are built; REACH's keeps all 62, so it
@@ -156,12 +153,12 @@ fn telemetry_gates_and_peak_buffered_retention() {
     assert!(recur > 0 && reach > 0);
     assert_eq!(viability(), before, "telemetry = false");
     assert_eq!(run_closure(RECUR, true), recur);
-    let (built, abandoned, skipped, rows) = before;
-    let (recur_built, recur_abandoned, recur_skipped, recur_rows) = viability();
-    assert_eq!((recur_built, recur_abandoned, recur_skipped), (built + 1, abandoned, skipped));
+    let (built, skipped, rows) = before;
+    let (recur_built, recur_skipped, recur_rows) = viability();
+    assert_eq!((recur_built, recur_skipped), (built + 1, skipped));
     assert!(recur_rows > rows + 62, "the scan and the walk back through the closure");
     assert_eq!(run_closure(REACH, true), reach);
-    assert_eq!(viability(), (built + 1, abandoned, skipped + 1, recur_rows + 62));
+    assert_eq!(viability(), (built + 1, skipped + 1, recur_rows + 62));
 
     // Enumerate, drain two of eight rows, then abandon the cursor: stats()
     // exposes the live high-water mark mid-drain, and dropping the cursor

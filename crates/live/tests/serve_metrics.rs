@@ -8,8 +8,10 @@
 //!   (the worker-pool variant of obs's own `recording_does_not_lock` pin);
 //! * the `SchemaSummary` scan behind ad-hoc requests runs once per published
 //!   epoch however many workers race for it, and never on the writer;
-//! * a `Request::Metrics` scrape served by the same pool is well-formed in
-//!   both formats, and every `Response` carries a populated [`ServeHealth`].
+//! * a `Request::Metrics` scrape served by the same pool while requests are in
+//!   flight covers all four families (`tpath_engine_`, `tpath_live_`,
+//!   `tpath_epoch_`, `tpath_serve_`) and is well-formed in both formats, and
+//!   every `Response` carries a populated [`ServeHealth`].
 //!
 //! Everything lives in one test function: the registry is process-global, and
 //! a single test per binary keeps the before/after deltas race-free.
@@ -137,16 +139,36 @@ fn worker_pool_recording_matches_serial_replay_without_locking() {
         assert_eq!(scans.get() - base_scans, 1, "24 ad-hoc requests at one epoch, one scan");
     }
 
-    // A scrape through the same worker pool, while the server is live.
+    // A scrape through the same worker pool, submitted while requests are in
+    // flight: the exposition already covers every subsystem's family —
+    // `tpath_engine_`, `tpath_live_`, `tpath_epoch_` and `tpath_serve_` series
+    // are each asserted below.
+    let in_flight: Vec<_> = [AnswerMode::Materialized, AnswerMode::Compact, AnswerMode::Enumerate]
+        .into_iter()
+        .cycle()
+        .take(12)
+        .map(|mode| server.submit(request(mode)))
+        .collect();
     let response = server.submit(Request::Metrics(MetricsFormat::Prometheus)).wait().unwrap();
-    let text = response.answer.metrics().expect("a Metrics request answers with rendered text");
-    for family in
-        ["tpath_serve_requests_total", "tpath_epoch_retained", "tpath_live_refreshes_total"]
-    {
-        assert!(text.contains(family), "scrape is missing {family}");
+    for ticket in in_flight {
+        ticket.wait().unwrap();
     }
-    assert!(text.contains("# TYPE tpath_serve_requests_total counter"));
-    assert!(text.contains("mode=\"full\""));
+    let text = response.answer.metrics().expect("a Metrics request answers with rendered text");
+    let lines: Vec<&str> = text.lines().collect();
+    for header in
+        ["# TYPE tpath_serve_requests_total counter", "# TYPE tpath_engine_span_seconds histogram"]
+    {
+        assert!(lines.contains(&header), "scrape is missing {header:?}");
+    }
+    for series in [
+        "tpath_serve_requests_total{mode=\"metrics\"} ",
+        "tpath_serve_requests_total{mode=\"full\"} ",
+        "tpath_engine_span_seconds_bucket{span=\"query\",le=\"+Inf\"} ",
+        "tpath_epoch_retained ",
+        "tpath_live_refreshes_total{kind=\"delta\"} ",
+    ] {
+        assert!(lines.iter().any(|line| line.starts_with(series)), "scrape is missing {series:?}");
+    }
     assert!(response.health.refreshes >= 1, "ingests refreshed the registered query");
 
     let response = server.submit(Request::Metrics(MetricsFormat::Json)).wait().unwrap();

@@ -252,8 +252,7 @@ impl Default for Registry {
 }
 
 /// The process-wide registry.  Engine, live, and server telemetry all record
-/// here; `tpath-serve` exposes it through `Request::Metrics` and `tpath-perf`
-/// snapshots it into the report.
+/// here; the query server exposes it through `Request::Metrics`.
 pub fn global() -> &'static Registry {
     static GLOBAL: Registry = Registry::new();
     &GLOBAL

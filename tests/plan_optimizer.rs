@@ -282,19 +282,18 @@ proptest! {
     }
 }
 
-/// `(passes that left masks in force, gate outcomes of any kind)`.
+/// `(passes that built masks, gate outcomes of any kind)`.
 fn viability_outcomes(stats: &StepStats) -> (usize, usize) {
-    let count = |counter: &std::sync::atomic::AtomicUsize| counter.load(Ordering::Relaxed);
-    let masked = count(&stats.viability_built) + count(&stats.viability_abandoned);
-    (masked, masked + count(&stats.viability_skipped))
+    let masked = stats.viability_built.load(Ordering::Relaxed);
+    (masked, masked + stats.viability_skipped.load(Ordering::Relaxed))
 }
 
 /// The random graphs above have a handful of seed rows, so every run on them is
 /// one batch and never samples: only REACH and RECUR, whose fixpoints run one batch
 /// whatever the seeds, may meet a mask there.  This one — the paper's G3, 4 000 persons,
-/// deterministic — has enough node rows for ten seed batches and meetings dense
-/// enough that a backward pass fits its budget (at G1 Q9's does not): run whole,
-/// each of Q1–Q12 must return the chains of its seeds run slice by slice (a
+/// deterministic — has enough node rows for ten seed batches, so the waste of a
+/// low-yield sample pays for its anchor's scan: run whole, each of Q1–Q12 must
+/// return the chains of its seeds run slice by slice (a
 /// slice is a single batch, which never samples and never masks), in the same
 /// order, on 1, 2 and 8 threads sharing the masks; and the gate must have built
 /// masks for exactly the queries whose sample batch wastes its traversals on a
@@ -371,7 +370,6 @@ fn fixpoint_plans_are_masked_only_behind_a_selective_anchor() {
             let count = |counter: &std::sync::atomic::AtomicUsize| counter.load(Ordering::Relaxed);
             let outcome = (count(&stats.viability_built), count(&stats.viability_skipped));
             assert_eq!(outcome, (usize::from(built), usize::from(!built)), "{text}");
-            assert_eq!(count(&stats.viability_abandoned), 0, "{text}: no budget to run out of");
             let visited = count(&stats.viability_rows_visited);
             assert_eq!(visited == live, !built, "{text}: {visited} rows visited of {live}");
         }
