@@ -1,16 +1,19 @@
 //! The query executor: runs compiled plans over the interval relations, following the
 //! three-step architecture of Section VI (structural interval evaluation → interval
 //! temporal pruning → point expansion), with chunked data parallelism over the seed
-//! rows; within a worker, a plan without fixpoints takes its seeds through Steps 1–2
-//! in batches (`SEED_BATCH`) so the intermediate vectors stay small — and so the
-//! first batch can tell the rest what the plan is like: when it throws most of its
-//! traversals away at a later filter, the remaining batches may run under backward
-//! viability masks ([`crate::steps::viability`]).  A plan with a fixpoint runs one
-//! batch per worker and has no sample.  Either way masks are built only when the
-//! filter they would anchor on is selective (`viability_gate`), fixpoints included.
-//! Inside a batch a match is a fixed-width [`Cursor`] writing its history to the
-//! batch's [`Trail`]; the owned [`Chain`]s everything downstream consumes are built
-//! at the end of the batch, for the cursors that survived it.
+//! rows.  A plan with an *existential suffix* — anything after its last bound
+//! variable — runs that suffix backwards, once, as exact per-row time sets
+//! ([`crate::steps::viability`]), and matches forward only up to the last `Bind`.
+//! Within a worker, a plan without fixpoints takes its seeds through Steps 1–2 in
+//! batches (`SEED_BATCH`) so the intermediate vectors stay small — and so the first
+//! batch of any other plan can tell the rest what the plan is like: when it throws
+//! most of its traversals away at a later filter, the remaining batches may run under
+//! backward viability masks.  A plan with a fixpoint runs one batch per worker and has
+//! no sample.  Either way those masks are built only when the filter they would anchor
+//! on is selective (`viability_gate`), fixpoints included.  Inside a batch a match is a
+//! fixed-width [`Cursor`] writing its history to the batch's [`Trail`]; the owned
+//! [`Chain`]s everything downstream consumes are built at the end of the batch, for the
+//! cursors that survived it.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
@@ -112,12 +115,13 @@ pub struct QueryStats {
     /// Number of rows of the final binding table — the "output size" column.
     pub output_rows: usize,
     /// Number of closure fixpoint rounds executed during Step 1 (applications of a
-    /// repeated structural sub-expression to a frontier); 0 for plans without
-    /// structural repetition.
+    /// repeated structural sub-expression to a frontier, or backward through an
+    /// existential suffix); 0 for plans without structural repetition.
     pub closure_rounds: usize,
     /// Number of time-crossing closure rounds executed (applications of a repeated
     /// group mixing structural and temporal navigation, e.g. `(FWD/NEXT)*`, to a
-    /// band frontier); 0 for plans without mixed repetition.
+    /// band frontier, or backward through an existential suffix); 0 for plans
+    /// without mixed repetition.
     pub time_rounds: usize,
     /// High-water mark of rows the enumeration cursor ever buffered between
     /// expansion and emission.  0 for the eager modes and before any draining;
@@ -331,7 +335,10 @@ fn run_plan(
 /// a refresh re-runs the SPJ pipeline and fixpoints only from the node rows a batch
 /// could have affected, instead of from every row like [`execute`] does.  The
 /// returned chains record their seed row ([`Chain::seed`]), so callers can group
-/// them back by starting node.
+/// them back by starting node.  The chains of a plan with an existential suffix end
+/// at its last bound variable, one per piece of the times the suffix finishes from;
+/// those times are computed over the whole graph, so a seed's chains never depend on
+/// which other seeds run beside it.
 pub fn run_plan_seeded(
     plan: &EnginePlan,
     graph: &GraphRelations,
@@ -368,13 +375,18 @@ const SEED_BATCH: usize = 1024;
 /// [`run_plan_seeded`] with the batch length as a parameter, for the tests that
 /// pin masked ≡ unmasked on graphs far smaller than [`SEED_BATCH`] rows.
 ///
-/// A plan with a fixpoint keeps each worker's seeds together — the closures seed
-/// once per distinct start state of the batch they are handed — under the masks
-/// [`viability_gate`] builds on the calling thread, if any; seeds that fit one batch
-/// stay together too, unmasked.  Anything else runs its first batch on the calling
-/// thread as the *sample* that sets the gate's scan limit, then the rest, batch by
-/// batch across the workers, under whatever masks the gate built.  Masks never
-/// change the chains or their order, which is by seed whatever the batching.
+/// A plan with an existential suffix is split at its last `Bind`: the suffix is
+/// walked back exactly, once, on the calling thread ([`Viability::build_suffix`],
+/// counted as a built pass), and the prefix runs under its masks and cut to its
+/// times — in batches, or one batch per worker if the prefix has a fixpoint.  The
+/// rule is the plan's shape; nothing else selects it.  Otherwise, a plan with a
+/// fixpoint keeps each worker's seeds together — the closures seed once per distinct
+/// start state of the batch they are handed — under the masks [`viability_gate`]
+/// builds on the calling thread, if any; seeds that fit one batch stay together too,
+/// unmasked.  Anything else runs its first batch on the calling thread as the
+/// *sample* that sets the gate's scan limit, then the rest, batch by batch across the
+/// workers, under whatever masks the gate built.  Masks never change the chains or
+/// their order, which is by seed whatever the batching.
 pub(crate) fn run_plan_batched(
     plan: &EnginePlan,
     graph: &GraphRelations,
@@ -383,19 +395,25 @@ pub(crate) fn run_plan_batched(
     stats: &StepStats,
     batch_len: usize,
 ) -> Vec<Chain> {
-    let one_batch_each = |viability: Option<&Viability>| {
-        par_chunk_flat_map(seed_rows, parallelism, |rows| {
-            // One chain per seed is where a pipeline without fan-out ends as well.
-            let mut chains = Vec::with_capacity(rows.len());
-            run_batch(plan, graph, rows, viability, stats, &mut chains);
-            chains
-        })
-    };
+    if let Some((prefix, viability)) = Viability::build_suffix(plan, graph, stats) {
+        stats.viability_built.fetch_add(1, Ordering::Relaxed);
+        stats.viability_rows_visited.fetch_add(viability.rows_visited, Ordering::Relaxed);
+        let pipeline = Pipeline { plan: &prefix, graph, viability: Some(&viability), parallelism };
+        if prefix.has_fixpoint() {
+            return pipeline.one_batch_each(seed_rows, stats);
+        }
+        let mut chains = Vec::with_capacity(seed_rows.len());
+        pipeline.batches(seed_rows, stats, batch_len, 0, &mut chains);
+        return chains;
+    }
+    let unmasked = Pipeline { plan, graph, viability: None, parallelism };
     if plan.has_fixpoint() {
-        return one_batch_each(viability_gate(plan, graph, usize::MAX, stats).as_ref());
+        let viability = viability_gate(plan, graph, usize::MAX, stats);
+        let masked = Pipeline { viability: viability.as_ref(), ..unmasked };
+        return masked.one_batch_each(seed_rows, stats);
     }
     if seed_rows.len() <= batch_len {
-        return one_batch_each(None);
+        return unmasked.one_batch_each(seed_rows, stats);
     }
     let (sample, rest) = seed_rows.split_at(batch_len);
     let mut chains = Vec::with_capacity(seed_rows.len());
@@ -407,47 +425,85 @@ pub(crate) fn run_plan_batched(
     let scan_limit =
         if 2 * waste > traversals { waste * rest.len().div_ceil(batch_len) } else { 0 };
     let viability = viability_gate(plan, graph, scan_limit, stats);
-    // Hop joins stay counted as the one batch all of them stand for: a
-    // fixpoint-free pipeline runs a prefix of its hops on every batch, one batch
-    // of every seed would have run the longest of them.
-    let furthest = AtomicUsize::new(sample_stats.hash_joins.load(Ordering::Relaxed));
-    let run_batches = |rows: &[u32], chains: &mut Vec<Chain>| {
-        for batch in rows.chunks(batch_len) {
-            let batch_stats = StepStats::default();
-            run_batch(plan, graph, batch, viability.as_ref(), &batch_stats, chains);
-            furthest.fetch_max(batch_stats.hash_joins.load(Ordering::Relaxed), Ordering::Relaxed);
-            let hop_cursors = batch_stats.hop_cursors.load(Ordering::Relaxed);
-            stats.hop_cursors.fetch_add(hop_cursors, Ordering::Relaxed);
-        }
-    };
-    if parallelism.threads() <= 1 {
-        // Straight into the vector the sample started: no second copy of the chains.
-        run_batches(rest, &mut chains);
-    } else {
-        chains.extend(par_chunk_flat_map(rest, parallelism, |rows| {
-            let mut chains = Vec::with_capacity(rows.len());
-            run_batches(rows, &mut chains);
-            chains
-        }));
-    }
-    stats.hash_joins.fetch_add(furthest.into_inner(), Ordering::Relaxed);
+    let masked = Pipeline { viability: viability.as_ref(), ..unmasked };
+    let sample_joins = sample_stats.hash_joins.load(Ordering::Relaxed);
+    masked.batches(rest, stats, batch_len, sample_joins, &mut chains);
     chains
 }
 
-/// Decides whether Steps 1–2 of a plan run under backward viability masks
-/// ([`crate::steps::viability`]), builds them if so, and counts the outcome — built
-/// or skipped — with the rows the backward pass visited.  There is no option: the
-/// inputs are the plan, the graph, and `scan_limit`, the most live rows the pass may
-/// scan for its anchor.  Masks are all or nothing: the pass either reads no row,
-/// stops after the scan, or walks back to the seeds.
+/// Steps 1–2 of one plan as every batch of a [`run_plan_batched`] call runs them.
+#[derive(Clone, Copy)]
+struct Pipeline<'a> {
+    plan: &'a EnginePlan,
+    graph: &'a GraphRelations,
+    viability: Option<&'a Viability>,
+    parallelism: Parallelism,
+}
+
+impl Pipeline<'_> {
+    /// Each worker's share of `seed_rows` as one batch.
+    fn one_batch_each(&self, seed_rows: &[u32], stats: &StepStats) -> Vec<Chain> {
+        par_chunk_flat_map(seed_rows, self.parallelism, |rows| {
+            // One chain per seed is where a pipeline without fan-out ends as well.
+            let mut chains = Vec::with_capacity(rows.len());
+            run_batch(self.plan, self.graph, rows, self.viability, stats, &mut chains);
+            chains
+        })
+    }
+
+    /// `seed_rows` batch by batch across the workers, the chains appended to
+    /// `chains`.  Hop joins stay counted as the one batch all of them stand for: a
+    /// fixpoint-free pipeline runs a prefix of its hops on every batch, one batch of
+    /// every seed would have run the longest of them — `furthest` is where a sample
+    /// run before got to.
+    fn batches(
+        &self,
+        seed_rows: &[u32],
+        stats: &StepStats,
+        batch_len: usize,
+        furthest: usize,
+        chains: &mut Vec<Chain>,
+    ) {
+        let furthest = AtomicUsize::new(furthest);
+        let run_batches = |rows: &[u32], chains: &mut Vec<Chain>| {
+            for batch in rows.chunks(batch_len) {
+                let batch_stats = StepStats::default();
+                run_batch(self.plan, self.graph, batch, self.viability, &batch_stats, chains);
+                let joins = batch_stats.hash_joins.load(Ordering::Relaxed);
+                furthest.fetch_max(joins, Ordering::Relaxed);
+                let hop_cursors = batch_stats.hop_cursors.load(Ordering::Relaxed);
+                stats.hop_cursors.fetch_add(hop_cursors, Ordering::Relaxed);
+            }
+        };
+        if self.parallelism.threads() <= 1 {
+            // Straight into the caller's vector: no second copy of the chains.
+            run_batches(seed_rows, chains);
+        } else {
+            chains.extend(par_chunk_flat_map(seed_rows, self.parallelism, |rows| {
+                let mut chains = Vec::with_capacity(rows.len());
+                run_batches(rows, &mut chains);
+                chains
+            }));
+        }
+        stats.hash_joins.fetch_add(furthest.into_inner(), Ordering::Relaxed);
+    }
+}
+
+/// Decides whether Steps 1–2 of a plan that binds its last node run under backward
+/// viability masks ([`crate::steps::viability`]), builds them if so, and counts the
+/// outcome — built or skipped — with the rows the backward pass visited.  There is
+/// no option: the inputs are the plan, the graph, and `scan_limit`, the most live
+/// rows the pass may scan for its anchor.  Masks are all or nothing: the pass either
+/// reads no row, stops after the scan, or walks back to the seeds.  (A plan with an
+/// existential suffix — Q9–Q12, RECUR — never comes here: its suffix is walked back
+/// exactly and the rest masked from there, whatever the filters keep.)
 ///
 /// *Anchor: at most half of its relation's live rows, for every plan.*  A mask
 /// removes only rows from which the anchor cannot be reached, so an anchor that
 /// keeps most rows cannot remove most of the work (argued beside the rule in
 /// [`crate::steps::viability`]).  The benchmark's anchors sit far from the line:
-/// the masked ones keep ≈ 18 % of the node rows (Q5: high-risk persons) or
-/// ≈ 1–2 % (Q9–Q12 and RECUR: positive tests); REACH's `(y:Person)` keeps 98 % and
-/// stops after a ≈ 0.04 ms scan.
+/// Q5's masked one keeps ≈ 18 % of the node rows (high-risk persons); REACH's
+/// `(y:Person)` keeps 98 % and stops after a ≈ 0.04 ms scan.
 ///
 /// *Scan limit.*  A plan with a fixpoint runs one batch per worker, so there is no
 /// sample to read: it passes `usize::MAX`, and its masks reach inside its closures.
@@ -459,10 +515,10 @@ pub(crate) fn run_plan_batched(
 /// it is `waste × remaining_batches`: a row the scan reads and a traversal the
 /// forward pass wastes both cost one row-struct read (≈ 85–120 ns at G6), so the
 /// expected waste must pay for the scan.  On a G6 graph (26 792 node rows, 27
-/// batches) the sample wastes nothing for Q1–Q4 and Q6, which make no hops,
-/// ≈ 83 % of Q5's traversals and ≥ 97 % of Q9–Q12's; Q7 and Q8 start on
-/// `test = 'pos'` and waste most of a sample of ≈ 50–110 traversals — a limit of
-/// 1–2 k rows against a 26 792-row scan, refused without reading a row.
+/// batches) the sample wastes nothing for Q1–Q4 and Q6, which make no hops, and
+/// ≈ 83 % of Q5's traversals; Q7 and Q8 start on `test = 'pos'` and waste most of a
+/// sample of ≈ 50–110 traversals — a limit of 1–2 k rows against a 26 792-row scan,
+/// refused without reading a row.
 ///
 /// *No budget.*  Once the scan is read the walk goes on to the seeds, because a row
 /// crosses each plan step at most once — a hop or a shift reverses each row of its
@@ -489,7 +545,9 @@ fn viability_gate(
 /// Steps 1–2 of one plan from one batch of seed rows: the surviving cursors are
 /// appended to `chains`, each spelled out from the batch's trail.  Under
 /// `viability` a seed, a shift, a hop and a closure only choose rows the masks
-/// allow.
+/// allow, and if it carries the times of an existential suffix — `plan` is then the
+/// prefix up to the last `Bind` — every survivor is cut to the pieces of its row's
+/// times inside its interval, one cursor per piece.
 fn run_batch(
     plan: &EnginePlan,
     graph: &GraphRelations,
@@ -525,6 +583,15 @@ fn run_batch(
         if cursors.is_empty() {
             return;
         }
+    }
+    if let Some(times) = viability.and_then(Viability::suffix) {
+        cursors = cursors
+            .iter()
+            .flat_map(|cursor| {
+                let pieces = times.within(cursor.position.row(), cursor.interval);
+                pieces.map(|interval| Cursor { interval, ..*cursor })
+            })
+            .collect();
     }
     chains.extend(cursors.iter().map(|cursor| trail.materialize(cursor)));
 }
@@ -745,6 +812,38 @@ mod tests {
     }
 
     #[test]
+    fn a_structural_suffix_answers_one_row_per_piece_of_the_bound_row() {
+        // Ann meets bob on [2, 4] and cal on [3, 6]; both are high-risk.
+        let mut b = ItpgBuilder::new();
+        let all = iv(1, 9);
+        let people: Vec<_> = ["ann", "bob", "cal"]
+            .iter()
+            .map(|name| {
+                let node = b.add_node(name, "Person").unwrap();
+                b.add_existence(node, all).unwrap();
+                node
+            })
+            .collect();
+        for &node in &people[1..] {
+            b.set_property(node, "risk", "high", all).unwrap();
+        }
+        for (name, met, during) in [("m1", people[1], iv(2, 4)), ("m2", people[2], iv(3, 6))] {
+            let edge = b.add_edge(name, "meets", people[0], met).unwrap();
+            b.add_existence(edge, during).unwrap();
+        }
+        let g = GraphRelations::from_itpg(&b.domain(all).build().unwrap());
+        let sequential = ExecutionOptions::sequential();
+        // Matched forward, one row per path...
+        let bound = "MATCH (x:Person)-[:meets]->(y:Person {risk = 'high'}) ON g";
+        let forward = execute_text(bound, &g, &sequential).unwrap();
+        let paths = [["ann", "[2, 4]", "bob", "[2, 4]"], ["ann", "[3, 6]", "cal", "[3, 6]"]];
+        assert_eq!(names(&g, &forward), paths);
+        // ...walked back, one row per maximal piece of ann's row: the same snapshots.
+        let suffix = "MATCH (x:Person)-[:meets]->(:Person {risk = 'high'}) ON g";
+        assert_eq!(names(&g, &execute_text(suffix, &g, &sequential).unwrap()), [["ann", "[2, 6]"]]);
+    }
+
+    #[test]
     fn unsatisfiable_queries_return_empty_tables() {
         let g = relations();
         for query in [
@@ -826,6 +925,13 @@ mod tests {
         (masked, masked + stats.viability_skipped.load(Ordering::Relaxed))
     }
 
+    /// Q9 as the benchmark writes it — an existential suffix after `x` — and with its
+    /// last node bound, which matches the whole path forward.
+    const Q9: &str =
+        "MATCH (x:Person {risk = 'high'})-/FWD/:meets/FWD/NEXT*/-({test = 'pos'}) ON g";
+    const Q9_Y: &str =
+        "MATCH (x:Person {risk = 'high'})-/FWD/:meets/FWD/NEXT*/-(y {test = 'pos'}) ON g";
+
     #[test]
     fn seed_batches_leave_chains_and_hop_joins_as_one_batch_would() {
         let g = ring(2 * SEED_BATCH + 300);
@@ -834,7 +940,7 @@ mod tests {
         let mut masked_queries = Vec::new();
         for text in [
             "MATCH (x:Person {risk = 'high'})-[z:meets]->(y:Person {risk = 'low'}) ON g",
-            "MATCH (x:Person {risk = 'high'})-/FWD/:meets/FWD/NEXT*/-({test = 'pos'}) ON g",
+            Q9_Y,
             "MATCH (x:Person {risk = 'none'})-/FWD/:meets/FWD/-(y) ON g",
         ] {
             for plan in &plans(text) {
@@ -872,8 +978,24 @@ mod tests {
             }
         }
         // Only the query ending on the rare filter wastes more than half its sample.
-        assert_eq!(masked_queries.len(), 1);
-        assert!(masked_queries[0].ends_with("({test = 'pos'}) ON g"));
+        assert_eq!(masked_queries, [Q9_Y]);
+
+        // Q9 as written walks its suffix back once per call, one batch or many, and
+        // its forward pass makes no hop: every chain ends in the segment of `x`.
+        let q9 = &plans(Q9)[0];
+        let whole = StepStats::default();
+        let chains = run_plan_seeded(q9, &g, &seeds, Parallelism::sequential(), &whole);
+        let mut sliced = Vec::new();
+        for slice in seeds.chunks(SEED_BATCH - 7) {
+            let stats = StepStats::default();
+            sliced.extend(run_plan_seeded(q9, &g, slice, Parallelism::sequential(), &stats));
+            assert_eq!(viability_outcomes(&stats), (1, 1));
+        }
+        assert_eq!(chains, sliced);
+        assert!(!chains.is_empty() && chains.iter().all(|chain| chain.seg_intervals.is_empty()));
+        assert_eq!(viability_outcomes(&whole), (1, 1));
+        let work = (whole.hop_cursors.load(Ordering::Relaxed), whole.hash_joins.into_inner());
+        assert_eq!(work, (0, 0));
     }
 
     #[test]
@@ -960,15 +1082,41 @@ mod tests {
         GraphRelations::from_itpg(&b.domain(iv(1, 20)).build().unwrap())
     }
 
+    /// The plans of a benchmark query with its last node bound.  Q9–Q12 end on an
+    /// anonymous `({test = 'pos'})`, an existential suffix the executor walks back
+    /// exactly; bound to `y`, Steps 1–2 match the whole path forward, which is what
+    /// the mask pins need.
+    fn bound_last(id: QueryId) -> Vec<EnginePlan> {
+        plans(&id.text().replace("({test = 'pos'})", "(y {test = 'pos'})"))
+    }
+
     #[test]
     fn masked_batches_return_the_unmasked_chains_in_the_same_order() {
         use QueryId::{Q10, Q11, Q12, Q5, Q9};
+        let sequential = Parallelism::sequential();
         for (high_residue, low_yield) in [(0, &[Q9, Q10, Q11, Q12][..]), (1, &[Q5][..])] {
             let g = contact(high_residue);
             let seeds = g.seed_rows();
             let mut answered = 0;
             for id in QueryId::ALL {
-                for plan in &crate::queries::plan_for(id).plans {
+                // As written, Q9–Q12 walk their suffix back once per call: the same
+                // chains whatever the batching and the threads.
+                let suffixed = matches!(id, Q9 | Q10 | Q11 | Q12);
+                for plan in crate::queries::plan_for(id).plans.iter().filter(|_| suffixed) {
+                    let one = StepStats::default();
+                    let expected =
+                        run_plan_batched(plan, &g, &seeds, sequential, &one, seeds.len());
+                    assert_eq!(viability_outcomes(&one), (1, 1), "{}", id.name());
+                    for (batch_len, threads) in [(1, 1), (3, 1), (3, 4)] {
+                        let stats = StepStats::default();
+                        let parallelism = Parallelism::with_threads(threads);
+                        let chains =
+                            run_plan_batched(plan, &g, &seeds, parallelism, &stats, batch_len);
+                        assert_eq!(chains, expected, "{} × {batch_len} × {threads}", id.name());
+                        assert_eq!(viability_outcomes(&stats), (1, 1), "{}", id.name());
+                    }
+                }
+                for plan in &bound_last(id) {
                     // All seeds in one batch: the run no mask can touch.
                     let plain = StepStats::default();
                     let expected = run_plan_batched(
@@ -1009,12 +1157,16 @@ mod tests {
         }
     }
 
-    /// `closure-g2`'s two plans — REACH also ending on RECUR's rare filter — and
-    /// whether [`viability_gate`] masks them.
+    /// RECUR as `closure-g2` runs it: an existential suffix after `x`.
+    const RECUR: &str =
+        "MATCH (x:Person {risk = 'high'})-/(FWD/:meets/FWD/NEXT)*/NEXT*/-({test = 'pos'}) ON g";
+
+    /// `closure-g2`'s two plans with their last node bound — REACH also ending on
+    /// RECUR's rare filter — and whether [`viability_gate`] masks them.
     const FIXPOINTS: [(&str, bool); 3] = [
-        ("MATCH (x:Person {risk = 'high'})-/(FWD/:meets/FWD)*/-({test = 'pos'}) ON g", true),
+        ("MATCH (x:Person {risk = 'high'})-/(FWD/:meets/FWD)*/-(y {test = 'pos'}) ON g", true),
         (
-            "MATCH (x:Person {risk = 'high'})-/(FWD/:meets/FWD/NEXT)*/NEXT*/-({test = 'pos'}) ON g",
+            "MATCH (x:Person {risk = 'high'})-/(FWD/:meets/FWD/NEXT)*/NEXT*/-(y {test = 'pos'}) ON g",
             true,
         ),
         ("MATCH (x:Person {risk = 'high'})-/(FWD/:meets/FWD)*/-(y:Person) ON g", false),
@@ -1029,6 +1181,19 @@ mod tests {
         let mut pruned = [0; FIXPOINTS.len()];
         for g in [contact(0), contact(1), ring(150)] {
             let seeds = g.seed_rows();
+            // RECUR as written runs its closure backwards only, once per call, and
+            // hands every worker the same times.
+            let recur = &plans(RECUR)[0];
+            let runs = [1, 2, 8].map(|threads| {
+                let stats = StepStats::default();
+                let parallelism = Parallelism::with_threads(threads);
+                let chains = run_plan_seeded(recur, &g, &seeds, parallelism, &stats);
+                assert_eq!(viability_outcomes(&stats), (1, 1), "RECUR on {threads} threads");
+                assert!(work(&stats).1 > 0, "the backward fixpoint counts its rounds");
+                chains
+            });
+            assert!(!runs[0].is_empty() && runs.iter().all(|chains| *chains == runs[0]));
+            assert!(runs[0].iter().all(|chain| chain.lags.is_empty()), "no closure crossed");
             for (index, (text, masked)) in FIXPOINTS.into_iter().enumerate() {
                 let plan = &plans(text)[0];
                 assert!(plan.has_fixpoint());

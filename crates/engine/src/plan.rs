@@ -306,6 +306,37 @@ impl Shift {
         }
     }
 
+    /// The departure times from which the shift arrives at *some* time in `arrival`,
+    /// given the maximal existence interval `within` containing the arrival interval:
+    /// `[arrival.start − max, arrival.end − min]` for forward shifts and
+    /// `[arrival.start + min, arrival.end + max]` for backward ones, an open-ended
+    /// bound running to the edge of `within`, clamped to `within` — the pre-image of
+    /// [`Shift::arrival_from_interval`].
+    pub fn departure_into(&self, arrival: Interval, within: Interval) -> Option<Interval> {
+        if self.is_unsatisfiable() {
+            return None;
+        }
+        let (lo, hi) = if self.forward {
+            let hi = arrival.end().checked_sub(self.min as u64)?;
+            let lo = match self.max {
+                Some(m) => arrival.start().saturating_sub(m as u64),
+                None => within.start(),
+            };
+            (lo, hi)
+        } else {
+            let lo = arrival.start().checked_add(self.min as u64)?;
+            let hi = match self.max {
+                Some(m) => arrival.end().saturating_add(m as u64),
+                None => within.end(),
+            };
+            (lo, hi)
+        };
+        if lo > hi {
+            return None;
+        }
+        Interval::of(lo, hi).intersect(&within)
+    }
+
     /// True if moving from `from` to `to` respects the step bounds and direction.
     pub fn admits(&self, from: Time, to: Time) -> bool {
         let delta = if self.forward {
@@ -388,6 +419,14 @@ impl EnginePlan {
     /// counting the ones repeated inside a closure.
     pub fn hop_count(&self) -> usize {
         self.segments.iter().flat_map(|s| &s.ops).filter(|op| matches!(op, MicroOp::Hop(_))).count()
+    }
+
+    /// The plan up to and including op `op` of segment `segment`: the segments
+    /// before it, its ops up to `op`, and the links between them.
+    pub(crate) fn prefix(&self, segment: usize, op: usize) -> EnginePlan {
+        let mut segments = self.segments[..=segment].to_vec();
+        segments[segment].ops.truncate(op + 1);
+        EnginePlan { segments, links: self.links[..segment].to_vec() }
     }
 
     /// Per link, the index into a chain's recorded lags
@@ -561,6 +600,36 @@ mod tests {
         // Departure too close to the start of time for a backward shift.
         let far_prev = Shift { forward: false, min: 10, max: Some(12) };
         assert_eq!(far_prev.arrival_from_interval(Interval::of(2, 3), within), None);
+    }
+
+    #[test]
+    fn shift_departures_are_the_pre_image_of_arrivals() {
+        let within = Interval::of(10, 30);
+        let arrival = Interval::of(20, 22);
+        let next = Shift { forward: true, min: 2, max: Some(4) };
+        assert_eq!(next.departure_into(arrival, within), Some(Interval::of(16, 20)));
+        for t in 10..=30 {
+            let arrives = next.arrival_from_point(t, within).is_some_and(|a| a.overlaps(&arrival));
+            assert_eq!(arrives, (16..=20).contains(&t), "departure {t}");
+        }
+        let prev = Shift { forward: false, min: 1, max: Some(2) };
+        assert_eq!(prev.departure_into(arrival, within), Some(Interval::of(21, 24)));
+        // An open bound runs to the edge of the existence interval, never past it.
+        let next_star = Shift { forward: true, min: 0, max: None };
+        assert_eq!(next_star.departure_into(arrival, within), Some(Interval::of(10, 22)));
+        let prev_star = Shift { forward: false, min: 0, max: None };
+        assert_eq!(prev_star.departure_into(arrival, within), Some(Interval::of(20, 30)));
+        // Nothing when the steps leave the existence interval or time itself, or when
+        // the indicator is unsatisfiable.
+        let long = Shift { forward: true, min: 15, max: None };
+        assert_eq!(long.departure_into(arrival, within), None);
+        let early = Shift { forward: true, min: 3, max: Some(5) };
+        assert_eq!(early.departure_into(Interval::of(0, 2), Interval::of(0, 9)), None);
+        let late = Shift { forward: false, min: 1, max: Some(1) };
+        let end = Interval::point(Time::MAX);
+        assert_eq!(late.departure_into(end, Interval::of(0, Time::MAX)), None);
+        let empty = Shift { forward: true, min: 3, max: Some(1) };
+        assert_eq!(empty.departure_into(arrival, within), None);
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! The three evaluation steps of Section VI, plus the closure fixpoint operator and
-//! the backward viability masks Steps 1–2 of a low-yield plan — fixpoints included —
-//! run under.
+//! The three evaluation steps of Section VI, plus the closure fixpoint operator, the
+//! backward viability masks Steps 1–2 of a low-yield plan — fixpoints included — run
+//! under, and the exact backward walk of a plan's existential suffix.
 
 pub mod closure;
 pub mod expand;
@@ -15,12 +15,14 @@ use std::sync::atomic::{AtomicU64, AtomicUsize};
 #[derive(Debug, Default)]
 pub struct StepStats {
     /// Number of closure fixpoint rounds executed: one count per application of a
-    /// [`crate::plan::ClosureOp`]'s inner pipeline to a frontier.  Zero for plans
-    /// without structural repetition.
+    /// [`crate::plan::ClosureOp`]'s inner pipeline to a frontier — forward, or
+    /// backward when the closure sits in an existential suffix
+    /// ([`viability`]).  Zero for plans without structural repetition.
     pub closure_rounds: AtomicUsize,
     /// Number of *time-crossing* closure rounds executed: applications of a repeated
     /// group mixing structural and temporal navigation (`(FWD/NEXT)*` and friends) to
-    /// a band frontier.  Zero for plans without mixed repetition.
+    /// a band frontier, or backward to an existential suffix's time sets.  Zero for
+    /// plans without mixed repetition.
     pub time_closure_rounds: AtomicUsize,
     /// Number of structural hop joins executed (per hop batch, not per cursor); every
     /// hop probes the hash adjacency indexes.  The executor counts the seed batches
@@ -36,8 +38,9 @@ pub struct StepStats {
     /// Backward viability passes ([`viability`]) that walked the whole plan back to
     /// its seeds.  This and the two counters below move once per
     /// `run_plan_seeded` call that takes a fixpoint-free plan through more than one
-    /// seed batch, and once per call of a plan with a fixpoint — never per row —
-    /// and exactly one of the two outcomes moves.
+    /// seed batch, once per call of a plan with a fixpoint, and once per call of a
+    /// plan with an existential suffix, whose exact walk is always built — never per
+    /// row — and exactly one of the two outcomes moves.
     pub viability_built: AtomicUsize,
     /// Calls that ran unmasked: the plan has no selective filter to anchor on, or a
     /// closure the walk cannot follow; the sample batch wasted at most half its
@@ -46,9 +49,9 @@ pub struct StepStats {
     pub viability_skipped: AtomicUsize,
     /// Row indices the backward passes looked at.
     pub viability_rows_visited: AtomicUsize,
-    /// Nanoseconds spent inside closure fixpoints (structural and time-crossing),
-    /// accumulated only when [`StepStats::timed`] is set.  Feeds the
-    /// `query/step12/closure` span.
+    /// Nanoseconds spent inside closure fixpoints (structural and time-crossing,
+    /// forward and backward), accumulated only when [`StepStats::timed`] is set.
+    /// Feeds the `query/step12/closure` span.
     pub closure_nanos: AtomicU64,
     /// Whether the closure entry points read the clock to accumulate
     /// [`StepStats::closure_nanos`].  Off by default; the executor sets it from

@@ -1,14 +1,49 @@
-//! Backward viability masks: which rows a match may sit on and still reach the end
-//! of its plan.
+//! Backward viability: which rows — and, past a plan's last bound variable, which
+//! times — a match may sit on and still reach the end of its plan.
 //!
 //! Steps 1–2 evaluate a plan left to right, so a filter near the *end* of the plan
 //! (`({test = 'pos'})` closes Q9–Q12 and RECUR) prunes nothing until every hop before
-//! it has fanned out.  This module walks the plan once in the opposite direction: one
-//! dense scan of the relation the last selective filter applies to, then sparse
-//! propagation through the adjacency indexes read in reverse, leaving one [`RowMask`]
-//! wherever the forward pass *chooses* a row — the seeds, the rows a hop lands on, the
-//! rows a shift lands on, and inside a closure body the rows each hop and shift of it
-//! lands on.  The forward pass tests the bit before it reads the row.
+//! it has fanned out.  This module walks a plan in the opposite direction, in two
+//! ways that share one dense scan of the relation the plan's last filter applies to.
+//!
+//! **The exact suffix walk** (`Viability::build_suffix`).  When anything follows a
+//! plan's last [`MicroOp::Bind`] — RECUR and Q9–Q12 bind only `x` — that *existential
+//! suffix* needs no forward matching at all: the answer needs only the `(row, time)`
+//! points at the last bound variable from which the rest of the plan can still
+//! finish, one set with no source dimension.  The walk computes it right to left as a
+//! `TimeSet` — per row, sorted coalesced pieces of its interval — starting from the
+//! scan of the suffix's last filter (or of the whole relation, if the suffix ends on
+//! none):
+//!
+//! * a filter keeps the rows it matches and clamps their pieces
+//!   ([`ObjFilter::clamp_interval`]);
+//! * a hop reverses through the adjacency indexes, each piece intersected with the
+//!   interval of the row it came from;
+//! * a shift groups the pieces by object and takes their pre-image inside the maximal
+//!   existence interval holding them ([`Shift::departure_into`]: `[x1 − max, x2 − min]`
+//!   for `NEXT`, mirrored for `PREV`, an open bound running to the existence
+//!   interval's edge), then splits it back onto the object's live rows;
+//! * a closure — a segment op or a [`TemporalLink::Closure`] — is the least fixpoint
+//!   `V = M ∪ pre_body(V)`, `M` the set after it: the first `min` rounds replace the
+//!   set, then at most `max − min` semi-naive rounds add what is new per row.  Every
+//!   step is a relation on `(row, time)` points, so breadth-first layers are exactly the
+//!   depths, the argument the forward fixpoints' depth bounds rest on.
+//!
+//! Each step is exact on time points, so the set is exactly where the suffix can
+//! finish, never an over-approximation.  The forward pass runs the plan only up to its
+//! last `Bind` and cuts every cursor to the pieces of its row's set inside its interval
+//! (`TimeSet::within`); Step 3 and the compact answers already treat a chain's last
+//! segment as the end of the plan.  A purely structural plan therefore answers with
+//! one interval row per maximal piece of the bound row rather than one per path — the
+//! same snapshots.  The row-level walk below continues from the split back to the
+//! seeds, anchored on the rows of the set.
+//!
+//! **The row-level walk** (`Viability::build`): one dense scan of the relation the
+//! last selective filter applies to, then sparse propagation through the adjacency
+//! indexes read in reverse, leaving one [`RowMask`] wherever the forward pass *chooses*
+//! a row — the seeds, the rows a hop lands on, the rows a shift lands on, and inside a
+//! closure body the rows each hop and shift of it lands on.  The forward pass tests the
+//! bit before it reads the row.
 //!
 //! A mask is a sound over-approximation, so it never removes a match that would have
 //! survived — chains are the same, in the same order, with and without it:
@@ -41,7 +76,11 @@
 //! Masks are all or nothing: a pass that starts walks back to the seeds, and its cost
 //! is bounded by the graph — a row crosses each plan step at most once.  Nothing here
 //! is kept: the executor builds the masks of one plan inside one `run_plan_seeded`
-//! call, under the scan limit its gate sets, and drops them with it.
+//! call — for a plan with an existential suffix always, otherwise under the scan limit
+//! its gate sets — shares them by reference across its workers, and drops them with
+//! it.
+
+use std::sync::atomic::Ordering;
 
 use tgraph::{Interval, Object};
 
@@ -49,6 +88,7 @@ use crate::plan::{
     ClosureOp, ClosureStep, EnginePlan, HopDirection, MicroOp, ObjFilter, Shift, TemporalLink,
 };
 use crate::relations::GraphRelations;
+use crate::steps::StepStats;
 
 /// A set of physical row indices of one relation, one bit per row.  Which relation
 /// is known from where the mask is consulted: hops alternate between node and edge
@@ -117,6 +157,103 @@ impl RowMask {
                 }
             }
         }
+    }
+}
+
+/// Per row of one relation, the time points from which a match sitting there can
+/// still finish its plan: pieces `(row, interval)` sorted by `(row, start)`, the pieces
+/// of a row disjoint and never adjacent, each inside its row's interval.  Sorted
+/// vectors rather than a map of interval sets: the walk builds each set once per step
+/// and the forward pass only looks rows up.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct TimeSet {
+    pieces: Vec<(u32, Interval)>,
+}
+
+impl TimeSet {
+    /// The set of arbitrary pieces: sorted, then coalesced per row.  The sort is
+    /// stable, so two sorted runs one after the other merge in one pass.
+    fn from_pieces(mut pieces: Vec<(u32, Interval)>) -> Self {
+        pieces.sort_by_key(|&(row, piece)| (row, piece.start()));
+        pieces.dedup_by(|(row, piece), (kept_row, kept)| {
+            let joins = row == kept_row && piece.start() <= kept.end().saturating_add(1);
+            if joins {
+                *kept = kept.hull(piece);
+            }
+            joins
+        });
+        TimeSet { pieces }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.pieces.is_empty()
+    }
+
+    /// The pieces grouped by row, ascending.
+    fn by_row(&self) -> impl Iterator<Item = (u32, &[(u32, Interval)])> {
+        self.pieces.chunk_by(|a, b| a.0 == b.0).map(|pieces| (pieces[0].0, pieces))
+    }
+
+    /// The rows with a piece, as a mask of a relation of `rows` rows.
+    fn row_mask(&self, rows: usize) -> RowMask {
+        let mut mask = RowMask::empty(rows);
+        for (row, _) in self.by_row() {
+            mask.insert(row);
+        }
+        mask
+    }
+
+    fn union(&self, other: &TimeSet) -> TimeSet {
+        TimeSet::from_pieces(self.pieces.iter().chain(&other.pieces).copied().collect())
+    }
+
+    /// The points of `self` not in `other`, row by row: one merge of the two sorted
+    /// piece lists.
+    fn difference(&self, other: &TimeSet) -> TimeSet {
+        let cuts = &other.pieces;
+        let mut pieces = Vec::new();
+        let mut first = 0;
+        for &(row, piece) in &self.pieces {
+            // Skip the cuts wholly before this piece; later pieces start later.
+            while first < cuts.len()
+                && (cuts[first].0 < row
+                    || cuts[first].0 == row && cuts[first].1.end() < piece.start())
+            {
+                first += 1;
+            }
+            // What is left of the piece starts at `start`, if anything is.
+            let mut start = Some(piece.start());
+            for &(_, cut) in cuts[first..]
+                .iter()
+                .take_while(|&&(cut_row, cut)| cut_row == row && cut.start() <= piece.end())
+            {
+                let Some(from) = start else { break };
+                if cut.start() > from {
+                    pieces.push((row, Interval::of(from, cut.start() - 1)));
+                }
+                start = (cut.end() < piece.end()).then(|| cut.end() + 1);
+            }
+            if let Some(from) = start {
+                pieces.push((row, Interval::of(from, piece.end())));
+            }
+        }
+        TimeSet { pieces }
+    }
+
+    /// The pieces of `row` inside `interval`, ascending: where a cursor on `row` over
+    /// `interval` can still finish the plan.
+    pub(crate) fn within(
+        &self,
+        row: u32,
+        interval: Interval,
+    ) -> impl Iterator<Item = Interval> + '_ {
+        let first = self.pieces.partition_point(|&(other, piece)| {
+            other < row || other == row && piece.end() < interval.start()
+        });
+        self.pieces[first..]
+            .iter()
+            .take_while(move |&&(other, piece)| other == row && piece.start() <= interval.end())
+            .filter_map(move |(_, piece)| piece.intersect(&interval))
     }
 }
 
@@ -202,8 +339,11 @@ impl SegmentMasks {
 #[derive(Debug)]
 pub(crate) struct Viability {
     segments: Vec<SegmentMasks>,
+    /// For a plan with an existential suffix, the exact times per row at its last
+    /// `Bind` from which the suffix finishes.
+    suffix: Option<TimeSet>,
     /// Row indices the pass looked at: the live rows of its dense scan plus every
-    /// set bit it reversed and every adjacent row it tested.
+    /// row or piece it reversed and every adjacent row it tested.
     pub(crate) rows_visited: usize,
 }
 
@@ -226,80 +366,129 @@ impl Viability {
         if !plan.closures().all(keeps_row_kind) {
             return Err(0);
         }
-        let mut segments: Vec<SegmentMasks> = plan
-            .segments
+        let steps = steps_back(plan);
+        let (anchor, filter, on_nodes) = steps
             .iter()
-            .map(|segment| SegmentMasks {
-                entry: None,
-                ops: segment.ops.iter().map(|_| None).collect(),
+            .enumerate()
+            .find_map(|(index, back)| match back.step {
+                Step::Op(_, MicroOp::Filter(filter)) if anchors(filter, back.on_nodes) => {
+                    Some((index, filter, back.on_nodes))
+                }
+                _ => None,
             })
-            .collect();
+            .ok_or(0usize)?;
         let mut pass = Pass { graph, visited: 0 };
-        // Seeds are node rows and only a hop outside a closure changes the kind of
-        // row under the cursor.
-        let mut on_nodes = plan.hop_count() % 2 == 0;
-        // The rows a match may sit on before the step last walked over; `None`
-        // until the walk meets the filter it anchors on.
-        let mut current: Option<RowMask> = None;
-        for (index, segment) in plan.segments.iter().enumerate().rev() {
-            for (op_index, op) in segment.ops.iter().enumerate().rev() {
-                let slot = &mut segments[index].ops[op_index];
-                match op {
-                    MicroOp::Bind(_) => {}
-                    MicroOp::Filter(filter) => match &mut current {
-                        Some(mask) => pass.filter(mask, filter, on_nodes),
-                        None if selects_rows(filter) => {
-                            current = Some(pass.scan(filter, on_nodes, scan_limit)?);
-                        }
-                        None => {}
-                    },
-                    MicroOp::Hop(direction) => {
-                        let landed_on_nodes = on_nodes;
-                        on_nodes = !on_nodes;
-                        if let Some(landing) = current.take() {
-                            current = Some(pass.reverse_hop(&landing, *direction, landed_on_nodes));
-                            *slot = Some(StepMasks::Rows(landing));
-                        }
-                    }
-                    MicroOp::Closure(closure) => {
-                        if let Some(after) = current.take() {
-                            let (before, masks) = pass.reverse_closure(closure, after, on_nodes);
-                            current = Some(before);
-                            *slot = Some(StepMasks::Closure(masks));
-                        }
-                    }
-                }
-            }
-            if index == 0 {
-                break;
-            }
-            let Some(entry) = current.take() else { continue };
-            let (before, masks) = match &plan.links[index - 1] {
-                TemporalLink::Shift(shift) => {
-                    (pass.reverse_shift(&entry, shift, on_nodes), StepMasks::Rows(entry))
-                }
-                TemporalLink::Closure(closure) => {
-                    let (before, masks) = pass.reverse_closure(closure, entry, on_nodes);
-                    (before, StepMasks::Closure(masks))
-                }
-            };
-            segments[index].entry = Some(masks);
-            current = Some(before);
+        let kept = pass.scan_rows(filter, on_nodes, scan_limit)?;
+        let mut segments = unconstrained(plan);
+        let seeds = pass.rows_back(&steps[anchor + 1..], kept, &mut segments);
+        segments[0].entry = Some(StepMasks::Rows(seeds));
+        Ok(Viability { segments, suffix: None, rows_visited: pass.visited })
+    }
+
+    /// Splits a plan with an existential suffix at its last `Bind` and walks the
+    /// suffix back exactly, then the rest of the plan back to its seeds at row level,
+    /// anchored on the rows the suffix can finish from.  Returns the prefix the forward
+    /// pass runs — the plan up to and including that `Bind` — with the masks of its
+    /// steps and the suffix's times, or `None`, reading no row, when nothing follows
+    /// the last `Bind` (or the plan binds nothing), or when a closure body does not
+    /// return to the kind of row it started on or nests another closure.
+    ///
+    /// The backward closure fixpoints count their rounds and their time in `stats`,
+    /// as the forward ones do.
+    pub(crate) fn build_suffix(
+        plan: &EnginePlan,
+        graph: &GraphRelations,
+        stats: &StepStats,
+    ) -> Option<(EnginePlan, Self)> {
+        if !plan.closures().all(keeps_row_kind) {
+            return None;
         }
-        segments[0].entry = Some(StepMasks::Rows(current.ok_or(0usize)?));
-        Ok(Viability { segments, rows_visited: pass.visited })
+        let steps = steps_back(plan);
+        let (split, segment, op, on_nodes) =
+            steps.iter().enumerate().find_map(|(index, back)| match back.step {
+                Step::Op(op, MicroOp::Bind(_)) => Some((index, back.segment, op, back.on_nodes)),
+                _ => None,
+            })?;
+        if split == 0 {
+            return None;
+        }
+        let mut pass = Pass { graph, visited: 0 };
+        let times = pass
+            .times_back(&steps[..split], stats)
+            .unwrap_or_else(|| pass.scan_times(&ObjFilter::default(), on_nodes));
+        let mut segments = unconstrained(plan);
+        let kept = times.row_mask(pass.relation_len(on_nodes));
+        let seeds = pass.rows_back(&steps[split + 1..], kept, &mut segments);
+        segments[0].entry = Some(StepMasks::Rows(seeds));
+        let viability = Viability { segments, suffix: Some(times), rows_visited: pass.visited };
+        Some((plan.prefix(segment, op), viability))
     }
 
     /// The masks of the segment at `index`.
     pub(crate) fn segment(&self, index: usize) -> &SegmentMasks {
         &self.segments[index]
     }
+
+    /// The times of an existential suffix, per row at the plan's last `Bind`.
+    pub(crate) fn suffix(&self) -> Option<&TimeSet> {
+        self.suffix.as_ref()
+    }
 }
 
-/// True if the filter can tell two rows of one relation apart.  Which relation a
-/// step sits on is fixed by the plan, so `require_node` alone selects nothing.
-fn selects_rows(filter: &ObjFilter) -> bool {
-    filter.label.is_some() || !filter.props.is_empty() || !filter.time.is_empty()
+/// No mask anywhere in `plan` yet.
+fn unconstrained(plan: &EnginePlan) -> Vec<SegmentMasks> {
+    plan.segments
+        .iter()
+        .map(|segment| SegmentMasks {
+            entry: None,
+            ops: segment.ops.iter().map(|_| None).collect(),
+        })
+        .collect()
+}
+
+/// One step of a plan as the walk meets it, right to left.
+struct BackStep<'p> {
+    /// The segment the step belongs to; a link belongs to the segment it enters.
+    segment: usize,
+    /// Whether the cursor sits on a node row just *after* the step: the kind of row
+    /// a hop lands on, the kind every other step stays on.
+    on_nodes: bool,
+    step: Step<'p>,
+}
+
+enum Step<'p> {
+    /// The op at this index of the segment.
+    Op(usize, &'p MicroOp),
+    /// The link entering the segment.
+    Link(&'p TemporalLink),
+}
+
+/// The steps of `plan` from its last to its first.  Seeds are node rows and only a
+/// hop outside a closure changes the kind of row under the cursor, given closure
+/// bodies that return to the kind they started on ([`keeps_row_kind`]).
+fn steps_back(plan: &EnginePlan) -> Vec<BackStep<'_>> {
+    let mut steps = Vec::new();
+    let mut on_nodes = plan.hop_count() % 2 == 0;
+    for (segment, ops) in plan.segments.iter().enumerate().rev() {
+        for (op, micro) in ops.ops.iter().enumerate().rev() {
+            steps.push(BackStep { segment, on_nodes, step: Step::Op(op, micro) });
+            on_nodes ^= matches!(micro, MicroOp::Hop(_));
+        }
+        if segment > 0 {
+            steps.push(BackStep { segment, on_nodes, step: Step::Link(&plan.links[segment - 1]) });
+        }
+    }
+    steps
+}
+
+/// True if the filter can tell two rows of one relation apart, or rejects the whole
+/// relation it sits on.  Which relation a step sits on is fixed by the plan, so a
+/// `require_node` that agrees with it selects nothing.
+fn anchors(filter: &ObjFilter, on_nodes: bool) -> bool {
+    filter.label.is_some()
+        || !filter.props.is_empty()
+        || !filter.time.is_empty()
+        || filter.require_node.is_some_and(|node| node != on_nodes)
 }
 
 /// True if the anchor keeps at most half of its relation's `live` rows, the rule
@@ -360,48 +549,71 @@ impl Pass<'_> {
         }
     }
 
-    /// True if a cursor sitting on `row` can pass `filter` with a non-empty interval.
-    fn accepts(&self, filter: &ObjFilter, on_nodes: bool, row: u32) -> bool {
+    /// The number of live rows of the node or the edge relation.
+    fn live(&self, on_nodes: bool) -> usize {
+        let stats = self.graph.stats();
+        if on_nodes {
+            stats.temporal_nodes
+        } else {
+            stats.temporal_edges
+        }
+    }
+
+    /// True if `row` is of the kind `filter` requires and carries its label and
+    /// properties; the time part is [`ObjFilter::clamp_interval`]'s.
+    fn matches(&self, filter: &ObjFilter, on_nodes: bool, row: u32) -> bool {
         if filter.require_node.is_some_and(|node| node != on_nodes) {
             return false;
         }
-        let (label, props, interval) = if on_nodes {
+        if on_nodes {
             let row = &self.graph.node_rows()[row as usize];
-            (&row.label, &row.props, row.interval)
+            filter.matches_row(&row.label, &row.props)
         } else {
             let row = &self.graph.edge_rows()[row as usize];
-            (&row.label, &row.props, row.interval)
-        };
-        filter.matches_row(label, props) && filter.clamp_interval(interval).is_some()
+            filter.matches_row(&row.label, &row.props)
+        }
     }
 
-    /// The dense scan the walk starts from: the live rows of the relation that pass
-    /// `filter`.  `Err(0)`, reading nothing, if the relation has more than
-    /// `scan_limit` live rows; `Err(live)` if the filter keeps more than half of them.
-    fn scan(
-        &mut self,
-        filter: &ObjFilter,
-        on_nodes: bool,
-        scan_limit: usize,
-    ) -> Result<RowMask, usize> {
-        let stats = self.graph.stats();
-        let live = if on_nodes { stats.temporal_nodes } else { stats.temporal_edges };
-        if live > scan_limit {
-            return Err(0);
-        }
-        self.charge(live);
-        let rows = self.relation_len(on_nodes);
-        let mut mask = RowMask::empty(rows);
-        for row in 0..rows as u32 {
+    /// True if a cursor sitting on `row` can pass `filter` with a non-empty interval.
+    fn accepts(&self, filter: &ObjFilter, on_nodes: bool, row: u32) -> bool {
+        self.matches(filter, on_nodes, row)
+            && filter.clamp_interval(self.row(on_nodes, row).1).is_some()
+    }
+
+    /// The dense scan both walks start from: every live row of the relation that
+    /// passes `filter`, handed to `keep` with its clamped interval, ascending.
+    fn scan(&mut self, filter: &ObjFilter, on_nodes: bool, mut keep: impl FnMut(u32, Interval)) {
+        self.charge(self.live(on_nodes));
+        for row in 0..self.relation_len(on_nodes) as u32 {
             let is_live = if on_nodes {
                 self.graph.is_node_row_live(row)
             } else {
                 self.graph.is_edge_row_live(row)
             };
-            if is_live && self.accepts(filter, on_nodes, row) {
-                mask.insert(row);
+            if !is_live || !self.matches(filter, on_nodes, row) {
+                continue;
+            }
+            if let Some(interval) = filter.clamp_interval(self.row(on_nodes, row).1) {
+                keep(row, interval);
             }
         }
+    }
+
+    /// The row-level walk's anchor: the live rows that pass `filter`.  `Err(0)`,
+    /// reading nothing, if the relation has more than `scan_limit` live rows;
+    /// `Err(live)` if the filter keeps more than half of them.
+    fn scan_rows(
+        &mut self,
+        filter: &ObjFilter,
+        on_nodes: bool,
+        scan_limit: usize,
+    ) -> Result<RowMask, usize> {
+        let live = self.live(on_nodes);
+        if live > scan_limit {
+            return Err(0);
+        }
+        let mut mask = self.empty(on_nodes);
+        self.scan(filter, on_nodes, |row, _| mask.insert(row));
         if anchor_is_selective(mask.len(), live) {
             Ok(mask)
         } else {
@@ -409,10 +621,35 @@ impl Pass<'_> {
         }
     }
 
+    /// The exact walk's start: the live rows that pass `filter`, each over its
+    /// clamped interval.
+    fn scan_times(&mut self, filter: &ObjFilter, on_nodes: bool) -> TimeSet {
+        let mut pieces = Vec::new();
+        self.scan(filter, on_nodes, |row, interval| pieces.push((row, interval)));
+        TimeSet { pieces }
+    }
+
     /// Walks back over a filter: the rows of `mask` that pass it.
     fn filter(&mut self, mask: &mut RowMask, filter: &ObjFilter, on_nodes: bool) {
         self.charge(mask.len());
         mask.retain(|row| self.accepts(filter, on_nodes, row));
+    }
+
+    /// Walks exactly back over a filter: the pieces of the rows that pass it, clamped.
+    fn filter_times(&mut self, set: &mut TimeSet, filter: &ObjFilter, on_nodes: bool) {
+        self.charge(set.pieces.len());
+        let mut last: Option<(u32, bool)> = None;
+        set.pieces.retain_mut(|(row, piece)| {
+            let matched = match last {
+                Some((seen, matched)) if seen == *row => matched,
+                _ => {
+                    let matched = self.matches(filter, on_nodes, *row);
+                    last = Some((*row, matched));
+                    matched
+                }
+            };
+            matched && filter.clamp_interval(*piece).map(|clamped| *piece = clamped).is_some()
+        });
     }
 
     /// Walks back over a hop: the rows from which the hop reaches a row of `landing`
@@ -575,6 +812,237 @@ impl Pass<'_> {
             })
             .collect();
         (viable, ClosureMasks { exit: after, steps })
+    }
+
+    /// Walks `steps` back at row level from `current`, the rows a match may sit on
+    /// just after the first of them, leaving a mask in `segments` at every step that
+    /// chooses rows; returns the rows the plan may start on.
+    fn rows_back(
+        &mut self,
+        steps: &[BackStep<'_>],
+        mut current: RowMask,
+        segments: &mut [SegmentMasks],
+    ) -> RowMask {
+        for back in steps {
+            let (masks, on_nodes) = (&mut segments[back.segment], back.on_nodes);
+            match back.step {
+                Step::Op(_, MicroOp::Bind(_)) => {}
+                Step::Op(_, MicroOp::Filter(filter)) => self.filter(&mut current, filter, on_nodes),
+                Step::Op(op, MicroOp::Hop(direction)) => {
+                    let from = self.reverse_hop(&current, *direction, on_nodes);
+                    masks.ops[op] = Some(StepMasks::Rows(std::mem::replace(&mut current, from)));
+                }
+                Step::Op(op, MicroOp::Closure(closure)) => {
+                    let (before, closure_masks) = self.reverse_closure(closure, current, on_nodes);
+                    current = before;
+                    masks.ops[op] = Some(StepMasks::Closure(closure_masks));
+                }
+                Step::Link(TemporalLink::Shift(shift)) => {
+                    let from = self.reverse_shift(&current, shift, on_nodes);
+                    masks.entry = Some(StepMasks::Rows(std::mem::replace(&mut current, from)));
+                }
+                Step::Link(TemporalLink::Closure(closure)) => {
+                    let (before, closure_masks) = self.reverse_closure(closure, current, on_nodes);
+                    current = before;
+                    masks.entry = Some(StepMasks::Closure(closure_masks));
+                }
+            }
+        }
+        current
+    }
+
+    /// Walks an existential suffix — `steps`, which bind nothing — back exactly: the
+    /// times, per row just before the first of them, from which the plan finishes.
+    /// `None` while nothing constrains them yet: every live row over its whole
+    /// interval, which a step that moves the cursor scans for before reversing.
+    fn times_back(&mut self, steps: &[BackStep<'_>], stats: &StepStats) -> Option<TimeSet> {
+        let mut current: Option<TimeSet> = None;
+        for back in steps {
+            let on_nodes = back.on_nodes;
+            if let Step::Op(_, MicroOp::Filter(filter)) = back.step {
+                match &mut current {
+                    Some(set) => self.filter_times(set, filter, on_nodes),
+                    None if anchors(filter, on_nodes) => {
+                        current = Some(self.scan_times(filter, on_nodes));
+                    }
+                    None => {}
+                }
+                continue;
+            }
+            let after =
+                current.take().unwrap_or_else(|| self.scan_times(&ObjFilter::default(), on_nodes));
+            current = Some(match back.step {
+                Step::Op(_, MicroOp::Hop(direction)) => {
+                    self.reverse_hop_times(&after, *direction, on_nodes)
+                }
+                Step::Op(_, MicroOp::Closure(closure))
+                | Step::Link(TemporalLink::Closure(closure)) => {
+                    self.reverse_closure_times(closure, after, on_nodes, stats)
+                }
+                Step::Link(TemporalLink::Shift(shift)) => {
+                    self.reverse_shift_times(&after, shift, on_nodes)
+                }
+                // Filters are walked above; a suffix binds nothing.
+                Step::Op(_, MicroOp::Filter(_) | MicroOp::Bind(_)) => after,
+            });
+        }
+        current
+    }
+
+    /// Walks exactly back over a hop: per row the hop may start on, the times at
+    /// which it reaches a piece of `landing` — each piece intersected with the
+    /// interval of the row it came from, through the adjacency [`Pass::reverse_hop`]
+    /// reads.
+    fn reverse_hop_times(
+        &mut self,
+        landing: &TimeSet,
+        direction: HopDirection,
+        landed_on_nodes: bool,
+    ) -> TimeSet {
+        let graph = self.graph;
+        let (node_rows, edge_rows) = (graph.node_rows(), graph.edge_rows());
+        let forward = direction == HopDirection::Forward;
+        let mut from = Vec::new();
+        for (row, pieces) in landing.by_row() {
+            let mut reach = |other: u32, during: Interval| {
+                from.extend(
+                    pieces.iter().filter_map(|(_, piece)| Some((other, piece.intersect(&during)?))),
+                );
+            };
+            if landed_on_nodes {
+                let node = node_rows[row as usize].node;
+                let edges =
+                    if forward { graph.in_edge_rows(node) } else { graph.out_edge_rows(node) };
+                self.charge(1 + edges.len());
+                for &edge in edges {
+                    reach(edge, edge_rows[edge as usize].interval);
+                }
+            } else {
+                let edge = &edge_rows[row as usize];
+                let states = graph.rows_of_node(if forward { edge.src } else { edge.tgt });
+                self.charge(1 + states.len());
+                for &node in states {
+                    reach(node, node_rows[node as usize].interval);
+                }
+            }
+        }
+        TimeSet::from_pieces(from)
+    }
+
+    /// Walks exactly back over a shift: the pieces grouped by object, their
+    /// departures taken inside the maximal existence interval holding each
+    /// ([`Shift::departure_into`]) — never across an existence gap — and split back
+    /// onto the object's live rows.
+    fn reverse_shift_times(&mut self, landing: &TimeSet, shift: &Shift, on_nodes: bool) -> TimeSet {
+        let graph = self.graph;
+        self.charge(landing.pieces.len());
+        let mut departures: Vec<(Object, Interval)> = landing
+            .pieces
+            .iter()
+            .filter_map(|&(row, piece)| {
+                let (object, _) = self.row(on_nodes, row);
+                let within = graph.existence_interval_at(object, piece.start())?;
+                Some((object, shift.departure_into(piece, within)?))
+            })
+            .collect();
+        departures.sort_unstable_by_key(|&(object, departure)| (object, departure.start()));
+        let mut from = Vec::new();
+        for group in departures.chunk_by(|a, b| a.0 == b.0) {
+            let rows = match group[0].0 {
+                Object::Node(node) => graph.rows_of_node(node),
+                Object::Edge(edge) => graph.rows_of_edge(edge),
+            };
+            self.charge(rows.len());
+            for &row in rows {
+                let during = self.row(on_nodes, row).1;
+                from.extend(
+                    group
+                        .iter()
+                        .filter_map(|(_, departure)| Some((row, departure.intersect(&during)?))),
+                );
+            }
+        }
+        TimeSet::from_pieces(from)
+    }
+
+    /// Walks exactly back over a closure that may emit onto `after`: the least
+    /// fixpoint `V = after ∪ pre_body(V)` under the closure's depth bounds.  The first
+    /// `min` rounds replace the set — a point reached in fewer iterations is not
+    /// reached at depth `min` — then at most `max − min` semi-naive rounds reverse only
+    /// what the previous round newly found, per row.  Breadth-first layers of a
+    /// pointwise relation are its depths, so the bounded semi-naive phase is exact.
+    /// Rounds count as the forward fixpoint's kind of round, time as closure time.
+    fn reverse_closure_times(
+        &mut self,
+        closure: &ClosureOp,
+        after: TimeSet,
+        on_nodes: bool,
+        stats: &StepStats,
+    ) -> TimeSet {
+        let watch = stats.timed.then(obs::Stopwatch::start);
+        let rounds = if closure.is_time_crossing() {
+            &stats.time_closure_rounds
+        } else {
+            &stats.closure_rounds
+        };
+        let round = |pass: &mut Self, set: &TimeSet| {
+            rounds.fetch_add(1, Ordering::Relaxed);
+            pass.pre_body(closure, set, on_nodes)
+        };
+        let viable = 'fixpoint: {
+            if closure.max.is_some_and(|max| max < closure.min) {
+                break 'fixpoint TimeSet::default();
+            }
+            let mut frontier = after;
+            for _ in 0..closure.min {
+                if frontier.is_empty() {
+                    break 'fixpoint frontier;
+                }
+                frontier = round(self, &frontier);
+            }
+            let mut viable = frontier.clone();
+            let mut delta = frontier;
+            let mut remaining = closure.max.map(|max| max - closure.min);
+            while !delta.is_empty() && remaining != Some(0) {
+                delta = round(self, &delta).difference(&viable);
+                viable = viable.union(&delta);
+                remaining = remaining.map(|left| left - 1);
+            }
+            viable
+        };
+        if let Some(watch) = watch {
+            stats.closure_nanos.fetch_add(watch.elapsed_nanos(), Ordering::Relaxed);
+        }
+        viable
+    }
+
+    /// One backward application of a closure body: the union over its alternatives
+    /// of their steps walked exactly back, right to left, from `after`.
+    fn pre_body(&mut self, closure: &ClosureOp, after: &TimeSet, on_nodes: bool) -> TimeSet {
+        let mut found = Vec::new();
+        for steps in &closure.alternatives {
+            let mut set = after.clone();
+            let mut kind = on_nodes;
+            for step in steps.iter().rev() {
+                if set.is_empty() {
+                    break;
+                }
+                match step {
+                    ClosureStep::Micro(MicroOp::Filter(filter)) => {
+                        self.filter_times(&mut set, filter, kind)
+                    }
+                    ClosureStep::Micro(MicroOp::Hop(direction)) => {
+                        set = self.reverse_hop_times(&set, *direction, kind);
+                        kind = !kind;
+                    }
+                    ClosureStep::Shift(shift) => set = self.reverse_shift_times(&set, shift, kind),
+                    // Bodies bind nothing, and nested closures were refused.
+                    ClosureStep::Micro(MicroOp::Bind(_) | MicroOp::Closure(_)) => {}
+                }
+            }
+            found.extend(set.pieces);
+        }
+        TimeSet::from_pieces(found)
     }
 }
 
@@ -897,5 +1365,174 @@ mod tests {
         assert_eq!(masks(&at_limit), masks(&unlimited));
         assert_eq!(at_limit.rows_visited, unlimited.rows_visited);
         assert!(at_limit.rows_visited > live, "the walk goes on past the scan");
+    }
+
+    #[test]
+    fn time_sets_coalesce_per_row_and_subtract_row_by_row() {
+        let unsorted =
+            vec![(3, iv(5, 6)), (1, iv(4, 9)), (1, iv(1, 3)), (3, iv(1, 2)), (3, iv(2, 4))];
+        let set = TimeSet::from_pieces(unsorted);
+        assert_eq!(set.pieces, [(1, iv(1, 9)), (3, iv(1, 6))], "adjacent and overlapping merge");
+        let cuts = TimeSet::from_pieces(vec![
+            (1, iv(0, 1)),
+            (1, iv(4, 4)),
+            (1, iv(9, 12)),
+            (2, iv(0, 9)),
+            (3, iv(3, 3)),
+        ]);
+        let left = set.difference(&cuts);
+        assert_eq!(left.pieces, [(1, iv(2, 3)), (1, iv(5, 8)), (3, iv(1, 2)), (3, iv(4, 6))]);
+        assert!(set.difference(&set).is_empty());
+        assert_eq!(left.union(&cuts).pieces, [(1, iv(0, 12)), (2, iv(0, 9)), (3, iv(1, 6))]);
+        let within = |row, interval| left.within(row, interval).collect::<Vec<_>>();
+        assert_eq!(within(1, iv(3, 6)), [iv(3, 3), iv(5, 6)]);
+        assert_eq!(within(3, iv(0, 99)), [iv(1, 2), iv(4, 6)]);
+        assert!(within(2, iv(0, 99)).is_empty() && within(1, iv(4, 4)).is_empty());
+    }
+
+    /// The exact times `text`'s existential suffix leaves at its last `Bind`, named by
+    /// the node each row describes.
+    fn times_of(graph: &GraphRelations, text: &str) -> Vec<(String, Interval)> {
+        let (_, built) = Viability::build_suffix(&plan(text), graph, &StepStats::default())
+            .expect("the plan has an existential suffix");
+        let times = built.suffix().expect("a suffix walk leaves times");
+        assert!(times.pieces.iter().all(|&(row, _)| graph.is_node_row_live(row)), "{text}");
+        times
+            .pieces
+            .iter()
+            .map(|&(row, piece)| {
+                let node = graph.node_rows()[row as usize].node;
+                (graph.object_name(node.into()).to_owned(), piece)
+            })
+            .collect()
+    }
+
+    fn eve(pieces: &[Interval]) -> Vec<(String, Interval)> {
+        pieces.iter().map(|&piece| ("eve".to_owned(), piece)).collect()
+    }
+
+    #[test]
+    fn an_exact_shift_takes_its_pre_image_within_one_stay() {
+        let graph = GraphRelations::from_itpg(&stays());
+        // NEXT* reaches [20, 22] from the second stay up to it — never across the gap
+        // from the first.
+        let star = times_of(&graph, "MATCH (x:Person)-/NEXT*/-({test = 'pos'}) ON g");
+        assert_eq!(star, eve(&[iv(10, 14), iv(15, 19), iv(20, 22)]));
+        // A bounded shift keeps pieces of rows, not whole rows.
+        let near = times_of(&graph, "MATCH (x:Person)-/NEXT[0,2]/-({test = 'pos'}) ON g");
+        assert_eq!(near, eve(&[iv(18, 19), iv(20, 22)]));
+        let next = times_of(&graph, "MATCH (x:Person)-/NEXT/-({test = 'pos'}) ON g");
+        assert_eq!(next, eve(&[iv(19, 19), iv(20, 21)]));
+    }
+
+    #[test]
+    fn an_exact_prev_mirrors_next() {
+        let graph = GraphRelations::from_itpg(&stays());
+        // PREV[0, 12] back to high risk: the first stay from itself, the second up to
+        // 14 + 12 = 26.
+        let prev = times_of(&graph, "MATCH (x:Person)-/PREV[0,12]/-({risk = 'high'}) ON g");
+        assert_eq!(prev, eve(&[iv(1, 5), iv(10, 14), iv(15, 19), iv(20, 22), iv(23, 26)]));
+        // Exactly 13 back: [23, 27] into the second stay's high rows; reaching the
+        // first stay's would need departures at 14–18, across the gap.
+        let far = times_of(&graph, "MATCH (x:Person)-/PREV[13,13]/-({risk = 'high'}) ON g");
+        assert_eq!(far, eve(&[iv(23, 26), iv(27, 27)]));
+    }
+
+    #[test]
+    fn an_exact_hop_keeps_the_times_both_rows_exist_and_the_prefix_is_masked() {
+        let graph = GraphRelations::from_itpg(&contacts());
+        // Ann meets bob on [2, 3] and bob tests positive later.
+        assert_eq!(times_of(&graph, Q9), [("ann".to_owned(), iv(2, 3))]);
+        // Backwards, the meeting must *leave* bob: m4 to dee on [2, 4].
+        let backward = Q9.replace("FWD", "BWD");
+        assert_eq!(times_of(&graph, &backward), [("dee".to_owned(), iv(2, 4))]);
+        // The forward pass runs `[filter x, bind x]` from ann's row only.
+        let (prefix, built) =
+            Viability::build_suffix(&plan(Q9), &graph, &StepStats::default()).unwrap();
+        assert_eq!(prefix.segments.len(), 1);
+        assert_eq!(prefix.segments[0].ops.len(), 2);
+        let seeds = built.segment(0).entry().expect("the walk reaches the seeds");
+        assert_eq!(node_rows_named(&graph, seeds), [("ann".to_owned(), iv(1, 10))]);
+        // A plan whose last `Bind` ends it, that binds nothing, or whose closure body
+        // changes row kind has no exact walk, and reads no row deciding so.
+        for text in [
+            "MATCH (x:Person {risk = 'high'})-/(FWD/:meets/FWD)*/-(y:Person) ON g",
+            "MATCH (:Person {risk = 'high'})-/FWD/:meets/FWD/-({test = 'pos'}) ON g",
+            "MATCH (x:Person {risk = 'high'})-/FWD*/-({test = 'pos'}) ON g",
+        ] {
+            let refused = Viability::build_suffix(&plan(text), &graph, &StepStats::default());
+            assert!(refused.is_none(), "{text}");
+        }
+    }
+
+    /// Persons p0 → p1 → p2 → p3 → p4 meeting throughout [0, 9], p4 positive.
+    fn line() -> GraphRelations {
+        let mut b = ItpgBuilder::new();
+        let all = iv(0, 9);
+        let persons: Vec<_> = (0..5)
+            .map(|i| {
+                let node = b.add_node(&format!("p{i}"), "Person").unwrap();
+                b.add_existence(node, all).unwrap();
+                node
+            })
+            .collect();
+        b.set_property(persons[4], "test", "pos", all).unwrap();
+        for (i, pair) in persons.windows(2).enumerate() {
+            let edge = b.add_edge(&format!("m{i}"), "meets", pair[0], pair[1]).unwrap();
+            b.add_existence(edge, all).unwrap();
+        }
+        GraphRelations::from_itpg(&b.domain(all).build().unwrap())
+    }
+
+    #[test]
+    fn an_exact_closure_honours_its_depth_window_and_counts_its_rounds() {
+        let graph = line();
+        let names = |text: &str| -> Vec<String> {
+            times_of(&graph, text).into_iter().map(|(name, _)| name).collect()
+        };
+        // Two or three meetings from the positive person: not p3 (one) or p4 (none).
+        let window = "MATCH (x:Person)-/(FWD/:meets/FWD)[2,3]/-({test = 'pos'}) ON g";
+        assert_eq!(names(window), ["p1", "p2"]);
+        let open = "MATCH (x:Person)-/(FWD/:meets/FWD)[1,_]/-({test = 'pos'}) ON g";
+        assert_eq!(names(open), ["p0", "p1", "p2", "p3"]);
+        // Two meetings, each followed by one step forward: from p2, ending by 9.
+        let stats = StepStats::default();
+        let timed = plan("MATCH (x:Person)-/(FWD/:meets/FWD/NEXT)[2,2]/-({test = 'pos'}) ON g");
+        let (_, built) = Viability::build_suffix(&timed, &graph, &stats).unwrap();
+        let times = built.suffix().unwrap();
+        let p2 = graph.rows_of_node(graph.node_rows()[2].node)[0];
+        assert_eq!(times.pieces, [(p2, iv(0, 7))]);
+        // Exactly the two depth rounds, counted as the forward fixpoint's kind.
+        assert_eq!(stats.time_closure_rounds.load(Ordering::Relaxed), 2);
+        assert_eq!(stats.closure_rounds.load(Ordering::Relaxed), 0);
+        let stats = StepStats::default();
+        Viability::build_suffix(&plan(window), &graph, &stats).unwrap();
+        assert!(stats.closure_rounds.load(Ordering::Relaxed) >= 2);
+        assert_eq!(stats.time_closure_rounds.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn exact_times_name_live_rows_only_after_a_delta() {
+        let mut itpg = stays();
+        let mut graph = GraphRelations::from_itpg(&itpg);
+        let texts = [
+            "MATCH (x:Person)-/NEXT[0,2]/-({test = 'pos'}) ON g",
+            "MATCH (x:Person)-/PREV[0,12]/-({risk = 'high'}) ON g",
+        ];
+        let before = texts.map(|text| times_of(&graph, text));
+        // Eve's six rows die in place, six new ones are appended; the dead positive
+        // row still reads as positive through the row slice.
+        let mut batch = Batch::new(1);
+        batch.set_property("eve", "name", "Eve", iv(1, 5));
+        let applied = itpg.apply_batch(&batch).unwrap();
+        graph.apply_delta(&itpg, &applied.touched);
+        assert!((0..6).all(|row| !graph.is_node_row_live(row)));
+        assert!((0..6).any(|row| graph.node_rows()[row as usize].prop("test").is_some()));
+        // `times_of` asserts every piece sits on a live row.
+        assert_eq!(texts.map(|text| times_of(&graph, text)), before);
+        let (_, built) =
+            Viability::build_suffix(&plan(texts[0]), &graph, &StepStats::default()).unwrap();
+        let seeds = built.segment(0).entry().unwrap();
+        assert!(!seeds.is_empty() && seeds.rows().all(|row| graph.is_node_row_live(row)));
     }
 }

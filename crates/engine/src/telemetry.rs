@@ -73,7 +73,7 @@ pub(crate) struct EngineMetrics {
     pub hop_cursors: Arc<Counter>,
     /// `tpath_engine_viability_passes_total{outcome="built"}` — backward
     /// viability passes that reached the seeds: every step ran masked, closure
-    /// bodies included.
+    /// bodies included — among them every exact walk of an existential suffix.
     pub viability_built: Arc<Counter>,
     /// `outcome="skipped"` — runs left unmasked: no selective anchor, a sample
     /// batch that wasted too little to pay for the anchor's scan, or an anchor
@@ -107,8 +107,9 @@ pub(crate) fn metrics() -> &'static EngineMetrics {
         let rows_help = "Rows produced by query executions, by pipeline stage.";
         let rounds_help = "Closure fixpoint rounds executed, by closure kind.";
         let joins_help = "Structural hop joins executed, by join algorithm.";
-        let passes_help = "Backward viability passes over multi-batch fixpoint-free plans \
-                           and plans with a fixpoint, by outcome.";
+        let passes_help = "Backward viability passes over multi-batch fixpoint-free plans, \
+                           plans with a fixpoint and plans with an existential suffix, \
+                           by outcome.";
         let passes = |outcome: &'static str| {
             reg.counter("tpath_engine_viability_passes_total", passes_help, &[("outcome", outcome)])
         };

@@ -1,10 +1,11 @@
 //! End-to-end pins for the engine's telemetry: the `telemetry = false` knob
 //! really records nothing, enabled runs count executions, the cursors their
 //! hop joins produced and the backward viability pass a low-yield multi-batch
-//! run takes — or a plan with a fixpoint, built or skipped by its anchor — and
-//! an enumeration cursor's peak-buffered high-water mark
-//! survives being abandoned mid-drain (the regression that motivated recording
-//! it on cursor drop).
+//! run takes — or a plan with a fixpoint, built or skipped by its anchor, or a plan
+//! with an existential suffix, whose exact backward pass counts as built and whose
+//! backward fixpoint counts its rounds — and an enumeration cursor's peak-buffered
+//! high-water mark survives being abandoned mid-drain (the regression that
+//! motivated recording it on cursor drop).
 //!
 //! Everything lives in one test function: the metrics are process-global, and
 //! a single test per binary keeps the before/after assertions race-free.
@@ -33,12 +34,13 @@ fn graph() -> GraphRelations {
     GraphRelations::from_itpg(&b.build().unwrap())
 }
 
-/// Ends on a filter one person in fifty passes: nearly every traversal is wasted.
+/// Ends on a filter one person in fifty passes, bound to `y`: matched forward, nearly
+/// every traversal is wasted.
 const LOW_YIELD_QUERY: &str =
-    "MATCH (x:Person {risk = 'high'})-/FWD/:meets/FWD/NEXT*/-({test = 'pos'}) ON g";
+    "MATCH (x:Person {risk = 'high'})-/FWD/:meets/FWD/NEXT*/-(y {test = 'pos'}) ON g";
 
 /// The closure workloads of `closure-g2`: RECUR ends on the filter one person in
-/// fifty passes, REACH on every person.
+/// fifty passes, after its last bound variable; REACH on every person, bound.
 const RECUR: &str =
     "MATCH (x:Person {risk = 'high'})-/(FWD/:meets/FWD/NEXT)*/NEXT*/-({test = 'pos'}) ON g";
 const REACH: &str = "MATCH (x:Person {risk = 'high'})-/(FWD/:meets/FWD)*/-(y:Person) ON g";
@@ -140,24 +142,42 @@ fn telemetry_gates_and_peak_buffered_retention() {
     assert_eq!(run_hops(true), 1);
     assert_eq!(viability().1, skipped);
 
-    // A plan with a fixpoint records one outcome per run: RECUR's anchor keeps
-    // two node rows of 62, so its masks are built; REACH's keeps all 62, so it
-    // is skipped after the scan, whose rows are all it records as visited.
+    // A plan with a fixpoint records one outcome per run.  RECUR ends after its last
+    // bound variable: its suffix — the closure included — is walked back exactly,
+    // a built pass whose rounds count as time rounds and whose time is closure
+    // time.  REACH's anchor keeps all 62 node rows, so it is skipped after the scan,
+    // whose rows are all it records as visited.
     let small = ring(60);
+    let time_rounds =
+        reg.counter("tpath_engine_closure_rounds_total", "Rounds.", &[("kind", "time")]);
+    let closure_span = reg.latency_histogram(
+        "tpath_engine_span_seconds",
+        "Span wall time.",
+        &[("span", "query/step12/closure")],
+    );
+    let closure_work = || (time_rounds.get(), closure_span.snapshot().count);
     let run_closure = |text, telemetry| {
         let options = ExecutionOptions::sequential().with_telemetry(telemetry);
-        Query::parse(text).unwrap().with_options(options).run(&small).stats().interval_rows
+        Query::parse(text).unwrap().with_options(options).run(&small).stats()
     };
-    let before = viability();
+    let (before, work_before) = (viability(), closure_work());
     let (recur, reach) = (run_closure(RECUR, false), run_closure(REACH, false));
-    assert!(recur > 0 && reach > 0);
-    assert_eq!(viability(), before, "telemetry = false");
-    assert_eq!(run_closure(RECUR, true), recur);
+    assert!(recur.interval_rows > 0 && reach.interval_rows > 0);
+    assert!(recur.time_rounds > 0, "the backward fixpoint iterated");
+    assert_eq!((viability(), closure_work()), (before, work_before), "telemetry = false");
+    let enabled = run_closure(RECUR, true);
+    assert_eq!(
+        (enabled.interval_rows, enabled.time_rounds),
+        (recur.interval_rows, recur.time_rounds)
+    );
     let (built, skipped, rows) = before;
     let (recur_built, recur_skipped, recur_rows) = viability();
     assert_eq!((recur_built, recur_skipped), (built + 1, skipped));
     assert!(recur_rows > rows + 62, "the scan and the walk back through the closure");
-    assert_eq!(run_closure(REACH, true), reach);
+    let (rounds, spans) = closure_work();
+    assert_eq!(rounds, work_before.0 + recur.time_rounds as u64);
+    assert_eq!(spans, work_before.1 + 1, "one closure span per execution");
+    assert_eq!(run_closure(REACH, true).interval_rows, reach.interval_rows);
     assert_eq!(viability(), (built + 1, skipped + 1, recur_rows + 62));
 
     // Enumerate, drain two of eight rows, then abandon the cursor: stats()

@@ -276,28 +276,33 @@ fn expand_group(
 /// touched object within its first `hops` hops starts within `hops` object-graph
 /// steps of it; adjacency only ever grows, so a sweep over the *current* graph
 /// covers derivations of the old graph too.
-fn affected_nodes(itpg: &Itpg, touched: &BTreeSet<Object>, hops: usize) -> BTreeSet<NodeId> {
-    let mut visited: BTreeSet<Object> = touched.clone();
-    let mut frontier: Vec<Object> = touched.iter().copied().collect();
+///
+/// The visited sets are one flag per node and per edge, and the nodes come back in
+/// id order.
+fn affected_nodes(itpg: &Itpg, touched: &BTreeSet<Object>, hops: usize) -> Vec<NodeId> {
+    let mut node_seen = vec![false; itpg.num_nodes()];
+    let mut edge_seen = vec![false; itpg.num_edges()];
+    // True the first time `object` is met.
+    let mut first_visit = |object: Object| {
+        let seen = match object {
+            Object::Node(n) => &mut node_seen[n.index()],
+            Object::Edge(e) => &mut edge_seen[e.index()],
+        };
+        !std::mem::replace(seen, true)
+    };
+    let mut frontier: Vec<Object> =
+        touched.iter().copied().filter(|&object| first_visit(object)).collect();
     for _ in 0..hops {
         let mut next: Vec<Object> = Vec::new();
         for &object in &frontier {
             match object {
                 Object::Node(n) => {
-                    for &e in itpg.out_edges(n).iter().chain(itpg.in_edges(n).iter()) {
-                        let adjacent = Object::Edge(e);
-                        if visited.insert(adjacent) {
-                            next.push(adjacent);
-                        }
-                    }
+                    let edges = itpg.out_edges(n).iter().chain(itpg.in_edges(n));
+                    next.extend(edges.map(|&e| Object::Edge(e)).filter(|&e| first_visit(e)));
                 }
                 Object::Edge(e) => {
-                    for n in [itpg.src(e), itpg.tgt(e)] {
-                        let adjacent = Object::Node(n);
-                        if visited.insert(adjacent) {
-                            next.push(adjacent);
-                        }
-                    }
+                    let ends = [itpg.src(e), itpg.tgt(e)].map(Object::Node);
+                    next.extend(ends.into_iter().filter(|&n| first_visit(n)));
                 }
             }
         }
@@ -306,7 +311,7 @@ fn affected_nodes(itpg: &Itpg, touched: &BTreeSet<Object>, hops: usize) -> BTree
         }
         frontier = next;
     }
-    visited.into_iter().filter_map(Object::as_node).collect()
+    (0..).zip(node_seen).filter(|&(_, seen)| seen).map(|(id, _)| NodeId(id)).collect()
 }
 
 /// Counts the rows added and retracted between two sorted, deduplicated row
@@ -381,6 +386,29 @@ mod tests {
         // recompute it replaces.
         let wide = Interval::of(0, 100_000);
         assert_eq!(seeding_hops(&engine::static_bounds(&with_time_closure, wide)), None);
+    }
+
+    #[test]
+    fn the_sweep_returns_each_node_within_reach_once_in_id_order() {
+        // d → c → b → a, built in that order so ids run against the edges.
+        let mut b = tgraph::ItpgBuilder::new();
+        let ids: Vec<NodeId> =
+            ["d", "c", "b", "a"].iter().map(|name| b.add_node(name, "Person").unwrap()).collect();
+        let edges: Vec<_> = ids
+            .windows(2)
+            .map(|w| b.add_edge(&format!("e{}", w[0].0), "meets", w[0], w[1]).unwrap())
+            .collect();
+        let itpg = b.domain(Interval::of(0, 1)).build().unwrap();
+        let touched = |objects: &[Object]| objects.iter().copied().collect::<BTreeSet<Object>>();
+        // Node → edge is one step, edge → node another.
+        let from_c = touched(&[Object::Node(ids[1])]);
+        assert_eq!(affected_nodes(&itpg, &from_c, 1), [ids[1]]);
+        assert_eq!(affected_nodes(&itpg, &from_c, 2), [ids[0], ids[1], ids[2]]);
+        assert_eq!(affected_nodes(&itpg, &from_c, 99), ids);
+        // Touched objects that overlap are visited once; an edge alone reaches no node.
+        let both = touched(&[Object::Edge(edges[0]), Object::Node(ids[0]), Object::Node(ids[1])]);
+        assert_eq!(affected_nodes(&itpg, &both, 1), [ids[0], ids[1]]);
+        assert!(affected_nodes(&itpg, &touched(&[Object::Edge(edges[2])]), 0).is_empty());
     }
 
     #[test]

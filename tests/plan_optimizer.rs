@@ -15,10 +15,14 @@
 //! to be oblivious to how their seed rows are batched: every batch records into
 //! a trail of its own, and the chains built from it must not show where the
 //! batch boundaries fell — nor whether the later batches ran under backward
-//! viability masks, which a mid-size generated graph pins for Q1–Q12 together
-//! with *which* of them the executor's gate decides to mask; a smaller one pins
-//! the gate of the fixpoint plans, which masks RECUR and not REACH.
+//! viability masks, which a mid-size generated graph pins for Q1–Q12 with their
+//! last node bound together with *which* of them the executor's gate decides to
+//! mask; a smaller one pins the gate of the fixpoint plans, which masks RECUR (its
+//! last node bound) and not REACH.  As written, Q9–Q12 and RECUR end existentially
+//! after `x`: on both graphs they walk that suffix back exactly once per call, and
+//! answer what their bound forms answer, projected onto `x`.
 
+use std::collections::BTreeSet;
 use std::sync::atomic::Ordering;
 
 use proptest::prelude::*;
@@ -288,16 +292,57 @@ fn viability_outcomes(stats: &StepStats) -> (usize, usize) {
     (masked, masked + stats.viability_skipped.load(Ordering::Relaxed))
 }
 
+/// A query text with its anonymous last node `({test = 'pos'})` bound to `y`, so
+/// Steps 1–2 match the whole path forward; other texts are returned as they are.
+fn bound_last(text: &str) -> String {
+    text.replace("({test = 'pos'})", "(y {test = 'pos'})")
+}
+
+/// The `x` bindings of a query's materialised answers.
+fn x_bindings(query: Query, graph: &GraphRelations) -> BTreeSet<Binding> {
+    let table = query.run(graph).into_table().expect("the default mode materialises");
+    table.iter().map(|row| row[0]).collect()
+}
+
+/// A query that ends existentially after `x` — Q9–Q12 or RECUR as written — run
+/// whole on 1, 2 and 8 threads and slice by slice: one exact backward pass per call,
+/// the same chains every way, and the answers of its bound form projected onto `x`.
+fn check_suffix_runs(label: &str, text: &str, graph: &GraphRelations, slice_len: usize) {
+    let written = Query::parse(text).expect("compiles");
+    let seeds = graph.seed_rows();
+    for plan in &written.plan_set().plans {
+        let mut pieces = Vec::new();
+        for slice in seeds.chunks(slice_len) {
+            let stats = StepStats::default();
+            pieces.extend(run_plan_seeded(plan, graph, slice, Parallelism::sequential(), &stats));
+            assert_eq!(viability_outcomes(&stats), (1, 1), "{label}: one pass per call");
+        }
+        assert!(!pieces.is_empty(), "{label}");
+        assert!(pieces.iter().all(|chain| chain.seg_intervals.is_empty()), "{label}");
+        for threads in [1, 2, 8] {
+            let stats = StepStats::default();
+            let parallelism = Parallelism::with_threads(threads);
+            let whole = run_plan_seeded(plan, graph, &seeds, parallelism, &stats);
+            assert_eq!(whole, pieces, "{label} on {threads} threads");
+            assert_eq!(viability_outcomes(&stats), (1, 1), "{label}");
+            assert!(stats.viability_rows_visited.load(Ordering::Relaxed) > 0, "{label}");
+        }
+    }
+    let bound = Query::parse(&bound_last(text)).expect("the bound form compiles");
+    assert_eq!(x_bindings(written, graph), x_bindings(bound, graph), "{label}");
+}
+
 /// The random graphs above have a handful of seed rows, so every run on them is
 /// one batch and never samples: only REACH and RECUR, whose fixpoints run one batch
 /// whatever the seeds, may meet a mask there.  This one — the paper's G3, 4 000 persons,
 /// deterministic — has enough node rows for ten seed batches, so the waste of a
-/// low-yield sample pays for its anchor's scan: run whole, each of Q1–Q12 must
-/// return the chains of its seeds run slice by slice (a
+/// low-yield sample pays for its anchor's scan: run whole, each of Q1–Q12 with its
+/// last node bound must return the chains of its seeds run slice by slice (a
 /// slice is a single batch, which never samples and never masks), in the same
 /// order, on 1, 2 and 8 threads sharing the masks; and the gate must have built
 /// masks for exactly the queries whose sample batch wastes its traversals on a
-/// filter at the far end of the plan: Q5 and Q9–Q12.
+/// filter at the far end of the plan: Q5 and Q9–Q12.  Q9–Q12 as written take the
+/// exact suffix walk instead ([`check_suffix_runs`]).
 #[test]
 fn masked_runs_return_the_chains_of_their_unmasked_slices() {
     let config = workload::ScaleFactor::G3.paper_config().with_seed(20);
@@ -308,7 +353,10 @@ fn masked_runs_return_the_chains_of_their_unmasked_slices() {
     let slice_len = 128;
     assert!(seeds.len() > 16 * slice_len, "{} seed rows", seeds.len());
     for id in QueryId::ALL {
-        let query = Query::benchmark(id);
+        let query = Query::parse(&bound_last(id.text())).expect("the bound forms compile");
+        if query.plan_set() != Query::benchmark(id).plan_set() {
+            check_suffix_runs(id.name(), id.text(), &graph, slice_len);
+        }
         for plan in &query.plan_set().plans {
             let mut pieces = Vec::new();
             let sliced = StepStats::default();
@@ -347,20 +395,22 @@ fn masked_runs_return_the_chains_of_their_unmasked_slices() {
     }
 }
 
-/// A plan with a fixpoint has no sample batch; the executor masks it — closures
-/// included — when the filter its masks anchor on keeps at most half its
-/// relation's rows.  On the paper's G1 (1 000 persons, deterministic) RECUR's
-/// `({test = 'pos'})` does and REACH's `(y:Person)` does not: one outcome per run,
-/// built for RECUR and skipped for REACH after the scan alone, and the same chains
-/// on 1, 2 and 8 threads sharing the masks.
+/// A plan with a fixpoint that binds its last node has no sample batch; the
+/// executor masks it — closures included — when the filter its masks anchor on
+/// keeps at most half its relation's rows.  On the paper's G1 (1 000 persons,
+/// deterministic) RECUR's `(y {test = 'pos'})` does and REACH's `(y:Person)` does
+/// not: one outcome per run, built for RECUR and skipped for REACH after the scan
+/// alone, and the same chains on 1, 2 and 8 threads sharing the masks.  RECUR as
+/// written ends after `x` and takes the exact suffix walk instead.
 #[test]
 fn fixpoint_plans_are_masked_only_behind_a_selective_anchor() {
     let config = workload::ScaleFactor::G1.paper_config().with_seed(20);
     let graph = GraphRelations::from_itpg(&workload::generate(&config));
     let seeds = graph.seed_rows();
     let live = graph.stats().temporal_nodes;
-    for (text, built) in [(RECUR, true), (REACH, false)] {
-        let query = Query::parse(text).expect("compiles");
+    check_suffix_runs("RECUR", RECUR, &graph, 256);
+    for (text, built) in [(bound_last(RECUR), true), (REACH.to_owned(), false)] {
+        let query = Query::parse(&text).expect("compiles");
         let plan = &query.plan_set().plans[0];
         let mut answers = Vec::new();
         for threads in [1, 2, 8] {
