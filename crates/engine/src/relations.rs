@@ -388,8 +388,11 @@ impl GraphRelations {
                     self.dead_edge_rows += 1;
                     stats.edge_rows_retracted += 1;
                 }
-                edge_rows_by_src[src.index()].retain(|r| !old_rows.contains(r));
-                edge_rows_by_tgt[tgt.index()].retain(|r| !old_rows.contains(r));
+                // A new edge has no rows to unlink: skip both adjacency scans.
+                if !old_rows.is_empty() {
+                    edge_rows_by_src[src.index()].retain(|r| !old_rows.contains(r));
+                    edge_rows_by_tgt[tgt.index()].retain(|r| !old_rows.contains(r));
+                }
                 edge_existence[e.index()] = graph.existence(object).clone();
                 let label = label_cache
                     .entry(graph.label(object).to_owned())

@@ -1,20 +1,36 @@
 //! The interval-aware transitive-closure operators: fixpoint evaluation of
 //! `(…)*` / `(…)[n,m]` over repeated sub-expressions.
 //!
-//! Two fixpoints live here, sharing the seed handling and the join machinery of
-//! [`crate::steps::structural`]:
+//! Two fixpoints live here, sharing the seed handling and the hop and filter
+//! primitives of [`crate::steps::structural`]:
 //!
 //! **Structural closure** ([`apply_closure`]).  A purely structural [`ClosureOp`]
-//! (hops and filters, possibly with union alternatives) is evaluated *semi-naively*
-//! (delta-driven): after the mandatory first `min` iterations, each round applies the
-//! inner pipeline only to the `(source, position, interval)` triples discovered in the
-//! previous round, subtracts the coverage already reached (per source and row, as a
-//! coalesced [`IntervalSet`]), and feeds only the genuinely new intervals into the
-//! next round.  Because all structural micro-operations act pointwise in time —
+//! (hops and filters, possibly with union alternatives and nested closures) is
+//! evaluated *semi-naively* (delta-driven), one start state at a time: after the
+//! mandatory first `min` iterations, each round applies the body only to the
+//! `(position, interval)` pairs the state discovered in the previous round, keeps only
+//! the pieces its reached set does not cover yet, and feeds those — coalesced — into
+//! the next round.  Because all structural micro-operations act pointwise in time —
 //! filters clamp and hops intersect validity intervals — exploring a time point once,
 //! at its first discovery, is sufficient; re-deriving it later can only reproduce
 //! already-known results.  The time domain and the row relations are finite, so the
-//! accumulated coverage grows monotonically and the loop terminates.
+//! accumulated coverage grows monotonically and the loop terminates.  The body runs
+//! depth-first per delta entry, with no intermediate vectors, and a derived state is
+//! checked against the reached set on the spot: one slot per node row and per edge
+//! row, allocated once per call and stamped with the state's generation, so the next
+//! state starts from an empty set without clearing anything (a row's coverage is one
+//! inline interval until it splits into an [`IntervalSet`]).
+//!
+//! The states of a call used to move through the rounds in lockstep, and the counters
+//! still read what that loop counted ([`StepStats`]).  A state's rounds depend on the
+//! state alone, so the lockstep loop ran as many rounds as the deepest state; the hop
+//! cursors are the sum over the states; and the loop probed a relation once per
+//! round, body step and kind of row any state sat on there, which is what is tallied.
+//! A nested closure was one call per round and body step over the distinct states of
+//! every outer state there; it still is, each state run once and its result reused.
+//! Coalescing each round's new pieces makes the next frontier the maximal intervals
+//! of the points the round reached first, whatever the order of the derivations, so
+//! every state walks exactly its lockstep derivations.
 //!
 //! **Time-aware closure** ([`apply_time_closure`]).  When the repeated body mixes
 //! structural and temporal navigation (`(FWD/NEXT)*`-style, [`ClosureStep::Shift`]s
@@ -42,20 +58,21 @@
 //!
 //! Both fixpoints seed once per *distinct* start state: input cursors sharing their
 //! `(position, interval)` — e.g. many chains entering a closure on the same row —
-//! share one seed and one `reached` map, so duplicate seeds add no rounds and no
-//! re-derivation (the per-seed-chunk duplication previously tracked in ROADMAP.md).
+//! share one run and its result, so duplicate seeds add no rounds and no
+//! re-derivation.
 //!
 //! Both fixpoints run under the executor's backward viability masks when the plan's
 //! anchor is selective ([`crate::steps::viability`], [`ClosureMasks`]): a body hop
-//! lands only on the rows its step's mask allows (`apply_round` /
-//! `apply_band_steps` hand the mask to `apply_op`), a body shift likewise
+//! lands only on the rows its step's mask allows (the structural walk tests it before
+//! it reads a row; `apply_band_steps` hands it to `apply_op`), a body shift likewise
 //! (`shift_band`), and a reached state is emitted only onto a row of the exit mask.
 //! A state on any other row has no descendant from which the plan can still end, so
 //! the semi-naive loop simply never derives it; on the rows it does derive, the
 //! `(source, row)` subtraction and the canonical emission order are those of the
 //! unmasked run.  Nested closures run unmasked.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::ops::Range;
 use std::sync::atomic::Ordering;
 
 use tgraph::{Interval, IntervalSet, Time};
@@ -63,60 +80,29 @@ use tgraph::{Interval, IntervalSet, Time};
 use crate::chain::{Cursor, Position, TimeLag, Trail, TrailEvent};
 use crate::plan::{ClosureOp, ClosureStep, MicroOp, Shift};
 use crate::relations::GraphRelations;
-use crate::steps::structural::{apply_op, StructuralCursor};
+use crate::steps::structural::{apply_op, filter_interval, hop_from, StructuralCursor};
 use crate::steps::viability::{ClosureMasks, RowMask};
 use crate::steps::StepStats;
 
 /// Maps each input cursor to a seed index, deduplicating cursors that share their
-/// start state.  Returns the distinct `(position, interval)` seeds in first-appearance
-/// order plus the seed index of every input cursor.
+/// start state.  Returns the distinct `(position, interval)` seeds in ascending order
+/// plus the seed index of every input cursor.
 fn dedup_seeds<C: StructuralCursor>(cursors: &[C]) -> (Vec<(Position, Interval)>, Vec<u32>) {
+    let key = |index: u32| {
+        let cursor = &cursors[index as usize];
+        (cursor.position(), cursor.interval())
+    };
+    let mut order: Vec<u32> = (0..cursors.len() as u32).collect();
+    order.sort_unstable_by_key(|&index| key(index));
     let mut distinct: Vec<(Position, Interval)> = Vec::new();
-    let mut index: BTreeMap<(Position, Interval), u32> = BTreeMap::new();
-    let mut seed_of = Vec::with_capacity(cursors.len());
-    for cursor in cursors {
-        let key = (cursor.position(), cursor.interval());
-        let next_id = distinct.len() as u32;
-        let id = *index.entry(key).or_insert_with(|| {
-            distinct.push(key);
-            next_id
-        });
-        seed_of.push(id);
+    let mut seed_of = vec![0; cursors.len()];
+    for index in order {
+        if distinct.last() != Some(&key(index)) {
+            distinct.push(key(index));
+        }
+        seed_of[index as usize] = distinct.len() as u32 - 1;
     }
     (distinct, seed_of)
-}
-
-/// One frontier entry of the structural fixpoint: the index of the distinct seed it
-/// descends from, the row it sits on, and the validity interval it covers.  This is
-/// the lightweight "delta" cursor the structural pipeline is driven with inside the
-/// loop; the full input cursors are only touched again when the results are emitted.
-#[derive(Debug, Clone, Copy)]
-struct FrontierEntry {
-    /// Index into the closure's distinct seed list.
-    source: u32,
-    /// Current row.
-    position: Position,
-    /// Validity interval of the partial traversal.
-    interval: Interval,
-}
-
-impl StructuralCursor for FrontierEntry {
-    fn position(&self) -> Position {
-        self.position
-    }
-
-    fn interval(&self) -> Interval {
-        self.interval
-    }
-
-    fn moved_to(&self, position: Position, interval: Interval) -> Self {
-        FrontierEntry { source: self.source, position, interval }
-    }
-
-    fn with_interval(mut self, interval: Interval) -> Self {
-        self.interval = interval;
-        self
-    }
 }
 
 /// Applies a purely structural closure operator to a batch of cursors, returning one
@@ -150,81 +136,24 @@ fn apply_closure_untimed<C: StructuralCursor>(
         !closure.is_time_crossing(),
         "time-crossing closures compile to a TemporalLink, not a segment micro-op"
     );
-    // An unsatisfiable indicator ([n, m] with n > m) relates nothing.  The compiler
-    // normalises these away, but plans can also be built programmatically.
-    if cursors.is_empty() || closure.max.is_some_and(|m| m < closure.min) {
-        return Vec::new();
-    }
-
     let (distinct, seed_of) = dedup_seeds(&cursors);
-    let seed: Vec<FrontierEntry> = distinct
-        .iter()
-        .enumerate()
-        .map(|(i, &(position, interval))| FrontierEntry { source: i as u32, position, interval })
-        .collect();
-    let mut frontier = coalesce_frontier(seed);
-
-    // Phase 1: exactly `min` applications.  Iteration depth is significant here —
-    // reaching a row in fewer than `min` steps does not put it in the result — so the
-    // rounds replace the frontier instead of accumulating, coalescing within each
-    // depth level only.
-    for _ in 0..closure.min {
-        frontier = apply_round(graph, frontier, closure, masks, stats);
-        if frontier.is_empty() {
-            return Vec::new();
-        }
+    let mut fixpoint = Fixpoint::new(graph, closure, masks);
+    let mut tally = Tally::default();
+    let mut results = Vec::new();
+    let mut result_of = Vec::with_capacity(distinct.len());
+    for &(position, interval) in &distinct {
+        let start = results.len();
+        fixpoint.run(position, interval, &mut tally, &mut results);
+        result_of.push(start..results.len());
     }
+    tally.record(stats);
 
-    // Phase 2: semi-naive expansion of up to `max − min` further applications.
-    // `reached` is the result accumulator; `delta` holds only the coverage discovered
-    // in the previous round.
-    let mut reached: BTreeMap<u32, BTreeMap<Position, IntervalSet>> = BTreeMap::new();
-    for entry in &frontier {
-        reached
-            .entry(entry.source)
-            .or_default()
-            .entry(entry.position)
-            .or_default()
-            .insert(entry.interval);
-    }
-    let mut delta = frontier;
-    let mut remaining = closure.max.map(|m| u64::from(m - closure.min));
-    while !delta.is_empty() && remaining != Some(0) {
-        let produced = apply_round(graph, delta, closure, masks, stats);
-        let mut novel = Vec::new();
-        for entry in produced {
-            let seen = reached.entry(entry.source).or_default().entry(entry.position).or_default();
-            let fresh = IntervalSet::from_interval(entry.interval).difference(seen);
-            if fresh.is_empty() {
-                continue;
-            }
-            *seen = seen.union(&fresh);
-            novel.extend(fresh.intervals().iter().map(|&interval| FrontierEntry {
-                source: entry.source,
-                position: entry.position,
-                interval,
-            }));
-        }
-        // `novel` is already canonical: `produced` is sorted by (source, position)
-        // with per-key coalesced (disjoint, non-adjacent) intervals, and subtracting
-        // `seen` only carves pieces out of them in order.
-        delta = novel;
-        remaining = remaining.map(|r| r - 1);
-    }
-
-    // Emit per input cursor, in input order: cursors sharing a seed share the
-    // fixpoint's `reached` map instead of having re-derived it.
+    // Emit per input cursor, in input order: cursors sharing a start state share its
+    // result instead of having re-derived it.
     let mut out = Vec::new();
-    for (cursor, seed) in cursors.iter().zip(&seed_of) {
-        let Some(rows) = reached.get(seed) else { continue };
-        for (position, covered) in rows {
-            if !exits_onto(masks, *position) {
-                continue;
-            }
-            for &interval in covered.intervals() {
-                out.push(cursor.moved_to(*position, interval));
-            }
-        }
+    for (cursor, &seed) in cursors.iter().zip(&seed_of) {
+        let result = &results[result_of[seed as usize].clone()];
+        out.extend(result.iter().map(|&(position, interval)| cursor.moved_to(position, interval)));
     }
     out
 }
@@ -239,60 +168,395 @@ fn landing(masks: Option<&ClosureMasks>, alternative: usize, step: usize) -> Opt
     masks.and_then(|masks| masks.steps(alternative)[step].as_ref())
 }
 
-/// One application of the inner pipeline: every union alternative is applied to the
-/// frontier and the results are unioned and coalesced.
-fn apply_round(
-    graph: &GraphRelations,
-    mut frontier: Vec<FrontierEntry>,
-    closure: &ClosureOp,
-    masks: Option<&ClosureMasks>,
-    stats: &StepStats,
-) -> Vec<FrontierEntry> {
-    stats.closure_rounds.fetch_add(1, Ordering::Relaxed);
-    let mut produced = Vec::new();
-    for (index, steps) in closure.alternatives.iter().enumerate() {
-        let mut current = if index + 1 == closure.alternatives.len() {
-            std::mem::take(&mut frontier)
-        } else {
-            frontier.clone()
-        };
-        for (step_index, step) in steps.iter().enumerate() {
-            if current.is_empty() {
-                break;
-            }
-            match step {
-                ClosureStep::Micro(op) => {
-                    let landing = landing(masks, index, step_index);
-                    current = apply_op(graph, current, op, landing, stats);
-                }
-                ClosureStep::Shift(_) => {
-                    unreachable!("structural closures contain no temporal steps")
-                }
-            }
-        }
-        produced.extend(current);
-    }
-    coalesce_frontier(produced)
+/// The structural fixpoint of one closure, run one start state at a time over scratch
+/// that lives as long as the call: the state's reached set, its frontier, and the
+/// fixpoints of the closures nested in the body.
+struct Fixpoint<'a> {
+    graph: &'a GraphRelations,
+    closure: &'a ClosureOp,
+    masks: Option<&'a ClosureMasks>,
+    /// The flat index of each alternative's first step; body steps are tallied per
+    /// `(round, flat step)`.
+    first_step: Vec<usize>,
+    /// The number of body steps, over every alternative.
+    steps: usize,
+    /// The round being applied, counted from 0 at the state's seed.
+    round: usize,
+    /// Whether the round accumulates into `reached` (phase 2) or replaces the
+    /// frontier (phase 1).
+    accumulate: bool,
+    reached: Reached,
+    /// The round's input, coalesced and sorted by `(position, interval)`.
+    frontier: Vec<(Position, Interval)>,
+    /// What the round derives (phase 1), or the pieces of it not reached before
+    /// (phase 2).
+    next: Vec<(Position, Interval)>,
+    /// Per flat step, the fixpoint of the closure nested there, built on first use.
+    nested: Vec<Option<Fixpoint<'a>>>,
 }
 
-/// Canonicalises a frontier: groups entries by `(source, position)`, coalesces their
-/// intervals, and emits them in sorted order.  This keeps round inputs and outputs
-/// independent of derivation order and bounds the frontier size by the number of
-/// `(source, row)` pairs times the number of coalesced intervals.
-fn coalesce_frontier(entries: Vec<FrontierEntry>) -> Vec<FrontierEntry> {
-    let mut grouped: BTreeMap<(u32, Position), IntervalSet> = BTreeMap::new();
-    for entry in entries {
-        grouped.entry((entry.source, entry.position)).or_default().insert(entry.interval);
+impl<'a> Fixpoint<'a> {
+    fn new(
+        graph: &'a GraphRelations,
+        closure: &'a ClosureOp,
+        masks: Option<&'a ClosureMasks>,
+    ) -> Self {
+        let mut first_step = Vec::with_capacity(closure.alternatives.len());
+        let mut steps = 0;
+        for alternative in &closure.alternatives {
+            first_step.push(steps);
+            steps += alternative.len();
+        }
+        Fixpoint {
+            graph,
+            closure,
+            masks,
+            first_step,
+            steps,
+            round: 0,
+            accumulate: false,
+            reached: Reached::default(),
+            frontier: Vec::new(),
+            next: Vec::new(),
+            nested: (0..steps).map(|_| None).collect(),
+        }
     }
-    let mut out = Vec::new();
-    for ((source, position), set) in grouped {
-        out.extend(set.intervals().iter().map(|&interval| FrontierEntry {
-            source,
-            position,
-            interval,
-        }));
+
+    /// Runs the start state `(position, interval)` to its fixpoint, counting into
+    /// `tally`, and appends its result — on exit rows only — to `out`, sorted by
+    /// `(position, interval)`.
+    fn run(
+        &mut self,
+        position: Position,
+        interval: Interval,
+        tally: &mut Tally,
+        out: &mut Vec<(Position, Interval)>,
+    ) {
+        let closure = self.closure;
+        // An unsatisfiable indicator ([n, m] with n > m) relates nothing.  The compiler
+        // normalises these away, but plans can also be built programmatically.
+        if closure.max.is_some_and(|m| m < closure.min) {
+            return;
+        }
+        self.frontier.clear();
+        self.frontier.push((position, interval));
+        self.round = 0;
+
+        // Phase 1: exactly `min` applications.  Iteration depth is significant here —
+        // reaching a row in fewer than `min` steps does not put it in the result — so the
+        // rounds replace the frontier instead of accumulating, coalescing within each
+        // depth level only.
+        self.accumulate = false;
+        while self.round < closure.min as usize {
+            self.apply_body(tally);
+            if self.frontier.is_empty() {
+                tally.rounds = tally.rounds.max(self.round);
+                return;
+            }
+        }
+
+        // Phase 2: semi-naive expansion of up to `max − min` further applications.
+        // `reached` is the result accumulator; the frontier holds only the coverage
+        // discovered in the previous round.
+        self.reached.start(self.graph);
+        for &(position, interval) in &self.frontier {
+            self.reached.cover(position, interval, &mut self.next);
+        }
+        self.accumulate = true;
+        let mut remaining = closure.max.map(|m| m - closure.min);
+        while !self.frontier.is_empty() && remaining != Some(0) {
+            self.apply_body(tally);
+            remaining = remaining.map(|r| r - 1);
+        }
+        tally.rounds = tally.rounds.max(self.round);
+        self.reached.emit(self.masks, out);
     }
-    out
+
+    /// One round: every alternative of the body applied to every frontier entry.  What
+    /// it derives (phase 1) or newly reaches (phase 2), coalesced, is the next
+    /// frontier.  Coalescing makes the frontier a canonical function of the points
+    /// derived, so every round — and every count — is independent of derivation order.
+    fn apply_body(&mut self, tally: &mut Tally) {
+        let probed = (self.round + 1) * self.steps;
+        if tally.probed.len() < probed {
+            tally.probed.resize(probed, 0);
+        }
+        self.next.clear();
+        let frontier = std::mem::take(&mut self.frontier);
+        for &(position, interval) in &frontier {
+            for alternative in 0..self.closure.alternatives.len() {
+                self.walk(alternative, 0, position, interval, tally);
+            }
+        }
+        self.frontier = std::mem::replace(&mut self.next, frontier);
+        coalesce(&mut self.frontier);
+        self.round += 1;
+    }
+
+    /// Takes one state depth-first through the body alternative at `alternative`, from
+    /// step `step` on: a hop fans out over the adjacency index (testing the landing
+    /// mask before it reads a row), a filter clamps, a nested closure runs each state
+    /// it is handed once per round to its own fixpoint.  What leaves the last step is
+    /// derived at once — in phase 2, checked against the reached set on the spot.
+    fn walk(
+        &mut self,
+        alternative: usize,
+        step: usize,
+        position: Position,
+        interval: Interval,
+        tally: &mut Tally,
+    ) {
+        let (graph, closure) = (self.graph, self.closure);
+        let Some(op) = closure.alternatives[alternative].get(step) else {
+            if self.accumulate {
+                self.reached.cover(position, interval, &mut self.next);
+            } else {
+                self.next.push((position, interval));
+            }
+            return;
+        };
+        let flat = self.first_step[alternative] + step;
+        match op {
+            ClosureStep::Micro(MicroOp::Filter(filter)) => {
+                if let Some(interval) = filter_interval(graph, position, interval, filter) {
+                    self.walk(alternative, step + 1, position, interval, tally);
+                }
+            }
+            ClosureStep::Micro(MicroOp::Hop(direction)) => {
+                tally.probed[self.round * self.steps + flat] |= match position {
+                    Position::NodeRow(_) => NODE_ROWS,
+                    Position::EdgeRow(_) => EDGE_ROWS,
+                };
+                let landing = landing(self.masks, alternative, step);
+                let viable = |row| landing.is_none_or(|mask| mask.contains(row));
+                hop_from(graph, position, interval, *direction, viable, |position, interval| {
+                    tally.hop_cursors += 1;
+                    self.walk(alternative, step + 1, position, interval, tally);
+                });
+            }
+            ClosureStep::Micro(MicroOp::Closure(inner)) => {
+                // The lockstep loop handed the nested closure one batch per round and
+                // step, each distinct start state once: so does the memo of that call.
+                let key = (self.round, flat);
+                let mut call = tally.calls.remove(&key).unwrap_or_default();
+                let result = match call.seen.get(&(position, interval)) {
+                    Some(result) => result.clone(),
+                    None => {
+                        let start = call.results.len();
+                        let nested = self.nested[flat]
+                            .get_or_insert_with(|| Fixpoint::new(graph, inner, None));
+                        nested.run(position, interval, &mut call.tally, &mut call.results);
+                        call.seen.insert((position, interval), start..call.results.len());
+                        start..call.results.len()
+                    }
+                };
+                for &(position, interval) in &call.results[result] {
+                    self.walk(alternative, step + 1, position, interval, tally);
+                }
+                tally.calls.insert(key, call);
+            }
+            // Fails identically in debug and release: a binding inside a repetition has
+            // nowhere to be recorded.
+            ClosureStep::Micro(MicroOp::Bind(_)) => {
+                unreachable!("the compiler places a Bind only in a segment")
+            }
+            ClosureStep::Shift(_) => unreachable!("structural closures contain no temporal steps"),
+        }
+    }
+}
+
+/// Sorts entries by `(position, interval)` and merges the intervals of one row that
+/// overlap or meet, leaving each row's maximal intervals.
+fn coalesce(entries: &mut Vec<(Position, Interval)>) {
+    entries.sort_unstable();
+    entries.dedup_by(|(position, interval), (kept_position, kept)| {
+        let merge = position == kept_position && kept.overlaps_or_meets(interval);
+        if merge {
+            *kept = kept.hull(interval);
+        }
+        merge
+    });
+}
+
+/// Marks a node row in [`Tally::probed`].
+const NODE_ROWS: u8 = 1;
+/// Marks an edge row in [`Tally::probed`].
+const EDGE_ROWS: u8 = 2;
+
+/// What the lockstep loop — every start state of a call moved through the rounds
+/// together — counted, rebuilt from the states run one at a time.  It ran as many
+/// rounds as the deepest state; it made every hop a state makes; and it probed a
+/// relation once per round, body step and kind of row any state sat on there.
+#[derive(Debug, Default)]
+struct Tally {
+    /// The rounds of the deepest state.
+    rounds: usize,
+    /// Cursors the body hops produced, over every state.
+    hop_cursors: usize,
+    /// Per `(round, flat step)`, the kinds of row ([`NODE_ROWS`], [`EDGE_ROWS`]) a
+    /// hop there was applied to.
+    probed: Vec<u8>,
+    /// Per `(round, flat step)` of a nested closure, the one call the lockstep loop
+    /// made there.
+    calls: HashMap<(usize, usize), NestedCall>,
+}
+
+impl Tally {
+    /// Closure rounds, hash joins and hop cursors of the call and the calls nested in
+    /// it.
+    fn totals(&self) -> (usize, usize, usize) {
+        let joins = self.probed.iter().map(|kinds| kinds.count_ones() as usize).sum();
+        self.calls.values().fold((self.rounds, joins, self.hop_cursors), |(r, j, h), call| {
+            let (rounds, joins, hop_cursors) = call.tally.totals();
+            (r + rounds, j + joins, h + hop_cursors)
+        })
+    }
+
+    fn record(&self, stats: &StepStats) {
+        let (rounds, joins, hop_cursors) = self.totals();
+        stats.closure_rounds.fetch_add(rounds, Ordering::Relaxed);
+        stats.hash_joins.fetch_add(joins, Ordering::Relaxed);
+        stats.hop_cursors.fetch_add(hop_cursors, Ordering::Relaxed);
+    }
+}
+
+/// One call of a nested closure: the distinct start states it was handed, run once
+/// each, with their results.
+#[derive(Debug, Default)]
+struct NestedCall {
+    /// Where each start state's result sits in `results`.
+    seen: HashMap<(Position, Interval), Range<usize>>,
+    results: Vec<(Position, Interval)>,
+    tally: Tally,
+}
+
+/// The coverage one start state has reached: a slot per node row and per edge row,
+/// current only while it carries the state's generation, so moving on to the next
+/// state clears nothing.  A row covered by one interval keeps it inline; a row whose
+/// coverage splits moves it into an [`IntervalSet`].
+#[derive(Debug, Default)]
+struct Reached {
+    /// Node rows first, then edge rows; allocated at the first state.
+    slots: Vec<Slot>,
+    /// The slot of edge row 0.
+    edge_base: usize,
+    generation: u32,
+    /// The coverage of this state's split rows, indexed by [`Slot::split`].
+    split: Vec<IntervalSet>,
+    /// The rows this state has reached, in discovery order.
+    rows: Vec<Position>,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    generation: u32,
+    /// [`INLINE`] while `cover` is the row's coverage, its index in
+    /// [`Reached::split`] once that has split.
+    split: u32,
+    cover: Interval,
+}
+
+const INLINE: u32 = u32::MAX;
+
+impl Reached {
+    /// Starts the next state's reached set.
+    fn start(&mut self, graph: &GraphRelations) {
+        if self.slots.is_empty() {
+            self.edge_base = graph.node_rows().len();
+            let vacant = Slot { generation: 0, split: INLINE, cover: Interval::point(0) };
+            self.slots = vec![vacant; self.edge_base + graph.edge_rows().len()];
+        }
+        if self.generation == u32::MAX {
+            self.slots.iter_mut().for_each(|slot| slot.generation = 0);
+            self.generation = 0;
+        }
+        self.generation += 1;
+        self.split.clear();
+        self.rows.clear();
+    }
+
+    fn slot(&self, position: Position) -> usize {
+        match position {
+            Position::NodeRow(row) => row as usize,
+            Position::EdgeRow(row) => self.edge_base + row as usize,
+        }
+    }
+
+    /// Adds `interval` on `position` to the coverage, pushing onto `fresh` the pieces
+    /// of it that were not covered yet.
+    fn cover(
+        &mut self,
+        position: Position,
+        interval: Interval,
+        fresh: &mut Vec<(Position, Interval)>,
+    ) {
+        let index = self.slot(position);
+        let slot = &mut self.slots[index];
+        if slot.generation != self.generation {
+            *slot = Slot { generation: self.generation, split: INLINE, cover: interval };
+            self.rows.push(position);
+            fresh.push((position, interval));
+            return;
+        }
+        if slot.split == INLINE {
+            let cover = slot.cover;
+            if !cover.overlaps_or_meets(&interval) {
+                slot.split = self.split.len() as u32;
+                self.split.push(IntervalSet::from_intervals([cover, interval]));
+                fresh.push((position, interval));
+                return;
+            }
+            if interval.start() < cover.start() {
+                let end = interval.end().min(cover.start() - 1);
+                fresh.push((position, Interval::of(interval.start(), end)));
+            }
+            if interval.end() > cover.end() {
+                let start = interval.start().max(cover.end() + 1);
+                fresh.push((position, Interval::of(start, interval.end())));
+            }
+            slot.cover = cover.hull(&interval);
+            return;
+        }
+        let set = &mut self.split[slot.split as usize];
+        let covered = set.intervals();
+        let pushed = fresh.len();
+        // The first point of `interval` not known to be covered, if any.
+        let mut from = Some(interval.start());
+        for known in &covered[covered.partition_point(|known| known.end() < interval.start())..] {
+            let Some(lo) = from else { break };
+            if known.start() > interval.end() {
+                break;
+            }
+            if known.start() > lo {
+                fresh.push((position, Interval::of(lo, known.start() - 1)));
+            }
+            from = (known.end() < interval.end()).then(|| known.end() + 1);
+        }
+        if let Some(lo) = from {
+            fresh.push((position, Interval::of(lo, interval.end())));
+        }
+        if fresh.len() > pushed {
+            set.insert(interval);
+        }
+    }
+
+    /// Appends the state's coverage on the rows `masks` lets it exit onto, sorted by
+    /// `(position, interval)`.
+    fn emit(&mut self, masks: Option<&ClosureMasks>, out: &mut Vec<(Position, Interval)>) {
+        self.rows.sort_unstable();
+        for &position in &self.rows {
+            if !exits_onto(masks, position) {
+                continue;
+            }
+            let slot = &self.slots[self.slot(position)];
+            match slot.split {
+                INLINE => out.push((position, slot.cover)),
+                split => out.extend(
+                    self.split[split as usize].intervals().iter().map(|&cover| (position, cover)),
+                ),
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------------
@@ -904,6 +1168,124 @@ mod tests {
             dup_stats.time_closure_rounds.load(Ordering::Relaxed),
             "duplicate seeds added time-crossing rounds"
         );
+    }
+
+    /// `(closure_rounds, hop_cursors, hash_joins)`.
+    fn counts(stats: &StepStats) -> (usize, usize, usize) {
+        (
+            stats.closure_rounds.load(Ordering::Relaxed),
+            stats.hop_cursors.load(Ordering::Relaxed),
+            stats.hash_joins.load(Ordering::Relaxed),
+        )
+    }
+
+    #[test]
+    fn states_of_different_depth_count_the_deeper_rounds_once() {
+        // From a the body reaches b, c, d and then probes d's empty out-list: four
+        // rounds, two hops a round for three of them.  From c: d, then the probe.
+        let g = chain_graph();
+        let seeds = vec![Cursor::seed(row_of(&g, "c"), &g), Cursor::seed(row_of(&g, "a"), &g)];
+        let stats = StepStats::default();
+        let out = apply_closure(&g, seeds, &star(), None, &stats);
+        assert_eq!(
+            reached(&g, &out),
+            vec![
+                ("c".to_owned(), iv(0, 9)),
+                ("d".to_owned(), iv(5, 5)),
+                ("a".to_owned(), iv(0, 9)),
+                ("b".to_owned(), iv(1, 6)),
+                ("c".to_owned(), iv(4, 6)),
+                ("d".to_owned(), iv(5, 5)),
+            ]
+        );
+        // Rounds: the deeper state's 4, not 4 + 2.  Hops: 6 + 2.  Joins: node and
+        // edge rows probed in rounds 0–2, node rows only in round 3.
+        assert_eq!(counts(&stats), (4, 8, 7));
+    }
+
+    #[test]
+    fn a_window_drops_the_states_that_die_before_it_opens() {
+        // [2,3]: from c the second application finds nothing, so c drops out of the
+        // result in phase 1; from a phase 1 ends on c and phase 2 adds d.
+        let g = chain_graph();
+        let window = ClosureOp::structural(vec![meets_hop()], 2, Some(3));
+        let seeds = vec![Cursor::seed(row_of(&g, "a"), &g), Cursor::seed(row_of(&g, "c"), &g)];
+        let stats = StepStats::default();
+        let out = apply_closure(&g, seeds, &window, None, &stats);
+        assert_eq!(reached(&g, &out), vec![("c".to_owned(), iv(4, 6)), ("d".to_owned(), iv(5, 5))]);
+        assert!(out.iter().all(|c| c.seed == row_of(&g, "a")));
+        assert_eq!(counts(&stats), (3, 8, 6));
+    }
+
+    /// Persons `a`…`e` on [0,9], joined by `meets` edges `(source, target, start, end)`.
+    fn meets_graph(edges: &[(&str, &str, u64, u64)]) -> GraphRelations {
+        let mut b = ItpgBuilder::new();
+        let nodes: Vec<_> = ["a", "b", "c", "d", "e"]
+            .iter()
+            .map(|&name| {
+                let node = b.add_node(name, "Person").unwrap();
+                b.add_existence(node, iv(0, 9)).unwrap();
+                node
+            })
+            .collect();
+        let node = |name: &str| nodes[(name.as_bytes()[0] - b'a') as usize];
+        for (index, &(src, tgt, start, end)) in edges.iter().enumerate() {
+            let edge = b.add_edge(&format!("e{index}"), "meets", node(src), node(tgt)).unwrap();
+            b.add_existence(edge, iv(start, end)).unwrap();
+        }
+        GraphRelations::from_itpg(&b.domain(iv(0, 9)).build().unwrap())
+    }
+
+    #[test]
+    fn split_coverage_is_bridged_and_each_round_coalesces_what_it_reached() {
+        // Round 0 reaches b in two pieces, [1,2] and [6,7].  Round 1 bridges them
+        // from c (new: [0,0], [3,5], [8,9]) and reaches d in five pieces — [1,2] and
+        // [6,7] from b, the rest from c — that coalesce to one [0,9].
+        let g = meets_graph(&[
+            ("a", "b", 1, 2),
+            ("a", "b", 6, 7),
+            ("a", "c", 0, 9),
+            ("c", "b", 0, 9),
+            ("b", "d", 0, 9),
+            ("c", "d", 0, 9),
+            ("d", "e", 0, 9),
+        ]);
+        let stats = StepStats::default();
+        let out = apply_closure(&g, vec![Cursor::seed(row_of(&g, "a"), &g)], &star(), None, &stats);
+        let everyone = ["a", "b", "c", "d", "e"].map(|name| (name.to_owned(), iv(0, 9)));
+        assert_eq!(reached(&g, &out), everyone);
+        // Hops: 6 in round 0, 8 in round 1, then 6 from b's three new pieces and 2
+        // from d's one — five uncoalesced pieces of d would make 10.
+        assert_eq!(counts(&stats), (4, 22, 7));
+    }
+
+    #[test]
+    fn a_union_body_runs_its_nested_closure_once_per_round_and_state() {
+        // (FWD/:meets/FWD)[1,2] + BWD/:meets/BWD, repeated: from b the nested closure
+        // reaches c and d, the backward hop a; the second round reaches nothing new.
+        let g = chain_graph();
+        let backward = vec![
+            MicroOp::Hop(HopDirection::Backward),
+            MicroOp::Filter(ObjFilter { label: Some("meets".into()), ..Default::default() }),
+            MicroOp::Hop(HopDirection::Backward),
+        ];
+        let nested = MicroOp::Closure(ClosureOp::structural(vec![meets_hop()], 1, Some(2)));
+        let union = ClosureOp::structural(vec![vec![nested], backward], 0, None);
+        let stats = StepStats::default();
+        let out = apply_closure(&g, vec![Cursor::seed(row_of(&g, "b"), &g)], &union, None, &stats);
+        assert_eq!(
+            reached(&g, &out),
+            vec![
+                ("a".to_owned(), iv(1, 6)),
+                ("b".to_owned(), iv(0, 9)),
+                ("c".to_owned(), iv(4, 8)),
+                ("d".to_owned(), iv(5, 5)),
+            ]
+        );
+        // The outer loop: 2 rounds, 6 backward hops, 4 joins.  Its round-0 call of the
+        // nested closure (from b): 2 rounds, 4 hops, 4 joins.  Its round-1 call, handed
+        // a, c and d: 2 rounds (the deepest), 6 hops, 4 joins.
+        assert_eq!(counts(&stats), (6, 16, 12));
     }
 
     #[test]

@@ -17,7 +17,10 @@ pub struct StepStats {
     /// Number of closure fixpoint rounds executed: one count per application of a
     /// [`crate::plan::ClosureOp`]'s inner pipeline to a frontier — forward, or
     /// backward when the closure sits in an existential suffix
-    /// ([`viability`]).  Zero for plans without structural repetition.
+    /// ([`viability`]).  Zero for plans without structural repetition.  The forward
+    /// structural fixpoint runs its start states one at a time and adds, per call,
+    /// the rounds of its deepest state: what a loop moving every state of the call
+    /// through the rounds together would have run.
     pub closure_rounds: AtomicUsize,
     /// Number of *time-crossing* closure rounds executed: applications of a repeated
     /// group mixing structural and temporal navigation (`(FWD/NEXT)*` and friends) to
@@ -27,7 +30,10 @@ pub struct StepStats {
     /// Number of structural hop joins executed (per hop batch, not per cursor); every
     /// hop probes the hash adjacency indexes.  The executor counts the seed batches
     /// of a fixpoint-free plan as the one batch they stand for: the furthest hop any
-    /// of them still had a cursor for.
+    /// of them still had a cursor for.  Inside a structural closure a batch is one
+    /// round of one body hop over the call's start states: one join per relation —
+    /// node rows, edge rows — any of them probed there, per round, body hop and
+    /// worker batch.
     pub hash_joins: AtomicUsize,
     /// Number of cursors the structural hop joins produced, summed over every hop
     /// batch (one add per batch, inside and outside closures).  The chains Steps 1–2

@@ -11,9 +11,10 @@
 //!
 //! The pipeline is generic over a [`StructuralCursor`] — a `Copy` position-plus-interval
 //! that a hop moves and a filter narrows: the executor drives it with lean
-//! [`Cursor`]s, whose recorded history lives in the batch's [`Trail`], while the closure
-//! operators drive the same joins with their tagged frontier entries (the "delta" of
-//! the semi-naive iteration).  Nothing a hop or a filter does allocates per cursor.
+//! [`Cursor`]s, whose recorded history lives in the batch's [`Trail`], and the
+//! time-aware closure with its band states.  The structural closure walks its body one
+//! state at a time through the same one-row primitives (`hop_from`,
+//! `filter_interval`).  Nothing a hop or a filter does allocates per cursor.
 //!
 //! A hop is also where a match *chooses* rows, and so where the executor's backward
 //! viability masks ([`crate::steps::viability`]) are consulted: when the segment comes
@@ -34,7 +35,7 @@ use crate::steps::StepStats;
 
 /// The state threaded through a structural pipeline: a position in the row relations
 /// plus the validity interval accumulated so far.  Implemented by [`Cursor`] (the
-/// executor's in-flight match) and by the closure fixpoints' frontier entries.  The
+/// executor's in-flight match) and by the time-aware closure's band states.  The
 /// `Copy` bound is the point: a hop fans one cursor out to every adjacent row, so
 /// whatever implements this is copied once per traversal.
 pub trait StructuralCursor: Copy {
@@ -111,9 +112,9 @@ pub fn apply_segment(
 }
 
 /// Applies one micro-operation to a batch of cursors.  Also driven directly by the
-/// closure fixpoints, which interleave micro-operations with temporal steps and pass
-/// their body step's `landing` mask (only a hop reads it).  A closure reached here
-/// is nested in another one and runs unmasked.
+/// time-aware closure fixpoint, which interleaves micro-operations with temporal steps
+/// and passes its body step's `landing` mask (only a hop reads it).  A closure reached
+/// here is nested in another one and runs unmasked.
 pub(crate) fn apply_op<C: StructuralCursor>(
     graph: &GraphRelations,
     cursors: Vec<C>,
@@ -155,43 +156,64 @@ fn apply_hop<C: StructuralCursor>(
     viable: impl Fn(u32) -> bool,
     stats: &StepStats,
 ) -> Vec<C> {
-    let (node_rows, edge_rows) = (graph.node_rows(), graph.edge_rows());
     let (mut from_nodes, mut from_edges) = (false, false);
     let mut out = Vec::with_capacity(cursors.len());
     for cursor in cursors {
-        let interval = cursor.interval();
-        match cursor.position() {
-            Position::NodeRow(r) => {
-                from_nodes = true;
-                let node = node_rows[r as usize].node;
-                let adjacent = match direction {
-                    HopDirection::Forward => graph.out_edge_rows(node),
-                    HopDirection::Backward => graph.in_edge_rows(node),
-                };
-                for &row in adjacent.iter().filter(|&&row| viable(row)) {
-                    if let Some(interval) = interval.intersect(&edge_rows[row as usize].interval) {
-                        out.push(cursor.moved_to(Position::EdgeRow(row), interval));
-                    }
-                }
-            }
-            Position::EdgeRow(r) => {
-                from_edges = true;
-                let edge = &edge_rows[r as usize];
-                let endpoint = match direction {
-                    HopDirection::Forward => edge.tgt,
-                    HopDirection::Backward => edge.src,
-                };
-                for &row in graph.rows_of_node(endpoint).iter().filter(|&&row| viable(row)) {
-                    if let Some(interval) = interval.intersect(&node_rows[row as usize].interval) {
-                        out.push(cursor.moved_to(Position::NodeRow(row), interval));
-                    }
-                }
-            }
+        let position = cursor.position();
+        match position {
+            Position::NodeRow(_) => from_nodes = true,
+            Position::EdgeRow(_) => from_edges = true,
         }
+        hop_from(graph, position, cursor.interval(), direction, &viable, |position, interval| {
+            out.push(cursor.moved_to(position, interval))
+        });
     }
     stats.hash_joins.fetch_add(from_nodes as usize + from_edges as usize, Ordering::Relaxed);
     stats.hop_cursors.fetch_add(out.len(), Ordering::Relaxed);
     out
+}
+
+/// One hop from one row: calls `land` with every adjacent row `viable` admits whose
+/// validity meets `interval`, and the intersection.  The adjacent rows of a node row
+/// are its incident edge rows (out-edges forward, in-edges backward), those of an
+/// edge row the rows of its endpoint node; `viable` is asked before the adjacent row
+/// itself is read.
+#[inline]
+pub(crate) fn hop_from(
+    graph: &GraphRelations,
+    position: Position,
+    interval: Interval,
+    direction: HopDirection,
+    viable: impl Fn(u32) -> bool,
+    mut land: impl FnMut(Position, Interval),
+) {
+    let (node_rows, edge_rows) = (graph.node_rows(), graph.edge_rows());
+    match position {
+        Position::NodeRow(r) => {
+            let node = node_rows[r as usize].node;
+            let adjacent = match direction {
+                HopDirection::Forward => graph.out_edge_rows(node),
+                HopDirection::Backward => graph.in_edge_rows(node),
+            };
+            for &row in adjacent.iter().filter(|&&row| viable(row)) {
+                if let Some(interval) = interval.intersect(&edge_rows[row as usize].interval) {
+                    land(Position::EdgeRow(row), interval);
+                }
+            }
+        }
+        Position::EdgeRow(r) => {
+            let edge = &edge_rows[r as usize];
+            let endpoint = match direction {
+                HopDirection::Forward => edge.tgt,
+                HopDirection::Backward => edge.src,
+            };
+            for &row in graph.rows_of_node(endpoint).iter().filter(|&&row| viable(row)) {
+                if let Some(interval) = interval.intersect(&node_rows[row as usize].interval) {
+                    land(Position::NodeRow(row), interval);
+                }
+            }
+        }
+    }
 }
 
 fn apply_filter<C: StructuralCursor>(
@@ -199,7 +221,19 @@ fn apply_filter<C: StructuralCursor>(
     cursor: C,
     filter: &ObjFilter,
 ) -> Option<C> {
-    let ok = match cursor.position() {
+    let interval = filter_interval(graph, cursor.position(), cursor.interval(), filter)?;
+    Some(cursor.with_interval(interval))
+}
+
+/// What a filter leaves of `interval` on `position`: the interval clamped to the
+/// filter's time constraints if the row passes it, `None` otherwise.
+pub(crate) fn filter_interval(
+    graph: &GraphRelations,
+    position: Position,
+    interval: Interval,
+    filter: &ObjFilter,
+) -> Option<Interval> {
+    let ok = match position {
         Position::NodeRow(r) => {
             let row = &graph.node_rows()[r as usize];
             filter.require_node != Some(false) && filter.matches_row(&row.label, &row.props)
@@ -212,8 +246,7 @@ fn apply_filter<C: StructuralCursor>(
     if !ok {
         return None;
     }
-    let interval = filter.clamp_interval(cursor.interval())?;
-    Some(cursor.with_interval(interval))
+    filter.clamp_interval(interval)
 }
 
 #[cfg(test)]

@@ -122,14 +122,17 @@ fn build_graph(config: &ContactTracingConfig, stays: &[Stay], rng: &mut StdRng) 
         room_nodes.insert(room, id);
     }
 
-    // Risk and test properties.
+    // Risk and test properties, over each person's stays in stay order.
+    let mut stays_of: Vec<Vec<Interval>> = vec![Vec::new(); num_persons];
+    for stay in stays {
+        stays_of[stay.person].push(stay.interval);
+    }
     for (person, node) in person_nodes.iter().enumerate() {
         let Some(node) = *node else { continue };
-        let existence: Vec<Interval> =
-            stays.iter().filter(|s| s.person == person).map(|s| s.interval).collect();
+        let existence = &stays_of[person];
         let high = rng.gen_bool(config.high_risk_rate);
         let risk = if high { "high" } else { "low" };
-        for iv in &existence {
+        for iv in existence {
             builder.set_property(node, "risk", risk, *iv).expect("person exists during stays");
         }
         if rng.gen_bool(config.positivity_rate) {
@@ -137,7 +140,7 @@ fn build_graph(config: &ContactTracingConfig, stays: &[Stay], rng: &mut StdRng) 
             let last = person_last[person].expect("person has at least one stay");
             let first = existence.iter().map(|iv| iv.start()).min().expect("non-empty");
             let pos_time = rng.gen_range(first..=last);
-            for iv in &existence {
+            for iv in existence {
                 if let Some(tail) = iv.intersect(&Interval::of(pos_time, last)) {
                     builder.set_property(node, "test", "pos", tail).expect("person exists then");
                 }
