@@ -6,14 +6,13 @@
 //! ([`crate::steps::viability`]), and matches forward only up to the last `Bind`.
 //! Within a worker, a plan without fixpoints takes its seeds through Steps 1–2 in
 //! batches (`SEED_BATCH`) so the intermediate vectors stay small — and so the first
-//! batch of any other plan can tell the rest what the plan is like: when it throws
-//! most of its traversals away at a later filter, the remaining batches may run under
-//! backward viability masks.  A plan with a fixpoint runs one batch per worker and has
-//! no sample.  Either way those masks are built only when the filter they would anchor
-//! on is selective (`viability_gate`), fixpoints included.  Inside a batch a match is a
-//! fixed-width [`Cursor`] writing its history to the batch's [`Trail`]; the owned
-//! [`Chain`]s everything downstream consumes are built at the end of the batch, for the
-//! cursors that survived it.
+//! batch can tell the rest what the plan is like: when it throws most of its
+//! traversals away at a later filter, the remaining batches may run under backward
+//! viability masks, built only when the filter they would anchor on is selective
+//! (`viability_gate`).  A plan with a fixpoint runs one batch per worker, unmasked.
+//! Inside a batch a match is a fixed-width [`Cursor`] writing its history to the
+//! batch's [`Trail`]; the owned [`Chain`]s everything downstream consumes are built at
+//! the end of the batch, for the cursors that survived it.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
@@ -377,16 +376,15 @@ const SEED_BATCH: usize = 1024;
 ///
 /// A plan with an existential suffix is split at its last `Bind`: the suffix is
 /// walked back exactly, once, on the calling thread ([`Viability::build_suffix`],
-/// counted as a built pass), and the prefix runs under its masks and cut to its
-/// times — in batches, or one batch per worker if the prefix has a fixpoint.  The
+/// counted as a built pass), and the prefix runs cut to its times — in batches under
+/// its masks, or one batch per worker and unmasked if the prefix has a fixpoint.  The
 /// rule is the plan's shape; nothing else selects it.  Otherwise, a plan with a
 /// fixpoint keeps each worker's seeds together — the closures seed once per distinct
-/// start state of the batch they are handed — under the masks [`viability_gate`]
-/// builds on the calling thread, if any; seeds that fit one batch stay together too,
-/// unmasked.  Anything else runs its first batch on the calling thread as the
-/// *sample* that sets the gate's scan limit, then the rest, batch by batch across the
-/// workers, under whatever masks the gate built.  Masks never change the chains or
-/// their order, which is by seed whatever the batching.
+/// start state of the batch they are handed — and runs unmasked, as do seeds that fit
+/// one batch.  Anything else runs its first batch on the calling thread as the
+/// *sample* that sets the scan limit of [`viability_gate`], then the rest, batch by
+/// batch across the workers, under whatever masks the gate built.  Masks never change
+/// the chains or their order, which is by seed whatever the batching.
 pub(crate) fn run_plan_batched(
     plan: &EnginePlan,
     graph: &GraphRelations,
@@ -407,12 +405,7 @@ pub(crate) fn run_plan_batched(
         return chains;
     }
     let unmasked = Pipeline { plan, graph, viability: None, parallelism };
-    if plan.has_fixpoint() {
-        let viability = viability_gate(plan, graph, usize::MAX, stats);
-        let masked = Pipeline { viability: viability.as_ref(), ..unmasked };
-        return masked.one_batch_each(seed_rows, stats);
-    }
-    if seed_rows.len() <= batch_len {
+    if plan.has_fixpoint() || seed_rows.len() <= batch_len {
         return unmasked.one_batch_each(seed_rows, stats);
     }
     let (sample, rest) = seed_rows.split_at(batch_len);
@@ -489,25 +482,24 @@ impl Pipeline<'_> {
     }
 }
 
-/// Decides whether Steps 1–2 of a plan that binds its last node run under backward
-/// viability masks ([`crate::steps::viability`]), builds them if so, and counts the
-/// outcome — built or skipped — with the rows the backward pass visited.  There is
-/// no option: the inputs are the plan, the graph, and `scan_limit`, the most live
-/// rows the pass may scan for its anchor.  Masks are all or nothing: the pass either
-/// reads no row, stops after the scan, or walks back to the seeds.  (A plan with an
-/// existential suffix — Q9–Q12, RECUR — never comes here: its suffix is walked back
-/// exactly and the rest masked from there, whatever the filters keep.)
+/// Decides whether the remaining batches of a fixpoint-free plan that binds its last
+/// node run under backward viability masks ([`crate::steps::viability`]), builds
+/// them if so, and counts the outcome — built or skipped — with the rows the backward
+/// pass visited.  There is no option: the inputs are the plan, the graph, and
+/// `scan_limit`, the most live rows the pass may scan for its anchor.  Masks are all
+/// or nothing: the pass either reads no row, stops after the scan, or walks back to
+/// the seeds.  (Two kinds of plan never come here.  A plan with an existential
+/// suffix — Q9–Q12, RECUR — has its suffix walked back exactly and the rest masked
+/// from there, whatever the filters keep, unless the rest holds a closure.  Any other
+/// plan with a fixpoint runs unmasked.)
 ///
 /// *Anchor: at most half of its relation's live rows, for every plan.*  A mask
 /// removes only rows from which the anchor cannot be reached, so an anchor that
 /// keeps most rows cannot remove most of the work (argued beside the rule in
-/// [`crate::steps::viability`]).  The benchmark's anchors sit far from the line:
-/// Q5's masked one keeps ≈ 18 % of the node rows (high-risk persons); REACH's
-/// `(y:Person)` keeps 98 % and stops after a ≈ 0.04 ms scan.
+/// [`crate::steps::viability`]).  The benchmark's masked anchor sits far from the
+/// line: Q5's keeps ≈ 18 % of the node rows (high-risk persons).
 ///
-/// *Scan limit.*  A plan with a fixpoint runs one batch per worker, so there is no
-/// sample to read: it passes `usize::MAX`, and its masks reach inside its closures.
-/// A fixpoint-free plan passes what its sample batch says the remaining batches
+/// *Scan limit.*  The plan passes what its sample batch says the remaining batches
 /// will waste.  A survivor went through every hop of the plan, so of the sample's
 /// traversals (hop outputs) `survivors × hops` were useful and the rest were thrown
 /// away by a later filter.  A mask removes wasted traversals only, so a sample that
@@ -522,10 +514,9 @@ impl Pipeline<'_> {
 ///
 /// *No budget.*  Once the scan is read the walk goes on to the seeds, because a row
 /// crosses each plan step at most once — a hop or a shift reverses each row of its
-/// landing mask and adds each row it finds once (`from.contains`), a closure's
-/// semi-naive walk reverses only what has not yet `crossed` a body step — so a
-/// finished walk costs a fixed number of passes over the relations, however many
-/// traversals the forward pass would make.
+/// landing mask and adds each row it finds once (`from.contains`) — so a finished
+/// walk costs a fixed number of passes over the relations, however many traversals
+/// the forward pass would make.
 fn viability_gate(
     plan: &EnginePlan,
     graph: &GraphRelations,
@@ -544,10 +535,10 @@ fn viability_gate(
 
 /// Steps 1–2 of one plan from one batch of seed rows: the surviving cursors are
 /// appended to `chains`, each spelled out from the batch's trail.  Under
-/// `viability` a seed, a shift, a hop and a closure only choose rows the masks
-/// allow, and if it carries the times of an existential suffix — `plan` is then the
-/// prefix up to the last `Bind` — every survivor is cut to the pieces of its row's
-/// times inside its interval, one cursor per piece.
+/// `viability` a seed, a shift and a hop only choose rows the masks allow, and if it
+/// carries the times of an existential suffix — `plan` is then the prefix up to the
+/// last `Bind` — every survivor is cut to the pieces of its row's times inside its
+/// interval, one cursor per piece.
 fn run_batch(
     plan: &EnginePlan,
     graph: &GraphRelations,
@@ -574,8 +565,7 @@ fn run_batch(
                     apply_shift(graph, cursors, shift, landing, &mut trail)
                 }
                 TemporalLink::Closure(closure) => {
-                    let masks = viable.and_then(|next| next.entry_closure());
-                    apply_time_closure(graph, cursors, closure, masks, &mut trail, stats)
+                    apply_time_closure(graph, cursors, closure, &mut trail, stats)
                 }
             };
         }
@@ -1161,15 +1151,12 @@ mod tests {
     const RECUR: &str =
         "MATCH (x:Person {risk = 'high'})-/(FWD/:meets/FWD/NEXT)*/NEXT*/-({test = 'pos'}) ON g";
 
-    /// `closure-g2`'s two plans with their last node bound — REACH also ending on
-    /// RECUR's rare filter — and whether [`viability_gate`] masks them.
-    const FIXPOINTS: [(&str, bool); 3] = [
-        ("MATCH (x:Person {risk = 'high'})-/(FWD/:meets/FWD)*/-(y {test = 'pos'}) ON g", true),
-        (
-            "MATCH (x:Person {risk = 'high'})-/(FWD/:meets/FWD/NEXT)*/NEXT*/-(y {test = 'pos'}) ON g",
-            true,
-        ),
-        ("MATCH (x:Person {risk = 'high'})-/(FWD/:meets/FWD)*/-(y:Person) ON g", false),
+    /// `closure-g2`'s two plans with their last node bound, REACH also ending on
+    /// RECUR's rare filter: behind a selective anchor or not, they run unmasked.
+    const FIXPOINTS: [&str; 3] = [
+        "MATCH (x:Person {risk = 'high'})-/(FWD/:meets/FWD)*/-(y {test = 'pos'}) ON g",
+        "MATCH (x:Person {risk = 'high'})-/(FWD/:meets/FWD/NEXT)*/NEXT*/-(y {test = 'pos'}) ON g",
+        "MATCH (x:Person {risk = 'high'})-/(FWD/:meets/FWD)*/-(y:Person) ON g",
     ];
 
     #[test]
@@ -1178,7 +1165,6 @@ mod tests {
             let rounds = &stats.time_closure_rounds;
             (stats.hop_cursors.load(Ordering::Relaxed), rounds.load(Ordering::Relaxed))
         };
-        let mut pruned = [0; FIXPOINTS.len()];
         for g in [contact(0), contact(1), ring(150)] {
             let seeds = g.seed_rows();
             // RECUR as written runs its closure backwards only, once per call, and
@@ -1194,10 +1180,10 @@ mod tests {
             });
             assert!(!runs[0].is_empty() && runs.iter().all(|chains| *chains == runs[0]));
             assert!(runs[0].iter().all(|chain| chain.lags.is_empty()), "no closure crossed");
-            for (index, (text, masked)) in FIXPOINTS.into_iter().enumerate() {
+            for text in FIXPOINTS {
                 let plan = &plans(text)[0];
                 assert!(plan.has_fixpoint());
-                // All seeds in one batch and no masks: what the gate replaced.
+                // All seeds in one batch and no masks.
                 let (plain, mut expected) = (StepStats::default(), Vec::new());
                 run_batch(plan, &g, &seeds, None, &plain, &mut expected);
                 assert!(!expected.is_empty(), "{text}");
@@ -1207,17 +1193,13 @@ mod tests {
                     let chains = run_plan_seeded(plan, &g, &seeds, parallelism, &stats);
                     assert_eq!(chains, expected, "{text} on {threads} threads");
                     let outcomes = viability_outcomes(&stats);
-                    assert_eq!(outcomes, (usize::from(masked), 1), "{text} on {threads} threads");
+                    assert_eq!(outcomes, (0, 0), "{text} on {threads} threads: no gate");
                     if threads == 1 {
-                        let (work, unmasked) = (work(&stats), work(&plain));
-                        assert!(work.0 <= unmasked.0 && work.1 <= unmasked.1, "{text}");
-                        assert!(masked || work == unmasked, "{text}");
-                        pruned[index] += usize::from(work.0 < unmasked.0);
+                        assert_eq!(work(&stats), work(&plain), "{text}");
                     }
                 }
             }
         }
-        assert_eq!(pruned.map(|graphs| graphs > 0), [true, true, false], "{pruned:?}");
     }
 
     #[test]

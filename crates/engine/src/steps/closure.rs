@@ -60,16 +60,6 @@
 //! `(position, interval)` — e.g. many chains entering a closure on the same row —
 //! share one run and its result, so duplicate seeds add no rounds and no
 //! re-derivation.
-//!
-//! Both fixpoints run under the executor's backward viability masks when the plan's
-//! anchor is selective ([`crate::steps::viability`], [`ClosureMasks`]): a body hop
-//! lands only on the rows its step's mask allows (the structural walk tests it before
-//! it reads a row; `apply_band_steps` hands it to `apply_op`), a body shift likewise
-//! (`shift_band`), and a reached state is emitted only onto a row of the exit mask.
-//! A state on any other row has no descendant from which the plan can still end, so
-//! the semi-naive loop simply never derives it; on the rows it does derive, the
-//! `(source, row)` subtraction and the canonical emission order are those of the
-//! unmasked run.  Nested closures run unmasked.
 
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
@@ -81,7 +71,6 @@ use crate::chain::{Cursor, Position, TimeLag, Trail, TrailEvent};
 use crate::plan::{ClosureOp, ClosureStep, MicroOp, Shift};
 use crate::relations::GraphRelations;
 use crate::steps::structural::{apply_op, filter_interval, hop_from, StructuralCursor};
-use crate::steps::viability::{ClosureMasks, RowMask};
 use crate::steps::StepStats;
 
 /// Maps each input cursor to a seed index, deduplicating cursors that share their
@@ -109,16 +98,14 @@ fn dedup_seeds<C: StructuralCursor>(cursors: &[C]) -> (Vec<(Position, Interval)>
 /// output cursor per reachable `(source, row, coalesced interval)` triple.  The output
 /// is emitted in canonical `(input cursor, position, interval)` order, so its
 /// cardinality and content are independent of the order the inner hops derive rows in.
-/// Under `masks` the body's hops land, and the output sits, only on viable rows.
 pub fn apply_closure<C: StructuralCursor>(
     graph: &GraphRelations,
     cursors: Vec<C>,
     closure: &ClosureOp,
-    masks: Option<&ClosureMasks>,
     stats: &StepStats,
 ) -> Vec<C> {
     let watch = stats.timed.then(obs::Stopwatch::start);
-    let out = apply_closure_untimed(graph, cursors, closure, masks, stats);
+    let out = apply_closure_untimed(graph, cursors, closure, stats);
     if let Some(watch) = watch {
         stats.closure_nanos.fetch_add(watch.elapsed_nanos(), Ordering::Relaxed);
     }
@@ -129,7 +116,6 @@ fn apply_closure_untimed<C: StructuralCursor>(
     graph: &GraphRelations,
     cursors: Vec<C>,
     closure: &ClosureOp,
-    masks: Option<&ClosureMasks>,
     stats: &StepStats,
 ) -> Vec<C> {
     debug_assert!(
@@ -137,7 +123,7 @@ fn apply_closure_untimed<C: StructuralCursor>(
         "time-crossing closures compile to a TemporalLink, not a segment micro-op"
     );
     let (distinct, seed_of) = dedup_seeds(&cursors);
-    let mut fixpoint = Fixpoint::new(graph, closure, masks);
+    let mut fixpoint = Fixpoint::new(graph, closure);
     let mut tally = Tally::default();
     let mut results = Vec::new();
     let mut result_of = Vec::with_capacity(distinct.len());
@@ -158,23 +144,12 @@ fn apply_closure_untimed<C: StructuralCursor>(
     out
 }
 
-/// True if the closure may emit a state onto `position` under `masks`.
-fn exits_onto(masks: Option<&ClosureMasks>, position: Position) -> bool {
-    masks.is_none_or(|masks| masks.exit().contains(position.row()))
-}
-
-/// The landing mask of step `step` of the body alternative at `alternative`.
-fn landing(masks: Option<&ClosureMasks>, alternative: usize, step: usize) -> Option<&RowMask> {
-    masks.and_then(|masks| masks.steps(alternative)[step].as_ref())
-}
-
 /// The structural fixpoint of one closure, run one start state at a time over scratch
 /// that lives as long as the call: the state's reached set, its frontier, and the
 /// fixpoints of the closures nested in the body.
 struct Fixpoint<'a> {
     graph: &'a GraphRelations,
     closure: &'a ClosureOp,
-    masks: Option<&'a ClosureMasks>,
     /// The flat index of each alternative's first step; body steps are tallied per
     /// `(round, flat step)`.
     first_step: Vec<usize>,
@@ -196,11 +171,7 @@ struct Fixpoint<'a> {
 }
 
 impl<'a> Fixpoint<'a> {
-    fn new(
-        graph: &'a GraphRelations,
-        closure: &'a ClosureOp,
-        masks: Option<&'a ClosureMasks>,
-    ) -> Self {
+    fn new(graph: &'a GraphRelations, closure: &'a ClosureOp) -> Self {
         let mut first_step = Vec::with_capacity(closure.alternatives.len());
         let mut steps = 0;
         for alternative in &closure.alternatives {
@@ -210,7 +181,6 @@ impl<'a> Fixpoint<'a> {
         Fixpoint {
             graph,
             closure,
-            masks,
             first_step,
             steps,
             round: 0,
@@ -223,8 +193,7 @@ impl<'a> Fixpoint<'a> {
     }
 
     /// Runs the start state `(position, interval)` to its fixpoint, counting into
-    /// `tally`, and appends its result — on exit rows only — to `out`, sorted by
-    /// `(position, interval)`.
+    /// `tally`, and appends its result to `out`, sorted by `(position, interval)`.
     fn run(
         &mut self,
         position: Position,
@@ -269,7 +238,7 @@ impl<'a> Fixpoint<'a> {
             remaining = remaining.map(|r| r - 1);
         }
         tally.rounds = tally.rounds.max(self.round);
-        self.reached.emit(self.masks, out);
+        self.reached.emit(out);
     }
 
     /// One round: every alternative of the body applied to every frontier entry.  What
@@ -294,9 +263,8 @@ impl<'a> Fixpoint<'a> {
     }
 
     /// Takes one state depth-first through the body alternative at `alternative`, from
-    /// step `step` on: a hop fans out over the adjacency index (testing the landing
-    /// mask before it reads a row), a filter clamps, a nested closure runs each state
-    /// it is handed once per round to its own fixpoint.  What leaves the last step is
+    /// step `step` on: a hop fans out over the adjacency index, a filter clamps, a
+    /// nested closure runs each state it is handed once per round to its own fixpoint.  What leaves the last step is
     /// derived at once — in phase 2, checked against the reached set on the spot.
     fn walk(
         &mut self,
@@ -327,12 +295,17 @@ impl<'a> Fixpoint<'a> {
                     Position::NodeRow(_) => NODE_ROWS,
                     Position::EdgeRow(_) => EDGE_ROWS,
                 };
-                let landing = landing(self.masks, alternative, step);
-                let viable = |row| landing.is_none_or(|mask| mask.contains(row));
-                hop_from(graph, position, interval, *direction, viable, |position, interval| {
-                    tally.hop_cursors += 1;
-                    self.walk(alternative, step + 1, position, interval, tally);
-                });
+                hop_from(
+                    graph,
+                    position,
+                    interval,
+                    *direction,
+                    |_| true,
+                    |position, interval| {
+                        tally.hop_cursors += 1;
+                        self.walk(alternative, step + 1, position, interval, tally);
+                    },
+                );
             }
             ClosureStep::Micro(MicroOp::Closure(inner)) => {
                 // The lockstep loop handed the nested closure one batch per round and
@@ -343,8 +316,8 @@ impl<'a> Fixpoint<'a> {
                     Some(result) => result.clone(),
                     None => {
                         let start = call.results.len();
-                        let nested = self.nested[flat]
-                            .get_or_insert_with(|| Fixpoint::new(graph, inner, None));
+                        let nested =
+                            self.nested[flat].get_or_insert_with(|| Fixpoint::new(graph, inner));
                         nested.run(position, interval, &mut call.tally, &mut call.results);
                         call.seen.insert((position, interval), start..call.results.len());
                         start..call.results.len()
@@ -540,14 +513,10 @@ impl Reached {
         }
     }
 
-    /// Appends the state's coverage on the rows `masks` lets it exit onto, sorted by
-    /// `(position, interval)`.
-    fn emit(&mut self, masks: Option<&ClosureMasks>, out: &mut Vec<(Position, Interval)>) {
+    /// Appends the state's coverage, sorted by `(position, interval)`.
+    fn emit(&mut self, out: &mut Vec<(Position, Interval)>) {
         self.rows.sort_unstable();
         for &position in &self.rows {
-            if !exits_onto(masks, position) {
-                continue;
-            }
             let slot = &self.slots[self.slot(position)];
             match slot.split {
                 INLINE => out.push((position, slot.cover)),
@@ -646,14 +615,8 @@ fn normalize(mut band: BandState) -> Option<BandState> {
 /// Applies a temporal shift to a band: the arrival coordinate advances through the
 /// maximal existence interval of the current object (every intermediate time point
 /// must exist), the lag widens by the shift bounds, and the result lands on every row
-/// of the object intersecting the arrival window — of `landing`'s rows, under a mask.
-fn shift_band(
-    graph: &GraphRelations,
-    band: &BandState,
-    shift: &Shift,
-    landing: Option<&RowMask>,
-    out: &mut Vec<BandState>,
-) {
+/// of the object intersecting the arrival window.
+fn shift_band(graph: &GraphRelations, band: &BandState, shift: &Shift, out: &mut Vec<BandState>) {
     if shift.is_unsatisfiable() {
         return;
     }
@@ -686,7 +649,7 @@ fn shift_band(
         tgraph::Object::Node(node) => graph.rows_of_node(node),
         tgraph::Object::Edge(edge) => graph.rows_of_edge(edge),
     };
-    for &row in rows.iter().filter(|&&row| landing.is_none_or(|mask| mask.contains(row))) {
+    for &row in rows {
         let (position, row_interval) = match band.position {
             Position::NodeRow(_) => {
                 (Position::NodeRow(row), graph.node_rows()[row as usize].interval)
@@ -709,25 +672,23 @@ fn apply_band_steps(
     mut bands: Vec<BandState>,
     closure: &ClosureOp,
     alternative: usize,
-    masks: Option<&ClosureMasks>,
     stats: &StepStats,
 ) -> Vec<BandState> {
-    for (index, step) in closure.alternatives[alternative].iter().enumerate() {
+    for step in &closure.alternatives[alternative] {
         if bands.is_empty() {
             break;
         }
-        let landing = landing(masks, alternative, index);
         bands = match step {
             // A nested time-crossing closure runs its own band fixpoint over the
             // current states; a structural nested closure is just a micro-op.
             ClosureStep::Micro(MicroOp::Closure(inner)) if inner.is_time_crossing() => {
-                run_band_fixpoint(graph, bands, inner, None, stats)
+                run_band_fixpoint(graph, bands, inner, stats)
             }
-            ClosureStep::Micro(op) => apply_op(graph, bands, op, landing, stats),
+            ClosureStep::Micro(op) => apply_op(graph, bands, op, None, stats),
             ClosureStep::Shift(shift) => {
                 let mut out = Vec::new();
                 for band in &bands {
-                    shift_band(graph, band, shift, landing, &mut out);
+                    shift_band(graph, band, shift, &mut out);
                 }
                 out
             }
@@ -742,7 +703,6 @@ fn apply_band_round(
     graph: &GraphRelations,
     mut frontier: Vec<BandState>,
     closure: &ClosureOp,
-    masks: Option<&ClosureMasks>,
     stats: &StepStats,
 ) -> Vec<BandState> {
     stats.time_closure_rounds.fetch_add(1, Ordering::Relaxed);
@@ -753,7 +713,7 @@ fn apply_band_round(
         } else {
             frontier.clone()
         };
-        produced.extend(apply_band_steps(graph, input, closure, index, masks, stats));
+        produced.extend(apply_band_steps(graph, input, closure, index, stats));
     }
     canonicalize_bands(produced)
 }
@@ -802,7 +762,6 @@ fn run_band_fixpoint(
     graph: &GraphRelations,
     seeds: Vec<BandState>,
     closure: &ClosureOp,
-    masks: Option<&ClosureMasks>,
     stats: &StepStats,
 ) -> Vec<BandState> {
     if seeds.is_empty() || closure.max.is_some_and(|m| m < closure.min) {
@@ -812,7 +771,7 @@ fn run_band_fixpoint(
 
     // Phase 1: exactly `min` applications, replacing the frontier per depth level.
     for _ in 0..closure.min {
-        frontier = apply_band_round(graph, frontier, closure, masks, stats);
+        frontier = apply_band_round(graph, frontier, closure, stats);
         if frontier.is_empty() {
             return Vec::new();
         }
@@ -830,7 +789,7 @@ fn run_band_fixpoint(
     let mut delta = frontier;
     let mut remaining = closure.max.map(|m| u64::from(m - closure.min));
     while !delta.is_empty() && remaining != Some(0) {
-        let produced = apply_band_round(graph, delta, closure, masks, stats);
+        let produced = apply_band_round(graph, delta, closure, stats);
         let mut novel = Vec::new();
         for band in produced {
             let stored = reached.entry((band.source, band.position)).or_default();
@@ -896,18 +855,16 @@ fn fold_into(reached: &mut BTreeMap<(u32, Position), Vec<StoredBand>>, band: &Ba
 /// new segment starts on the reached row over the arrival times, and the admissible
 /// time skew is recorded as a [`TimeLag`] for Step 3's point expansion — two trail
 /// entries per emitted band, on top of the history the cursor shares with the
-/// other bands of its seed.  Under `masks` the body's hops and shifts land, and the
-/// emitted bands sit, only on viable rows.
+/// other bands of its seed.
 pub fn apply_time_closure(
     graph: &GraphRelations,
     cursors: Vec<Cursor>,
     closure: &ClosureOp,
-    masks: Option<&ClosureMasks>,
     trail: &mut Trail,
     stats: &StepStats,
 ) -> Vec<Cursor> {
     let watch = stats.timed.then(obs::Stopwatch::start);
-    let out = apply_time_closure_untimed(graph, cursors, closure, masks, trail, stats);
+    let out = apply_time_closure_untimed(graph, cursors, closure, trail, stats);
     if let Some(watch) = watch {
         stats.closure_nanos.fetch_add(watch.elapsed_nanos(), Ordering::Relaxed);
     }
@@ -918,7 +875,6 @@ fn apply_time_closure_untimed(
     graph: &GraphRelations,
     cursors: Vec<Cursor>,
     closure: &ClosureOp,
-    masks: Option<&ClosureMasks>,
     trail: &mut Trail,
     stats: &StepStats,
 ) -> Vec<Cursor> {
@@ -937,10 +893,10 @@ fn apply_time_closure_untimed(
             lag: TimeLag::zero(),
         })
         .collect();
-    let bands = run_band_fixpoint(graph, seeds, closure, masks, stats);
+    let bands = run_band_fixpoint(graph, seeds, closure, stats);
 
     let mut by_source: Vec<Vec<&BandState>> = vec![Vec::new(); distinct.len()];
-    for band in bands.iter().filter(|band| exits_onto(masks, band.position)) {
+    for band in &bands {
         by_source[band.source as usize].push(band);
     }
     let mut out = Vec::new();
@@ -1019,13 +975,13 @@ mod tests {
     }
 
     fn run(graph: &GraphRelations, seeds: Vec<Cursor>, op: &ClosureOp) -> Vec<Cursor> {
-        apply_closure(graph, seeds, op, None, &StepStats::default())
+        apply_closure(graph, seeds, op, &StepStats::default())
     }
 
     /// Crosses the closure and spells the arrivals out as chains.
     fn run_time(graph: &GraphRelations, seeds: Vec<Cursor>, op: &ClosureOp) -> Vec<Chain> {
         let mut trail = Trail::default();
-        let out = apply_time_closure(graph, seeds, op, None, &mut trail, &StepStats::default());
+        let out = apply_time_closure(graph, seeds, op, &mut trail, &StepStats::default());
         out.iter().map(|c| trail.materialize(c)).collect()
     }
 
@@ -1086,7 +1042,7 @@ mod tests {
         b.add_existence(e2, iv(4, 7)).unwrap();
         let g = GraphRelations::from_itpg(&b.domain(iv(0, 9)).build().unwrap());
         let stats = StepStats::default();
-        let out = apply_closure(&g, vec![Cursor::seed(row_of(&g, "a"), &g)], &star(), None, &stats);
+        let out = apply_closure(&g, vec![Cursor::seed(row_of(&g, "a"), &g)], &star(), &stats);
         // a over its whole row (0 steps; the [4,5] round trip adds no new coverage),
         // b over the edge window [2,5].
         assert_eq!(reached(&g, &out), vec![("a".to_owned(), iv(0, 9)), ("b".to_owned(), iv(2, 5))]);
@@ -1139,9 +1095,9 @@ mod tests {
         let g = chain_graph();
         let seed = || Cursor::seed(row_of(&g, "a"), &g);
         let single_stats = StepStats::default();
-        let single = apply_closure(&g, vec![seed()], &star(), None, &single_stats);
+        let single = apply_closure(&g, vec![seed()], &star(), &single_stats);
         let dup_stats = StepStats::default();
-        let dup = apply_closure(&g, vec![seed(), seed()], &star(), None, &dup_stats);
+        let dup = apply_closure(&g, vec![seed(), seed()], &star(), &dup_stats);
         assert_eq!(
             single_stats.closure_rounds.load(Ordering::Relaxed),
             dup_stats.closure_rounds.load(Ordering::Relaxed),
@@ -1152,17 +1108,10 @@ mod tests {
 
         // Same for the time-aware fixpoint.
         let single_stats = StepStats::default();
-        apply_time_closure(
-            &g,
-            vec![seed()],
-            &mixed_star(),
-            None,
-            &mut Trail::default(),
-            &single_stats,
-        );
+        apply_time_closure(&g, vec![seed()], &mixed_star(), &mut Trail::default(), &single_stats);
         let dup_stats = StepStats::default();
         let dup_seeds = vec![seed(), seed()];
-        apply_time_closure(&g, dup_seeds, &mixed_star(), None, &mut Trail::default(), &dup_stats);
+        apply_time_closure(&g, dup_seeds, &mixed_star(), &mut Trail::default(), &dup_stats);
         assert_eq!(
             single_stats.time_closure_rounds.load(Ordering::Relaxed),
             dup_stats.time_closure_rounds.load(Ordering::Relaxed),
@@ -1186,7 +1135,7 @@ mod tests {
         let g = chain_graph();
         let seeds = vec![Cursor::seed(row_of(&g, "c"), &g), Cursor::seed(row_of(&g, "a"), &g)];
         let stats = StepStats::default();
-        let out = apply_closure(&g, seeds, &star(), None, &stats);
+        let out = apply_closure(&g, seeds, &star(), &stats);
         assert_eq!(
             reached(&g, &out),
             vec![
@@ -1211,7 +1160,7 @@ mod tests {
         let window = ClosureOp::structural(vec![meets_hop()], 2, Some(3));
         let seeds = vec![Cursor::seed(row_of(&g, "a"), &g), Cursor::seed(row_of(&g, "c"), &g)];
         let stats = StepStats::default();
-        let out = apply_closure(&g, seeds, &window, None, &stats);
+        let out = apply_closure(&g, seeds, &window, &stats);
         assert_eq!(reached(&g, &out), vec![("c".to_owned(), iv(4, 6)), ("d".to_owned(), iv(5, 5))]);
         assert!(out.iter().all(|c| c.seed == row_of(&g, "a")));
         assert_eq!(counts(&stats), (3, 8, 6));
@@ -1251,7 +1200,7 @@ mod tests {
             ("d", "e", 0, 9),
         ]);
         let stats = StepStats::default();
-        let out = apply_closure(&g, vec![Cursor::seed(row_of(&g, "a"), &g)], &star(), None, &stats);
+        let out = apply_closure(&g, vec![Cursor::seed(row_of(&g, "a"), &g)], &star(), &stats);
         let everyone = ["a", "b", "c", "d", "e"].map(|name| (name.to_owned(), iv(0, 9)));
         assert_eq!(reached(&g, &out), everyone);
         // Hops: 6 in round 0, 8 in round 1, then 6 from b's three new pieces and 2
@@ -1272,7 +1221,7 @@ mod tests {
         let nested = MicroOp::Closure(ClosureOp::structural(vec![meets_hop()], 1, Some(2)));
         let union = ClosureOp::structural(vec![vec![nested], backward], 0, None);
         let stats = StepStats::default();
-        let out = apply_closure(&g, vec![Cursor::seed(row_of(&g, "b"), &g)], &union, None, &stats);
+        let out = apply_closure(&g, vec![Cursor::seed(row_of(&g, "b"), &g)], &union, &stats);
         assert_eq!(
             reached(&g, &out),
             vec![
@@ -1325,14 +1274,8 @@ mod tests {
         // The cursor arrives with one entry of its own, shared by its four bands.
         let mut seed = Cursor::seed(row_of(&g, "a"), &g);
         seed.bind(0, &g, &mut trail);
-        let out = apply_time_closure(
-            &g,
-            vec![seed],
-            &mixed_star(),
-            None,
-            &mut trail,
-            &StepStats::default(),
-        );
+        let out =
+            apply_time_closure(&g, vec![seed], &mixed_star(), &mut trail, &StepStats::default());
         assert_eq!(out.len(), 4);
         assert_eq!(trail.len(), 1 + 2 * out.len());
         for cursor in &out {

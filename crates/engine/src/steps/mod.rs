@@ -1,6 +1,6 @@
 //! The three evaluation steps of Section VI, plus the closure fixpoint operator, the
-//! backward viability masks Steps 1–2 of a low-yield plan — fixpoints included — run
-//! under, and the exact backward walk of a plan's existential suffix.
+//! backward viability masks Steps 1–2 of a low-yield fixpoint-free plan run under,
+//! and the exact backward walk of a plan's existential suffix.
 
 pub mod closure;
 pub mod expand;
@@ -44,14 +44,14 @@ pub struct StepStats {
     /// Backward viability passes ([`viability`]) that walked the whole plan back to
     /// its seeds.  This and the two counters below move once per
     /// `run_plan_seeded` call that takes a fixpoint-free plan through more than one
-    /// seed batch, once per call of a plan with a fixpoint, and once per call of a
-    /// plan with an existential suffix, whose exact walk is always built — never per
-    /// row — and exactly one of the two outcomes moves.
+    /// seed batch, and once per call of a plan with an existential suffix, whose
+    /// exact walk is always built — never per row — and exactly one of the two
+    /// outcomes moves.  Any other plan with a fixpoint moves none of them.
     pub viability_built: AtomicUsize,
-    /// Calls that ran unmasked: the plan has no selective filter to anchor on, or a
-    /// closure the walk cannot follow; the sample batch wasted at most half its
-    /// traversals, or too few to pay for the anchor's scan; or the scan found the
-    /// anchor keeps more than half its relation's live rows.
+    /// Calls that ran unmasked: the plan has no selective filter to anchor on; the
+    /// sample batch wasted at most half its traversals, or too few to pay for the
+    /// anchor's scan; or the scan found the anchor keeps more than half its
+    /// relation's live rows.
     pub viability_skipped: AtomicUsize,
     /// Row indices the backward passes looked at.
     pub viability_rows_visited: AtomicUsize,

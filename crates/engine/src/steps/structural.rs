@@ -20,7 +20,7 @@
 //! viability masks ([`crate::steps::viability`]) are consulted: when the segment comes
 //! with masks, an adjacent row whose bit is clear is skipped before its row struct is
 //! read — no match landing there could reach the end of the plan.  The closure
-//! fixpoints pass the mask of their body step the same way.
+//! fixpoints run unmasked.
 
 use std::sync::atomic::Ordering;
 
@@ -76,7 +76,7 @@ impl StructuralCursor for Cursor {
 /// Applies every operation of a segment to the given cursors, returning the
 /// survivors.  Bindings are recorded in `trail`; hop joins, hop outputs and closure
 /// rounds are counted in `stats`.  With `viable`, a hop lands only on the rows the
-/// segment's masks allow, and a closure runs under its own.
+/// segment's masks allow; a closure runs unmasked.
 pub fn apply_segment(
     graph: &GraphRelations,
     cursors: Vec<Cursor>,
@@ -95,10 +95,7 @@ pub fn apply_segment(
                     cursor.bind(*slot as u32, graph, trail);
                 }
             }
-            MicroOp::Closure(closure) => {
-                let masks = viable.and_then(|masks| masks.closure(index));
-                current = apply_closure(graph, current, closure, masks, stats);
-            }
+            MicroOp::Closure(closure) => current = apply_closure(graph, current, closure, stats),
             op => {
                 let landing = viable.and_then(|masks| masks.landing(index));
                 current = apply_op(graph, current, op, landing, stats);
@@ -111,10 +108,10 @@ pub fn apply_segment(
     current
 }
 
-/// Applies one micro-operation to a batch of cursors.  Also driven directly by the
-/// time-aware closure fixpoint, which interleaves micro-operations with temporal steps
-/// and passes its body step's `landing` mask (only a hop reads it).  A closure reached
-/// here is nested in another one and runs unmasked.
+/// Applies one micro-operation to a batch of cursors, a hop landing only on the rows
+/// of `landing`, if given.  Also driven directly by the time-aware closure fixpoint,
+/// which interleaves micro-operations with temporal steps and passes no mask.  A
+/// closure reached here is nested in another one.
 pub(crate) fn apply_op<C: StructuralCursor>(
     graph: &GraphRelations,
     cursors: Vec<C>,
@@ -135,7 +132,7 @@ pub(crate) fn apply_op<C: StructuralCursor>(
             None => apply_hop(graph, &cursors, *direction, |_| true, stats),
             Some(mask) => apply_hop(graph, &cursors, *direction, |row| mask.contains(row), stats),
         },
-        MicroOp::Closure(closure) => apply_closure(graph, cursors, closure, None, stats),
+        MicroOp::Closure(closure) => apply_closure(graph, cursors, closure, stats),
     }
 }
 
@@ -146,9 +143,9 @@ pub(crate) fn apply_op<C: StructuralCursor>(
 /// interval intersections).  A batch is homogeneous in position kind by construction
 /// (hops alternate between node and edge rows) except past a closure that reaches
 /// both; each cursor is dispatched on its own kind, and the batch counts one join
-/// per relation it probed.  `viable` (a landing mask's bit test: masks exist only
-/// where every closure body returns to the kind of row it started on, so a masked
-/// batch lands on one kind of row) is asked before the adjacent row itself is read.
+/// per relation it probed.  `viable` (a landing mask's bit test: no mask exists past
+/// a closure, so a masked batch lands on one kind of row) is asked before the
+/// adjacent row itself is read.
 fn apply_hop<C: StructuralCursor>(
     graph: &GraphRelations,
     cursors: &[C],

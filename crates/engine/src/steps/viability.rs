@@ -36,14 +36,14 @@
 //! segment as the end of the plan.  A purely structural plan therefore answers with
 //! one interval row per maximal piece of the bound row rather than one per path — the
 //! same snapshots.  The row-level walk below continues from the split back to the
-//! seeds, anchored on the rows of the set.
+//! seeds, anchored on the rows of the set — unless the prefix holds a closure, which
+//! it does not enter: such a prefix runs unmasked.
 //!
-//! **The row-level walk** (`Viability::build`): one dense scan of the relation the
-//! last selective filter applies to, then sparse propagation through the adjacency
-//! indexes read in reverse, leaving one [`RowMask`] wherever the forward pass *chooses*
-//! a row — the seeds, the rows a hop lands on, the rows a shift lands on, and inside a
-//! closure body the rows each hop and shift of it lands on.  The forward pass tests the
-//! bit before it reads the row.
+//! **The row-level walk** (`Viability::build`, for plans without fixpoints): one
+//! dense scan of the relation the last selective filter applies to, then sparse
+//! propagation through the adjacency indexes read in reverse, leaving one [`RowMask`]
+//! wherever the forward pass *chooses* a row — the seeds, the rows a hop lands on and
+//! the rows a shift lands on.  The forward pass tests the bit before it reads the row.
 //!
 //! A mask is a sound over-approximation, so it never removes a match that would have
 //! survived — chains are the same, in the same order, with and without it:
@@ -60,15 +60,6 @@
 //!   never crosses an existence gap.  (The first version marked every row of an
 //!   object with a viable row: 53 % of a G2 graph's person rows, and walking RECUR
 //!   back through it bought 0 %, 1918 → 1909 ms over `closure-g2`'s 24 graphs.)
-//! * a closure is walked back as the least fixpoint `V = M ∪ pre_body(V)` over row
-//!   bitsets, `M` the rows after it: semi-naive, a row enters each body step's delta
-//!   at most once, and the rows every body hop and shift lands on are kept as that
-//!   step's mask.  `V` is backward-closed at row granularity — every state a viable
-//!   state is derived from sits on a viable row — so the states the forward fixpoint
-//!   no longer derives are exactly those on rows that lead nowhere; its semi-naive
-//!   subtraction per `(source, row)` and its canonical emission see the same states
-//!   on every viable row as before.  `[n, m]` windows are ignored, which only makes
-//!   `V` looser;
 //! * everything after the last selective filter is left unconstrained;
 //! * the pass only follows the indexes, which hold no tombstoned row, and its one
 //!   dense scan skips dead rows.
@@ -76,9 +67,9 @@
 //! Masks are all or nothing: a pass that starts walks back to the seeds, and its cost
 //! is bounded by the graph — a row crosses each plan step at most once.  Nothing here
 //! is kept: the executor builds the masks of one plan inside one `run_plan_seeded`
-//! call — for a plan with an existential suffix always, otherwise under the scan limit
-//! its gate sets — shares them by reference across its workers, and drops them with
-//! it.
+//! call — for a plan with an existential suffix always, for a plan without fixpoints
+//! under the scan limit its gate sets — shares them by reference across its workers,
+//! and drops them with it.
 
 use std::sync::atomic::Ordering;
 
@@ -92,7 +83,7 @@ use crate::steps::StepStats;
 
 /// A set of physical row indices of one relation, one bit per row.  Which relation
 /// is known from where the mask is consulted: hops alternate between node and edge
-/// rows, and every closure body the pass walks through makes an even number of them.
+/// rows, and the row-level walk never enters a closure.
 #[derive(Debug, Clone)]
 pub struct RowMask {
     words: Vec<u64>,
@@ -129,20 +120,6 @@ impl RowMask {
 
     fn len(&self) -> usize {
         self.words.iter().map(|word| word.count_ones() as usize).sum()
-    }
-
-    fn is_empty(&self) -> bool {
-        self.words.iter().all(|&word| word == 0)
-    }
-
-    /// Adds the rows of `other`, a mask of the same relation.
-    fn insert_all(&mut self, other: &RowMask) {
-        self.words.iter_mut().zip(&other.words).for_each(|(word, other)| *word |= other);
-    }
-
-    /// Removes the rows of `other`, a mask of the same relation.
-    fn remove_all(&mut self, other: &RowMask) {
-        self.words.iter_mut().zip(&other.words).for_each(|(word, other)| *word &= !other);
     }
 
     /// Removes the rows `keep` rejects.
@@ -257,81 +234,25 @@ impl TimeSet {
     }
 }
 
-/// The masks of one closure: the rows it may emit a state onto, and per step of
-/// each body alternative the rows that step may land on.
-#[derive(Debug)]
-pub struct ClosureMasks {
-    exit: RowMask,
-    steps: Vec<Vec<Option<RowMask>>>,
-}
-
-impl ClosureMasks {
-    /// The rows after the closure from which the plan can still end.
-    pub fn exit(&self) -> &RowMask {
-        &self.exit
-    }
-
-    /// Per step of the body alternative at `index`, the rows it may land on: `Some`
-    /// for hops and shifts, `None` for filters.
-    pub fn steps(&self, index: usize) -> &[Option<RowMask>] {
-        &self.steps[index]
-    }
-}
-
-/// What the walk left where a plan step chooses rows.
-#[derive(Debug)]
-enum StepMasks {
-    /// The rows a seed, a hop or a shift may choose.
-    Rows(RowMask),
-    /// The masks of a closure.
-    Closure(ClosureMasks),
-}
-
-impl StepMasks {
-    fn rows(&self) -> Option<&RowMask> {
-        match self {
-            StepMasks::Rows(mask) => Some(mask),
-            StepMasks::Closure(_) => None,
-        }
-    }
-
-    fn closure(&self) -> Option<&ClosureMasks> {
-        match self {
-            StepMasks::Closure(masks) => Some(masks),
-            StepMasks::Rows(_) => None,
-        }
-    }
-}
-
 /// The masks of one segment: how a match may enter it, and where each of its hops
-/// and closures may take it.  `None` means unconstrained.
+/// may take it.  `None` means unconstrained.
 #[derive(Debug)]
 pub struct SegmentMasks {
-    entry: Option<StepMasks>,
-    ops: Vec<Option<StepMasks>>,
+    entry: Option<RowMask>,
+    ops: Vec<Option<RowMask>>,
 }
 
 impl SegmentMasks {
     /// The rows a match may start the segment on: seed rows for the first segment,
     /// the rows a shift lands on for the others.
     pub fn entry(&self) -> Option<&RowMask> {
-        self.entry.as_ref().and_then(StepMasks::rows)
-    }
-
-    /// The masks of the closure link that enters the segment.
-    pub fn entry_closure(&self) -> Option<&ClosureMasks> {
-        self.entry.as_ref().and_then(StepMasks::closure)
+        self.entry.as_ref()
     }
 
     /// The rows the hop at `op` (an index into [`crate::plan::Segment::ops`]) may
     /// land on.
     pub fn landing(&self, op: usize) -> Option<&RowMask> {
-        self.ops[op].as_ref().and_then(StepMasks::rows)
-    }
-
-    /// The masks of the closure at `op`.
-    pub fn closure(&self, op: usize) -> Option<&ClosureMasks> {
-        self.ops[op].as_ref().and_then(StepMasks::closure)
+        self.ops[op].as_ref()
     }
 }
 
@@ -348,14 +269,12 @@ pub(crate) struct Viability {
 }
 
 impl Viability {
-    /// Walks `plan` backwards from its last selective filter — the *anchor* — to its
-    /// seeds, leaving a mask at every step.  `Err` carries the rows visited when the
-    /// pass builds nothing:
+    /// Walks `plan`, which has no fixpoint, backwards from its last selective filter —
+    /// the *anchor* — to its seeds, leaving a mask at every step.  `Err` carries the
+    /// rows visited when the pass builds nothing:
     ///
-    /// * `Err(0)`, reading no row, when the plan has no filter that selects rows, a
-    ///   closure body that does not return to the kind of row it started on or that
-    ///   nests another closure, or an anchor whose relation has more than
-    ///   `scan_limit` live rows;
+    /// * `Err(0)`, reading no row, when the plan has no filter that selects rows, or
+    ///   an anchor whose relation has more than `scan_limit` live rows;
     /// * `Err(live)`, after the dense scan of those `live` rows, when the anchor keeps
     ///   more than half of them ([`anchor_is_selective`]).
     pub(crate) fn build(
@@ -363,9 +282,7 @@ impl Viability {
         graph: &GraphRelations,
         scan_limit: usize,
     ) -> Result<Self, usize> {
-        if !plan.closures().all(keeps_row_kind) {
-            return Err(0);
-        }
+        debug_assert!(!plan.has_fixpoint(), "the row-level walk never enters a closure");
         let steps = steps_back(plan);
         let (anchor, filter, on_nodes) = steps
             .iter()
@@ -381,17 +298,18 @@ impl Viability {
         let kept = pass.scan_rows(filter, on_nodes, scan_limit)?;
         let mut segments = unconstrained(plan);
         let seeds = pass.rows_back(&steps[anchor + 1..], kept, &mut segments);
-        segments[0].entry = Some(StepMasks::Rows(seeds));
+        segments[0].entry = Some(seeds);
         Ok(Viability { segments, suffix: None, rows_visited: pass.visited })
     }
 
     /// Splits a plan with an existential suffix at its last `Bind` and walks the
-    /// suffix back exactly, then the rest of the plan back to its seeds at row level,
-    /// anchored on the rows the suffix can finish from.  Returns the prefix the forward
-    /// pass runs — the plan up to and including that `Bind` — with the masks of its
-    /// steps and the suffix's times, or `None`, reading no row, when nothing follows
-    /// the last `Bind` (or the plan binds nothing), or when a closure body does not
-    /// return to the kind of row it started on or nests another closure.
+    /// suffix back exactly; then, unless the rest of the plan holds a closure, walks
+    /// that rest back to its seeds at row level, anchored on the rows the suffix can
+    /// finish from.  Returns the prefix the forward pass runs — the plan up to and
+    /// including that `Bind` — with the masks of its steps (none if it holds a
+    /// closure) and the suffix's times, or `None`, reading no row, when nothing
+    /// follows the last `Bind` (or the plan binds nothing), or when a closure body
+    /// does not return to the kind of row it started on or nests another closure.
     ///
     /// The backward closure fixpoints count their rounds and their time in `stats`,
     /// as the forward ones do.
@@ -416,12 +334,15 @@ impl Viability {
         let times = pass
             .times_back(&steps[..split], stats)
             .unwrap_or_else(|| pass.scan_times(&ObjFilter::default(), on_nodes));
+        let prefix = plan.prefix(segment, op);
         let mut segments = unconstrained(plan);
-        let kept = times.row_mask(pass.relation_len(on_nodes));
-        let seeds = pass.rows_back(&steps[split + 1..], kept, &mut segments);
-        segments[0].entry = Some(StepMasks::Rows(seeds));
+        if !prefix.has_fixpoint() {
+            let kept = times.row_mask(pass.relation_len(on_nodes));
+            let seeds = pass.rows_back(&steps[split + 1..], kept, &mut segments);
+            segments[0].entry = Some(seeds);
+        }
         let viability = Viability { segments, suffix: Some(times), rows_visited: pass.visited };
-        Some((plan.prefix(segment, op), viability))
+        Some((prefix, viability))
     }
 
     /// The masks of the segment at `index`.
@@ -730,93 +651,10 @@ impl Pass<'_> {
         from
     }
 
-    /// Walks back over a closure that may emit onto the rows of `after`: the least
-    /// fixpoint `V = after ∪ pre_body(V)`, with `pre_body` the union over the body's
-    /// alternatives of their steps reversed right to left.  Semi-naive: every step
-    /// keeps the rows already reversed across it and reverses only the new ones, so
-    /// a row crosses each step at most once and the work is bounded by the graph,
-    /// whatever the window.  Returns `V` and the masks: `after` as the exit, and what
-    /// crossed each hop and shift as the rows it may land on.
-    fn reverse_closure(
-        &mut self,
-        closure: &ClosureOp,
-        after: RowMask,
-        on_nodes: bool,
-    ) -> (RowMask, ClosureMasks) {
-        // Per alternative and step, the rows after the step already reversed.
-        let mut crossed: Vec<Vec<RowMask>> = closure
-            .alternatives
-            .iter()
-            .map(|steps| {
-                let mut kind = on_nodes;
-                let mut masks: Vec<RowMask> = steps
-                    .iter()
-                    .rev()
-                    .map(|step| {
-                        let mask = self.empty(kind);
-                        kind ^= matches!(step, ClosureStep::Micro(MicroOp::Hop(_)));
-                        mask
-                    })
-                    .collect();
-                masks.reverse();
-                masks
-            })
-            .collect();
-        let mut viable = after.clone();
-        let mut delta = after.clone();
-        while !delta.is_empty() {
-            let mut found = self.empty(on_nodes);
-            for (steps, crossed) in closure.alternatives.iter().zip(&mut crossed) {
-                let mut rows = delta.clone();
-                let mut kind = on_nodes;
-                for (step, crossed) in steps.iter().zip(crossed).rev() {
-                    rows.remove_all(crossed);
-                    if rows.is_empty() {
-                        break;
-                    }
-                    crossed.insert_all(&rows);
-                    match step {
-                        ClosureStep::Micro(MicroOp::Filter(filter)) => {
-                            self.filter(&mut rows, filter, kind)
-                        }
-                        ClosureStep::Micro(MicroOp::Hop(direction)) => {
-                            rows = self.reverse_hop(&rows, *direction, kind);
-                            kind = !kind;
-                        }
-                        ClosureStep::Shift(shift) => rows = self.reverse_shift(&rows, shift, kind),
-                        // Bodies bind nothing, and nested closures were refused.
-                        ClosureStep::Micro(MicroOp::Bind(_) | MicroOp::Closure(_)) => {}
-                    }
-                }
-                found.insert_all(&rows);
-            }
-            found.remove_all(&viable);
-            viable.insert_all(&found);
-            delta = found;
-        }
-        let steps = closure
-            .alternatives
-            .iter()
-            .zip(crossed)
-            .map(|(steps, crossed)| {
-                steps
-                    .iter()
-                    .zip(crossed)
-                    .map(|(step, crossed)| match step {
-                        ClosureStep::Micro(MicroOp::Hop(_)) | ClosureStep::Shift(_) => {
-                            Some(crossed)
-                        }
-                        ClosureStep::Micro(_) => None,
-                    })
-                    .collect()
-            })
-            .collect();
-        (viable, ClosureMasks { exit: after, steps })
-    }
-
-    /// Walks `steps` back at row level from `current`, the rows a match may sit on
-    /// just after the first of them, leaving a mask in `segments` at every step that
-    /// chooses rows; returns the rows the plan may start on.
+    /// Walks `steps`, which hold no closure, back at row level from `current`, the
+    /// rows a match may sit on just after the first of them, leaving a mask in
+    /// `segments` at every step that chooses rows; returns the rows the plan may start
+    /// on.
     fn rows_back(
         &mut self,
         steps: &[BackStep<'_>],
@@ -830,21 +668,14 @@ impl Pass<'_> {
                 Step::Op(_, MicroOp::Filter(filter)) => self.filter(&mut current, filter, on_nodes),
                 Step::Op(op, MicroOp::Hop(direction)) => {
                     let from = self.reverse_hop(&current, *direction, on_nodes);
-                    masks.ops[op] = Some(StepMasks::Rows(std::mem::replace(&mut current, from)));
-                }
-                Step::Op(op, MicroOp::Closure(closure)) => {
-                    let (before, closure_masks) = self.reverse_closure(closure, current, on_nodes);
-                    current = before;
-                    masks.ops[op] = Some(StepMasks::Closure(closure_masks));
+                    masks.ops[op] = Some(std::mem::replace(&mut current, from));
                 }
                 Step::Link(TemporalLink::Shift(shift)) => {
                     let from = self.reverse_shift(&current, shift, on_nodes);
-                    masks.entry = Some(StepMasks::Rows(std::mem::replace(&mut current, from)));
+                    masks.entry = Some(std::mem::replace(&mut current, from));
                 }
-                Step::Link(TemporalLink::Closure(closure)) => {
-                    let (before, closure_masks) = self.reverse_closure(closure, current, on_nodes);
-                    current = before;
-                    masks.entry = Some(StepMasks::Closure(closure_masks));
+                Step::Op(_, MicroOp::Closure(_)) | Step::Link(TemporalLink::Closure(_)) => {
+                    unreachable!("the row-level walk never enters a closure")
                 }
             }
         }
@@ -1168,7 +999,7 @@ mod tests {
         for mask in [built.segment(1).entry(), first.landing(4), first.entry()] {
             let mask = mask.expect("complete");
             assert!(mask.rows().all(|row| graph.is_node_row_live(row)));
-            assert!(!mask.is_empty());
+            assert!(mask.len() > 0);
         }
         let crossed = first.landing(2).unwrap();
         assert!(crossed.rows().all(|row| graph.is_edge_row_live(row)));
@@ -1198,7 +1029,7 @@ mod tests {
     }
 
     #[test]
-    fn plans_yield_masks_through_closures_and_without_an_anchor_none() {
+    fn plans_yield_masks_from_an_anchor_and_none_behind_a_closure() {
         let graph = GraphRelations::from_itpg(&contacts());
         // No filter that tells rows apart: the kind of row is fixed by the plan.
         let kind_only = |node| ObjFilter { require_node: Some(node), ..Default::default() };
@@ -1223,69 +1054,21 @@ mod tests {
         assert_eq!(edge_rows_named(&graph, built.segment(0).landing(1).unwrap()), ["v1"]);
         assert!(built.segment(0).landing(3).is_none(), "unconstrained past the anchor");
 
-        // Through a structural closure: bob is positive only after every meeting,
-        // so nothing reaches him, and the body's hops keep what they crossed.
-        let star =
-            plan("MATCH (x:Person {risk = 'high'})-/(FWD/:meets/FWD)*/-({test = 'pos'}) ON g");
-        let built = build_all(&star, &graph);
-        // Segment ops: [filter x, bind, closure, filter pos].
-        let masks = built.segment(0).closure(2).expect("the closure has masks");
-        assert_eq!(node_rows_named(&graph, masks.exit()), [("bob".to_owned(), iv(8, 10))]);
-        let body = masks.steps(0);
-        assert_eq!(
-            node_rows_named(&graph, body[2].as_ref().unwrap()),
-            [("bob".to_owned(), iv(8, 10))]
+        // A suffix behind a closure is walked back exactly, but the row-level walk
+        // does not enter the closure: the prefix runs unmasked.  Ann meets bob on
+        // [2, 3] and bob tests positive later.
+        let behind = plan(
+            "MATCH (x:Person {risk = 'high'})-/(FWD/:meets/FWD)[0,2]/-(w:Person)\
+             -/FWD/:meets/FWD/NEXT*/-({test = 'pos'}) ON g",
         );
-        assert_eq!(body[0].as_ref().map(RowMask::len), Some(0), "no meeting while bob is positive");
-        assert!(body[1].is_none(), "filters have no landing masks");
-        assert_eq!(built.segment(0).entry().map(RowMask::len), Some(0));
-
-        // Through a time-aware closure: RECUR.  The positive row, then the rows NEXT*
-        // reaches it from, then everything a chain of meetings reaches those from.
-        let recur = plan(
-            "MATCH (x:Person {risk = 'high'})-/(FWD/:meets/FWD/NEXT)*/NEXT*/-({test = 'pos'}) ON g",
-        );
-        let built = build_all(&recur, &graph);
-        let end = built.segment(2).entry().expect("the scanned mask");
-        assert_eq!(node_rows_named(&graph, end), [("bob".to_owned(), iv(8, 10))]);
-        let masks = built.segment(1).entry_closure().expect("the closure link has masks");
-        let bob = [("bob".to_owned(), iv(1, 7)), ("bob".to_owned(), iv(8, 10))];
-        assert_eq!(node_rows_named(&graph, masks.exit()), bob);
-        // Body [FWD, :meets, FWD, NEXT]: bob ← m1 ← ann ← m3 ← dee ← m4 ← bob.
-        let body = masks.steps(0);
-        let viable = [
-            ("ann".to_owned(), iv(1, 10)),
-            ("bob".to_owned(), iv(1, 7)),
-            ("bob".to_owned(), iv(8, 10)),
-            ("dee".to_owned(), iv(1, 10)),
-        ];
-        assert_eq!(node_rows_named(&graph, body[3].as_ref().unwrap()), viable);
-        assert_eq!(node_rows_named(&graph, body[2].as_ref().unwrap()), viable);
-        assert_eq!(edge_rows_named(&graph, body[0].as_ref().unwrap()), ["m1", "m3", "m4"]);
-        assert!(body[1].is_none());
-        let seeds = built.segment(0).entry().expect("complete");
-        assert_eq!(
-            node_rows_named(&graph, seeds),
-            [("ann".to_owned(), iv(1, 10)), ("dee".to_owned(), iv(1, 10))]
-        );
-
-        // REACH ends on `(y:Person)`: five of the six node rows.  The scan is all
-        // the pass reads.
-        let reach = plan("MATCH (x:Person {risk = 'high'})-/(FWD/:meets/FWD)*/-(y:Person) ON g");
-        let live = graph.stats().temporal_nodes;
-        assert_eq!(Viability::build(&reach, &graph, usize::MAX).err(), Some(live));
-
-        // A body that ends on the other kind of row, or nests a closure, leaves the
-        // walk not knowing which relation it is on.
-        for text in [
-            "MATCH (x:Person {risk = 'high'})-/FWD*/-({test = 'pos'}) ON g",
-            "MATCH (x:Person {risk = 'high'})-/(FWD/:meets/FWD + FWD)*/-({test = 'pos'}) ON g",
-            "MATCH (x:Person {risk = 'high'})-/((FWD/:meets/FWD)*/NEXT)*/-({test = 'pos'}) ON g",
-        ] {
-            let fixpoint = plan(text);
-            assert!(fixpoint.has_fixpoint(), "{text}");
-            assert_eq!(Viability::build(&fixpoint, &graph, usize::MAX).err(), Some(0), "{text}");
-        }
+        let (prefix, built) =
+            Viability::build_suffix(&behind, &graph, &StepStats::default()).expect("a suffix");
+        assert!(prefix.has_fixpoint());
+        let times = built.suffix().expect("the suffix's times");
+        let ann = graph.rows_of_node(graph.node_rows()[0].node)[0];
+        assert_eq!(times.pieces, [(ann, iv(2, 3))]);
+        assert!(built.segment(0).entry().is_none(), "no seed mask behind a closure");
+        assert!((0..prefix.segments[0].ops.len()).all(|op| built.segment(0).landing(op).is_none()));
     }
 
     /// Eve exists on [1, 5] and again on [10, 30]: high-risk until 14, positive on
@@ -1533,6 +1316,6 @@ mod tests {
         let (_, built) =
             Viability::build_suffix(&plan(texts[0]), &graph, &StepStats::default()).unwrap();
         let seeds = built.segment(0).entry().unwrap();
-        assert!(!seeds.is_empty() && seeds.rows().all(|row| graph.is_node_row_live(row)));
+        assert!(seeds.len() > 0 && seeds.rows().all(|row| graph.is_node_row_live(row)));
     }
 }

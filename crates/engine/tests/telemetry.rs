@@ -1,9 +1,9 @@
 //! End-to-end pins for the engine's telemetry: the `telemetry = false` knob
 //! really records nothing, enabled runs count executions, the cursors their
 //! hop joins produced and the backward viability pass a low-yield multi-batch
-//! run takes — or a plan with a fixpoint, built or skipped by its anchor, or a plan
-//! with an existential suffix, whose exact backward pass counts as built and whose
-//! backward fixpoint counts its rounds — and an enumeration cursor's peak-buffered
+//! run takes — or a plan with an existential suffix, whose exact backward pass
+//! counts as built and whose backward fixpoint counts its rounds, while any other
+//! plan with a fixpoint records no pass — and an enumeration cursor's peak-buffered
 //! high-water mark survives being abandoned mid-drain (the regression that
 //! motivated recording it on cursor drop).
 //!
@@ -142,11 +142,10 @@ fn telemetry_gates_and_peak_buffered_retention() {
     assert_eq!(run_hops(true), 1);
     assert_eq!(viability().1, skipped);
 
-    // A plan with a fixpoint records one outcome per run.  RECUR ends after its last
-    // bound variable: its suffix — the closure included — is walked back exactly,
-    // a built pass whose rounds count as time rounds and whose time is closure
-    // time.  REACH's anchor keeps all 62 node rows, so it is skipped after the scan,
-    // whose rows are all it records as visited.
+    // RECUR ends after its last bound variable: its suffix — the closure included —
+    // is walked back exactly, one built pass per run whose rounds count as time
+    // rounds and whose time is closure time.  REACH binds its last node and runs
+    // unmasked: no outcome, no row visited.
     let small = ring(60);
     let time_rounds =
         reg.counter("tpath_engine_closure_rounds_total", "Rounds.", &[("kind", "time")]);
@@ -178,7 +177,7 @@ fn telemetry_gates_and_peak_buffered_retention() {
     assert_eq!(rounds, work_before.0 + recur.time_rounds as u64);
     assert_eq!(spans, work_before.1 + 1, "one closure span per execution");
     assert_eq!(run_closure(REACH, true).interval_rows, reach.interval_rows);
-    assert_eq!(viability(), (built + 1, skipped + 1, recur_rows + 62));
+    assert_eq!(viability(), (built + 1, skipped, recur_rows));
 
     // Enumerate, drain two of eight rows, then abandon the cursor: stats()
     // exposes the live high-water mark mid-drain, and dropping the cursor

@@ -11,7 +11,10 @@
 //! `P` ranges over the mixed structural/temporal bodies of
 //! `tests/closure_reference.rs` under `*`, `[1,_]` and `[n,m]` windows with `n > 0`,
 //! structural bodies and repetitions, bounded and open `NEXT`/`PREV`, and
-//! concatenations of them; the last node is selective, unselective or bare.
+//! concatenations of them; the last node is selective, unselective or bare.  The
+//! last bound variable is `x`, or a `w` that a structural closure leads to from `x`
+//! — a prefix the forward pass runs unmasked — and then the suffix form must answer
+//! the `(x, w)`-projection of its bound form.
 
 use std::collections::BTreeSet;
 
@@ -116,6 +119,9 @@ const TEMPORAL: [&str; 7] =
     ["NEXT", "PREV", "NEXT[0,2]", "PREV[1,3]", "NEXT*", "PREV*", "NEXT[2,4]"];
 /// The last node: selective, unselective, or bare.
 const ENDS: [&str; 3] = ["{test = 'pos'}", ":Person", ""];
+/// What leads from `x` to the last bound variable: nothing, or a structural closure
+/// to `w`.
+const PREFIXES: [&str; 2] = ["", "-/(FWD/:meets/FWD)[0,2]/-(w:Person)"];
 
 fn pick(choices: &'static [&'static str]) -> impl Strategy<Value = &'static str> {
     (0..choices.len()).prop_map(move |index| choices[index])
@@ -136,28 +142,36 @@ fn path_strategy() -> impl Strategy<Value = String> {
     ]
 }
 
-/// Every `(x, t)` point a query answers, whatever the answer mode: rows point by
-/// point, compact pairs by their interval sets.
-fn x_points(query: &Query, graph: &GraphRelations, mode: AnswerMode) -> BTreeSet<(Object, Time)> {
+/// Every point a query answers on its first `width` variables, whatever the answer
+/// mode: their objects with a time of the last of them — rows point by point,
+/// compact pairs, keyed by the first and the last variable, by their interval sets.
+fn points(
+    query: &Query,
+    graph: &GraphRelations,
+    mode: AnswerMode,
+    width: usize,
+) -> BTreeSet<(Vec<Object>, Time)> {
     let mut points = BTreeSet::new();
-    let mut add = |binding: &Binding| match binding.time {
-        TimeRef::Point(t) => {
-            points.insert((binding.object, t));
+    let mut add = |bindings: &[Binding]| {
+        let objects: Vec<Object> = bindings[..width].iter().map(|b| b.object).collect();
+        match bindings[width - 1].time {
+            TimeRef::Point(t) => {
+                points.insert((objects, t));
+            }
+            TimeRef::Interval(iv) => points.extend(iv.points().map(|t| (objects.clone(), t))),
         }
-        TimeRef::Interval(iv) => points.extend(iv.points().map(|t| (binding.object, t))),
     };
     let mut answers = query.clone().with_mode(mode).run(graph);
     match mode {
         AnswerMode::Materialized => {
-            answers.table().expect("a table").iter().for_each(|row| add(&row[0]))
+            answers.table().expect("a table").iter().for_each(|row| add(row))
         }
-        AnswerMode::Enumerate => {
-            answers.cursor_mut().expect("a cursor").for_each(|row| add(&row[0]))
-        }
+        AnswerMode::Enumerate => answers.cursor_mut().expect("a cursor").for_each(|row| add(&row)),
         AnswerMode::Compact => {
-            for ((x, _), times) in answers.compact().expect("compact answers").iter() {
+            for (&(x, last), times) in answers.compact().expect("compact answers").iter() {
+                let objects = if width == 1 { vec![x] } else { vec![x, last] };
                 for iv in times.intervals() {
-                    points.extend(iv.points().map(|t| (*x, t)));
+                    points.extend(iv.points().map(|t| (objects.clone(), t)));
                 }
             }
         }
@@ -165,22 +179,27 @@ fn x_points(query: &Query, graph: &GraphRelations, mode: AnswerMode) -> BTreeSet
     points
 }
 
-/// `MATCH (x:Person)-/path/-(end)` against the `x`-projection of its bound form.
-fn check(graph: &GraphRelations, path: &str, end: &str) -> Result<(), TestCaseError> {
-    let suffix = format!("MATCH (x:Person)-/{path}/-({end}) ON g");
-    let forward =
-        format!("MATCH (x:Person)-/{path}/-(y{}{end}) ON g", if end.is_empty() { "" } else { " " });
+/// `MATCH (x:Person)prefix-/path/-(end)` against the projection of its bound form
+/// onto the variables it binds.
+fn check(graph: &GraphRelations, prefix: &str, path: &str, end: &str) -> Result<(), TestCaseError> {
+    let suffix = format!("MATCH (x:Person){prefix}-/{path}/-({end}) ON g");
+    let forward = format!(
+        "MATCH (x:Person){prefix}-/{path}/-(y{}{end}) ON g",
+        if end.is_empty() { "" } else { " " }
+    );
+    let width = if prefix.is_empty() { 1 } else { 2 };
     let bound = Query::parse(&forward).expect("the bound form compiles");
-    let expected = x_points(
+    let expected = points(
         &bound.with_options(ExecutionOptions::sequential()),
         graph,
         AnswerMode::Materialized,
+        width,
     );
     let written = Query::parse(&suffix).expect("the suffix form compiles");
     for threads in [1, 2, 8] {
         let query = written.clone().with_options(ExecutionOptions::with_threads(threads));
         for mode in [AnswerMode::Materialized, AnswerMode::Enumerate, AnswerMode::Compact] {
-            let actual = x_points(&query, graph, mode);
+            let actual = points(&query, graph, mode, width);
             prop_assert_eq!(&actual, &expected, "{} in {:?} on {} threads", suffix, mode, threads);
         }
     }
@@ -193,12 +212,13 @@ proptest! {
     #[test]
     fn an_existential_suffix_answers_the_projection_of_the_forward_match(
         spec in graph_spec_strategy(),
+        prefix in pick(&PREFIXES),
         path in path_strategy(),
         end in pick(&ENDS),
     ) {
         let mut itpg = build_graph(&spec);
         let mut graph = GraphRelations::from_itpg(&itpg);
-        check(&graph, &path, end)?;
+        check(&graph, prefix, &path, end)?;
         // Every person's rows die in place and come back appended; the tombstoned
         // ones still read as positive through the row slice.
         let mut batch = Batch::new(1);
@@ -209,6 +229,6 @@ proptest! {
         }
         let applied = itpg.apply_batch(&batch).expect("renaming is a valid batch");
         graph.apply_delta(&itpg, &applied.touched);
-        check(&graph, &path, end)?;
+        check(&graph, prefix, &path, end)?;
     }
 }
