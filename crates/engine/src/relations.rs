@@ -11,7 +11,9 @@
 //! and the rows of one object are temporally coalesced.  The row counts of these two
 //! relations are exactly the "# temp. nodes" / "# temp. edges" columns of Table I.
 
-use std::collections::HashMap;
+use std::collections::hash_map::RandomState;
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::{Arc, OnceLock};
 
 use tgraph::{EdgeId, Interval, IntervalSet, Itpg, NodeId, Object, Time, Value};
@@ -26,7 +28,9 @@ pub struct NodeRow {
     /// Label of the node.
     pub label: Arc<str>,
     /// Property values holding over the whole validity interval, sorted by name.
-    pub props: Vec<(Arc<str>, Value)>,
+    /// Shared, so that cloning a row copies no property: rows loaded by one
+    /// `from_itpg` or one delta with equal properties hold one list.
+    pub props: Arc<[(Arc<str>, Value)]>,
     /// Validity interval of this state.
     pub interval: Interval,
 }
@@ -43,7 +47,9 @@ pub struct EdgeRow {
     /// Label of the edge.
     pub label: Arc<str>,
     /// Property values holding over the whole validity interval, sorted by name.
-    pub props: Vec<(Arc<str>, Value)>,
+    /// Shared, so that cloning a row copies no property: rows loaded by one
+    /// `from_itpg` or one delta with equal properties hold one list.
+    pub props: Arc<[(Arc<str>, Value)]>,
     /// Validity interval of this state.
     pub interval: Interval,
 }
@@ -114,12 +120,28 @@ pub struct CanonicalRelations {
 /// with.
 ///
 /// Every column is held behind an [`Arc`], which makes the whole structure
-/// **copy-on-write**: [`GraphRelations::snapshot`] (and plain `clone()`) is a
-/// handful of reference-count bumps, and [`GraphRelations::apply_delta`] clones
-/// only the columns it actually writes — and only when a snapshot still shares
-/// them.  This is what makes epoch-based MVCC serving (`crates/live`) cheap: a
-/// reader pins an immutable snapshot while the writer diverges the next epoch
-/// from it, and a batch touching only edges never copies any node column.
+/// **copy-on-write**: [`GraphRelations::snapshot`] (and plain `clone()`) is
+/// twelve reference-count bumps, and [`GraphRelations::apply_delta`] copies
+/// only what it writes — and only while a snapshot still shares it.  This is
+/// what makes epoch-based MVCC serving (`crates/live`) cheap: a reader pins an
+/// immutable snapshot while the writer diverges the next epoch from it.
+///
+/// How much a write copies depends on the column:
+///
+/// - The eight per-object columns (names, existence, the four row indexes) are
+///   chunked (see `Column`): a delta copies only the chunks holding an object
+///   it touched, plus the tail chunk when it creates objects.  The last batch
+///   of the G5 contact stream touches ≈ 4 500 of 122 000 edges, in 6 of the
+///   120 edge chunks; its ≈ 670 touched nodes land in all 8 node chunks, so
+///   a node-indexed column is still copied whole on that stream.
+/// - The two row relations stay one contiguous vector each, because readers
+///   scan them as slices ([`GraphRelations::node_rows`]).  A delta that
+///   appends rows copies the whole vector once, into an allocation that fits
+///   the batch, but a row clone is a plain copy plus two reference-count
+///   bumps (the label and the shared properties), with no allocation.
+/// - The two per-row liveness flag vectors stay flat too: one byte a row, so
+///   copying both is a `memcpy`, and the masked Step 1 scans test them row by
+///   row, where a chunk lookup per row would cost more than the copy saves.
 ///
 /// The relations also carry a memo of what is derived from them: their
 /// [`SchemaSummary`] — the statistics the semantic optimizer reads — and the
@@ -132,14 +154,14 @@ pub struct GraphRelations {
     domain: Interval,
     nodes: Arc<Vec<NodeRow>>,
     edges: Arc<Vec<EdgeRow>>,
-    node_names: Arc<Vec<String>>,
-    edge_names: Arc<Vec<String>>,
-    node_rows_by_id: Arc<Vec<Vec<u32>>>,
-    edge_rows_by_id: Arc<Vec<Vec<u32>>>,
-    edge_rows_by_src: Arc<Vec<Vec<u32>>>,
-    edge_rows_by_tgt: Arc<Vec<Vec<u32>>>,
-    node_existence: Arc<Vec<IntervalSet>>,
-    edge_existence: Arc<Vec<IntervalSet>>,
+    node_names: Column<String>,
+    edge_names: Column<String>,
+    node_rows_by_id: Column<Vec<u32>>,
+    edge_rows_by_id: Column<Vec<u32>>,
+    edge_rows_by_src: Column<Vec<u32>>,
+    edge_rows_by_tgt: Column<Vec<u32>>,
+    node_existence: Column<IntervalSet>,
+    edge_existence: Column<IntervalSet>,
     // Liveness of every row.  `from_itpg` produces all-live relations;
     // `apply_delta` tombstones the rows of touched objects instead of compacting
     // the row vectors, so row indices of *untouched* objects stay stable (which is
@@ -167,17 +189,137 @@ struct VersionMemo {
     edge_rows_sorted_by_src: OnceLock<Vec<u32>>,
 }
 
+/// Elements per chunk of a [`Column`].  A write through a shared column
+/// copies the spine, one pointer per chunk, and the chunk written, so the size
+/// trades the two: larger chunks copy more elements per touched object,
+/// smaller ones a longer spine and more allocations per batch.  At 1024, a
+/// chunk of 24-byte elements (a `String`, a `Vec`, an `IntervalSet`) holds
+/// 24 KiB of headers and the spine of a 100 000-object column is 98 pointers,
+/// so a batch touching `k` objects copies under 1 KiB of spine plus at most
+/// `k` chunks — never more than the column.
+const CHUNK: usize = 1024;
+
+/// A copy-on-write column of per-object data: fixed-size chunks, each behind
+/// its own [`Arc`], under an `Arc`'d spine.  Cloning it is one reference-count
+/// bump; writing through a clone copies the spine and the one chunk written.
+#[derive(Debug, Clone)]
+struct Column<T> {
+    chunks: Arc<Vec<Arc<Vec<T>>>>,
+    len: usize,
+}
+
+impl<T: Clone> Column<T> {
+    /// Moves the elements of `items` into chunks, cloning none of them.
+    fn from_vec(items: Vec<T>) -> Self {
+        let len = items.len();
+        let mut chunks = Vec::with_capacity(len.div_ceil(CHUNK));
+        let mut items = items.into_iter();
+        while items.len() > 0 {
+            chunks.push(Arc::new(items.by_ref().take(CHUNK).collect()));
+        }
+        Column { chunks: Arc::new(chunks), len }
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn get(&self, index: usize) -> &T {
+        &self.chunks[index / CHUNK][index % CHUNK]
+    }
+
+    /// The element at `index`, writable: copies the spine and the element's
+    /// chunk if a clone of the column still shares them.
+    fn get_mut(&mut self, index: usize) -> &mut T {
+        let chunk = &mut Arc::make_mut(&mut self.chunks)[index / CHUNK];
+        &mut Arc::make_mut(chunk)[index % CHUNK]
+    }
+
+    /// Appends an element: copies the spine and the tail chunk if a clone of
+    /// the column still shares them.
+    fn push(&mut self, item: T) {
+        let spine = Arc::make_mut(&mut self.chunks);
+        match spine.last_mut() {
+            Some(tail) if tail.len() < CHUNK => Arc::make_mut(tail).push(item),
+            _ => {
+                let mut chunk = Vec::with_capacity(CHUNK);
+                chunk.push(item);
+                spine.push(Arc::new(chunk));
+            }
+        }
+        self.len += 1;
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &T> {
+        self.chunks.iter().flat_map(|chunk| chunk.iter())
+    }
+
+    /// True while neither `self` nor `other` has been written since one was
+    /// cloned from the other.
+    fn is_shared_with(&self, other: &Column<T>) -> bool {
+        Arc::ptr_eq(&self.chunks, &other.chunks)
+    }
+}
+
+/// A row's property values, sorted by name.
+type Props = Arc<[(Arc<str>, Value)]>;
+
+/// Interns what the rows of one load or delta share: labels, property names
+/// and whole property lists.  Rows with equal properties point at one list, so
+/// a scan that reads properties touches a few hot cache lines however its rows
+/// were appended, and a row costs no allocation of its own.  A lookup
+/// allocates only on a miss.
+#[derive(Default)]
+struct Interner {
+    names: HashSet<Arc<str>>,
+    /// Property lists by the hash of their `(name, value)` pairs.
+    props: HashMap<u64, Vec<Props>>,
+    hasher: RandomState,
+}
+
+impl Interner {
+    fn intern(&mut self, s: &str) -> Arc<str> {
+        if let Some(known) = self.names.get(s) {
+            return Arc::clone(known);
+        }
+        let new: Arc<str> = Arc::from(s);
+        self.names.insert(Arc::clone(&new));
+        new
+    }
+
+    /// The properties of `object` holding at `t`.  They are compared with the
+    /// interned lists while still borrowed from the graph, so a hit clones
+    /// nothing.
+    fn props_at(&mut self, graph: &Itpg, object: Object, t: Time) -> Props {
+        // `Itpg::properties` lists an object's properties by name, so the
+        // pairs come sorted as a row keeps them.
+        let pairs = || {
+            graph
+                .properties(object)
+                .filter_map(move |(name, history)| Some((name, history.value_at(t)?)))
+        };
+        let mut hasher = self.hasher.build_hasher();
+        pairs().for_each(|pair| pair.hash(&mut hasher));
+        let key = hasher.finish();
+        let same = |known: &&Props| {
+            let mut pairs = pairs();
+            known.iter().all(|(name, value)| pairs.next() == Some((&**name, value)))
+                && pairs.next().is_none()
+        };
+        if let Some(known) = self.props.get(&key).and_then(|bucket| bucket.iter().find(same)) {
+            return Arc::clone(known);
+        }
+        let new: Props = pairs().map(|(name, value)| (self.intern(name), value.clone())).collect();
+        debug_assert!(new.windows(2).all(|w| w[0].0 < w[1].0), "properties sorted by name");
+        self.props.entry(key).or_default().push(Arc::clone(&new));
+        new
+    }
+}
+
 impl GraphRelations {
     /// Builds the relational representation from an interval-timestamped graph.
     pub fn from_itpg(graph: &Itpg) -> Self {
-        let mut label_cache: HashMap<String, Arc<str>> = HashMap::new();
-        let mut prop_name_cache: HashMap<String, Arc<str>> = HashMap::new();
-        let mut intern_label = |s: &str| -> Arc<str> {
-            label_cache.entry(s.to_owned()).or_insert_with(|| Arc::from(s)).clone()
-        };
-        let mut intern_prop = |s: &str| -> Arc<str> {
-            prop_name_cache.entry(s.to_owned()).or_insert_with(|| Arc::from(s)).clone()
-        };
+        let mut interner = Interner::default();
 
         let mut nodes = Vec::new();
         let mut node_rows_by_id = vec![Vec::new(); graph.num_nodes()];
@@ -187,9 +329,9 @@ impl GraphRelations {
             let o = Object::Node(n);
             node_names.push(graph.name(o).to_owned());
             node_existence.push(graph.existence(o).clone());
-            let label = intern_label(graph.label(o));
+            let label = interner.intern(graph.label(o));
             for segment in object_segments(graph, o) {
-                let props = props_at(graph, o, segment.start(), &mut intern_prop);
+                let props = interner.props_at(graph, o, segment.start());
                 node_rows_by_id[n.index()].push(nodes.len() as u32);
                 nodes.push(NodeRow { node: n, label: label.clone(), props, interval: segment });
             }
@@ -205,10 +347,10 @@ impl GraphRelations {
             let o = Object::Edge(e);
             edge_names.push(graph.name(o).to_owned());
             edge_existence.push(graph.existence(o).clone());
-            let label = intern_label(graph.label(o));
+            let label = interner.intern(graph.label(o));
             let (src, tgt) = (graph.src(e), graph.tgt(e));
             for segment in object_segments(graph, o) {
-                let props = props_at(graph, o, segment.start(), &mut intern_prop);
+                let props = interner.props_at(graph, o, segment.start());
                 let row_index = edges.len() as u32;
                 edge_rows_by_id[e.index()].push(row_index);
                 edge_rows_by_src[src.index()].push(row_index);
@@ -230,14 +372,14 @@ impl GraphRelations {
             domain: graph.domain(),
             nodes: Arc::new(nodes),
             edges: Arc::new(edges),
-            node_names: Arc::new(node_names),
-            edge_names: Arc::new(edge_names),
-            node_rows_by_id: Arc::new(node_rows_by_id),
-            edge_rows_by_id: Arc::new(edge_rows_by_id),
-            edge_rows_by_src: Arc::new(edge_rows_by_src),
-            edge_rows_by_tgt: Arc::new(edge_rows_by_tgt),
-            node_existence: Arc::new(node_existence),
-            edge_existence: Arc::new(edge_existence),
+            node_names: Column::from_vec(node_names),
+            edge_names: Column::from_vec(edge_names),
+            node_rows_by_id: Column::from_vec(node_rows_by_id),
+            edge_rows_by_id: Column::from_vec(edge_rows_by_id),
+            edge_rows_by_src: Column::from_vec(edge_rows_by_src),
+            edge_rows_by_tgt: Column::from_vec(edge_rows_by_tgt),
+            node_existence: Column::from_vec(node_existence),
+            edge_existence: Column::from_vec(edge_existence),
             node_row_live: Arc::new(node_row_live),
             edge_row_live: Arc::new(edge_row_live),
             dead_node_rows: 0,
@@ -250,29 +392,30 @@ impl GraphRelations {
     /// shares every column — and the memo of the [`SchemaSummary`] and the
     /// sorted permutations, whichever of the two fills it — with `self` until
     /// one of the two diverges through [`GraphRelations::apply_delta`].  Taking
-    /// a snapshot is O(number of columns), not O(graph); this is the read view
-    /// MVCC epochs in `crates/live` hand to concurrent readers.
+    /// a snapshot is O(number of columns), not O(graph) nor O(chunks); this is
+    /// the read view MVCC epochs in `crates/live` hand to concurrent readers.
     pub fn snapshot(&self) -> GraphRelations {
         self.clone()
     }
 
-    /// The number of physical columns `self` still shares with `other` — a
-    /// diagnostic for copy-on-write behaviour (12 right after
-    /// [`GraphRelations::snapshot`], decreasing only as deltas diverge the
-    /// copies column by column).  The memo is not a column: it is derived from
-    /// the twelve, never written by a delta, and every delta replaces it whole,
-    /// so counting it would only report "a delta happened".
+    /// The number of columns `self` shares whole with `other` — a diagnostic
+    /// for copy-on-write behaviour: 12 right after [`GraphRelations::snapshot`],
+    /// and afterwards the number of columns no delta has written since.  A
+    /// written per-object column still shares every chunk the deltas did not
+    /// write, but no longer counts.  The memo is not a column: it is derived
+    /// from the twelve, never written by a delta, and every delta replaces it
+    /// whole, so counting it would only report "a delta happened".
     pub fn shared_columns(&self, other: &GraphRelations) -> usize {
         usize::from(Arc::ptr_eq(&self.nodes, &other.nodes))
             + usize::from(Arc::ptr_eq(&self.edges, &other.edges))
-            + usize::from(Arc::ptr_eq(&self.node_names, &other.node_names))
-            + usize::from(Arc::ptr_eq(&self.edge_names, &other.edge_names))
-            + usize::from(Arc::ptr_eq(&self.node_rows_by_id, &other.node_rows_by_id))
-            + usize::from(Arc::ptr_eq(&self.edge_rows_by_id, &other.edge_rows_by_id))
-            + usize::from(Arc::ptr_eq(&self.edge_rows_by_src, &other.edge_rows_by_src))
-            + usize::from(Arc::ptr_eq(&self.edge_rows_by_tgt, &other.edge_rows_by_tgt))
-            + usize::from(Arc::ptr_eq(&self.node_existence, &other.node_existence))
-            + usize::from(Arc::ptr_eq(&self.edge_existence, &other.edge_existence))
+            + usize::from(self.node_names.is_shared_with(&other.node_names))
+            + usize::from(self.edge_names.is_shared_with(&other.edge_names))
+            + usize::from(self.node_rows_by_id.is_shared_with(&other.node_rows_by_id))
+            + usize::from(self.edge_rows_by_id.is_shared_with(&other.edge_rows_by_id))
+            + usize::from(self.edge_rows_by_src.is_shared_with(&other.edge_rows_by_src))
+            + usize::from(self.edge_rows_by_tgt.is_shared_with(&other.edge_rows_by_tgt))
+            + usize::from(self.node_existence.is_shared_with(&other.node_existence))
+            + usize::from(self.edge_existence.is_shared_with(&other.edge_existence))
             + usize::from(Arc::ptr_eq(&self.node_row_live, &other.node_row_live))
             + usize::from(Arc::ptr_eq(&self.edge_row_live, &other.edge_row_live))
     }
@@ -289,6 +432,13 @@ impl GraphRelations {
     /// content and are not recomputed.  The memo ([`SchemaSummary`], sorted
     /// permutations) is dropped, not maintained: the next reader of the new
     /// version computes what it asks for.
+    ///
+    /// While a snapshot shares the relations, the delta copies what it writes
+    /// and no more (see the struct docs): of each per-object column, the chunks
+    /// holding a touched object and the tail chunk when objects are created; of
+    /// a relation it appends rows to, the row vector (row clones allocate
+    /// nothing) and its liveness flags.  A batch touching only edges copies no
+    /// node column.
     pub fn apply_delta(&mut self, graph: &Itpg, touched: &[Object]) -> DeltaStats {
         debug_assert!(graph.num_nodes() >= self.node_names.len());
         debug_assert!(graph.num_edges() >= self.edge_names.len());
@@ -298,115 +448,91 @@ impl GraphRelations {
         self.memo = Arc::default();
         self.domain = graph.domain();
 
-        // The columns are copy-on-write (see the struct docs): every write below
-        // goes through `Arc::make_mut`, which is a no-op while the column is
-        // uniquely owned and clones it exactly once when a pinned snapshot still
-        // shares it.  The delta is applied in two passes — nodes, then edges — so
-        // a batch touching only one relation never copies the other's columns.
-        // The two relations append to disjoint row vectors, so the pass order
-        // does not change any row index.
+        // Every write below goes through `Arc::make_mut`, `Column` or
+        // `append_rows`: each writes in place while the storage is uniquely
+        // owned and copies it exactly once when a pinned snapshot still shares
+        // it.  The delta is applied in two passes — nodes, then edges — so a
+        // batch touching only one relation never copies the other's rows.  The
+        // two relations append to disjoint row vectors, so the pass order does
+        // not change any row index.
         let touched_nodes: Vec<NodeId> =
             touched.iter().copied().filter_map(Object::as_node).collect();
         let touched_edges: Vec<EdgeId> =
             touched.iter().copied().filter_map(Object::as_edge).collect();
 
         // Extend the per-object tables for objects created since the last delta.
-        if graph.num_nodes() > self.node_names.len() {
-            let node_names = Arc::make_mut(&mut self.node_names);
-            let node_existence = Arc::make_mut(&mut self.node_existence);
-            let node_rows_by_id = Arc::make_mut(&mut self.node_rows_by_id);
-            let edge_rows_by_src = Arc::make_mut(&mut self.edge_rows_by_src);
-            let edge_rows_by_tgt = Arc::make_mut(&mut self.edge_rows_by_tgt);
-            for index in node_names.len()..graph.num_nodes() {
-                node_names.push(graph.name(Object::Node(NodeId(index as u32))).to_owned());
-                node_existence.push(IntervalSet::empty());
-                node_rows_by_id.push(Vec::new());
-                edge_rows_by_src.push(Vec::new());
-                edge_rows_by_tgt.push(Vec::new());
-            }
+        for index in self.node_names.len()..graph.num_nodes() {
+            self.node_names.push(graph.name(Object::Node(NodeId(index as u32))).to_owned());
+            self.node_existence.push(IntervalSet::empty());
+            self.node_rows_by_id.push(Vec::new());
+            self.edge_rows_by_src.push(Vec::new());
+            self.edge_rows_by_tgt.push(Vec::new());
         }
-        if graph.num_edges() > self.edge_names.len() {
-            let edge_names = Arc::make_mut(&mut self.edge_names);
-            let edge_existence = Arc::make_mut(&mut self.edge_existence);
-            let edge_rows_by_id = Arc::make_mut(&mut self.edge_rows_by_id);
-            for index in edge_names.len()..graph.num_edges() {
-                edge_names.push(graph.name(Object::Edge(EdgeId(index as u32))).to_owned());
-                edge_existence.push(IntervalSet::empty());
-                edge_rows_by_id.push(Vec::new());
-            }
+        for index in self.edge_names.len()..graph.num_edges() {
+            self.edge_names.push(graph.name(Object::Edge(EdgeId(index as u32))).to_owned());
+            self.edge_existence.push(IntervalSet::empty());
+            self.edge_rows_by_id.push(Vec::new());
         }
 
-        let mut label_cache: HashMap<String, Arc<str>> = HashMap::new();
-        let mut prop_name_cache: HashMap<String, Arc<str>> = HashMap::new();
+        let mut interner = Interner::default();
 
         if !touched_nodes.is_empty() {
-            let nodes = Arc::make_mut(&mut self.nodes);
-            let node_rows_by_id = Arc::make_mut(&mut self.node_rows_by_id);
-            let node_existence = Arc::make_mut(&mut self.node_existence);
+            let base = self.nodes.len();
+            let mut added = Vec::new();
             let node_row_live = Arc::make_mut(&mut self.node_row_live);
             for &n in &touched_nodes {
                 let object = Object::Node(n);
-                for &row in &node_rows_by_id[n.index()] {
+                let rows = self.node_rows_by_id.get_mut(n.index());
+                for &row in rows.iter() {
                     debug_assert!(node_row_live[row as usize]);
                     node_row_live[row as usize] = false;
                     self.dead_node_rows += 1;
                     stats.node_rows_retracted += 1;
                 }
-                node_rows_by_id[n.index()].clear();
-                node_existence[n.index()] = graph.existence(object).clone();
-                let label = label_cache
-                    .entry(graph.label(object).to_owned())
-                    .or_insert_with(|| Arc::from(graph.label(object)))
-                    .clone();
+                rows.clear();
+                *self.node_existence.get_mut(n.index()) = graph.existence(object).clone();
+                let label = interner.intern(graph.label(object));
                 for segment in object_segments(graph, object) {
-                    let props = props_at(graph, object, segment.start(), &mut |s| {
-                        prop_name_cache.entry(s.to_owned()).or_insert_with(|| Arc::from(s)).clone()
-                    });
-                    let row = nodes.len() as u32;
-                    node_rows_by_id[n.index()].push(row);
-                    nodes.push(NodeRow { node: n, label: label.clone(), props, interval: segment });
-                    node_row_live.push(true);
-                    stats.node_rows_added += 1;
+                    let props = interner.props_at(graph, object, segment.start());
+                    rows.push((base + added.len()) as u32);
+                    added.push(NodeRow { node: n, label: label.clone(), props, interval: segment });
                 }
             }
+            stats.node_rows_added = added.len();
+            node_row_live.resize(base + added.len(), true);
+            append_rows(&mut self.nodes, added);
         }
 
         if !touched_edges.is_empty() {
-            let edges = Arc::make_mut(&mut self.edges);
-            let edge_rows_by_id = Arc::make_mut(&mut self.edge_rows_by_id);
-            let edge_rows_by_src = Arc::make_mut(&mut self.edge_rows_by_src);
-            let edge_rows_by_tgt = Arc::make_mut(&mut self.edge_rows_by_tgt);
-            let edge_existence = Arc::make_mut(&mut self.edge_existence);
+            let base = self.edges.len();
+            let mut added = Vec::new();
             let edge_row_live = Arc::make_mut(&mut self.edge_row_live);
             for &e in &touched_edges {
                 let object = Object::Edge(e);
                 let (src, tgt) = (graph.src(e), graph.tgt(e));
-                let old_rows = std::mem::take(&mut edge_rows_by_id[e.index()]);
-                for &row in &old_rows {
+                let rows = self.edge_rows_by_id.get_mut(e.index());
+                for &row in rows.iter() {
                     debug_assert!(edge_row_live[row as usize]);
                     edge_row_live[row as usize] = false;
                     self.dead_edge_rows += 1;
                     stats.edge_rows_retracted += 1;
                 }
                 // A new edge has no rows to unlink: skip both adjacency scans.
-                if !old_rows.is_empty() {
-                    edge_rows_by_src[src.index()].retain(|r| !old_rows.contains(r));
-                    edge_rows_by_tgt[tgt.index()].retain(|r| !old_rows.contains(r));
+                if !rows.is_empty() {
+                    let old_rows: &[u32] = rows;
+                    self.edge_rows_by_src.get_mut(src.index()).retain(|r| !old_rows.contains(r));
+                    self.edge_rows_by_tgt.get_mut(tgt.index()).retain(|r| !old_rows.contains(r));
+                    rows.clear();
                 }
-                edge_existence[e.index()] = graph.existence(object).clone();
-                let label = label_cache
-                    .entry(graph.label(object).to_owned())
-                    .or_insert_with(|| Arc::from(graph.label(object)))
-                    .clone();
+                *self.edge_existence.get_mut(e.index()) = graph.existence(object).clone();
+                let label = interner.intern(graph.label(object));
                 for segment in object_segments(graph, object) {
-                    let props = props_at(graph, object, segment.start(), &mut |s| {
-                        prop_name_cache.entry(s.to_owned()).or_insert_with(|| Arc::from(s)).clone()
-                    });
-                    let row = edges.len() as u32;
-                    edge_rows_by_id[e.index()].push(row);
-                    edge_rows_by_src[src.index()].push(row);
-                    edge_rows_by_tgt[tgt.index()].push(row);
-                    edges.push(EdgeRow {
+                    let props = interner.props_at(graph, object, segment.start());
+                    let row = (base + added.len()) as u32;
+                    rows.push(row);
+                    self.edge_rows_by_src.get_mut(src.index()).push(row);
+                    self.edge_rows_by_tgt.get_mut(tgt.index()).push(row);
+                    added.push(EdgeRow {
                         edge: e,
                         src,
                         tgt,
@@ -414,10 +540,11 @@ impl GraphRelations {
                         props,
                         interval: segment,
                     });
-                    edge_row_live.push(true);
-                    stats.edge_rows_added += 1;
                 }
             }
+            stats.edge_rows_added = added.len();
+            edge_row_live.resize(base + added.len(), true);
+            append_rows(&mut self.edges, added);
         }
         stats
     }
@@ -487,31 +614,31 @@ impl GraphRelations {
             domain: self.domain,
             nodes,
             edges,
-            node_existence: self.node_existence.as_ref().clone(),
-            edge_existence: self.edge_existence.as_ref().clone(),
-            node_names: self.node_names.as_ref().clone(),
-            edge_names: self.edge_names.as_ref().clone(),
+            node_existence: self.node_existence.iter().cloned().collect(),
+            edge_existence: self.edge_existence.iter().cloned().collect(),
+            node_names: self.node_names.iter().cloned().collect(),
+            edge_names: self.edge_names.iter().cloned().collect(),
         }
     }
 
     /// Row indices of the Nodes relation describing the given node.
     pub fn rows_of_node(&self, node: NodeId) -> &[u32] {
-        &self.node_rows_by_id[node.index()]
+        self.node_rows_by_id.get(node.index())
     }
 
     /// Row indices of the Edges relation describing the given edge.
     pub fn rows_of_edge(&self, edge: EdgeId) -> &[u32] {
-        &self.edge_rows_by_id[edge.index()]
+        self.edge_rows_by_id.get(edge.index())
     }
 
     /// Row indices of edges whose source is the given node.
     pub fn out_edge_rows(&self, node: NodeId) -> &[u32] {
-        &self.edge_rows_by_src[node.index()]
+        self.edge_rows_by_src.get(node.index())
     }
 
     /// Row indices of edges whose target is the given node.
     pub fn in_edge_rows(&self, node: NodeId) -> &[u32] {
-        &self.edge_rows_by_tgt[node.index()]
+        self.edge_rows_by_tgt.get(node.index())
     }
 
     /// Live row indices of the Nodes relation sorted by `(node id, interval)`,
@@ -535,8 +662,8 @@ impl GraphRelations {
     /// The coalesced existence intervals of an object.
     pub fn existence(&self, object: Object) -> &IntervalSet {
         match object {
-            Object::Node(n) => &self.node_existence[n.index()],
-            Object::Edge(e) => &self.edge_existence[e.index()],
+            Object::Node(n) => self.node_existence.get(n.index()),
+            Object::Edge(e) => self.edge_existence.get(e.index()),
         }
     }
 
@@ -553,8 +680,8 @@ impl GraphRelations {
     /// The display name of an object (e.g. `"n7"`).
     pub fn object_name(&self, object: Object) -> &str {
         match object {
-            Object::Node(n) => &self.node_names[n.index()],
-            Object::Edge(e) => &self.edge_names[e.index()],
+            Object::Node(n) => self.node_names.get(n.index()),
+            Object::Edge(e) => self.edge_names.get(e.index()),
         }
     }
 
@@ -604,30 +731,34 @@ fn object_segments(graph: &Itpg, object: Object) -> Vec<Interval> {
         .collect()
 }
 
+/// Appends `added` to a copy-on-write row vector.  A vector a snapshot still
+/// shares is copied once, into an allocation that already fits `added`:
+/// `Arc::make_mut` would copy it at its length and then move every row again
+/// to grow it.
+fn append_rows<R: Clone>(rows: &mut Arc<Vec<R>>, added: Vec<R>) {
+    if added.is_empty() {
+        return;
+    }
+    if let Some(rows) = Arc::get_mut(rows) {
+        rows.extend(added);
+        return;
+    }
+    let mut copy = Vec::with_capacity(rows.len() + added.len());
+    copy.extend_from_slice(rows);
+    copy.extend(added);
+    *rows = Arc::new(copy);
+}
+
 /// Flattens per-key adjacency lists (indexed by ascending key) into one key-sorted
 /// row permutation, ordering each key group by interval and then row index.
-fn sorted_permutation<F: Fn(u32) -> Interval>(by_key: &[Vec<u32>], interval: F) -> Vec<u32> {
+fn sorted_permutation<F: Fn(u32) -> Interval>(by_key: &Column<Vec<u32>>, interval: F) -> Vec<u32> {
     let mut out = Vec::with_capacity(by_key.iter().map(Vec::len).sum());
-    for rows in by_key {
+    for rows in by_key.iter() {
         let mut group = rows.clone();
         group.sort_by_key(|&r| (interval(r), r));
         out.extend(group);
     }
     out
-}
-
-fn props_at(
-    graph: &Itpg,
-    object: Object,
-    t: Time,
-    intern: &mut impl FnMut(&str) -> Arc<str>,
-) -> Vec<(Arc<str>, Value)> {
-    let mut props: Vec<(Arc<str>, Value)> = graph
-        .properties(object)
-        .filter_map(|(name, history)| history.value_at(t).map(|v| (intern(name), v.clone())))
-        .collect();
-    props.sort_by(|a, b| a.0.cmp(&b.0));
-    props
 }
 
 #[cfg(test)]
@@ -806,7 +937,7 @@ mod tests {
         let pinned = rel.snapshot();
         assert_eq!(pinned.shared_columns(&rel), 12, "a fresh snapshot shares every column");
 
-        // An edge-only batch must not copy any node column: the writer diverges
+        // An edge-only batch must not write any node column: the writer diverges
         // the edge storage while the snapshot keeps the old version.
         let before = rel.canonical_snapshot();
         let mut batch = tgraph::Batch::new(1);
@@ -814,9 +945,9 @@ mod tests {
         let applied = itpg.apply_batch(&batch).unwrap();
         rel.apply_delta(&itpg, &applied.touched);
 
-        let shared = pinned.shared_columns(&rel);
-        assert!(shared < 12, "the edge columns must have diverged");
-        assert!(shared >= 6, "the five node columns and the edge names must still be shared");
+        // Written: the edge rows, their liveness, existence and the three edge
+        // row indexes.  Unwritten: the five node columns and the edge names.
+        assert_eq!(pinned.shared_columns(&rel), 6);
         // The pinned snapshot is immutable: it still shows the pre-batch state,
         // while the live relations show the post-batch state.
         assert_eq!(pinned.canonical_snapshot(), before);
@@ -828,6 +959,119 @@ mod tests {
         drop(pinned);
         let again = rel.snapshot();
         assert_eq!(again.shared_columns(&rel), 12);
+    }
+
+    /// `nodes` people, each meeting the next one round a ring: one edge per node.
+    fn ring(nodes: usize) -> Itpg {
+        let mut b = ItpgBuilder::new();
+        let ids: Vec<NodeId> =
+            (0..nodes).map(|i| b.add_node(&format!("n{i}"), "Person").unwrap()).collect();
+        for (i, &n) in ids.iter().enumerate() {
+            b.add_existence(n, iv(1, 20)).unwrap();
+            b.set_property(n, "risk", "low", iv(1, 20)).unwrap();
+            let e = b.add_edge(&format!("e{i}"), "meets", n, ids[(i + 1) % nodes]).unwrap();
+            b.add_existence(e, iv(2, 5)).unwrap();
+        }
+        b.domain(iv(1, 30)).build().unwrap()
+    }
+
+    /// The number of chunk positions at which `a` and `b` do not hold the very
+    /// same chunk, counting a chunk only one of them has.
+    fn chunks_apart<T>(a: &Column<T>, b: &Column<T>) -> usize {
+        let (a, b) = (&a.chunks, &b.chunks);
+        a.iter().zip(b.iter()).filter(|(x, y)| !Arc::ptr_eq(x, y)).count()
+            + a.len().abs_diff(b.len())
+    }
+
+    /// The eight chunked columns of two relations values, side by side.
+    fn chunk_distances(a: &GraphRelations, b: &GraphRelations) -> [(&'static str, usize); 8] {
+        [
+            ("node_names", chunks_apart(&a.node_names, &b.node_names)),
+            ("edge_names", chunks_apart(&a.edge_names, &b.edge_names)),
+            ("node_rows_by_id", chunks_apart(&a.node_rows_by_id, &b.node_rows_by_id)),
+            ("edge_rows_by_id", chunks_apart(&a.edge_rows_by_id, &b.edge_rows_by_id)),
+            ("edge_rows_by_src", chunks_apart(&a.edge_rows_by_src, &b.edge_rows_by_src)),
+            ("edge_rows_by_tgt", chunks_apart(&a.edge_rows_by_tgt, &b.edge_rows_by_tgt)),
+            ("node_existence", chunks_apart(&a.node_existence, &b.node_existence)),
+            ("edge_existence", chunks_apart(&a.edge_existence, &b.edge_existence)),
+        ]
+    }
+
+    #[test]
+    fn a_delta_copies_only_the_chunks_it_writes() {
+        let people = 3 * CHUNK + CHUNK / 2;
+        let mut itpg = ring(people);
+        let mut rel = GraphRelations::from_itpg(&itpg);
+        assert_eq!(rel.node_names.chunks.len(), 4);
+        assert_eq!(rel.edge_names.chunks.len(), 4);
+        // Rows with equal properties hold one list, so copying them allocates
+        // nothing.
+        let rows = rel.node_rows();
+        assert!(Arc::ptr_eq(&rows[0].props, &rows[people - 1].props));
+        let pinned = rel.snapshot();
+
+        // One node touched in the second chunk; one edge added from the first
+        // chunk's nodes to the third's.
+        let mut batch = tgraph::Batch::new(1);
+        batch
+            .set_property(format!("n{}", CHUNK + 7), "risk", "high", iv(10, 20))
+            .add_edge("new", "meets", "n3", format!("n{}", 2 * CHUNK + 1))
+            .add_existence("new", iv(3, 4));
+        let applied = itpg.apply_batch(&batch).unwrap();
+        rel.apply_delta(&itpg, &applied.touched);
+
+        // At most the touched chunk and the tail per column.
+        assert_eq!(
+            chunk_distances(&pinned, &rel),
+            [
+                ("node_names", 0),
+                ("edge_names", 1),
+                ("node_rows_by_id", 1),
+                ("edge_rows_by_id", 1),
+                ("edge_rows_by_src", 1),
+                ("edge_rows_by_tgt", 1),
+                ("node_existence", 1),
+                ("edge_existence", 1),
+            ],
+            "the touched node's chunk, the new edge's tail chunk, its endpoints' chunks"
+        );
+        // No node was created, so the node names are the one column unwritten.
+        assert_eq!(pinned.shared_columns(&rel), 1);
+        assert!(pinned.node_names.is_shared_with(&rel.node_names));
+        assert_eq!(rel.canonical_snapshot(), GraphRelations::from_itpg(&itpg).canonical_snapshot());
+    }
+
+    #[test]
+    fn snapshots_keep_their_version_while_deltas_cross_chunk_boundaries() {
+        // Each batch creates 300 people and 300 edges, so the third crosses
+        // from the fourth chunk into the fifth, and touches existing ones.
+        let mut itpg = ring(3 * CHUNK + CHUNK / 2);
+        let mut rel = GraphRelations::from_itpg(&itpg);
+        let mut pinned = vec![(rel.snapshot(), rel.canonical_snapshot())];
+        for epoch in 1..=3u64 {
+            let mut batch = tgraph::Batch::new(epoch);
+            for i in 0..300 {
+                let (name, edge) = (format!("p{epoch}_{i}"), format!("f{epoch}_{i}"));
+                batch
+                    .add_node(name.clone(), "Person")
+                    .add_existence(name.clone(), iv(5, 9))
+                    .add_edge(edge.clone(), "meets", name, format!("n{}", 11 * i))
+                    .add_existence(edge, iv(6, 7));
+            }
+            batch
+                .set_property(format!("n{}", 700 * epoch), "risk", "high", iv(12, 20))
+                .add_existence(format!("e{}", 900 * epoch), iv(8, 9));
+            let applied = itpg.apply_batch(&batch).unwrap();
+            rel.apply_delta(&itpg, &applied.touched);
+            pinned.push((rel.snapshot(), rel.canonical_snapshot()));
+        }
+        assert_eq!(rel.node_names.chunks.len(), 5);
+        assert_eq!(rel.edge_names.chunks.len(), 5);
+        for (epoch, (snapshot, canonical)) in pinned.iter().enumerate() {
+            assert_eq!(&snapshot.canonical_snapshot(), canonical, "the snapshot of batch {epoch}");
+        }
+        assert_delta_invariants(&rel);
+        assert_eq!(rel.canonical_snapshot(), GraphRelations::from_itpg(&itpg).canonical_snapshot());
     }
 
     /// The rows a relations value lists through its two permutations, in order.

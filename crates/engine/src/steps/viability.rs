@@ -867,8 +867,14 @@ impl Pass<'_> {
                         kind = !kind;
                     }
                     ClosureStep::Shift(shift) => set = self.reverse_shift_times(&set, shift, kind),
-                    // Bodies bind nothing, and nested closures were refused.
-                    ClosureStep::Micro(MicroOp::Bind(_) | MicroOp::Closure(_)) => {}
+                    // Fails identically in debug and release, as the forward
+                    // evaluator does: a binding inside a repetition has nowhere
+                    // to be recorded.
+                    ClosureStep::Micro(MicroOp::Bind(_)) => {
+                        unreachable!("the compiler places a Bind only in a segment")
+                    }
+                    // Nested closures were refused.
+                    ClosureStep::Micro(MicroOp::Closure(_)) => {}
                 }
             }
             found.extend(set.pieces);

@@ -98,8 +98,11 @@ struct ManagerInner {
 /// The epoch registry: publishes snapshots, hands out pins, retires epochs
 /// once their last reader is gone.
 ///
-/// All bookkeeping hides behind one short-lived mutex; readers hold it only
-/// for the O(log epochs) pin/unpin bookkeeping, never during query execution.
+/// All bookkeeping hides behind one short-lived mutex, held only for the
+/// O(log epochs) bookkeeping itself: never during query execution, and never
+/// while a retired epoch is freed.  A publish drops the epochs it retires
+/// after releasing the guard, and an unpin retires an epoch while the reader's
+/// guard still holds it, so the guard frees it last.
 #[derive(Debug)]
 pub struct EpochManager {
     inner: Mutex<ManagerInner>,
@@ -155,8 +158,12 @@ impl EpochManager {
             .map(|(&v, _)| v)
             .collect();
         let retired = stale.len();
+        // Taken out under the lock, freed outside it: when the manager holds
+        // the last reference, dropping an epoch frees its relations and
+        // tables, and a concurrent `pin` must not wait for that.
+        let mut freed = Vec::with_capacity(retired);
         for v in stale {
-            inner.retained.remove(&v);
+            freed.extend(inner.retained.remove(&v));
             inner.retired += 1;
         }
         if let Some(metrics) = self.metrics {
@@ -164,6 +171,8 @@ impl EpochManager {
             metrics.retired.add(retired as u64);
             metrics.retained.add(1 - retired as i64);
         }
+        drop(inner);
+        drop(freed);
         version
     }
 

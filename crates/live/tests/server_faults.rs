@@ -3,9 +3,12 @@
 //!
 //! The panic tests submit a request whose execution panics *deterministically*
 //! in every build profile: the plan smuggles a `Bind` inside a closure body,
-//! which the debug-mode plan audit rejects up front and the release-mode
-//! closure evaluator refuses with an `unreachable!` — either way the worker
-//! thread unwinds and the server must contain it.
+//! which the debug-mode plan audit rejects up front.  In release, whichever
+//! evaluator reaches the body refuses it with an `unreachable!`: the closure
+//! sits after the plan's last `Bind`, so it is an existential suffix and the
+//! backward suffix walk meets it first, and the forward closure evaluator
+//! refuses it the same way.  Either way the worker thread unwinds and the
+//! server must contain it.
 
 use std::sync::Arc;
 

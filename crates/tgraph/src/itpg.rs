@@ -131,7 +131,8 @@ impl Itpg {
         self.property(object, prop).and_then(|h| h.value_at(t))
     }
 
-    /// Iterates over `(property name, history)` pairs of an object.
+    /// Iterates over `(property name, history)` pairs of an object, in name
+    /// order.
     pub fn properties(
         &self,
         object: Object,
