@@ -1040,8 +1040,9 @@ impl<'a> Pass<'a> {
                 location,
                 DiagnosticKind::UnboundedClosure,
                 "the closure's iteration count has no static bound (its body can \
-                 repeat without net time displacement); live maintenance falls back \
-                 to full refresh for this plan"
+                 repeat without net time displacement); live maintenance cannot bound \
+                 this plan's refresh by hops, only by the changed times when the plan \
+                 has no temporal link"
                     .to_owned(),
             );
         }

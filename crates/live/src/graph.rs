@@ -14,7 +14,8 @@ use crate::query::{LiveQueryId, QueryState, RefreshStats};
 /// row-level delta folded into the engine relations.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IngestStats {
-    /// The graph-level outcome (created and touched objects).
+    /// The graph-level outcome (created and touched objects, and the times
+    /// the batch changed).
     pub applied: AppliedBatch,
     /// The row-level relation delta.
     pub delta: DeltaStats,
@@ -102,7 +103,7 @@ impl LiveGraph {
         let applied = self.itpg.apply_batch(batch)?;
         let delta = self.relations.apply_delta(&self.itpg, &applied.touched);
         for query in &mut self.queries {
-            query.note_touched(&applied.touched);
+            query.note_applied(&applied);
         }
         self.last_epoch = Some(applied.epoch);
         self.batches_applied += 1;
@@ -266,24 +267,47 @@ mod tests {
     }
 
     #[test]
-    fn closure_queries_are_maintained_through_the_fallback() {
-        let mut graph =
-            LiveGraph::with_options(Itpg::empty(iv(1, 10)), ExecutionOptions::sequential());
-        let reach =
-            graph.register_text("MATCH (x:Person)-/(FWD/:meets/FWD)*/-(y:Person) ON live").unwrap();
-        for batch in story() {
-            graph.apply(&batch).unwrap();
+    fn structural_closures_rerun_only_the_seed_rows_a_batch_can_reach() {
+        const REACH: &str = "MATCH (x:Person)-/(FWD/:meets/FWD)*/-(y:Person) ON live";
+        const RECUR: &str =
+            "MATCH (x:Person)-/(FWD/:meets/FWD/NEXT)*/NEXT*/-({test = 'pos'}) ON live";
+        // Over a domain this wide, RECUR's time-advancing closure has no hop
+        // bound the sweep may use.
+        let options = ExecutionOptions::sequential();
+        let mut graph = LiveGraph::with_options(Itpg::empty(iv(1, 1000)), options);
+        let reach = graph.register_text(REACH).unwrap();
+        let recur = graph.register_text(RECUR).unwrap();
+        let mut stream = story();
+        // zoe arrives after everyone else's rows end...
+        let mut b4 = Batch::new(9);
+        b4.add_node("zoe", "Person").add_existence("zoe", iv(12, 14));
+        // ...and mia's test at time 2 splits her row, meeting eve's row before
+        // her positive test and the room's row, but not eve's later row or zoe's.
+        let mut b5 = Batch::new(10);
+        b5.set_property("mia", "test", "pos", iv(2, 2));
+        stream.extend([b4, b5]);
+        // REACH re-runs the rows that are new or meet the batch's times: all
+        // three at first; the three `[1, 10]` rows the edges' times meet; eve's
+        // two new rows beside mia's and the room's; zoe's row alone; mia's three
+        // new rows, eve's `[1, 7]` and the room's.
+        let reach_seed_rows = [3, 3, 4, 1, 5];
+        for (batch, expected_rows) in stream.iter().zip(reach_seed_rows) {
+            graph.apply(batch).unwrap();
+            let live_rows = graph.relations().seed_rows().len();
             let stats = graph.refresh(reach);
-            assert!(stats.fallback_full, "closure plans take the conservative path");
+            assert!(!stats.fallback_full, "a structural closure never re-runs every seed");
+            assert_eq!(stats.seed_rows, expected_rows, "REACH at epoch {}", batch.epoch);
+            let stats = graph.refresh(recur);
+            assert!(stats.fallback_full, "a time-moving unbounded plan re-runs every seed");
+            assert_eq!(stats.seed_rows, live_rows);
             let scratch = GraphRelations::from_itpg(graph.itpg());
-            let clause = trpq::parser::parse_match(
-                "MATCH (x:Person)-/(FWD/:meets/FWD)*/-(y:Person) ON live",
-            )
-            .unwrap();
-            let expected =
-                execute(&compile(&clause).unwrap(), &scratch, &ExecutionOptions::sequential());
-            assert_eq!(graph.table(reach), &expected.table);
+            for (id, text) in [(reach, REACH), (recur, RECUR)] {
+                let clause = trpq::parser::parse_match(text).unwrap();
+                let expected = execute(&compile(&clause).unwrap(), &scratch, &options);
+                assert_eq!(graph.table(id), &expected.table, "{text} at epoch {}", batch.epoch);
+            }
         }
+        assert_eq!(graph.relations().seed_rows().len(), 7);
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //!    interval-timestamped relations in place
 //!    ([`engine::GraphRelations::apply_delta`]): rows of touched objects are
 //!    retracted and recomputed, rows of untouched objects keep their indices,
-//!    and the key-sorted permutations are maintained by a linear
-//!    filter-and-union-merge rather than a rebuild.
+//!    and nothing derived from the rows is maintained: the first reader of the
+//!    new version recomputes what it asks for.
 //! 2. **Delta-seeded evaluation** — for a plan with a statically known hop
 //!    count `H` (every plan without a closure fixpoint), a chain seeded at a
 //!    node can only observe objects within `H` structural hops of that node, so
@@ -22,10 +22,13 @@
 //!    object.  A refresh re-runs the SPJ pipeline from those seeds alone
 //!    ([`engine::run_plan_seeded`]) and splices the per-seed results into the
 //!    cached answer.
-//! 3. **Conservative fallback** — plans containing a (structural or time-aware)
-//!    closure have unbounded reach, so their alternatives are recomputed from
-//!    every seed on refresh.  The refresh reports this honestly through
-//!    [`RefreshStats::fallback_full`]; the answer is exact either way.
+//! 3. **Time-seeded evaluation** — a plan with no temporal link answers at
+//!    time `t` from the snapshot at `t` alone, and a batch changes the graph
+//!    only at its [`tgraph::AppliedBatch::times`].  Such a plan, closures
+//!    included, re-runs only the seed rows that are new or whose interval
+//!    meets those times.  A plan that moves in time and has unbounded reach
+//!    re-runs every live seed row; the refresh reports this through
+//!    [`RefreshStats::fallback_full`].  The answer is exact either way.
 //!
 //! On top of the single-threaded [`LiveGraph`], the crate serves queries
 //! *concurrently* through epoch-based MVCC ([`epoch`]): each published epoch

@@ -1,5 +1,15 @@
 //! Maintained query state: per-plan result caches, delta-seeded refresh, and the
 //! statistics a refresh reports.
+//!
+//! A refresh re-runs a plan from the seed rows a pending batch can have changed
+//! and nowhere else.  Two facts bound them.  A chain observes only objects within
+//! the plan's hop bound of its seed, so a hop-bounded plan re-runs the seeds of
+//! the nodes near a touched object (`affected_nodes`).  And a plan with no
+//! temporal link answers at time `t` from the snapshot at `t` alone, so a purely
+//! structural plan re-runs only the seed rows that are new or whose interval
+//! meets the times the batch changed ([`tgraph::AppliedBatch::times`]), however
+//! far its closures reach.  Every cached binding row remembers its seed row, so a
+//! re-run replaces exactly what it recomputes.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::Ordering;
@@ -8,11 +18,12 @@ use std::time::Duration;
 
 use dataflow::Parallelism;
 use engine::bindings::{Binding, BindingTable};
+use engine::chain::Chain;
 use engine::plan::{EnginePlan, PlanSet};
 use engine::steps::expand::expand_chains;
 use engine::steps::StepStats;
 use engine::{run_plan_seeded, GraphRelations};
-use tgraph::{Interval, Itpg, NodeId, Object};
+use tgraph::{AppliedBatch, Interval, IntervalSet, Itpg, NodeId, Object};
 
 /// Handle to a query registered on a [`crate::LiveGraph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -30,12 +41,16 @@ pub struct RefreshStats {
     pub rows_retracted: usize,
     /// Rows of the maintained answer after the refresh.
     pub output_rows: usize,
-    /// Seed nodes whose results were recomputed by delta seeding (0 when every
-    /// plan either fell back to a full recompute or was untouched).
+    /// Nodes within the hop bound of a touched object, summed over the
+    /// hop-bounded plan alternatives (0 when no alternative is hop-bounded or
+    /// nothing was pending).
     pub affected_seeds: usize,
-    /// True if at least one plan alternative was recomputed from every seed —
-    /// the conservative fallback taken for plans whose reach is not statically
-    /// bounded (closure fixpoints).
+    /// Seed node rows the plan was re-run from, summed over its alternatives.
+    pub seed_rows: usize,
+    /// True if at least one plan alternative re-ran every live seed row: one
+    /// whose temporal links move time and whose hop reach is unbounded (or
+    /// beyond the sweep cap), such as a time-aware closure.  A purely
+    /// structural plan never takes it, whatever its closures.
     pub fallback_full: bool,
     /// Structural-closure fixpoint rounds executed during the refresh.
     pub closure_rounds: usize,
@@ -45,24 +60,79 @@ pub struct RefreshStats {
     pub duration: Duration,
 }
 
+/// One seed node's cached binding rows, each tagged with the node row it was
+/// seeded at.
+#[derive(Debug, Clone, Default)]
+struct SeedRows {
+    rows: Vec<Vec<Binding>>,
+    /// `seeds[i]` is the seed row of `rows[i]`.
+    seeds: Vec<u32>,
+}
+
+impl SeedRows {
+    /// Keeps the rows whose seed row satisfies `keep`, in order.
+    fn retain_seeds(&mut self, keep: impl Fn(u32) -> bool) {
+        let mut seeds = self.seeds.iter();
+        self.rows.retain(|_| keep(*seeds.next().expect("one seed per row")));
+        self.seeds.retain(|&seed| keep(seed));
+    }
+}
+
 /// One plan alternative's cached results.
 #[derive(Debug, Clone)]
 struct PlanCache {
     /// Static execution bounds of the (immutable) plan, computed once at
     /// registration by the semantic analyzer ([`engine::static_bounds`]) rather
-    /// than re-derived on every refresh.  `max_hops` decides the refresh path:
-    /// a bounded plan is delta-seeded from the affected neighbourhood, an
-    /// unbounded one falls back to a full recompute.
+    /// than re-derived on every refresh.  `max_hops` decides where a refresh
+    /// looks for seeds: around the touched objects if bounded, among every live
+    /// row if not.
     bounds: engine::PlanBounds,
     /// The domain `bounds` was computed against.  The closure iteration bound
     /// depends on the domain span, so a delta that widens the domain
     /// invalidates the cached bounds (they are recomputed on the next
     /// refresh); any other delta leaves them valid forever.
     bounds_domain: Interval,
-    /// Expanded binding rows grouped by seed node (incremental plans).
-    by_seed: BTreeMap<u32, Vec<Vec<Binding>>>,
-    /// Expanded binding rows of the whole plan (fallback plans).
-    full: Vec<Vec<Binding>>,
+    /// Expanded binding rows grouped by seed node.
+    by_seed: BTreeMap<u32, SeedRows>,
+}
+
+impl PlanCache {
+    /// Re-runs `plan` from `seeds` (live node rows) and splices the result in:
+    /// first the cached rows of every seed row that is dead or in `seeds` are
+    /// dropped, then the new expansions are appended.
+    fn rerun(
+        &mut self,
+        plan: &EnginePlan,
+        num_slots: usize,
+        graph: &GraphRelations,
+        seeds: &[u32],
+        parallelism: Parallelism,
+        step_stats: &StepStats,
+    ) {
+        let mut replaced = vec![false; graph.node_rows().len()];
+        for &row in seeds {
+            replaced[row as usize] = true;
+        }
+        self.by_seed.retain(|_, group| {
+            group.retain_seeds(|seed| graph.is_node_row_live(seed) && !replaced[seed as usize]);
+            !group.rows.is_empty()
+        });
+        // Chains come back grouped by seed; each run of one seed's chains is
+        // expanded into a shared buffer and moved to its node's group.
+        let chains = run_plan_seeded(plan, graph, seeds, parallelism, step_stats);
+        let mut rows = Vec::new();
+        for run in chains.chunk_by(|a: &Chain, b: &Chain| a.seed == b.seed) {
+            expand_chains(plan, num_slots, run, &mut rows);
+            if rows.is_empty() {
+                continue;
+            }
+            let seed = run[0].seed;
+            let node = graph.node_rows()[seed as usize].node.0;
+            let group = self.by_seed.entry(node).or_default();
+            group.seeds.resize(group.seeds.len() + rows.len(), seed);
+            group.rows.append(&mut rows);
+        }
+    }
 }
 
 /// The hop radius delta seeding may rely on, if any: the analyzer's bound,
@@ -86,11 +156,16 @@ pub(crate) struct QueryState {
     table: Arc<BindingTable>,
     /// Objects touched by batches applied since the last refresh.
     pending: BTreeSet<Object>,
+    /// The times at which those batches changed the graph.
+    pending_times: IntervalSet,
+    /// Node rows of the relations at the last refresh.  Rows only ever append,
+    /// so every row at or past this index is new since then.
+    rows_seen: usize,
 }
 
 impl QueryState {
     /// Compiles the initial state of a registered query: a full evaluation of
-    /// every plan, cached per seed node for the incremental alternatives.
+    /// every plan, cached per seed node and row.
     pub(crate) fn build(
         plan_set: PlanSet,
         graph: &GraphRelations,
@@ -101,27 +176,12 @@ impl QueryState {
         let seeds = graph.seed_rows();
         let mut plans = Vec::with_capacity(plan_set.plans.len());
         for plan in &plan_set.plans {
-            let bounds = engine::static_bounds(plan, graph.domain());
-            let chains = run_plan_seeded(plan, graph, &seeds, parallelism, &step_stats);
             let mut cache = PlanCache {
-                bounds,
+                bounds: engine::static_bounds(plan, graph.domain()),
                 bounds_domain: graph.domain(),
                 by_seed: BTreeMap::new(),
-                full: Vec::new(),
             };
-            match seeding_hops(&bounds) {
-                Some(_) => {
-                    for (node, group) in group_by_seed_node(graph, chains) {
-                        let rows = expand_group(plan, num_slots, &group);
-                        if !rows.is_empty() {
-                            cache.by_seed.insert(node, rows);
-                        }
-                    }
-                }
-                None => {
-                    cache.full = expand_group(plan, num_slots, &chains);
-                }
-            }
+            cache.rerun(plan, num_slots, graph, &seeds, parallelism, &step_stats);
             plans.push(cache);
         }
         let mut state = QueryState {
@@ -129,6 +189,8 @@ impl QueryState {
             plans,
             table: Arc::new(BindingTable::default()),
             pending: BTreeSet::new(),
+            pending_times: IntervalSet::empty(),
+            rows_seen: graph.node_rows().len(),
         };
         state.table = Arc::new(state.assemble());
         state
@@ -148,11 +210,32 @@ impl QueryState {
         Arc::clone(&self.table)
     }
 
-    pub(crate) fn note_touched(&mut self, touched: &[Object]) {
-        self.pending.extend(touched.iter().copied());
+    /// Records what an applied batch touched, and when, for the next refresh.
+    pub(crate) fn note_applied(&mut self, applied: &AppliedBatch) {
+        self.pending.extend(applied.touched.iter().copied());
+        self.pending_times = self.pending_times.union(&applied.times);
     }
 
-    /// Folds every pending delta into the maintained answer.
+    /// Folds every pending delta into the maintained answer, re-running each
+    /// plan alternative from the seed rows the deltas can have changed.
+    ///
+    /// The candidates are the live rows of the nodes within the hop bound of a
+    /// touched object ([`affected_nodes`]) for a hop-bounded alternative, and
+    /// every live row for an unbounded one.  A purely structural alternative
+    /// re-runs only the candidates that are new since the last refresh or whose
+    /// interval meets the pending times; any other alternative re-runs them all,
+    /// because its links move time, so a change at `t` reaches seeds at other
+    /// times.  The cached rows of a re-run or dead seed row are replaced by the
+    /// re-run's.
+    ///
+    /// Why skipping the other rows is exact: without a temporal link, a chain's
+    /// interval lies inside its seed row's interval, and every row boundary
+    /// strictly inside that interval separates two states at times within it.
+    /// A batch changes no state outside its times, and a live row that is not
+    /// new kept its index and content, so a live seed row whose interval misses
+    /// the pending times yields the same bindings before and after.  This rests
+    /// on rows only ever appending: a compaction that renumbers node rows must
+    /// reset `rows_seen` (re-running everything) or remap the cached seed rows.
     pub(crate) fn refresh(
         &mut self,
         itpg: &Itpg,
@@ -168,6 +251,8 @@ impl QueryState {
             return stats;
         }
         let touched: BTreeSet<Object> = std::mem::take(&mut self.pending);
+        let times = std::mem::take(&mut self.pending_times);
+        let rows_seen = std::mem::replace(&mut self.rows_seen, graph.node_rows().len());
         let step_stats = StepStats::default();
         let num_slots = self.plan_set.variables.len();
         for (plan, cache) in self.plan_set.plans.iter().zip(&mut self.plans) {
@@ -177,43 +262,31 @@ impl QueryState {
                 cache.bounds = engine::static_bounds(plan, graph.domain());
                 cache.bounds_domain = graph.domain();
             }
-            match seeding_hops(&cache.bounds) {
-                None => {
-                    // Conservative fallback: the closure's reach is unbounded
-                    // (or the bound exceeds the sweep cap), so recompute this
-                    // alternative from every live seed.  A widening domain can
-                    // push a previously-bounded plan onto this path, so the
-                    // per-seed cache is superseded wholesale.
-                    stats.fallback_full = true;
-                    cache.by_seed.clear();
-                    let chains =
-                        run_plan_seeded(plan, graph, &graph.seed_rows(), parallelism, &step_stats);
-                    cache.full = expand_group(plan, num_slots, &chains);
-                }
+            let hops = seeding_hops(&cache.bounds);
+            let mut seeds = match hops {
                 Some(hops) => {
                     let affected = affected_nodes(itpg, &touched, hops);
                     stats.affected_seeds += affected.len();
-                    let mut seeds: Vec<u32> = affected
+                    let mut rows: Vec<u32> = affected
                         .iter()
                         .flat_map(|&n| graph.rows_of_node(n).iter().copied())
                         .collect();
-                    seeds.sort_unstable();
-                    let chains = run_plan_seeded(plan, graph, &seeds, parallelism, &step_stats);
-                    let mut recomputed = group_by_seed_node(graph, chains);
-                    for &node in &affected {
-                        let rows = match recomputed.remove(&node.0) {
-                            Some(group) => expand_group(plan, num_slots, &group),
-                            None => Vec::new(),
-                        };
-                        if rows.is_empty() {
-                            cache.by_seed.remove(&node.0);
-                        } else {
-                            cache.by_seed.insert(node.0, rows);
-                        }
-                    }
-                    debug_assert!(recomputed.is_empty(), "chains from unrequested seeds");
+                    rows.sort_unstable();
+                    rows
                 }
+                None => graph.seed_rows(),
+            };
+            if plan.is_purely_structural() {
+                let node_rows = graph.node_rows();
+                seeds.retain(|&row| {
+                    row as usize >= rows_seen
+                        || times.intersects_interval(&node_rows[row as usize].interval)
+                });
+            } else {
+                stats.fallback_full |= hops.is_none();
             }
+            stats.seed_rows += seeds.len();
+            cache.rerun(plan, num_slots, graph, &seeds, parallelism, &step_stats);
         }
         let next = self.assemble();
         let (added, retracted) = diff_sorted(self.table.rows(), next.rows());
@@ -233,38 +306,13 @@ impl QueryState {
     fn assemble(&self) -> BindingTable {
         let mut table = BindingTable::new(self.plan_set.variables.clone());
         for cache in &self.plans {
-            for rows in cache.by_seed.values() {
-                table.extend_rows(rows.iter().cloned());
+            for group in cache.by_seed.values() {
+                table.extend_rows(group.rows.iter().cloned());
             }
-            table.extend_rows(cache.full.iter().cloned());
         }
         table.sort_dedup();
         table
     }
-}
-
-/// Groups chains by the node their seed row belongs to.
-fn group_by_seed_node(
-    graph: &GraphRelations,
-    chains: Vec<engine::chain::Chain>,
-) -> BTreeMap<u32, Vec<engine::chain::Chain>> {
-    let mut grouped: BTreeMap<u32, Vec<engine::chain::Chain>> = BTreeMap::new();
-    for chain in chains {
-        let node = graph.node_rows()[chain.seed as usize].node.0;
-        grouped.entry(node).or_default().push(chain);
-    }
-    grouped
-}
-
-/// Step 3 for one group of chains: expansion into (unsorted) binding rows.
-fn expand_group(
-    plan: &EnginePlan,
-    num_slots: usize,
-    chains: &[engine::chain::Chain],
-) -> Vec<Vec<Binding>> {
-    let mut rows = Vec::new();
-    expand_chains(plan, num_slots, chains, &mut rows);
-    rows
 }
 
 /// The nodes whose seeds a delta touching `touched` can have affected, for a
@@ -276,6 +324,10 @@ fn expand_group(
 /// touched object within its first `hops` hops starts within `hops` object-graph
 /// steps of it; adjacency only ever grows, so a sweep over the *current* graph
 /// covers derivations of the old graph too.
+///
+/// The sweep bounds a refresh in space only: a purely structural plan keeps, of
+/// these nodes' rows, the ones new or meeting the batch's times
+/// ([`QueryState::refresh`]); a plan with temporal links re-runs them all.
 ///
 /// The visited sets are one flag per node and per edge, and the nodes come back in
 /// id order.
@@ -360,7 +412,8 @@ mod tests {
             links: vec![TemporalLink::Shift(Shift { forward: true, min: 0, max: None })],
         };
         assert_eq!(seeding_hops(&engine::static_bounds(&shifted, domain)), Some(2));
-        // An unbounded structural closure keeps the conservative full path.
+        // An unbounded structural closure has no hop bound: its refresh looks
+        // among every live row, narrowed by the batch's times.
         let closure = engine::plan::ClosureOp::structural(vec![vec![hop.clone()]], 0, None);
         let with_closure = EnginePlan {
             segments: vec![Segment { ops: vec![MicroOp::Closure(closure)] }],

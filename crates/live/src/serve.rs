@@ -257,8 +257,8 @@ pub enum MetricsFormat {
 pub struct ServeHealth {
     /// Maintained-query refreshes performed by ingests so far.
     pub refreshes: u64,
-    /// How many of those refreshes fell back to a full recompute
-    /// ([`RefreshStats::fallback_full`]).
+    /// How many of those refreshes re-ran some plan alternative from every
+    /// live seed row ([`RefreshStats::fallback_full`]).
     pub fallback_refreshes: u64,
     /// Epoch snapshots currently retained (the current one plus every pinned
     /// one).

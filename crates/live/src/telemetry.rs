@@ -29,11 +29,13 @@ pub(crate) struct LiveMetrics {
     pub mutations: Arc<Counter>,
     /// `tpath_live_apply_seconds` — batch apply latency.
     pub apply_seconds: Arc<Histogram>,
-    /// `tpath_live_refreshes_total{kind="delta"}` — delta-seeded refreshes.
+    /// `tpath_live_refreshes_total{kind="delta"}` — refreshes that re-ran
+    /// only the seed rows the pending batches can have changed.
     pub refreshes_delta: Arc<Counter>,
-    /// `tpath_live_refreshes_total{kind="full"}` — refreshes that fell back
-    /// to full recomputation (`RefreshStats::fallback_full`); the ratio of
-    /// the two series is the fallback rate.
+    /// `tpath_live_refreshes_total{kind="full"}` — refreshes in which some
+    /// plan alternative re-ran every live seed row
+    /// (`RefreshStats::fallback_full`); the ratio of the two series is the
+    /// fallback rate.
     pub refreshes_full: Arc<Counter>,
     /// `tpath_live_refresh_seconds` — refresh latency.
     pub refresh_seconds: Arc<Histogram>,
@@ -93,7 +95,8 @@ pub(crate) fn live_metrics() -> &'static LiveMetrics {
     static METRICS: OnceLock<LiveMetrics> = OnceLock::new();
     METRICS.get_or_init(|| {
         let reg = obs::global();
-        let refreshes_help = "Query refreshes, split by delta-seeded vs full-recompute fallback.";
+        let refreshes_help =
+            "Query refreshes, split by seeded (delta) vs re-running every live seed row (full).";
         let rows_help = "Rows added to / retracted from maintained answers by refreshes.";
         LiveMetrics {
             batches: reg.counter("tpath_live_batches_total", "Mutation batches applied.", &[]),

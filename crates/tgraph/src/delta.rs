@@ -151,10 +151,11 @@ impl Batch {
     }
 }
 
-/// The outcome of applying one batch: which objects were created and which were
-/// touched (created, or had their existence or properties mutated).  The touched
-/// set is exactly what incremental consumers (`GraphRelations::apply_delta`,
-/// live query maintenance) need to know.
+/// The outcome of applying one batch: which objects were created, which were
+/// touched (created, or had their existence or properties mutated), and at which
+/// times.  The touched set is exactly what incremental consumers
+/// (`GraphRelations::apply_delta`, live query maintenance) need to know; the
+/// times tell live maintenance which snapshots the batch can have changed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AppliedBatch {
     /// The epoch stamp of the applied batch.
@@ -164,6 +165,11 @@ pub struct AppliedBatch {
     /// Objects whose state changed (a superset of `created`), sorted and
     /// deduplicated.
     pub touched: Vec<Object>,
+    /// The union of the batch's [`Mutation::AddExistence`] and
+    /// [`Mutation::SetProperty`] intervals.  Creation adds no time (a new object
+    /// exists nowhere yet) and existence only grows, so no object's state at a
+    /// time outside this set differs from before the batch.
+    pub times: IntervalSet,
 }
 
 impl Itpg {
@@ -336,13 +342,16 @@ impl Itpg {
             self.in_edges[tgt.index()].push(edge);
         }
         let mut touched: Vec<Object> = created.clone();
+        let mut times = IntervalSet::empty();
         for &(object, interval) in &existence_ops {
             self.domain = self.domain.hull(&interval);
             self.data_mut(object).existence.insert(interval);
             touched.push(object);
+            times.insert(interval);
         }
         for &(object, prop, value, interval) in &prop_ops {
             self.domain = self.domain.hull(&interval);
+            times.insert(interval);
             self.data_mut(object)
                 .props
                 .entry(prop.to_owned())
@@ -352,7 +361,7 @@ impl Itpg {
         }
         touched.sort_unstable();
         touched.dedup();
-        Ok(AppliedBatch { epoch: batch.epoch, created, touched })
+        Ok(AppliedBatch { epoch: batch.epoch, created, touched, times })
     }
 
     fn data_mut(&mut self, object: Object) -> &mut IntervalObjectData {
@@ -430,6 +439,37 @@ mod tests {
         assert_eq!(third.touched, vec![Object::Node(NodeId(0))]);
         // Existence extensions coalesce: n2 is now one maximal interval.
         assert_eq!(live.existence(Object::Node(NodeId(0))).intervals(), &[iv(1, 9)]);
+    }
+
+    #[test]
+    fn applied_batches_report_the_times_they_changed() {
+        let mut g = Itpg::empty(iv(1, 20));
+        // Creation alone changes no snapshot.
+        let mut create = Batch::new(1);
+        create.add_node("a", "Person").add_node("b", "Person").add_edge("e", "meets", "a", "b");
+        assert!(g.apply_batch(&create).unwrap().times.is_empty());
+
+        // Overlapping and adjacent intervals coalesce; a gap stays a gap.
+        let mut grow = Batch::new(2);
+        grow.add_existence("a", iv(1, 3))
+            .set_property("a", "risk", "low", iv(2, 3))
+            .add_existence("a", iv(2, 5))
+            .add_existence("b", iv(6, 8))
+            .add_existence("b", iv(11, 12))
+            .set_property("b", "risk", "low", iv(12, 12));
+        let applied = g.apply_batch(&grow).unwrap();
+        assert_eq!(applied.times.intervals(), &[iv(1, 8), iv(11, 12)]);
+
+        // A rejected batch reports nothing and changes nothing: the next batch
+        // reports its own times only.
+        let before = g.clone();
+        let mut bad = Batch::new(3);
+        bad.add_existence("a", iv(15, 16)).set_property("b", "risk", "high", iv(17, 18));
+        assert!(g.apply_batch(&bad).is_err());
+        assert_eq!(g, before);
+        let mut flip = Batch::new(3);
+        flip.set_property("b", "risk", "high", iv(7, 7));
+        assert_eq!(g.apply_batch(&flip).unwrap().times.intervals(), &[iv(7, 7)]);
     }
 
     #[test]

@@ -221,9 +221,11 @@ impl IntervalSet {
         false
     }
 
-    /// True if the set contains at least one point of `interval`.
+    /// True if the set contains at least one point of `interval`: a binary
+    /// search for the first interval ending at or after its start.
     pub fn intersects_interval(&self, interval: &Interval) -> bool {
-        self.intervals.iter().any(|iv| iv.overlaps(interval))
+        let first = self.intervals.partition_point(|iv| iv.end() < interval.start());
+        self.intervals.get(first).is_some_and(|iv| iv.start() <= interval.end())
     }
 
     /// Iterates over every time point of the set in increasing order.
@@ -351,6 +353,12 @@ mod tests {
         assert!(!a.intersects(&c));
         assert!(a.intersects_interval(&iv(4, 5)));
         assert!(!a.intersects_interval(&iv(5, 7)));
+        assert!(a.intersects_interval(&iv(0, 1)) && a.intersects_interval(&iv(10, 20)));
+        assert!(!a.intersects_interval(&iv(0, 0)) && !a.intersects_interval(&iv(11, 20)));
+        assert!(
+            a.intersects_interval(&iv(2, 9))
+                && !IntervalSet::empty().intersects_interval(&iv(2, 9))
+        );
     }
 
     #[test]

@@ -102,11 +102,11 @@ fn ingest(graph: &mut LiveGraph, batch: Batch, what: &str) {
 fn report(graph: &mut LiveGraph, id: LiveQueryId, name: &str) {
     let stats = graph.refresh(id);
     println!(
-        "    {name}: {} rows (+{} / -{}), {} seeds re-evaluated{} in {:?}",
+        "    {name}: {} rows (+{} / -{}), {} seed rows re-run{} in {:?}",
         stats.output_rows,
         stats.rows_added,
         stats.rows_retracted,
-        stats.affected_seeds,
+        stats.seed_rows,
         if stats.fallback_full { " (full fallback)" } else { "" },
         stats.duration,
     );
