@@ -81,16 +81,20 @@ pub struct RelationStats {
     pub temporal_edges: usize,
 }
 
-/// Row-level change summary of one [`GraphRelations::apply_delta`] call.
+/// Row-level change summary of one [`GraphRelations::apply_delta`] call.  Only
+/// rows whose state changed count: a touched object's row that the batch left
+/// as it was is kept, and counts in neither column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DeltaStats {
-    /// Node rows appended by the delta.
+    /// Node rows appended by the delta: new states of touched nodes.
     pub node_rows_added: usize,
-    /// Node rows retracted (tombstoned) by the delta.
+    /// Node rows retracted (tombstoned) by the delta: states of touched nodes
+    /// that no longer hold, over exactly their interval.
     pub node_rows_retracted: usize,
-    /// Edge rows appended by the delta.
+    /// Edge rows appended by the delta: new states of touched edges.
     pub edge_rows_added: usize,
-    /// Edge rows retracted (tombstoned) by the delta.
+    /// Edge rows retracted (tombstoned) by the delta: states of touched edges
+    /// that no longer hold, over exactly their interval.
     pub edge_rows_retracted: usize,
 }
 
@@ -130,7 +134,8 @@ pub struct CanonicalRelations {
 ///
 /// - The eight per-object columns (names, existence, the four row indexes) are
 ///   chunked (see `Column`): a delta copies only the chunks holding an object
-///   it touched, plus the tail chunk when it creates objects.  The last batch
+///   whose rows or existence it changed, plus the tail chunk when it creates
+///   objects.  The last batch
 ///   of the G5 contact stream touches ≈ 4 500 of 122 000 edges, in 6 of the
 ///   120 edge chunks; its ≈ 670 touched nodes land in all 8 node chunks, so
 ///   a node-indexed column is still copied whole on that stream.
@@ -163,8 +168,8 @@ pub struct GraphRelations {
     node_existence: Column<IntervalSet>,
     edge_existence: Column<IntervalSet>,
     // Liveness of every row.  `from_itpg` produces all-live relations;
-    // `apply_delta` tombstones the rows of touched objects instead of compacting
-    // the row vectors, so row indices of *untouched* objects stay stable (which is
+    // `apply_delta` tombstones the rows whose state a batch changed instead of
+    // compacting the row vectors, so every other row keeps its index (which is
     // what lets live query maintenance reuse cached results).  Tombstoned rows are
     // unreachable through every index and permutation; only direct slice access
     // (`node_rows()` / `edge_rows()`) can still observe them.
@@ -235,6 +240,17 @@ impl<T: Clone> Column<T> {
         &mut Arc::make_mut(chunk)[index % CHUNK]
     }
 
+    /// Sets the element at `index` to `value`, writing (and so copying, see
+    /// [`Column::get_mut`]) only if it differs.
+    fn set(&mut self, index: usize, value: &T)
+    where
+        T: PartialEq,
+    {
+        if self.get(index) != value {
+            self.get_mut(index).clone_from(value);
+        }
+    }
+
     /// Appends an element: copies the spine and the tail chunk if a clone of
     /// the column still shares them.
     fn push(&mut self, item: T) {
@@ -291,29 +307,34 @@ impl Interner {
     /// interned lists while still borrowed from the graph, so a hit clones
     /// nothing.
     fn props_at(&mut self, graph: &Itpg, object: Object, t: Time) -> Props {
-        // `Itpg::properties` lists an object's properties by name, so the
-        // pairs come sorted as a row keeps them.
-        let pairs = || {
-            graph
-                .properties(object)
-                .filter_map(move |(name, history)| Some((name, history.value_at(t)?)))
-        };
         let mut hasher = self.hasher.build_hasher();
-        pairs().for_each(|pair| pair.hash(&mut hasher));
+        props_of(graph, object, t).for_each(|pair| pair.hash(&mut hasher));
         let key = hasher.finish();
-        let same = |known: &&Props| {
-            let mut pairs = pairs();
-            known.iter().all(|(name, value)| pairs.next() == Some((&**name, value)))
-                && pairs.next().is_none()
-        };
+        let same = |known: &&Props| props_hold(known, graph, object, t);
         if let Some(known) = self.props.get(&key).and_then(|bucket| bucket.iter().find(same)) {
             return Arc::clone(known);
         }
-        let new: Props = pairs().map(|(name, value)| (self.intern(name), value.clone())).collect();
+        let new: Props = props_of(graph, object, t)
+            .map(|(name, value)| (self.intern(name), value.clone()))
+            .collect();
         debug_assert!(new.windows(2).all(|w| w[0].0 < w[1].0), "properties sorted by name");
         self.props.entry(key).or_default().push(Arc::clone(&new));
         new
     }
+}
+
+/// The properties of `object` holding at `t`, borrowed from the graph.
+/// `Itpg::properties` lists an object's properties by name, so the pairs come
+/// sorted as a row keeps them.
+fn props_of(graph: &Itpg, object: Object, t: Time) -> impl Iterator<Item = (&str, &Value)> {
+    graph.properties(object).filter_map(move |(name, history)| Some((name, history.value_at(t)?)))
+}
+
+/// True if `props` are exactly the properties of `object` holding at `t`.
+fn props_hold(props: &[(Arc<str>, Value)], graph: &Itpg, object: Object, t: Time) -> bool {
+    let mut pairs = props_of(graph, object, t);
+    props.iter().all(|(name, value)| pairs.next() == Some((&**name, value)))
+        && pairs.next().is_none()
 }
 
 impl GraphRelations {
@@ -427,18 +448,25 @@ impl GraphRelations {
     /// The contract: `graph` must be exactly `self`'s previous graph plus the
     /// changes covered by `touched` — every object whose existence or properties
     /// changed (including newly created objects) must appear in `touched`.  The
-    /// rows of touched objects are retracted (tombstoned, see the field docs) and
-    /// recomputed from `graph`; rows of untouched objects keep their indices and
-    /// content and are not recomputed.  The memo ([`SchemaSummary`], sorted
-    /// permutations) is dropped, not maintained: the next reader of the new
-    /// version computes what it asks for.
+    /// segments of each touched object are re-derived from `graph` and matched
+    /// against its old rows in one merge walk: an old row whose interval and
+    /// properties equal a new segment's is kept at its index, every other old
+    /// row is retracted (tombstoned, see the field docs) and every other segment
+    /// is appended as a new row.  A row is a pure function of its object, its
+    /// interval and the properties over it, so a kept row is exactly what a
+    /// rebuild would append and the live content equals a bulk
+    /// [`GraphRelations::from_itpg`] of `graph`.  Rows of untouched objects keep
+    /// their indices and content and are not recomputed.  The memo
+    /// ([`SchemaSummary`], sorted permutations) is dropped, not maintained: the
+    /// next reader of the new version computes what it asks for.
     ///
     /// While a snapshot shares the relations, the delta copies what it writes
     /// and no more (see the struct docs): of each per-object column, the chunks
-    /// holding a touched object and the tail chunk when objects are created; of
-    /// a relation it appends rows to, the row vector (row clones allocate
-    /// nothing) and its liveness flags.  A batch touching only edges copies no
-    /// node column.
+    /// holding a touched object whose rows or existence changed and the tail
+    /// chunk when objects are created; of a relation it appends rows to, the
+    /// row vector (row clones allocate nothing), and of a relation it appends
+    /// to or retracts from, its liveness flags.  A batch touching only edges
+    /// copies no node column, and one that changes no row copies no row.
     pub fn apply_delta(&mut self, graph: &Itpg, touched: &[Object]) -> DeltaStats {
         debug_assert!(graph.num_nodes() >= self.node_names.len());
         debug_assert!(graph.num_edges() >= self.edge_names.len());
@@ -475,76 +503,95 @@ impl GraphRelations {
         }
 
         let mut interner = Interner::default();
+        // The object's new row list, rebuilt per object.
+        let mut list = Vec::new();
 
         if !touched_nodes.is_empty() {
             let base = self.nodes.len();
             let mut added = Vec::new();
-            let node_row_live = Arc::make_mut(&mut self.node_row_live);
+            let mut retracted = Vec::new();
             for &n in &touched_nodes {
                 let object = Object::Node(n);
-                let rows = self.node_rows_by_id.get_mut(n.index());
-                for &row in rows.iter() {
-                    debug_assert!(node_row_live[row as usize]);
-                    node_row_live[row as usize] = false;
-                    self.dead_node_rows += 1;
-                    stats.node_rows_retracted += 1;
-                }
-                rows.clear();
-                *self.node_existence.get_mut(n.index()) = graph.existence(object).clone();
                 let label = interner.intern(graph.label(object));
-                for segment in object_segments(graph, object) {
-                    let props = interner.props_at(graph, object, segment.start());
-                    rows.push((base + added.len()) as u32);
-                    added.push(NodeRow { node: n, label: label.clone(), props, interval: segment });
-                }
+                let nodes = &self.nodes;
+                rederive(
+                    graph,
+                    object,
+                    self.node_rows_by_id.get(n.index()),
+                    |row| (nodes[row as usize].interval, &nodes[row as usize].props),
+                    &mut list,
+                    &mut retracted,
+                    |interval| {
+                        let props = interner.props_at(graph, object, interval.start());
+                        added.push(NodeRow { node: n, label: label.clone(), props, interval });
+                        (base + added.len() - 1) as u32
+                    },
+                );
+                self.node_rows_by_id.set(n.index(), &list);
+                self.node_existence.set(n.index(), graph.existence(object));
             }
+            stats.node_rows_retracted = retracted.len();
             stats.node_rows_added = added.len();
-            node_row_live.resize(base + added.len(), true);
+            self.dead_node_rows += retracted.len();
+            tombstone(&mut self.node_row_live, &retracted, base + added.len());
             append_rows(&mut self.nodes, added);
+            debug_assert!(touched_nodes.iter().all(|&n| {
+                in_interval_order(self.rows_of_node(n), |row| self.nodes[row as usize].interval)
+            }));
         }
 
         if !touched_edges.is_empty() {
             let base = self.edges.len();
             let mut added = Vec::new();
-            let edge_row_live = Arc::make_mut(&mut self.edge_row_live);
+            let mut retracted = Vec::new();
             for &e in &touched_edges {
                 let object = Object::Edge(e);
                 let (src, tgt) = (graph.src(e), graph.tgt(e));
-                let rows = self.edge_rows_by_id.get_mut(e.index());
-                for &row in rows.iter() {
-                    debug_assert!(edge_row_live[row as usize]);
-                    edge_row_live[row as usize] = false;
-                    self.dead_edge_rows += 1;
-                    stats.edge_rows_retracted += 1;
-                }
-                // A new edge has no rows to unlink: skip both adjacency scans.
-                if !rows.is_empty() {
-                    let old_rows: &[u32] = rows;
-                    self.edge_rows_by_src.get_mut(src.index()).retain(|r| !old_rows.contains(r));
-                    self.edge_rows_by_tgt.get_mut(tgt.index()).retain(|r| !old_rows.contains(r));
-                    rows.clear();
-                }
-                *self.edge_existence.get_mut(e.index()) = graph.existence(object).clone();
                 let label = interner.intern(graph.label(object));
-                for segment in object_segments(graph, object) {
-                    let props = interner.props_at(graph, object, segment.start());
-                    let row = (base + added.len()) as u32;
-                    rows.push(row);
-                    self.edge_rows_by_src.get_mut(src.index()).push(row);
-                    self.edge_rows_by_tgt.get_mut(tgt.index()).push(row);
-                    added.push(EdgeRow {
-                        edge: e,
-                        src,
-                        tgt,
-                        label: label.clone(),
-                        props,
-                        interval: segment,
-                    });
+                let (retracted_before, added_before) = (retracted.len(), added.len());
+                let edges = &self.edges;
+                rederive(
+                    graph,
+                    object,
+                    self.edge_rows_by_id.get(e.index()),
+                    |row| (edges[row as usize].interval, &edges[row as usize].props),
+                    &mut list,
+                    &mut retracted,
+                    |interval| {
+                        let props = interner.props_at(graph, object, interval.start());
+                        let label = label.clone();
+                        added.push(EdgeRow { edge: e, src, tgt, label, props, interval });
+                        (base + added.len() - 1) as u32
+                    },
+                );
+                self.edge_rows_by_id.set(e.index(), &list);
+                self.edge_existence.set(e.index(), graph.existence(object));
+                // The adjacency lists lose the retracted rows and gain the
+                // appended ones; kept rows stay where they are.  Most changed
+                // edges are new and retract nothing: they skip the scans of
+                // their endpoints' lists, which are long on busy nodes.
+                let gone = &retracted[retracted_before..];
+                let new = (base + added_before) as u32..(base + added.len()) as u32;
+                if !gone.is_empty() || !new.is_empty() {
+                    for adjacency in [
+                        self.edge_rows_by_src.get_mut(src.index()),
+                        self.edge_rows_by_tgt.get_mut(tgt.index()),
+                    ] {
+                        if !gone.is_empty() {
+                            adjacency.retain(|row| !gone.contains(row));
+                        }
+                        adjacency.extend(new.clone());
+                    }
                 }
             }
+            stats.edge_rows_retracted = retracted.len();
             stats.edge_rows_added = added.len();
-            edge_row_live.resize(base + added.len(), true);
+            self.dead_edge_rows += retracted.len();
+            tombstone(&mut self.edge_row_live, &retracted, base + added.len());
             append_rows(&mut self.edges, added);
+            debug_assert!(touched_edges.iter().all(|&e| {
+                in_interval_order(self.rows_of_edge(e), |row| self.edges[row as usize].interval)
+            }));
         }
         stats
     }
@@ -621,12 +668,15 @@ impl GraphRelations {
         }
     }
 
-    /// Row indices of the Nodes relation describing the given node.
+    /// Row indices of the Nodes relation describing the given node, in
+    /// interval order, not index order: a delta keeps the rows it does not
+    /// change and interleaves the rows it appends with them.
     pub fn rows_of_node(&self, node: NodeId) -> &[u32] {
         self.node_rows_by_id.get(node.index())
     }
 
-    /// Row indices of the Edges relation describing the given edge.
+    /// Row indices of the Edges relation describing the given edge, in
+    /// interval order, not index order (see [`GraphRelations::rows_of_node`]).
     pub fn rows_of_edge(&self, edge: EdgeId) -> &[u32] {
         self.edge_rows_by_id.get(edge.index())
     }
@@ -729,6 +779,66 @@ fn object_segments(graph: &Itpg, object: Object) -> Vec<Interval> {
         .filter(|w| existence.contains(w[0]))
         .map(|w| Interval::of(w[0], w[1] - 1))
         .collect()
+}
+
+/// Re-derives the rows of one touched object in a single merge walk over its
+/// old rows (`old`, in interval order; `state` reads a row's interval and
+/// properties) and its new segments, both in interval order.  An old row whose
+/// interval and properties equal a segment's is kept at its index; every other
+/// old row goes to `retracted`, and every other segment to `append`, which
+/// returns the index of the row it appends.  The object's new row list, in
+/// interval order, is left in `list`.
+///
+/// A row is a pure function of its object, its interval and the properties
+/// holding over it (the label never changes), so a kept row is exactly the
+/// row a rebuild would append.  The properties are compared while borrowed
+/// from the graph: a kept row interns nothing.
+fn rederive<'a>(
+    graph: &Itpg,
+    object: Object,
+    old: &[u32],
+    state: impl Fn(u32) -> (Interval, &'a [(Arc<str>, Value)]),
+    list: &mut Vec<u32>,
+    retracted: &mut Vec<u32>,
+    mut append: impl FnMut(Interval) -> u32,
+) {
+    list.clear();
+    let mut old = old.iter().copied().peekable();
+    for segment in object_segments(graph, object) {
+        // Rows starting before the segment match none of it or later ones.
+        while let Some(row) = old.next_if(|&row| state(row).0.start() < segment.start()) {
+            retracted.push(row);
+        }
+        let same = |&row: &u32| {
+            let (interval, props) = state(row);
+            interval == segment && props_hold(props, graph, object, segment.start())
+        };
+        list.push(match old.next_if(same) {
+            Some(kept) => kept,
+            None => append(segment),
+        });
+    }
+    retracted.extend(old);
+}
+
+/// Marks the `retracted` rows dead and the rows appended past the old end
+/// live, so that `live` covers `rows` rows.  Writes (and so copies a shared
+/// vector) only if there is something to mark.
+fn tombstone(live: &mut Arc<Vec<bool>>, retracted: &[u32], rows: usize) {
+    if retracted.is_empty() && live.len() == rows {
+        return;
+    }
+    let live = Arc::make_mut(live);
+    for &row in retracted {
+        debug_assert!(live[row as usize]);
+        live[row as usize] = false;
+    }
+    live.resize(rows, true);
+}
+
+/// True if `rows` are in interval order: each row ends before the next starts.
+fn in_interval_order(rows: &[u32], interval: impl Fn(u32) -> Interval) -> bool {
+    rows.windows(2).all(|w| interval(w[0]).end() < interval(w[1]).start())
 }
 
 /// Appends `added` to a copy-on-write row vector.  A vector a snapshot still
@@ -870,8 +980,11 @@ mod tests {
         let mut itpg = sample();
         let mut rel = GraphRelations::from_itpg(&itpg);
 
-        // Extend Bob's existence (coalesces his [5,9] row away), flip his risk, add
-        // a new person with an edge to him, and extend the old edge's existence.
+        // Extend Bob's existence with a low risk: his [5,9] row is high-risk and
+        // named, so it does not coalesce with [10,12] and is kept.  Add a new
+        // person with an edge to him, and extend the old edge's existence: its
+        // [5,6] row has a location and [7,8] none, so that row is kept too.  No
+        // existing row changes state, so none is retracted.
         let mut batch = tgraph::Batch::new(1);
         batch
             .add_existence("n2", iv(10, 12))
@@ -884,8 +997,13 @@ mod tests {
             .add_existence("e1", iv(7, 8));
         let applied = itpg.apply_batch(&batch).unwrap();
         let stats = rel.apply_delta(&itpg, &applied.touched);
-        assert!(stats.node_rows_added > 0 && stats.node_rows_retracted > 0);
-        assert!(stats.edge_rows_added > 0 && stats.edge_rows_retracted > 0);
+        let appended_only = |node_rows_added, edge_rows_added| DeltaStats {
+            node_rows_added,
+            edge_rows_added,
+            ..DeltaStats::default()
+        };
+        // Bob's [10,12] and Zed's [2,8]; e9's [6,7] and e1's [7,8].
+        assert_eq!(stats, appended_only(2, 2));
 
         assert_delta_invariants(&rel);
         let bulk = GraphRelations::from_itpg(&itpg);
@@ -896,11 +1014,129 @@ mod tests {
         // still points at the same index.
         assert_eq!(rel.rows_of_node(NodeId(0)), bulk.rows_of_node(NodeId(0)));
 
-        // A second delta on top of the first behaves the same.
+        // A second delta on top of the first behaves the same.  Its property
+        // flip splits Zed's one row: it dies, and three rows replace it.
+        let zed = rel.rows_of_node(NodeId(2)).to_vec();
         let mut second = tgraph::Batch::new(2);
         second.set_property("n9", "risk", "high", iv(3, 4)).add_existence("e9", iv(3, 3));
         let applied = itpg.apply_batch(&second).unwrap();
-        rel.apply_delta(&itpg, &applied.touched);
+        let stats = rel.apply_delta(&itpg, &applied.touched);
+        assert_eq!(stats, DeltaStats { node_rows_retracted: 1, ..appended_only(3, 1) });
+        assert!(zed.iter().all(|&row| !rel.is_node_row_live(row)));
+        assert_delta_invariants(&rel);
+        assert_eq!(rel.canonical_snapshot(), GraphRelations::from_itpg(&itpg).canonical_snapshot());
+    }
+
+    /// The rows of `rel` at `indices`, by interval.
+    fn intervals(rel: &GraphRelations, indices: &[u32], of_nodes: bool) -> Vec<Interval> {
+        let interval = |row: u32| match of_nodes {
+            true => rel.node_rows()[row as usize].interval,
+            false => rel.edge_rows()[row as usize].interval,
+        };
+        indices.iter().map(|&row| interval(row)).collect()
+    }
+
+    #[test]
+    fn reasserting_the_state_of_touched_objects_changes_no_row() {
+        let mut itpg = sample();
+        let mut rel = GraphRelations::from_itpg(&itpg);
+        let pinned = rel.snapshot();
+        let mut batch = tgraph::Batch::new(1);
+        batch
+            .add_existence("n2", iv(2, 3))
+            .set_property("n1", "name", "Ann", iv(1, 9))
+            .set_property("n2", "risk", "high", iv(6, 8))
+            .add_existence("e1", iv(5, 6))
+            .set_property("e1", "loc", "park", iv(5, 5));
+        let applied = itpg.apply_batch(&batch).unwrap();
+        assert_eq!(applied.touched.len(), 3);
+        let stats = rel.apply_delta(&itpg, &applied.touched);
+        assert_eq!(stats, DeltaStats::default(), "nothing is added or retracted");
+        // No row, row list, liveness flag or existence set is written, so every
+        // column is still the pinned one.
+        assert_eq!(pinned.shared_columns(&rel), 12);
+        for n in [NodeId(0), NodeId(1)] {
+            assert_eq!(rel.rows_of_node(n), pinned.rows_of_node(n));
+        }
+        assert_eq!(rel.rows_of_edge(EdgeId(0)), pinned.rows_of_edge(EdgeId(0)));
+        assert_eq!(rel.canonical_snapshot(), pinned.canonical_snapshot());
+    }
+
+    #[test]
+    fn a_flip_inside_one_row_kills_only_that_row() {
+        let mut itpg = sample();
+        let mut rel = GraphRelations::from_itpg(&itpg);
+        let bob = rel.rows_of_node(NodeId(1)).to_vec();
+        assert_eq!(intervals(&rel, &bob, true), [iv(1, 4), iv(5, 9)]);
+        let base = rel.node_rows().len() as u32;
+        let mut batch = tgraph::Batch::new(1);
+        batch.set_property("n2", "risk", "mid", iv(6, 7));
+        let applied = itpg.apply_batch(&batch).unwrap();
+        let stats = rel.apply_delta(&itpg, &applied.touched);
+        assert_eq!(
+            stats,
+            DeltaStats { node_rows_added: 3, node_rows_retracted: 1, ..DeltaStats::default() }
+        );
+        // [1,4] keeps its index; [5,9] dies and its three pieces are appended,
+        // listed after it in interval order.
+        assert!(rel.is_node_row_live(bob[0]) && !rel.is_node_row_live(bob[1]));
+        assert_eq!(rel.rows_of_node(NodeId(1)), [bob[0], base, base + 1, base + 2]);
+        let now = rel.rows_of_node(NodeId(1)).to_vec();
+        assert_eq!(intervals(&rel, &now, true), [iv(1, 4), iv(5, 5), iv(6, 7), iv(8, 9)]);
+        assert_eq!(rel.rows_of_node(NodeId(0)), [0], "the untouched node keeps its row");
+        assert_delta_invariants(&rel);
+        assert_eq!(rel.canonical_snapshot(), GraphRelations::from_itpg(&itpg).canonical_snapshot());
+    }
+
+    #[test]
+    fn an_adjacent_extension_with_equal_properties_kills_only_the_row_it_joins() {
+        let mut itpg = sample();
+        let mut rel = GraphRelations::from_itpg(&itpg);
+        let bob = rel.rows_of_node(NodeId(1)).to_vec();
+        let base = rel.node_rows().len() as u32;
+        // Bob stays two more days, still named and high-risk: [5,9] grows to
+        // [5,11], so it dies and [1,4] does not.
+        let mut batch = tgraph::Batch::new(1);
+        batch
+            .add_existence("n2", iv(10, 11))
+            .set_property("n2", "name", "Bob", iv(10, 11))
+            .set_property("n2", "risk", "high", iv(10, 11));
+        let applied = itpg.apply_batch(&batch).unwrap();
+        let stats = rel.apply_delta(&itpg, &applied.touched);
+        assert_eq!(
+            stats,
+            DeltaStats { node_rows_added: 1, node_rows_retracted: 1, ..DeltaStats::default() }
+        );
+        assert_eq!(rel.rows_of_node(NodeId(1)), [bob[0], base]);
+        assert_eq!(intervals(&rel, &[bob[0], base], true), [iv(1, 4), iv(5, 11)]);
+        assert!(!rel.is_node_row_live(bob[1]));
+        assert_delta_invariants(&rel);
+        assert_eq!(rel.canonical_snapshot(), GraphRelations::from_itpg(&itpg).canonical_snapshot());
+    }
+
+    #[test]
+    fn an_edge_change_unlinks_only_its_retracted_rows() {
+        let mut itpg = sample();
+        let mut rel = GraphRelations::from_itpg(&itpg);
+        let e1 = rel.rows_of_edge(EdgeId(0)).to_vec();
+        assert_eq!(intervals(&rel, &e1, false), [iv(3, 3), iv(5, 6)]);
+        assert_eq!(rel.out_edge_rows(NodeId(0)), e1);
+        let base = rel.edge_rows().len() as u32;
+        // The meeting moves from the park to a bar on its last day: [5,6] dies,
+        // [5,5] and [6,6] are appended, [3,3] stays where it is.
+        let mut batch = tgraph::Batch::new(1);
+        batch.set_property("e1", "loc", "bar", iv(6, 6));
+        let applied = itpg.apply_batch(&batch).unwrap();
+        let stats = rel.apply_delta(&itpg, &applied.touched);
+        assert_eq!(
+            stats,
+            DeltaStats { edge_rows_added: 2, edge_rows_retracted: 1, ..DeltaStats::default() }
+        );
+        let now = [e1[0], base, base + 1];
+        assert_eq!(rel.rows_of_edge(EdgeId(0)), now);
+        assert_eq!(rel.out_edge_rows(NodeId(0)), now);
+        assert_eq!(rel.in_edge_rows(NodeId(1)), now);
+        assert!(!rel.is_edge_row_live(e1[1]));
         assert_delta_invariants(&rel);
         assert_eq!(rel.canonical_snapshot(), GraphRelations::from_itpg(&itpg).canonical_snapshot());
     }
@@ -1020,7 +1256,8 @@ mod tests {
         let applied = itpg.apply_batch(&batch).unwrap();
         rel.apply_delta(&itpg, &applied.touched);
 
-        // At most the touched chunk and the tail per column.
+        // At most the touched chunk and the tail per column, and only where the
+        // batch changed something: the touched node's existence did not change.
         assert_eq!(
             chunk_distances(&pinned, &rel),
             [
@@ -1030,14 +1267,16 @@ mod tests {
                 ("edge_rows_by_id", 1),
                 ("edge_rows_by_src", 1),
                 ("edge_rows_by_tgt", 1),
-                ("node_existence", 1),
+                ("node_existence", 0),
                 ("edge_existence", 1),
             ],
             "the touched node's chunk, the new edge's tail chunk, its endpoints' chunks"
         );
-        // No node was created, so the node names are the one column unwritten.
-        assert_eq!(pinned.shared_columns(&rel), 1);
+        // No node was created and no node's existence changed: those two
+        // columns are the ones unwritten.
+        assert_eq!(pinned.shared_columns(&rel), 2);
         assert!(pinned.node_names.is_shared_with(&rel.node_names));
+        assert!(pinned.node_existence.is_shared_with(&rel.node_existence));
         assert_eq!(rel.canonical_snapshot(), GraphRelations::from_itpg(&itpg).canonical_snapshot());
     }
 

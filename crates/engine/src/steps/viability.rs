@@ -887,7 +887,8 @@ impl Pass<'_> {
 mod tests {
     use super::*;
     use crate::plan::Segment;
-    use tgraph::{Batch, Interval, Itpg, ItpgBuilder};
+    use crate::relations::DeltaStats;
+    use tgraph::{Batch, EdgeId, Interval, Itpg, ItpgBuilder, NodeId};
 
     const Q9: &str =
         "MATCH (x:Person {risk = 'high'})-/FWD/:meets/FWD/NEXT*/-({test = 'pos'}) ON g";
@@ -991,12 +992,15 @@ mod tests {
         let mut graph = GraphRelations::from_itpg(&itpg);
         let dead: Vec<u32> = graph.rows_of_node(graph.node_rows()[1].node).to_vec();
         assert_eq!(graph.object_name(graph.node_rows()[1].node.into()), "bob");
-        // Touch bob and m1: their rows die in place, identical ones are appended.
+        let m1 = graph.rows_of_edge(EdgeId(0)).to_vec();
+        // Name bob and re-assert m1: bob's rows die in place and named ones are
+        // appended, m1's row is kept.
         let mut batch = Batch::new(1);
         batch.set_property("bob", "name", "Bob", iv(1, 10)).add_existence("m1", iv(3, 3));
         let applied = itpg.apply_batch(&batch).unwrap();
         graph.apply_delta(&itpg, &applied.touched);
         assert!(dead.iter().all(|&row| !graph.is_node_row_live(row)));
+        assert_eq!(graph.rows_of_edge(EdgeId(0)), m1);
         // The dead `pos` row still reads as positive through the row slice.
         assert!(dead.iter().any(|&row| graph.node_rows()[row as usize].prop("test").is_some()));
 
@@ -1093,6 +1097,26 @@ mod tests {
         b.domain(iv(1, 30)).build().unwrap()
     }
 
+    /// Applies a batch to `stays` and its relations that re-asserts eve's risk
+    /// and test where they already hold.
+    fn reassert_eve(itpg: &mut Itpg, graph: &mut GraphRelations) -> DeltaStats {
+        let mut batch = Batch::new(1);
+        batch.set_property("eve", "risk", "high", iv(1, 5));
+        batch.set_property("eve", "test", "pos", iv(21, 22));
+        let applied = itpg.apply_batch(&batch).unwrap();
+        graph.apply_delta(itpg, &applied.touched)
+    }
+
+    /// Applies a batch to `stays` and its relations that names eve on both
+    /// stays, which changes the state of every row of hers.
+    fn name_eve(itpg: &mut Itpg, graph: &mut GraphRelations) -> DeltaStats {
+        let mut batch = Batch::new(2);
+        batch.set_property("eve", "name", "Eve", iv(1, 5));
+        batch.set_property("eve", "name", "Eve", iv(10, 30));
+        let applied = itpg.apply_batch(&batch).unwrap();
+        graph.apply_delta(itpg, &applied.touched)
+    }
+
     /// The start intervals of the seed rows `text` may start from.
     fn seeds_of(graph: &GraphRelations, text: &str) -> Vec<Interval> {
         let built = build_all(&plan(text), graph);
@@ -1120,13 +1144,15 @@ mod tests {
             assert_eq!(prev, [iv(1, 5), iv(10, 14), iv(15, 19), iv(20, 22), iv(23, 26)]);
         };
         check(&graph);
-        // A delta touching eve kills her six rows in place and appends six new ones:
-        // the masks name only the new ones.
+        // A delta that re-asserts eve's state touches her and changes no row.
         let dead: Vec<u32> = (0..6).collect();
-        let mut batch = Batch::new(1);
-        batch.set_property("eve", "name", "Eve", iv(1, 5));
-        let applied = itpg.apply_batch(&batch).unwrap();
-        graph.apply_delta(&itpg, &applied.touched);
+        assert_eq!(reassert_eve(&mut itpg, &mut graph), DeltaStats::default());
+        assert_eq!(graph.rows_of_node(NodeId(0)), dead);
+        check(&graph);
+        // Naming her on both stays kills her six rows in place and appends six
+        // new ones: the masks name only the new ones.
+        let stats = name_eve(&mut itpg, &mut graph);
+        assert_eq!((stats.node_rows_retracted, stats.node_rows_added), (6, 6));
         assert!(dead.iter().all(|&row| !graph.is_node_row_live(row)));
         check(&graph);
         let q = plan("MATCH (x:Person)-/PREV[0,12]/-({risk = 'high'}) ON g");
@@ -1309,12 +1335,13 @@ mod tests {
             "MATCH (x:Person)-/PREV[0,12]/-({risk = 'high'}) ON g",
         ];
         let before = texts.map(|text| times_of(&graph, text));
-        // Eve's six rows die in place, six new ones are appended; the dead positive
-        // row still reads as positive through the row slice.
-        let mut batch = Batch::new(1);
-        batch.set_property("eve", "name", "Eve", iv(1, 5));
-        let applied = itpg.apply_batch(&batch).unwrap();
-        graph.apply_delta(&itpg, &applied.touched);
+        // Re-asserting eve's state changes no row.
+        assert_eq!(reassert_eve(&mut itpg, &mut graph), DeltaStats::default());
+        assert_eq!(graph.rows_of_node(NodeId(0)), [0, 1, 2, 3, 4, 5]);
+        assert_eq!(texts.map(|text| times_of(&graph, text)), before);
+        // Naming her, her six rows die in place and six new ones are appended;
+        // the dead positive row still reads as positive through the row slice.
+        name_eve(&mut itpg, &mut graph);
         assert!((0..6).all(|row| !graph.is_node_row_live(row)));
         assert!((0..6).any(|row| graph.node_rows()[row as usize].prop("test").is_some()));
         // `times_of` asserts every piece sits on a live row.

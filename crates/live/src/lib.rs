@@ -11,10 +11,12 @@
 //!
 //! 1. **Relation deltas** — every batch is applied to the engine's
 //!    interval-timestamped relations in place
-//!    ([`engine::GraphRelations::apply_delta`]): rows of touched objects are
-//!    retracted and recomputed, rows of untouched objects keep their indices,
-//!    and nothing derived from the rows is maintained: the first reader of the
-//!    new version recomputes what it asks for.
+//!    ([`engine::GraphRelations::apply_delta`]): a touched object's states are
+//!    re-derived, the rows whose state changed are retracted and the new
+//!    states appended, and every other row — an untouched object's, or a
+//!    touched object's the batch left as it was — keeps its index.  Nothing
+//!    derived from the rows is maintained: the first reader of the new version
+//!    recomputes what it asks for.
 //! 2. **Delta-seeded evaluation** — for a plan with a statically known hop
 //!    count `H` (every plan without a closure fixpoint), a chain seeded at a
 //!    node can only observe objects within `H` structural hops of that node, so

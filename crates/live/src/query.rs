@@ -233,9 +233,16 @@ impl QueryState {
     /// strictly inside that interval separates two states at times within it.
     /// A batch changes no state outside its times, and a live row that is not
     /// new kept its index and content, so a live seed row whose interval misses
-    /// the pending times yields the same bindings before and after.  This rests
-    /// on rows only ever appending: a compaction that renumbers node rows must
-    /// reset `rows_seen` (re-running everything) or remap the cached seed rows.
+    /// the pending times yields the same bindings before and after.  That
+    /// covers the rows a delta keeps for a touched object whose state over
+    /// them it did not change ([`GraphRelations::apply_delta`]): a kept row is
+    /// the very row a rebuild would produce, at its old index.  A row whose
+    /// state did change is tombstoned, and every row replacing it is appended
+    /// at or past `rows_seen`, so it is new, even where its interval misses the
+    /// pending times (the rest of a row split by a change at one point).  This
+    /// rests on rows only ever appending: a compaction that renumbers node rows
+    /// must reset `rows_seen` (re-running everything) or remap the cached seed
+    /// rows.
     pub(crate) fn refresh(
         &mut self,
         itpg: &Itpg,

@@ -7,7 +7,9 @@
 //! positive test — and the registered queries are refreshed incrementally
 //! instead of re-run.  The at-risk answer is empty until the positive test
 //! lands, at which point the maintained table grows to the three bindings the
-//! quickstart example computes in one shot.
+//! quickstart example computes in one shot.  Each ingested epoch prints the
+//! rows it appended and retracted: a batch keeps every row whose state it
+//! does not change.
 //!
 //! Run with `cargo run --release --example live_tracing`.
 
@@ -70,6 +72,14 @@ fn main() {
     }
     contacts.add_existence("e1", iv(5, 6));
     ingest(&mut graph, contacts, "meetings and room visits stream in");
+    report(&mut graph, at_risk, "at-risk");
+
+    // Epoch 3: Carl (n3) stays two more days, now at low risk.  His high-risk
+    // row keeps its index; only the new state is appended, and nothing is
+    // retracted.
+    let mut stay = Batch::new(3);
+    stay.add_existence("n3", iv(8, 9)).set_property("n3", "risk", "low", iv(8, 9));
+    ingest(&mut graph, stay, "Carl stays on at low risk");
     report(&mut graph, at_risk, "at-risk");
 
     // Epoch 9: Eve's positive test arrives — the maintained answer grows.

@@ -8,7 +8,8 @@
 //!   (Q1–Q12 plus the REACH structural closure and the RECUR time-aware
 //!   closure) equals a from-scratch `execute` on the materialized graph, on one
 //!   worker and on two, through a tail of batches overwriting properties at
-//!   times already ingested and renewing rows at times a batch misses;
+//!   times already ingested, extending stays and splitting rows so that new
+//!   rows lie at times a batch misses;
 //! * **(c) statistics** — after every batch, retractions included, the
 //!   `SchemaSummary` memoised in the maintained relations equals the summary
 //!   of a bulk build of the graph.
@@ -225,9 +226,10 @@ proptest! {
     /// Property (b): maintained answers equal from-scratch execution for the
     /// full benchmark suite, at every epoch.  The stream ends with the flips of
     /// property (c), which change answers at times whose rows a refresh has
-    /// already cached, and then with every person's return, which renews rows
-    /// at times the batch misses: a refresh that skips a seed row it should
-    /// re-run keeps a stale answer or loses one.
+    /// already cached, then with every person's return, and then with a flip
+    /// at one point inside a longer row, which appends rows at times the batch
+    /// misses: a refresh that skips a seed row it should re-run keeps a stale
+    /// answer or loses one.
     #[test]
     fn maintained_answers_equal_from_scratch_execution(
         nodes in prop::collection::vec(node_spec(), 2..5),
@@ -286,6 +288,11 @@ proptest! {
                     check(&mut live, &batch)?;
                 }
             }
+            for (index, spec) in nodes.iter().enumerate() {
+                if let Some(batch) = split_batch(&live, index, spec) {
+                    check(&mut live, &batch)?;
+                }
+            }
         }
     }
 
@@ -337,8 +344,8 @@ fn flip_batch(live: &LiveGraph, index: usize, spec: &NodeSpec, flip: bool) -> Op
 
 /// The batch bringing a person (`None` for a room) back for one time point two
 /// past the end of their existence in `live`, with their drawn risk.  It
-/// touches the person, so every row of theirs is recomputed, although its
-/// times meet none of the rows but the new one.
+/// touches the person, but changes none of their rows: it appends one row,
+/// the only one its times meet.
 fn return_batch(live: &LiveGraph, index: usize, spec: &NodeSpec) -> Option<Batch> {
     if spec.room {
         return None;
@@ -349,6 +356,31 @@ fn return_batch(live: &LiveGraph, index: usize, spec: &NodeSpec) -> Option<Batch
     let risk = if spec.high_risk { "high" } else { "low" };
     let mut batch = Batch::new(live.epoch().map_or(1, |epoch| epoch + 1));
     batch.add_existence(name.as_str(), back).set_property(name.as_str(), "risk", risk, back);
+    Some(batch)
+}
+
+/// The batch flipping a person's risk (`None` for a room, or for a person
+/// with no row of three time points or more) at the second time point of
+/// their first such row in `live`.  The row dies and three rows replace it:
+/// the point before the flip, the flipped point and the rest of the row.  The batch's
+/// times meet only the flipped point, so a refresh that re-runs the other two
+/// rows only because they are new is what keeps their answers.
+fn split_batch(live: &LiveGraph, index: usize, spec: &NodeSpec) -> Option<Batch> {
+    if spec.room {
+        return None;
+    }
+    let name = format!("n{index}");
+    let node = live.itpg().object_by_name(&name).expect("every node was ingested");
+    let relations = live.relations();
+    let rows = relations.rows_of_node(node.as_node().expect("people are nodes"));
+    let row = rows
+        .iter()
+        .map(|&row| &relations.node_rows()[row as usize])
+        .find(|row| row.interval.end() >= row.interval.start() + 2)?;
+    let risk = if row.prop("risk") == Some(&"high".into()) { "low" } else { "high" };
+    let inside = Interval::point(row.interval.start() + 1);
+    let mut batch = Batch::new(live.epoch().map_or(1, |epoch| epoch + 1));
+    batch.set_property(name.as_str(), "risk", risk, inside);
     Some(batch)
 }
 

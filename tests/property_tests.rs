@@ -3,11 +3,19 @@
 //! * interval sets behave like sets of time points and stay coalesced;
 //! * the point-based and interval-based graph representations are interchangeable;
 //! * the fragment-specific ITPG evaluators agree with the polynomial-time TPG
-//!   evaluator of Theorem C.1 on randomly generated graphs and expressions.
+//!   evaluator of Theorem C.1 on randomly generated graphs and expressions;
+//! * a relation delta leaves the relations a bulk build would produce, keeps
+//!   every row whose state it does not change and retracts only the rows whose
+//!   state it does.
+
+use std::fmt::Debug;
 
 use proptest::prelude::*;
 
-use tgraph::{Interval, IntervalSet, Itpg, ItpgBuilder, TemporalObject, Time};
+use engine::GraphRelations;
+use tgraph::{
+    Batch, Interval, IntervalSet, Itpg, ItpgBuilder, Mutation, Object, TemporalObject, Time,
+};
 use trpq::ast::{Axis, Path, TestExpr};
 use trpq::eval::itpg_anoi::eval_contains_anoi;
 use trpq::eval::itpg_full::eval_contains_full;
@@ -232,6 +240,124 @@ proptest! {
                 let via_anoi = eval_contains_anoi(&path, &itpg, src, dst).unwrap();
                 prop_assert_eq!(via_anoi, expected, "ANOI evaluator disagrees on {:?} -> {:?}", src, dst);
             }
+        }
+    }
+}
+
+/// One random change to an existing object of a graph, made valid against the
+/// graph by clamping its interval to where the object (or, for an edge's
+/// existence, both endpoints) exists; see [`mutations`].
+#[derive(Debug, Clone)]
+struct ChangeSpec {
+    object: usize,
+    kind: u8,
+    interval: Interval,
+    high: bool,
+}
+
+fn change_spec_strategy() -> impl Strategy<Value = ChangeSpec> {
+    (0..16usize, 0..4u8, interval_strategy(), any::<bool>())
+        .prop_map(|(object, kind, interval, high)| ChangeSpec { object, kind, interval, high })
+}
+
+/// The mutations `spec` makes on `graph`.  A node grows its existence (kind 0),
+/// grows it with a risk (kind 1), or has its risk (kind 2) or test (kind 3) set
+/// where it exists.  An edge grows its existence where both endpoints exist
+/// (kinds 0 and 1), or has its weight set where it exists (kinds 2 and 3).
+/// Setting a value an object already holds is a touch that changes nothing.
+fn mutations(graph: &Itpg, spec: &ChangeSpec) -> Vec<Mutation> {
+    let objects: Vec<Object> = graph.objects().collect();
+    let object = objects[spec.object % objects.len()];
+    let name = graph.name(object).to_owned();
+    let value = if spec.high { "high" } else { "low" };
+    let set = |prop: &str, within: &IntervalSet| -> Vec<Mutation> {
+        let pieces = within.clamp(&spec.interval);
+        let set = |&interval| Mutation::SetProperty {
+            object: name.clone(),
+            prop: prop.into(),
+            value: value.into(),
+            interval,
+        };
+        pieces.intervals().iter().map(set).collect()
+    };
+    let grow = |within: &IntervalSet| -> Vec<Mutation> {
+        let pieces = within.clamp(&spec.interval);
+        let grow = |&interval| Mutation::AddExistence { object: name.clone(), interval };
+        pieces.intervals().iter().map(grow).collect()
+    };
+    let whole = IntervalSet::from_interval(Interval::of(0, MAX_TIME));
+    match (object, spec.kind) {
+        (Object::Node(_), 0) => grow(&whole),
+        (Object::Node(_), 1) => [grow(&whole), set("risk", &whole)].concat(),
+        (Object::Node(_), kind) => {
+            set(if kind == 2 { "risk" } else { "test" }, graph.existence(object))
+        }
+        (Object::Edge(e), 0 | 1) => {
+            let ends = graph
+                .existence(graph.src(e).into())
+                .intersection(graph.existence(graph.tgt(e).into()));
+            grow(&ends)
+        }
+        (Object::Edge(_), _) => set("weight", graph.existence(object)),
+    }
+}
+
+/// Checks one relation of a delta against the relations before it: every row
+/// live on both sides holds the same content, `retracted` counts exactly the
+/// rows it killed, `added` the rows it appended, and no appended row repeats
+/// a killed one — a state the delta did not change keeps its row.
+fn check_rows<R: PartialEq + Debug>(
+    (before, live_before): (&[R], impl Fn(u32) -> bool),
+    (after, live_after): (&[R], impl Fn(u32) -> bool),
+    (retracted, added): (usize, usize),
+) -> Result<(), TestCaseError> {
+    let mut killed = Vec::new();
+    for row in (0..before.len() as u32).filter(|&row| live_before(row)) {
+        if live_after(row) {
+            prop_assert_eq!(&after[row as usize], &before[row as usize]);
+        } else {
+            killed.push(&before[row as usize]);
+        }
+    }
+    prop_assert_eq!(retracted, killed.len());
+    let appended = &after[before.len()..];
+    prop_assert_eq!(added, appended.len());
+    for row in appended {
+        prop_assert!(!killed.contains(&row), "{:?} was retracted and appended again", row);
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn deltas_keep_the_rows_they_do_not_change(
+        spec in graph_spec_strategy(),
+        batches in prop::collection::vec(prop::collection::vec(change_spec_strategy(), 1..5), 1..4),
+    ) {
+        let mut itpg = build_graph(&spec);
+        let mut rel = GraphRelations::from_itpg(&itpg);
+        for (epoch, changes) in batches.iter().enumerate() {
+            let mut batch = Batch::new(epoch as u64 + 1);
+            batch.mutations = changes.iter().flat_map(|change| mutations(&itpg, change)).collect();
+            let before = rel.snapshot();
+            let applied = itpg.apply_batch(&batch).expect("clamped changes are valid");
+            let stats = rel.apply_delta(&itpg, &applied.touched);
+            prop_assert_eq!(
+                rel.canonical_snapshot(),
+                GraphRelations::from_itpg(&itpg).canonical_snapshot()
+            );
+            check_rows(
+                (before.node_rows(), |row| before.is_node_row_live(row)),
+                (rel.node_rows(), |row| rel.is_node_row_live(row)),
+                (stats.node_rows_retracted, stats.node_rows_added),
+            )?;
+            check_rows(
+                (before.edge_rows(), |row| before.is_edge_row_live(row)),
+                (rel.edge_rows(), |row| rel.is_edge_row_live(row)),
+                (stats.edge_rows_retracted, stats.edge_rows_added),
+            )?;
         }
     }
 }
