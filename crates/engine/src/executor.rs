@@ -4,17 +4,18 @@
 //! rows.  A plan with an *existential suffix* — anything after its last bound
 //! variable — runs that suffix backwards, once, as exact per-row time sets
 //! ([`crate::steps::viability`]), and matches forward only up to the last `Bind`.
-//! Within a worker, a plan without fixpoints takes its seeds through Steps 1–2 in
-//! batches (`SEED_BATCH`) so the intermediate vectors stay small — and so the first
-//! batch can tell the rest what the plan is like: when it throws most of its
-//! traversals away at a later filter, the remaining batches may run under backward
-//! viability masks, built only when the filter they would anchor on is selective
-//! (`viability_gate`).  A plan with a fixpoint runs one batch per worker, unmasked.
+//! Within a worker, every plan takes its seeds through Steps 1–2 in batches
+//! (`SEED_BATCH`) so the intermediate vectors stay small, and the worker keeps the
+//! structural closure's scratch from one batch to the next.  The first batch of a
+//! fixpoint-free plan also tells the rest what the plan is like: when it throws most
+//! of its traversals away at a later filter, the remaining batches may run under
+//! backward viability masks, built only when the filter they would anchor on is
+//! selective (`viability_gate`).
 //! Inside a batch a match is a fixed-width [`Cursor`] writing its history to the
 //! batch's [`Trail`]; the owned [`Chain`]s everything downstream consumes are built at
 //! the end of the batch, for the cursors that survived it.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 use obs::{Span, Stopwatch};
@@ -27,7 +28,7 @@ use crate::chain::{Chain, Cursor, Trail};
 use crate::plan::analyze::{analyze, SchemaSummary};
 use crate::plan::{EnginePlan, PlanSet, TemporalLink};
 use crate::relations::GraphRelations;
-use crate::steps::closure::apply_time_closure;
+use crate::steps::closure::{apply_time_closure, Reached};
 use crate::steps::expand::expand_chunk_sorted;
 use crate::steps::structural::apply_segment;
 use crate::steps::temporal::apply_shift;
@@ -50,7 +51,7 @@ pub struct ExecutionOptions {
     /// by the property tests in `tests/plan_optimizer.rs`).
     pub optimize: bool,
     /// Whether this execution records into the process-wide metric registry
-    /// ([`obs::global`]): span timings, row counters, hop-join counts,
+    /// ([`obs::global`]): span timings, row counters, adjacency probes,
     /// closure rounds.  On by default — recording is a handful of relaxed
     /// atomics per *query* (not per row), cheap enough for release builds.
     /// When off, spans are no-ops that never read the clock and nothing is
@@ -113,9 +114,10 @@ pub struct QueryStats {
     pub interval_rows: usize,
     /// Number of rows of the final binding table — the "output size" column.
     pub output_rows: usize,
-    /// Number of closure fixpoint rounds executed during Step 1 (applications of a
-    /// repeated structural sub-expression to a frontier, or backward through an
-    /// existential suffix); 0 for plans without structural repetition.
+    /// Number of closure fixpoint rounds executed during Step 1: applications of a
+    /// repeated structural sub-expression to the frontier of one start state, summed
+    /// over the start states, or backward rounds through an existential suffix
+    /// ([`StepStats::closure_rounds`]); 0 for plans without structural repetition.
     pub closure_rounds: usize,
     /// Number of time-crossing closure rounds executed (applications of a repeated
     /// group mixing structural and temporal navigation, e.g. `(FWD/NEXT)*`, to a
@@ -188,7 +190,7 @@ impl IntervalPhase {
 
     /// Folds the finished execution into the metric registry: one histogram
     /// sample per span-tree node with a measured duration, plus the row /
-    /// round / hop-join counters.  No-op when telemetry is off.
+    /// round / probe counters.  No-op when telemetry is off.
     fn record_metrics(&self, stats: &QueryStats, telemetry: bool) {
         if !telemetry {
             return;
@@ -201,7 +203,7 @@ impl IntervalPhase {
         m.rows_output.add(stats.output_rows as u64);
         m.closure_rounds.add(stats.closure_rounds as u64);
         m.time_rounds.add(stats.time_rounds as u64);
-        m.joins_hash.add(self.step_stats.hash_joins.load(Ordering::Relaxed) as u64);
+        m.joins_hash.add(self.step_stats.hop_probes.load(Ordering::Relaxed) as u64);
         m.hop_cursors.add(self.step_stats.hop_cursors.load(Ordering::Relaxed) as u64);
         for (counter, count) in [
             (&m.viability_built, &self.step_stats.viability_built),
@@ -355,7 +357,7 @@ pub fn run_plan_seeded(
     run_plan_batched(plan, graph, seed_rows, parallelism, stats, SEED_BATCH)
 }
 
-/// Seed rows a fixpoint-free pipeline takes through Steps 1–2 at a time.
+/// Seed rows a pipeline takes through Steps 1–2 at a time.
 ///
 /// A hop can fan one seed out to dozens of cursors and every step holds its
 /// input and its output at once, so all seeds in one batch peak at several
@@ -369,22 +371,27 @@ pub fn run_plan_seeded(
 /// batch also bounds the [`Trail`]: the history of every match the batch
 /// started, dead or alive, is dropped with it.  The size is not tuned: 256 to
 /// 8192 time the same.
+///
+/// A closure runs each distinct start state of the batch it is handed once, so
+/// a start state that cursors of several batches reach runs once per batch.
+/// That happens only to a closure that starts somewhere other than the seed row
+/// — after a hop, or nested in another closure — and `closure_rounds` and
+/// `hop_cursors` count the repeats ([`StepStats`]).  REACH's closure starts on
+/// the seed row.
 const SEED_BATCH: usize = 1024;
 
 /// [`run_plan_seeded`] with the batch length as a parameter, for the tests that
-/// pin masked ≡ unmasked on graphs far smaller than [`SEED_BATCH`] rows.
+/// pin chains and counters on graphs far smaller than [`SEED_BATCH`] rows.
 ///
-/// A plan with an existential suffix is split at its last `Bind`: the suffix is
-/// walked back exactly, once, on the calling thread ([`Viability::build_suffix`],
-/// counted as a built pass), and the prefix runs cut to its times — in batches under
-/// its masks, or one batch per worker and unmasked if the prefix has a fixpoint.  The
-/// rule is the plan's shape; nothing else selects it.  Otherwise, a plan with a
-/// fixpoint keeps each worker's seeds together — the closures seed once per distinct
-/// start state of the batch they are handed — and runs unmasked, as do seeds that fit
-/// one batch.  Anything else runs its first batch on the calling thread as the
-/// *sample* that sets the scan limit of [`viability_gate`], then the rest, batch by
-/// batch across the workers, under whatever masks the gate built.  Masks never change
-/// the chains or their order, which is by seed whatever the batching.
+/// Every plan takes its seeds batch by batch across the workers, and each worker
+/// keeps one closure scratch for all its batches.  A plan with an existential suffix
+/// is split at its last `Bind`: the suffix is walked back exactly, once, on the
+/// calling thread ([`Viability::build_suffix`], counted as a built pass), and the
+/// prefix runs cut to its times, under its masks.  Otherwise a plan with a fixpoint,
+/// and any seeds that fit one batch, run unmasked.  Anything else runs its first
+/// batch on the calling thread as the *sample* that sets the scan limit of
+/// [`viability_gate`], then the rest under whatever masks the gate built.  Masks
+/// never change the chains or their order, which is by seed whatever the batching.
 pub(crate) fn run_plan_batched(
     plan: &EnginePlan,
     graph: &GraphRelations,
@@ -393,93 +400,47 @@ pub(crate) fn run_plan_batched(
     stats: &StepStats,
     batch_len: usize,
 ) -> Vec<Chain> {
-    if let Some((prefix, viability)) = Viability::build_suffix(plan, graph, stats) {
-        stats.viability_built.fetch_add(1, Ordering::Relaxed);
-        stats.viability_rows_visited.fetch_add(viability.rows_visited, Ordering::Relaxed);
-        let pipeline = Pipeline { plan: &prefix, graph, viability: Some(&viability), parallelism };
-        if prefix.has_fixpoint() {
-            return pipeline.one_batch_each(seed_rows, stats);
-        }
-        let mut chains = Vec::with_capacity(seed_rows.len());
-        pipeline.batches(seed_rows, stats, batch_len, 0, &mut chains);
-        return chains;
-    }
-    let unmasked = Pipeline { plan, graph, viability: None, parallelism };
-    if plan.has_fixpoint() || seed_rows.len() <= batch_len {
-        return unmasked.one_batch_each(seed_rows, stats);
-    }
-    let (sample, rest) = seed_rows.split_at(batch_len);
     let mut chains = Vec::with_capacity(seed_rows.len());
-    let sample_stats = StepStats::default();
-    run_batch(plan, graph, sample, None, &sample_stats, &mut chains);
-    let traversals = sample_stats.hop_cursors.load(Ordering::Relaxed);
-    stats.hop_cursors.fetch_add(traversals, Ordering::Relaxed);
-    let waste = traversals.saturating_sub(chains.len() * plan.hop_count());
-    let scan_limit =
-        if 2 * waste > traversals { waste * rest.len().div_ceil(batch_len) } else { 0 };
-    let viability = viability_gate(plan, graph, scan_limit, stats);
-    let masked = Pipeline { viability: viability.as_ref(), ..unmasked };
-    let sample_joins = sample_stats.hash_joins.load(Ordering::Relaxed);
-    masked.batches(rest, stats, batch_len, sample_joins, &mut chains);
-    chains
-}
-
-/// Steps 1–2 of one plan as every batch of a [`run_plan_batched`] call runs them.
-#[derive(Clone, Copy)]
-struct Pipeline<'a> {
-    plan: &'a EnginePlan,
-    graph: &'a GraphRelations,
-    viability: Option<&'a Viability>,
-    parallelism: Parallelism,
-}
-
-impl Pipeline<'_> {
-    /// Each worker's share of `seed_rows` as one batch.
-    fn one_batch_each(&self, seed_rows: &[u32], stats: &StepStats) -> Vec<Chain> {
-        par_chunk_flat_map(seed_rows, self.parallelism, |rows| {
-            // One chain per seed is where a pipeline without fan-out ends as well.
-            let mut chains = Vec::with_capacity(rows.len());
-            run_batch(self.plan, self.graph, rows, self.viability, stats, &mut chains);
-            chains
-        })
-    }
-
-    /// `seed_rows` batch by batch across the workers, the chains appended to
-    /// `chains`.  Hop joins stay counted as the one batch all of them stand for: a
-    /// fixpoint-free pipeline runs a prefix of its hops on every batch, one batch of
-    /// every seed would have run the longest of them — `furthest` is where a sample
-    /// run before got to.
-    fn batches(
-        &self,
-        seed_rows: &[u32],
-        stats: &StepStats,
-        batch_len: usize,
-        furthest: usize,
-        chains: &mut Vec<Chain>,
-    ) {
-        let furthest = AtomicUsize::new(furthest);
-        let run_batches = |rows: &[u32], chains: &mut Vec<Chain>| {
-            for batch in rows.chunks(batch_len) {
-                let batch_stats = StepStats::default();
-                run_batch(self.plan, self.graph, batch, self.viability, &batch_stats, chains);
-                let joins = batch_stats.hash_joins.load(Ordering::Relaxed);
-                furthest.fetch_max(joins, Ordering::Relaxed);
-                let hop_cursors = batch_stats.hop_cursors.load(Ordering::Relaxed);
-                stats.hop_cursors.fetch_add(hop_cursors, Ordering::Relaxed);
-            }
-        };
-        if self.parallelism.threads() <= 1 {
-            // Straight into the caller's vector: no second copy of the chains.
-            run_batches(seed_rows, chains);
-        } else {
-            chains.extend(par_chunk_flat_map(seed_rows, self.parallelism, |rows| {
-                let mut chains = Vec::with_capacity(rows.len());
-                run_batches(rows, &mut chains);
-                chains
-            }));
+    let suffix = Viability::build_suffix(plan, graph, stats);
+    let gate;
+    let (plan, seed_rows, viability) = match &suffix {
+        Some((prefix, viability)) => {
+            stats.viability_built.fetch_add(1, Ordering::Relaxed);
+            stats.viability_rows_visited.fetch_add(viability.rows_visited, Ordering::Relaxed);
+            (prefix, seed_rows, Some(viability))
         }
-        stats.hash_joins.fetch_add(furthest.into_inner(), Ordering::Relaxed);
+        None if plan.has_fixpoint() || seed_rows.len() <= batch_len => (plan, seed_rows, None),
+        None => {
+            let (sample, rest) = seed_rows.split_at(batch_len);
+            // Nothing else counts into `stats` while the calling thread runs the sample.
+            let before = stats.hop_cursors.load(Ordering::Relaxed);
+            run_batch(plan, graph, sample, None, &mut Reached::default(), stats, &mut chains);
+            let traversals = stats.hop_cursors.load(Ordering::Relaxed) - before;
+            let waste = traversals.saturating_sub(chains.len() * plan.hop_count());
+            let scan_limit =
+                if 2 * waste > traversals { waste * rest.len().div_ceil(batch_len) } else { 0 };
+            gate = viability_gate(plan, graph, scan_limit, stats);
+            (plan, rest, gate.as_ref())
+        }
+    };
+    let run_batches = |rows: &[u32], chains: &mut Vec<Chain>| {
+        // Sized to the graph at its first use; the graph is the same for the call.
+        let mut reached = Reached::default();
+        for batch in rows.chunks(batch_len) {
+            run_batch(plan, graph, batch, viability, &mut reached, stats, chains);
+        }
+    };
+    if parallelism.threads() <= 1 {
+        // Straight into the caller's vector: no second copy of the chains.
+        run_batches(seed_rows, &mut chains);
+    } else {
+        chains.extend(par_chunk_flat_map(seed_rows, parallelism, |rows| {
+            let mut chains = Vec::with_capacity(rows.len());
+            run_batches(rows, &mut chains);
+            chains
+        }));
     }
+    chains
 }
 
 /// Decides whether the remaining batches of a fixpoint-free plan that binds its last
@@ -538,12 +499,13 @@ fn viability_gate(
 /// `viability` a seed, a shift and a hop only choose rows the masks allow, and if it
 /// carries the times of an existential suffix — `plan` is then the prefix up to the
 /// last `Bind` — every survivor is cut to the pieces of its row's times inside its
-/// interval, one cursor per piece.
+/// interval, one cursor per piece.  The structural closures run over `reached`.
 fn run_batch(
     plan: &EnginePlan,
     graph: &GraphRelations,
     rows: &[u32],
     viability: Option<&Viability>,
+    reached: &mut Reached,
     stats: &StepStats,
     chains: &mut Vec<Chain>,
 ) {
@@ -569,7 +531,7 @@ fn run_batch(
                 }
             };
         }
-        cursors = apply_segment(graph, cursors, segment, viable, &mut trail, stats);
+        cursors = apply_segment(graph, cursors, segment, viable, reached, &mut trail, stats);
         if cursors.is_empty() {
             return;
         }
@@ -922,25 +884,34 @@ mod tests {
     const Q9_Y: &str =
         "MATCH (x:Person {risk = 'high'})-/FWD/:meets/FWD/NEXT*/-(y {test = 'pos'}) ON g";
 
+    /// `[hop_probes, hop_cursors, closure_rounds]`.
+    fn work(stats: &StepStats) -> [usize; 3] {
+        [&stats.hop_probes, &stats.hop_cursors, &stats.closure_rounds]
+            .map(|counter| counter.load(Ordering::Relaxed))
+    }
+
     #[test]
     fn seed_batches_leave_chains_and_hop_joins_as_one_batch_would() {
         let g = ring(2 * SEED_BATCH + 300);
         let seeds = g.seed_rows();
         assert!(seeds.len() > 2 * SEED_BATCH);
+        // Five slices against three batches, their bounds apart: only a count per
+        // cursor or per state adds up the same both ways.
+        let slice_len = SEED_BATCH / 2 - 7;
         let mut masked_queries = Vec::new();
         for text in [
             "MATCH (x:Person {risk = 'high'})-[z:meets]->(y:Person {risk = 'low'}) ON g",
             Q9_Y,
             "MATCH (x:Person {risk = 'none'})-/FWD/:meets/FWD/-(y) ON g",
+            REACH,
         ] {
             for plan in &plans(text) {
-                assert!(!plan.has_fixpoint(), "{text}");
                 let batched = StepStats::default();
                 let chains = run_plan_seeded(plan, &g, &seeds, Parallelism::sequential(), &batched);
                 // Slices no longer than a batch run as one batch each: no sample,
                 // no gate, no mask.
-                let (mut expected, mut furthest, mut traversals) = (Vec::new(), 0, 0);
-                for slice in seeds.chunks(SEED_BATCH - 7) {
+                let (mut expected, mut sliced) = (Vec::new(), [0; 3]);
+                for slice in seeds.chunks(slice_len) {
                     let stats = StepStats::default();
                     expected.extend(run_plan_seeded(
                         plan,
@@ -949,21 +920,29 @@ mod tests {
                         Parallelism::sequential(),
                         &stats,
                     ));
-                    furthest = furthest.max(stats.hash_joins.load(Ordering::Relaxed));
-                    traversals += stats.hop_cursors.load(Ordering::Relaxed);
+                    for (sum, count) in sliced.iter_mut().zip(work(&stats)) {
+                        *sum += count;
+                    }
                     assert_eq!(viability_outcomes(&stats), (0, 0), "{text}");
                 }
                 assert_eq!(chains, expected, "{text}");
                 assert_eq!(chains.is_empty(), text.contains("'none'"), "{text}");
-                assert_eq!(furthest == 0, chains.is_empty(), "{text}");
-                assert_eq!(batched.hash_joins.load(Ordering::Relaxed), furthest, "{text}");
-                // Traversals, unlike joins, are counted per cursor: batches add up —
-                // unless a mask kept the later batches off rows that lead nowhere.
+                assert_eq!(sliced[0] == 0, chains.is_empty(), "{text}");
+                assert_eq!(sliced[2] > 0, plan.has_fixpoint(), "{text}");
+                // Every counter is a sum of what ran, so the slices add up to the
+                // whole — unless a mask kept the later batches off rows that lead
+                // nowhere.  REACH's closure starts on the seed row, so its start
+                // states are the seeds however they are batched.
                 let (masked, outcomes) = viability_outcomes(&batched);
-                assert_eq!(outcomes, 1, "one gate decision per multi-batch call: {text}");
-                let whole = batched.hop_cursors.load(Ordering::Relaxed);
-                assert!(whole <= traversals && whole >= chains.len(), "{text}");
-                assert_eq!(whole == traversals, masked == 0, "{text}");
+                let gated = usize::from(!plan.has_fixpoint());
+                assert_eq!(outcomes, gated, "one gate decision per multi-batch call: {text}");
+                let whole = work(&batched);
+                assert!(whole[1] >= chains.len(), "{text}");
+                if masked == 0 {
+                    assert_eq!(whole, sliced, "{text}");
+                } else {
+                    assert!(whole[0] < sliced[0] && whole[1] < sliced[1], "{text}");
+                }
                 masked_queries.extend((masked == 1).then_some(text));
             }
         }
@@ -976,7 +955,7 @@ mod tests {
         let whole = StepStats::default();
         let chains = run_plan_seeded(q9, &g, &seeds, Parallelism::sequential(), &whole);
         let mut sliced = Vec::new();
-        for slice in seeds.chunks(SEED_BATCH - 7) {
+        for slice in seeds.chunks(slice_len) {
             let stats = StepStats::default();
             sliced.extend(run_plan_seeded(q9, &g, slice, Parallelism::sequential(), &stats));
             assert_eq!(viability_outcomes(&stats), (1, 1));
@@ -984,8 +963,7 @@ mod tests {
         assert_eq!(chains, sliced);
         assert!(!chains.is_empty() && chains.iter().all(|chain| chain.seg_intervals.is_empty()));
         assert_eq!(viability_outcomes(&whole), (1, 1));
-        let work = (whole.hop_cursors.load(Ordering::Relaxed), whole.hash_joins.into_inner());
-        assert_eq!(work, (0, 0));
+        assert_eq!(work(&whole)[..2], [0, 0]);
     }
 
     #[test]
@@ -1151,20 +1129,27 @@ mod tests {
     const RECUR: &str =
         "MATCH (x:Person {risk = 'high'})-/(FWD/:meets/FWD/NEXT)*/NEXT*/-({test = 'pos'}) ON g";
 
+    /// REACH as `closure-g2` runs it.
+    const REACH: &str = "MATCH (x:Person {risk = 'high'})-/(FWD/:meets/FWD)*/-(y:Person) ON g";
+
     /// `closure-g2`'s two plans with their last node bound, REACH also ending on
     /// RECUR's rare filter: behind a selective anchor or not, they run unmasked.
     const FIXPOINTS: [&str; 3] = [
         "MATCH (x:Person {risk = 'high'})-/(FWD/:meets/FWD)*/-(y {test = 'pos'}) ON g",
         "MATCH (x:Person {risk = 'high'})-/(FWD/:meets/FWD/NEXT)*/NEXT*/-(y {test = 'pos'}) ON g",
-        "MATCH (x:Person {risk = 'high'})-/(FWD/:meets/FWD)*/-(y:Person) ON g",
+        REACH,
+    ];
+
+    /// Closures that start somewhere other than the seed row — after a hop, or
+    /// nested in another closure — so a start state can recur in several batches.
+    const OFF_SEED: [&str; 2] = [
+        "MATCH (x:Person {risk = 'high'})-/FWD/:meets/FWD/(FWD/:meets/FWD)*/-(y:Person) ON g",
+        "MATCH (x:Person {risk = 'high'})-/((FWD/:meets/FWD)[1,2] + BWD/:meets/BWD)*/-(y) ON g",
     ];
 
     #[test]
     fn masked_fixpoints_return_the_unmasked_chains_in_the_same_order() {
-        let work = |stats: &StepStats| {
-            let rounds = &stats.time_closure_rounds;
-            (stats.hop_cursors.load(Ordering::Relaxed), rounds.load(Ordering::Relaxed))
-        };
+        let window = "MATCH (x:Person {risk = 'high'})-/(FWD/:meets/FWD)[2,3]/-(y:Person) ON g";
         for g in [contact(0), contact(1), ring(150)] {
             let seeds = g.seed_rows();
             // RECUR as written runs its closure backwards only, once per call, and
@@ -1175,27 +1160,45 @@ mod tests {
                 let parallelism = Parallelism::with_threads(threads);
                 let chains = run_plan_seeded(recur, &g, &seeds, parallelism, &stats);
                 assert_eq!(viability_outcomes(&stats), (1, 1), "RECUR on {threads} threads");
-                assert!(work(&stats).1 > 0, "the backward fixpoint counts its rounds");
+                let rounds = stats.time_closure_rounds.load(Ordering::Relaxed);
+                assert!(rounds > 0, "the backward fixpoint counts its rounds");
                 chains
             });
             assert!(!runs[0].is_empty() && runs.iter().all(|chains| *chains == runs[0]));
             assert!(runs[0].iter().all(|chain| chain.lags.is_empty()), "no closure crossed");
-            for text in FIXPOINTS {
+            for text in FIXPOINTS.iter().chain([&window]).chain(&OFF_SEED) {
                 let plan = &plans(text)[0];
                 assert!(plan.has_fixpoint());
                 // All seeds in one batch and no masks.
-                let (plain, mut expected) = (StepStats::default(), Vec::new());
-                run_batch(plan, &g, &seeds, None, &plain, &mut expected);
+                let plain = StepStats::default();
+                let sequential = Parallelism::sequential();
+                let expected = run_plan_batched(plan, &g, &seeds, sequential, &plain, seeds.len());
                 assert!(!expected.is_empty(), "{text}");
-                for threads in [1, 2, 8] {
+                let time_rounds =
+                    |stats: &StepStats| stats.time_closure_rounds.load(Ordering::Relaxed);
+                let sliced = [(1, 1), (3, 1), (8, 1), (1, 4), (3, 4), (8, 4)];
+                let one_each = [1, 2, 8].map(|threads| (SEED_BATCH, threads));
+                for (batch_len, threads) in sliced.into_iter().chain(one_each) {
+                    let context = format!("{text} × {batch_len} × {threads} threads");
                     let stats = StepStats::default();
                     let parallelism = Parallelism::with_threads(threads);
-                    let chains = run_plan_seeded(plan, &g, &seeds, parallelism, &stats);
-                    assert_eq!(chains, expected, "{text} on {threads} threads");
-                    let outcomes = viability_outcomes(&stats);
-                    assert_eq!(outcomes, (0, 0), "{text} on {threads} threads: no gate");
-                    if threads == 1 {
-                        assert_eq!(work(&stats), work(&plain), "{text}");
+                    let chains = run_plan_batched(plan, &g, &seeds, parallelism, &stats, batch_len);
+                    assert_eq!(chains, expected, "{context}");
+                    assert_eq!(viability_outcomes(&stats), (0, 0), "{context}: no gate");
+                    // A start state runs once per batch that reaches it: the seed
+                    // rows are distinct, so a closure on them does no more work.
+                    let (batched, whole) = (work(&stats), work(&plain));
+                    if OFF_SEED.contains(text) {
+                        assert!(batched.iter().zip(&whole).all(|(b, w)| b >= w), "{context}");
+                    } else {
+                        assert_eq!(batched, whole, "{context}");
+                    }
+                    // The band fixpoint moves a batch's start states through the
+                    // rounds together: each batch runs as many as its deepest.
+                    if batch_len >= seeds.len() && threads == 1 {
+                        assert_eq!(time_rounds(&stats), time_rounds(&plain), "{context}");
+                    } else {
+                        assert!(time_rounds(&stats) >= time_rounds(&plain), "{context}");
                     }
                 }
             }

@@ -351,7 +351,7 @@ impl GraphRelations {
             node_names.push(graph.name(o).to_owned());
             node_existence.push(graph.existence(o).clone());
             let label = interner.intern(graph.label(o));
-            for segment in object_segments(graph, o) {
+            for segment in graph.segments(o) {
                 let props = interner.props_at(graph, o, segment.start());
                 node_rows_by_id[n.index()].push(nodes.len() as u32);
                 nodes.push(NodeRow { node: n, label: label.clone(), props, interval: segment });
@@ -370,7 +370,7 @@ impl GraphRelations {
             edge_existence.push(graph.existence(o).clone());
             let label = interner.intern(graph.label(o));
             let (src, tgt) = (graph.src(e), graph.tgt(e));
-            for segment in object_segments(graph, o) {
+            for segment in graph.segments(o) {
                 let props = interner.props_at(graph, o, segment.start());
                 let row_index = edges.len() as u32;
                 edge_rows_by_id[e.index()].push(row_index);
@@ -757,30 +757,6 @@ impl GraphRelations {
     }
 }
 
-/// Splits the lifetime of an object into maximal intervals during which none of its
-/// property values change, staying within its existence intervals.
-fn object_segments(graph: &Itpg, object: Object) -> Vec<Interval> {
-    let existence = graph.existence(object);
-    let mut boundaries: Vec<Time> = Vec::new();
-    for iv in existence.intervals() {
-        boundaries.push(iv.start());
-        boundaries.push(iv.end() + 1);
-    }
-    for (_, history) in graph.properties(object) {
-        for (_, iv) in history.entries() {
-            boundaries.push(iv.start());
-            boundaries.push(iv.end() + 1);
-        }
-    }
-    boundaries.sort_unstable();
-    boundaries.dedup();
-    boundaries
-        .windows(2)
-        .filter(|w| existence.contains(w[0]))
-        .map(|w| Interval::of(w[0], w[1] - 1))
-        .collect()
-}
-
 /// Re-derives the rows of one touched object in a single merge walk over its
 /// old rows (`old`, in interval order; `state` reads a row's interval and
 /// properties) and its new segments, both in interval order.  An old row whose
@@ -804,7 +780,7 @@ fn rederive<'a>(
 ) {
     list.clear();
     let mut old = old.iter().copied().peekable();
-    for segment in object_segments(graph, object) {
+    for segment in graph.segments(object) {
         // Rows starting before the segment match none of it or later ones.
         while let Some(row) = old.next_if(|&row| state(row).0.start() < segment.start()) {
             retracted.push(row);
@@ -1388,5 +1364,21 @@ mod tests {
         assert_eq!(rel.existence_interval_at(Object::Node(NodeId(0)), 5), Some(iv(1, 9)));
         assert_eq!(rel.existence_interval_at(Object::Edge(EdgeId(0)), 4), None);
         assert_eq!(rel.domain(), iv(1, 11));
+    }
+
+    #[test]
+    fn a_row_reaching_the_end_of_time_loads_and_answers() {
+        let mut b = ItpgBuilder::new();
+        let ann = b.add_node("ann", "Person").unwrap();
+        b.add_existence(ann, iv(5, Time::MAX)).unwrap();
+        let itpg = b.domain(iv(0, Time::MAX)).build().unwrap();
+        assert_eq!(itpg.num_temporal_nodes(), 1);
+        let rel = GraphRelations::from_itpg(&itpg);
+        let intervals: Vec<Interval> = rel.node_rows().iter().map(|row| row.interval).collect();
+        assert_eq!(intervals, [iv(5, Time::MAX)]);
+        let q1 = crate::Query::benchmark(trpq::queries::QueryId::Q1).run(&rel);
+        let table = q1.into_output().expect("the default mode materialises").table;
+        let rows = table.render(|object| rel.object_name(object).to_owned());
+        assert_eq!(rows, [["ann".to_owned(), format!("[5, {}]", Time::MAX)]]);
     }
 }

@@ -4,7 +4,7 @@
 //! Two fixpoints live here, sharing the seed handling and the hop and filter
 //! primitives of [`crate::steps::structural`]:
 //!
-//! **Structural closure** ([`apply_closure`]).  A purely structural [`ClosureOp`]
+//! **Structural closure** (`apply_closure`).  A purely structural [`ClosureOp`]
 //! (hops and filters, possibly with union alternatives and nested closures) is
 //! evaluated *semi-naively* (delta-driven), one start state at a time: after the
 //! mandatory first `min` iterations, each round applies the body only to the
@@ -17,20 +17,15 @@
 //! accumulated coverage grows monotonically and the loop terminates.  The body runs
 //! depth-first per delta entry, with no intermediate vectors, and a derived state is
 //! checked against the reached set on the spot: one slot per node row and per edge
-//! row, allocated once per call and stamped with the state's generation, so the next
-//! state starts from an empty set without clearing anything (a row's coverage is one
-//! inline interval until it splits into an [`IntervalSet`]).
-//!
-//! The states of a call used to move through the rounds in lockstep, and the counters
-//! still read what that loop counted ([`StepStats`]).  A state's rounds depend on the
-//! state alone, so the lockstep loop ran as many rounds as the deepest state; the hop
-//! cursors are the sum over the states; and the loop probed a relation once per
-//! round, body step and kind of row any state sat on there, which is what is tallied.
-//! A nested closure was one call per round and body step over the distinct states of
-//! every outer state there; it still is, each state run once and its result reused.
-//! Coalescing each round's new pieces makes the next frontier the maximal intervals
-//! of the points the round reached first, whatever the order of the derivations, so
-//! every state walks exactly its lockstep derivations.
+//! row, which each executor worker allocates once and keeps for every batch it runs,
+//! stamped with the state's generation, so the next state starts from an empty set
+//! without clearing anything (a row's coverage is one inline interval until it
+//! splits into an [`IntervalSet`]).  A closure nested in the body depends on its
+//! start state alone, so it runs each state once per call of the outer closure and
+//! hands the result on from then on.  Coalescing each round's new pieces makes the
+//! next frontier the maximal intervals of the points the round reached first,
+//! whatever the order of the derivations, so the rounds a state runs and the hops
+//! it makes are a function of the state.
 //!
 //! **Time-aware closure** ([`apply_time_closure`]).  When the repeated body mixes
 //! structural and temporal navigation (`(FWD/NEXT)*`-style, [`ClosureStep::Shift`]s
@@ -98,14 +93,17 @@ fn dedup_seeds<C: StructuralCursor>(cursors: &[C]) -> (Vec<(Position, Interval)>
 /// output cursor per reachable `(source, row, coalesced interval)` triple.  The output
 /// is emitted in canonical `(input cursor, position, interval)` order, so its
 /// cardinality and content are independent of the order the inner hops derive rows in.
-pub fn apply_closure<C: StructuralCursor>(
+/// `reached` is the caller's scratch, sized to `graph` at its first use and kept for
+/// the next call over the same graph.
+pub(crate) fn apply_closure<C: StructuralCursor>(
     graph: &GraphRelations,
     cursors: Vec<C>,
     closure: &ClosureOp,
+    reached: &mut Reached,
     stats: &StepStats,
 ) -> Vec<C> {
     let watch = stats.timed.then(obs::Stopwatch::start);
-    let out = apply_closure_untimed(graph, cursors, closure, stats);
+    let out = apply_closure_untimed(graph, cursors, closure, reached, stats);
     if let Some(watch) = watch {
         stats.closure_nanos.fetch_add(watch.elapsed_nanos(), Ordering::Relaxed);
     }
@@ -116,6 +114,7 @@ fn apply_closure_untimed<C: StructuralCursor>(
     graph: &GraphRelations,
     cursors: Vec<C>,
     closure: &ClosureOp,
+    reached: &mut Reached,
     stats: &StepStats,
 ) -> Vec<C> {
     debug_assert!(
@@ -123,7 +122,7 @@ fn apply_closure_untimed<C: StructuralCursor>(
         "time-crossing closures compile to a TemporalLink, not a segment micro-op"
     );
     let (distinct, seed_of) = dedup_seeds(&cursors);
-    let mut fixpoint = Fixpoint::new(graph, closure);
+    let mut fixpoint = Fixpoint::new(graph, closure, std::mem::take(reached));
     let mut tally = Tally::default();
     let mut results = Vec::new();
     let mut result_of = Vec::with_capacity(distinct.len());
@@ -132,6 +131,7 @@ fn apply_closure_untimed<C: StructuralCursor>(
         fixpoint.run(position, interval, &mut tally, &mut results);
         result_of.push(start..results.len());
     }
+    *reached = fixpoint.reached;
     tally.record(stats);
 
     // Emit per input cursor, in input order: cursors sharing a start state share its
@@ -145,16 +145,13 @@ fn apply_closure_untimed<C: StructuralCursor>(
 }
 
 /// The structural fixpoint of one closure, run one start state at a time over scratch
-/// that lives as long as the call: the state's reached set, its frontier, and the
-/// fixpoints of the closures nested in the body.
+/// that lives at least as long as the call: the state's reached set, its frontier,
+/// and the closures nested in the body.
 struct Fixpoint<'a> {
     graph: &'a GraphRelations,
     closure: &'a ClosureOp,
-    /// The flat index of each alternative's first step; body steps are tallied per
-    /// `(round, flat step)`.
+    /// The flat index of each alternative's first step.
     first_step: Vec<usize>,
-    /// The number of body steps, over every alternative.
-    steps: usize,
     /// The round being applied, counted from 0 at the state's seed.
     round: usize,
     /// Whether the round accumulates into `reached` (phase 2) or replaces the
@@ -166,12 +163,22 @@ struct Fixpoint<'a> {
     /// What the round derives (phase 1), or the pieces of it not reached before
     /// (phase 2).
     next: Vec<(Position, Interval)>,
-    /// Per flat step, the fixpoint of the closure nested there, built on first use.
-    nested: Vec<Option<Fixpoint<'a>>>,
+    /// Per flat step, the closure nested there, built on first use.
+    nested: Vec<Option<Nested<'a>>>,
+}
+
+/// A closure nested in a body step: its fixpoint, and the result of every start
+/// state it has run.  A result depends on the start state alone, so each state
+/// runs once per call of the outer closure.
+struct Nested<'a> {
+    fixpoint: Fixpoint<'a>,
+    /// Where each start state's result sits in `results`.
+    seen: HashMap<(Position, Interval), Range<usize>>,
+    results: Vec<(Position, Interval)>,
 }
 
 impl<'a> Fixpoint<'a> {
-    fn new(graph: &'a GraphRelations, closure: &'a ClosureOp) -> Self {
+    fn new(graph: &'a GraphRelations, closure: &'a ClosureOp, reached: Reached) -> Self {
         let mut first_step = Vec::with_capacity(closure.alternatives.len());
         let mut steps = 0;
         for alternative in &closure.alternatives {
@@ -182,10 +189,9 @@ impl<'a> Fixpoint<'a> {
             graph,
             closure,
             first_step,
-            steps,
             round: 0,
             accumulate: false,
-            reached: Reached::default(),
+            reached,
             frontier: Vec::new(),
             next: Vec::new(),
             nested: (0..steps).map(|_| None).collect(),
@@ -219,7 +225,7 @@ impl<'a> Fixpoint<'a> {
         while self.round < closure.min as usize {
             self.apply_body(tally);
             if self.frontier.is_empty() {
-                tally.rounds = tally.rounds.max(self.round);
+                tally.rounds += self.round;
                 return;
             }
         }
@@ -237,7 +243,7 @@ impl<'a> Fixpoint<'a> {
             self.apply_body(tally);
             remaining = remaining.map(|r| r - 1);
         }
-        tally.rounds = tally.rounds.max(self.round);
+        tally.rounds += self.round;
         self.reached.emit(out);
     }
 
@@ -246,10 +252,6 @@ impl<'a> Fixpoint<'a> {
     /// frontier.  Coalescing makes the frontier a canonical function of the points
     /// derived, so every round — and every count — is independent of derivation order.
     fn apply_body(&mut self, tally: &mut Tally) {
-        let probed = (self.round + 1) * self.steps;
-        if tally.probed.len() < probed {
-            tally.probed.resize(probed, 0);
-        }
         self.next.clear();
         let frontier = std::mem::take(&mut self.frontier);
         for &(position, interval) in &frontier {
@@ -264,8 +266,9 @@ impl<'a> Fixpoint<'a> {
 
     /// Takes one state depth-first through the body alternative at `alternative`, from
     /// step `step` on: a hop fans out over the adjacency index, a filter clamps, a
-    /// nested closure runs each state it is handed once per round to its own fixpoint.  What leaves the last step is
-    /// derived at once — in phase 2, checked against the reached set on the spot.
+    /// nested closure hands on its memoised result for the state.  What leaves the
+    /// last step is derived at once — in phase 2, checked against the reached set on
+    /// the spot.
     fn walk(
         &mut self,
         alternative: usize,
@@ -283,7 +286,6 @@ impl<'a> Fixpoint<'a> {
             }
             return;
         };
-        let flat = self.first_step[alternative] + step;
         match op {
             ClosureStep::Micro(MicroOp::Filter(filter)) => {
                 if let Some(interval) = filter_interval(graph, position, interval, filter) {
@@ -291,10 +293,7 @@ impl<'a> Fixpoint<'a> {
                 }
             }
             ClosureStep::Micro(MicroOp::Hop(direction)) => {
-                tally.probed[self.round * self.steps + flat] |= match position {
-                    Position::NodeRow(_) => NODE_ROWS,
-                    Position::EdgeRow(_) => EDGE_ROWS,
-                };
+                tally.hop_probes += 1;
                 hop_from(
                     graph,
                     position,
@@ -308,25 +307,27 @@ impl<'a> Fixpoint<'a> {
                 );
             }
             ClosureStep::Micro(MicroOp::Closure(inner)) => {
-                // The lockstep loop handed the nested closure one batch per round and
-                // step, each distinct start state once: so does the memo of that call.
-                let key = (self.round, flat);
-                let mut call = tally.calls.remove(&key).unwrap_or_default();
-                let result = match call.seen.get(&(position, interval)) {
+                // Out of its slot while the walk goes on: the walk from here only
+                // reaches later steps.
+                let flat = self.first_step[alternative] + step;
+                let mut nested = self.nested[flat].take().unwrap_or_else(|| Nested {
+                    fixpoint: Fixpoint::new(graph, inner, Reached::default()),
+                    seen: HashMap::new(),
+                    results: Vec::new(),
+                });
+                let result = match nested.seen.get(&(position, interval)) {
                     Some(result) => result.clone(),
                     None => {
-                        let start = call.results.len();
-                        let nested =
-                            self.nested[flat].get_or_insert_with(|| Fixpoint::new(graph, inner));
-                        nested.run(position, interval, &mut call.tally, &mut call.results);
-                        call.seen.insert((position, interval), start..call.results.len());
-                        start..call.results.len()
+                        let start = nested.results.len();
+                        nested.fixpoint.run(position, interval, tally, &mut nested.results);
+                        nested.seen.insert((position, interval), start..nested.results.len());
+                        start..nested.results.len()
                     }
                 };
-                for &(position, interval) in &call.results[result] {
+                for &(position, interval) in &nested.results[result] {
                     self.walk(alternative, step + 1, position, interval, tally);
                 }
-                tally.calls.insert(key, call);
+                self.nested[flat] = Some(nested);
             }
             // Fails identically in debug and release: a binding inside a repetition has
             // nowhere to be recorded.
@@ -351,65 +352,32 @@ fn coalesce(entries: &mut Vec<(Position, Interval)>) {
     });
 }
 
-/// Marks a node row in [`Tally::probed`].
-const NODE_ROWS: u8 = 1;
-/// Marks an edge row in [`Tally::probed`].
-const EDGE_ROWS: u8 = 2;
-
-/// What the lockstep loop — every start state of a call moved through the rounds
-/// together — counted, rebuilt from the states run one at a time.  It ran as many
-/// rounds as the deepest state; it made every hop a state makes; and it probed a
-/// relation once per round, body step and kind of row any state sat on there.
+/// What one call ran, over every start state and nested closure, added to
+/// [`StepStats`] when the call ends.
 #[derive(Debug, Default)]
 struct Tally {
-    /// The rounds of the deepest state.
     rounds: usize,
-    /// Cursors the body hops produced, over every state.
+    hop_probes: usize,
     hop_cursors: usize,
-    /// Per `(round, flat step)`, the kinds of row ([`NODE_ROWS`], [`EDGE_ROWS`]) a
-    /// hop there was applied to.
-    probed: Vec<u8>,
-    /// Per `(round, flat step)` of a nested closure, the one call the lockstep loop
-    /// made there.
-    calls: HashMap<(usize, usize), NestedCall>,
 }
 
 impl Tally {
-    /// Closure rounds, hash joins and hop cursors of the call and the calls nested in
-    /// it.
-    fn totals(&self) -> (usize, usize, usize) {
-        let joins = self.probed.iter().map(|kinds| kinds.count_ones() as usize).sum();
-        self.calls.values().fold((self.rounds, joins, self.hop_cursors), |(r, j, h), call| {
-            let (rounds, joins, hop_cursors) = call.tally.totals();
-            (r + rounds, j + joins, h + hop_cursors)
-        })
-    }
-
     fn record(&self, stats: &StepStats) {
-        let (rounds, joins, hop_cursors) = self.totals();
-        stats.closure_rounds.fetch_add(rounds, Ordering::Relaxed);
-        stats.hash_joins.fetch_add(joins, Ordering::Relaxed);
-        stats.hop_cursors.fetch_add(hop_cursors, Ordering::Relaxed);
+        stats.closure_rounds.fetch_add(self.rounds, Ordering::Relaxed);
+        stats.hop_probes.fetch_add(self.hop_probes, Ordering::Relaxed);
+        stats.hop_cursors.fetch_add(self.hop_cursors, Ordering::Relaxed);
     }
-}
-
-/// One call of a nested closure: the distinct start states it was handed, run once
-/// each, with their results.
-#[derive(Debug, Default)]
-struct NestedCall {
-    /// Where each start state's result sits in `results`.
-    seen: HashMap<(Position, Interval), Range<usize>>,
-    results: Vec<(Position, Interval)>,
-    tally: Tally,
 }
 
 /// The coverage one start state has reached: a slot per node row and per edge row,
 /// current only while it carries the state's generation, so moving on to the next
 /// state clears nothing.  A row covered by one interval keeps it inline; a row whose
-/// coverage splits moves it into an [`IntervalSet`].
+/// coverage splits moves it into an [`IntervalSet`].  The slots are sized to the
+/// graph at the first state, so an owner keeps one only while it reads one graph:
+/// an executor worker for one call, a nested closure for one call of its outer one.
 #[derive(Debug, Default)]
-struct Reached {
-    /// Node rows first, then edge rows; allocated at the first state.
+pub(crate) struct Reached {
+    /// Node rows first, then edge rows.
     slots: Vec<Slot>,
     /// The slot of edge row 0.
     edge_base: usize,
@@ -434,11 +402,13 @@ const INLINE: u32 = u32::MAX;
 impl Reached {
     /// Starts the next state's reached set.
     fn start(&mut self, graph: &GraphRelations) {
+        let rows = graph.node_rows().len() + graph.edge_rows().len();
         if self.slots.is_empty() {
             self.edge_base = graph.node_rows().len();
             let vacant = Slot { generation: 0, split: INLINE, cover: Interval::point(0) };
-            self.slots = vec![vacant; self.edge_base + graph.edge_rows().len()];
+            self.slots = vec![vacant; rows];
         }
+        debug_assert_eq!(self.slots.len(), rows, "scratch sized for another graph");
         if self.generation == u32::MAX {
             self.slots.iter_mut().for_each(|slot| slot.generation = 0);
             self.generation = 0;
@@ -975,7 +945,16 @@ mod tests {
     }
 
     fn run(graph: &GraphRelations, seeds: Vec<Cursor>, op: &ClosureOp) -> Vec<Cursor> {
-        apply_closure(graph, seeds, op, &StepStats::default())
+        run_counted(graph, seeds, op, &StepStats::default())
+    }
+
+    fn run_counted(
+        graph: &GraphRelations,
+        seeds: Vec<Cursor>,
+        op: &ClosureOp,
+        stats: &StepStats,
+    ) -> Vec<Cursor> {
+        apply_closure(graph, seeds, op, &mut Reached::default(), stats)
     }
 
     /// Crosses the closure and spells the arrivals out as chains.
@@ -1042,7 +1021,7 @@ mod tests {
         b.add_existence(e2, iv(4, 7)).unwrap();
         let g = GraphRelations::from_itpg(&b.domain(iv(0, 9)).build().unwrap());
         let stats = StepStats::default();
-        let out = apply_closure(&g, vec![Cursor::seed(row_of(&g, "a"), &g)], &star(), &stats);
+        let out = run_counted(&g, vec![Cursor::seed(row_of(&g, "a"), &g)], &star(), &stats);
         // a over its whole row (0 steps; the [4,5] round trip adds no new coverage),
         // b over the edge window [2,5].
         assert_eq!(reached(&g, &out), vec![("a".to_owned(), iv(0, 9)), ("b".to_owned(), iv(2, 5))]);
@@ -1095,9 +1074,9 @@ mod tests {
         let g = chain_graph();
         let seed = || Cursor::seed(row_of(&g, "a"), &g);
         let single_stats = StepStats::default();
-        let single = apply_closure(&g, vec![seed()], &star(), &single_stats);
+        let single = run_counted(&g, vec![seed()], &star(), &single_stats);
         let dup_stats = StepStats::default();
-        let dup = apply_closure(&g, vec![seed(), seed()], &star(), &dup_stats);
+        let dup = run_counted(&g, vec![seed(), seed()], &star(), &dup_stats);
         assert_eq!(
             single_stats.closure_rounds.load(Ordering::Relaxed),
             dup_stats.closure_rounds.load(Ordering::Relaxed),
@@ -1119,23 +1098,23 @@ mod tests {
         );
     }
 
-    /// `(closure_rounds, hop_cursors, hash_joins)`.
+    /// `(closure_rounds, hop_cursors, hop_probes)`.
     fn counts(stats: &StepStats) -> (usize, usize, usize) {
         (
             stats.closure_rounds.load(Ordering::Relaxed),
             stats.hop_cursors.load(Ordering::Relaxed),
-            stats.hash_joins.load(Ordering::Relaxed),
+            stats.hop_probes.load(Ordering::Relaxed),
         )
     }
 
     #[test]
-    fn states_of_different_depth_count_the_deeper_rounds_once() {
+    fn states_of_different_depth_count_their_own_rounds() {
         // From a the body reaches b, c, d and then probes d's empty out-list: four
         // rounds, two hops a round for three of them.  From c: d, then the probe.
         let g = chain_graph();
         let seeds = vec![Cursor::seed(row_of(&g, "c"), &g), Cursor::seed(row_of(&g, "a"), &g)];
         let stats = StepStats::default();
-        let out = apply_closure(&g, seeds, &star(), &stats);
+        let out = run_counted(&g, seeds, &star(), &stats);
         assert_eq!(
             reached(&g, &out),
             vec![
@@ -1147,9 +1126,8 @@ mod tests {
                 ("d".to_owned(), iv(5, 5)),
             ]
         );
-        // Rounds: the deeper state's 4, not 4 + 2.  Hops: 6 + 2.  Joins: node and
-        // edge rows probed in rounds 0–2, node rows only in round 3.
-        assert_eq!(counts(&stats), (4, 8, 7));
+        // Rounds: 4 + 2.  Hops: 6 + 2.  Probes: two a round but one in each last.
+        assert_eq!(counts(&stats), (6, 8, 10));
     }
 
     #[test]
@@ -1160,10 +1138,11 @@ mod tests {
         let window = ClosureOp::structural(vec![meets_hop()], 2, Some(3));
         let seeds = vec![Cursor::seed(row_of(&g, "a"), &g), Cursor::seed(row_of(&g, "c"), &g)];
         let stats = StepStats::default();
-        let out = apply_closure(&g, seeds, &window, &stats);
+        let out = run_counted(&g, seeds, &window, &stats);
         assert_eq!(reached(&g, &out), vec![("c".to_owned(), iv(4, 6)), ("d".to_owned(), iv(5, 5))]);
         assert!(out.iter().all(|c| c.seed == row_of(&g, "a")));
-        assert_eq!(counts(&stats), (3, 8, 6));
+        // Rounds: 3 from a, 2 from c.  Hops: 6 + 2.  Probes: 6 + 3.
+        assert_eq!(counts(&stats), (5, 8, 9));
     }
 
     /// Persons `a`…`e` on [0,9], joined by `meets` edges `(source, target, start, end)`.
@@ -1200,18 +1179,20 @@ mod tests {
             ("d", "e", 0, 9),
         ]);
         let stats = StepStats::default();
-        let out = apply_closure(&g, vec![Cursor::seed(row_of(&g, "a"), &g)], &star(), &stats);
+        let out = run_counted(&g, vec![Cursor::seed(row_of(&g, "a"), &g)], &star(), &stats);
         let everyone = ["a", "b", "c", "d", "e"].map(|name| (name.to_owned(), iv(0, 9)));
         assert_eq!(reached(&g, &out), everyone);
         // Hops: 6 in round 0, 8 in round 1, then 6 from b's three new pieces and 2
-        // from d's one — five uncoalesced pieces of d would make 10.
-        assert_eq!(counts(&stats), (4, 22, 7));
+        // from d's one — five uncoalesced pieces of d would make 10.  Probes, one per
+        // row a hop leaves: 4, then 7, then 6 + 2, then e's.
+        assert_eq!(counts(&stats), (4, 22, 20));
     }
 
     #[test]
-    fn a_union_body_runs_its_nested_closure_once_per_round_and_state() {
-        // (FWD/:meets/FWD)[1,2] + BWD/:meets/BWD, repeated: from b the nested closure
-        // reaches c and d, the backward hop a; the second round reaches nothing new.
+    fn a_union_body_runs_its_nested_closure_once_per_state() {
+        // (FWD/:meets/FWD)[1,2] + BWD/:meets/BWD, repeated, from b and from c.  From
+        // b the nested closure reaches c and d, the backward hop a; the second round
+        // reaches nothing new.  From c: d and b, then a, then nothing new.
         let g = chain_graph();
         let backward = vec![
             MicroOp::Hop(HopDirection::Backward),
@@ -1220,8 +1201,9 @@ mod tests {
         ];
         let nested = MicroOp::Closure(ClosureOp::structural(vec![meets_hop()], 1, Some(2)));
         let union = ClosureOp::structural(vec![vec![nested], backward], 0, None);
+        let seeds = vec![Cursor::seed(row_of(&g, "b"), &g), Cursor::seed(row_of(&g, "c"), &g)];
         let stats = StepStats::default();
-        let out = apply_closure(&g, vec![Cursor::seed(row_of(&g, "b"), &g)], &union, &stats);
+        let out = run_counted(&g, seeds, &union, &stats);
         assert_eq!(
             reached(&g, &out),
             vec![
@@ -1229,12 +1211,17 @@ mod tests {
                 ("b".to_owned(), iv(0, 9)),
                 ("c".to_owned(), iv(4, 8)),
                 ("d".to_owned(), iv(5, 5)),
+                ("a".to_owned(), iv(4, 6)),
+                ("b".to_owned(), iv(4, 8)),
+                ("c".to_owned(), iv(0, 9)),
+                ("d".to_owned(), iv(5, 5)),
             ]
         );
-        // The outer loop: 2 rounds, 6 backward hops, 4 joins.  Its round-0 call of the
-        // nested closure (from b): 2 rounds, 4 hops, 4 joins.  Its round-1 call, handed
-        // a, c and d: 2 rounds (the deepest), 6 hops, 4 joins.
-        assert_eq!(counts(&stats), (6, 16, 12));
+        // `(rounds, hops, probes)`.  From b: the outer loop (2, 6, 7); the nested
+        // closure from b (2, 4, 4), then from a (2, 4, 4), c (2, 2, 3) and d (1, 0,
+        // 1).  From c: the outer loop (3, 6, 7); the nested closure from c (2, 2, 3),
+        // b over [4, 8] (2, 4, 4) and a (2, 4, 4) — d's result is already known.
+        assert_eq!(counts(&stats), (18, 32, 37));
     }
 
     #[test]

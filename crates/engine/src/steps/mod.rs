@@ -11,35 +11,30 @@ pub mod viability;
 use std::sync::atomic::{AtomicU64, AtomicUsize};
 
 /// Counters accumulated while running Steps 1–2, shared across the executor's worker
-/// threads (hence the atomics).
+/// threads (hence the atomics).  Each is a plain sum of what ran, so the counts of
+/// seed batches run one by one add up to those of the batches run together.
 #[derive(Debug, Default)]
 pub struct StepStats {
-    /// Number of closure fixpoint rounds executed: one count per application of a
-    /// [`crate::plan::ClosureOp`]'s inner pipeline to a frontier — forward, or
-    /// backward when the closure sits in an existential suffix
-    /// ([`viability`]).  Zero for plans without structural repetition.  The forward
-    /// structural fixpoint runs its start states one at a time and adds, per call,
-    /// the rounds of its deepest state: what a loop moving every state of the call
-    /// through the rounds together would have run.
+    /// Closure fixpoint rounds executed: one per application of a
+    /// [`crate::plan::ClosureOp`]'s body to the frontier of one start state —
+    /// forward, summed over the distinct start states of every call, nested
+    /// closures included — or one per backward round when the closure sits in an
+    /// existential suffix ([`viability`]).  Zero for plans without structural
+    /// repetition.
     pub closure_rounds: AtomicUsize,
     /// Number of *time-crossing* closure rounds executed: applications of a repeated
     /// group mixing structural and temporal navigation (`(FWD/NEXT)*` and friends) to
     /// a band frontier, or backward to an existential suffix's time sets.  Zero for
     /// plans without mixed repetition.
     pub time_closure_rounds: AtomicUsize,
-    /// Number of structural hop joins executed (per hop batch, not per cursor); every
-    /// hop probes the hash adjacency indexes.  The executor counts the seed batches
-    /// of a fixpoint-free plan as the one batch they stand for: the furthest hop any
-    /// of them still had a cursor for.  Inside a structural closure a batch is one
-    /// round of one body hop over the call's start states: one join per relation —
-    /// node rows, edge rows — any of them probed there, per round, body hop and
-    /// worker batch.
-    pub hash_joins: AtomicUsize,
-    /// Number of cursors the structural hop joins produced, summed over every hop
-    /// batch (one add per batch, inside and outside closures).  The chains Steps 1–2
-    /// return divided by this is the phase's yield: how many of the traversals it
-    /// made survived every later filter.  Batches that ran under viability masks
-    /// count the traversals they made, not the ones the masks spared them.
+    /// Adjacency-index lookups the structural hops made: one per cursor a hop
+    /// looks up, inside and outside closures.
+    pub hop_probes: AtomicUsize,
+    /// Cursors the structural hops produced, inside and outside closures.  The
+    /// chains Steps 1–2 return divided by this is the phase's yield: how many of
+    /// the traversals it made survived every later filter.  Batches that ran under
+    /// viability masks count the traversals they made, not the ones the masks
+    /// spared them.
     pub hop_cursors: AtomicUsize,
     /// Backward viability passes ([`viability`]) that walked the whole plan back to
     /// its seeds.  This and the two counters below move once per

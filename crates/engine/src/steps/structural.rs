@@ -29,7 +29,7 @@ use tgraph::Interval;
 use crate::chain::{Cursor, Position, Trail};
 use crate::plan::{HopDirection, MicroOp, ObjFilter, Segment};
 use crate::relations::GraphRelations;
-use crate::steps::closure::apply_closure;
+use crate::steps::closure::{apply_closure, Reached};
 use crate::steps::viability::{RowMask, SegmentMasks};
 use crate::steps::StepStats;
 
@@ -74,14 +74,16 @@ impl StructuralCursor for Cursor {
 }
 
 /// Applies every operation of a segment to the given cursors, returning the
-/// survivors.  Bindings are recorded in `trail`; hop joins, hop outputs and closure
+/// survivors.  Bindings are recorded in `trail`; hop probes, hop outputs and closure
 /// rounds are counted in `stats`.  With `viable`, a hop lands only on the rows the
-/// segment's masks allow; a closure runs unmasked.
-pub fn apply_segment(
+/// segment's masks allow; a closure runs unmasked, over the caller's `reached`
+/// scratch.
+pub(crate) fn apply_segment(
     graph: &GraphRelations,
     cursors: Vec<Cursor>,
     segment: &Segment,
     viable: Option<&SegmentMasks>,
+    reached: &mut Reached,
     trail: &mut Trail,
     stats: &StepStats,
 ) -> Vec<Cursor> {
@@ -95,7 +97,9 @@ pub fn apply_segment(
                     cursor.bind(*slot as u32, graph, trail);
                 }
             }
-            MicroOp::Closure(closure) => current = apply_closure(graph, current, closure, stats),
+            MicroOp::Closure(closure) => {
+                current = apply_closure(graph, current, closure, reached, stats)
+            }
             op => {
                 let landing = viable.and_then(|masks| masks.landing(index));
                 current = apply_op(graph, current, op, landing, stats);
@@ -111,7 +115,7 @@ pub fn apply_segment(
 /// Applies one micro-operation to a batch of cursors, a hop landing only on the rows
 /// of `landing`, if given.  Also driven directly by the time-aware closure fixpoint,
 /// which interleaves micro-operations with temporal steps and passes no mask.  A
-/// closure reached here is nested in another one.
+/// closure reached here is nested in another one and runs over scratch of its own.
 pub(crate) fn apply_op<C: StructuralCursor>(
     graph: &GraphRelations,
     cursors: Vec<C>,
@@ -132,7 +136,9 @@ pub(crate) fn apply_op<C: StructuralCursor>(
             None => apply_hop(graph, &cursors, *direction, |_| true, stats),
             Some(mask) => apply_hop(graph, &cursors, *direction, |row| mask.contains(row), stats),
         },
-        MicroOp::Closure(closure) => apply_closure(graph, cursors, closure, stats),
+        MicroOp::Closure(closure) => {
+            apply_closure(graph, cursors, closure, &mut Reached::default(), stats)
+        }
     }
 }
 
@@ -142,10 +148,9 @@ pub(crate) fn apply_op<C: StructuralCursor>(
 /// relation on the endpoint key), keeping only temporally-aligned matches (non-empty
 /// interval intersections).  A batch is homogeneous in position kind by construction
 /// (hops alternate between node and edge rows) except past a closure that reaches
-/// both; each cursor is dispatched on its own kind, and the batch counts one join
-/// per relation it probed.  `viable` (a landing mask's bit test: no mask exists past
-/// a closure, so a masked batch lands on one kind of row) is asked before the
-/// adjacent row itself is read.
+/// both; each cursor is dispatched on its own kind and counts one probe.  `viable`
+/// (a landing mask's bit test: no mask exists past a closure, so a masked batch
+/// lands on one kind of row) is asked before the adjacent row itself is read.
 fn apply_hop<C: StructuralCursor>(
     graph: &GraphRelations,
     cursors: &[C],
@@ -153,19 +158,14 @@ fn apply_hop<C: StructuralCursor>(
     viable: impl Fn(u32) -> bool,
     stats: &StepStats,
 ) -> Vec<C> {
-    let (mut from_nodes, mut from_edges) = (false, false);
     let mut out = Vec::with_capacity(cursors.len());
     for cursor in cursors {
-        let position = cursor.position();
-        match position {
-            Position::NodeRow(_) => from_nodes = true,
-            Position::EdgeRow(_) => from_edges = true,
-        }
-        hop_from(graph, position, cursor.interval(), direction, &viable, |position, interval| {
+        let (position, interval) = (cursor.position(), cursor.interval());
+        hop_from(graph, position, interval, direction, &viable, |position, interval| {
             out.push(cursor.moved_to(position, interval))
         });
     }
-    stats.hash_joins.fetch_add(from_nodes as usize + from_edges as usize, Ordering::Relaxed);
+    stats.hop_probes.fetch_add(cursors.len(), Ordering::Relaxed);
     stats.hop_cursors.fetch_add(out.len(), Ordering::Relaxed);
     out
 }
@@ -279,7 +279,9 @@ mod tests {
     fn apply_to_all_nodes(graph: &GraphRelations, segment: &Segment) -> Vec<Chain> {
         let seeds = (0..graph.node_rows().len() as u32).map(|r| Cursor::seed(r, graph)).collect();
         let mut trail = Trail::default();
-        let cursors = apply_segment(graph, seeds, segment, None, &mut trail, &StepStats::default());
+        let stats = StepStats::default();
+        let cursors =
+            apply_segment(graph, seeds, segment, None, &mut Reached::default(), &mut trail, &stats);
         cursors.iter().map(|c| trail.materialize(c)).collect()
     }
 

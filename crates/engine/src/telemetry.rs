@@ -64,10 +64,11 @@ pub(crate) struct EngineMetrics {
     pub closure_rounds: Arc<Counter>,
     /// `tpath_engine_closure_rounds_total{kind="time"}`.
     pub time_rounds: Arc<Counter>,
-    /// `tpath_engine_join_decisions_total{algorithm="hash"}` — structural
-    /// hop joins executed, one per hop batch.
+    /// `tpath_engine_join_decisions_total{algorithm="hash"}` — adjacency
+    /// probes: one per cursor a structural hop looks up in the adjacency index
+    /// ([`crate::StepStats::hop_probes`]).
     pub joins_hash: Arc<Counter>,
-    /// `tpath_engine_hop_cursors_total` — cursors those hop joins produced.
+    /// `tpath_engine_hop_cursors_total` — cursors those hops produced.
     /// `rows_total{stage="interval"}` over this is the yield of Steps 1–2:
     /// the share of traversals that survived every later filter.
     pub hop_cursors: Arc<Counter>,
@@ -106,7 +107,7 @@ pub(crate) fn metrics() -> &'static EngineMetrics {
         let reg = obs::global();
         let rows_help = "Rows produced by query executions, by pipeline stage.";
         let rounds_help = "Closure fixpoint rounds executed, by closure kind.";
-        let joins_help = "Structural hop joins executed, by join algorithm.";
+        let joins_help = "Adjacency probes made by structural hops, by join algorithm.";
         let passes_help = "Backward viability passes over multi-batch fixpoint-free plans \
                            and plans with an existential suffix, by outcome.";
         let passes = |outcome: &'static str| {

@@ -11,7 +11,7 @@
 //! far its closures reach.  Every cached binding row remembers its seed row, so a
 //! re-run replaces exactly what it recomputes.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
@@ -52,7 +52,8 @@ pub struct RefreshStats {
     /// beyond the sweep cap), such as a time-aware closure.  A purely
     /// structural plan never takes it, whatever its closures.
     pub fallback_full: bool,
-    /// Structural-closure fixpoint rounds executed during the refresh.
+    /// Structural-closure fixpoint rounds executed during the refresh, summed
+    /// over the start states ([`engine::StepStats::closure_rounds`]).
     pub closure_rounds: usize,
     /// Time-aware-closure fixpoint rounds executed during the refresh.
     pub time_rounds: usize,
@@ -60,8 +61,7 @@ pub struct RefreshStats {
     pub duration: Duration,
 }
 
-/// One seed node's cached binding rows, each tagged with the node row it was
-/// seeded at.
+/// Cached binding rows, each tagged with the node row it was seeded at.
 #[derive(Debug, Clone, Default)]
 struct SeedRows {
     rows: Vec<Vec<Binding>>,
@@ -92,8 +92,8 @@ struct PlanCache {
     /// invalidates the cached bounds (they are recomputed on the next
     /// refresh); any other delta leaves them valid forever.
     bounds_domain: Interval,
-    /// Expanded binding rows grouped by seed node.
-    by_seed: BTreeMap<u32, SeedRows>,
+    /// Expanded binding rows with their seed rows.
+    cached: SeedRows,
 }
 
 impl PlanCache {
@@ -113,24 +113,14 @@ impl PlanCache {
         for &row in seeds {
             replaced[row as usize] = true;
         }
-        self.by_seed.retain(|_, group| {
-            group.retain_seeds(|seed| graph.is_node_row_live(seed) && !replaced[seed as usize]);
-            !group.rows.is_empty()
-        });
+        let cached = &mut self.cached;
+        cached.retain_seeds(|seed| graph.is_node_row_live(seed) && !replaced[seed as usize]);
         // Chains come back grouped by seed; each run of one seed's chains is
-        // expanded into a shared buffer and moved to its node's group.
+        // expanded onto the end of the cache and tagged with its seed row.
         let chains = run_plan_seeded(plan, graph, seeds, parallelism, step_stats);
-        let mut rows = Vec::new();
         for run in chains.chunk_by(|a: &Chain, b: &Chain| a.seed == b.seed) {
-            expand_chains(plan, num_slots, run, &mut rows);
-            if rows.is_empty() {
-                continue;
-            }
-            let seed = run[0].seed;
-            let node = graph.node_rows()[seed as usize].node.0;
-            let group = self.by_seed.entry(node).or_default();
-            group.seeds.resize(group.seeds.len() + rows.len(), seed);
-            group.rows.append(&mut rows);
+            expand_chains(plan, num_slots, run, &mut cached.rows);
+            cached.seeds.resize(cached.rows.len(), run[0].seed);
         }
     }
 }
@@ -165,7 +155,7 @@ pub(crate) struct QueryState {
 
 impl QueryState {
     /// Compiles the initial state of a registered query: a full evaluation of
-    /// every plan, cached per seed node and row.
+    /// every plan, cached with the seed row of each binding row.
     pub(crate) fn build(
         plan_set: PlanSet,
         graph: &GraphRelations,
@@ -179,7 +169,7 @@ impl QueryState {
             let mut cache = PlanCache {
                 bounds: engine::static_bounds(plan, graph.domain()),
                 bounds_domain: graph.domain(),
-                by_seed: BTreeMap::new(),
+                cached: SeedRows::default(),
             };
             cache.rerun(plan, num_slots, graph, &seeds, parallelism, &step_stats);
             plans.push(cache);
@@ -313,9 +303,7 @@ impl QueryState {
     fn assemble(&self) -> BindingTable {
         let mut table = BindingTable::new(self.plan_set.variables.clone());
         for cache in &self.plans {
-            for group in cache.by_seed.values() {
-                table.extend_rows(group.rows.iter().cloned());
-            }
+            table.extend_rows(cache.cached.rows.iter().cloned());
         }
         table.sort_dedup();
         table

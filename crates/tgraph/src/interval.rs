@@ -84,14 +84,14 @@ impl Interval {
     /// first ends (the two are temporally adjacent).
     #[inline]
     pub fn meets(&self, other: &Interval) -> bool {
-        self.end + 1 == other.start
+        self.end.checked_add(1) == Some(other.start)
     }
 
     /// Allen relation *before*: `[a1,b1]` is before `[a2,b2]` if `b1 + 1 < a2`, i.e.
     /// there is at least one time point strictly between the two intervals.
     #[inline]
     pub fn before(&self, other: &Interval) -> bool {
-        self.end + 1 < other.start
+        self.end.checked_add(1).is_some_and(|next| next < other.start)
     }
 
     /// True if the two intervals share at least one time point.
@@ -214,6 +214,10 @@ mod tests {
         assert!(Interval::of(1, 4).overlaps(&Interval::of(4, 9)));
         assert!(!Interval::of(1, 4).overlaps(&Interval::of(5, 9)));
         assert!(Interval::of(1, 4).overlaps_or_meets(&Interval::of(5, 9)));
+        // Nothing meets or follows an interval ending at the last time point.
+        let last = Interval::of(5, Time::MAX);
+        assert!(!last.meets(&Interval::of(0, 3)) && !last.before(&Interval::of(0, 3)));
+        assert!(Interval::of(0, 4).meets(&last) && Interval::of(0, 3).before(&last));
     }
 
     #[test]

@@ -112,7 +112,7 @@ impl IntervalSet {
                 last = idx + 1;
                 merged =
                     merged.union_adjacent(iv).expect("overlapping or adjacent intervals coalesce");
-            } else if iv.start() > merged.end() + 1 {
+            } else if merged.before(iv) {
                 if first == self.intervals.len() {
                     first = idx;
                     last = idx;
@@ -280,6 +280,18 @@ mod tests {
         let s = IntervalSet::from_points([1, 2, 3, 5]);
         assert_eq!(s.intervals(), &[iv(1, 3), iv(5, 5)]);
         assert!(s.is_coalesced());
+    }
+
+    #[test]
+    fn inserts_reaching_the_end_of_time_coalesce() {
+        let mut s = IntervalSet::from_interval(iv(0, 3));
+        s.insert(iv(5, Time::MAX));
+        assert_eq!(s.intervals(), &[iv(0, 3), iv(5, Time::MAX)]);
+        s.insert(iv(2, 4));
+        assert_eq!(s.intervals(), &[iv(0, Time::MAX)]);
+        let mut s = IntervalSet::from_interval(iv(7, Time::MAX));
+        s.insert(iv(1, 2));
+        assert_eq!(s.intervals(), &[iv(1, 2), iv(7, Time::MAX)]);
     }
 
     #[test]

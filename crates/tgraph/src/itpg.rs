@@ -55,12 +55,36 @@ impl Itpg {
     /// distinct `(existence interval × property change)` segment.  This is the
     /// quantity reported in Table I of the paper ("# temp. nodes").
     pub fn num_temporal_nodes(&self) -> usize {
-        self.nodes.iter().map(segment_count).sum()
+        self.node_ids().map(|n| self.segments(Object::Node(n)).len()).sum()
     }
 
     /// The number of temporal edges (see [`Itpg::num_temporal_nodes`]).
     pub fn num_temporal_edges(&self) -> usize {
-        self.edges.iter().map(segment_count).sum()
+        self.edge_ids().map(|e| self.segments(Object::Edge(e)).len()).sum()
+    }
+
+    /// The maximal "no change occurred" segments of an object, in time order: its
+    /// existence intervals split at every property-change boundary, so that no
+    /// property value changes within one.  A segment may end at [`Time::MAX`].
+    pub fn segments(&self, object: Object) -> Vec<Interval> {
+        let data = self.data(object);
+        // Every segment starts at a boundary; the point after `Time::MAX` is none.
+        let mut boundaries: Vec<Time> = Vec::new();
+        let histories = data.props.values().flat_map(|history| history.entries());
+        for iv in data.existence.intervals().iter().chain(histories.map(|(_, iv)| iv)) {
+            boundaries.push(iv.start());
+            boundaries.extend(iv.end().checked_add(1));
+        }
+        boundaries.sort_unstable();
+        boundaries.dedup();
+        // A segment runs from a boundary inside the existence set to the next one.
+        let ends = boundaries.iter().skip(1).map(|&next| next - 1).chain([Time::MAX]);
+        boundaries
+            .iter()
+            .zip(ends)
+            .filter(|&(&start, _)| data.existence.contains(start))
+            .map(|(&start, end)| Interval::of(start, end))
+            .collect()
     }
 
     /// Iterates over all node ids.
@@ -203,26 +227,6 @@ impl Itpg {
         }
         Ok(())
     }
-}
-
-/// Number of maximal "no change occurred" segments of an object: the states obtained
-/// by splitting its existence intervals at every property-change boundary.
-fn segment_count(data: &IntervalObjectData) -> usize {
-    let mut boundaries: Vec<Time> = Vec::new();
-    for iv in data.existence.intervals() {
-        boundaries.push(iv.start());
-        boundaries.push(iv.end() + 1);
-    }
-    for history in data.props.values() {
-        for (_, iv) in history.entries() {
-            boundaries.push(iv.start());
-            boundaries.push(iv.end() + 1);
-        }
-    }
-    boundaries.sort_unstable();
-    boundaries.dedup();
-    // Count segments [b_i, b_{i+1}-1] that fall inside the existence set.
-    boundaries.windows(2).filter(|w| data.existence.contains(w[0])).count()
 }
 
 /// Incremental builder for interval-timestamped TPGs.
@@ -379,6 +383,18 @@ mod tests {
         b.set_property(n2, "risk", "high", iv(5, 9)).unwrap();
         b.set_property(n2, "name", "Bob", iv(1, 9)).unwrap();
         b.domain(iv(1, 11)).build().unwrap()
+    }
+
+    #[test]
+    fn segments_reach_the_end_of_time() {
+        let mut b = ItpgBuilder::new();
+        let ann = b.add_node("ann", "Person").unwrap();
+        b.add_existence(ann, iv(5, Time::MAX)).unwrap();
+        b.set_property(ann, "risk", "low", iv(9, Time::MAX)).unwrap();
+        let g = b.domain(iv(0, Time::MAX)).build().unwrap();
+        let ann = Object::Node(ann);
+        assert_eq!(g.segments(ann), [iv(5, 8), iv(9, Time::MAX)]);
+        assert_eq!(g.num_temporal_nodes(), 2);
     }
 
     #[test]
