@@ -306,7 +306,7 @@ impl CompactAnswers {
     }
 
     /// The total number of time points across all pairs.
-    pub fn num_points(&self) -> u64 {
+    pub fn num_points(&self) -> u128 {
         self.pairs.values().map(IntervalSet::num_points).sum()
     }
 
@@ -686,54 +686,6 @@ fn lower_bound_row(plan: &EnginePlan, num_slots: usize, chain: &Chain) -> Option
     Some(row)
 }
 
-// ---------------------------------------------------------------------------
-// A borrowing cursor over an already-materialised table (live queries)
-// ---------------------------------------------------------------------------
-
-/// A paging cursor over a maintained, already-materialised [`BindingTable`] —
-/// what `LiveGraph::cursor` (in the `live` crate) hands out so serving code can
-/// page a live query's answers without cloning the table.
-#[derive(Debug, Clone)]
-pub struct TableCursor<'a> {
-    table: &'a BindingTable,
-    next: usize,
-}
-
-impl<'a> TableCursor<'a> {
-    /// A cursor at the start of the table.
-    pub fn new(table: &'a BindingTable) -> Self {
-        TableCursor { table, next: 0 }
-    }
-
-    /// The variable names, in column order.
-    pub fn columns(&self) -> &'a [String] {
-        &self.table.columns
-    }
-
-    /// The number of rows not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.table.len() - self.next
-    }
-
-    /// Borrows the next `n` rows (fewer if the table runs out) and advances.
-    pub fn page(&mut self, n: usize) -> &'a [Vec<Binding>] {
-        let end = (self.next + n).min(self.table.len());
-        let page = &self.table.rows()[self.next..end];
-        self.next = end;
-        page
-    }
-}
-
-impl<'a> Iterator for TableCursor<'a> {
-    type Item = &'a [Binding];
-
-    fn next(&mut self) -> Option<&'a [Binding]> {
-        let row = self.table.rows().get(self.next)?;
-        self.next += 1;
-        Some(row)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -851,27 +803,6 @@ mod tests {
         assert_eq!(set.intervals(), &[iv(2, 3)]);
         assert_eq!(compact.get(*source, *target), Some(set));
         assert_eq!(compact.columns(), ("x", "x"));
-    }
-
-    #[test]
-    fn table_cursor_pages_a_materialized_table() {
-        let g = relations();
-        let table = Query::parse(QUERIES[3])
-            .unwrap()
-            .with_options(ExecutionOptions::sequential())
-            .run(&g)
-            .into_table()
-            .unwrap();
-        assert_eq!(table.len(), 6);
-        let mut cursor = TableCursor::new(&table);
-        assert_eq!(cursor.columns(), table.columns.as_slice());
-        assert_eq!(cursor.remaining(), 6);
-        let first = cursor.page(4);
-        assert_eq!(first, &table.rows()[..4]);
-        assert_eq!(cursor.remaining(), 2);
-        let rest: Vec<_> = cursor.by_ref().collect();
-        assert_eq!(rest.len(), 2);
-        assert_eq!(cursor.page(3), &[] as &[Vec<Binding>]);
     }
 
     #[test]

@@ -23,7 +23,7 @@ pub enum TimeRef {
 
 impl TimeRef {
     /// The number of time points represented by this binding.
-    pub fn num_points(&self) -> u64 {
+    pub fn num_points(&self) -> u128 {
         match self {
             TimeRef::Point(_) => 1,
             TimeRef::Interval(iv) => iv.num_points(),
@@ -144,7 +144,7 @@ impl BindingTable {
 
     /// The total number of point-wise bindings represented by the table: interval rows
     /// count one tuple per contained time point.
-    pub fn point_tuple_count(&self) -> u64 {
+    pub fn point_tuple_count(&self) -> u128 {
         self.rows.iter().map(|row| row.first().map_or(1, |b| b.time.num_points())).sum()
     }
 
@@ -243,6 +243,23 @@ mod tests {
             ],
         );
         assert_eq!(t.point_tuple_count(), 10);
+    }
+
+    #[test]
+    fn point_counts_reach_the_end_of_time() {
+        let all = TimeRef::Interval(Interval::of(0, Time::MAX));
+        assert_eq!(all.num_points(), u128::from(Time::MAX) + 1);
+        assert_eq!(TimeRef::Interval(Interval::point(Time::MAX)).num_points(), 1);
+        let t = BindingTable::from_rows(
+            vec!["x".into()],
+            vec![
+                vec![Binding::over_interval(obj(0), Interval::of(0, Time::MAX))],
+                vec![Binding::over_interval(obj(1), Interval::of(Time::MAX - 1, Time::MAX))],
+            ],
+        );
+        assert_eq!(t.point_tuple_count(), u128::from(Time::MAX) + 3);
+        let compact = crate::answers::CompactAnswers::from_table(&t);
+        assert_eq!(compact.num_points(), u128::from(Time::MAX) + 3);
     }
 
     #[test]

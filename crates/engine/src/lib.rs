@@ -48,9 +48,7 @@ pub mod relations;
 pub mod steps;
 mod telemetry;
 
-pub use answers::{
-    AnswerCursor, AnswerMode, AnswerSet, Answers, CompactAnswers, Query, TableCursor,
-};
+pub use answers::{AnswerCursor, AnswerMode, AnswerSet, Answers, CompactAnswers, Query};
 pub use bindings::{Binding, BindingTable, TimeRef};
 pub use chain::TimeLag;
 pub use compiler::compile;
@@ -58,8 +56,8 @@ pub use executor::{
     execute, execute_answers, run_plan_seeded, ExecutionOptions, QueryOutput, QueryStats,
 };
 pub use plan::analyze::{
-    analyze, optimized_for, static_bounds, Analysis, Diagnostic, DiagnosticKind, PlanBounds,
-    SchemaSummary, Severity,
+    analyze, static_bounds, Analysis, Diagnostic, DiagnosticKind, PlanBounds, SchemaSummary,
+    Severity,
 };
 pub use plan::audit::{audit, audit_plan, AuditError, AuditIssue, AuditReport};
 pub use plan::{

@@ -541,11 +541,6 @@ impl Analysis {
     pub fn has_errors(&self) -> bool {
         self.diagnostics.iter().any(|d| d.severity() == Severity::Error)
     }
-
-    /// The error-severity diagnostics.
-    pub fn errors(&self) -> impl Iterator<Item = &Diagnostic> {
-        self.diagnostics.iter().filter(|d| d.severity() == Severity::Error)
-    }
 }
 
 /// Analyzes every plan of a set against a schema summary.
@@ -575,13 +570,6 @@ pub fn analyze(plan_set: &PlanSet, schema: &SchemaSummary) -> Analysis {
         pruned_alternatives: pass.pruned_alternatives,
         tightened_closures: pass.tightened_closures,
     }
-}
-
-/// Convenience: the plan set optimized against `graph`'s memoised summary —
-/// what the executor runs behind
-/// [`ExecutionOptions::optimize`](crate::executor::ExecutionOptions::optimize).
-pub fn optimized_for(plan_set: &PlanSet, graph: &GraphRelations) -> PlanSet {
-    analyze(plan_set, &SchemaSummary::of(graph)).optimized
 }
 
 /// Graph-independent bounds for a single plan over a domain, via the

@@ -1,5 +1,5 @@
-//! Pre-compiled plans for the paper's benchmark queries Q1–Q12 and helpers for running
-//! the whole suite, used by the benchmark harness.
+//! Pre-compiled plans for the paper's benchmark queries Q1–Q12, used by the
+//! benchmark harness.
 //!
 //! The plans are compiled once into a static table the first time they are needed.
 //! The whole table is exercised by `cargo test` (see `the_query_table_compiles`
@@ -12,9 +12,7 @@ use trpq::queries::QueryId;
 use trpq::Result;
 
 use crate::compiler::compile;
-use crate::executor::{execute, ExecutionOptions, QueryOutput};
 use crate::plan::PlanSet;
-use crate::relations::GraphRelations;
 
 /// Compiles the full Q1–Q12 plan table, reporting the first query that fails with a
 /// message naming it.  This is the fallible path behind [`plan_for`]; tests call it
@@ -54,11 +52,6 @@ pub fn plan_for(id: QueryId) -> PlanSet {
 pub fn plan_with_temporal_bound(id: QueryId, m: u32) -> PlanSet {
     let clause = id.with_temporal_bound(m).expect("bound substitution parses");
     compile(&clause).expect("the built-in queries compile")
-}
-
-/// Runs every benchmark query and returns the outputs in query order.
-pub fn run_all(graph: &GraphRelations, options: &ExecutionOptions) -> Vec<(QueryId, QueryOutput)> {
-    QueryId::ALL.iter().map(|&id| (id, execute(&plan_for(id), graph, options))).collect()
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 
 use engine::bindings::BindingTable;
 use engine::plan::PlanSet;
-use engine::{compile, DeltaStats, ExecutionOptions, GraphRelations, TableCursor};
+use engine::{compile, DeltaStats, ExecutionOptions, GraphRelations};
 use tgraph::{AppliedBatch, Batch, Interval, Itpg};
 use trpq::queries::QueryId;
 
@@ -171,15 +171,6 @@ impl LiveGraph {
         self.queries[id.0].table()
     }
 
-    /// A paging cursor over the maintained answer of a registered query —
-    /// serving code can hand out pages of the canonical table without cloning
-    /// it.  The cursor borrows the table as of the last refresh; refreshing
-    /// requires `&mut self`, so a live cursor can never observe a half-updated
-    /// answer.
-    pub fn cursor(&self, id: LiveQueryId) -> TableCursor<'_> {
-        TableCursor::new(self.table(id))
-    }
-
     /// The number of registered queries.
     pub fn num_queries(&self) -> usize {
         self.queries.len()
@@ -308,28 +299,6 @@ mod tests {
             }
         }
         assert_eq!(graph.relations().seed_rows().len(), 7);
-    }
-
-    #[test]
-    fn cursors_page_the_maintained_answer() {
-        let mut graph =
-            LiveGraph::with_options(Itpg::empty(iv(1, 10)), ExecutionOptions::sequential());
-        let q = graph.register_text(Q9ISH).unwrap();
-        for batch in story() {
-            graph.apply(&batch).unwrap();
-        }
-        graph.refresh(q);
-        let table = graph.table(q);
-        assert_eq!(table.len(), 2);
-        let mut cursor = graph.cursor(q);
-        assert_eq!(cursor.columns(), table.columns.as_slice());
-        assert_eq!(cursor.remaining(), 2);
-        let first = cursor.page(1);
-        assert_eq!(first, &table.rows()[..1]);
-        let rest: Vec<_> = cursor.collect();
-        assert_eq!(rest, vec![table.rows()[1].as_slice()]);
-        // A fresh cursor replays from the start.
-        assert_eq!(graph.cursor(q).count(), 2);
     }
 
     #[test]

@@ -415,11 +415,6 @@ impl Server {
         Ticket { rx }
     }
 
-    /// The number of worker threads.
-    pub fn num_workers(&self) -> usize {
-        self.workers.len()
-    }
-
     /// True once [`Server::close`] has been called (or the server is mid-drop).
     pub fn is_closed(&self) -> bool {
         self.closed.load(Ordering::Acquire)

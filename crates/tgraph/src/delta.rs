@@ -26,10 +26,10 @@
 use std::collections::BTreeMap;
 
 use crate::error::{GraphError, Result};
-use crate::ids::{NodeId, Object};
+use crate::ids::{EdgeId, NodeId, Object};
 use crate::interval::Interval;
 use crate::interval_set::IntervalSet;
-use crate::itpg::{IntervalObjectData, Itpg};
+use crate::itpg::{check_edge, check_support, IntervalObjectData, Itpg};
 use crate::value::Value;
 
 /// One mutation of a live temporal graph.  Objects are referenced by display
@@ -212,15 +212,16 @@ impl Itpg {
         new_nodes.sort_by_key(|(name, _)| *name);
         new_edges.sort_by_key(|(name, ..)| *name);
 
+        let (first_node, first_edge) = (self.nodes.len(), self.edges.len());
         let mut created_names: BTreeMap<&str, Object> = BTreeMap::new();
         for (index, (name, _)) in new_nodes.iter().enumerate() {
-            let object = Object::Node(NodeId((self.nodes.len() + index) as u32));
+            let object = Object::Node(NodeId((first_node + index) as u32));
             if self.names.contains_key(*name) || created_names.insert(name, object).is_some() {
                 return Err(GraphError::DuplicateName((*name).to_owned()));
             }
         }
         for (index, (name, ..)) in new_edges.iter().enumerate() {
-            let object = Object::Edge(crate::ids::EdgeId((self.edges.len() + index) as u32));
+            let object = Object::Edge(EdgeId((first_edge + index) as u32));
             if self.names.contains_key(*name) || created_names.insert(name, object).is_some() {
                 return Err(GraphError::DuplicateName((*name).to_owned()));
             }
@@ -237,12 +238,13 @@ impl Itpg {
         };
 
         // ---- Phase 2: validate the prospective state without mutating. ----
-        // Existence and property mutations are resolved here (in mutation
-        // order) so phase 3 can apply them without re-borrowing the name maps.
-        let mut endpoints_of: BTreeMap<Object, (NodeId, NodeId)> = BTreeMap::new();
-        for (name, _, src, tgt) in &new_edges {
-            endpoints_of.insert(created_names[*name], (resolve_node(src)?, resolve_node(tgt)?));
-        }
+        // Endpoints, existence and property mutations are resolved here (in
+        // creation and mutation order) so phase 3 can apply them without
+        // re-borrowing the name maps.
+        let new_endpoints = new_edges
+            .iter()
+            .map(|(_, _, src, tgt)| Ok((resolve_node(src)?, resolve_node(tgt)?)))
+            .collect::<Result<Vec<(NodeId, NodeId)>>>()?;
         let mut existence_ops: Vec<(Object, Interval)> = Vec::new();
         let mut prop_ops: Vec<(Object, &str, &Value, Interval)> = Vec::new();
         for m in &batch.mutations {
@@ -256,98 +258,69 @@ impl Itpg {
                 Mutation::AddNode { .. } | Mutation::AddEdge { .. } => {}
             }
         }
-        let mut existence_added: BTreeMap<Object, IntervalSet> = BTreeMap::new();
-        for &(object, interval) in &existence_ops {
-            existence_added.entry(object).or_default().insert(interval);
-        }
-        let props_added: Vec<(Object, &str, Interval)> =
-            prop_ops.iter().map(|&(o, p, _, iv)| (o, p, iv)).collect();
-        let current_existence = |object: Object| -> IntervalSet {
-            match object {
-                Object::Node(n) if n.index() < self.nodes.len() => {
-                    self.nodes[n.index()].existence.clone()
-                }
-                Object::Edge(e) if e.index() < self.edges.len() => {
-                    self.edges[e.index()].existence.clone()
-                }
-                _ => IntervalSet::empty(),
-            }
-        };
-        let prospective = |object: Object| -> IntervalSet {
-            match existence_added.get(&object) {
-                Some(added) => current_existence(object).union(added),
-                None => current_existence(object),
-            }
-        };
-        for (&edge, added) in existence_added.iter().filter(|(o, _)| o.is_edge()) {
-            let e = edge.as_edge().expect("filtered to edges");
-            let (src, tgt) = match endpoints_of.get(&edge) {
-                Some(&pair) => pair,
-                None => self.endpoints[e.index()],
+        // The prospective existence of every object the batch grows: its
+        // current existence, cloned once, plus the batch's intervals.  An
+        // object created by the batch starts from the empty set.
+        let nowhere = IntervalSet::empty();
+        let current = |object: Object| -> &IntervalSet {
+            let data = match object {
+                Object::Node(n) => self.nodes.get(n.index()),
+                Object::Edge(e) => self.edges.get(e.index()),
             };
-            let edge_existence = prospective(edge);
-            for endpoint in [src, tgt] {
-                let node_existence = prospective(Object::Node(endpoint));
-                if !edge_existence.contained_in(&node_existence) {
-                    let time = edge_existence
-                        .difference(&node_existence)
-                        .min()
-                        .unwrap_or_else(|| added.min().unwrap_or(self.domain.start()));
-                    return Err(GraphError::DanglingEdge { edge: e, endpoint, time });
-                }
-            }
+            data.map_or(&nowhere, |data| &data.existence)
+        };
+        let mut grown: BTreeMap<Object, IntervalSet> = BTreeMap::new();
+        for &(object, interval) in &existence_ops {
+            grown.entry(object).or_insert_with(|| current(object).clone()).insert(interval);
         }
-        for &(object, prop, interval) in &props_added {
-            let existence = prospective(object);
-            let support = IntervalSet::from_interval(interval);
-            if !support.contained_in(&existence) {
-                let time = support.difference(&existence).min().unwrap_or(interval.start());
-                return Err(GraphError::PropertyWithoutExistence {
-                    object,
-                    property: prop.to_owned(),
-                    time,
-                });
-            }
+        let prospective = |object: Object| grown.get(&object).unwrap_or_else(|| current(object));
+        for (&object, existence) in &grown {
+            let Some(edge) = object.as_edge() else { continue };
+            let endpoints = match edge.index().checked_sub(first_edge) {
+                Some(created) => new_endpoints[created],
+                None => self.endpoints[edge.index()],
+            };
+            check_edge(edge, existence, endpoints, |n| prospective(Object::Node(n)))?;
+        }
+        for &(object, prop, _, interval) in &prop_ops {
+            check_support(
+                object,
+                prop,
+                &IntervalSet::from_interval(interval),
+                prospective(object),
+            )?;
         }
 
         // ---- Phase 3: apply (infallible from here on). ----
-        let mut created: Vec<Object> = Vec::new();
-        for (name, label) in &new_nodes {
-            let object = created_names[*name];
+        let mut created: Vec<Object> = Vec::with_capacity(new_nodes.len() + new_edges.len());
+        for (index, (name, label)) in new_nodes.iter().enumerate() {
+            let object = Object::Node(NodeId((first_node + index) as u32));
             created.push(object);
             self.names.insert((*name).to_owned(), object);
-            self.nodes.push(IntervalObjectData {
-                name: (*name).to_owned(),
-                label: (*label).to_owned(),
-                existence: IntervalSet::empty(),
-                props: BTreeMap::new(),
-            });
+            self.nodes.push(IntervalObjectData::new(name, label));
             self.out_edges.push(Vec::new());
             self.in_edges.push(Vec::new());
         }
-        for (name, label, ..) in &new_edges {
-            let object = created_names[*name];
-            let edge = object.as_edge().expect("created edge names resolve to edges");
-            let (src, tgt) = endpoints_of[&object];
-            created.push(object);
-            self.names.insert((*name).to_owned(), object);
-            self.edges.push(IntervalObjectData {
-                name: (*name).to_owned(),
-                label: (*label).to_owned(),
-                existence: IntervalSet::empty(),
-                props: BTreeMap::new(),
-            });
+        for (index, ((name, label, ..), &(src, tgt))) in
+            new_edges.iter().zip(&new_endpoints).enumerate()
+        {
+            let edge = EdgeId((first_edge + index) as u32);
+            created.push(Object::Edge(edge));
+            self.names.insert((*name).to_owned(), Object::Edge(edge));
+            self.edges.push(IntervalObjectData::new(name, label));
             self.endpoints.push((src, tgt));
             self.out_edges[src.index()].push(edge);
             self.in_edges[tgt.index()].push(edge);
         }
         let mut touched: Vec<Object> = created.clone();
         let mut times = IntervalSet::empty();
-        for &(object, interval) in &existence_ops {
+        for &(_, interval) in &existence_ops {
             self.domain = self.domain.hull(&interval);
-            self.data_mut(object).existence.insert(interval);
-            touched.push(object);
             times.insert(interval);
+        }
+        for (object, existence) in grown {
+            self.data_mut(object).existence = existence;
+            touched.push(object);
         }
         for &(object, prop, value, interval) in &prop_ops {
             self.domain = self.domain.hull(&interval);
@@ -433,7 +406,7 @@ mod tests {
         assert_eq!(first.created.len(), 2);
         assert_eq!(first.touched, first.created);
         let second = live.apply_batch(&all[1]).unwrap();
-        assert_eq!(second.created, vec![Object::Edge(crate::ids::EdgeId(0))]);
+        assert_eq!(second.created, vec![Object::Edge(EdgeId(0))]);
         let third = live.apply_batch(&all[2]).unwrap();
         assert!(third.created.is_empty());
         assert_eq!(third.touched, vec![Object::Node(NodeId(0))]);
@@ -542,6 +515,54 @@ mod tests {
             .add_edge("e2", "meets", "a", "e1");
         assert!(matches!(g.apply_batch(&not_node), Err(GraphError::UnknownName(_))));
         assert_eq!(g, before);
+    }
+
+    #[test]
+    fn dangling_edges_are_reported_at_their_first_uncovered_point() {
+        // The edge exists over [2,6]; its endpoint `a` only over [1,4].
+        let mut b = ItpgBuilder::new();
+        let a = b.add_node("a", "Person").unwrap();
+        let c = b.add_node("c", "Person").unwrap();
+        let e = b.add_edge("e", "meets", a, c).unwrap();
+        b.add_existence(a, iv(1, 4)).unwrap();
+        b.add_existence(c, iv(1, 9)).unwrap();
+        b.add_existence(e, iv(2, 6)).unwrap();
+        let expected = GraphError::DanglingEdge { edge: e, endpoint: a, time: 5 };
+        assert_eq!(b.build().unwrap_err(), expected);
+
+        let mut batch = Batch::new(1);
+        batch
+            .add_node("a", "Person")
+            .add_node("c", "Person")
+            .add_edge("e", "meets", "a", "c")
+            .add_existence("a", iv(1, 4))
+            .add_existence("c", iv(1, 9))
+            .add_existence("e", iv(2, 6));
+        assert_eq!(Itpg::empty(iv(1, 9)).apply_batch(&batch).unwrap_err(), expected);
+    }
+
+    #[test]
+    fn properties_without_existence_are_reported_at_their_first_uncovered_point() {
+        // The property holds over [3,8]; its object exists only over [1,5].
+        let mut b = ItpgBuilder::new();
+        let a = b.add_node("a", "Person").unwrap();
+        b.add_existence(a, iv(1, 5)).unwrap();
+        b.set_property(a, "risk", "low", iv(3, 8)).unwrap();
+        let expected = GraphError::PropertyWithoutExistence {
+            object: Object::Node(a),
+            property: "risk".to_owned(),
+            time: 6,
+        };
+        assert_eq!(b.build().unwrap_err(), expected);
+
+        let mut batch = Batch::new(1);
+        batch.add_node("a", "Person").add_existence("a", iv(1, 5)).set_property(
+            "a",
+            "risk",
+            "low",
+            iv(3, 8),
+        );
+        assert_eq!(Itpg::empty(iv(1, 9)).apply_batch(&batch).unwrap_err(), expected);
     }
 
     #[test]

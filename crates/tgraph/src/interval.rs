@@ -54,10 +54,11 @@ impl Interval {
         self.end
     }
 
-    /// The number of time points contained in the interval.
+    /// The number of time points contained in the interval.  A `u128`, because
+    /// `[0, Time::MAX]` holds one point more than a `u64` can count.
     #[inline]
-    pub fn num_points(&self) -> u64 {
-        self.end - self.start + 1
+    pub fn num_points(&self) -> u128 {
+        u128::from(self.end - self.start) + 1
     }
 
     /// True if the interval contains the time point `t`.
@@ -190,6 +191,12 @@ mod tests {
         assert_eq!(i.num_points(), 6);
         assert!(Interval::new(5, 4).is_err());
         assert_eq!(Interval::point(7), Interval::of(7, 7));
+    }
+
+    #[test]
+    fn point_counts_reach_the_end_of_time() {
+        assert_eq!(Interval::of(0, Time::MAX).num_points(), u128::from(Time::MAX) + 1);
+        assert_eq!(Interval::point(Time::MAX).num_points(), 1);
     }
 
     #[test]

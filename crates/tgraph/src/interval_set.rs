@@ -63,7 +63,7 @@ impl IntervalSet {
     }
 
     /// The total number of time points in the set.
-    pub fn num_points(&self) -> u64 {
+    pub fn num_points(&self) -> u128 {
         self.intervals.iter().map(|i| i.num_points()).sum()
     }
 
@@ -299,6 +299,15 @@ mod tests {
         let s = IntervalSet::from_intervals([iv(1, 2), iv(3, 4), iv(6, 8), iv(7, 10)]);
         assert_eq!(s.intervals(), &[iv(1, 4), iv(6, 10)]);
         assert!(s.is_coalesced());
+    }
+
+    #[test]
+    fn point_counts_reach_the_end_of_time() {
+        let all = IntervalSet::from_interval(iv(0, Time::MAX));
+        assert_eq!(all.num_points(), u128::from(Time::MAX) + 1);
+        assert_eq!(IntervalSet::from_interval(iv(Time::MAX, Time::MAX)).num_points(), 1);
+        let tail = IntervalSet::from_intervals([iv(0, 9), iv(20, Time::MAX)]);
+        assert_eq!(tail.num_points(), 10 + u128::from(Time::MAX - 20) + 1);
     }
 
     #[test]

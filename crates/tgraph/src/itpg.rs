@@ -23,6 +23,54 @@ pub(crate) struct IntervalObjectData {
     pub(crate) props: BTreeMap<String, ValuedIntervals>,
 }
 
+impl IntervalObjectData {
+    /// A new object: it exists nowhere and has no properties yet.
+    pub(crate) fn new(name: &str, label: &str) -> Self {
+        IntervalObjectData {
+            name: name.to_owned(),
+            label: label.to_owned(),
+            existence: IntervalSet::empty(),
+            props: BTreeMap::new(),
+        }
+    }
+}
+
+/// Definition A.1's condition on edges: an edge exists only while both its
+/// endpoints do.  Reports the first time point at which `edge` exists and an
+/// endpoint does not.
+pub(crate) fn check_edge<'a>(
+    edge: EdgeId,
+    existence: &IntervalSet,
+    (src, tgt): (NodeId, NodeId),
+    node_existence: impl Fn(NodeId) -> &'a IntervalSet,
+) -> Result<()> {
+    for endpoint in [src, tgt] {
+        if let Some(time) = existence.difference(node_existence(endpoint)).min() {
+            return Err(GraphError::DanglingEdge { edge, endpoint, time });
+        }
+    }
+    Ok(())
+}
+
+/// Definition A.1's condition on properties: a property has a value only while
+/// its object exists.  Reports the first time point of `support` outside
+/// `existence`.
+pub(crate) fn check_support(
+    object: Object,
+    property: &str,
+    support: &IntervalSet,
+    existence: &IntervalSet,
+) -> Result<()> {
+    match support.difference(existence).min() {
+        Some(time) => Err(GraphError::PropertyWithoutExistence {
+            object,
+            property: property.to_owned(),
+            time,
+        }),
+        None => Ok(()),
+    }
+}
+
 /// An interval-timestamped temporal property graph.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Itpg {
@@ -187,45 +235,65 @@ impl Itpg {
     /// Validates the well-formedness conditions of Definition A.1: existence sets and
     /// property supports lie within the domain, edge existence is contained in the
     /// existence of both endpoints, property support is contained in the object's
-    /// existence, and all families are coalesced.
+    /// existence, and all families are coalesced.  An error names the first time
+    /// point at which a condition fails.
     pub fn validate(&self) -> Result<()> {
-        let domain_set = IntervalSet::from_interval(self.domain);
-        for (idx, edge) in self.edges.iter().enumerate() {
-            let eid = EdgeId(idx as u32);
-            let (src, tgt) = self.endpoints[idx];
-            for endpoint in [src, tgt] {
-                if !edge.existence.contained_in(&self.nodes[endpoint.index()].existence) {
-                    let t = edge.existence.min().unwrap_or(self.domain.start());
-                    return Err(GraphError::DanglingEdge { edge: eid, endpoint, time: t });
-                }
-            }
+        for (idx, (edge, &endpoints)) in self.edges.iter().zip(&self.endpoints).enumerate() {
+            check_edge(EdgeId(idx as u32), &edge.existence, endpoints, |n| {
+                &self.nodes[n.index()].existence
+            })?;
         }
-        for object in self.objects().collect::<Vec<_>>() {
+        let domain_set = IntervalSet::from_interval(self.domain);
+        for object in self.objects() {
             let data = self.data(object);
             debug_assert!(data.existence.is_coalesced());
-            if !data.existence.contained_in(&domain_set) {
-                let t = data
-                    .existence
-                    .intervals()
-                    .iter()
-                    .find(|iv| !iv.during(&self.domain))
-                    .map(|iv| iv.start())
-                    .unwrap_or(self.domain.start());
-                return Err(GraphError::OutsideDomain { object, time: t });
+            if let Some(time) = data.existence.difference(&domain_set).min() {
+                return Err(GraphError::OutsideDomain { object, time });
             }
             for (prop, history) in &data.props {
                 debug_assert!(history.is_coalesced());
-                if !history.support().contained_in(&data.existence) {
-                    let t = history.support().min().unwrap_or(self.domain.start());
-                    return Err(GraphError::PropertyWithoutExistence {
-                        object,
-                        property: prop.clone(),
-                        time: t,
-                    });
-                }
+                check_support(object, prop, &history.support(), &data.existence)?;
             }
         }
         Ok(())
+    }
+
+    /// Restricts the graph to a temporal window, dropping all existence and property
+    /// information outside `window` and shrinking the domain accordingly.  Objects
+    /// that never exist inside the window are kept (with empty existence) so that ids
+    /// remain stable.
+    pub fn restrict_to(&self, window: Interval) -> Itpg {
+        let domain = self.domain.intersect(&window).unwrap_or(window);
+        let clamp = |data: &IntervalObjectData| -> IntervalObjectData {
+            let existence = data.existence.clamp(&domain);
+            let mut props = BTreeMap::new();
+            for (prop, history) in &data.props {
+                let mut clamped = ValuedIntervals::empty();
+                for (value, iv) in history.entries() {
+                    if let Some(x) = iv.intersect(&domain) {
+                        clamped.assign(value.clone(), x);
+                    }
+                }
+                if !clamped.is_empty() {
+                    props.insert(prop.clone(), clamped);
+                }
+            }
+            IntervalObjectData {
+                name: data.name.clone(),
+                label: data.label.clone(),
+                existence,
+                props,
+            }
+        };
+        Itpg {
+            domain,
+            nodes: self.nodes.iter().map(&clamp).collect(),
+            edges: self.edges.iter().map(&clamp).collect(),
+            endpoints: self.endpoints.clone(),
+            out_edges: self.out_edges.clone(),
+            in_edges: self.in_edges.clone(),
+            names: self.names.clone(),
+        }
     }
 }
 
@@ -270,12 +338,7 @@ impl ItpgBuilder {
     pub fn add_node(&mut self, name: &str, label: &str) -> Result<NodeId> {
         let id = NodeId(self.nodes.len() as u32);
         self.register_name(name, Object::Node(id))?;
-        self.nodes.push(IntervalObjectData {
-            name: name.to_owned(),
-            label: label.to_owned(),
-            existence: IntervalSet::empty(),
-            props: BTreeMap::new(),
-        });
+        self.nodes.push(IntervalObjectData::new(name, label));
         Ok(id)
     }
 
@@ -295,12 +358,7 @@ impl ItpgBuilder {
         }
         let id = EdgeId(self.edges.len() as u32);
         self.register_name(name, Object::Edge(id))?;
-        self.edges.push(IntervalObjectData {
-            name: name.to_owned(),
-            label: label.to_owned(),
-            existence: IntervalSet::empty(),
-            props: BTreeMap::new(),
-        });
+        self.edges.push(IntervalObjectData::new(name, label));
         self.endpoints.push((src, tgt));
         Ok(id)
     }
@@ -466,11 +524,34 @@ mod tests {
     }
 
     #[test]
+    fn restrict_to_window() {
+        let mut b = ItpgBuilder::new();
+        let p = b.add_node("p", "Person").unwrap();
+        let r = b.add_node("r", "Room").unwrap();
+        let e = b.add_edge("e", "visits", p, r).unwrap();
+        b.add_existence(p, iv(1, 9)).unwrap();
+        b.add_existence(r, iv(3, 8)).unwrap();
+        b.add_existence(e, iv(5, 6)).unwrap();
+        b.set_property(p, "risk", "low", iv(1, 4)).unwrap();
+        b.set_property(p, "risk", "high", iv(5, 9)).unwrap();
+        b.set_property(e, "loc", "park", iv(5, 6)).unwrap();
+        let itpg = b.domain(iv(1, 11)).build().unwrap();
+        let restricted = itpg.restrict_to(iv(4, 6));
+        assert_eq!(restricted.domain(), iv(4, 6));
+        let p = Object::Node(p);
+        assert_eq!(restricted.existence(p).intervals(), &[iv(4, 6)]);
+        assert_eq!(restricted.prop_value_at(p, "risk", 4).unwrap(), &Value::str("low"));
+        assert_eq!(restricted.prop_value_at(p, "risk", 5).unwrap(), &Value::str("high"));
+        assert_eq!(restricted.prop_value_at(p, "risk", 7), None);
+        restricted.validate().unwrap();
+    }
+
+    #[test]
     fn existence_outside_domain_is_rejected() {
         let mut b = ItpgBuilder::new();
         let a = b.add_node("a", "Person").unwrap();
         b.add_existence(a, iv(1, 20)).unwrap();
         let err = b.domain(iv(1, 10)).build().unwrap_err();
-        assert!(matches!(err, GraphError::OutsideDomain { .. }));
+        assert_eq!(err, GraphError::OutsideDomain { object: Object::Node(a), time: 11 });
     }
 }

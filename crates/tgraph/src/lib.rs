@@ -1,11 +1,11 @@
 //! # tgraph — temporal property graphs
 //!
-//! The data model underlying *Temporal Regular Path Queries* (ICDE 2022): temporal
-//! property graphs in both the point-timestamped representation ([`Tpg`],
-//! Definition III.1) and the succinct interval-timestamped representation ([`Itpg`],
-//! Appendix A), together with the interval machinery they are built from
-//! ([`Interval`], [`IntervalSet`], [`ValuedIntervals`]) and conversions between the
-//! two representations.
+//! The data model underlying *Temporal Regular Path Queries* (ICDE 2022): the
+//! interval-timestamped temporal property graph ([`Itpg`], Appendix A), together
+//! with the interval machinery it is built from ([`Interval`], [`IntervalSet`],
+//! [`ValuedIntervals`]).  The paper's point-timestamped graph (Definition III.1) is
+//! `can(I)`, an [`Itpg`] read point by point: [`Itpg::exists_at`] and
+//! [`Itpg::prop_value_at`] are its existence and property functions ξ and σ.
 //!
 //! ```
 //! use tgraph::{Interval, ItpgBuilder, Object};
@@ -23,14 +23,10 @@
 //!
 //! assert!(graph.exists_at(Object::Edge(e1), 3));
 //! assert_eq!(graph.prop_value_at(Object::Node(bob), "risk", 7).unwrap().as_str(), Some("high"));
-//! // The point-based expansion describes the same graph.
-//! let tpg = graph.to_tpg();
-//! assert!(tgraph::convert::equivalent(&tpg, &graph));
 //! ```
 
 #![warn(missing_docs)]
 
-pub mod convert;
 pub mod delta;
 pub mod error;
 pub mod ids;
@@ -38,7 +34,6 @@ pub mod interval;
 pub mod interval_set;
 pub mod itpg;
 pub mod snapshot;
-pub mod tpg;
 pub mod value;
 pub mod valued;
 
@@ -49,6 +44,5 @@ pub use interval::{Interval, Time};
 pub use interval_set::IntervalSet;
 pub use itpg::{Itpg, ItpgBuilder};
 pub use snapshot::{Snapshot, SnapshotEdge, SnapshotNode};
-pub use tpg::{Tpg, TpgBuilder};
 pub use value::Value;
 pub use valued::ValuedIntervals;

@@ -10,7 +10,6 @@ use std::collections::BTreeMap;
 use crate::ids::{EdgeId, NodeId, Object};
 use crate::interval::Time;
 use crate::itpg::Itpg;
-use crate::tpg::Tpg;
 use crate::value::Value;
 
 /// A node of a snapshot: label plus the property values holding at the snapshot time.
@@ -72,54 +71,6 @@ impl Snapshot {
             Object::Node(n) => self.node(n).is_some(),
             Object::Edge(e) => self.edge(e).is_some(),
         }
-    }
-}
-
-impl Tpg {
-    /// Extracts the snapshot of the graph at time `t`.
-    pub fn snapshot(&self, t: Time) -> Snapshot {
-        let mut snapshot = Snapshot { time: t, ..Default::default() };
-        for n in self.node_ids() {
-            let o = Object::Node(n);
-            if !self.exists(o, t) {
-                continue;
-            }
-            let properties = self
-                .property_names(o)
-                .map(str::to_owned)
-                .collect::<Vec<_>>()
-                .into_iter()
-                .filter_map(|p| self.prop_value(o, &p, t).cloned().map(|v| (p, v)))
-                .collect();
-            snapshot.nodes.push(SnapshotNode {
-                id: n,
-                name: self.name(o).to_owned(),
-                label: self.label(o).to_owned(),
-                properties,
-            });
-        }
-        for e in self.edge_ids() {
-            let o = Object::Edge(e);
-            if !self.exists(o, t) {
-                continue;
-            }
-            let properties = self
-                .property_names(o)
-                .map(str::to_owned)
-                .collect::<Vec<_>>()
-                .into_iter()
-                .filter_map(|p| self.prop_value(o, &p, t).cloned().map(|v| (p, v)))
-                .collect();
-            snapshot.edges.push(SnapshotEdge {
-                id: e,
-                name: self.name(o).to_owned(),
-                label: self.label(o).to_owned(),
-                src: self.src(e),
-                tgt: self.tgt(e),
-                properties,
-            });
-        }
-        snapshot
     }
 }
 
@@ -213,14 +164,5 @@ mod tests {
             g.snapshot(5).node(NodeId(0)).unwrap().properties.get("risk"),
             Some(&Value::str("high"))
         );
-    }
-
-    #[test]
-    fn tpg_and_itpg_snapshots_agree() {
-        let g = sample();
-        let tpg = g.to_tpg();
-        for t in g.domain().points() {
-            assert_eq!(g.snapshot(t), tpg.snapshot(t), "snapshots differ at time {t}");
-        }
     }
 }

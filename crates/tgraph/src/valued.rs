@@ -117,11 +117,6 @@ impl ValuedIntervals {
         self.entries = out;
     }
 
-    /// Assigns `value` at the single time point `t`.
-    pub fn assign_point(&mut self, value: Value, t: Time) {
-        self.assign(value, Interval::point(t));
-    }
-
     /// Checks the coalescing invariant of Appendix A: consecutive entries are either
     /// *before* each other, or *meet* with different values.
     pub fn is_coalesced(&self) -> bool {
@@ -237,8 +232,8 @@ mod tests {
     #[test]
     fn point_iteration() {
         let mut h = ValuedIntervals::empty();
-        h.assign_point(Value::Int(1), 3);
-        h.assign_point(Value::Int(2), 4);
+        h.assign(Value::Int(1), Interval::point(3));
+        h.assign(Value::Int(2), Interval::point(4));
         let pts: Vec<(Time, i64)> = h.points().map(|(t, v)| (t, v.as_int().unwrap())).collect();
         assert_eq!(pts, vec![(3, 1), (4, 2)]);
     }

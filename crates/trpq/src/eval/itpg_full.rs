@@ -72,8 +72,8 @@ impl<'g> FullSolver<'g> {
     }
 
     /// `M = |Ω| · (|N| + |E|)`, the number of temporal objects.
-    fn temporal_object_count(&self) -> u64 {
-        self.graph.domain().num_points() * self.objects.len() as u64
+    fn temporal_object_count(&self) -> u128 {
+        self.graph.domain().num_points() * self.objects.len() as u128
     }
 
     fn solve(&mut self, path: &Path, src: TemporalObject, dst: TemporalObject) -> bool {
@@ -97,7 +97,7 @@ impl<'g> FullSolver<'g> {
             }),
             Path::Repeat(inner, n, Some(m)) => self.solve_repeat(inner, *n, *m, src, dst),
             Path::Repeat(inner, n, None) => {
-                let cap = (*n as u64).saturating_add(self.temporal_object_count());
+                let cap = u128::from(*n).saturating_add(self.temporal_object_count());
                 let m = u32::try_from(cap).unwrap_or(u32::MAX);
                 self.solve_repeat(inner, *n, m, src, dst)
             }

@@ -2,7 +2,7 @@
 //!
 //! | Evaluator | Graph | Fragment | Complexity | Paper |
 //! |---|---|---|---|---|
-//! | [`tpg::eval_path`] | TPG | `NavL[PC,NOI]` | polynomial | Theorem C.1, Algorithms 1–2 |
+//! | [`tpg::eval_path`] | `can(I)`: an `Itpg` read point by point | `NavL[PC,NOI]` | polynomial | Theorem C.1, Algorithms 1–2 |
 //! | [`itpg_pc::eval_contains_pc`] | ITPG | `NavL[PC]` | polynomial | Algorithm 3 |
 //! | [`itpg_anoi::eval_contains_anoi`] | ITPG | `NavL[ANOI]` | NP (determinised) | Algorithms 6–7 |
 //! | [`itpg_full::eval_contains_full`] | ITPG | `NavL[PC,NOI]` | PSPACE | Algorithms 4–5 |

@@ -1,36 +1,41 @@
 //! Polynomial-time evaluation of full `NavL[PC,NOI]` over point-timestamped graphs
 //! (Theorem C.1).
 //!
+//! The point-timestamped graph is `can(I)`: an [`Itpg`] read point by point.  Its
+//! temporal objects are the graph's objects × the points of its domain, and the
+//! tests read the existence and property functions ξ and σ one point at a time
+//! ([`Itpg::exists_at`], [`Itpg::prop_value_at`]).
+//!
 //! The evaluator walks the parse tree of the expression bottom-up.  Each node of the
 //! tree is materialised as a [`QuadTable`] with at most `M²` tuples, where
 //! `M = |Ω| · (|N| + |E|)` is the number of temporal objects; concatenation is a
 //! sort-merge join, union is a merge, and numerical occurrence indicators are handled
 //! with exponentiation by squaring (Algorithms 1 and 2 of the paper).
 
-use tgraph::{Object, TemporalObject, Tpg, Value};
+use tgraph::{Itpg, Object, TemporalObject, Value};
 
 use crate::ast::{Axis, Path, TestExpr};
 use crate::eval::quad_table::{Quad, QuadTable};
 
-/// Evaluates a `NavL[PC,NOI]` expression over a point-timestamped graph, returning
-/// the full relation `⟦path⟧_G` as a table of `(o, t, o', t')` tuples.
-pub fn eval_path(path: &Path, graph: &Tpg) -> QuadTable {
+/// Evaluates a `NavL[PC,NOI]` expression over `can(graph)`, returning the full
+/// relation `⟦path⟧_G` as a table of `(o, t, o', t')` tuples.
+pub fn eval_path(path: &Path, graph: &Itpg) -> QuadTable {
     Evaluator::new(graph).path(path)
 }
 
-/// Evaluates a test expression over a point-timestamped graph, returning the temporal
-/// objects `(o, t)` satisfying it.
-pub fn eval_test(test: &TestExpr, graph: &Tpg) -> Vec<TemporalObject> {
+/// Evaluates a test expression over `can(graph)`, returning the temporal objects
+/// `(o, t)` satisfying it.
+pub fn eval_test(test: &TestExpr, graph: &Itpg) -> Vec<TemporalObject> {
     Evaluator::new(graph).test(test)
 }
 
 /// Decides the membership problem `Eval(TPG, NavL[PC,NOI])`: is `(src, dst) ∈ ⟦path⟧_G`?
-pub fn eval_contains(path: &Path, graph: &Tpg, src: TemporalObject, dst: TemporalObject) -> bool {
+pub fn eval_contains(path: &Path, graph: &Itpg, src: TemporalObject, dst: TemporalObject) -> bool {
     eval_path(path, graph).contains(&Quad::new(src, dst))
 }
 
 struct Evaluator<'g> {
-    graph: &'g Tpg,
+    graph: &'g Itpg,
     /// The identity relation over all temporal objects of the graph; reused as the
     /// base case of repetition operators.
     identity: QuadTable,
@@ -39,8 +44,12 @@ struct Evaluator<'g> {
 }
 
 impl<'g> Evaluator<'g> {
-    fn new(graph: &'g Tpg) -> Self {
-        let universe: Vec<TemporalObject> = graph.temporal_objects().collect();
+    fn new(graph: &'g Itpg) -> Self {
+        let domain = graph.domain();
+        let universe: Vec<TemporalObject> = graph
+            .objects()
+            .flat_map(|o| domain.points().map(move |t| TemporalObject::new(o, t)))
+            .collect();
         let identity = QuadTable::identity_over(universe.iter().copied());
         Evaluator { graph, identity, universe }
     }
@@ -151,8 +160,8 @@ impl<'g> Evaluator<'g> {
             TestExpr::Node => to.object.is_node(),
             TestExpr::Edge => to.object.is_edge(),
             TestExpr::Label(l) => g.label(to.object) == l,
-            TestExpr::Prop(p, v) => g.prop_value(to.object, p, to.time) == Some(v),
-            TestExpr::Exists => g.exists(to.object, to.time),
+            TestExpr::Prop(p, v) => g.prop_value_at(to.object, p, to.time) == Some(v),
+            TestExpr::Exists => g.exists_at(to.object, to.time),
             TestExpr::TimeLt(k) => to.time < *k,
             _ => unreachable!("composite tests are handled by Evaluator::test"),
         }
@@ -162,13 +171,13 @@ impl<'g> Evaluator<'g> {
 /// Checks whether a single temporal object satisfies a test (the relation
 /// `(o, t) |= test` of Section V.B).  Composite tests recurse; path conditions fall
 /// back to a full evaluation of the inner path.
-pub fn satisfies(test: &TestExpr, graph: &Tpg, to: TemporalObject) -> bool {
+pub fn satisfies(test: &TestExpr, graph: &Itpg, to: TemporalObject) -> bool {
     match test {
         TestExpr::Node => to.object.is_node(),
         TestExpr::Edge => to.object.is_edge(),
         TestExpr::Label(l) => graph.label(to.object) == l,
-        TestExpr::Prop(p, v) => graph.prop_value(to.object, p, to.time) == Some(v as &Value),
-        TestExpr::Exists => graph.exists(to.object, to.time),
+        TestExpr::Prop(p, v) => graph.prop_value_at(to.object, p, to.time) == Some(v as &Value),
+        TestExpr::Exists => graph.exists_at(to.object, to.time),
         TestExpr::TimeLt(k) => to.time < *k,
         TestExpr::And(a, b) => satisfies(a, graph, to) && satisfies(b, graph, to),
         TestExpr::Or(a, b) => satisfies(a, graph, to) || satisfies(b, graph, to),
@@ -197,11 +206,11 @@ fn sorted_intersection(a: &[TemporalObject], b: &[TemporalObject]) -> Vec<Tempor
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tgraph::{Interval, ItpgBuilder, NodeId, Tpg};
+    use tgraph::{Interval, ItpgBuilder, NodeId};
 
     /// A small chain Person -(meets)-> Person -(visits)-> Room over a handful of time
     /// points, with one property change.
-    fn sample() -> Tpg {
+    fn sample() -> Itpg {
         let mut b = ItpgBuilder::new();
         let a = b.add_node("a", "Person").unwrap();
         let c = b.add_node("c", "Person").unwrap();
@@ -216,14 +225,14 @@ mod tests {
         b.set_property(a, "risk", "low", Interval::of(1, 3)).unwrap();
         b.set_property(a, "risk", "high", Interval::of(4, 6)).unwrap();
         b.set_property(c, "test", "pos", Interval::of(7, 8)).unwrap();
-        b.domain(Interval::of(1, 8)).build().unwrap().to_tpg()
+        b.domain(Interval::of(1, 8)).build().unwrap()
     }
 
-    fn node(g: &Tpg, name: &str) -> Object {
+    fn node(g: &Itpg, name: &str) -> Object {
         Object::Node(g.node_by_name(name).unwrap())
     }
 
-    fn edge(g: &Tpg, name: &str) -> Object {
+    fn edge(g: &Itpg, name: &str) -> Object {
         Object::Edge(g.edge_by_name(name).unwrap())
     }
 
@@ -388,7 +397,7 @@ mod tests {
         let r = b.add_node("room", "Room").unwrap();
         b.add_existence(r, Interval::of(1, 2)).unwrap();
         b.add_existence(r, Interval::of(6, 8)).unwrap();
-        let g = b.domain(Interval::of(1, 8)).build().unwrap().to_tpg();
+        let g = b.domain(Interval::of(1, 8)).build().unwrap();
         let room = Object::Node(NodeId(0));
 
         let p = Path::test(TestExpr::label("Room").and(TestExpr::Exists.not()))

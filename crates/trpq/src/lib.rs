@@ -4,7 +4,9 @@
 //! language `NavL[PC,NOI]` ([`ast::Path`]), its fragments and their complexity
 //! ([`fragment`]), the practical `MATCH … -/…/- … ON graph` surface syntax
 //! ([`parser`]) with its rewriting into the formal language ([`rewrite`]), the
-//! reference evaluation algorithms of the paper's appendix ([`eval`]), and the twelve
+//! reference evaluation algorithms of the paper's appendix ([`eval`]: Theorem C.1
+//! over `can(I)`, an `Itpg` read point by point, and the fragment algorithms over
+//! the `Itpg` itself), and the twelve
 //! benchmark queries Q1–Q12 ([`queries`]).
 //!
 //! ```
@@ -23,7 +25,7 @@
 //! let query = Path::test(TestExpr::Node.and(TestExpr::prop("test", "pos")))
 //!     .then(Path::axis(Axis::Prev))
 //!     .then(Path::test(TestExpr::Node.and(TestExpr::Exists)));
-//! let result = eval_path(&query, &graph.to_tpg());
+//! let result = eval_path(&query, &graph);
 //! let eve = Object::Node(eve);
 //! assert!(result.contains(&trpq::eval::quad_table::Quad::new(
 //!     TemporalObject::new(eve, 5),

@@ -9,8 +9,8 @@
 //! (Room ∧ ¬∃) / (N / ¬∃)[0, _] / N / (Room ∧ ∃)
 //! ```
 //!
-//! This example uses the reference evaluator of Theorem C.1 directly on a point-based
-//! graph of lecture-room bookings.
+//! This example runs the reference evaluator of Theorem C.1 over a graph of
+//! lecture-room bookings, read point by point.
 //!
 //! Run with `cargo run --release --example room_availability`.
 
@@ -32,7 +32,6 @@ fn main() {
     let lab = b.add_node("lab", "Room").unwrap();
     b.add_existence(lab, Interval::of(5, 11)).unwrap();
     let graph = b.build().unwrap();
-    let tpg = graph.to_tpg();
 
     // From an unavailable slot, skip forward over unavailable slots until the room
     // becomes available again.
@@ -40,7 +39,7 @@ fn main() {
         .then(Path::axis(Axis::Next).then(Path::test(TestExpr::Exists.not())).star())
         .then(Path::axis(Axis::Next))
         .then(Path::test(TestExpr::label("Room").and(TestExpr::Exists)));
-    let relation = eval_path(&next_available, &tpg);
+    let relation = eval_path(&next_available, &graph);
 
     println!("next availability per (room, blocked slot):");
     for room in [lecture_hall, seminar_room, lab] {
@@ -57,12 +56,12 @@ fn main() {
             match next {
                 Some(next) => println!(
                     "  {:<14} blocked at {:>2} → free again at {next}",
-                    tpg.name(object),
+                    graph.name(object),
                     t
                 ),
                 None => println!(
                     "  {:<14} blocked at {:>2} → not available again today",
-                    tpg.name(object),
+                    graph.name(object),
                     t
                 ),
             }
@@ -73,7 +72,7 @@ fn main() {
     // slot, walk forward while the room stays available.
     let still_available = Path::test(TestExpr::label("Room").and(TestExpr::Exists))
         .then(Path::axis(Axis::Next).then(Path::test(TestExpr::Exists)).star());
-    let streaks = eval_path(&still_available, &tpg);
+    let streaks = eval_path(&still_available, &graph);
     println!("\nlongest availability streak starting at slot 0:");
     for room in [lecture_hall, seminar_room, lab] {
         let object = Object::Node(room);
@@ -83,8 +82,10 @@ fn main() {
             .map(|q| q.dst.time)
             .max();
         match reach {
-            Some(until) => println!("  {:<14} available from 0 through {until}", tpg.name(object)),
-            None => println!("  {:<14} not available at slot 0", tpg.name(object)),
+            Some(until) => {
+                println!("  {:<14} available from 0 through {until}", graph.name(object))
+            }
+            None => println!("  {:<14} not available at slot 0", graph.name(object)),
         }
     }
 }

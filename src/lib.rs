@@ -3,8 +3,8 @@
 //! A single-crate facade over the workspace implementing *Temporal Regular Path
 //! Queries* (Arenas, Bahamondes, Aghasadeghi, Stoyanovich — ICDE 2022):
 //!
-//! * [`tgraph`] — temporal property graphs, point-based ([`tgraph::Tpg`]) and
-//!   interval-based ([`tgraph::Itpg`]);
+//! * [`tgraph`] — interval-timestamped temporal property graphs
+//!   ([`tgraph::Itpg`]), whose point-wise reading is the paper's point-based graph;
 //! * [`trpq`] — the `NavL[PC,NOI]` query language: AST, practical `MATCH` syntax,
 //!   fragments, complexity, and the paper's reference evaluation algorithms;
 //! * [`dataflow`] — the interval-relational operators and the chunked parallel

@@ -173,7 +173,7 @@ proptest! {
         let clause = parse_match(&query).unwrap();
         let rewritten = rewrite_match(&clause).unwrap();
         let reference: BTreeSet<(TemporalObject, TemporalObject)> =
-            eval_path(&rewritten.path, &itpg.to_tpg())
+            eval_path(&rewritten.path, &itpg)
                 .iter()
                 .map(|q| (q.src, q.dst))
                 .collect();
@@ -183,7 +183,7 @@ proptest! {
 
         // Membership spot-checks against the ITPG ground-truth dispatcher: a few
         // pairs in the relation and a few outside it.
-        let tpg_table = eval_path(&rewritten.path, &itpg.to_tpg());
+        let tpg_table = eval_path(&rewritten.path, &itpg);
         let mut checked = 0usize;
         for &(src, dst) in reference.iter().take(3) {
             prop_assert!(
@@ -228,7 +228,7 @@ proptest! {
         let clause = parse_match(&query).unwrap();
         let rewritten = rewrite_match(&clause).unwrap();
         let reference: BTreeSet<(TemporalObject, TemporalObject)> =
-            eval_path(&rewritten.path, &itpg.to_tpg())
+            eval_path(&rewritten.path, &itpg)
                 .iter()
                 .map(|q| (q.src, q.dst))
                 .collect();
@@ -268,7 +268,7 @@ fn contact_chain_example_matches_reference() {
     let clause = parse_match(query).unwrap();
     let rewritten = rewrite_match(&clause).unwrap();
     let reference: BTreeSet<(TemporalObject, TemporalObject)> =
-        eval_path(&rewritten.path, &itpg.to_tpg()).iter().map(|q| (q.src, q.dst)).collect();
+        eval_path(&rewritten.path, &itpg).iter().map(|q| (q.src, q.dst)).collect();
     assert_eq!(engine_pairs(&relations, query), reference);
     // The three-hop chain p0 → p3 is only live at the single instant where all
     // meeting windows intersect.
@@ -301,7 +301,7 @@ fn recurring_contact_chain_matches_reference() {
     let clause = parse_match(query).unwrap();
     let rewritten = rewrite_match(&clause).unwrap();
     let reference: BTreeSet<(TemporalObject, TemporalObject)> =
-        eval_path(&rewritten.path, &itpg.to_tpg()).iter().map(|q| (q.src, q.dst)).collect();
+        eval_path(&rewritten.path, &itpg).iter().map(|q| (q.src, q.dst)).collect();
     assert_eq!(engine_pairs(&relations, query), reference);
     // The full three-meeting recurrence threads p0@3 → p1@4 → p2@5 → p3@6: the last
     // meeting only happens at 5, forcing the whole schedule.

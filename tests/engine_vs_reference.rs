@@ -46,8 +46,7 @@ fn engine_sources(graph: &GraphRelations, id: QueryId) -> BTreeSet<TemporalObjec
 /// start a path satisfying the rewritten `NavL` expression.
 fn reference_sources(itpg: &Itpg, id: QueryId) -> BTreeSet<TemporalObject> {
     let rewritten = rewrite_match(&id.clause()).expect("benchmark queries rewrite");
-    let tpg = itpg.to_tpg();
-    eval_path(&rewritten.path, &tpg).sources().into_iter().collect()
+    eval_path(&rewritten.path, itpg).sources().into_iter().collect()
 }
 
 fn compare_all_queries(itpg: &Itpg, label: &str) {
@@ -87,12 +86,11 @@ fn engine_pairs_match_reference_pairs_for_two_variable_queries() {
     // For queries whose last pattern binds a variable, the full (source, destination)
     // relation must match, not just the sources.
     let itpg = figure1();
-    let tpg = itpg.to_tpg();
     let relations = GraphRelations::from_itpg(&itpg);
     for id in [QueryId::Q5, QueryId::Q6, QueryId::Q7, QueryId::Q8] {
         let rewritten = rewrite_match(&id.clause()).unwrap();
         let reference: BTreeSet<(TemporalObject, TemporalObject)> =
-            eval_path(&rewritten.path, &tpg).iter().map(|q| (q.src, q.dst)).collect();
+            eval_path(&rewritten.path, &itpg).iter().map(|q| (q.src, q.dst)).collect();
 
         let out = run_query(id, &relations, &ExecutionOptions::sequential());
         let mut engine_pairs = BTreeSet::new();
@@ -140,10 +138,9 @@ fn itpg_membership_checks_agree_with_the_tpg_relation() {
     // Spot-check the fragment-specific ITPG evaluators against the TPG evaluator on
     // the rewritten benchmark queries (membership of a sample of tuples).
     let itpg = figure1();
-    let tpg = itpg.to_tpg();
     for id in [QueryId::Q1, QueryId::Q2, QueryId::Q6, QueryId::Q7, QueryId::Q9, QueryId::Q12] {
         let rewritten = rewrite_match(&id.clause()).unwrap();
-        let reference = eval_path(&rewritten.path, &tpg);
+        let reference = eval_path(&rewritten.path, &itpg);
         // Every tuple of the reference relation must be accepted by the ITPG evaluator…
         for quad in reference.iter().take(50) {
             assert!(

@@ -1,9 +1,9 @@
 //! Property-based tests of the core invariants:
 //!
 //! * interval sets behave like sets of time points and stay coalesced;
-//! * the point-based and interval-based graph representations are interchangeable;
-//! * the fragment-specific ITPG evaluators agree with the polynomial-time TPG
-//!   evaluator of Theorem C.1 on randomly generated graphs and expressions;
+//! * the fragment-specific ITPG evaluators agree with the polynomial-time
+//!   evaluator of Theorem C.1, run over the same graph read point by point, on
+//!   randomly generated graphs and expressions;
 //! * a relation delta leaves the relations a bulk build would produce, keeps
 //!   every row whose state it does not change and retracts only the rows whose
 //!   state it does.
@@ -57,7 +57,7 @@ proptest! {
             prop_assert_eq!(intersection.contains(t), in_a && in_b);
         }
         // Point counts agree with the point-set view.
-        let count = (0..=MAX_TIME).filter(|&t| a.iter().any(|iv| iv.contains(t))).count() as u64;
+        let count = (0..=MAX_TIME).filter(|&t| a.iter().any(|iv| iv.contains(t))).count() as u128;
         prop_assert_eq!(set_a.num_points(), count);
         // Containment relation is consistent with point membership.
         if set_a.contained_in(&set_b) {
@@ -193,25 +193,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn point_and_interval_representations_are_interchangeable(spec in graph_spec_strategy()) {
-        let itpg = build_graph(&spec);
-        let tpg = itpg.to_tpg();
-        prop_assert!(tgraph::convert::equivalent(&tpg, &itpg));
-        prop_assert_eq!(tpg.to_itpg(), itpg.clone());
-        // Snapshots agree at every time point.
-        for t in 0..=MAX_TIME {
-            prop_assert_eq!(itpg.snapshot(t), tpg.snapshot(t));
-        }
-    }
-
-    #[test]
     fn pc_evaluators_agree_with_the_tpg_reference(
         spec in graph_spec_strategy(),
         path in pc_path_strategy(),
     ) {
         let itpg = build_graph(&spec);
-        let tpg = itpg.to_tpg();
-        let reference = eval_path(&path, &tpg);
+        let reference = eval_path(&path, &itpg);
         let samples = sample_temporal_objects(&itpg);
         for (i, &src) in samples.iter().enumerate() {
             // Keep the quadratic sampling small.
@@ -231,8 +218,7 @@ proptest! {
         path in anoi_path_strategy(),
     ) {
         let itpg = build_graph(&spec);
-        let tpg = itpg.to_tpg();
-        let reference = eval_path(&path, &tpg);
+        let reference = eval_path(&path, &itpg);
         let samples = sample_temporal_objects(&itpg);
         for (i, &src) in samples.iter().enumerate() {
             for &dst in samples.iter().skip(i % 4).step_by(4) {
