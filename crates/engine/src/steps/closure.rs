@@ -1333,4 +1333,27 @@ mod tests {
         };
         assert!(normalize(dead).is_none());
     }
+
+    #[test]
+    fn covers_reaching_time_max_leave_no_piece_past_it() {
+        let graph = chain_graph();
+        let max = Time::MAX;
+        let row = Position::NodeRow(0);
+        let mut reached = Reached::default();
+        let mut fresh = Vec::new();
+        // One inline cover grown to `[0, MAX]`: only the uncovered head is fresh.
+        reached.start(&graph);
+        reached.cover(row, iv(5, max), &mut fresh);
+        reached.cover(row, iv(0, max), &mut fresh);
+        reached.cover(row, iv(max, max), &mut fresh);
+        assert_eq!(fresh, [(row, iv(5, max)), (row, iv(0, 4))]);
+        // A split cover: the gap between its pieces is fresh, nothing past `MAX`.
+        fresh.clear();
+        reached.start(&graph);
+        reached.cover(row, iv(0, 2), &mut fresh);
+        reached.cover(row, iv(10, max), &mut fresh);
+        reached.cover(row, iv(0, max), &mut fresh);
+        reached.cover(row, iv(1, max), &mut fresh);
+        assert_eq!(fresh, [(row, iv(0, 2)), (row, iv(10, max)), (row, iv(3, 9))]);
+    }
 }

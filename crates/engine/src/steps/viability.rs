@@ -1205,6 +1205,17 @@ mod tests {
         assert!(within(2, iv(0, 99)).is_empty() && within(1, iv(4, 4)).is_empty());
     }
 
+    #[test]
+    fn time_sets_subtract_cuts_reaching_time_max() {
+        let max = tgraph::Time::MAX;
+        let all = TimeSet::from_pieces(vec![(0, iv(0, max)), (1, iv(max - 1, max))]);
+        let tail = TimeSet::from_pieces(vec![(0, iv(6, max)), (1, iv(max, max))]);
+        assert_eq!(all.difference(&tail).pieces, [(0, iv(0, 5)), (1, iv(max - 1, max - 1))]);
+        let head = TimeSet::from_pieces(vec![(0, iv(0, 6)), (1, iv(0, max - 1))]);
+        assert_eq!(all.difference(&head).pieces, [(0, iv(7, max)), (1, iv(max, max))]);
+        assert!(all.difference(&all).is_empty());
+    }
+
     /// The exact times `text`'s existential suffix leaves at its last `Bind`, named by
     /// the node each row describes.
     fn times_of(graph: &GraphRelations, text: &str) -> Vec<(String, Interval)> {

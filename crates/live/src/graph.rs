@@ -153,6 +153,9 @@ impl LiveGraph {
                 metrics.refreshes_delta.inc();
             }
             metrics.refresh_seconds.record(obs::duration_nanos(stats.duration));
+            metrics.refresh_seeding_seconds.record(obs::duration_nanos(stats.seeding));
+            metrics.refresh_rerun_seconds.record(obs::duration_nanos(stats.rerun));
+            metrics.refresh_merge_seconds.record(obs::duration_nanos(stats.merge));
             metrics.rows_added.add(stats.rows_added as u64);
             metrics.rows_retracted.add(stats.rows_retracted as u64);
         }
@@ -299,6 +302,47 @@ mod tests {
             }
         }
         assert_eq!(graph.relations().seed_rows().len(), 7);
+    }
+
+    #[test]
+    fn a_row_two_seeds_produce_survives_one_of_them_leaving() {
+        const HIGH: &str = "MATCH (:Person {risk = 'high'})-/FWD/:meets/FWD/-(y) ON live";
+        let options = ExecutionOptions::sequential();
+        let mut graph = LiveGraph::with_options(Itpg::empty(iv(1, 10)), options);
+        let q = graph.register_text(HIGH).unwrap();
+        // ann and bob are both high-risk and both meet cat at time 3, so cat's
+        // row at 3 is cached twice, once per seed.
+        let mut b1 = Batch::new(1);
+        for name in ["ann", "bob", "cat"] {
+            b1.add_node(name, "Person").add_existence(name, iv(1, 10));
+        }
+        b1.set_property("ann", "risk", "high", iv(1, 10))
+            .set_property("bob", "risk", "high", iv(1, 10))
+            .add_edge("m1", "meets", "ann", "cat")
+            .add_existence("m1", iv(3, 3))
+            .add_edge("m2", "meets", "bob", "cat")
+            .add_existence("m2", iv(3, 3));
+        graph.apply(&b1).unwrap();
+        let stats = graph.refresh(q);
+        assert_eq!((stats.rows_added, stats.rows_retracted, stats.output_rows), (1, 0, 1));
+        // ann turns low-risk: her seed row no longer yields cat's row, bob's does.
+        let mut b2 = Batch::new(2);
+        b2.set_property("ann", "risk", "low", iv(1, 10));
+        graph.apply(&b2).unwrap();
+        let stats = graph.refresh(q);
+        assert!(stats.seed_rows > 0, "ann's new row is re-run");
+        assert_eq!((stats.rows_added, stats.rows_retracted, stats.output_rows), (0, 0, 1));
+        let scratch = GraphRelations::from_itpg(graph.itpg());
+        let clause = trpq::parser::parse_match(HIGH).unwrap();
+        let expected = execute(&compile(&clause).unwrap(), &scratch, &options);
+        assert_eq!(graph.table(q), &expected.table);
+        // bob turns low-risk too: now the row goes.
+        let mut b3 = Batch::new(3);
+        b3.set_property("bob", "risk", "low", iv(1, 10));
+        graph.apply(&b3).unwrap();
+        let stats = graph.refresh(q);
+        assert_eq!((stats.rows_added, stats.rows_retracted, stats.output_rows), (0, 1, 0));
+        assert!(stats.seeding + stats.rerun + stats.merge <= stats.duration);
     }
 
     #[test]

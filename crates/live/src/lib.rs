@@ -23,7 +23,9 @@
 //!    a batch can only change the results of seeds within `H` hops of a touched
 //!    object.  A refresh re-runs the SPJ pipeline from those seeds alone
 //!    ([`engine::run_plan_seeded`]) and splices the per-seed results into the
-//!    cached answer.
+//!    cached answer.  The maintained table keeps a count per row, so the rows
+//!    the re-run replaced and produced merge into it as one counted delta,
+//!    and nothing re-sorts the whole table.
 //! 3. **Time-seeded evaluation** — a plan with no temporal link answers at
 //!    time `t` from the snapshot at `t` alone, and a batch changes the graph
 //!    only at its [`tgraph::AppliedBatch::times`].  Such a plan, closures

@@ -10,8 +10,12 @@
 //! meets the times the batch changed ([`tgraph::AppliedBatch::times`]), however
 //! far its closures reach.  Every cached binding row remembers its seed row, so a
 //! re-run replaces exactly what it recomputes.
+//!
+//! The maintained table is kept with a count per row: how many cached rows, over
+//! every plan alternative and seed, equal it.  A refresh moves the rows it
+//! replaces out of the caches and merges them, with the re-run's rows, into the
+//! table as one counted delta (`merge_delta`), so it sorts only what changed.
 
-use std::collections::BTreeSet;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
@@ -57,25 +61,61 @@ pub struct RefreshStats {
     pub closure_rounds: usize,
     /// Time-aware-closure fixpoint rounds executed during the refresh.
     pub time_rounds: usize,
-    /// Wall-clock time of the refresh.
+    /// Wall-clock time spent choosing the seed rows to re-run, summed over the
+    /// plan alternatives.
+    pub seeding: Duration,
+    /// Wall-clock time spent re-running the plan alternatives from those seed
+    /// rows and splicing their rows into the caches.
+    pub rerun: Duration,
+    /// Wall-clock time spent merging the counted delta into the table.
+    pub merge: Duration,
+    /// Wall-clock time of the refresh, at least `seeding + rerun + merge`.
     pub duration: Duration,
 }
+
+/// One binding row: a binding per column.
+type Row = Vec<Binding>;
 
 /// Cached binding rows, each tagged with the node row it was seeded at.
 #[derive(Debug, Clone, Default)]
 struct SeedRows {
-    rows: Vec<Vec<Binding>>,
+    rows: Vec<Row>,
     /// `seeds[i]` is the seed row of `rows[i]`.
     seeds: Vec<u32>,
 }
 
 impl SeedRows {
-    /// Keeps the rows whose seed row satisfies `keep`, in order.
-    fn retain_seeds(&mut self, keep: impl Fn(u32) -> bool) {
-        let mut seeds = self.seeds.iter();
-        self.rows.retain(|_| keep(*seeds.next().expect("one seed per row")));
-        self.seeds.retain(|&seed| keep(seed));
+    /// Keeps the rows whose seed row satisfies `keep`, in order, and moves the
+    /// others onto `out`.  `keep` is asked once per run of rows with one seed
+    /// row; a re-run appends each seed row's rows as one run.
+    fn take_seeds(&mut self, keep: impl Fn(u32) -> bool, out: &mut Vec<Row>) {
+        let mut kept = 0;
+        let mut run: Option<(u32, bool)> = None;
+        for i in 0..self.rows.len() {
+            let seed = self.seeds[i];
+            let keeps = match run {
+                Some((run_seed, keeps)) if run_seed == seed => keeps,
+                _ => run.insert((seed, keep(seed))).1,
+            };
+            if keeps {
+                self.rows.swap(kept, i);
+                self.seeds[kept] = seed;
+                kept += 1;
+            } else {
+                out.push(std::mem::take(&mut self.rows[i]));
+            }
+        }
+        self.rows.truncate(kept);
+        self.seeds.truncate(kept);
     }
+}
+
+/// The rows a refresh moves into and out of the caches, over every plan
+/// alternative: the multiset difference between the caches after and before.
+#[derive(Debug, Default)]
+struct CacheDelta {
+    plus: Vec<Row>,
+    minus: Vec<Row>,
 }
 
 /// One plan alternative's cached results.
@@ -97,9 +137,11 @@ struct PlanCache {
 }
 
 impl PlanCache {
-    /// Re-runs `plan` from `seeds` (live node rows) and splices the result in:
-    /// first the cached rows of every seed row that is dead or in `seeds` are
-    /// dropped, then the new expansions are appended.
+    /// Re-runs `plan` from `seeds` (live node rows, ascending) and splices the
+    /// result in: first the cached rows of every seed row that is dead or in
+    /// `seeds` move onto `delta.minus`, then the new expansions are appended,
+    /// and copied onto `delta.plus`.
+    #[allow(clippy::too_many_arguments)]
     fn rerun(
         &mut self,
         plan: &EnginePlan,
@@ -108,20 +150,23 @@ impl PlanCache {
         seeds: &[u32],
         parallelism: Parallelism,
         step_stats: &StepStats,
+        delta: &mut CacheDelta,
     ) {
-        let mut replaced = vec![false; graph.node_rows().len()];
-        for &row in seeds {
-            replaced[row as usize] = true;
-        }
+        debug_assert!(seeds.windows(2).all(|w| w[0] < w[1]), "seed rows ascend");
         let cached = &mut self.cached;
-        cached.retain_seeds(|seed| graph.is_node_row_live(seed) && !replaced[seed as usize]);
+        cached.take_seeds(
+            |seed| graph.is_node_row_live(seed) && seeds.binary_search(&seed).is_err(),
+            &mut delta.minus,
+        );
         // Chains come back grouped by seed; each run of one seed's chains is
         // expanded onto the end of the cache and tagged with its seed row.
+        let fresh = cached.rows.len();
         let chains = run_plan_seeded(plan, graph, seeds, parallelism, step_stats);
         for run in chains.chunk_by(|a: &Chain, b: &Chain| a.seed == b.seed) {
             expand_chains(plan, num_slots, run, &mut cached.rows);
             cached.seeds.resize(cached.rows.len(), run[0].seed);
         }
+        delta.plus.extend_from_slice(&cached.rows[fresh..]);
     }
 }
 
@@ -143,9 +188,14 @@ fn seeding_hops(bounds: &engine::PlanBounds) -> Option<usize> {
 pub(crate) struct QueryState {
     plan_set: PlanSet,
     plans: Vec<PlanCache>,
+    /// The canonical (sorted, deduplicated) answer: every distinct cached row.
     table: Arc<BindingTable>,
-    /// Objects touched by batches applied since the last refresh.
-    pending: BTreeSet<Object>,
+    /// `counts[i]` is how many cached rows, over every plan alternative and
+    /// seed row, equal `table.rows()[i]`; never 0.
+    counts: Vec<u32>,
+    /// Objects touched by batches applied since the last refresh, in batch
+    /// order and with repeats.
+    pending: Vec<Object>,
     /// The times at which those batches changed the graph.
     pending_times: IntervalSet,
     /// Node rows of the relations at the last refresh.  Rows only ever append,
@@ -155,7 +205,8 @@ pub(crate) struct QueryState {
 
 impl QueryState {
     /// Compiles the initial state of a registered query: a full evaluation of
-    /// every plan, cached with the seed row of each binding row.
+    /// every plan, cached with the seed row of each binding row, merged into an
+    /// empty table.
     pub(crate) fn build(
         plan_set: PlanSet,
         graph: &GraphRelations,
@@ -164,6 +215,7 @@ impl QueryState {
         let step_stats = StepStats::default();
         let num_slots = plan_set.variables.len();
         let seeds = graph.seed_rows();
+        let mut delta = CacheDelta::default();
         let mut plans = Vec::with_capacity(plan_set.plans.len());
         for plan in &plan_set.plans {
             let mut cache = PlanCache {
@@ -171,19 +223,21 @@ impl QueryState {
                 bounds_domain: graph.domain(),
                 cached: SeedRows::default(),
             };
-            cache.rerun(plan, num_slots, graph, &seeds, parallelism, &step_stats);
+            cache.rerun(plan, num_slots, graph, &seeds, parallelism, &step_stats, &mut delta);
             plans.push(cache);
         }
-        let mut state = QueryState {
+        let mut table = Arc::new(BindingTable::new(plan_set.variables.clone()));
+        let mut counts = Vec::new();
+        merge_delta(&mut table, &mut counts, delta);
+        QueryState {
             plan_set,
             plans,
-            table: Arc::new(BindingTable::default()),
-            pending: BTreeSet::new(),
+            table,
+            counts,
+            pending: Vec::new(),
             pending_times: IntervalSet::empty(),
             rows_seen: graph.node_rows().len(),
-        };
-        state.table = Arc::new(state.assemble());
-        state
+        }
     }
 
     pub(crate) fn plan_set(&self) -> &PlanSet {
@@ -202,12 +256,13 @@ impl QueryState {
 
     /// Records what an applied batch touched, and when, for the next refresh.
     pub(crate) fn note_applied(&mut self, applied: &AppliedBatch) {
-        self.pending.extend(applied.touched.iter().copied());
+        self.pending.extend_from_slice(&applied.touched);
         self.pending_times = self.pending_times.union(&applied.times);
     }
 
     /// Folds every pending delta into the maintained answer, re-running each
-    /// plan alternative from the seed rows the deltas can have changed.
+    /// plan alternative from the seed rows the deltas can have changed and
+    /// merging what the re-runs changed into the table.
     ///
     /// The candidates are the live rows of the nodes within the hop bound of a
     /// touched object ([`affected_nodes`]) for a hop-bounded alternative, and
@@ -215,8 +270,12 @@ impl QueryState {
     /// re-runs only the candidates that are new since the last refresh or whose
     /// interval meets the pending times; any other alternative re-runs them all,
     /// because its links move time, so a change at `t` reaches seeds at other
-    /// times.  The cached rows of a re-run or dead seed row are replaced by the
-    /// re-run's.
+    /// times.  The cached rows of a re-run or dead seed row are moved out as the
+    /// delta's `minus` and the re-run's rows come in as its `plus`; one
+    /// [`merge_delta`] nets the two against the counted table, so the refresh
+    /// sorts only the rows it moved.  A row is added when its count leaves 0
+    /// and retracted when its count reaches 0, which is exactly the difference
+    /// between the old and new deduplicated tables.
     ///
     /// Why skipping the other rows is exact: without a temporal link, a chain's
     /// interval lies inside its seed row's interval, and every row boundary
@@ -247,12 +306,16 @@ impl QueryState {
             stats.duration = started.elapsed();
             return stats;
         }
-        let touched: BTreeSet<Object> = std::mem::take(&mut self.pending);
+        let mut touched = std::mem::take(&mut self.pending);
+        touched.sort_unstable();
+        touched.dedup();
         let times = std::mem::take(&mut self.pending_times);
         let rows_seen = std::mem::replace(&mut self.rows_seen, graph.node_rows().len());
         let step_stats = StepStats::default();
         let num_slots = self.plan_set.variables.len();
+        let mut delta = CacheDelta::default();
         for (plan, cache) in self.plan_set.plans.iter().zip(&mut self.plans) {
+            let seeding = obs::Stopwatch::start();
             if cache.bounds_domain != graph.domain() {
                 // The domain widened since the bounds were cached; the closure
                 // iteration bound scales with the domain span, so refresh it.
@@ -283,31 +346,88 @@ impl QueryState {
                 stats.fallback_full |= hops.is_none();
             }
             stats.seed_rows += seeds.len();
-            cache.rerun(plan, num_slots, graph, &seeds, parallelism, &step_stats);
+            stats.seeding += seeding.elapsed();
+            let rerun = obs::Stopwatch::start();
+            cache.rerun(plan, num_slots, graph, &seeds, parallelism, &step_stats, &mut delta);
+            stats.rerun += rerun.elapsed();
         }
-        let next = self.assemble();
-        let (added, retracted) = diff_sorted(self.table.rows(), next.rows());
-        stats.rows_added = added;
-        stats.rows_retracted = retracted;
-        stats.output_rows = next.len();
+        let merge = obs::Stopwatch::start();
+        (stats.rows_added, stats.rows_retracted) =
+            merge_delta(&mut self.table, &mut self.counts, delta);
+        stats.merge = merge.elapsed();
+        stats.output_rows = self.table.len();
         stats.closure_rounds = step_stats.closure_rounds.load(Ordering::Relaxed);
         stats.time_rounds = step_stats.time_closure_rounds.load(Ordering::Relaxed);
-        self.table = Arc::new(next);
         stats.duration = started.elapsed();
         stats
     }
+}
 
-    /// Concatenates every cached row group into the canonical (sorted,
-    /// deduplicated) binding table — the same canonical form
-    /// [`engine::execute`] produces.
-    fn assemble(&self) -> BindingTable {
-        let mut table = BindingTable::new(self.plan_set.variables.clone());
-        for cache in &self.plans {
-            table.extend_rows(cache.cached.rows.iter().cloned());
+/// Merges a cache delta into a counted canonical table, returning how many
+/// rows it added and retracted.
+///
+/// `counts[i]` is the multiplicity of `table.rows()[i]` among the cached rows,
+/// and `delta.minus` must be a sub-multiset of them.  The delta's two lists
+/// are sorted and netted per distinct row; a table the net leaves unchanged is
+/// not copied.  Otherwise one walk of the old table, binary-searching from one
+/// net row to the next, gives the next table and its counts; it copies the
+/// rows it keeps, because an epoch may still pin the old table.  A row whose
+/// count leaves 0 is added, one whose count reaches 0 is retracted: the set
+/// difference between the old and new tables.
+fn merge_delta(
+    table: &mut Arc<BindingTable>,
+    counts: &mut Vec<u32>,
+    delta: CacheDelta,
+) -> (usize, usize) {
+    let plus = delta.plus.into_iter().map(|row| (row, 1));
+    let mut net: Vec<(Row, i64)> =
+        plus.chain(delta.minus.into_iter().map(|row| (row, -1))).collect();
+    net.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    net.dedup_by(|(row, change), (kept, total)| {
+        let same = row == kept;
+        if same {
+            *total += *change;
         }
-        table.sort_dedup();
-        table
+        same
+    });
+    net.retain(|&(_, change)| change != 0);
+    if net.is_empty() {
+        return (0, 0);
     }
+    let old = table.rows();
+    let mut rows = Vec::with_capacity(old.len() + net.len());
+    let mut next_counts = Vec::with_capacity(rows.capacity());
+    let (mut added, mut retracted) = (0, 0);
+    // `old[at..]` is what the walk has not passed yet.
+    let mut at = 0;
+    for (row, change) in net {
+        let before = at + old[at..].partition_point(|old_row| *old_row < row);
+        rows.extend_from_slice(&old[at..before]);
+        next_counts.extend_from_slice(&counts[at..before]);
+        at = before;
+        let count = if old.get(at) == Some(&row) {
+            at += 1;
+            counts[at - 1]
+        } else {
+            0
+        };
+        let next = u32::try_from(i64::from(count) + change)
+            .expect("a delta retracts only rows the caches hold");
+        if count == 0 {
+            added += 1;
+        } else if next == 0 {
+            retracted += 1;
+        }
+        if next > 0 {
+            rows.push(row);
+            next_counts.push(next);
+        }
+    }
+    rows.extend_from_slice(&old[at..]);
+    next_counts.extend_from_slice(&counts[at..]);
+    *table = Arc::new(BindingTable::from_rows(table.columns.clone(), rows));
+    *counts = next_counts;
+    (added, retracted)
 }
 
 /// The nodes whose seeds a delta touching `touched` can have affected, for a
@@ -326,7 +446,7 @@ impl QueryState {
 ///
 /// The visited sets are one flag per node and per edge, and the nodes come back in
 /// id order.
-fn affected_nodes(itpg: &Itpg, touched: &BTreeSet<Object>, hops: usize) -> Vec<NodeId> {
+fn affected_nodes(itpg: &Itpg, touched: &[Object], hops: usize) -> Vec<NodeId> {
     let mut node_seen = vec![false; itpg.num_nodes()];
     let mut edge_seen = vec![false; itpg.num_edges()];
     // True the first time `object` is met.
@@ -361,36 +481,11 @@ fn affected_nodes(itpg: &Itpg, touched: &BTreeSet<Object>, hops: usize) -> Vec<N
     (0..).zip(node_seen).filter(|&(_, seen)| seen).map(|(id, _)| NodeId(id)).collect()
 }
 
-/// Counts the rows added and retracted between two sorted, deduplicated row
-/// lists with a single linear merge.
-fn diff_sorted(old: &[Vec<Binding>], new: &[Vec<Binding>]) -> (usize, usize) {
-    let (mut added, mut retracted) = (0usize, 0usize);
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < old.len() && j < new.len() {
-        match old[i].cmp(&new[j]) {
-            std::cmp::Ordering::Less => {
-                retracted += 1;
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                added += 1;
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    retracted += old.len() - i;
-    added += new.len() - j;
-    (added, retracted)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use engine::plan::{HopDirection, MicroOp, ObjFilter, Segment, Shift, TemporalLink};
+    use proptest::prelude::*;
 
     #[test]
     fn cached_bounds_pick_the_refresh_path() {
@@ -447,26 +542,108 @@ mod tests {
             .map(|w| b.add_edge(&format!("e{}", w[0].0), "meets", w[0], w[1]).unwrap())
             .collect();
         let itpg = b.domain(Interval::of(0, 1)).build().unwrap();
-        let touched = |objects: &[Object]| objects.iter().copied().collect::<BTreeSet<Object>>();
         // Node → edge is one step, edge → node another.
-        let from_c = touched(&[Object::Node(ids[1])]);
+        let from_c = [Object::Node(ids[1])];
         assert_eq!(affected_nodes(&itpg, &from_c, 1), [ids[1]]);
         assert_eq!(affected_nodes(&itpg, &from_c, 2), [ids[0], ids[1], ids[2]]);
         assert_eq!(affected_nodes(&itpg, &from_c, 99), ids);
         // Touched objects that overlap are visited once; an edge alone reaches no node.
-        let both = touched(&[Object::Edge(edges[0]), Object::Node(ids[0]), Object::Node(ids[1])]);
+        let both = [Object::Node(ids[0]), Object::Node(ids[1]), Object::Edge(edges[0])];
         assert_eq!(affected_nodes(&itpg, &both, 1), [ids[0], ids[1]]);
-        assert!(affected_nodes(&itpg, &touched(&[Object::Edge(edges[2])]), 0).is_empty());
+        assert!(affected_nodes(&itpg, &[Object::Edge(edges[2])], 0).is_empty());
+    }
+
+    fn row(object: u32, t: u64) -> Row {
+        vec![Binding::at_point(Object::Node(NodeId(object)), t)]
+    }
+
+    fn columns() -> Vec<String> {
+        vec!["x".to_owned()]
+    }
+
+    /// Merges `plus` and `minus` into the counted table of `cached` built from an
+    /// empty one, returning the table, its counts and what the merge changed.
+    fn merged(
+        cached: Vec<Row>,
+        plus: Vec<Row>,
+        minus: Vec<Row>,
+    ) -> (Arc<BindingTable>, Vec<u32>, (usize, usize)) {
+        let mut table = Arc::new(BindingTable::new(columns()));
+        let mut counts = Vec::new();
+        merge_delta(&mut table, &mut counts, CacheDelta { plus: cached, minus: Vec::new() });
+        let changed = merge_delta(&mut table, &mut counts, CacheDelta { plus, minus });
+        (table, counts, changed)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The merge against a multiset model: the next table is
+        /// `sort_dedup(cached ⊎ plus ∖ minus)`, its counts a recount of that
+        /// multiset, and the rows added and retracted the set differences of the
+        /// two tables.
+        #[test]
+        fn a_merged_delta_equals_recounting_the_caches(
+            cached in prop::collection::vec((0..4u32, 0..4u64), 0..24),
+            dropped in prop::collection::vec(any::<bool>(), 24),
+            plus in prop::collection::vec((0..4u32, 0..4u64), 0..12),
+        ) {
+            let cached: Vec<Row> = cached.into_iter().map(|(o, t)| row(o, t)).collect();
+            let plus: Vec<Row> = plus.into_iter().map(|(o, t)| row(o, t)).collect();
+            let (mut minus, mut after) = (Vec::new(), plus.clone());
+            for (cached_row, &drop) in cached.iter().zip(&dropped) {
+                if drop { minus.push(cached_row.clone()) } else { after.push(cached_row.clone()) }
+            }
+            let mut old = BindingTable::from_rows(columns(), cached.clone());
+            old.sort_dedup();
+            let mut model = BindingTable::from_rows(columns(), after.clone());
+            model.sort_dedup();
+            let recount: Vec<u32> = model
+                .iter()
+                .map(|r| after.iter().filter(|a| *a == r).count() as u32)
+                .collect();
+            let added = model.iter().filter(|r| old.rows().binary_search(r).is_err()).count();
+            let retracted = old.iter().filter(|r| model.rows().binary_search(r).is_err()).count();
+
+            let (table, counts, changed) = merged(cached, plus, minus);
+            prop_assert_eq!(&*table, &model);
+            prop_assert_eq!(counts, recount);
+            prop_assert_eq!(changed, (added, retracted));
+        }
     }
 
     #[test]
-    fn sorted_diff_counts_additions_and_retractions() {
-        let row = |object: u32, t: u64| vec![Binding::at_point(Object::Node(NodeId(object)), t)];
-        let old = vec![row(0, 1), row(1, 2), row(2, 3)];
-        let new = vec![row(0, 1), row(1, 5), row(2, 3), row(3, 4)];
-        assert_eq!(diff_sorted(&old, &new), (2, 1));
-        assert_eq!(diff_sorted(&old, &old), (0, 0));
-        assert_eq!(diff_sorted(&[], &old), (3, 0));
-        assert_eq!(diff_sorted(&old, &[]), (0, 3));
+    fn a_row_two_seeds_produce_survives_the_retraction_of_one() {
+        let (table, counts, changed) =
+            merged(vec![row(0, 1), row(1, 2), row(1, 2)], vec![], vec![row(1, 2)]);
+        assert_eq!(table.rows(), [row(0, 1), row(1, 2)]);
+        assert_eq!(counts, [1, 1], "the count goes 2 → 1");
+        assert_eq!(changed, (0, 0), "nothing is retracted");
+        let (table, counts, changed) =
+            merged(vec![row(0, 1), row(1, 2), row(1, 2)], vec![], vec![row(1, 2), row(1, 2)]);
+        assert_eq!((table.rows(), &counts[..], changed), (&[row(0, 1)][..], &[1][..], (0, 1)));
+    }
+
+    #[test]
+    fn a_row_in_both_plus_and_minus_nets_to_no_change() {
+        let mut table = Arc::new(BindingTable::new(columns()));
+        let mut counts = Vec::new();
+        merge_delta(&mut table, &mut counts, CacheDelta { plus: vec![row(2, 3)], minus: vec![] });
+        let before = Arc::clone(&table);
+        let delta = CacheDelta { plus: vec![row(2, 3)], minus: vec![row(2, 3)] };
+        assert_eq!(merge_delta(&mut table, &mut counts, delta), (0, 0));
+        assert!(Arc::ptr_eq(&table, &before), "an unchanged table is not copied");
+        assert_eq!(counts, [1]);
+    }
+
+    #[test]
+    fn a_merge_into_an_empty_table_sorts_and_deduplicates() {
+        let plus = vec![row(3, 0), row(0, 2), row(3, 0), row(1, 1), row(0, 2), row(0, 2)];
+        let (table, counts, changed) = merged(Vec::new(), plus.clone(), Vec::new());
+        let mut expected = BindingTable::from_rows(columns(), plus);
+        expected.sort_dedup();
+        assert_eq!(*table, expected);
+        assert_eq!(counts, [3, 1, 2]);
+        assert_eq!(changed, (3, 0));
     }
 }

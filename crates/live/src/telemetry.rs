@@ -5,8 +5,8 @@
 //! lock-free `Arc` handles only:
 //!
 //! * [`live_metrics`] — batch ingestion and incremental refresh
-//!   (`tpath_live_*`): apply latency, mutation counts, refresh latency, the
-//!   delta-vs-full-fallback split, rows added/retracted.
+//!   (`tpath_live_*`): apply latency, mutation counts, refresh latency and its
+//!   phases, the delta-vs-full-fallback split, rows added/retracted.
 //! * [`epoch_metrics`] — the MVCC epoch protocol (`tpath_epoch_*`): publish /
 //!   retire counters, retained-snapshot and pinned-reader gauges.  Recorded
 //!   inside the manager's protocol lock, which is safe precisely because
@@ -39,6 +39,15 @@ pub(crate) struct LiveMetrics {
     pub refreshes_full: Arc<Counter>,
     /// `tpath_live_refresh_seconds` — refresh latency.
     pub refresh_seconds: Arc<Histogram>,
+    /// `tpath_live_refresh_phase_seconds{phase="seeding"}` — choosing the seed
+    /// rows to re-run (`RefreshStats::seeding`).
+    pub refresh_seeding_seconds: Arc<Histogram>,
+    /// `tpath_live_refresh_phase_seconds{phase="rerun"}` — re-running the plan
+    /// alternatives from them (`RefreshStats::rerun`).
+    pub refresh_rerun_seconds: Arc<Histogram>,
+    /// `tpath_live_refresh_phase_seconds{phase="merge"}` — merging the counted
+    /// delta into the table (`RefreshStats::merge`).
+    pub refresh_merge_seconds: Arc<Histogram>,
     /// `tpath_live_refresh_rows_total{change="added"}`.
     pub rows_added: Arc<Counter>,
     /// `tpath_live_refresh_rows_total{change="retracted"}`.
@@ -98,6 +107,13 @@ pub(crate) fn live_metrics() -> &'static LiveMetrics {
         let refreshes_help =
             "Query refreshes, split by seeded (delta) vs re-running every live seed row (full).";
         let rows_help = "Rows added to / retracted from maintained answers by refreshes.";
+        let phase = |phase: &'static str| {
+            reg.latency_histogram(
+                "tpath_live_refresh_phase_seconds",
+                "Refresh latency per phase: seeding, rerun and merge.",
+                &[("phase", phase)],
+            )
+        };
         LiveMetrics {
             batches: reg.counter("tpath_live_batches_total", "Mutation batches applied.", &[]),
             mutations: reg.counter(
@@ -125,6 +141,9 @@ pub(crate) fn live_metrics() -> &'static LiveMetrics {
                 "Incremental refresh latency per registered query.",
                 &[],
             ),
+            refresh_seeding_seconds: phase("seeding"),
+            refresh_rerun_seconds: phase("rerun"),
+            refresh_merge_seconds: phase("merge"),
             rows_added: reg.counter(
                 "tpath_live_refresh_rows_total",
                 rows_help,

@@ -10,7 +10,8 @@
 //!   epoch however many workers race for it, and never on the writer;
 //! * a `Request::Metrics` scrape served by the same pool while requests are in
 //!   flight covers all four families (`tpath_engine_`, `tpath_live_`,
-//!   `tpath_epoch_`, `tpath_serve_`) and is well-formed in both formats, and
+//!   `tpath_epoch_`, `tpath_serve_`), the refresh phases among them, and is
+//!   well-formed in both formats, and
 //!   every `Response` carries a populated [`ServeHealth`].
 //!
 //! Everything lives in one test function: the registry is process-global, and
@@ -155,9 +156,11 @@ fn worker_pool_recording_matches_serial_replay_without_locking() {
     }
     let text = response.answer.metrics().expect("a Metrics request answers with rendered text");
     let lines: Vec<&str> = text.lines().collect();
-    for header in
-        ["# TYPE tpath_serve_requests_total counter", "# TYPE tpath_engine_span_seconds histogram"]
-    {
+    for header in [
+        "# TYPE tpath_serve_requests_total counter",
+        "# TYPE tpath_engine_span_seconds histogram",
+        "# TYPE tpath_live_refresh_phase_seconds histogram",
+    ] {
         assert!(lines.contains(&header), "scrape is missing {header:?}");
     }
     for series in [
@@ -166,6 +169,9 @@ fn worker_pool_recording_matches_serial_replay_without_locking() {
         "tpath_engine_span_seconds_bucket{span=\"query\",le=\"+Inf\"} ",
         "tpath_epoch_retained ",
         "tpath_live_refreshes_total{kind=\"delta\"} ",
+        "tpath_live_refresh_phase_seconds_bucket{phase=\"seeding\",le=\"+Inf\"} ",
+        "tpath_live_refresh_phase_seconds_bucket{phase=\"rerun\",le=\"+Inf\"} ",
+        "tpath_live_refresh_phase_seconds_bucket{phase=\"merge\",le=\"+Inf\"} ",
     ] {
         assert!(lines.iter().any(|line| line.starts_with(series)), "scrape is missing {series:?}");
     }

@@ -344,6 +344,18 @@ mod tests {
     }
 
     #[test]
+    fn difference_with_a_cut_ending_at_time_max() {
+        let all = IntervalSet::from_interval(iv(0, Time::MAX));
+        let tail = IntervalSet::from_interval(iv(5, Time::MAX));
+        assert_eq!(all.difference(&tail).intervals(), &[iv(0, 4)]);
+        assert!(IntervalSet::from_interval(iv(9, Time::MAX)).difference(&all).is_empty());
+        let cuts = IntervalSet::from_intervals([iv(3, 4), iv(Time::MAX, Time::MAX)]);
+        assert_eq!(all.difference(&cuts).intervals(), &[iv(0, 2), iv(5, Time::MAX - 1)]);
+        let last = IntervalSet::from_intervals([iv(0, 1), iv(Time::MAX - 1, Time::MAX)]);
+        assert_eq!(last.difference(&tail).intervals(), &[iv(0, 1)]);
+    }
+
+    #[test]
     fn difference_carves_out_covered_points() {
         let a = IntervalSet::from_intervals([iv(1, 10)]);
         let b = IntervalSet::from_intervals([iv(3, 4), iv(7, 7)]);

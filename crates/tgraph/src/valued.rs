@@ -177,6 +177,27 @@ mod tests {
     }
 
     #[test]
+    fn an_overwrite_reaching_time_max_keeps_no_piece_past_it() {
+        // `[k, MAX]` inside `[0, MAX]`: the old entry keeps only `[0, k - 1]`, and
+        // no piece starts past `MAX`.
+        let mut h = ValuedIntervals::empty();
+        h.assign(Value::str("low"), iv(0, Time::MAX));
+        h.assign(Value::str("high"), iv(7, Time::MAX));
+        assert_eq!(
+            h.entries(),
+            &[(Value::str("low"), iv(0, 6)), (Value::str("high"), iv(7, Time::MAX))]
+        );
+        // A point overwrite just below `MAX` keeps the piece `[MAX, MAX]` after it.
+        h.assign(Value::str("low"), iv(Time::MAX - 1, Time::MAX - 1));
+        assert_eq!(h.value_at(Time::MAX), Some(&Value::str("high")));
+        assert_eq!(h.value_at(Time::MAX - 1), Some(&Value::str("low")));
+        // Overwriting all of `[0, MAX]` leaves one entry.
+        h.assign(Value::str("v"), iv(0, Time::MAX));
+        assert_eq!(h.entries(), &[(Value::str("v"), iv(0, Time::MAX))]);
+        assert!(h.is_coalesced());
+    }
+
+    #[test]
     fn adjacent_equal_values_coalesce() {
         // {(v,[1,2]),(v,[3,4])} is *not* coalesced per Appendix A; assigning both
         // must produce {(v,[1,4])}.

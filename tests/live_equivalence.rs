@@ -9,14 +9,16 @@
 //!   closure) equals a from-scratch `execute` on the materialized graph, on one
 //!   worker and on two, through a tail of batches overwriting properties at
 //!   times already ingested, extending stays and splitting rows so that new
-//!   rows lie at times a batch misses;
+//!   rows lie at times a batch misses; each refresh's `rows_added` and
+//!   `rows_retracted` are the set differences of consecutive from-scratch
+//!   answers;
 //! * **(c) statistics** — after every batch, retractions included, the
 //!   `SchemaSummary` memoised in the maintained relations equals the summary
 //!   of a bulk build of the graph.
 
 use proptest::prelude::*;
 
-use engine::{compile, execute, ExecutionOptions, GraphRelations, SchemaSummary};
+use engine::{compile, execute, BindingTable, ExecutionOptions, GraphRelations, SchemaSummary};
 use live::LiveGraph;
 use tgraph::{Batch, Interval, IntervalSet, Itpg, Mutation};
 use trpq::queries::QueryId;
@@ -257,7 +259,13 @@ proptest! {
             let mut live =
                 LiveGraph::with_options(Itpg::empty(Interval::of(0, MAX_TIME)), options);
             let handles: Vec<_> = plan_sets.iter().map(|p| live.register(p.clone())).collect();
-            let check = |live: &mut LiveGraph, batch: &Batch| -> Result<(), TestCaseError> {
+            // The from-scratch answers at the previous epoch.
+            let mut previous: Vec<BindingTable> =
+                handles.iter().map(|&handle| live.table(handle).clone()).collect();
+            let check = |live: &mut LiveGraph,
+                         previous: &mut [BindingTable],
+                         batch: &Batch|
+             -> Result<(), TestCaseError> {
                 live.apply(batch).expect("generated batches are valid");
                 let refreshed = live.refresh_all();
                 let scratch = GraphRelations::from_itpg(live.itpg());
@@ -272,25 +280,34 @@ proptest! {
                         options.parallelism
                     );
                     prop_assert_eq!(refreshed[index].output_rows, expected.table.len());
+                    let before = &previous[index];
+                    prop_assert_eq!(
+                        (refreshed[index].rows_added, refreshed[index].rows_retracted),
+                        (rows_not_in(&expected.table, before), rows_not_in(before, &expected.table)),
+                        "{} at epoch {:?} miscounted its change",
+                        name,
+                        live.epoch()
+                    );
+                    previous[index] = expected.table;
                 }
                 Ok(())
             };
             for batch in &batches {
-                check(&mut live, batch)?;
+                check(&mut live, &mut previous, batch)?;
             }
             for (index, spec) in nodes.iter().enumerate() {
                 if let Some(batch) = flip_batch(&live, index, spec, flips[index]) {
-                    check(&mut live, &batch)?;
+                    check(&mut live, &mut previous, &batch)?;
                 }
             }
             for (index, spec) in nodes.iter().enumerate() {
                 if let Some(batch) = return_batch(&live, index, spec) {
-                    check(&mut live, &batch)?;
+                    check(&mut live, &mut previous, &batch)?;
                 }
             }
             for (index, spec) in nodes.iter().enumerate() {
                 if let Some(batch) = split_batch(&live, index, spec) {
-                    check(&mut live, &batch)?;
+                    check(&mut live, &mut previous, &batch)?;
                 }
             }
         }
@@ -321,6 +338,11 @@ proptest! {
             }
         }
     }
+}
+
+/// The rows of canonical table `a` that canonical table `b` lacks.
+fn rows_not_in(a: &BindingTable, b: &BindingTable) -> usize {
+    a.iter().filter(|row| b.rows().binary_search(row).is_err()).count()
 }
 
 /// The batch of the tail a stream ends with: one batch per drawn person (`None`
