@@ -181,20 +181,7 @@ pub fn audit_plan(plan: &EnginePlan, num_slots: Option<usize>) -> Vec<AuditIssue
 /// refresh only needs to re-evaluate seeds within that distance of a touched
 /// object ([`crate::executor::run_plan_seeded`]).
 pub fn hop_depth(plan: &EnginePlan) -> Option<usize> {
-    if plan.links.iter().any(|link| matches!(link, TemporalLink::Closure(_))) {
-        return None;
-    }
-    let mut hops = 0usize;
-    for segment in &plan.segments {
-        for op in &segment.ops {
-            match op {
-                MicroOp::Hop(_) => hops += 1,
-                MicroOp::Closure(_) => return None,
-                MicroOp::Filter(_) | MicroOp::Bind(_) => {}
-            }
-        }
-    }
-    Some(hops)
+    (!plan.has_fixpoint()).then(|| plan.hop_count())
 }
 
 fn issue(location: &str, message: &str) -> AuditIssue {

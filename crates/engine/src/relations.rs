@@ -100,8 +100,10 @@ pub struct DeltaStats {
 
 /// A canonical, tombstone-free view of the relations, used to check that an
 /// incrementally maintained [`GraphRelations`] is equivalent to one bulk-loaded
-/// with [`GraphRelations::from_itpg`] (row *indices* differ between the two —
-/// deltas append rows — but the logical content must not).
+/// with [`GraphRelations::from_itpg`].  The bulk load is one delta creating every
+/// object, so its row indices are positions in `(object id, interval)` order;
+/// a sequence of deltas appends rows batch by batch and tombstones the ones it
+/// retracts, so its row *indices* differ, but the logical content must not.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CanonicalRelations {
     /// The temporal domain.
@@ -167,12 +169,13 @@ pub struct GraphRelations {
     edge_rows_by_tgt: Column<Vec<u32>>,
     node_existence: Column<IntervalSet>,
     edge_existence: Column<IntervalSet>,
-    // Liveness of every row.  `from_itpg` produces all-live relations;
-    // `apply_delta` tombstones the rows whose state a batch changed instead of
-    // compacting the row vectors, so every other row keeps its index (which is
-    // what lets live query maintenance reuse cached results).  Tombstoned rows are
-    // unreachable through every index and permutation; only direct slice access
-    // (`node_rows()` / `edge_rows()`) can still observe them.
+    // Liveness of every row.  `apply_delta` tombstones the rows whose state a
+    // batch changed instead of compacting the row vectors (a bulk load, the
+    // delta that creates every object, retracts none), so every other row keeps
+    // its index, which is what lets live query maintenance reuse cached
+    // results.  Tombstoned rows are unreachable through every index and
+    // permutation; only direct slice access (`node_rows()` / `edge_rows()`) can
+    // still observe them.
     node_row_live: Arc<Vec<bool>>,
     edge_row_live: Arc<Vec<bool>>,
     dead_node_rows: usize,
@@ -207,24 +210,13 @@ const CHUNK: usize = 1024;
 /// A copy-on-write column of per-object data: fixed-size chunks, each behind
 /// its own [`Arc`], under an `Arc`'d spine.  Cloning it is one reference-count
 /// bump; writing through a clone copies the spine and the one chunk written.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct Column<T> {
     chunks: Arc<Vec<Arc<Vec<T>>>>,
     len: usize,
 }
 
 impl<T: Clone> Column<T> {
-    /// Moves the elements of `items` into chunks, cloning none of them.
-    fn from_vec(items: Vec<T>) -> Self {
-        let len = items.len();
-        let mut chunks = Vec::with_capacity(len.div_ceil(CHUNK));
-        let mut items = items.into_iter();
-        while items.len() > 0 {
-            chunks.push(Arc::new(items.by_ref().take(CHUNK).collect()));
-        }
-        Column { chunks: Arc::new(chunks), len }
-    }
-
     fn len(&self) -> usize {
         self.len
     }
@@ -240,6 +232,15 @@ impl<T: Clone> Column<T> {
         &mut Arc::make_mut(chunk)[index % CHUNK]
     }
 
+    /// The element at `index`, writable as [`Column::get_mut`] makes it, or
+    /// past the end the element of `pending` (not yet appended) that lands there.
+    fn get_mut_or<'a>(&'a mut self, pending: &'a mut [T], index: usize) -> &'a mut T {
+        match index.checked_sub(self.len) {
+            Some(pending_index) => &mut pending[pending_index],
+            None => self.get_mut(index),
+        }
+    }
+
     /// Sets the element at `index` to `value`, writing (and so copying, see
     /// [`Column::get_mut`]) only if it differs.
     fn set(&mut self, index: usize, value: &T)
@@ -251,19 +252,21 @@ impl<T: Clone> Column<T> {
         }
     }
 
-    /// Appends an element: copies the spine and the tail chunk if a clone of
-    /// the column still shares them.
-    fn push(&mut self, item: T) {
-        let spine = Arc::make_mut(&mut self.chunks);
-        match spine.last_mut() {
-            Some(tail) if tail.len() < CHUNK => Arc::make_mut(tail).push(item),
-            _ => {
-                let mut chunk = Vec::with_capacity(CHUNK);
-                chunk.push(item);
-                spine.push(Arc::new(chunk));
+    /// Appends `items`, moving them: copies the spine and the tail chunk if
+    /// a clone of the column still shares them, and no other chunk.
+    fn extend(&mut self, items: Vec<T>) {
+        self.len += items.len();
+        let mut items = items.into_iter();
+        while items.len() > 0 {
+            let spine = Arc::make_mut(&mut self.chunks);
+            match spine.last_mut().filter(|tail| tail.len() < CHUNK) {
+                Some(tail) => {
+                    let tail = Arc::make_mut(tail);
+                    tail.extend(items.by_ref().take(CHUNK - tail.len()));
+                }
+                None => spine.push(Arc::new(items.by_ref().take(CHUNK).collect())),
             }
         }
-        self.len += 1;
     }
 
     fn iter(&self) -> impl Iterator<Item = &T> {
@@ -338,75 +341,35 @@ fn props_hold(props: &[(Arc<str>, Value)], graph: &Itpg, object: Object, t: Time
 }
 
 impl GraphRelations {
-    /// Builds the relational representation from an interval-timestamped graph.
+    /// Builds the relational representation from an interval-timestamped
+    /// graph: empty relations and one [`GraphRelations::apply_delta`] that
+    /// creates every object, so a bulk load writes its rows through the same
+    /// code as a live batch.  Created in id order, the rows lie at index =
+    /// position in `(object id, interval)` order and every adjacency list is
+    /// ascending.
     pub fn from_itpg(graph: &Itpg) -> Self {
-        let mut interner = Interner::default();
-
-        let mut nodes = Vec::new();
-        let mut node_rows_by_id = vec![Vec::new(); graph.num_nodes()];
-        let mut node_names = Vec::with_capacity(graph.num_nodes());
-        let mut node_existence = Vec::with_capacity(graph.num_nodes());
-        for n in graph.node_ids() {
-            let o = Object::Node(n);
-            node_names.push(graph.name(o).to_owned());
-            node_existence.push(graph.existence(o).clone());
-            let label = interner.intern(graph.label(o));
-            for segment in graph.segments(o) {
-                let props = interner.props_at(graph, o, segment.start());
-                node_rows_by_id[n.index()].push(nodes.len() as u32);
-                nodes.push(NodeRow { node: n, label: label.clone(), props, interval: segment });
-            }
-        }
-
-        let mut edges = Vec::new();
-        let mut edge_rows_by_id = vec![Vec::new(); graph.num_edges()];
-        let mut edge_rows_by_src = vec![Vec::new(); graph.num_nodes()];
-        let mut edge_rows_by_tgt = vec![Vec::new(); graph.num_nodes()];
-        let mut edge_names = Vec::with_capacity(graph.num_edges());
-        let mut edge_existence = Vec::with_capacity(graph.num_edges());
-        for e in graph.edge_ids() {
-            let o = Object::Edge(e);
-            edge_names.push(graph.name(o).to_owned());
-            edge_existence.push(graph.existence(o).clone());
-            let label = interner.intern(graph.label(o));
-            let (src, tgt) = (graph.src(e), graph.tgt(e));
-            for segment in graph.segments(o) {
-                let props = interner.props_at(graph, o, segment.start());
-                let row_index = edges.len() as u32;
-                edge_rows_by_id[e.index()].push(row_index);
-                edge_rows_by_src[src.index()].push(row_index);
-                edge_rows_by_tgt[tgt.index()].push(row_index);
-                edges.push(EdgeRow {
-                    edge: e,
-                    src,
-                    tgt,
-                    label: label.clone(),
-                    props,
-                    interval: segment,
-                });
-            }
-        }
-
-        let node_row_live = vec![true; nodes.len()];
-        let edge_row_live = vec![true; edges.len()];
-        GraphRelations {
+        let mut relations = GraphRelations {
             domain: graph.domain(),
-            nodes: Arc::new(nodes),
-            edges: Arc::new(edges),
-            node_names: Column::from_vec(node_names),
-            edge_names: Column::from_vec(edge_names),
-            node_rows_by_id: Column::from_vec(node_rows_by_id),
-            edge_rows_by_id: Column::from_vec(edge_rows_by_id),
-            edge_rows_by_src: Column::from_vec(edge_rows_by_src),
-            edge_rows_by_tgt: Column::from_vec(edge_rows_by_tgt),
-            node_existence: Column::from_vec(node_existence),
-            edge_existence: Column::from_vec(edge_existence),
-            node_row_live: Arc::new(node_row_live),
-            edge_row_live: Arc::new(edge_row_live),
+            nodes: Arc::default(),
+            edges: Arc::default(),
+            node_names: Column::default(),
+            edge_names: Column::default(),
+            node_rows_by_id: Column::default(),
+            edge_rows_by_id: Column::default(),
+            edge_rows_by_src: Column::default(),
+            edge_rows_by_tgt: Column::default(),
+            node_existence: Column::default(),
+            edge_existence: Column::default(),
+            node_row_live: Arc::default(),
+            edge_row_live: Arc::default(),
             dead_node_rows: 0,
             dead_edge_rows: 0,
             memo: Arc::default(),
-        }
+        };
+        // Every object lies past the end of empty relations, so the delta
+        // creates each one without a list of them.
+        relations.apply_delta(graph, &[]);
+        relations
     }
 
     /// An immutable copy-on-write snapshot of the relations: the returned value
@@ -443,20 +406,23 @@ impl GraphRelations {
 
     /// Applies one batch worth of changes to the relations *in place*, given the
     /// post-batch graph and the set of objects the batch touched (as reported by
-    /// [`tgraph::Itpg::apply_batch`]).
+    /// [`tgraph::Itpg::apply_batch`]).  This is the only code that writes rows
+    /// and per-object columns: [`GraphRelations::from_itpg`] is the delta that
+    /// creates every object.
     ///
     /// The contract: `graph` must be exactly `self`'s previous graph plus the
-    /// changes covered by `touched` — every object whose existence or properties
-    /// changed (including newly created objects) must appear in `touched`.  The
-    /// segments of each touched object are re-derived from `graph` and matched
-    /// against its old rows in one merge walk: an old row whose interval and
-    /// properties equal a new segment's is kept at its index, every other old
-    /// row is retracted (tombstoned, see the field docs) and every other segment
-    /// is appended as a new row.  A row is a pure function of its object, its
-    /// interval and the properties over it, so a kept row is exactly what a
-    /// rebuild would append and the live content equals a bulk
-    /// [`GraphRelations::from_itpg`] of `graph`.  Rows of untouched objects keep
-    /// their indices and content and are not recomputed.  The memo
+    /// changes covered by `touched` — every existing object whose existence or
+    /// properties changed must appear in `touched`.  Objects past the old end are
+    /// created whether listed or not, and neither order nor repeats in `touched`
+    /// matter: the delta walks objects in id order.  The segments of each touched
+    /// object are re-derived from `graph` and matched against its old rows in one
+    /// merge walk: an old row whose interval and properties equal a new segment's
+    /// is kept at its index, every other old row is retracted (tombstoned, see the
+    /// field docs) and every other segment is appended as a new row.  A row is a
+    /// pure function of its object, its interval and the properties over it, so a
+    /// kept row is exactly what a rebuild would append and the live content equals
+    /// a bulk [`GraphRelations::from_itpg`] of `graph`.  Rows of untouched objects
+    /// keep their indices and content and are not recomputed.  The memo
     /// ([`SchemaSummary`], sorted permutations) is dropped, not maintained: the
     /// next reader of the new version computes what it asks for.
     ///
@@ -468,8 +434,9 @@ impl GraphRelations {
     /// to or retracts from, its liveness flags.  A batch touching only edges
     /// copies no node column, and one that changes no row copies no row.
     pub fn apply_delta(&mut self, graph: &Itpg, touched: &[Object]) -> DeltaStats {
-        debug_assert!(graph.num_nodes() >= self.node_names.len());
-        debug_assert!(graph.num_edges() >= self.edge_names.len());
+        let (old_nodes, old_edges) = (self.num_nodes(), self.num_edges());
+        debug_assert!(graph.num_nodes() >= old_nodes && graph.num_edges() >= old_edges);
+        let (new_nodes, new_edges) = (graph.num_nodes() - old_nodes, graph.num_edges() - old_edges);
         let mut stats = DeltaStats::default();
         // A new version: forget the memo without touching the old one, which
         // snapshots of the previous version still share.
@@ -483,41 +450,46 @@ impl GraphRelations {
         // batch touching only one relation never copies the other's rows.  The
         // two relations append to disjoint row vectors, so the pass order does
         // not change any row index.
-        let touched_nodes: Vec<NodeId> =
-            touched.iter().copied().filter_map(Object::as_node).collect();
-        let touched_edges: Vec<EdgeId> =
-            touched.iter().copied().filter_map(Object::as_edge).collect();
-
-        // Extend the per-object tables for objects created since the last delta.
-        for index in self.node_names.len()..graph.num_nodes() {
-            self.node_names.push(graph.name(Object::Node(NodeId(index as u32))).to_owned());
-            self.node_existence.push(IntervalSet::empty());
-            self.node_rows_by_id.push(Vec::new());
-            self.edge_rows_by_src.push(Vec::new());
-            self.edge_rows_by_tgt.push(Vec::new());
-        }
-        for index in self.edge_names.len()..graph.num_edges() {
-            self.edge_names.push(graph.name(Object::Edge(EdgeId(index as u32))).to_owned());
-            self.edge_existence.push(IntervalSet::empty());
-            self.edge_rows_by_id.push(Vec::new());
-        }
+        //
+        // Each pass walks, in id order, the touched objects that existed before
+        // the delta, then every object created since.  A changed object is
+        // rewritten in place; a created one's entries are appended once per
+        // column, so they must come in id order.  Sorting makes the appended
+        // row indices independent of the order of `touched`.
+        let mut touched_nodes: Vec<NodeId> = touched.iter().filter_map(|o| o.as_node()).collect();
+        touched_nodes.retain(|n| n.index() < old_nodes);
+        touched_nodes.sort_unstable();
+        touched_nodes.dedup();
+        touched_nodes.extend((old_nodes..graph.num_nodes()).map(|n| NodeId(n as u32)));
+        let mut touched_edges: Vec<EdgeId> = touched.iter().filter_map(|o| o.as_edge()).collect();
+        touched_edges.retain(|e| e.index() < old_edges);
+        touched_edges.sort_unstable();
+        touched_edges.dedup();
+        touched_edges.extend((old_edges..graph.num_edges()).map(|e| EdgeId(e as u32)));
 
         let mut interner = Interner::default();
         // The object's new row list, rebuilt per object.
         let mut list = Vec::new();
+        // The adjacency lists of created nodes, which the edge pass fills.
+        let mut created_out = vec![Vec::new(); new_nodes];
+        let mut created_in = created_out.clone();
 
         if !touched_nodes.is_empty() {
             let base = self.nodes.len();
             let mut added = Vec::new();
             let mut retracted = Vec::new();
+            let mut names = Vec::with_capacity(new_nodes);
+            let mut row_lists = Vec::with_capacity(new_nodes);
+            let mut existence = Vec::with_capacity(new_nodes);
             for &n in &touched_nodes {
                 let object = Object::Node(n);
+                let created = n.index() >= old_nodes;
                 let label = interner.intern(graph.label(object));
                 let nodes = &self.nodes;
                 rederive(
                     graph,
                     object,
-                    self.node_rows_by_id.get(n.index()),
+                    if created { &[] } else { self.node_rows_by_id.get(n.index()) },
                     |row| (nodes[row as usize].interval, &nodes[row as usize].props),
                     &mut list,
                     &mut retracted,
@@ -527,9 +499,18 @@ impl GraphRelations {
                         (base + added.len() - 1) as u32
                     },
                 );
-                self.node_rows_by_id.set(n.index(), &list);
-                self.node_existence.set(n.index(), graph.existence(object));
+                if created {
+                    names.push(graph.name(object).to_owned());
+                    row_lists.push(std::mem::take(&mut list));
+                    existence.push(graph.existence(object).clone());
+                } else {
+                    self.node_rows_by_id.set(n.index(), &list);
+                    self.node_existence.set(n.index(), graph.existence(object));
+                }
             }
+            self.node_names.extend(names);
+            self.node_rows_by_id.extend(row_lists);
+            self.node_existence.extend(existence);
             stats.node_rows_retracted = retracted.len();
             stats.node_rows_added = added.len();
             self.dead_node_rows += retracted.len();
@@ -544,8 +525,12 @@ impl GraphRelations {
             let base = self.edges.len();
             let mut added = Vec::new();
             let mut retracted = Vec::new();
+            let mut names = Vec::with_capacity(new_edges);
+            let mut row_lists = Vec::with_capacity(new_edges);
+            let mut existence = Vec::with_capacity(new_edges);
             for &e in &touched_edges {
                 let object = Object::Edge(e);
+                let created = e.index() >= old_edges;
                 let (src, tgt) = (graph.src(e), graph.tgt(e));
                 let label = interner.intern(graph.label(object));
                 let (retracted_before, added_before) = (retracted.len(), added.len());
@@ -553,7 +538,7 @@ impl GraphRelations {
                 rederive(
                     graph,
                     object,
-                    self.edge_rows_by_id.get(e.index()),
+                    if created { &[] } else { self.edge_rows_by_id.get(e.index()) },
                     |row| (edges[row as usize].interval, &edges[row as usize].props),
                     &mut list,
                     &mut retracted,
@@ -564,8 +549,14 @@ impl GraphRelations {
                         (base + added.len() - 1) as u32
                     },
                 );
-                self.edge_rows_by_id.set(e.index(), &list);
-                self.edge_existence.set(e.index(), graph.existence(object));
+                if created {
+                    names.push(graph.name(object).to_owned());
+                    row_lists.push(std::mem::take(&mut list));
+                    existence.push(graph.existence(object).clone());
+                } else {
+                    self.edge_rows_by_id.set(e.index(), &list);
+                    self.edge_existence.set(e.index(), graph.existence(object));
+                }
                 // The adjacency lists lose the retracted rows and gain the
                 // appended ones; kept rows stay where they are.  Most changed
                 // edges are new and retract nothing: they skip the scans of
@@ -574,8 +565,8 @@ impl GraphRelations {
                 let new = (base + added_before) as u32..(base + added.len()) as u32;
                 if !gone.is_empty() || !new.is_empty() {
                     for adjacency in [
-                        self.edge_rows_by_src.get_mut(src.index()),
-                        self.edge_rows_by_tgt.get_mut(tgt.index()),
+                        self.edge_rows_by_src.get_mut_or(&mut created_out, src.index()),
+                        self.edge_rows_by_tgt.get_mut_or(&mut created_in, tgt.index()),
                     ] {
                         if !gone.is_empty() {
                             adjacency.retain(|row| !gone.contains(row));
@@ -584,6 +575,9 @@ impl GraphRelations {
                     }
                 }
             }
+            self.edge_names.extend(names);
+            self.edge_rows_by_id.extend(row_lists);
+            self.edge_existence.extend(existence);
             stats.edge_rows_retracted = retracted.len();
             stats.edge_rows_added = added.len();
             self.dead_edge_rows += retracted.len();
@@ -593,6 +587,8 @@ impl GraphRelations {
                 in_interval_order(self.rows_of_edge(e), |row| self.edges[row as usize].interval)
             }));
         }
+        self.edge_rows_by_src.extend(created_out);
+        self.edge_rows_by_tgt.extend(created_in);
         stats
     }
 
@@ -817,7 +813,8 @@ fn in_interval_order(rows: &[u32], interval: impl Fn(u32) -> Interval) -> bool {
     rows.windows(2).all(|w| interval(w[0]).end() < interval(w[1]).start())
 }
 
-/// Appends `added` to a copy-on-write row vector.  A vector a snapshot still
+/// Appends `added` to a copy-on-write row vector.  An empty vector is
+/// replaced by `added`, so a bulk load moves no row.  A vector a snapshot still
 /// shares is copied once, into an allocation that already fits `added`:
 /// `Arc::make_mut` would copy it at its length and then move every row again
 /// to grow it.
@@ -825,14 +822,16 @@ fn append_rows<R: Clone>(rows: &mut Arc<Vec<R>>, added: Vec<R>) {
     if added.is_empty() {
         return;
     }
-    if let Some(rows) = Arc::get_mut(rows) {
+    if rows.is_empty() {
+        *rows = Arc::new(added);
+    } else if let Some(rows) = Arc::get_mut(rows) {
         rows.extend(added);
-        return;
+    } else {
+        let mut copy = Vec::with_capacity(rows.len() + added.len());
+        copy.extend_from_slice(rows);
+        copy.extend(added);
+        *rows = Arc::new(copy);
     }
-    let mut copy = Vec::with_capacity(rows.len() + added.len());
-    copy.extend_from_slice(rows);
-    copy.extend(added);
-    *rows = Arc::new(copy);
 }
 
 /// Flattens per-key adjacency lists (indexed by ascending key) into one key-sorted
@@ -1001,6 +1000,142 @@ mod tests {
         assert!(zed.iter().all(|&row| !rel.is_node_row_live(row)));
         assert_delta_invariants(&rel);
         assert_eq!(rel.canonical_snapshot(), GraphRelations::from_itpg(&itpg).canonical_snapshot());
+    }
+
+    /// A graph whose objects have several rows each and whose edges leave and
+    /// enter their nodes out of id order.
+    fn tangled() -> Itpg {
+        let mut b = ItpgBuilder::new();
+        let ids: Vec<NodeId> =
+            (0..4).map(|i| b.add_node(&format!("n{i}"), "Person").unwrap()).collect();
+        for (i, &n) in ids.iter().enumerate() {
+            b.add_existence(n, iv(1, 20)).unwrap();
+            b.set_property(n, "risk", "low", iv(1, 4 + i as u64)).unwrap();
+            b.set_property(n, "risk", "high", iv(5 + i as u64, 20)).unwrap();
+        }
+        for (i, (src, tgt)) in
+            [(3, 1), (0, 3), (3, 0), (1, 3), (2, 2), (0, 1)].into_iter().enumerate()
+        {
+            let e = b.add_edge(&format!("e{i}"), "meets", ids[src], ids[tgt]).unwrap();
+            b.add_existence(e, iv(2, 4)).unwrap();
+            b.add_existence(e, iv(6 + i as u64, 9 + i as u64)).unwrap();
+            b.set_property(e, "loc", "cafe", iv(2, 3)).unwrap();
+        }
+        b.domain(iv(1, 30)).build().unwrap()
+    }
+
+    /// Asserts the layout of a bulk load: every row live, at index = position
+    /// in `(object id, interval)` order, so each object's rows are one run of
+    /// indices, and every adjacency list ascending.
+    fn assert_bulk_layout(rel: &GraphRelations) {
+        let (nodes, edges) = (rel.node_rows(), rel.edge_rows());
+        assert!(nodes.windows(2).all(|w| (w[0].node, w[0].interval) < (w[1].node, w[1].interval)));
+        assert!(edges.windows(2).all(|w| (w[0].edge, w[0].interval) < (w[1].edge, w[1].interval)));
+        let node_ids = (0..rel.num_nodes() as u32).map(NodeId);
+        let listed: Vec<u32> =
+            node_ids.clone().flat_map(|n| rel.rows_of_node(n).to_vec()).collect();
+        assert_eq!(listed, (0..nodes.len() as u32).collect::<Vec<_>>());
+        let edge_ids = (0..rel.num_edges() as u32).map(EdgeId);
+        let listed: Vec<u32> = edge_ids.flat_map(|e| rel.rows_of_edge(e).to_vec()).collect();
+        assert_eq!(listed, (0..edges.len() as u32).collect::<Vec<_>>());
+        for n in node_ids {
+            let rows = |end: fn(&EdgeRow) -> NodeId| -> Vec<u32> {
+                (0..edges.len() as u32).filter(|&r| end(&edges[r as usize]) == n).collect()
+            };
+            assert_eq!(rel.out_edge_rows(n), rows(|row| row.src), "out of {n:?}");
+            assert_eq!(rel.in_edge_rows(n), rows(|row| row.tgt), "into {n:?}");
+        }
+        assert!((0..nodes.len() as u32).all(|r| rel.is_node_row_live(r)));
+        assert!((0..edges.len() as u32).all(|r| rel.is_edge_row_live(r)));
+    }
+
+    #[test]
+    fn a_bulk_load_lays_rows_out_in_id_and_interval_order() {
+        let rel = GraphRelations::from_itpg(&tangled());
+        assert_eq!(rel.stats().temporal_nodes, 8);
+        assert_eq!(rel.stats().temporal_edges, 18);
+        assert_bulk_layout(&rel);
+        assert_eq!(rel.out_edge_rows(NodeId(3)), [0, 1, 2, 6, 7, 8]);
+        assert_eq!(rel.in_edge_rows(NodeId(3)), [3, 4, 5, 9, 10, 11]);
+        assert_bulk_layout(&GraphRelations::from_itpg(&sample()));
+        assert_bulk_layout(&GraphRelations::from_itpg(&ring(CHUNK + 3)));
+    }
+
+    /// Everything a relations value stores, at its physical row indices.
+    #[derive(Debug, PartialEq)]
+    struct Physical {
+        nodes: Vec<NodeRow>,
+        edges: Vec<EdgeRow>,
+        live: Vec<bool>,
+        lists: [Vec<Vec<u32>>; 4],
+        canonical: CanonicalRelations,
+    }
+
+    fn physical(rel: &GraphRelations) -> Physical {
+        let node_ids = || (0..rel.num_nodes() as u32).map(NodeId);
+        let edge_ids = (0..rel.num_edges() as u32).map(EdgeId);
+        let live_nodes = (0..rel.node_rows().len() as u32).map(|r| rel.is_node_row_live(r));
+        let live_edges = (0..rel.edge_rows().len() as u32).map(|r| rel.is_edge_row_live(r));
+        Physical {
+            nodes: rel.node_rows().to_vec(),
+            edges: rel.edge_rows().to_vec(),
+            live: live_nodes.chain(live_edges).collect(),
+            lists: [
+                node_ids().map(|n| rel.rows_of_node(n).to_vec()).collect(),
+                edge_ids.map(|e| rel.rows_of_edge(e).to_vec()).collect(),
+                node_ids().map(|n| rel.out_edge_rows(n).to_vec()).collect(),
+                node_ids().map(|n| rel.in_edge_rows(n).to_vec()).collect(),
+            ],
+            canonical: rel.canonical_snapshot(),
+        }
+    }
+
+    #[test]
+    fn the_order_of_touched_does_not_change_a_delta() {
+        let mut itpg = tangled();
+        let rel = GraphRelations::from_itpg(&itpg);
+        let mut batch = tgraph::Batch::new(1);
+        batch
+            .set_property("n3", "risk", "mid", iv(2, 3))
+            .set_property("n0", "risk", "mid", iv(12, 14))
+            .add_node("n4", "Person")
+            .add_node("n5", "Person")
+            .add_existence("n4", iv(3, 9))
+            .add_existence("n5", iv(1, 4))
+            .add_edge("e6", "meets", "n4", "n3")
+            .add_edge("e7", "meets", "n1", "n5")
+            .add_existence("e6", iv(4, 5))
+            .add_existence("e7", iv(2, 3))
+            .set_property("e4", "loc", "park", iv(2, 2))
+            .set_property("e1", "loc", "bar", iv(7, 7));
+        let applied = itpg.apply_batch(&batch).unwrap();
+        let mut in_order = rel.clone();
+        let stats = in_order.apply_delta(&itpg, &applied.touched);
+        assert_eq!(
+            stats,
+            DeltaStats {
+                node_rows_added: 8,
+                node_rows_retracted: 2,
+                edge_rows_added: 6,
+                edge_rows_retracted: 2,
+            }
+        );
+        let expected = physical(&in_order);
+        assert_eq!(expected.canonical, GraphRelations::from_itpg(&itpg).canonical_snapshot());
+        let mut reversed = applied.touched.clone();
+        reversed.reverse();
+        let mut rotated = applied.touched.clone();
+        rotated.rotate_left(3);
+        let mut repeated = applied.touched.clone();
+        repeated.extend(applied.touched.iter().rev().step_by(2));
+        // Objects past the old end are created whether listed or not.
+        let unlisted: Vec<Object> =
+            reversed.iter().copied().filter(|o| !applied.created.contains(o)).collect();
+        for touched in [reversed, rotated, repeated, unlisted] {
+            let mut rel = rel.clone();
+            assert_eq!(rel.apply_delta(&itpg, &touched), stats, "{touched:?}");
+            assert_eq!(physical(&rel), expected, "{touched:?}");
+        }
     }
 
     /// The rows of `rel` at `indices`, by interval.
@@ -1287,6 +1422,46 @@ mod tests {
         }
         assert_delta_invariants(&rel);
         assert_eq!(rel.canonical_snapshot(), GraphRelations::from_itpg(&itpg).canonical_snapshot());
+    }
+
+    #[test]
+    fn one_delta_creating_more_than_a_chunk_copies_only_the_old_tail() {
+        let old = 3 * CHUNK + CHUNK / 2;
+        let mut itpg = ring(old);
+        let mut rel = GraphRelations::from_itpg(&itpg);
+        let pinned = rel.snapshot();
+        let before = pinned.canonical_snapshot();
+        // More new people than a chunk holds, each meeting the next one: the
+        // new objects fill the old tail chunk and one more.
+        let created = CHUNK + 100;
+        let mut batch = tgraph::Batch::new(1);
+        for i in 0..created {
+            let (name, edge) = (format!("p{i}"), format!("f{i}"));
+            batch
+                .add_node(name.clone(), "Person")
+                .add_existence(name.clone(), iv(3, 9))
+                .add_edge(edge.clone(), "meets", name, format!("p{}", (i + 1) % created))
+                .add_existence(edge, iv(4, 6));
+        }
+        let applied = itpg.apply_batch(&batch).unwrap();
+        let stats = rel.apply_delta(&itpg, &applied.touched);
+        assert_eq!(
+            stats,
+            DeltaStats { node_rows_added: created, edge_rows_added: created, ..stats }
+        );
+        assert_eq!(rel.node_names.chunks.len(), 5);
+        // Per column, the old tail chunk is copied and one chunk added; the
+        // three full chunks before it stay shared.
+        for (column, apart) in chunk_distances(&pinned, &rel) {
+            assert_eq!(apart, 2, "{column}");
+        }
+        assert_eq!(pinned.canonical_snapshot(), before);
+        assert_eq!(pinned.num_nodes(), old);
+        // Nothing old changed, so the delta appended exactly what a bulk load
+        // of the final graph lays out after the old objects.
+        let bulk = GraphRelations::from_itpg(&itpg);
+        assert_bulk_layout(&rel);
+        assert_eq!(physical(&rel), physical(&bulk));
     }
 
     /// The rows a relations value lists through its two permutations, in order.

@@ -14,9 +14,12 @@
 //!    ([`engine::GraphRelations::apply_delta`]): a touched object's states are
 //!    re-derived, the rows whose state changed are retracted and the new
 //!    states appended, and every other row — an untouched object's, or a
-//!    touched object's the batch left as it was — keeps its index.  Nothing
-//!    derived from the rows is maintained: the first reader of the new version
-//!    recomputes what it asks for.
+//!    touched object's the batch left as it was — keeps its index.  This is
+//!    the relations' one row writer: a bulk load
+//!    ([`engine::GraphRelations::from_itpg`]) is the delta that creates every
+//!    object, so a live graph's rows and a rebuild's come from the same code.
+//!    Nothing derived from the rows is maintained: the first reader of the new
+//!    version recomputes what it asks for.
 //! 2. **Delta-seeded evaluation** — for a plan with a statically known hop
 //!    count `H` (every plan without a closure fixpoint), a chain seeded at a
 //!    node can only observe objects within `H` structural hops of that node, so

@@ -1,5 +1,6 @@
 //! Deterministic fault-handling tests for the query server: worker-panic
-//! containment, abortive close, and graceful shutdown draining.
+//! containment, hostile ad-hoc query text answered with an error, abortive
+//! close, and graceful shutdown draining.
 //!
 //! The panic tests submit a request whose execution panics *deterministically*
 //! in every build profile: the plan smuggles a `Bind` inside a closure body,
@@ -64,6 +65,18 @@ fn a_panicking_request_is_contained_and_the_worker_survives() {
     // One worker only: the very thread that just unwound must serve this.
     let response = server.submit(healthy_request()).wait().unwrap();
     assert!(!response.answer.rows().unwrap().is_empty());
+    server.shutdown();
+}
+
+#[test]
+fn non_ascii_query_text_is_an_error_not_a_panic() {
+    let server = Server::start(populated_graph(), 1);
+    for text in ["MATCH (x:Personé) ON live", "MATCH (x:Person) ON livà", "MATCH (x:Person) ON g😀"]
+    {
+        let request = Request::AdHoc { text: text.into(), mode: AnswerMode::Materialized };
+        let err = server.submit(request).wait().unwrap_err();
+        assert!(matches!(err, LiveError::Query(trpq::QueryError::Parse { .. })), "{text}: {err:?}");
+    }
     server.shutdown();
 }
 

@@ -33,7 +33,6 @@ pub mod ids;
 pub mod interval;
 pub mod interval_set;
 pub mod itpg;
-pub mod snapshot;
 pub mod value;
 pub mod valued;
 
@@ -43,6 +42,5 @@ pub use ids::{EdgeId, NodeId, Object, TemporalObject};
 pub use interval::{Interval, Time};
 pub use interval_set::IntervalSet;
 pub use itpg::{Itpg, ItpgBuilder};
-pub use snapshot::{Snapshot, SnapshotEdge, SnapshotNode};
 pub use value::Value;
 pub use valued::ValuedIntervals;

@@ -21,7 +21,6 @@ use std::collections::HashMap;
 use tgraph::{Itpg, Object, TemporalObject};
 
 use crate::ast::{Axis, Path, TestExpr};
-use crate::error::Result;
 
 /// Decides `(src, dst) ∈ ⟦path⟧_I` for an arbitrary `NavL[PC,NOI]` expression.
 pub fn eval_contains_full(
@@ -32,17 +31,6 @@ pub fn eval_contains_full(
 ) -> bool {
     let mut solver = FullSolver::new(graph);
     solver.solve(path, src, dst)
-}
-
-/// Infallible variant of [`eval_contains_full`] wrapped in a `Result` for API symmetry
-/// with the fragment-specific evaluators.
-pub fn try_eval_contains_full(
-    path: &Path,
-    graph: &Itpg,
-    src: TemporalObject,
-    dst: TemporalObject,
-) -> Result<bool> {
-    Ok(eval_contains_full(path, graph, src, dst))
 }
 
 #[derive(PartialEq, Eq, Hash, Clone, Copy)]

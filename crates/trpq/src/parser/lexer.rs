@@ -58,15 +58,18 @@ pub struct Spanned {
     pub position: usize,
 }
 
-/// Splits the query text into tokens.
+/// Splits the query text into tokens.  Outside string literals the language is
+/// ASCII: any other character is a positioned [`QueryError::Parse`].
 pub fn tokenize(input: &str) -> Result<Vec<Spanned>> {
     let bytes = input.as_bytes();
     let mut tokens = Vec::new();
     let mut i = 0usize;
-    while i < bytes.len() {
-        let c = bytes[i] as char;
+    // Every token below is ASCII or ends at an ASCII quote, so `i` always
+    // stays on a character boundary.
+    while let Some(c) = input[i..].chars().next() {
         let start = i;
         match c {
+            other if !other.is_ascii() => return Err(unexpected(other, start)),
             c if c.is_whitespace() => {
                 i += 1;
             }
@@ -118,7 +121,7 @@ pub fn tokenize(input: &str) -> Result<Vec<Spanned>> {
             }
             c if c.is_ascii_digit() => {
                 let mut j = i;
-                while j < bytes.len() && (bytes[j] as char).is_ascii_digit() {
+                while j < bytes.len() && bytes[j].is_ascii_digit() {
                     j += 1;
                 }
                 let value: u64 = input[i..j].parse().map_err(|_| QueryError::Parse {
@@ -131,7 +134,7 @@ pub fn tokenize(input: &str) -> Result<Vec<Spanned>> {
             '_' => {
                 // A lone underscore is the "_" of open-ended occurrence indicators;
                 // an underscore starting an identifier is part of the identifier.
-                if bytes.get(i + 1).is_none_or(|&b| !(b as char).is_alphanumeric() && b != b'_') {
+                if bytes.get(i + 1).is_none_or(|&b| !b.is_ascii_alphanumeric() && b != b'_') {
                     push(&mut tokens, Token::Underscore, start, &mut i);
                 } else {
                     let (ident, next) = read_ident(input, i);
@@ -139,20 +142,19 @@ pub fn tokenize(input: &str) -> Result<Vec<Spanned>> {
                     i = next;
                 }
             }
-            c if c.is_alphabetic() => {
+            c if c.is_ascii_alphabetic() => {
                 let (ident, next) = read_ident(input, i);
                 tokens.push(Spanned { token: Token::Ident(ident), position: start });
                 i = next;
             }
-            other => {
-                return Err(QueryError::Parse {
-                    message: format!("unexpected character '{other}'"),
-                    position: start,
-                })
-            }
+            other => return Err(unexpected(other, start)),
         }
     }
     Ok(tokens)
+}
+
+fn unexpected(c: char, position: usize) -> QueryError {
+    QueryError::Parse { message: format!("unexpected character '{c}'"), position }
 }
 
 fn push(tokens: &mut Vec<Spanned>, token: Token, start: usize, i: &mut usize) {
@@ -163,13 +165,8 @@ fn push(tokens: &mut Vec<Spanned>, token: Token, start: usize, i: &mut usize) {
 fn read_ident(input: &str, start: usize) -> (String, usize) {
     let bytes = input.as_bytes();
     let mut j = start;
-    while j < bytes.len() {
-        let c = bytes[j] as char;
-        if c.is_alphanumeric() || c == '_' {
-            j += 1;
-        } else {
-            break;
-        }
+    while j < bytes.len() && (bytes[j].is_ascii_alphanumeric() || bytes[j] == b'_') {
+        j += 1;
     }
     (input[start..j].to_owned(), j)
 }
@@ -251,5 +248,31 @@ mod tests {
         assert_eq!(toks[2].token, Token::Str("10".into()));
         assert_eq!(toks[2].position, 7);
         assert_eq!(kinds("42"), vec![Token::Number(42)]);
+    }
+
+    #[test]
+    fn non_ascii_text_outside_literals_is_a_positioned_error() {
+        for (input, c, position) in [
+            ("MATCH (x:Personé) ON g", 'é', 15),
+            ("MATCH (x:Person) ON gà", 'à', 21),
+            ("MATCH (x:Person) ON g😀", '😀', 21),
+            ("(é)", 'é', 1),
+            ("_é", 'é', 1),
+        ] {
+            match tokenize(input) {
+                Err(QueryError::Parse { message, position: at }) => {
+                    assert_eq!(message, format!("unexpected character '{c}'"), "{input}");
+                    assert_eq!(at, position, "{input}");
+                }
+                other => panic!("{input}: expected a parse error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn non_ascii_text_inside_literals_still_tokenizes() {
+        let toks = tokenize("{name = 'Zoë 😀'} x").unwrap();
+        assert_eq!(toks[3].token, Token::Str("Zoë 😀".into()));
+        assert_eq!(toks[5], Spanned { token: Token::Ident("x".into()), position: 21 });
     }
 }
