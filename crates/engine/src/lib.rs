@@ -65,6 +65,7 @@ pub use plan::{
     TemporalLink,
 };
 pub use relations::{
-    CanonicalRelations, DeltaStats, EdgeRow, GraphRelations, NodeRow, RelationStats,
+    CanonicalRelations, DeltaStats, EdgeRow, GraphRelations, NodeRow, ObjectSegments, Props,
+    RelationStats,
 };
 pub use steps::StepStats;

@@ -11,6 +11,7 @@
 //! and the rows of one object are temporally coalesced.  The row counts of these two
 //! relations are exactly the "# temp. nodes" / "# temp. edges" columns of Table I.
 
+use std::borrow::Cow;
 use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasher, Hash, Hasher};
@@ -252,6 +253,17 @@ impl<T: Clone> Column<T> {
         }
     }
 
+    /// Sets the element at `index` to `value`, moving it, and writing (and so
+    /// copying, see [`Column::get_mut`]) only if it differs.
+    fn put(&mut self, index: usize, value: T)
+    where
+        T: PartialEq,
+    {
+        if *self.get(index) != value {
+            *self.get_mut(index) = value;
+        }
+    }
+
     /// Appends `items`, moving them: copies the spine and the tail chunk if
     /// a clone of the column still shares them, and no other chunk.
     fn extend(&mut self, items: Vec<T>) {
@@ -280,8 +292,31 @@ impl<T: Clone> Column<T> {
     }
 }
 
-/// A row's property values, sorted by name.
-type Props = Arc<[(Arc<str>, Value)]>;
+/// A row's property values, sorted by name.  Rows with equal properties may
+/// share one list.
+pub type Props = Arc<[(Arc<str>, Value)]>;
+
+/// One touched object's state after a change, as a producer of segments hands
+/// it to [`GraphRelations::apply_segments`].  The writer behind it is the one
+/// [`GraphRelations::apply_delta`] feeds from an [`Itpg`].
+#[derive(Debug, Clone)]
+pub struct ObjectSegments<'a> {
+    /// The object.  The first id past the relations' last object of its kind
+    /// creates it.
+    pub object: Object,
+    /// Its display name, read only where the change creates the object.
+    pub name: &'a str,
+    /// Its label.
+    pub label: &'a str,
+    /// Its source and target node, read only for an edge.
+    pub ends: (NodeId, NodeId),
+    /// Its coalesced existence after the change.
+    pub existence: IntervalSet,
+    /// Its maximal segments after the change, in interval order: its existence
+    /// split wherever a property value changes, each with the properties
+    /// holding over it.
+    pub segments: Vec<(Interval, Props)>,
+}
 
 /// Interns what the rows of one load or delta share: labels, property names
 /// and whole property lists.  Rows with equal properties point at one list, so
@@ -324,6 +359,88 @@ impl Interner {
         self.props.entry(key).or_default().push(Arc::clone(&new));
         new
     }
+
+    /// The interned list equal to `props`; `props` itself if none is yet.
+    fn share(&mut self, props: &Props) -> Props {
+        let mut hasher = self.hasher.build_hasher();
+        props.iter().for_each(|(name, value)| (&**name, value).hash(&mut hasher));
+        let bucket = self.props.entry(hasher.finish()).or_default();
+        if let Some(known) =
+            bucket.iter().find(|known| Arc::ptr_eq(known, props) || *known == props)
+        {
+            return Arc::clone(known);
+        }
+        bucket.push(Arc::clone(props));
+        Arc::clone(props)
+    }
+}
+
+/// A new segment's properties as its producer holds them.  The writer asks
+/// whether an old row holds exactly them, and shares them into a new row only
+/// where none does.
+trait SegmentProps {
+    /// True if `props` are exactly these properties.
+    fn held_by(&self, props: &[(Arc<str>, Value)]) -> bool;
+    /// The shared list a new row with these properties holds.
+    fn share(&self, interner: &mut Interner) -> Props;
+}
+
+/// The properties of an [`Itpg`] object at one time point, read in place.
+struct PropsAt<'g> {
+    graph: &'g Itpg,
+    object: Object,
+    at: Time,
+}
+
+impl SegmentProps for PropsAt<'_> {
+    fn held_by(&self, props: &[(Arc<str>, Value)]) -> bool {
+        props_hold(props, self.graph, self.object, self.at)
+    }
+
+    fn share(&self, interner: &mut Interner) -> Props {
+        interner.props_at(self.graph, self.object, self.at)
+    }
+}
+
+impl SegmentProps for Props {
+    fn held_by(&self, props: &[(Arc<str>, Value)]) -> bool {
+        **self == *props
+    }
+
+    fn share(&self, interner: &mut Interner) -> Props {
+        interner.share(self)
+    }
+}
+
+/// The id of an [`ObjectSegments`]' object, as an index.
+fn touched_index(object: &ObjectSegments<'_>) -> usize {
+    match object.object {
+        Object::Node(n) => n.index(),
+        Object::Edge(e) => e.index(),
+    }
+}
+
+/// The writer's view of an [`ObjectSegments`].
+fn touched(object: ObjectSegments<'_>) -> Touched<'_, impl Iterator<Item = (Interval, Props)>> {
+    Touched {
+        index: touched_index(&object),
+        name: object.name,
+        label: object.label,
+        ends: object.ends,
+        existence: Cow::Owned(object.existence),
+        segments: object.segments.into_iter(),
+    }
+}
+
+/// One touched object as the writer reads it, whichever producer made it.
+struct Touched<'a, S> {
+    index: usize,
+    name: &'a str,
+    label: &'a str,
+    ends: (NodeId, NodeId),
+    existence: Cow<'a, IntervalSet>,
+    /// `(interval, properties)` per maximal segment, in interval order.
+    segments: S,
 }
 
 /// The properties of `object` holding at `t`, borrowed from the graph.
@@ -406,9 +523,12 @@ impl GraphRelations {
 
     /// Applies one batch worth of changes to the relations *in place*, given the
     /// post-batch graph and the set of objects the batch touched (as reported by
-    /// [`tgraph::Itpg::apply_batch`]).  This is the only code that writes rows
-    /// and per-object columns: [`GraphRelations::from_itpg`] is the delta that
-    /// creates every object.
+    /// [`tgraph::Itpg::apply_batch`]).  One writer writes rows and per-object
+    /// columns, and this is one of its two producers of segments: it derives a
+    /// touched object's segments from an [`Itpg`], where
+    /// [`GraphRelations::apply_segments`] takes them ready-made (the live
+    /// graph's row-level apply).  [`GraphRelations::from_itpg`] is the delta
+    /// that creates every object.
     ///
     /// The contract: `graph` must be exactly `self`'s previous graph plus the
     /// changes covered by `touched` — every existing object whose existence or
@@ -436,26 +556,10 @@ impl GraphRelations {
     pub fn apply_delta(&mut self, graph: &Itpg, touched: &[Object]) -> DeltaStats {
         let (old_nodes, old_edges) = (self.num_nodes(), self.num_edges());
         debug_assert!(graph.num_nodes() >= old_nodes && graph.num_edges() >= old_edges);
-        let (new_nodes, new_edges) = (graph.num_nodes() - old_nodes, graph.num_edges() - old_edges);
-        let mut stats = DeltaStats::default();
-        // A new version: forget the memo without touching the old one, which
-        // snapshots of the previous version still share.
-        self.memo = Arc::default();
-        self.domain = graph.domain();
-
-        // Every write below goes through `Arc::make_mut`, `Column` or
-        // `append_rows`: each writes in place while the storage is uniquely
-        // owned and copies it exactly once when a pinned snapshot still shares
-        // it.  The delta is applied in two passes — nodes, then edges — so a
-        // batch touching only one relation never copies the other's rows.  The
-        // two relations append to disjoint row vectors, so the pass order does
-        // not change any row index.
-        //
-        // Each pass walks, in id order, the touched objects that existed before
-        // the delta, then every object created since.  A changed object is
-        // rewritten in place; a created one's entries are appended once per
-        // column, so they must come in id order.  Sorting makes the appended
-        // row indices independent of the order of `touched`.
+        // The writer walks, per relation and in id order, the touched objects
+        // that existed before the delta, then every object created since.
+        // Sorting makes the appended row indices independent of the order of
+        // `touched`.
         let mut touched_nodes: Vec<NodeId> = touched.iter().filter_map(|o| o.as_node()).collect();
         touched_nodes.retain(|n| n.index() < old_nodes);
         touched_nodes.sort_unstable();
@@ -466,127 +570,205 @@ impl GraphRelations {
         touched_edges.sort_unstable();
         touched_edges.dedup();
         touched_edges.extend((old_edges..graph.num_edges()).map(|e| EdgeId(e as u32)));
+        // Each touched object's segments are derived from `graph`, and their
+        // properties read in place: a kept row interns nothing.
+        let state = |object: Object| {
+            let (index, ends) = match object {
+                Object::Node(n) => (n.index(), (n, n)),
+                Object::Edge(e) => (e.index(), (graph.src(e), graph.tgt(e))),
+            };
+            let segments = graph.segments(object).into_iter();
+            Touched {
+                index,
+                name: graph.name(object),
+                label: graph.label(object),
+                ends,
+                existence: Cow::Borrowed(graph.existence(object)),
+                segments: segments.map(move |interval| {
+                    (interval, PropsAt { graph, object, at: interval.start() })
+                }),
+            }
+        };
+        self.write(
+            graph.domain(),
+            (graph.num_nodes() - old_nodes, graph.num_edges() - old_edges),
+            touched_nodes.iter().map(|&n| state(Object::Node(n))),
+            touched_edges.iter().map(|&e| state(Object::Edge(e))),
+        )
+    }
 
+    /// Applies one change to the relations *in place*, given the new state of
+    /// every object it touched, in `objects` ordered by object (nodes before
+    /// edges, each in id order), and the domain after it.  This is the
+    /// writer [`GraphRelations::apply_delta`] runs, for producers that derive
+    /// an object's segments without an [`Itpg`]: its merge walk, retractions,
+    /// appends, copies and the memo reset are as documented there.  Objects
+    /// past the old end must all be listed, in id order.
+    pub fn apply_segments(
+        &mut self,
+        domain: Interval,
+        mut objects: Vec<ObjectSegments<'_>>,
+    ) -> DeltaStats {
+        debug_assert!(objects.windows(2).all(|w| w[0].object < w[1].object));
+        let edges = objects.split_off(objects.partition_point(|o| o.object.is_node()));
+        let new_nodes =
+            objects.len() - objects.partition_point(|o| touched_index(o) < self.num_nodes());
+        let new_edges =
+            edges.len() - edges.partition_point(|o| touched_index(o) < self.num_edges());
+        let (nodes, edges) = (objects.into_iter().map(touched), edges.into_iter().map(touched));
+        self.write(domain, (new_nodes, new_edges), nodes, edges)
+    }
+
+    /// The one writer of rows and per-object columns, behind
+    /// [`GraphRelations::apply_delta`] and [`GraphRelations::apply_segments`].
+    /// `nodes` and `edges` list the touched objects of each relation in id
+    /// order, existing ones before the `new_nodes` and `new_edges` it creates.
+    fn write<'a, P: SegmentProps, S: Iterator<Item = (Interval, P)>>(
+        &mut self,
+        domain: Interval,
+        (new_nodes, new_edges): (usize, usize),
+        nodes: impl Iterator<Item = Touched<'a, S>>,
+        edges: impl Iterator<Item = Touched<'a, S>>,
+    ) -> DeltaStats {
+        let mut stats = DeltaStats::default();
+        // A new version: forget the memo without touching the old one, which
+        // snapshots of the previous version still share.
+        self.memo = Arc::default();
+        self.domain = domain;
+
+        // Every write below goes through `Arc::make_mut`, `Column` or
+        // `append_rows`: each writes in place while the storage is uniquely
+        // owned and copies it exactly once when a pinned snapshot still shares
+        // it.  The change is applied in two passes — nodes, then edges — so a
+        // change touching only one relation never copies the other's rows.  The
+        // two relations append to disjoint row vectors, so the pass order does
+        // not change any row index.  A changed object is rewritten in place; a
+        // created one's entries are appended once per column, so they must
+        // come in id order.
         let mut interner = Interner::default();
         // The object's new row list, rebuilt per object.
         let mut list = Vec::new();
+
+        let (old_nodes, base) = (self.num_nodes(), self.nodes.len());
+        let mut added = Vec::new();
+        let mut retracted = Vec::new();
+        let mut names = Vec::with_capacity(new_nodes);
+        let mut row_lists = Vec::with_capacity(new_nodes);
+        let mut existence = Vec::with_capacity(new_nodes);
+        for node in nodes {
+            let n = NodeId(node.index as u32);
+            let created = node.index >= old_nodes;
+            debug_assert!(!created || node.index == old_nodes + names.len(), "created in id order");
+            let label = interner.intern(node.label);
+            let rows = &self.nodes;
+            rederive(
+                node.segments,
+                if created { &[] } else { self.node_rows_by_id.get(node.index) },
+                |row| (rows[row as usize].interval, &rows[row as usize].props),
+                &mut list,
+                &mut retracted,
+                |interval, props| {
+                    let props = props.share(&mut interner);
+                    added.push(NodeRow { node: n, label: label.clone(), props, interval });
+                    (base + added.len() - 1) as u32
+                },
+            );
+            debug_assert!(in_interval_order(&list, |row| match (row as usize).checked_sub(base) {
+                Some(new) => added[new].interval,
+                None => rows[row as usize].interval,
+            }));
+            if created {
+                names.push(node.name.to_owned());
+                row_lists.push(std::mem::take(&mut list));
+                existence.push(node.existence.into_owned());
+            } else {
+                self.node_rows_by_id.set(node.index, &list);
+                match node.existence {
+                    Cow::Borrowed(known) => self.node_existence.set(node.index, known),
+                    Cow::Owned(known) => self.node_existence.put(node.index, known),
+                }
+            }
+        }
+        self.node_names.extend(names);
+        self.node_rows_by_id.extend(row_lists);
+        self.node_existence.extend(existence);
+        stats.node_rows_retracted = retracted.len();
+        stats.node_rows_added = added.len();
+        self.dead_node_rows += retracted.len();
+        tombstone(&mut self.node_row_live, &retracted, base + added.len());
+        append_rows(&mut self.nodes, added);
+
         // The adjacency lists of created nodes, which the edge pass fills.
         let mut created_out = vec![Vec::new(); new_nodes];
         let mut created_in = created_out.clone();
-
-        if !touched_nodes.is_empty() {
-            let base = self.nodes.len();
-            let mut added = Vec::new();
-            let mut retracted = Vec::new();
-            let mut names = Vec::with_capacity(new_nodes);
-            let mut row_lists = Vec::with_capacity(new_nodes);
-            let mut existence = Vec::with_capacity(new_nodes);
-            for &n in &touched_nodes {
-                let object = Object::Node(n);
-                let created = n.index() >= old_nodes;
-                let label = interner.intern(graph.label(object));
-                let nodes = &self.nodes;
-                rederive(
-                    graph,
-                    object,
-                    if created { &[] } else { self.node_rows_by_id.get(n.index()) },
-                    |row| (nodes[row as usize].interval, &nodes[row as usize].props),
-                    &mut list,
-                    &mut retracted,
-                    |interval| {
-                        let props = interner.props_at(graph, object, interval.start());
-                        added.push(NodeRow { node: n, label: label.clone(), props, interval });
-                        (base + added.len() - 1) as u32
-                    },
-                );
-                if created {
-                    names.push(graph.name(object).to_owned());
-                    row_lists.push(std::mem::take(&mut list));
-                    existence.push(graph.existence(object).clone());
-                } else {
-                    self.node_rows_by_id.set(n.index(), &list);
-                    self.node_existence.set(n.index(), graph.existence(object));
+        let (old_edges, base) = (self.num_edges(), self.edges.len());
+        let mut added = Vec::new();
+        let mut retracted = Vec::new();
+        let mut names = Vec::with_capacity(new_edges);
+        let mut row_lists = Vec::with_capacity(new_edges);
+        let mut existence = Vec::with_capacity(new_edges);
+        for edge in edges {
+            let e = EdgeId(edge.index as u32);
+            let created = edge.index >= old_edges;
+            debug_assert!(!created || edge.index == old_edges + names.len(), "created in id order");
+            let (src, tgt) = edge.ends;
+            let label = interner.intern(edge.label);
+            let (retracted_before, added_before) = (retracted.len(), added.len());
+            let rows = &self.edges;
+            rederive(
+                edge.segments,
+                if created { &[] } else { self.edge_rows_by_id.get(edge.index) },
+                |row| (rows[row as usize].interval, &rows[row as usize].props),
+                &mut list,
+                &mut retracted,
+                |interval, props| {
+                    let props = props.share(&mut interner);
+                    let label = label.clone();
+                    added.push(EdgeRow { edge: e, src, tgt, label, props, interval });
+                    (base + added.len() - 1) as u32
+                },
+            );
+            debug_assert!(in_interval_order(&list, |row| match (row as usize).checked_sub(base) {
+                Some(new) => added[new].interval,
+                None => rows[row as usize].interval,
+            }));
+            if created {
+                names.push(edge.name.to_owned());
+                row_lists.push(std::mem::take(&mut list));
+                existence.push(edge.existence.into_owned());
+            } else {
+                self.edge_rows_by_id.set(edge.index, &list);
+                match edge.existence {
+                    Cow::Borrowed(known) => self.edge_existence.set(edge.index, known),
+                    Cow::Owned(known) => self.edge_existence.put(edge.index, known),
                 }
             }
-            self.node_names.extend(names);
-            self.node_rows_by_id.extend(row_lists);
-            self.node_existence.extend(existence);
-            stats.node_rows_retracted = retracted.len();
-            stats.node_rows_added = added.len();
-            self.dead_node_rows += retracted.len();
-            tombstone(&mut self.node_row_live, &retracted, base + added.len());
-            append_rows(&mut self.nodes, added);
-            debug_assert!(touched_nodes.iter().all(|&n| {
-                in_interval_order(self.rows_of_node(n), |row| self.nodes[row as usize].interval)
-            }));
-        }
-
-        if !touched_edges.is_empty() {
-            let base = self.edges.len();
-            let mut added = Vec::new();
-            let mut retracted = Vec::new();
-            let mut names = Vec::with_capacity(new_edges);
-            let mut row_lists = Vec::with_capacity(new_edges);
-            let mut existence = Vec::with_capacity(new_edges);
-            for &e in &touched_edges {
-                let object = Object::Edge(e);
-                let created = e.index() >= old_edges;
-                let (src, tgt) = (graph.src(e), graph.tgt(e));
-                let label = interner.intern(graph.label(object));
-                let (retracted_before, added_before) = (retracted.len(), added.len());
-                let edges = &self.edges;
-                rederive(
-                    graph,
-                    object,
-                    if created { &[] } else { self.edge_rows_by_id.get(e.index()) },
-                    |row| (edges[row as usize].interval, &edges[row as usize].props),
-                    &mut list,
-                    &mut retracted,
-                    |interval| {
-                        let props = interner.props_at(graph, object, interval.start());
-                        let label = label.clone();
-                        added.push(EdgeRow { edge: e, src, tgt, label, props, interval });
-                        (base + added.len() - 1) as u32
-                    },
-                );
-                if created {
-                    names.push(graph.name(object).to_owned());
-                    row_lists.push(std::mem::take(&mut list));
-                    existence.push(graph.existence(object).clone());
-                } else {
-                    self.edge_rows_by_id.set(e.index(), &list);
-                    self.edge_existence.set(e.index(), graph.existence(object));
-                }
-                // The adjacency lists lose the retracted rows and gain the
-                // appended ones; kept rows stay where they are.  Most changed
-                // edges are new and retract nothing: they skip the scans of
-                // their endpoints' lists, which are long on busy nodes.
-                let gone = &retracted[retracted_before..];
-                let new = (base + added_before) as u32..(base + added.len()) as u32;
-                if !gone.is_empty() || !new.is_empty() {
-                    for adjacency in [
-                        self.edge_rows_by_src.get_mut_or(&mut created_out, src.index()),
-                        self.edge_rows_by_tgt.get_mut_or(&mut created_in, tgt.index()),
-                    ] {
-                        if !gone.is_empty() {
-                            adjacency.retain(|row| !gone.contains(row));
-                        }
-                        adjacency.extend(new.clone());
+            // The adjacency lists lose the retracted rows and gain the
+            // appended ones; kept rows stay where they are.  Most changed
+            // edges are new and retract nothing: they skip the scans of
+            // their endpoints' lists, which are long on busy nodes.
+            let gone = &retracted[retracted_before..];
+            let new = (base + added_before) as u32..(base + added.len()) as u32;
+            if !gone.is_empty() || !new.is_empty() {
+                for adjacency in [
+                    self.edge_rows_by_src.get_mut_or(&mut created_out, src.index()),
+                    self.edge_rows_by_tgt.get_mut_or(&mut created_in, tgt.index()),
+                ] {
+                    if !gone.is_empty() {
+                        adjacency.retain(|row| !gone.contains(row));
                     }
+                    adjacency.extend(new.clone());
                 }
             }
-            self.edge_names.extend(names);
-            self.edge_rows_by_id.extend(row_lists);
-            self.edge_existence.extend(existence);
-            stats.edge_rows_retracted = retracted.len();
-            stats.edge_rows_added = added.len();
-            self.dead_edge_rows += retracted.len();
-            tombstone(&mut self.edge_row_live, &retracted, base + added.len());
-            append_rows(&mut self.edges, added);
-            debug_assert!(touched_edges.iter().all(|&e| {
-                in_interval_order(self.rows_of_edge(e), |row| self.edges[row as usize].interval)
-            }));
         }
+        self.edge_names.extend(names);
+        self.edge_rows_by_id.extend(row_lists);
+        self.edge_existence.extend(existence);
+        stats.edge_rows_retracted = retracted.len();
+        stats.edge_rows_added = added.len();
+        self.dead_edge_rows += retracted.len();
+        tombstone(&mut self.edge_row_live, &retracted, base + added.len());
+        append_rows(&mut self.edges, added);
         self.edge_rows_by_src.extend(created_out);
         self.edge_rows_by_tgt.extend(created_in);
         stats
@@ -755,7 +937,7 @@ impl GraphRelations {
 
 /// Re-derives the rows of one touched object in a single merge walk over its
 /// old rows (`old`, in interval order; `state` reads a row's interval and
-/// properties) and its new segments, both in interval order.  An old row whose
+/// properties) and its new `segments`, both in interval order.  An old row whose
 /// interval and properties equal a segment's is kept at its index; every other
 /// old row goes to `retracted`, and every other segment to `append`, which
 /// returns the index of the row it appends.  The object's new row list, in
@@ -763,31 +945,30 @@ impl GraphRelations {
 ///
 /// A row is a pure function of its object, its interval and the properties
 /// holding over it (the label never changes), so a kept row is exactly the
-/// row a rebuild would append.  The properties are compared while borrowed
-/// from the graph: a kept row interns nothing.
-fn rederive<'a>(
-    graph: &Itpg,
-    object: Object,
+/// row a rebuild would append.  The properties are compared as the producer
+/// holds them: a kept row shares nothing new.
+fn rederive<'r, P: SegmentProps>(
+    segments: impl Iterator<Item = (Interval, P)>,
     old: &[u32],
-    state: impl Fn(u32) -> (Interval, &'a [(Arc<str>, Value)]),
+    state: impl Fn(u32) -> (Interval, &'r [(Arc<str>, Value)]),
     list: &mut Vec<u32>,
     retracted: &mut Vec<u32>,
-    mut append: impl FnMut(Interval) -> u32,
+    mut append: impl FnMut(Interval, P) -> u32,
 ) {
     list.clear();
     let mut old = old.iter().copied().peekable();
-    for segment in graph.segments(object) {
+    for (segment, props) in segments {
         // Rows starting before the segment match none of it or later ones.
         while let Some(row) = old.next_if(|&row| state(row).0.start() < segment.start()) {
             retracted.push(row);
         }
         let same = |&row: &u32| {
-            let (interval, props) = state(row);
-            interval == segment && props_hold(props, graph, object, segment.start())
+            let (interval, held) = state(row);
+            interval == segment && props.held_by(held)
         };
         list.push(match old.next_if(same) {
             Some(kept) => kept,
-            None => append(segment),
+            None => append(segment, props),
         });
     }
     retracted.extend(old);

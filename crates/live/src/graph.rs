@@ -1,17 +1,21 @@
 //! The live graph handle: batch ingestion, epoch bookkeeping, and the registry
 //! of maintained queries.
 
+use std::time::Duration;
+
 use engine::bindings::BindingTable;
 use engine::plan::PlanSet;
 use engine::{compile, DeltaStats, ExecutionOptions, GraphRelations};
-use tgraph::{AppliedBatch, Batch, Interval, Itpg};
+use tgraph::{AppliedBatch, Batch, Interval, Itpg, Object};
 use trpq::queries::QueryId;
 
 use crate::error::LiveError;
 use crate::query::{LiveQueryId, QueryState, RefreshStats};
+use crate::write::NameIndex;
 
 /// What one [`LiveGraph::apply`] call did: the graph-level outcome plus the
-/// row-level delta folded into the engine relations.
+/// row-level delta written to the engine relations, and how long the two
+/// phases of the apply took.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IngestStats {
     /// The graph-level outcome (created and touched objects, and the times
@@ -21,21 +25,31 @@ pub struct IngestStats {
     pub delta: DeltaStats,
     /// Number of mutations in the batch.
     pub mutations: usize,
+    /// Wall-clock time spent resolving the batch's names and checking
+    /// Definition A.1 against the prospective existence.
+    pub validate: Duration,
+    /// Wall-clock time spent deriving the touched objects' segments and
+    /// writing them to the rows.
+    pub write: Duration,
 }
 
 /// A temporal graph that is fed by an append-only stream of epoched mutation
 /// batches and maintains the answers of registered queries.
 ///
-/// The graph owns both representations the engine needs — the succinct
-/// [`Itpg`] (the source of truth mutated by batches) and the interval
-/// relations ([`GraphRelations`]) kept in sync incrementally — plus one
-/// maintained result table per registered query.  `apply` ingests a batch and
-/// marks every registered query dirty; `refresh` folds the accumulated deltas
-/// into one query's answer (see [`RefreshStats`] for what a refresh reports).
+/// The graph is held once, as the interval relations ([`GraphRelations`]):
+/// `apply` resolves a batch's names through the writer's name index,
+/// validates it against the relations' existence columns and writes each
+/// touched object's new segments to the rows, with the semantics of
+/// [`Itpg::apply_batch`].  Beside the rows the graph keeps only that name
+/// index and one maintained result table per registered query.  `apply`
+/// marks every registered query dirty; `refresh` folds the accumulated
+/// deltas into one query's answer (see [`RefreshStats`] for what a refresh
+/// reports).
 #[derive(Debug, Clone)]
 pub struct LiveGraph {
-    itpg: Itpg,
     relations: GraphRelations,
+    /// Name → object, with the labels and endpoints no row carries yet.
+    index: NameIndex,
     options: ExecutionOptions,
     last_epoch: Option<u64>,
     batches_applied: usize,
@@ -53,10 +67,9 @@ impl LiveGraph {
     /// A live graph starting from an existing (bulk-loaded) graph — epoch zero
     /// of the delta log — with explicit execution options.
     pub fn with_options(itpg: Itpg, options: ExecutionOptions) -> Self {
-        let relations = GraphRelations::from_itpg(&itpg);
         LiveGraph {
-            itpg,
-            relations,
+            relations: GraphRelations::from_itpg(&itpg),
+            index: NameIndex::of(&itpg),
             options,
             last_epoch: None,
             batches_applied: 0,
@@ -64,14 +77,15 @@ impl LiveGraph {
         }
     }
 
-    /// The current graph (the state after every applied batch).
-    pub fn itpg(&self) -> &Itpg {
-        &self.itpg
-    }
-
-    /// The incrementally maintained engine relations.
+    /// The incrementally maintained engine relations: the current graph,
+    /// the state after every applied batch.
     pub fn relations(&self) -> &GraphRelations {
         &self.relations
+    }
+
+    /// The object a batch names `name`, if one was created.
+    pub fn object_by_name(&self, name: &str) -> Option<Object> {
+        self.index.object(name)
     }
 
     /// The epoch of the last applied batch, if any.
@@ -89,10 +103,10 @@ impl LiveGraph {
         &self.options
     }
 
-    /// Ingests one batch: validates and applies it to the graph, folds the
-    /// row-level delta into the relations, and marks every registered query
-    /// dirty.  Epochs must be strictly increasing; a rejected batch leaves
-    /// graph, relations and queries untouched.
+    /// Ingests one batch: validates it and writes it to the relations, and
+    /// marks every registered query dirty.  Epochs must be strictly
+    /// increasing; a rejected batch leaves the relations, the name index and
+    /// the queries untouched.
     pub fn apply(&mut self, batch: &Batch) -> Result<IngestStats, LiveError> {
         let watch = self.options.telemetry.then(obs::Stopwatch::start);
         if let Some(last) = self.last_epoch {
@@ -100,20 +114,27 @@ impl LiveGraph {
                 return Err(LiveError::NonMonotonicEpoch { last, got: batch.epoch });
             }
         }
-        let applied = self.itpg.apply_batch(batch)?;
-        let delta = self.relations.apply_delta(&self.itpg, &applied.touched);
+        let written = self.index.apply(&mut self.relations, batch)?;
         for query in &mut self.queries {
-            query.note_applied(&applied);
+            query.note_applied(&written.applied, &written.ends);
         }
-        self.last_epoch = Some(applied.epoch);
+        self.last_epoch = Some(batch.epoch);
         self.batches_applied += 1;
         if let Some(watch) = watch {
             let metrics = crate::telemetry::live_metrics();
             metrics.batches.inc();
             metrics.mutations.add(batch.mutations.len() as u64);
             metrics.apply_seconds.record(watch.elapsed_nanos());
+            metrics.ingest_validate_seconds.record(obs::duration_nanos(written.validate));
+            metrics.ingest_write_seconds.record(obs::duration_nanos(written.write));
         }
-        Ok(IngestStats { applied, delta, mutations: batch.mutations.len() })
+        Ok(IngestStats {
+            applied: written.applied,
+            delta: written.delta,
+            mutations: batch.mutations.len(),
+            validate: written.validate,
+            write: written.write,
+        })
     }
 
     /// Registers a compiled plan set for maintenance.  The initial answer is
@@ -139,12 +160,8 @@ impl LiveGraph {
     /// Folds every batch applied since the last refresh into the query's
     /// maintained answer.  A refresh with nothing pending is a cheap no-op.
     pub fn refresh(&mut self, id: LiveQueryId) -> RefreshStats {
-        let stats = self.queries[id.0].refresh(
-            &self.itpg,
-            &self.relations,
-            self.options.parallelism,
-            self.last_epoch,
-        );
+        let stats =
+            self.queries[id.0].refresh(&self.relations, self.options.parallelism, self.last_epoch);
         if self.options.telemetry {
             let metrics = crate::telemetry::live_metrics();
             if stats.fallback_full {
@@ -225,6 +242,15 @@ mod tests {
         vec![b1, b2, b3]
     }
 
+    /// The reference semantics: `batches` replayed into an `Itpg` over `domain`.
+    fn oracle(domain: Interval, batches: &[Batch]) -> Itpg {
+        let mut itpg = Itpg::empty(domain);
+        for batch in batches {
+            itpg.apply_batch(batch).unwrap();
+        }
+        itpg
+    }
+
     const Q9ISH: &str =
         "MATCH (x:Person {risk = 'high'})-/FWD/:meets/FWD/NEXT*/-({test = 'pos'}) ON live";
 
@@ -253,7 +279,7 @@ mod tests {
         assert_eq!(graph.table(q).len(), 2);
 
         // The maintained answer matches a from-scratch execution exactly.
-        let scratch = GraphRelations::from_itpg(graph.itpg());
+        let scratch = GraphRelations::from_itpg(&oracle(iv(1, 10), &batches));
         let clause = trpq::parser::parse_match(Q9ISH).unwrap();
         let expected =
             execute(&compile(&clause).unwrap(), &scratch, &ExecutionOptions::sequential());
@@ -285,8 +311,10 @@ mod tests {
         // two new rows beside mia's and the room's; zoe's row alone; mia's three
         // new rows, eve's `[1, 7]` and the room's.
         let reach_seed_rows = [3, 3, 4, 1, 5];
+        let mut oracle = Itpg::empty(iv(1, 1000));
         for (batch, expected_rows) in stream.iter().zip(reach_seed_rows) {
             graph.apply(batch).unwrap();
+            oracle.apply_batch(batch).unwrap();
             let live_rows = graph.relations().seed_rows().len();
             let stats = graph.refresh(reach);
             assert!(!stats.fallback_full, "a structural closure never re-runs every seed");
@@ -294,7 +322,7 @@ mod tests {
             let stats = graph.refresh(recur);
             assert!(stats.fallback_full, "a time-moving unbounded plan re-runs every seed");
             assert_eq!(stats.seed_rows, live_rows);
-            let scratch = GraphRelations::from_itpg(graph.itpg());
+            let scratch = GraphRelations::from_itpg(&oracle);
             for (id, text) in [(reach, REACH), (recur, RECUR)] {
                 let clause = trpq::parser::parse_match(text).unwrap();
                 let expected = execute(&compile(&clause).unwrap(), &scratch, &options);
@@ -332,7 +360,7 @@ mod tests {
         let stats = graph.refresh(q);
         assert!(stats.seed_rows > 0, "ann's new row is re-run");
         assert_eq!((stats.rows_added, stats.rows_retracted, stats.output_rows), (0, 0, 1));
-        let scratch = GraphRelations::from_itpg(graph.itpg());
+        let scratch = GraphRelations::from_itpg(&oracle(iv(1, 10), &[b1, b2]));
         let clause = trpq::parser::parse_match(HIGH).unwrap();
         let expected = execute(&compile(&clause).unwrap(), &scratch, &options);
         assert_eq!(graph.table(q), &expected.table);

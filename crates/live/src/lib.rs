@@ -10,21 +10,27 @@
 //! Maintenance is **exact** and works in three layers:
 //!
 //! 1. **Relation deltas** — every batch is applied to the engine's
-//!    interval-timestamped relations in place
-//!    ([`engine::GraphRelations::apply_delta`]): a touched object's states are
-//!    re-derived, the rows whose state changed are retracted and the new
+//!    interval-timestamped relations in place, and those relations are the
+//!    live graph's one copy of the graph: a [`LiveGraph`] keeps no
+//!    [`tgraph::Itpg`].  It resolves the batch's names through the writer's
+//!    own name index, checks Definition A.1 against the relations' existence
+//!    columns ([`tgraph::check_edge`], [`tgraph::check_support`]) and derives
+//!    each touched object's new segments from its old rows plus the batch's
+//!    mutations, with the semantics of [`tgraph::Itpg::apply_batch`].  One
+//!    writer ([`engine::GraphRelations::apply_segments`]) matches them against
+//!    the object's rows: the rows whose state changed are retracted and the new
 //!    states appended, and every other row — an untouched object's, or a
-//!    touched object's the batch left as it was — keeps its index.  This is
-//!    the relations' one row writer: a bulk load
-//!    ([`engine::GraphRelations::from_itpg`]) is the delta that creates every
-//!    object, so a live graph's rows and a rebuild's come from the same code.
-//!    Nothing derived from the rows is maintained: the first reader of the new
-//!    version recomputes what it asks for.
+//!    touched object's the batch left as it was — keeps its index.  A bulk
+//!    load ([`engine::GraphRelations::from_itpg`]) is the writer's other
+//!    producer of segments, the delta that creates every object, so a live
+//!    graph's rows and a rebuild's come from the same code.  Nothing derived
+//!    from the rows is maintained: the first reader of the new version
+//!    recomputes what it asks for.
 //! 2. **Delta-seeded evaluation** — for a plan with a statically known hop
 //!    count `H` (every plan without a closure fixpoint), a chain seeded at a
 //!    node can only observe objects within `H` structural hops of that node, so
 //!    a batch can only change the results of seeds within `H` hops of a touched
-//!    object.  A refresh re-runs the SPJ pipeline from those seeds alone
+//!    object, which a sweep of the relations' adjacency finds.  A refresh re-runs the SPJ pipeline from those seeds alone
 //!    ([`engine::run_plan_seeded`]) and splices the per-seed results into the
 //!    cached answer.  The maintained table keeps a count per row, so the rows
 //!    the re-run replaced and produced merge into it as one counted delta,
@@ -76,6 +82,7 @@ pub mod query;
 pub mod sched;
 pub mod serve;
 mod telemetry;
+mod write;
 
 pub use epoch::{EpochManager, EpochSnapshot, EpochStats, PinnedEpoch};
 pub use error::LiveError;

@@ -4,7 +4,8 @@
 //! A refresh re-runs a plan from the seed rows a pending batch can have changed
 //! and nowhere else.  Two facts bound them.  A chain observes only objects within
 //! the plan's hop bound of its seed, so a hop-bounded plan re-runs the seeds of
-//! the nodes near a touched object (`affected_nodes`).  And a plan with no
+//! the nodes near a touched object (`affected_nodes`, a sweep of the
+//! relations' adjacency).  And a plan with no
 //! temporal link answers at time `t` from the snapshot at `t` alone, so a purely
 //! structural plan re-runs only the seed rows that are new or whose interval
 //! meets the times the batch changed ([`tgraph::AppliedBatch::times`]), however
@@ -27,7 +28,7 @@ use engine::plan::{EnginePlan, PlanSet};
 use engine::steps::expand::expand_chains;
 use engine::steps::StepStats;
 use engine::{run_plan_seeded, GraphRelations};
-use tgraph::{AppliedBatch, Interval, IntervalSet, Itpg, NodeId, Object};
+use tgraph::{AppliedBatch, Interval, IntervalSet, NodeId};
 
 /// Handle to a query registered on a [`crate::LiveGraph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -193,9 +194,12 @@ pub(crate) struct QueryState {
     /// `counts[i]` is how many cached rows, over every plan alternative and
     /// seed row, equal `table.rows()[i]`; never 0.
     counts: Vec<u32>,
-    /// Objects touched by batches applied since the last refresh, in batch
-    /// order and with repeats.
-    pending: Vec<Object>,
+    /// Nodes touched by batches applied since the last refresh, in batch
+    /// order and with repeats: where the sweep starts, at distance 0.
+    pending_nodes: Vec<NodeId>,
+    /// Both endpoints of every edge those batches touched, with repeats: where
+    /// the sweep starts at distance 1.
+    pending_ends: Vec<NodeId>,
     /// The times at which those batches changed the graph.
     pending_times: IntervalSet,
     /// Node rows of the relations at the last refresh.  Rows only ever append,
@@ -234,7 +238,8 @@ impl QueryState {
             plans,
             table,
             counts,
-            pending: Vec::new(),
+            pending_nodes: Vec::new(),
+            pending_ends: Vec::new(),
             pending_times: IntervalSet::empty(),
             rows_seen: graph.node_rows().len(),
         }
@@ -254,9 +259,12 @@ impl QueryState {
         Arc::clone(&self.table)
     }
 
-    /// Records what an applied batch touched, and when, for the next refresh.
-    pub(crate) fn note_applied(&mut self, applied: &AppliedBatch) {
-        self.pending.extend_from_slice(&applied.touched);
+    /// Records what an applied batch touched, and when, for the next refresh:
+    /// its touched nodes, the endpoints `ends` of its touched edges and its
+    /// times.
+    pub(crate) fn note_applied(&mut self, applied: &AppliedBatch, ends: &[NodeId]) {
+        self.pending_nodes.extend(applied.touched.iter().filter_map(|object| object.as_node()));
+        self.pending_ends.extend_from_slice(ends);
         self.pending_times = self.pending_times.union(&applied.times);
     }
 
@@ -294,21 +302,19 @@ impl QueryState {
     /// rows.
     pub(crate) fn refresh(
         &mut self,
-        itpg: &Itpg,
         graph: &GraphRelations,
         parallelism: Parallelism,
         epoch: Option<u64>,
     ) -> RefreshStats {
         let started = obs::Stopwatch::start();
         let mut stats = RefreshStats { epoch, ..Default::default() };
-        if self.pending.is_empty() {
+        if self.pending_nodes.is_empty() && self.pending_ends.is_empty() {
             stats.output_rows = self.table.len();
             stats.duration = started.elapsed();
             return stats;
         }
-        let mut touched = std::mem::take(&mut self.pending);
-        touched.sort_unstable();
-        touched.dedup();
+        let (nodes, ends) =
+            (std::mem::take(&mut self.pending_nodes), std::mem::take(&mut self.pending_ends));
         let times = std::mem::take(&mut self.pending_times);
         let rows_seen = std::mem::replace(&mut self.rows_seen, graph.node_rows().len());
         let step_stats = StepStats::default();
@@ -325,7 +331,7 @@ impl QueryState {
             let hops = seeding_hops(&cache.bounds);
             let mut seeds = match hops {
                 Some(hops) => {
-                    let affected = affected_nodes(itpg, &touched, hops);
+                    let affected = affected_nodes(graph, &nodes, &ends, hops);
                     stats.affected_seeds += affected.len();
                     let mut rows: Vec<u32> = affected
                         .iter()
@@ -430,55 +436,55 @@ fn merge_delta(
     (added, retracted)
 }
 
-/// The nodes whose seeds a delta touching `touched` can have affected, for a
-/// plan performing at most `hops` structural hops: a breadth-first sweep of the
-/// bipartite object graph (nodes ↔ incident edges, one hop per step) to depth
-/// `hops` from every touched object.
+/// The nodes whose seeds a delta can have affected, for a plan performing at
+/// most `hops` structural hops: every node within `hops` of a touched object,
+/// where a touched node lies at distance 0, a touched edge's endpoints `ends` at
+/// 1, and each step from a node through an edge row to its other endpoint adds
+/// 2 (node → edge → node).  `nodes` and `ends` may repeat.
 ///
 /// Correctness: a chain visits objects in hop order, so any chain observing a
-/// touched object within its first `hops` hops starts within `hops` object-graph
-/// steps of it; adjacency only ever grows, so a sweep over the *current* graph
-/// covers derivations of the old graph too.
+/// touched object within its first `hops` hops starts within `hops` such steps
+/// of it.  The sweep walks the live edge rows of the *current* relations, which
+/// cover derivations of the old graph too: an edge's existence only ever
+/// grows, so an edge with a live row before a batch has one after it, and an
+/// edge with no row was never traversed.
 ///
 /// The sweep bounds a refresh in space only: a purely structural plan keeps, of
 /// these nodes' rows, the ones new or meeting the batch's times
 /// ([`QueryState::refresh`]); a plan with temporal links re-runs them all.
 ///
-/// The visited sets are one flag per node and per edge, and the nodes come back in
-/// id order.
-fn affected_nodes(itpg: &Itpg, touched: &[Object], hops: usize) -> Vec<NodeId> {
-    let mut node_seen = vec![false; itpg.num_nodes()];
-    let mut edge_seen = vec![false; itpg.num_edges()];
-    // True the first time `object` is met.
-    let mut first_visit = |object: Object| {
-        let seen = match object {
-            Object::Node(n) => &mut node_seen[n.index()],
-            Object::Edge(e) => &mut edge_seen[e.index()],
-        };
-        !std::mem::replace(seen, true)
-    };
-    let mut frontier: Vec<Object> =
-        touched.iter().copied().filter(|&object| first_visit(object)).collect();
-    for _ in 0..hops {
-        let mut next: Vec<Object> = Vec::new();
-        for &object in &frontier {
-            match object {
-                Object::Node(n) => {
-                    let edges = itpg.out_edges(n).iter().chain(itpg.in_edges(n));
-                    next.extend(edges.map(|&e| Object::Edge(e)).filter(|&e| first_visit(e)));
-                }
-                Object::Edge(e) => {
-                    let ends = [itpg.src(e), itpg.tgt(e)].map(Object::Node);
-                    next.extend(ends.into_iter().filter(|&n| first_visit(n)));
-                }
-            }
+/// The visited set is one flag per node, and the nodes come back in id order.
+fn affected_nodes(
+    graph: &GraphRelations,
+    nodes: &[NodeId],
+    ends: &[NodeId],
+    hops: usize,
+) -> Vec<NodeId> {
+    let mut seen = vec![false; graph.num_nodes()];
+    // True the first time `node` is met.
+    let mut first_visit = |node: NodeId| !std::mem::replace(&mut seen[node.index()], true);
+    // `levels[d]` holds the nodes first met at distance `d`; each level is
+    // complete before the one after it is built, so a node lands at its least
+    // distance.
+    let mut levels: Vec<Vec<NodeId>> = Vec::new();
+    levels.push(nodes.iter().copied().filter(|&n| first_visit(n)).collect());
+    if hops >= 1 {
+        levels.push(ends.iter().copied().filter(|&n| first_visit(n)).collect());
+    }
+    let edges = graph.edge_rows();
+    for distance in 2..=hops {
+        let mut next = Vec::new();
+        for &node in &levels[distance - 2] {
+            let out = graph.out_edge_rows(node).iter().map(|&row| edges[row as usize].tgt);
+            let into = graph.in_edge_rows(node).iter().map(|&row| edges[row as usize].src);
+            next.extend(out.chain(into).filter(|&n| first_visit(n)));
         }
-        if next.is_empty() {
+        if next.is_empty() && levels[distance - 1].is_empty() {
             break;
         }
-        frontier = next;
+        levels.push(next);
     }
-    (0..).zip(node_seen).filter(|&(_, seen)| seen).map(|(id, _)| NodeId(id)).collect()
+    (0..).zip(seen).filter(|&(_, seen)| seen).map(|(id, _)| NodeId(id)).collect()
 }
 
 #[cfg(test)]
@@ -486,6 +492,7 @@ mod tests {
     use super::*;
     use engine::plan::{HopDirection, MicroOp, ObjFilter, Segment, Shift, TemporalLink};
     use proptest::prelude::*;
+    use tgraph::{Itpg, Object};
 
     #[test]
     fn cached_bounds_pick_the_refresh_path() {
@@ -531,6 +538,55 @@ mod tests {
         assert_eq!(seeding_hops(&engine::static_bounds(&with_time_closure, wide)), None);
     }
 
+    /// The sweep `affected_nodes` replaces, over an `Itpg`: a breadth-first
+    /// walk of the bipartite object graph (nodes ↔ incident edges, one step
+    /// each) to depth `hops` from every touched object, edges that never exist
+    /// included.
+    fn object_graph_sweep(itpg: &Itpg, touched: &[Object], hops: usize) -> Vec<NodeId> {
+        let mut node_seen = vec![false; itpg.num_nodes()];
+        let mut edge_seen = vec![false; itpg.num_edges()];
+        let mut first_visit = |object: Object| {
+            let seen = match object {
+                Object::Node(n) => &mut node_seen[n.index()],
+                Object::Edge(e) => &mut edge_seen[e.index()],
+            };
+            !std::mem::replace(seen, true)
+        };
+        let mut frontier: Vec<Object> =
+            touched.iter().copied().filter(|&object| first_visit(object)).collect();
+        for _ in 0..hops {
+            let mut next: Vec<Object> = Vec::new();
+            for &object in &frontier {
+                match object {
+                    Object::Node(n) => {
+                        let edges = itpg.out_edges(n).iter().chain(itpg.in_edges(n));
+                        next.extend(edges.map(|&e| Object::Edge(e)).filter(|&e| first_visit(e)));
+                    }
+                    Object::Edge(e) => {
+                        let ends = [itpg.src(e), itpg.tgt(e)].map(Object::Node);
+                        next.extend(ends.into_iter().filter(|&n| first_visit(n)));
+                    }
+                }
+            }
+            frontier = next;
+        }
+        (0..).zip(node_seen).filter(|&(_, seen)| seen).map(|(id, _)| NodeId(id)).collect()
+    }
+
+    /// `affected_nodes` from `touched` as a batch hands it over: the touched
+    /// nodes, and both endpoints of each touched edge.
+    fn sweep(
+        itpg: &Itpg,
+        relations: &GraphRelations,
+        touched: &[Object],
+        hops: usize,
+    ) -> Vec<NodeId> {
+        let nodes: Vec<NodeId> = touched.iter().filter_map(|o| o.as_node()).collect();
+        let edges = touched.iter().filter_map(|o| o.as_edge());
+        let ends: Vec<NodeId> = edges.flat_map(|e| [itpg.src(e), itpg.tgt(e)]).collect();
+        affected_nodes(relations, &nodes, &ends, hops)
+    }
+
     #[test]
     fn the_sweep_returns_each_node_within_reach_once_in_id_order() {
         // d → c → b → a, built in that order so ids run against the edges.
@@ -541,16 +597,130 @@ mod tests {
             .windows(2)
             .map(|w| b.add_edge(&format!("e{}", w[0].0), "meets", w[0], w[1]).unwrap())
             .collect();
+        for &n in &ids {
+            b.add_existence(n, Interval::of(0, 1)).unwrap();
+        }
+        for &e in &edges {
+            b.add_existence(e, Interval::of(0, 1)).unwrap();
+        }
         let itpg = b.domain(Interval::of(0, 1)).build().unwrap();
+        let relations = GraphRelations::from_itpg(&itpg);
         // Node → edge is one step, edge → node another.
         let from_c = [Object::Node(ids[1])];
-        assert_eq!(affected_nodes(&itpg, &from_c, 1), [ids[1]]);
-        assert_eq!(affected_nodes(&itpg, &from_c, 2), [ids[0], ids[1], ids[2]]);
-        assert_eq!(affected_nodes(&itpg, &from_c, 99), ids);
-        // Touched objects that overlap are visited once; an edge alone reaches no node.
+        assert_eq!(sweep(&itpg, &relations, &from_c, 1), [ids[1]]);
+        assert_eq!(sweep(&itpg, &relations, &from_c, 2), [ids[0], ids[1], ids[2]]);
+        assert_eq!(sweep(&itpg, &relations, &from_c, 99), ids);
+        // Touched objects that overlap are visited once; an edge alone reaches
+        // no node, and its endpoints one step later.
         let both = [Object::Node(ids[0]), Object::Node(ids[1]), Object::Edge(edges[0])];
-        assert_eq!(affected_nodes(&itpg, &both, 1), [ids[0], ids[1]]);
-        assert!(affected_nodes(&itpg, &[Object::Edge(edges[2])], 0).is_empty());
+        assert_eq!(sweep(&itpg, &relations, &both, 1), [ids[0], ids[1]]);
+        assert!(sweep(&itpg, &relations, &[Object::Edge(edges[2])], 0).is_empty());
+        assert_eq!(sweep(&itpg, &relations, &[Object::Edge(edges[2])], 1), [ids[2], ids[3]]);
+    }
+
+    #[test]
+    fn the_sweep_follows_replaced_rows_and_edges_created_without_existence() {
+        let iv = Interval::of;
+        let mut graph = crate::LiveGraph::new(iv(1, 10));
+        let mut oracle = Itpg::empty(iv(1, 10));
+        // A chain a → b → c → d; the edge b → c has two rows.
+        let mut chain = tgraph::Batch::new(1);
+        for name in ["a", "b", "c", "d"] {
+            chain.add_node(name, "Person").add_existence(name, iv(1, 10));
+        }
+        for (edge, src, tgt) in [("ab", "a", "b"), ("bc", "b", "c"), ("cd", "c", "d")] {
+            chain.add_edge(edge, "meets", src, tgt).add_existence(edge, iv(2, 6));
+        }
+        chain.set_property("bc", "loc", "park", iv(2, 3));
+        // The batch replaces bc's rows: its [4, 6] row splits at 5.
+        let mut replace = tgraph::Batch::new(2);
+        replace.set_property("bc", "loc", "bar", iv(5, 5));
+        // An edge d → a with no existence: no row carries it, its endpoints
+        // come from the writer.
+        let mut nowhere = tgraph::Batch::new(3);
+        nowhere.add_edge("da", "meets", "d", "a");
+        // It exists later, inside its endpoints' existence.
+        let mut later = tgraph::Batch::new(4);
+        later.add_existence("da", iv(7, 8));
+        for batch in [chain, replace, nowhere, later] {
+            let stats = graph.apply(&batch).unwrap();
+            let applied = oracle.apply_batch(&batch).unwrap();
+            assert_eq!(stats.applied, applied);
+            for hops in 0..=3 {
+                assert_eq!(
+                    sweep(&oracle, graph.relations(), &applied.touched, hops),
+                    object_graph_sweep(&oracle, &applied.touched, hops),
+                    "batch {} at {hops} hops",
+                    batch.epoch
+                );
+            }
+        }
+        // What the refresh sweeps is what the batch touched: a two-hop plan
+        // registered after the chain re-runs the seeds of the nodes within two
+        // hops of `da`'s endpoints.
+        let two_hops = graph.register_text("MATCH (x)-/FWD/:meets/FWD/-(y) ON live").unwrap();
+        let hops = seeding_hops(&engine::static_bounds(
+            &graph.plan_set(two_hops).plans[0],
+            graph.relations().domain(),
+        ));
+        assert_eq!(hops, Some(2));
+        let mut again = tgraph::Batch::new(5);
+        again.add_existence("da", iv(9, 10));
+        graph.apply(&again).unwrap();
+        let applied = oracle.apply_batch(&again).unwrap();
+        let stats = graph.refresh(two_hops);
+        assert_eq!(stats.affected_seeds, object_graph_sweep(&oracle, &applied.touched, 2).len());
+        assert_eq!(stats.affected_seeds, 2, "d and a, at one step from the edge");
+    }
+
+    /// A random graph: `nodes` people and an edge per drawn pair, each with a
+    /// row, so both sweeps walk the same adjacency.
+    fn random_graph(nodes: usize, edges: &[(usize, usize)]) -> Itpg {
+        let mut b = tgraph::ItpgBuilder::new();
+        let ids: Vec<NodeId> =
+            (0..nodes).map(|i| b.add_node(&format!("n{i}"), "Person").unwrap()).collect();
+        for &n in &ids {
+            b.add_existence(n, Interval::of(0, 9)).unwrap();
+        }
+        for (i, &(src, tgt)) in edges.iter().enumerate() {
+            let e =
+                b.add_edge(&format!("e{i}"), "meets", ids[src % nodes], ids[tgt % nodes]).unwrap();
+            b.add_existence(e, Interval::of(i as u64 % 4, 4 + i as u64 % 3)).unwrap();
+            b.add_existence(e, Interval::of(8, 9)).unwrap();
+        }
+        b.domain(Interval::of(0, 9)).build().unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// On graphs whose every edge has rows, the node → node sweep returns
+        /// the nodes the object-graph sweep does, from touched nodes and from
+        /// touched edges, at every hop count up to 3.
+        #[test]
+        fn the_sweep_matches_the_object_graph_sweep(
+            nodes in 1..8usize,
+            edges in prop::collection::vec((0..8usize, 0..8usize), 0..12),
+            touched in prop::collection::vec((any::<bool>(), 0..12usize), 0..4),
+        ) {
+            let itpg = random_graph(nodes, &edges);
+            let relations = GraphRelations::from_itpg(&itpg);
+            let touched: Vec<Object> = touched
+                .into_iter()
+                .filter_map(|(node, i)| match node {
+                    true => Some(Object::Node(NodeId((i % nodes) as u32))),
+                    false => (!edges.is_empty())
+                        .then(|| Object::Edge(tgraph::EdgeId((i % edges.len()) as u32))),
+                })
+                .collect();
+            for hops in 0..=3 {
+                prop_assert_eq!(
+                    sweep(&itpg, &relations, &touched, hops),
+                    object_graph_sweep(&itpg, &touched, hops),
+                    "{} hops from {:?}", hops, touched
+                );
+            }
+        }
     }
 
     fn row(object: u32, t: u64) -> Row {

@@ -46,6 +46,7 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::thread;
+use std::time::Duration;
 
 use obs::Stopwatch;
 
@@ -62,7 +63,7 @@ use crate::query::{LiveQueryId, RefreshStats};
 
 /// What one [`ServeGraph::ingest`] call did: the writer-side ingestion stats,
 /// the refresh stats of every maintained query, and the version of the epoch
-/// the result was published as.
+/// the result was published as and how long publishing it took.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IngestReport {
     /// Graph- and row-level ingestion outcome (see [`crate::LiveGraph::apply`]).
@@ -71,6 +72,8 @@ pub struct IngestReport {
     pub refreshes: Vec<RefreshStats>,
     /// The version of the newly published epoch.
     pub version: u64,
+    /// Wall-clock time spent publishing that epoch.
+    pub publish: Duration,
 }
 
 /// The shared serving handle: a mutex-serialised writer [`LiveGraph`] plus the
@@ -157,8 +160,14 @@ impl ServeGraph {
         self.refreshes.fetch_add(refreshes.len() as u64, Ordering::Relaxed);
         let fallbacks = refreshes.iter().filter(|r| r.fallback_full).count() as u64;
         self.fallback_refreshes.fetch_add(fallbacks, Ordering::Relaxed);
+        let published = Stopwatch::start();
         let version = self.publish(&writer);
-        Ok(IngestReport { ingest, refreshes, version })
+        let publish = published.elapsed();
+        if self.options.telemetry {
+            let metrics = crate::telemetry::live_metrics();
+            metrics.ingest_publish_seconds.record(obs::duration_nanos(publish));
+        }
+        Ok(IngestReport { ingest, refreshes, version, publish })
     }
 
     /// Pins the current epoch for reading (see [`EpochManager::pin`]).

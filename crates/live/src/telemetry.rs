@@ -5,8 +5,8 @@
 //! lock-free `Arc` handles only:
 //!
 //! * [`live_metrics`] — batch ingestion and incremental refresh
-//!   (`tpath_live_*`): apply latency, mutation counts, refresh latency and its
-//!   phases, the delta-vs-full-fallback split, rows added/retracted.
+//!   (`tpath_live_*`): apply latency and the ingest phases, mutation counts,
+//!   refresh latency and its phases, the delta-vs-full-fallback split, rows added/retracted.
 //! * [`epoch_metrics`] — the MVCC epoch protocol (`tpath_epoch_*`): publish /
 //!   retire counters, retained-snapshot and pinned-reader gauges.  Recorded
 //!   inside the manager's protocol lock, which is safe precisely because
@@ -29,6 +29,15 @@ pub(crate) struct LiveMetrics {
     pub mutations: Arc<Counter>,
     /// `tpath_live_apply_seconds` — batch apply latency.
     pub apply_seconds: Arc<Histogram>,
+    /// `tpath_live_ingest_phase_seconds{phase="validate"}` — resolving a
+    /// batch's names and checking Definition A.1 (`IngestStats::validate`).
+    pub ingest_validate_seconds: Arc<Histogram>,
+    /// `tpath_live_ingest_phase_seconds{phase="write"}` — deriving and
+    /// writing the touched objects' segments (`IngestStats::write`).
+    pub ingest_write_seconds: Arc<Histogram>,
+    /// `tpath_live_ingest_phase_seconds{phase="publish"}` — publishing the
+    /// ingest's epoch (`IngestReport::publish`).
+    pub ingest_publish_seconds: Arc<Histogram>,
     /// `tpath_live_refreshes_total{kind="delta"}` — refreshes that re-ran
     /// only the seed rows the pending batches can have changed.
     pub refreshes_delta: Arc<Counter>,
@@ -114,6 +123,13 @@ pub(crate) fn live_metrics() -> &'static LiveMetrics {
                 &[("phase", phase)],
             )
         };
+        let ingest_phase = |phase: &'static str| {
+            reg.latency_histogram(
+                "tpath_live_ingest_phase_seconds",
+                "Ingest latency per phase: validate, write and publish.",
+                &[("phase", phase)],
+            )
+        };
         LiveMetrics {
             batches: reg.counter("tpath_live_batches_total", "Mutation batches applied.", &[]),
             mutations: reg.counter(
@@ -123,9 +139,12 @@ pub(crate) fn live_metrics() -> &'static LiveMetrics {
             ),
             apply_seconds: reg.latency_histogram(
                 "tpath_live_apply_seconds",
-                "Batch apply latency (graph + relation delta + dirty marking).",
+                "Batch apply latency (validate + write + dirty marking).",
                 &[],
             ),
+            ingest_validate_seconds: ingest_phase("validate"),
+            ingest_write_seconds: ingest_phase("write"),
+            ingest_publish_seconds: ingest_phase("publish"),
             refreshes_delta: reg.counter(
                 "tpath_live_refreshes_total",
                 refreshes_help,

@@ -10,8 +10,10 @@
 //!   epoch however many workers race for it, and never on the writer;
 //! * a `Request::Metrics` scrape served by the same pool while requests are in
 //!   flight covers all four families (`tpath_engine_`, `tpath_live_`,
-//!   `tpath_epoch_`, `tpath_serve_`), the refresh phases among them, and is
-//!   well-formed in both formats, and
+//!   `tpath_epoch_`, `tpath_serve_`), the refresh and ingest phases among them,
+//!   and is well-formed in both formats;
+//! * an ingest's validate, write and publish phases sum to no more than the
+//!   ingest, and
 //!   every `Response` carries a populated [`ServeHealth`].
 //!
 //! Everything lives in one test function: the registry is process-global, and
@@ -125,7 +127,13 @@ fn worker_pool_recording_matches_serial_replay_without_locking() {
         let mut batch = Batch::new(epoch);
         let name = format!("q{epoch}");
         batch.add_node(&name, "Person").add_existence(&name, Interval::of(1, 9));
-        let published = graph.ingest(&batch).unwrap().version;
+        let watch = obs::Stopwatch::start();
+        let report = graph.ingest(&batch).unwrap();
+        let elapsed = watch.elapsed();
+        // The ingest's phases are disjoint pieces of it.
+        let phases = report.ingest.validate + report.ingest.write + report.publish;
+        assert!(phases <= elapsed, "{phases:?} of phases in a {elapsed:?} ingest");
+        let published = report.version;
         assert_eq!(scans.get(), base_scans, "ingest and publish scan nothing");
         let tickets: Vec<_> =
             [AnswerMode::Materialized, AnswerMode::Compact, AnswerMode::Enumerate]
@@ -160,6 +168,7 @@ fn worker_pool_recording_matches_serial_replay_without_locking() {
         "# TYPE tpath_serve_requests_total counter",
         "# TYPE tpath_engine_span_seconds histogram",
         "# TYPE tpath_live_refresh_phase_seconds histogram",
+        "# TYPE tpath_live_ingest_phase_seconds histogram",
     ] {
         assert!(lines.contains(&header), "scrape is missing {header:?}");
     }
@@ -172,6 +181,9 @@ fn worker_pool_recording_matches_serial_replay_without_locking() {
         "tpath_live_refresh_phase_seconds_bucket{phase=\"seeding\",le=\"+Inf\"} ",
         "tpath_live_refresh_phase_seconds_bucket{phase=\"rerun\",le=\"+Inf\"} ",
         "tpath_live_refresh_phase_seconds_bucket{phase=\"merge\",le=\"+Inf\"} ",
+        "tpath_live_ingest_phase_seconds_bucket{phase=\"validate\",le=\"+Inf\"} ",
+        "tpath_live_ingest_phase_seconds_bucket{phase=\"write\",le=\"+Inf\"} ",
+        "tpath_live_ingest_phase_seconds_bucket{phase=\"publish\",le=\"+Inf\"} ",
     ] {
         assert!(lines.iter().any(|line| line.starts_with(series)), "scrape is missing {series:?}");
     }

@@ -1,6 +1,7 @@
 //! Deterministic fault-handling tests for the query server: worker-panic
-//! containment, hostile ad-hoc query text answered with an error, abortive
-//! close, and graceful shutdown draining.
+//! containment, hostile ad-hoc query text (non-ASCII, or nested past the
+//! parser's bound) answered with an error, abortive close, and graceful
+//! shutdown draining.
 //!
 //! The panic tests submit a request whose execution panics *deterministically*
 //! in every build profile: the plan smuggles a `Bind` inside a closure body,
@@ -65,6 +66,21 @@ fn a_panicking_request_is_contained_and_the_worker_survives() {
     // One worker only: the very thread that just unwound must serve this.
     let response = server.submit(healthy_request()).wait().unwrap();
     assert!(!response.answer.rows().unwrap().is_empty());
+    server.shutdown();
+}
+
+#[test]
+fn deeply_nested_query_text_is_an_error_not_an_abort() {
+    // 10 000 nested groups: a parser recursing once per level would overflow
+    // the worker's 2 MiB stack and abort the whole process.
+    let server = Server::start(populated_graph(), 1);
+    let depth = 10_000;
+    let text = format!("MATCH (x)-/{}FWD{}/-(y) ON live", "(".repeat(depth), ")".repeat(depth));
+    let request = Request::AdHoc { text, mode: AnswerMode::Materialized };
+    let err = server.submit(request).wait().unwrap_err();
+    assert!(matches!(err, LiveError::Query(trpq::QueryError::Parse { .. })), "{err:?}");
+    // The worker keeps serving.
+    assert!(server.submit(healthy_request()).wait().is_ok());
     server.shutdown();
 }
 

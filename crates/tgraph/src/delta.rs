@@ -283,12 +283,7 @@ impl Itpg {
             check_edge(edge, existence, endpoints, |n| prospective(Object::Node(n)))?;
         }
         for &(object, prop, _, interval) in &prop_ops {
-            check_support(
-                object,
-                prop,
-                &IntervalSet::from_interval(interval),
-                prospective(object),
-            )?;
+            check_support(object, prop, &[interval], prospective(object))?;
         }
 
         // ---- Phase 3: apply (infallible from here on). ----

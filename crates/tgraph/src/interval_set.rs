@@ -98,6 +98,27 @@ impl IntervalSet {
             .is_ok()
     }
 
+    /// The earliest time point of `intervals` (sorted and disjoint) that the
+    /// set does not contain — the minimum of their difference with the set,
+    /// found without building it.
+    pub fn first_missing(&self, intervals: &[Interval]) -> Option<Time> {
+        // `own[at..]` are the set's intervals not ending before the current one.
+        let (own, mut at) = (&self.intervals, 0);
+        for interval in intervals {
+            at += own[at..].partition_point(|iv| iv.end() < interval.start());
+            match own.get(at) {
+                // Coalesced: the point after a covering interval is missing.
+                Some(iv) if iv.start() <= interval.start() => {
+                    if iv.end() < interval.end() {
+                        return Some(iv.end() + 1);
+                    }
+                }
+                _ => return Some(interval.start()),
+            }
+        }
+        None
+    }
+
     /// Adds a single interval to the set, preserving coalescing.
     pub fn insert(&mut self, interval: Interval) {
         // Find the insertion window of intervals that overlap or meet the new one.
@@ -415,5 +436,27 @@ mod tests {
     fn point_iteration_is_sorted() {
         let s = IntervalSet::from_intervals([iv(1, 2), iv(5, 6)]);
         assert_eq!(s.points().collect::<Vec<_>>(), vec![1, 2, 5, 6]);
+    }
+
+    #[test]
+    fn the_first_missing_point_is_the_minimum_of_the_difference() {
+        let set = IntervalSet::from_intervals([iv(2, 4), iv(7, 9), iv(12, Time::MAX)]);
+        let cases: [&[Interval]; 9] = [
+            &[],
+            &[iv(2, 4)],
+            &[iv(3, 3), iv(8, 9), iv(20, Time::MAX)],
+            &[iv(1, 3)],
+            &[iv(3, 5)],
+            &[iv(2, 4), iv(6, 6)],
+            &[iv(8, 13)],
+            &[iv(10, 11)],
+            &[iv(0, 1), iv(Time::MAX, Time::MAX)],
+        ];
+        for intervals in cases {
+            let expected =
+                IntervalSet::from_intervals(intervals.iter().copied()).difference(&set).min();
+            assert_eq!(set.first_missing(intervals), expected, "{intervals:?}");
+        }
+        assert_eq!(IntervalSet::empty().first_missing(&[iv(5, 6)]), Some(5));
     }
 }

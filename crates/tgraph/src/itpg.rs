@@ -37,15 +37,16 @@ impl IntervalObjectData {
 
 /// Definition A.1's condition on edges: an edge exists only while both its
 /// endpoints do.  Reports the first time point at which `edge` exists and an
-/// endpoint does not.
-pub(crate) fn check_edge<'a>(
+/// endpoint does not.  [`Itpg::validate`], [`Itpg::apply_batch`] and every
+/// other writer of a graph check edges with it.
+pub fn check_edge<'a>(
     edge: EdgeId,
     existence: &IntervalSet,
     (src, tgt): (NodeId, NodeId),
     node_existence: impl Fn(NodeId) -> &'a IntervalSet,
 ) -> Result<()> {
     for endpoint in [src, tgt] {
-        if let Some(time) = existence.difference(node_existence(endpoint)).min() {
+        if let Some(time) = node_existence(endpoint).first_missing(existence.intervals()) {
             return Err(GraphError::DanglingEdge { edge, endpoint, time });
         }
     }
@@ -53,15 +54,17 @@ pub(crate) fn check_edge<'a>(
 }
 
 /// Definition A.1's condition on properties: a property has a value only while
-/// its object exists.  Reports the first time point of `support` outside
-/// `existence`.
-pub(crate) fn check_support(
+/// its object exists.  Reports the first time point of `support` (sorted,
+/// disjoint intervals) outside `existence`.  [`Itpg::validate`],
+/// [`Itpg::apply_batch`] and every other writer of a graph check properties
+/// with it.
+pub fn check_support(
     object: Object,
     property: &str,
-    support: &IntervalSet,
+    support: &[Interval],
     existence: &IntervalSet,
 ) -> Result<()> {
-    match support.difference(existence).min() {
+    match existence.first_missing(support) {
         Some(time) => Err(GraphError::PropertyWithoutExistence {
             object,
             property: property.to_owned(),
@@ -252,7 +255,7 @@ impl Itpg {
             }
             for (prop, history) in &data.props {
                 debug_assert!(history.is_coalesced());
-                check_support(object, prop, &history.support(), &data.existence)?;
+                check_support(object, prop, history.support().intervals(), &data.existence)?;
             }
         }
         Ok(())

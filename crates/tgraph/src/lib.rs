@@ -41,6 +41,6 @@ pub use error::{GraphError, Result};
 pub use ids::{EdgeId, NodeId, Object, TemporalObject};
 pub use interval::{Interval, Time};
 pub use interval_set::IntervalSet;
-pub use itpg::{Itpg, ItpgBuilder};
+pub use itpg::{check_edge, check_support, Itpg, ItpgBuilder};
 pub use value::Value;
 pub use valued::ValuedIntervals;

@@ -153,10 +153,17 @@ impl MatchClause {
     }
 }
 
+/// The deepest nesting of grouped path expressions `( … )` a query may have.
+/// Parsing, compiling, auditing, analysing and executing a query, and dropping
+/// it, each recurse once per group level, so a bound keeps every stage within
+/// a 2 MiB thread stack, unoptimised builds included; deeper text is a
+/// positioned [`QueryError::Parse`].
+pub const MAX_GROUP_DEPTH: usize = 64;
+
 /// Parses a complete `MATCH … ON graph` clause.
 pub fn parse_match(input: &str) -> Result<MatchClause> {
     let tokens = tokenize(input)?;
-    let mut parser = Parser { tokens, pos: 0, len: input.len() };
+    let mut parser = Parser { tokens, pos: 0, len: input.len(), depth: 0 };
     let clause = parser.match_clause()?;
     parser.expect_end()?;
     Ok(clause)
@@ -165,7 +172,7 @@ pub fn parse_match(input: &str) -> Result<MatchClause> {
 /// Parses a bare temporal regular expression (the part between `-/` and `/-`).
 pub fn parse_regex(input: &str) -> Result<Regex> {
     let tokens = tokenize(input)?;
-    let mut parser = Parser { tokens, pos: 0, len: input.len() };
+    let mut parser = Parser { tokens, pos: 0, len: input.len(), depth: 0 };
     let regex = parser.regex()?;
     parser.expect_end()?;
     Ok(regex)
@@ -175,6 +182,8 @@ struct Parser {
     tokens: Vec<Spanned>,
     pos: usize,
     len: usize,
+    /// Groups open at the current position.
+    depth: usize,
 }
 
 impl Parser {
@@ -426,8 +435,15 @@ impl Parser {
             }
             Some(Token::LBrace) => RegexAtom::Props(self.constraints()?),
             Some(Token::LParen) => {
+                if self.depth == MAX_GROUP_DEPTH {
+                    return self.error(format!(
+                        "grouped path expressions nest deeper than {MAX_GROUP_DEPTH} levels"
+                    ));
+                }
                 self.pos += 1;
+                self.depth += 1;
                 let inner = self.regex()?;
+                self.depth -= 1;
                 self.expect(&Token::RParen, "')' closing a grouped path expression")?;
                 RegexAtom::Group(Box::new(inner))
             }
@@ -628,6 +644,28 @@ mod tests {
         assert!(parse_match("MATCH (x)-/UP/-(y) ON g").is_err());
         assert!(parse_match("MATCH (x)-/NEXT/-(y) ON g extra").is_err());
         assert!(parse_regex("FWD/").is_err());
+    }
+
+    /// `depth` nested groups around `FWD`, as the regex of a `MATCH` clause.
+    fn nested(depth: usize) -> String {
+        format!("MATCH (x)-/{}FWD{}/-(y) ON g", "(".repeat(depth), ")".repeat(depth))
+    }
+
+    #[test]
+    fn nesting_past_the_bound_is_a_positioned_error() {
+        assert!(parse_match(&nested(MAX_GROUP_DEPTH)).is_ok());
+        // The error points at the first group past the bound.
+        let at = "MATCH (x)-/".len() + MAX_GROUP_DEPTH;
+        match parse_match(&nested(MAX_GROUP_DEPTH + 1)) {
+            Err(QueryError::Parse { position, .. }) => assert_eq!(position, at),
+            other => panic!("expected a parse error, got {other:?}"),
+        }
+        // Far past it, on a thread with the default 2 MiB stack.
+        let deep = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| matches!(parse_match(&nested(10_000)), Err(QueryError::Parse { .. })))
+            .unwrap();
+        assert!(deep.join().unwrap());
     }
 
     #[test]

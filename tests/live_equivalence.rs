@@ -258,17 +258,21 @@ proptest! {
         for options in [ExecutionOptions::sequential(), ExecutionOptions::with_threads(2)] {
             let mut live =
                 LiveGraph::with_options(Itpg::empty(Interval::of(0, MAX_TIME)), options);
+            // The reference semantics, replaying every batch the live graph takes.
+            let mut oracle = Itpg::empty(Interval::of(0, MAX_TIME));
             let handles: Vec<_> = plan_sets.iter().map(|p| live.register(p.clone())).collect();
             // The from-scratch answers at the previous epoch.
             let mut previous: Vec<BindingTable> =
                 handles.iter().map(|&handle| live.table(handle).clone()).collect();
             let check = |live: &mut LiveGraph,
+                         oracle: &mut Itpg,
                          previous: &mut [BindingTable],
                          batch: &Batch|
              -> Result<(), TestCaseError> {
                 live.apply(batch).expect("generated batches are valid");
+                oracle.apply_batch(batch).expect("the oracle takes what the live graph took");
                 let refreshed = live.refresh_all();
-                let scratch = GraphRelations::from_itpg(live.itpg());
+                let scratch = GraphRelations::from_itpg(oracle);
                 for (index, (plan_set, name)) in plan_sets.iter().zip(&names).enumerate() {
                     let expected = execute(plan_set, &scratch, &options);
                     prop_assert_eq!(
@@ -293,21 +297,21 @@ proptest! {
                 Ok(())
             };
             for batch in &batches {
-                check(&mut live, &mut previous, batch)?;
+                check(&mut live, &mut oracle, &mut previous, batch)?;
             }
             for (index, spec) in nodes.iter().enumerate() {
                 if let Some(batch) = flip_batch(&live, index, spec, flips[index]) {
-                    check(&mut live, &mut previous, &batch)?;
+                    check(&mut live, &mut oracle, &mut previous, &batch)?;
                 }
             }
             for (index, spec) in nodes.iter().enumerate() {
                 if let Some(batch) = return_batch(&live, index, spec) {
-                    check(&mut live, &mut previous, &batch)?;
+                    check(&mut live, &mut oracle, &mut previous, &batch)?;
                 }
             }
             for (index, spec) in nodes.iter().enumerate() {
                 if let Some(batch) = split_batch(&live, index, spec) {
-                    check(&mut live, &mut previous, &batch)?;
+                    check(&mut live, &mut oracle, &mut previous, &batch)?;
                 }
             }
         }
@@ -329,12 +333,13 @@ proptest! {
         flips in prop::collection::vec(any::<bool>(), 6),
     ) {
         let mut live = LiveGraph::new(Interval::of(0, MAX_TIME));
+        let mut oracle = Itpg::empty(Interval::of(0, MAX_TIME));
         for batch in &chunk(&build_mutations(&nodes, &edges), &cuts, &rotations) {
-            apply_and_compare_summaries(&mut live, batch);
+            apply_and_compare_summaries(&mut live, &mut oracle, batch);
         }
         for (index, spec) in nodes.iter().enumerate() {
             if let Some(batch) = flip_batch(&live, index, spec, flips[index]) {
-                apply_and_compare_summaries(&mut live, &batch);
+                apply_and_compare_summaries(&mut live, &mut oracle, &batch);
             }
         }
     }
@@ -355,8 +360,8 @@ fn flip_batch(live: &LiveGraph, index: usize, spec: &NodeSpec, flip: bool) -> Op
     }
     let mut batch = Batch::new(live.epoch().map_or(1, |epoch| epoch + 1));
     let name = format!("n{index}");
-    let node = live.itpg().object_by_name(&name).expect("every node was ingested");
-    for &interval in live.itpg().existence(node).intervals() {
+    let node = live.object_by_name(&name).expect("every node was ingested");
+    for &interval in live.relations().existence(node).intervals() {
         let risk = if spec.high_risk { "low" } else { "high" };
         batch.set_property(name.as_str(), "risk", risk, interval);
         batch.set_property(name.as_str(), "test", "neg", interval);
@@ -373,8 +378,8 @@ fn return_batch(live: &LiveGraph, index: usize, spec: &NodeSpec) -> Option<Batch
         return None;
     }
     let name = format!("n{index}");
-    let node = live.itpg().object_by_name(&name).expect("every node was ingested");
-    let back = Interval::point(live.itpg().existence(node).max().expect("people exist") + 2);
+    let node = live.object_by_name(&name).expect("every node was ingested");
+    let back = Interval::point(live.relations().existence(node).max().expect("people exist") + 2);
     let risk = if spec.high_risk { "high" } else { "low" };
     let mut batch = Batch::new(live.epoch().map_or(1, |epoch| epoch + 1));
     batch.add_existence(name.as_str(), back).set_property(name.as_str(), "risk", risk, back);
@@ -392,7 +397,7 @@ fn split_batch(live: &LiveGraph, index: usize, spec: &NodeSpec) -> Option<Batch>
         return None;
     }
     let name = format!("n{index}");
-    let node = live.itpg().object_by_name(&name).expect("every node was ingested");
+    let node = live.object_by_name(&name).expect("every node was ingested");
     let relations = live.relations();
     let rows = relations.rows_of_node(node.as_node().expect("people are nodes"));
     let row = rows
@@ -406,11 +411,12 @@ fn split_batch(live: &LiveGraph, index: usize, spec: &NodeSpec) -> Option<Batch>
     Some(batch)
 }
 
-fn apply_and_compare_summaries(live: &mut LiveGraph, batch: &Batch) {
+fn apply_and_compare_summaries(live: &mut LiveGraph, oracle: &mut Itpg, batch: &Batch) {
     let before = SchemaSummary::of(live.relations());
     live.apply(batch).expect("generated batches are valid");
+    oracle.apply_batch(batch).expect("the oracle takes what the live graph took");
     let after = SchemaSummary::of(live.relations());
     assert!(!std::sync::Arc::ptr_eq(&before, &after), "a delta must start a new memo");
-    let bulk = GraphRelations::from_itpg(live.itpg());
+    let bulk = GraphRelations::from_itpg(oracle);
     assert_eq!(after, SchemaSummary::of(&bulk), "epoch {:?}", live.epoch());
 }

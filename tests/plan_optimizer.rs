@@ -217,13 +217,17 @@ proptest! {
         spec in graph_spec_strategy(),
         growth in graph_spec_strategy(),
     ) {
-        let mut live = LiveGraph::with_options(build_graph(&spec), ExecutionOptions::sequential());
+        // The growth batches are drawn from an oracle replaying what the live
+        // graph takes.
+        let mut oracle = build_graph(&spec);
+        let mut live = LiveGraph::with_options(oracle.clone(), ExecutionOptions::sequential());
         // Fill the memo of the version each batch is about to replace.
         check_all_queries(live.relations(), "before any batch");
         for step in 0..3 {
-            let batch = growth_batch(step, live.itpg(), &growth);
+            let batch = growth_batch(step, &oracle, &growth);
             if !batch.is_empty() {
                 live.apply(&batch).expect("growth batches are valid by construction");
+                oracle.apply_batch(&batch).expect("the oracle takes what the live graph took");
             }
             check_all_queries(live.relations(), &format!("after batch {step}"));
         }

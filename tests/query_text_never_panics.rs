@@ -3,16 +3,21 @@
 //! RECUR closure workloads go through parse → `compile` → `audit` → `analyze`,
 //! and every text that compiles also runs on the Figure 1 graph in all three
 //! answer modes, its cursor drained.  Each call must return `Ok` or `Err`.
+//! Mutations also splice in nested groups, up to twice the nesting bound
+//! [`MAX_GROUP_DEPTH`], and text at the bound runs through every stage on a
+//! thread with a 2 MiB stack.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use proptest::prelude::*;
 
+use engine::plan::audit::MAX_CLOSURE_DEPTH;
 use engine::{
     analyze, audit, compile, execute_answers, AnswerMode, ExecutionOptions, GraphRelations, Query,
     SchemaSummary,
 };
 use trpq::error::QueryError;
+use trpq::parser::MAX_GROUP_DEPTH;
 use trpq::queries::QueryId;
 
 const REACH: &str =
@@ -107,6 +112,12 @@ fn mutate(text: &str, edits: &[Edit]) -> String {
                 chars.drain(at..end);
             }
             2 if at < chars.len() => chars[at] = ALPHABET[pick % ALPHABET.len()],
+            // Nested groups around `at..end`, past the bound now and then.
+            4 => {
+                let depth = pick % (2 * MAX_GROUP_DEPTH);
+                chars.splice(end..end, std::iter::repeat_n(')', depth));
+                chars.splice(at..at, std::iter::repeat_n('(', depth));
+            }
             _ => {
                 let copy: Vec<char> = chars[at..end].to_vec();
                 chars.splice(end..end, copy);
@@ -136,7 +147,7 @@ proptest! {
     #[test]
     fn mutated_benchmark_queries_never_panic(
         seed in 0..14usize,
-        edits in prop::collection::vec((0..4u8, any::<usize>(), 0..6usize, any::<usize>()), 1..4),
+        edits in prop::collection::vec((0..5u8, any::<usize>(), 0..6usize, any::<usize>()), 1..4),
     ) {
         let text = mutate(seeds()[seed], &edits);
         never_panics(&text, &figure1())?;
@@ -150,6 +161,78 @@ fn the_seed_texts_run_in_every_mode() {
         assert!(Query::parse(text).is_ok(), "{text}");
         never_panics(text, &graph).unwrap();
     }
+}
+
+/// `text` with its path expression wrapped in `depth` groups, shaped by
+/// `wrap`, which gets the text inside one level and the level, counted from
+/// the inside; `None` for a text without a path expression.
+fn nest(text: &str, depth: usize, wrap: fn(&str, usize) -> String) -> Option<String> {
+    let (head, rest) = text.split_once("-/")?;
+    let (regex, tail) = rest.rsplit_once("/-")?;
+    let nested = (0..depth).fold(regex.to_owned(), |inner, level| wrap(&inner, level));
+    Some(format!("{head}-/{nested}/-{tail}"))
+}
+
+/// The deepest group nesting in `text`'s path expression.
+fn group_depth(text: &str) -> usize {
+    let regex = text.split_once("-/").and_then(|(_, rest)| rest.rsplit_once("/-"));
+    let (mut depth, mut deepest) = (0usize, 0);
+    for c in regex.map_or("", |(regex, _)| regex).chars() {
+        match c {
+            '(' => depth += 1,
+            ')' => depth -= 1,
+            _ => {}
+        }
+        deepest = deepest.max(depth);
+    }
+    deepest
+}
+
+/// Runs `check` on a thread with a 2 MiB stack, the default of a spawned
+/// thread such as a server worker.
+fn on_a_small_stack(check: impl FnOnce() + Send + 'static) {
+    let thread = std::thread::Builder::new().stack_size(2 << 20).spawn(check).unwrap();
+    thread.join().expect("the check returned");
+}
+
+#[test]
+fn nesting_at_the_bound_runs_through_every_stage() {
+    on_a_small_stack(|| {
+        let graph = figure1();
+        let schema = SchemaSummary::of(&graph);
+        // Plain groups; a tower of repetitions as tall as the plan audit
+        // accepts over a seed's own repetition, in plain groups; groups of a
+        // union.
+        let shapes: [fn(&str, usize) -> String; 3] = [
+            |inner, _| format!("({inner})"),
+            |inner, level| match level + 1 < MAX_CLOSURE_DEPTH {
+                true => format!("({inner})*"),
+                false => format!("({inner})"),
+            },
+            |inner, _| format!("({inner}/NEXT + BWD)"),
+        ];
+        for (seed, wrap) in seeds().into_iter().flat_map(|seed| shapes.map(|wrap| (seed, wrap))) {
+            let levels = MAX_GROUP_DEPTH - group_depth(seed);
+            let Some(text) = nest(seed, levels, wrap) else { continue };
+            assert_eq!(group_depth(&text), MAX_GROUP_DEPTH);
+            let plan_set = compile(&trpq::parser::parse_match(&text).unwrap()).unwrap();
+            assert!(audit(&plan_set).is_ok(), "{text}");
+            exercise(&text, &graph, &schema);
+            let deeper = nest(seed, levels + 1, wrap).unwrap();
+            let err = trpq::parser::parse_match(&deeper).unwrap_err();
+            assert!(matches!(err, QueryError::Parse { .. }), "{err:?}");
+        }
+    });
+}
+
+#[test]
+fn nesting_far_past_the_bound_is_a_parse_error() {
+    on_a_small_stack(|| {
+        for text in seeds() {
+            let Some(deep) = nest(text, 10_000, |inner, _| format!("({inner})")) else { continue };
+            assert!(matches!(Query::parse(&deep), Err(QueryError::Parse { .. })));
+        }
+    });
 }
 
 #[test]
