@@ -1,12 +1,12 @@
 //! # dataflow — interval-relational dataflow substrate
 //!
-//! The small dataflow layer the TRPQ engine (Section VI of the paper) is built on:
-//! temporally-aligned hash joins ([`operators::join`]) — the one join the engine
-//! executes — next to sort-merge kernels over key-sorted inputs
-//! ([`mod@operators::merge_join`]) that only the benchmark's kernel timings read,
-//! temporal coalescing ([`mod@operators::coalesce`]), the k-way merge of sorted
-//! runs ([`sorted`]), and a chunked parallel executor on `std::thread::scope`
-//! ([`parallel`]) standing in for the paper's use of Itertools + Rayon.
+//! The small dataflow layer of the TRPQ engine (Section VI of the paper).  The
+//! engine runs the k-way merge of sorted runs ([`kway_merge_dedup`]) and a
+//! chunked parallel executor on `std::thread::scope` ([`par_chunk_flat_map`],
+//! [`Parallelism`]) standing in for the paper's use of Itertools + Rayon.  The
+//! temporally-aligned hash joins ([`operators::join`]), sort-merge joins
+//! ([`mod@operators::merge_join`]) and temporal coalescing
+//! ([`mod@operators::coalesce`]) run only in the benchmark's kernel timings.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

@@ -26,12 +26,19 @@ pub enum Position {
 }
 
 impl Position {
+    /// The position of `row` in the node relation if `on_nodes`, else in the
+    /// edge relation.
+    pub(crate) fn on(on_nodes: bool, row: u32) -> Position {
+        if on_nodes {
+            Position::NodeRow(row)
+        } else {
+            Position::EdgeRow(row)
+        }
+    }
+
     /// The object the position refers to.
     pub fn object(self, graph: &GraphRelations) -> Object {
-        match self {
-            Position::NodeRow(r) => Object::Node(graph.node_rows()[r as usize].node),
-            Position::EdgeRow(r) => Object::Edge(graph.edge_rows()[r as usize].edge),
-        }
+        graph.row(self).object
     }
 
     /// The index of the row in its relation.
@@ -43,10 +50,7 @@ impl Position {
 
     /// The validity interval of the underlying row.
     pub fn row_interval(self, graph: &GraphRelations) -> Interval {
-        match self {
-            Position::NodeRow(r) => graph.node_rows()[r as usize].interval,
-            Position::EdgeRow(r) => graph.edge_rows()[r as usize].interval,
-        }
+        graph.row(self).interval
     }
 }
 

@@ -18,12 +18,15 @@ use trpq::parser::{
 };
 use trpq::{QueryError, Result};
 
+use crate::plan::audit::{audit, MAX_PLANS};
 use crate::plan::{
     ClosureOp, ClosureStep, EnginePlan, HopDirection, MicroOp, ObjFilter, PlanSet, Segment, Shift,
     TemporalLink,
 };
 
 /// Compiles a parsed clause into a set of engine plans (one per union alternative).
+/// A clause whose unions expand to more than [`MAX_PLANS`] plans, or whose plans
+/// the [`audit`] refuses, is a [`QueryError::UnsupportedFragment`] in every build.
 pub fn compile(clause: &MatchClause) -> Result<PlanSet> {
     // Assign variable slots in order of first appearance.
     let mut variables: Vec<String> = Vec::new();
@@ -45,20 +48,43 @@ pub fn compile(clause: &MatchClause) -> Result<PlanSet> {
     // is their cartesian product.
     let mut alternatives: Vec<Vec<PlanOp>> = vec![Vec::new()];
     for part in &clause.parts {
-        let part_alternatives = compile_part(part, &variables)?;
-        let mut next = Vec::with_capacity(alternatives.len() * part_alternatives.len());
-        for prefix in &alternatives {
-            for suffix in &part_alternatives {
-                let mut combined = prefix.clone();
-                combined.extend(suffix.iter().cloned());
-                next.push(combined);
-            }
-        }
-        alternatives = next;
+        alternatives = product(&alternatives, &compile_part(part, &variables)?)?;
     }
 
     let plans = alternatives.into_iter().map(assemble_plan).collect::<Result<Vec<_>>>()?;
-    Ok(PlanSet { plans, variables, graph: clause.graph.clone() })
+    let plan_set = PlanSet { plans, variables, graph: clause.graph.clone() };
+    // The executor asserts the audit in debug builds only.
+    audit(&plan_set).map_err(|error| unsupported(error.issues[0].to_string()))?;
+    Ok(plan_set)
+}
+
+/// The error of a clause the engine compiles but will not run.
+fn unsupported(reason: String) -> QueryError {
+    QueryError::UnsupportedFragment { expression: "the MATCH pattern".to_owned(), reason }
+}
+
+/// An error if `count` alternatives are more than [`MAX_PLANS`].
+fn within_plan_bound(count: usize) -> Result<()> {
+    match count > MAX_PLANS {
+        true => Err(unsupported(format!("its unions expand to more than {MAX_PLANS} plans"))),
+        false => Ok(()),
+    }
+}
+
+/// Every `prefix` followed by every `suffix`, prefixes outermost; an error,
+/// counted before anything is built, if that is more than [`MAX_PLANS`].
+fn product(prefixes: &[Vec<PlanOp>], suffixes: &[Vec<PlanOp>]) -> Result<Vec<Vec<PlanOp>>> {
+    let count = prefixes.len().saturating_mul(suffixes.len());
+    within_plan_bound(count)?;
+    let mut out = Vec::with_capacity(count);
+    for prefix in prefixes {
+        for suffix in suffixes {
+            let mut combined = prefix.clone();
+            combined.extend(suffix.iter().cloned());
+            out.push(combined);
+        }
+    }
+    Ok(out)
 }
 
 /// Intermediate op used during compilation: a structural micro-op, a temporal shift
@@ -133,18 +159,10 @@ fn compile_regex(regex: &Regex, variables: &[String]) -> Result<Vec<Vec<PlanOp>>
         // Each item contributes its own alternatives; combine by cartesian product.
         let mut seq_alternatives: Vec<Vec<PlanOp>> = vec![Vec::new()];
         for item in &seq.items {
-            let item_alternatives = compile_regex_item(item, variables)?;
-            let mut next = Vec::with_capacity(seq_alternatives.len() * item_alternatives.len());
-            for prefix in &seq_alternatives {
-                for suffix in &item_alternatives {
-                    let mut combined = prefix.clone();
-                    combined.extend(suffix.iter().cloned());
-                    next.push(combined);
-                }
-            }
-            seq_alternatives = next;
+            seq_alternatives = product(&seq_alternatives, &compile_regex_item(item, variables)?)?;
         }
         out.extend(seq_alternatives);
+        within_plan_bound(out.len())?;
     }
     Ok(out)
 }

@@ -38,7 +38,7 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
 
-use tgraph::{EdgeId, Interval, NodeId, Value};
+use tgraph::{EdgeId, Interval, NodeId, Object, Value};
 
 use crate::chain::TimeLag;
 use crate::plan::{
@@ -291,6 +291,17 @@ impl<'a> LabelScan<'a> {
         index
     }
 
+    /// Notes the live rows of `object`: its label, from the first, and the
+    /// properties of each.  `None` for an object with no live row.
+    fn note(&mut self, relations: &'a GraphRelations, object: Object) -> Option<u32> {
+        let mut label = None;
+        relations.visit_rows_of(object, |_, row| {
+            let label = *label.get_or_insert_with(|| self.intern(row.label));
+            self.note_props(label, row.props);
+        });
+        label
+    }
+
     fn note_props(&mut self, label: u32, props: &'a [(Arc<str>, Value)]) {
         let last = &mut self.last_props[label as usize];
         if *last != props {
@@ -325,28 +336,18 @@ impl<'a> LabelScan<'a> {
 /// per-object row indexes (which list live rows only); the rows themselves are
 /// visited just for their property values.
 fn scan(relations: &GraphRelations) -> SchemaSummary {
-    let (node_rows, edge_rows) = (relations.node_rows(), relations.edge_rows());
     let mut nodes = LabelScan::default();
     // Nodes have one label for their whole lifetime, so a dense id → label map
     // is enough to label edge endpoints.
-    let mut label_of_node: Vec<Option<u32>> = vec![None; relations.num_nodes()];
-    for (id, slot) in label_of_node.iter_mut().enumerate() {
-        let rows = relations.rows_of_node(NodeId(id as u32));
-        let Some(&first) = rows.first() else { continue };
-        let label = nodes.intern(&node_rows[first as usize].label);
-        *slot = Some(label);
-        for &row in rows {
-            nodes.note_props(label, &node_rows[row as usize].props);
-        }
-    }
+    let label_of_node: Vec<Option<u32>> = (0..relations.num_nodes() as u32)
+        .map(|id| nodes.note(relations, NodeId(id).into()))
+        .collect();
     let mut edges = LabelScan::default();
     // End bits per edge label (outer) and node label (inner), in scan indices.
     let mut ends: Vec<Vec<u8>> = Vec::new();
-    for id in 0..relations.num_edges() {
-        let rows = relations.rows_of_edge(EdgeId(id as u32));
-        let Some(&first) = rows.first() else { continue };
-        let edge = &edge_rows[first as usize];
-        let label = edges.intern(&edge.label);
+    for id in 0..relations.num_edges() as u32 {
+        let Some(label) = edges.note(relations, EdgeId(id).into()) else { continue };
+        let edge = &relations.edge_rows()[relations.rows_of_edge(EdgeId(id))[0] as usize];
         if ends.len() <= label as usize {
             ends.push(vec![0; nodes.labels.len()]);
         }
@@ -356,9 +357,6 @@ fn scan(relations: &GraphRelations) -> SchemaSummary {
         }
         if let Some(tgt) = label_of_node[edge.tgt.index()] {
             bits[tgt as usize] |= ADJ_TARGET;
-        }
-        for &row in rows {
-            edges.note_props(label, &edge_rows[row as usize].props);
         }
     }
 

@@ -33,6 +33,11 @@ pub const MAX_CLOSURE_DEPTH: usize = 8;
 /// into a full traversal; real plans stay in the single digits.
 pub const MAX_STATIC_HOPS: usize = 256;
 
+/// The most plans [`compile`](crate::compile) expands one clause's unions to:
+/// a run of unions is their cartesian product, so it grows exponentially with
+/// the run; the benchmark queries compile to one or two plans each.
+pub const MAX_PLANS: usize = 1024;
+
 /// One defect found in a plan, with enough location context to act on.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AuditIssue {

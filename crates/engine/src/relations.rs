@@ -15,10 +15,12 @@ use std::borrow::Cow;
 use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasher, Hash, Hasher};
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 use tgraph::{EdgeId, Interval, IntervalSet, Itpg, NodeId, Object, Time, Value};
 
+use crate::chain::Position;
 use crate::plan::analyze::SchemaSummary;
 
 /// One temporally-constant state of a node.
@@ -58,14 +60,66 @@ pub struct EdgeRow {
 impl NodeRow {
     /// Looks up a property value of this row.
     pub fn prop(&self, name: &str) -> Option<&Value> {
-        self.props.iter().find(|(k, _)| k.as_ref() == name).map(|(_, v)| v)
+        self.shared().prop(name)
     }
 }
 
 impl EdgeRow {
     /// Looks up a property value of this row.
     pub fn prop(&self, name: &str) -> Option<&Value> {
+        self.shared().prop(name)
+    }
+}
+
+/// What the rows of both relations hold, borrowed from one: code that serves
+/// both reads rows through it (see [`GraphRelations::visit_rows_of`]).
+#[derive(Debug, Clone, Copy)]
+pub struct RowRef<'a> {
+    /// The node or edge the row describes.
+    pub object: Object,
+    /// Label of the object.
+    pub label: &'a Arc<str>,
+    /// Property values holding over the whole validity interval, sorted by name.
+    pub props: &'a Props,
+    /// Validity interval of this state.
+    pub interval: Interval,
+}
+
+impl<'a> RowRef<'a> {
+    /// Looks up a property value of the row.
+    pub fn prop(&self, name: &str) -> Option<&'a Value> {
         self.props.iter().find(|(k, _)| k.as_ref() == name).map(|(_, v)| v)
+    }
+}
+
+/// The row type of one relation.
+trait Row: Clone {
+    /// The row of object `id` (an edge from `ends.0` to `ends.1`) over `at`.
+    fn new(id: usize, ends: (NodeId, NodeId), label: Arc<str>, props: Props, at: Interval) -> Self;
+
+    /// What the rows of both relations hold.
+    fn shared(&self) -> RowRef<'_>;
+}
+
+impl Row for NodeRow {
+    fn new(id: usize, _: (NodeId, NodeId), label: Arc<str>, props: Props, at: Interval) -> Self {
+        NodeRow { node: NodeId(id as u32), label, props, interval: at }
+    }
+
+    fn shared(&self) -> RowRef<'_> {
+        let object = Object::Node(self.node);
+        RowRef { object, label: &self.label, props: &self.props, interval: self.interval }
+    }
+}
+
+impl Row for EdgeRow {
+    fn new(id: usize, e: (NodeId, NodeId), label: Arc<str>, props: Props, at: Interval) -> Self {
+        EdgeRow { edge: EdgeId(id as u32), src: e.0, tgt: e.1, label, props, interval: at }
+    }
+
+    fn shared(&self) -> RowRef<'_> {
+        let object = Object::Edge(self.edge);
+        RowRef { object, label: &self.label, props: &self.props, interval: self.interval }
     }
 }
 
@@ -126,6 +180,9 @@ pub struct CanonicalRelations {
 /// The pair of interval-timestamped relations plus the indexes the engine navigates
 /// with.
 ///
+/// Nodes and edges are two instances of one private `Relation`, beside the
+/// node-keyed adjacency of the edge rows.
+///
 /// Every column is held behind an [`Arc`], which makes the whole structure
 /// **copy-on-write**: [`GraphRelations::snapshot`] (and plain `clone()`) is
 /// twelve reference-count bumps, and [`GraphRelations::apply_delta`] copies
@@ -135,21 +192,21 @@ pub struct CanonicalRelations {
 ///
 /// How much a write copies depends on the column:
 ///
-/// - The eight per-object columns (names, existence, the four row indexes) are
-///   chunked (see `Column`): a delta copies only the chunks holding an object
-///   whose rows or existence it changed, plus the tail chunk when it creates
-///   objects.  The last batch
+/// - The eight per-object columns (three per relation and the two adjacency
+///   lists) are chunked (see `Column`): a delta copies only the chunks holding
+///   an object whose rows or existence it changed, plus the tail chunk when it
+///   creates objects.  The last batch
 ///   of the G5 contact stream touches ≈ 4 500 of 122 000 edges, in 6 of the
 ///   120 edge chunks; its ≈ 670 touched nodes land in all 8 node chunks, so
 ///   a node-indexed column is still copied whole on that stream.
-/// - The two row relations stay one contiguous vector each, because readers
+/// - The rows of a relation stay one contiguous vector, because readers
 ///   scan them as slices ([`GraphRelations::node_rows`]).  A delta that
 ///   appends rows copies the whole vector once, into an allocation that fits
 ///   the batch, but a row clone is a plain copy plus two reference-count
 ///   bumps (the label and the shared properties), with no allocation.
-/// - The two per-row liveness flag vectors stay flat too: one byte a row, so
-///   copying both is a `memcpy`, and the masked Step 1 scans test them row by
-///   row, where a chunk lookup per row would cost more than the copy saves.
+/// - The liveness flags stay flat too: one byte a row, so copying them is a
+///   `memcpy`, and the masked Step 1 scans test them row by row, where a
+///   chunk lookup per row would cost more than the copy saves.
 ///
 /// The relations also carry a memo of what is derived from them: their
 /// [`SchemaSummary`] — the statistics the semantic optimizer reads — and the
@@ -160,27 +217,12 @@ pub struct CanonicalRelations {
 #[derive(Debug, Clone)]
 pub struct GraphRelations {
     domain: Interval,
-    nodes: Arc<Vec<NodeRow>>,
-    edges: Arc<Vec<EdgeRow>>,
-    node_names: Column<String>,
-    edge_names: Column<String>,
-    node_rows_by_id: Column<Vec<u32>>,
-    edge_rows_by_id: Column<Vec<u32>>,
-    edge_rows_by_src: Column<Vec<u32>>,
-    edge_rows_by_tgt: Column<Vec<u32>>,
-    node_existence: Column<IntervalSet>,
-    edge_existence: Column<IntervalSet>,
-    // Liveness of every row.  `apply_delta` tombstones the rows whose state a
-    // batch changed instead of compacting the row vectors (a bulk load, the
-    // delta that creates every object, retracts none), so every other row keeps
-    // its index, which is what lets live query maintenance reuse cached
-    // results.  Tombstoned rows are unreachable through every index and
-    // permutation; only direct slice access (`node_rows()` / `edge_rows()`) can
-    // still observe them.
-    node_row_live: Arc<Vec<bool>>,
-    edge_row_live: Arc<Vec<bool>>,
-    dead_node_rows: usize,
-    dead_edge_rows: usize,
+    nodes: Relation<NodeRow>,
+    edges: Relation<EdgeRow>,
+    /// Per node, the rows of the edges whose source it is.
+    by_src: Column<Vec<u32>>,
+    /// Per node, the rows of the edges whose target it is.
+    by_tgt: Column<Vec<u32>>,
     // What is derived from *this version* of the relations.  The cells sit
     // behind one `Arc` so that clones share them: a bare `OnceLock` would be
     // cloned empty into every snapshot, each reader would compute again and
@@ -188,6 +230,43 @@ pub struct GraphRelations {
     // fresh empty memo, so snapshots of the previous version keep theirs and
     // the new version computes each entry at most once, on its first reader.
     memo: Arc<VersionMemo>,
+}
+
+/// One relation of [`GraphRelations`]: `Nodes` with `R` = [`NodeRow`], `Edges`
+/// with `R` = [`EdgeRow`].  Object ids index the three per-object columns.
+#[derive(Debug, Clone)]
+struct Relation<R> {
+    /// The rows, live and dead.
+    rows: Arc<Vec<R>>,
+    // Liveness of every row.  A delta tombstones the rows whose state a batch
+    // changed instead of compacting the row vector (a bulk load, the delta
+    // that creates every object, retracts none), so every other row keeps its
+    // index, which is what lets live query maintenance reuse cached results.
+    // Tombstoned rows are unreachable through every index and permutation;
+    // only direct slice access (`node_rows()` / `edge_rows()`) can still
+    // observe them.
+    live: Arc<Vec<bool>>,
+    /// The number of tombstoned rows.
+    dead: usize,
+    /// Per object, its display name.
+    names: Column<String>,
+    /// Per object, its rows in interval order.
+    rows_by_id: Column<Vec<u32>>,
+    /// Per object, its coalesced existence.
+    existence: Column<IntervalSet>,
+}
+
+impl<R> Default for Relation<R> {
+    fn default() -> Self {
+        Relation {
+            rows: Arc::default(),
+            live: Arc::default(),
+            dead: 0,
+            names: Column::default(),
+            rows_by_id: Column::default(),
+            existence: Column::default(),
+        }
+    }
 }
 
 /// The per-version memo of [`GraphRelations`].
@@ -412,18 +491,13 @@ impl SegmentProps for Props {
     }
 }
 
-/// The id of an [`ObjectSegments`]' object, as an index.
-fn touched_index(object: &ObjectSegments<'_>) -> usize {
-    match object.object {
-        Object::Node(n) => n.index(),
-        Object::Edge(e) => e.index(),
-    }
-}
-
 /// The writer's view of an [`ObjectSegments`].
 fn touched(object: ObjectSegments<'_>) -> Touched<'_, impl Iterator<Item = (Interval, Props)>> {
     Touched {
-        index: touched_index(&object),
+        index: match object.object {
+            Object::Node(n) => n.index(),
+            Object::Edge(e) => e.index(),
+        },
         name: object.name,
         label: object.label,
         ends: object.ends,
@@ -467,20 +541,10 @@ impl GraphRelations {
     pub fn from_itpg(graph: &Itpg) -> Self {
         let mut relations = GraphRelations {
             domain: graph.domain(),
-            nodes: Arc::default(),
-            edges: Arc::default(),
-            node_names: Column::default(),
-            edge_names: Column::default(),
-            node_rows_by_id: Column::default(),
-            edge_rows_by_id: Column::default(),
-            edge_rows_by_src: Column::default(),
-            edge_rows_by_tgt: Column::default(),
-            node_existence: Column::default(),
-            edge_existence: Column::default(),
-            node_row_live: Arc::default(),
-            edge_row_live: Arc::default(),
-            dead_node_rows: 0,
-            dead_edge_rows: 0,
+            nodes: Relation::default(),
+            edges: Relation::default(),
+            by_src: Column::default(),
+            by_tgt: Column::default(),
             memo: Arc::default(),
         };
         // Every object lies past the end of empty relations, so the delta
@@ -507,18 +571,10 @@ impl GraphRelations {
     /// from the twelve, never written by a delta, and every delta replaces it
     /// whole, so counting it would only report "a delta happened".
     pub fn shared_columns(&self, other: &GraphRelations) -> usize {
-        usize::from(Arc::ptr_eq(&self.nodes, &other.nodes))
-            + usize::from(Arc::ptr_eq(&self.edges, &other.edges))
-            + usize::from(self.node_names.is_shared_with(&other.node_names))
-            + usize::from(self.edge_names.is_shared_with(&other.edge_names))
-            + usize::from(self.node_rows_by_id.is_shared_with(&other.node_rows_by_id))
-            + usize::from(self.edge_rows_by_id.is_shared_with(&other.edge_rows_by_id))
-            + usize::from(self.edge_rows_by_src.is_shared_with(&other.edge_rows_by_src))
-            + usize::from(self.edge_rows_by_tgt.is_shared_with(&other.edge_rows_by_tgt))
-            + usize::from(self.node_existence.is_shared_with(&other.node_existence))
-            + usize::from(self.edge_existence.is_shared_with(&other.edge_existence))
-            + usize::from(Arc::ptr_eq(&self.node_row_live, &other.node_row_live))
-            + usize::from(Arc::ptr_eq(&self.edge_row_live, &other.edge_row_live))
+        self.nodes.shared_columns(&other.nodes)
+            + self.edges.shared_columns(&other.edges)
+            + usize::from(self.by_src.is_shared_with(&other.by_src))
+            + usize::from(self.by_tgt.is_shared_with(&other.by_tgt))
     }
 
     /// Applies one batch worth of changes to the relations *in place*, given the
@@ -556,20 +612,8 @@ impl GraphRelations {
     pub fn apply_delta(&mut self, graph: &Itpg, touched: &[Object]) -> DeltaStats {
         let (old_nodes, old_edges) = (self.num_nodes(), self.num_edges());
         debug_assert!(graph.num_nodes() >= old_nodes && graph.num_edges() >= old_edges);
-        // The writer walks, per relation and in id order, the touched objects
-        // that existed before the delta, then every object created since.
-        // Sorting makes the appended row indices independent of the order of
-        // `touched`.
-        let mut touched_nodes: Vec<NodeId> = touched.iter().filter_map(|o| o.as_node()).collect();
-        touched_nodes.retain(|n| n.index() < old_nodes);
-        touched_nodes.sort_unstable();
-        touched_nodes.dedup();
-        touched_nodes.extend((old_nodes..graph.num_nodes()).map(|n| NodeId(n as u32)));
-        let mut touched_edges: Vec<EdgeId> = touched.iter().filter_map(|o| o.as_edge()).collect();
-        touched_edges.retain(|e| e.index() < old_edges);
-        touched_edges.sort_unstable();
-        touched_edges.dedup();
-        touched_edges.extend((old_edges..graph.num_edges()).map(|e| EdgeId(e as u32)));
+        let touched_nodes = touched.iter().filter_map(|o| Some(o.as_node()?.index()));
+        let touched_edges = touched.iter().filter_map(|o| Some(o.as_edge()?.index()));
         // Each touched object's segments are derived from `graph`, and their
         // properties read in place: a kept row interns nothing.
         let state = |object: Object| {
@@ -591,9 +635,10 @@ impl GraphRelations {
         };
         self.write(
             graph.domain(),
-            (graph.num_nodes() - old_nodes, graph.num_edges() - old_edges),
-            touched_nodes.iter().map(|&n| state(Object::Node(n))),
-            touched_edges.iter().map(|&e| state(Object::Edge(e))),
+            walk_order(touched_nodes, old_nodes, graph.num_nodes())
+                .map(|n| state(Object::Node(NodeId(n as u32)))),
+            walk_order(touched_edges, old_edges, graph.num_edges())
+                .map(|e| state(Object::Edge(EdgeId(e as u32)))),
         )
     }
 
@@ -611,26 +656,19 @@ impl GraphRelations {
     ) -> DeltaStats {
         debug_assert!(objects.windows(2).all(|w| w[0].object < w[1].object));
         let edges = objects.split_off(objects.partition_point(|o| o.object.is_node()));
-        let new_nodes =
-            objects.len() - objects.partition_point(|o| touched_index(o) < self.num_nodes());
-        let new_edges =
-            edges.len() - edges.partition_point(|o| touched_index(o) < self.num_edges());
-        let (nodes, edges) = (objects.into_iter().map(touched), edges.into_iter().map(touched));
-        self.write(domain, (new_nodes, new_edges), nodes, edges)
+        self.write(domain, objects.into_iter().map(touched), edges.into_iter().map(touched))
     }
 
     /// The one writer of rows and per-object columns, behind
     /// [`GraphRelations::apply_delta`] and [`GraphRelations::apply_segments`].
     /// `nodes` and `edges` list the touched objects of each relation in id
-    /// order, existing ones before the `new_nodes` and `new_edges` it creates.
+    /// order, existing ones before the ones it creates.
     fn write<'a, P: SegmentProps, S: Iterator<Item = (Interval, P)>>(
         &mut self,
         domain: Interval,
-        (new_nodes, new_edges): (usize, usize),
         nodes: impl Iterator<Item = Touched<'a, S>>,
         edges: impl Iterator<Item = Touched<'a, S>>,
     ) -> DeltaStats {
-        let mut stats = DeltaStats::default();
         // A new version: forget the memo without touching the old one, which
         // snapshots of the previous version still share.
         self.memo = Arc::default();
@@ -639,139 +677,42 @@ impl GraphRelations {
         // Every write below goes through `Arc::make_mut`, `Column` or
         // `append_rows`: each writes in place while the storage is uniquely
         // owned and copies it exactly once when a pinned snapshot still shares
-        // it.  The change is applied in two passes — nodes, then edges — so a
-        // change touching only one relation never copies the other's rows.  The
-        // two relations append to disjoint row vectors, so the pass order does
-        // not change any row index.  A changed object is rewritten in place; a
-        // created one's entries are appended once per column, so they must
-        // come in id order.
+        // it.  Each relation has its own pass, so a change touching only one
+        // relation never copies the other's columns, and the two append to
+        // disjoint row vectors, so the pass order does not change any row
+        // index.  Both share one interner: a label or a property list the two
+        // relations hold alike is one allocation.
         let mut interner = Interner::default();
-        // The object's new row list, rebuilt per object.
-        let mut list = Vec::new();
-
-        let (old_nodes, base) = (self.num_nodes(), self.nodes.len());
-        let mut added = Vec::new();
-        let mut retracted = Vec::new();
-        let mut names = Vec::with_capacity(new_nodes);
-        let mut row_lists = Vec::with_capacity(new_nodes);
-        let mut existence = Vec::with_capacity(new_nodes);
-        for node in nodes {
-            let n = NodeId(node.index as u32);
-            let created = node.index >= old_nodes;
-            debug_assert!(!created || node.index == old_nodes + names.len(), "created in id order");
-            let label = interner.intern(node.label);
-            let rows = &self.nodes;
-            rederive(
-                node.segments,
-                if created { &[] } else { self.node_rows_by_id.get(node.index) },
-                |row| (rows[row as usize].interval, &rows[row as usize].props),
-                &mut list,
-                &mut retracted,
-                |interval, props| {
-                    let props = props.share(&mut interner);
-                    added.push(NodeRow { node: n, label: label.clone(), props, interval });
-                    (base + added.len() - 1) as u32
-                },
-            );
-            debug_assert!(in_interval_order(&list, |row| match (row as usize).checked_sub(base) {
-                Some(new) => added[new].interval,
-                None => rows[row as usize].interval,
-            }));
-            if created {
-                names.push(node.name.to_owned());
-                row_lists.push(std::mem::take(&mut list));
-                existence.push(node.existence.into_owned());
-            } else {
-                self.node_rows_by_id.set(node.index, &list);
-                match node.existence {
-                    Cow::Borrowed(known) => self.node_existence.set(node.index, known),
-                    Cow::Owned(known) => self.node_existence.put(node.index, known),
-                }
-            }
-        }
-        self.node_names.extend(names);
-        self.node_rows_by_id.extend(row_lists);
-        self.node_existence.extend(existence);
-        stats.node_rows_retracted = retracted.len();
-        stats.node_rows_added = added.len();
-        self.dead_node_rows += retracted.len();
-        tombstone(&mut self.node_row_live, &retracted, base + added.len());
-        append_rows(&mut self.nodes, added);
+        let old_nodes = self.num_nodes();
+        let (node_rows_added, node_rows_retracted) =
+            self.nodes.write(nodes, &mut interner, |_, _, _| {});
 
         // The adjacency lists of created nodes, which the edge pass fills.
-        let mut created_out = vec![Vec::new(); new_nodes];
+        let mut created_out = vec![Vec::new(); self.num_nodes() - old_nodes];
         let mut created_in = created_out.clone();
-        let (old_edges, base) = (self.num_edges(), self.edges.len());
-        let mut added = Vec::new();
-        let mut retracted = Vec::new();
-        let mut names = Vec::with_capacity(new_edges);
-        let mut row_lists = Vec::with_capacity(new_edges);
-        let mut existence = Vec::with_capacity(new_edges);
-        for edge in edges {
-            let e = EdgeId(edge.index as u32);
-            let created = edge.index >= old_edges;
-            debug_assert!(!created || edge.index == old_edges + names.len(), "created in id order");
-            let (src, tgt) = edge.ends;
-            let label = interner.intern(edge.label);
-            let (retracted_before, added_before) = (retracted.len(), added.len());
-            let rows = &self.edges;
-            rederive(
-                edge.segments,
-                if created { &[] } else { self.edge_rows_by_id.get(edge.index) },
-                |row| (rows[row as usize].interval, &rows[row as usize].props),
-                &mut list,
-                &mut retracted,
-                |interval, props| {
-                    let props = props.share(&mut interner);
-                    let label = label.clone();
-                    added.push(EdgeRow { edge: e, src, tgt, label, props, interval });
-                    (base + added.len() - 1) as u32
-                },
-            );
-            debug_assert!(in_interval_order(&list, |row| match (row as usize).checked_sub(base) {
-                Some(new) => added[new].interval,
-                None => rows[row as usize].interval,
-            }));
-            if created {
-                names.push(edge.name.to_owned());
-                row_lists.push(std::mem::take(&mut list));
-                existence.push(edge.existence.into_owned());
-            } else {
-                self.edge_rows_by_id.set(edge.index, &list);
-                match edge.existence {
-                    Cow::Borrowed(known) => self.edge_existence.set(edge.index, known),
-                    Cow::Owned(known) => self.edge_existence.put(edge.index, known),
+        let (by_src, by_tgt) = (&mut self.by_src, &mut self.by_tgt);
+        let (edge_rows_added, edge_rows_retracted) =
+            self.edges.write(edges, &mut interner, |(src, tgt), gone, new| {
+                // The adjacency lists lose the retracted rows and gain the
+                // appended ones; kept rows stay where they are.  Most changed
+                // edges are new and retract nothing: they skip the scans of
+                // their endpoints' lists, which are long on busy nodes.
+                if gone.is_empty() && new.is_empty() {
+                    return;
                 }
-            }
-            // The adjacency lists lose the retracted rows and gain the
-            // appended ones; kept rows stay where they are.  Most changed
-            // edges are new and retract nothing: they skip the scans of
-            // their endpoints' lists, which are long on busy nodes.
-            let gone = &retracted[retracted_before..];
-            let new = (base + added_before) as u32..(base + added.len()) as u32;
-            if !gone.is_empty() || !new.is_empty() {
                 for adjacency in [
-                    self.edge_rows_by_src.get_mut_or(&mut created_out, src.index()),
-                    self.edge_rows_by_tgt.get_mut_or(&mut created_in, tgt.index()),
+                    by_src.get_mut_or(&mut created_out, src.index()),
+                    by_tgt.get_mut_or(&mut created_in, tgt.index()),
                 ] {
                     if !gone.is_empty() {
                         adjacency.retain(|row| !gone.contains(row));
                     }
                     adjacency.extend(new.clone());
                 }
-            }
-        }
-        self.edge_names.extend(names);
-        self.edge_rows_by_id.extend(row_lists);
-        self.edge_existence.extend(existence);
-        stats.edge_rows_retracted = retracted.len();
-        stats.edge_rows_added = added.len();
-        self.dead_edge_rows += retracted.len();
-        tombstone(&mut self.edge_row_live, &retracted, base + added.len());
-        append_rows(&mut self.edges, added);
-        self.edge_rows_by_src.extend(created_out);
-        self.edge_rows_by_tgt.extend(created_in);
-        stats
+            });
+        self.by_src.extend(created_out);
+        self.by_tgt.extend(created_in);
+        DeltaStats { node_rows_added, node_rows_retracted, edge_rows_added, edge_rows_retracted }
     }
 
     /// The memo cell [`SchemaSummary::of`] reads and fills.
@@ -788,61 +729,46 @@ impl GraphRelations {
     /// the slice may contain tombstoned rows (see [`GraphRelations::is_node_row_live`]);
     /// rows reached through the indexes and permutations are always live.
     pub fn node_rows(&self) -> &[NodeRow] {
-        &self.nodes
+        &self.nodes.rows
     }
 
     /// The physical rows of the Edges relation (see [`GraphRelations::node_rows`] on
     /// tombstones).
     pub fn edge_rows(&self) -> &[EdgeRow] {
-        &self.edges
+        &self.edges.rows
     }
 
     /// True if the node row at this index has not been retracted by a delta.
     pub fn is_node_row_live(&self, row: u32) -> bool {
-        self.node_row_live[row as usize]
+        self.nodes.live[row as usize]
     }
 
     /// True if the edge row at this index has not been retracted by a delta.
     pub fn is_edge_row_live(&self, row: u32) -> bool {
-        self.edge_row_live[row as usize]
+        self.edges.live[row as usize]
     }
 
     /// The indices of all live node rows — the seed rows of Step 1 evaluation.
     pub fn seed_rows(&self) -> Vec<u32> {
-        if self.dead_node_rows == 0 {
-            (0..self.nodes.len() as u32).collect()
+        let (rows, live) = (self.nodes.rows.len() as u32, &self.nodes.live);
+        if self.nodes.dead == 0 {
+            (0..rows).collect()
         } else {
-            (0..self.nodes.len() as u32).filter(|&r| self.node_row_live[r as usize]).collect()
+            (0..rows).filter(|&r| live[r as usize]).collect()
         }
     }
 
     /// A canonical, tombstone-free snapshot for equivalence checks between
     /// incrementally maintained and bulk-loaded relations.
     pub fn canonical_snapshot(&self) -> CanonicalRelations {
-        let mut nodes: Vec<NodeRow> = self
-            .nodes
-            .iter()
-            .zip(self.node_row_live.iter())
-            .filter(|(_, &live)| live)
-            .map(|(row, _)| row.clone())
-            .collect();
-        nodes.sort_by_key(|row| (row.node, row.interval));
-        let mut edges: Vec<EdgeRow> = self
-            .edges
-            .iter()
-            .zip(self.edge_row_live.iter())
-            .filter(|(_, &live)| live)
-            .map(|(row, _)| row.clone())
-            .collect();
-        edges.sort_by_key(|row| (row.edge, row.interval));
         CanonicalRelations {
             domain: self.domain,
-            nodes,
-            edges,
-            node_existence: self.node_existence.iter().cloned().collect(),
-            edge_existence: self.edge_existence.iter().cloned().collect(),
-            node_names: self.node_names.iter().cloned().collect(),
-            edge_names: self.edge_names.iter().cloned().collect(),
+            nodes: self.nodes.canonical_rows(),
+            edges: self.edges.canonical_rows(),
+            node_existence: self.nodes.existence.iter().cloned().collect(),
+            edge_existence: self.edges.existence.iter().cloned().collect(),
+            node_names: self.nodes.names.iter().cloned().collect(),
+            edge_names: self.edges.names.iter().cloned().collect(),
         }
     }
 
@@ -850,23 +776,77 @@ impl GraphRelations {
     /// interval order, not index order: a delta keeps the rows it does not
     /// change and interleaves the rows it appends with them.
     pub fn rows_of_node(&self, node: NodeId) -> &[u32] {
-        self.node_rows_by_id.get(node.index())
+        self.nodes.rows_by_id.get(node.index())
     }
 
     /// Row indices of the Edges relation describing the given edge, in
     /// interval order, not index order (see [`GraphRelations::rows_of_node`]).
     pub fn rows_of_edge(&self, edge: EdgeId) -> &[u32] {
-        self.edge_rows_by_id.get(edge.index())
+        self.edges.rows_by_id.get(edge.index())
+    }
+
+    /// The row at `position`, as what the rows of both relations share.
+    pub(crate) fn row(&self, position: Position) -> RowRef<'_> {
+        match position {
+            Position::NodeRow(r) => self.nodes.rows[r as usize].shared(),
+            Position::EdgeRow(r) => self.edges.rows[r as usize].shared(),
+        }
+    }
+
+    /// Calls `visit` with every row of `object`, in interval order, as its
+    /// position and what the rows of both relations share.
+    pub fn visit_rows_of<'a>(&'a self, object: Object, visit: impl FnMut(Position, RowRef<'a>)) {
+        match object {
+            Object::Node(n) => self.visit(true, self.rows_of_node(n).iter().copied(), visit),
+            Object::Edge(e) => self.visit(false, self.rows_of_edge(e).iter().copied(), visit),
+        }
+    }
+
+    /// Calls `visit` with every live row of the node or the edge relation, in
+    /// index order.
+    pub(crate) fn visit_live_rows<'a>(
+        &'a self,
+        on_nodes: bool,
+        visit: impl FnMut(Position, RowRef<'a>),
+    ) {
+        let flags = if on_nodes { &self.nodes.live } else { &self.edges.live };
+        let live = (0..).zip(flags.iter()).filter_map(|(row, &live)| live.then_some(row));
+        self.visit(on_nodes, live, visit);
+    }
+
+    /// Calls `visit` with the rows at `indices` of the node or the edge
+    /// relation: one loop per relation, each reading its own row type.
+    fn visit<'a>(
+        &'a self,
+        on_nodes: bool,
+        indices: impl Iterator<Item = u32>,
+        mut visit: impl FnMut(Position, RowRef<'a>),
+    ) {
+        let (nodes, edges) = (&self.nodes.rows, &self.edges.rows);
+        match on_nodes {
+            true => indices.for_each(|r| visit(Position::NodeRow(r), nodes[r as usize].shared())),
+            false => indices.for_each(|r| visit(Position::EdgeRow(r), edges[r as usize].shared())),
+        }
+    }
+
+    /// The number of rows, live or dead, and the number of live rows of the
+    /// node or the edge relation.
+    pub(crate) fn row_counts(&self, on_nodes: bool) -> (usize, usize) {
+        let (rows, dead) = match on_nodes {
+            true => (self.nodes.rows.len(), self.nodes.dead),
+            false => (self.edges.rows.len(), self.edges.dead),
+        };
+        (rows, rows - dead)
     }
 
     /// Row indices of edges whose source is the given node.
     pub fn out_edge_rows(&self, node: NodeId) -> &[u32] {
-        self.edge_rows_by_src.get(node.index())
+        self.by_src.get(node.index())
     }
 
     /// Row indices of edges whose target is the given node.
     pub fn in_edge_rows(&self, node: NodeId) -> &[u32] {
-        self.edge_rows_by_tgt.get(node.index())
+        self.by_tgt.get(node.index())
     }
 
     /// Live row indices of the Nodes relation sorted by `(node id, interval)`,
@@ -874,7 +854,7 @@ impl GraphRelations {
     /// the struct docs).  Read only by the benchmark's merge kernels.
     pub fn node_rows_sorted_by_id(&self) -> &[u32] {
         self.memo.node_rows_sorted_by_id.get_or_init(|| {
-            sorted_permutation(&self.node_rows_by_id, |r| self.nodes[r as usize].interval)
+            sorted_permutation(&self.nodes.rows_by_id, |r| self.nodes.rows[r as usize].interval)
         })
     }
 
@@ -883,15 +863,15 @@ impl GraphRelations {
     /// version.  Read only by the benchmark's merge kernels.
     pub fn edge_rows_sorted_by_src(&self) -> &[u32] {
         self.memo.edge_rows_sorted_by_src.get_or_init(|| {
-            sorted_permutation(&self.edge_rows_by_src, |r| self.edges[r as usize].interval)
+            sorted_permutation(&self.by_src, |r| self.edges.rows[r as usize].interval)
         })
     }
 
     /// The coalesced existence intervals of an object.
     pub fn existence(&self, object: Object) -> &IntervalSet {
         match object {
-            Object::Node(n) => self.node_existence.get(n.index()),
-            Object::Edge(e) => self.edge_existence.get(e.index()),
+            Object::Node(n) => self.nodes.existence.get(n.index()),
+            Object::Edge(e) => self.edges.existence.get(e.index()),
         }
     }
 
@@ -908,19 +888,19 @@ impl GraphRelations {
     /// The display name of an object (e.g. `"n7"`).
     pub fn object_name(&self, object: Object) -> &str {
         match object {
-            Object::Node(n) => self.node_names.get(n.index()),
-            Object::Edge(e) => self.edge_names.get(e.index()),
+            Object::Node(n) => self.nodes.names.get(n.index()),
+            Object::Edge(e) => self.edges.names.get(e.index()),
         }
     }
 
     /// The number of distinct nodes.
     pub fn num_nodes(&self) -> usize {
-        self.node_names.len()
+        self.nodes.names.len()
     }
 
     /// The number of distinct edges.
     pub fn num_edges(&self) -> usize {
-        self.edge_names.len()
+        self.edges.names.len()
     }
 
     /// Summary statistics of the relational representation (Table I).  Tombstoned
@@ -929,15 +909,112 @@ impl GraphRelations {
         RelationStats {
             nodes: self.num_nodes(),
             edges: self.num_edges(),
-            temporal_nodes: self.nodes.len() - self.dead_node_rows,
-            temporal_edges: self.edges.len() - self.dead_edge_rows,
+            temporal_nodes: self.row_counts(true).1,
+            temporal_edges: self.row_counts(false).1,
         }
     }
 }
 
+impl<R: Row> Relation<R> {
+    /// Of the five columns, the number `self` shares whole with `other`.
+    fn shared_columns(&self, other: &Relation<R>) -> usize {
+        usize::from(Arc::ptr_eq(&self.rows, &other.rows))
+            + usize::from(Arc::ptr_eq(&self.live, &other.live))
+            + usize::from(self.names.is_shared_with(&other.names))
+            + usize::from(self.rows_by_id.is_shared_with(&other.rows_by_id))
+            + usize::from(self.existence.is_shared_with(&other.existence))
+    }
+
+    /// The live rows, sorted by `(object, interval)`.
+    fn canonical_rows(&self) -> Vec<R> {
+        let live = self.rows.iter().zip(self.live.iter()).filter(|(_, &live)| live);
+        let mut rows: Vec<R> = live.map(|(row, _)| row.clone()).collect();
+        rows.sort_by_key(|row| (row.shared().object, row.shared().interval));
+        rows
+    }
+
+    /// The write pass of both relations: merges each touched object's segments
+    /// against its old rows ([`rederive`]), in id order, existing objects before
+    /// created ones; `changed` hears the object's ends and the rows it retracted
+    /// and appended.  Returns the numbers of rows appended and retracted.
+    fn write<'a, P: SegmentProps, S: Iterator<Item = (Interval, P)>>(
+        &mut self,
+        objects: impl Iterator<Item = Touched<'a, S>>,
+        interner: &mut Interner,
+        mut changed: impl FnMut((NodeId, NodeId), &[u32], Range<u32>),
+    ) -> (usize, usize) {
+        // A changed object is rewritten in place; a created one's entries are
+        // appended once per column, so they must come in id order.
+        let (old, base) = (self.names.len(), self.rows.len());
+        // The object's new row list, rebuilt per object.
+        let mut list = Vec::new();
+        let mut added: Vec<R> = Vec::new();
+        let mut retracted = Vec::new();
+        let (mut names, mut row_lists, mut existence) = (Vec::new(), Vec::new(), Vec::new());
+        for object in objects {
+            let (index, ends) = (object.index, object.ends);
+            let is_new = index >= old;
+            debug_assert!(!is_new || index == old + names.len(), "created in id order");
+            let label = interner.intern(object.label);
+            let (retracted_before, added_before) = (retracted.len(), added.len());
+            let rows = &self.rows;
+            rederive(
+                object.segments,
+                if is_new { &[] } else { self.rows_by_id.get(index) },
+                rows,
+                &mut list,
+                &mut retracted,
+                |interval, props| {
+                    let props = props.share(interner);
+                    added.push(R::new(index, ends, label.clone(), props, interval));
+                    (base + added.len() - 1) as u32
+                },
+            );
+            debug_assert!(in_interval_order(&list, |row| match (row as usize).checked_sub(base) {
+                Some(new) => added[new].shared().interval,
+                None => rows[row as usize].shared().interval,
+            }));
+            let appended = (base + added_before) as u32..(base + added.len()) as u32;
+            changed(ends, &retracted[retracted_before..], appended);
+            if is_new {
+                names.push(object.name.to_owned());
+                row_lists.push(std::mem::take(&mut list));
+                existence.push(object.existence.into_owned());
+            } else {
+                self.rows_by_id.set(index, &list);
+                match object.existence {
+                    Cow::Borrowed(known) => self.existence.set(index, known),
+                    Cow::Owned(known) => self.existence.put(index, known),
+                }
+            }
+        }
+        self.names.extend(names);
+        self.rows_by_id.extend(row_lists);
+        self.existence.extend(existence);
+        self.dead += retracted.len();
+        tombstone(&mut self.live, &retracted, base + added.len());
+        let counts = (added.len(), retracted.len());
+        append_rows(&mut self.rows, added);
+        counts
+    }
+}
+
+/// The objects of one relation a delta walks, in id order: the `touched` ones
+/// of the `old` objects, each once, then those created since, up to `now`.
+fn walk_order(
+    touched: impl Iterator<Item = usize>,
+    old: usize,
+    now: usize,
+) -> impl Iterator<Item = usize> {
+    let mut walk: Vec<usize> = touched.filter(|&index| index < old).collect();
+    walk.sort_unstable();
+    walk.dedup();
+    walk.into_iter().chain(old..now)
+}
+
 /// Re-derives the rows of one touched object in a single merge walk over its
-/// old rows (`old`, in interval order; `state` reads a row's interval and
-/// properties) and its new `segments`, both in interval order.  An old row whose
+/// old rows (`old`, indices into `rows`) and its new `segments`, both in
+/// interval order.  An old row whose
 /// interval and properties equal a segment's is kept at its index; every other
 /// old row goes to `retracted`, and every other segment to `append`, which
 /// returns the index of the row it appends.  The object's new row list, in
@@ -947,10 +1024,10 @@ impl GraphRelations {
 /// holding over it (the label never changes), so a kept row is exactly the
 /// row a rebuild would append.  The properties are compared as the producer
 /// holds them: a kept row shares nothing new.
-fn rederive<'r, P: SegmentProps>(
+fn rederive<R: Row, P: SegmentProps>(
     segments: impl Iterator<Item = (Interval, P)>,
     old: &[u32],
-    state: impl Fn(u32) -> (Interval, &'r [(Arc<str>, Value)]),
+    rows: &[R],
     list: &mut Vec<u32>,
     retracted: &mut Vec<u32>,
     mut append: impl FnMut(Interval, P) -> u32,
@@ -959,12 +1036,14 @@ fn rederive<'r, P: SegmentProps>(
     let mut old = old.iter().copied().peekable();
     for (segment, props) in segments {
         // Rows starting before the segment match none of it or later ones.
-        while let Some(row) = old.next_if(|&row| state(row).0.start() < segment.start()) {
+        let starts_before =
+            |&row: &u32| rows[row as usize].shared().interval.start() < segment.start();
+        while let Some(row) = old.next_if(starts_before) {
             retracted.push(row);
         }
         let same = |&row: &u32| {
-            let (interval, held) = state(row);
-            interval == segment && props.held_by(held)
+            let row = rows[row as usize].shared();
+            row.interval == segment && props.held_by(row.props)
         };
         list.push(match old.next_if(same) {
             Some(kept) => kept,
@@ -1487,6 +1566,24 @@ mod tests {
         drop(pinned);
         let again = rel.snapshot();
         assert_eq!(again.shared_columns(&rel), 12);
+
+        // The mirror case: a node-only property change that leaves every
+        // existence as it was must not write any edge column.
+        let before = rel.canonical_snapshot();
+        let mut batch = tgraph::Batch::new(2);
+        batch.set_property("n1", "risk", "high", iv(6, 9));
+        let applied = itpg.apply_batch(&batch).unwrap();
+        let stats = rel.apply_delta(&itpg, &applied.touched);
+        assert_eq!(
+            stats,
+            DeltaStats { node_rows_added: 2, node_rows_retracted: 1, ..DeltaStats::default() }
+        );
+
+        // Written: the node rows, their liveness and the node row lists.
+        // Unwritten: the seven edge columns, the node names and node existence.
+        assert_eq!(again.shared_columns(&rel), 9);
+        assert_eq!(again.canonical_snapshot(), before);
+        assert_eq!(rel.canonical_snapshot(), GraphRelations::from_itpg(&itpg).canonical_snapshot());
     }
 
     /// `nodes` people, each meeting the next one round a ring: one edge per node.
@@ -1514,14 +1611,14 @@ mod tests {
     /// The eight chunked columns of two relations values, side by side.
     fn chunk_distances(a: &GraphRelations, b: &GraphRelations) -> [(&'static str, usize); 8] {
         [
-            ("node_names", chunks_apart(&a.node_names, &b.node_names)),
-            ("edge_names", chunks_apart(&a.edge_names, &b.edge_names)),
-            ("node_rows_by_id", chunks_apart(&a.node_rows_by_id, &b.node_rows_by_id)),
-            ("edge_rows_by_id", chunks_apart(&a.edge_rows_by_id, &b.edge_rows_by_id)),
-            ("edge_rows_by_src", chunks_apart(&a.edge_rows_by_src, &b.edge_rows_by_src)),
-            ("edge_rows_by_tgt", chunks_apart(&a.edge_rows_by_tgt, &b.edge_rows_by_tgt)),
-            ("node_existence", chunks_apart(&a.node_existence, &b.node_existence)),
-            ("edge_existence", chunks_apart(&a.edge_existence, &b.edge_existence)),
+            ("node_names", chunks_apart(&a.nodes.names, &b.nodes.names)),
+            ("edge_names", chunks_apart(&a.edges.names, &b.edges.names)),
+            ("node_rows_by_id", chunks_apart(&a.nodes.rows_by_id, &b.nodes.rows_by_id)),
+            ("edge_rows_by_id", chunks_apart(&a.edges.rows_by_id, &b.edges.rows_by_id)),
+            ("edge_rows_by_src", chunks_apart(&a.by_src, &b.by_src)),
+            ("edge_rows_by_tgt", chunks_apart(&a.by_tgt, &b.by_tgt)),
+            ("node_existence", chunks_apart(&a.nodes.existence, &b.nodes.existence)),
+            ("edge_existence", chunks_apart(&a.edges.existence, &b.edges.existence)),
         ]
     }
 
@@ -1530,8 +1627,8 @@ mod tests {
         let people = 3 * CHUNK + CHUNK / 2;
         let mut itpg = ring(people);
         let mut rel = GraphRelations::from_itpg(&itpg);
-        assert_eq!(rel.node_names.chunks.len(), 4);
-        assert_eq!(rel.edge_names.chunks.len(), 4);
+        assert_eq!(rel.nodes.names.chunks.len(), 4);
+        assert_eq!(rel.edges.names.chunks.len(), 4);
         // Rows with equal properties hold one list, so copying them allocates
         // nothing.
         let rows = rel.node_rows();
@@ -1567,8 +1664,8 @@ mod tests {
         // No node was created and no node's existence changed: those two
         // columns are the ones unwritten.
         assert_eq!(pinned.shared_columns(&rel), 2);
-        assert!(pinned.node_names.is_shared_with(&rel.node_names));
-        assert!(pinned.node_existence.is_shared_with(&rel.node_existence));
+        assert!(pinned.nodes.names.is_shared_with(&rel.nodes.names));
+        assert!(pinned.nodes.existence.is_shared_with(&rel.nodes.existence));
         assert_eq!(rel.canonical_snapshot(), GraphRelations::from_itpg(&itpg).canonical_snapshot());
     }
 
@@ -1596,8 +1693,8 @@ mod tests {
             rel.apply_delta(&itpg, &applied.touched);
             pinned.push((rel.snapshot(), rel.canonical_snapshot()));
         }
-        assert_eq!(rel.node_names.chunks.len(), 5);
-        assert_eq!(rel.edge_names.chunks.len(), 5);
+        assert_eq!(rel.nodes.names.chunks.len(), 5);
+        assert_eq!(rel.edges.names.chunks.len(), 5);
         for (epoch, (snapshot, canonical)) in pinned.iter().enumerate() {
             assert_eq!(&snapshot.canonical_snapshot(), canonical, "the snapshot of batch {epoch}");
         }
@@ -1630,7 +1727,7 @@ mod tests {
             stats,
             DeltaStats { node_rows_added: created, edge_rows_added: created, ..stats }
         );
-        assert_eq!(rel.node_names.chunks.len(), 5);
+        assert_eq!(rel.nodes.names.chunks.len(), 5);
         // Per column, the old tail chunk is copied and one chunk added; the
         // three full chunks before it stay shared.
         for (column, apart) in chunk_distances(&pinned, &rel) {

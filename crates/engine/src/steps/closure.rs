@@ -615,24 +615,12 @@ fn shift_band(graph: &GraphRelations, band: &BandState, shift: &Shift, out: &mut
         (-shift.max.map_or(span, |m| m as i128), -(shift.min as i128))
     };
     let lag = TimeLag { lo: band.lag.lo + add_lo, hi: band.lag.hi + add_hi };
-    let rows: &[u32] = match object {
-        tgraph::Object::Node(node) => graph.rows_of_node(node),
-        tgraph::Object::Edge(edge) => graph.rows_of_edge(edge),
-    };
-    for &row in rows {
-        let (position, row_interval) = match band.position {
-            Position::NodeRow(_) => {
-                (Position::NodeRow(row), graph.node_rows()[row as usize].interval)
-            }
-            Position::EdgeRow(_) => {
-                (Position::EdgeRow(row), graph.edge_rows()[row as usize].interval)
-            }
-        };
-        let Some(cur) = arrival.intersect(&row_interval) else { continue };
+    graph.visit_rows_of(object, |position, row| {
+        let Some(cur) = arrival.intersect(&row.interval) else { return };
         if let Some(next) = normalize(BandState { position, cur, lag, ..band }) {
             out.push(next);
         }
-    }
+    });
 }
 
 /// Applies the step sequence of the body alternative at `alternative` to a band

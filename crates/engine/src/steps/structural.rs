@@ -171,10 +171,10 @@ fn apply_hop<C: StructuralCursor>(
 }
 
 /// One hop from one row: calls `land` with every adjacent row `viable` admits whose
-/// validity meets `interval`, and the intersection.  The adjacent rows of a node row
-/// are its incident edge rows (out-edges forward, in-edges backward), those of an
-/// edge row the rows of its endpoint node; `viable` is asked before the adjacent row
-/// itself is read.
+/// validity meets `interval`, and the intersection; returns the number of adjacent
+/// rows.  The adjacent rows of a node row are its incident edge rows (out-edges
+/// forward, in-edges backward), those of an edge row the rows of its endpoint node;
+/// `viable` is asked before the adjacent row itself is read.
 #[inline]
 pub(crate) fn hop_from(
     graph: &GraphRelations,
@@ -183,7 +183,7 @@ pub(crate) fn hop_from(
     direction: HopDirection,
     viable: impl Fn(u32) -> bool,
     mut land: impl FnMut(Position, Interval),
-) {
+) -> usize {
     let (node_rows, edge_rows) = (graph.node_rows(), graph.edge_rows());
     match position {
         Position::NodeRow(r) => {
@@ -197,6 +197,7 @@ pub(crate) fn hop_from(
                     land(Position::EdgeRow(row), interval);
                 }
             }
+            adjacent.len()
         }
         Position::EdgeRow(r) => {
             let edge = &edge_rows[r as usize];
@@ -204,11 +205,13 @@ pub(crate) fn hop_from(
                 HopDirection::Forward => edge.tgt,
                 HopDirection::Backward => edge.src,
             };
-            for &row in graph.rows_of_node(endpoint).iter().filter(|&&row| viable(row)) {
+            let states = graph.rows_of_node(endpoint);
+            for &row in states.iter().filter(|&&row| viable(row)) {
                 if let Some(interval) = interval.intersect(&node_rows[row as usize].interval) {
                     land(Position::NodeRow(row), interval);
                 }
             }
+            states.len()
         }
     }
 }
@@ -230,17 +233,9 @@ pub(crate) fn filter_interval(
     interval: Interval,
     filter: &ObjFilter,
 ) -> Option<Interval> {
-    let ok = match position {
-        Position::NodeRow(r) => {
-            let row = &graph.node_rows()[r as usize];
-            filter.require_node != Some(false) && filter.matches_row(&row.label, &row.props)
-        }
-        Position::EdgeRow(r) => {
-            let row = &graph.edge_rows()[r as usize];
-            filter.require_node != Some(true) && filter.matches_row(&row.label, &row.props)
-        }
-    };
-    if !ok {
+    let row = graph.row(position);
+    let kind = filter.require_node.is_none_or(|node| node == row.object.is_node());
+    if !kind || !filter.matches_row(row.label, row.props) {
         return None;
     }
     filter.clamp_interval(interval)

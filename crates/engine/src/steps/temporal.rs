@@ -16,10 +16,10 @@
 //!
 //! Those rows are *chosen* here, so this is also where the next segment's entry mask
 //! ([`crate::steps::viability`]) is consulted: a row of the object from which no match
-//! can reach the end of the plan is skipped before its interval is read, and a cursor
-//! whose object has no viable row records nothing, like one that lands nowhere.
+//! can reach the end of the plan is skipped before its interval is intersected, and a
+//! cursor whose object has no viable row records nothing, like one that lands nowhere.
 
-use crate::chain::{Cursor, Position, Trail, TrailEvent};
+use crate::chain::{Cursor, Trail, TrailEvent};
 use crate::plan::Shift;
 use crate::relations::GraphRelations;
 use crate::steps::viability::RowMask;
@@ -49,26 +49,17 @@ pub fn apply_shift(
         };
         // Recorded by the first row the cursor lands on, shared by the rest.
         let mut ended = None;
-        let mut land = |position: Position, row_interval| {
-            if let Some(interval) = arrival.intersect(row_interval) {
+        graph.visit_rows_of(object, |position, row| {
+            if !viable(position.row()) {
+                return;
+            }
+            if let Some(interval) = arrival.intersect(&row.interval) {
                 let entry = *ended.get_or_insert_with(|| {
                     trail.record(cursor.trail, TrailEvent::SegmentEnd(cursor.interval))
                 });
                 out.push(cursor.next_segment(entry, position, interval));
             }
-        };
-        match object {
-            tgraph::Object::Node(node) => {
-                for &row in graph.rows_of_node(node).iter().filter(|&&row| viable(row)) {
-                    land(Position::NodeRow(row), &graph.node_rows()[row as usize].interval);
-                }
-            }
-            tgraph::Object::Edge(edge) => {
-                for &row in graph.rows_of_edge(edge).iter().filter(|&&row| viable(row)) {
-                    land(Position::EdgeRow(row), &graph.edge_rows()[row as usize].interval);
-                }
-            }
-        }
+        });
     }
     out
 }

@@ -75,10 +75,12 @@ use std::sync::atomic::Ordering;
 
 use tgraph::{Interval, Object};
 
+use crate::chain::Position;
 use crate::plan::{
     ClosureOp, ClosureStep, EnginePlan, HopDirection, MicroOp, ObjFilter, Shift, TemporalLink,
 };
 use crate::relations::GraphRelations;
+use crate::steps::structural::{filter_interval, hop_from};
 use crate::steps::StepStats;
 
 /// A set of physical row indices of one relation, one bit per row.  Which relation
@@ -337,7 +339,7 @@ impl Viability {
         let prefix = plan.prefix(segment, op);
         let mut segments = unconstrained(plan);
         if !prefix.has_fixpoint() {
-            let kept = times.row_mask(pass.relation_len(on_nodes));
+            let kept = times.row_mask(graph.row_counts(on_nodes).0);
             let seeds = pass.rows_back(&steps[split + 1..], kept, &mut segments);
             segments[0].entry = Some(seeds);
         }
@@ -447,77 +449,32 @@ impl Pass<'_> {
 
     /// An empty mask of the node or the edge relation.
     fn empty(&self, on_nodes: bool) -> RowMask {
-        RowMask::empty(self.relation_len(on_nodes))
-    }
-
-    /// The number of rows, live or dead, of the node or the edge relation.
-    fn relation_len(&self, on_nodes: bool) -> usize {
-        if on_nodes {
-            self.graph.node_rows().len()
-        } else {
-            self.graph.edge_rows().len()
-        }
-    }
-
-    /// The object a row describes and the interval it describes it over.
-    fn row(&self, on_nodes: bool, row: u32) -> (Object, Interval) {
-        if on_nodes {
-            let row = &self.graph.node_rows()[row as usize];
-            (Object::Node(row.node), row.interval)
-        } else {
-            let row = &self.graph.edge_rows()[row as usize];
-            (Object::Edge(row.edge), row.interval)
-        }
-    }
-
-    /// The number of live rows of the node or the edge relation.
-    fn live(&self, on_nodes: bool) -> usize {
-        let stats = self.graph.stats();
-        if on_nodes {
-            stats.temporal_nodes
-        } else {
-            stats.temporal_edges
-        }
+        RowMask::empty(self.graph.row_counts(on_nodes).0)
     }
 
     /// True if `row` is of the kind `filter` requires and carries its label and
     /// properties; the time part is [`ObjFilter::clamp_interval`]'s.
     fn matches(&self, filter: &ObjFilter, on_nodes: bool, row: u32) -> bool {
-        if filter.require_node.is_some_and(|node| node != on_nodes) {
-            return false;
-        }
-        if on_nodes {
-            let row = &self.graph.node_rows()[row as usize];
-            filter.matches_row(&row.label, &row.props)
-        } else {
-            let row = &self.graph.edge_rows()[row as usize];
-            filter.matches_row(&row.label, &row.props)
-        }
-    }
-
-    /// True if a cursor sitting on `row` can pass `filter` with a non-empty interval.
-    fn accepts(&self, filter: &ObjFilter, on_nodes: bool, row: u32) -> bool {
-        self.matches(filter, on_nodes, row)
-            && filter.clamp_interval(self.row(on_nodes, row).1).is_some()
+        let row = self.graph.row(Position::on(on_nodes, row));
+        filter.require_node.is_none_or(|node| node == on_nodes)
+            && filter.matches_row(row.label, row.props)
     }
 
     /// The dense scan both walks start from: every live row of the relation that
     /// passes `filter`, handed to `keep` with its clamped interval, ascending.
     fn scan(&mut self, filter: &ObjFilter, on_nodes: bool, mut keep: impl FnMut(u32, Interval)) {
-        self.charge(self.live(on_nodes));
-        for row in 0..self.relation_len(on_nodes) as u32 {
-            let is_live = if on_nodes {
-                self.graph.is_node_row_live(row)
-            } else {
-                self.graph.is_edge_row_live(row)
-            };
-            if !is_live || !self.matches(filter, on_nodes, row) {
-                continue;
-            }
-            if let Some(interval) = filter.clamp_interval(self.row(on_nodes, row).1) {
-                keep(row, interval);
-            }
+        self.charge(self.graph.row_counts(on_nodes).1);
+        if filter.require_node.is_some_and(|node| node != on_nodes) {
+            return;
         }
+        self.graph.visit_live_rows(on_nodes, |position, row| {
+            if !filter.matches_row(row.label, row.props) {
+                return;
+            }
+            if let Some(interval) = filter.clamp_interval(row.interval) {
+                keep(position.row(), interval);
+            }
+        });
     }
 
     /// The row-level walk's anchor: the live rows that pass `filter`.  `Err(0)`,
@@ -529,7 +486,7 @@ impl Pass<'_> {
         on_nodes: bool,
         scan_limit: usize,
     ) -> Result<RowMask, usize> {
-        let live = self.live(on_nodes);
+        let live = self.graph.row_counts(on_nodes).1;
         if live > scan_limit {
             return Err(0);
         }
@@ -553,7 +510,11 @@ impl Pass<'_> {
     /// Walks back over a filter: the rows of `mask` that pass it.
     fn filter(&mut self, mask: &mut RowMask, filter: &ObjFilter, on_nodes: bool) {
         self.charge(mask.len());
-        mask.retain(|row| self.accepts(filter, on_nodes, row));
+        let graph = self.graph;
+        mask.retain(|row| {
+            let at = Position::on(on_nodes, row);
+            filter_interval(graph, at, at.row_interval(graph), filter).is_some()
+        });
     }
 
     /// Walks exactly back over a filter: the pieces of the rows that pass it, clamped.
@@ -583,42 +544,30 @@ impl Pass<'_> {
         direction: HopDirection,
         landed_on_nodes: bool,
     ) -> RowMask {
-        let graph = self.graph;
-        let (node_rows, edge_rows) = (graph.node_rows(), graph.edge_rows());
-        let forward = direction == HopDirection::Forward;
         let mut from = self.empty(!landed_on_nodes);
-        if landed_on_nodes {
-            for row in landing.rows() {
-                let node = &node_rows[row as usize];
-                let adjacent = if forward {
-                    graph.in_edge_rows(node.node)
-                } else {
-                    graph.out_edge_rows(node.node)
-                };
-                self.charge(1 + adjacent.len());
-                for &edge in adjacent {
-                    if !from.contains(edge)
-                        && edge_rows[edge as usize].interval.overlaps(&node.interval)
-                    {
-                        from.insert(edge);
-                    }
-                }
-            }
-        } else {
-            for row in landing.rows() {
-                let edge = &edge_rows[row as usize];
-                let states = graph.rows_of_node(if forward { edge.src } else { edge.tgt });
-                self.charge(1 + states.len());
-                for &node in states {
-                    if !from.contains(node)
-                        && node_rows[node as usize].interval.overlaps(&edge.interval)
-                    {
-                        from.insert(node);
-                    }
-                }
-            }
+        for row in landing.rows() {
+            self.hop_back(row, direction, landed_on_nodes, |origin, _| from.insert(origin));
         }
         from
+    }
+
+    /// Calls `reach` with every row from which a `direction` hop lands on `row` (of
+    /// the node relation if `landed_on_nodes`) and the time both rows exist: the hop
+    /// the other way, through the adjacency [`hop_from`] reads.
+    fn hop_back(
+        &mut self,
+        row: u32,
+        direction: HopDirection,
+        landed_on_nodes: bool,
+        mut reach: impl FnMut(u32, Interval),
+    ) {
+        let (graph, at) = (self.graph, Position::on(landed_on_nodes, row));
+        let back = match direction {
+            HopDirection::Forward => HopDirection::Backward,
+            HopDirection::Backward => HopDirection::Forward,
+        };
+        let land = |origin: Position, during| reach(origin.row(), during);
+        self.charge(1 + hop_from(graph, at, at.row_interval(graph), back, |_| true, land));
     }
 
     /// Walks back over a shift: the rows of the same object from which `shift`
@@ -628,25 +577,24 @@ impl Pass<'_> {
         let graph = self.graph;
         let mut from = self.empty(on_nodes);
         for row in landing.rows() {
-            let (object, target) = self.row(on_nodes, row);
-            let states = match object {
-                Object::Node(node) => graph.rows_of_node(node),
-                Object::Edge(edge) => graph.rows_of_edge(edge),
-            };
-            self.charge(1 + states.len());
-            for &state in states {
-                if from.contains(state) {
-                    continue;
+            let landed = graph.row(Position::on(on_nodes, row));
+            let (object, target) = (landed.object, landed.interval);
+            let mut states = 0;
+            graph.visit_rows_of(object, |state, departure| {
+                states += 1;
+                if from.contains(state.row()) {
+                    return;
                 }
-                let (_, departure) = self.row(on_nodes, state);
+                let departure = departure.interval;
                 let arrives = graph
                     .existence_interval_at(object, departure.start())
                     .and_then(|within| shift.arrival_from_interval(departure, within))
                     .is_some_and(|arrival| arrival.overlaps(&target));
                 if arrives {
-                    from.insert(state);
+                    from.insert(state.row());
                 }
-            }
+            });
+            self.charge(1 + states);
         }
         from
     }
@@ -730,32 +678,15 @@ impl Pass<'_> {
         direction: HopDirection,
         landed_on_nodes: bool,
     ) -> TimeSet {
-        let graph = self.graph;
-        let (node_rows, edge_rows) = (graph.node_rows(), graph.edge_rows());
-        let forward = direction == HopDirection::Forward;
         let mut from = Vec::new();
         for (row, pieces) in landing.by_row() {
-            let mut reach = |other: u32, during: Interval| {
+            self.hop_back(row, direction, landed_on_nodes, |origin, during| {
                 from.extend(
-                    pieces.iter().filter_map(|(_, piece)| Some((other, piece.intersect(&during)?))),
+                    pieces
+                        .iter()
+                        .filter_map(|(_, piece)| Some((origin, piece.intersect(&during)?))),
                 );
-            };
-            if landed_on_nodes {
-                let node = node_rows[row as usize].node;
-                let edges =
-                    if forward { graph.in_edge_rows(node) } else { graph.out_edge_rows(node) };
-                self.charge(1 + edges.len());
-                for &edge in edges {
-                    reach(edge, edge_rows[edge as usize].interval);
-                }
-            } else {
-                let edge = &edge_rows[row as usize];
-                let states = graph.rows_of_node(if forward { edge.src } else { edge.tgt });
-                self.charge(1 + states.len());
-                for &node in states {
-                    reach(node, node_rows[node as usize].interval);
-                }
-            }
+            });
         }
         TimeSet::from_pieces(from)
     }
@@ -771,7 +702,7 @@ impl Pass<'_> {
             .pieces
             .iter()
             .filter_map(|&(row, piece)| {
-                let (object, _) = self.row(on_nodes, row);
+                let object = graph.row(Position::on(on_nodes, row)).object;
                 let within = graph.existence_interval_at(object, piece.start())?;
                 Some((object, shift.departure_into(piece, within)?))
             })
@@ -779,19 +710,15 @@ impl Pass<'_> {
         departures.sort_unstable_by_key(|&(object, departure)| (object, departure.start()));
         let mut from = Vec::new();
         for group in departures.chunk_by(|a, b| a.0 == b.0) {
-            let rows = match group[0].0 {
-                Object::Node(node) => graph.rows_of_node(node),
-                Object::Edge(edge) => graph.rows_of_edge(edge),
-            };
-            self.charge(rows.len());
-            for &row in rows {
-                let during = self.row(on_nodes, row).1;
-                from.extend(
-                    group
-                        .iter()
-                        .filter_map(|(_, departure)| Some((row, departure.intersect(&during)?))),
-                );
-            }
+            let mut rows = 0;
+            graph.visit_rows_of(group[0].0, |position, row| {
+                rows += 1;
+                let during = row.interval;
+                from.extend(group.iter().filter_map(|(_, departure)| {
+                    Some((position.row(), departure.intersect(&during)?))
+                }));
+            });
+            self.charge(rows);
         }
         TimeSet::from_pieces(from)
     }

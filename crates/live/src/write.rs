@@ -319,27 +319,12 @@ fn with(strings: &mut HashSet<Arc<str>>, props: &Props, prop: &str, value: &Valu
 
 /// An object's rows as `(interval, properties)` pieces, in interval order.
 fn old_rows(relations: &GraphRelations, object: Object, exists: bool) -> Vec<(Interval, Props)> {
-    if !exists {
-        return Vec::new();
+    let mut pieces = Vec::new();
+    if exists {
+        relations
+            .visit_rows_of(object, |_, row| pieces.push((row.interval, Arc::clone(row.props))));
     }
-    match object {
-        Object::Node(n) => {
-            let rows = relations.node_rows();
-            let piece = |&row: &u32| {
-                let row = &rows[row as usize];
-                (row.interval, Arc::clone(&row.props))
-            };
-            relations.rows_of_node(n).iter().map(piece).collect()
-        }
-        Object::Edge(e) => {
-            let rows = relations.edge_rows();
-            let piece = |&row: &u32| {
-                let row = &rows[row as usize];
-                (row.interval, Arc::clone(&row.props))
-            };
-            relations.rows_of_edge(e).iter().map(piece).collect()
-        }
-    }
+    pieces
 }
 
 /// Merges two lists of disjoint pieces, each in interval order.

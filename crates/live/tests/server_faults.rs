@@ -1,7 +1,7 @@
 //! Deterministic fault-handling tests for the query server: worker-panic
-//! containment, hostile ad-hoc query text (non-ASCII, or nested past the
-//! parser's bound) answered with an error, abortive close, and graceful
-//! shutdown draining.
+//! containment, hostile ad-hoc query text (non-ASCII, nested past the
+//! parser's bound, or a repetition tower past the plan audit's) answered with
+//! an error, abortive close, and graceful shutdown draining.
 //!
 //! The panic tests submit a request whose execution panics *deterministically*
 //! in every build profile: the plan smuggles a `Bind` inside a closure body,
@@ -80,6 +80,22 @@ fn deeply_nested_query_text_is_an_error_not_an_abort() {
     let err = server.submit(request).wait().unwrap_err();
     assert!(matches!(err, LiveError::Query(trpq::QueryError::Parse { .. })), "{err:?}");
     // The worker keeps serving.
+    assert!(server.submit(healthy_request()).wait().is_ok());
+    server.shutdown();
+}
+
+#[test]
+fn a_repetition_tower_past_the_audit_bound_is_an_error_not_a_panic() {
+    // Nine nested `(…)*` groups parse, but the plan audit accepts eight: the
+    // compiler refuses the text rather than hand the worker a plan it refuses.
+    let server = Server::start(populated_graph(), 1);
+    let text = format!("MATCH (x)-/{}FWD{}/-(y) ON live", "(".repeat(9), ")*".repeat(9));
+    let request = Request::AdHoc { text, mode: AnswerMode::Materialized };
+    let err = server.submit(request).wait().unwrap_err();
+    let LiveError::Query(trpq::QueryError::UnsupportedFragment { reason, .. }) = &err else {
+        panic!("expected a query error, got: {err:?}");
+    };
+    assert!(reason.contains("nesting depth 9"), "{reason}");
     assert!(server.submit(healthy_request()).wait().is_ok());
     server.shutdown();
 }

@@ -1,17 +1,19 @@
 //! Query text never panics the engine: arbitrary strings, multi-byte characters
 //! included, and mutated texts of the benchmark queries Q1–Q12 and the REACH /
 //! RECUR closure workloads go through parse → `compile` → `audit` → `analyze`,
-//! and every text that compiles also runs on the Figure 1 graph in all three
-//! answer modes, its cursor drained.  Each call must return `Ok` or `Err`.
-//! Mutations also splice in nested groups, up to twice the nesting bound
-//! [`MAX_GROUP_DEPTH`], and text at the bound runs through every stage on a
-//! thread with a 2 MiB stack.
+//! and every text that compiles also passes the audit and runs on the Figure 1
+//! graph in all three answer modes, its cursor drained.  Each call must return
+//! `Ok` or `Err`.  Mutations also splice in nested groups, up to twice the
+//! nesting bound [`MAX_GROUP_DEPTH`], and runs of union groups, up to past the
+//! plan bound [`MAX_PLANS`]; text at the nesting bound runs through every stage
+//! on a thread with a 2 MiB stack.  Texts past the audit's bounds and the plan
+//! bound are compile errors in every build.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use proptest::prelude::*;
 
-use engine::plan::audit::MAX_CLOSURE_DEPTH;
+use engine::plan::audit::{MAX_CLOSURE_DEPTH, MAX_PLANS, MAX_STATIC_HOPS};
 use engine::{
     analyze, audit, compile, execute_answers, AnswerMode, ExecutionOptions, GraphRelations, Query,
     SchemaSummary,
@@ -75,7 +77,7 @@ fn seeds() -> Vec<&'static str> {
 fn exercise(text: &str, graph: &GraphRelations, schema: &SchemaSummary) {
     let Ok(clause) = trpq::parser::parse_match(text) else { return };
     let Ok(plan_set) = compile(&clause) else { return };
-    let _ = audit(&plan_set);
+    assert!(audit(&plan_set).is_ok(), "{text} compiles to a plan set the audit refuses");
     let _ = analyze(&plan_set, schema);
     for mode in [AnswerMode::Materialized, AnswerMode::Compact, AnswerMode::Enumerate] {
         let options = ExecutionOptions::sequential().with_mode(mode).with_telemetry(false);
@@ -118,6 +120,12 @@ fn mutate(text: &str, edits: &[Edit]) -> String {
                 chars.splice(end..end, std::iter::repeat_n(')', depth));
                 chars.splice(at..at, std::iter::repeat_n('(', depth));
             }
+            // A run of union groups, whose plans multiply past the bound now
+            // and then.
+            5 => {
+                let groups = "(FWD+BWD)/".repeat(pick % (2 * MAX_PLANS.ilog2() as usize));
+                chars.splice(at..at, groups.chars());
+            }
             _ => {
                 let copy: Vec<char> = chars[at..end].to_vec();
                 chars.splice(end..end, copy);
@@ -147,7 +155,7 @@ proptest! {
     #[test]
     fn mutated_benchmark_queries_never_panic(
         seed in 0..14usize,
-        edits in prop::collection::vec((0..5u8, any::<usize>(), 0..6usize, any::<usize>()), 1..4),
+        edits in prop::collection::vec((0..6u8, any::<usize>(), 0..6usize, any::<usize>()), 1..4),
     ) {
         let text = mutate(seeds()[seed], &edits);
         never_panics(&text, &figure1())?;
@@ -223,6 +231,45 @@ fn nesting_at_the_bound_runs_through_every_stage() {
             assert!(matches!(err, QueryError::Parse { .. }), "{err:?}");
         }
     });
+}
+
+/// `count` copies of `item` joined by `/`, as the path of an ad-hoc query.
+fn path_of(item: &str, count: usize) -> String {
+    format!("MATCH (x:Person)-/{}/-(y) ON g", vec![item; count].join("/"))
+}
+
+/// Texts that parse but whose plans pass a bound: a repetition tower one
+/// deeper than the audit accepts, one hop more than it accepts, and unions
+/// that multiply past the plan bound.
+fn past_the_plan_bounds() -> [String; 3] {
+    let tower = MAX_CLOSURE_DEPTH + 1;
+    [
+        format!("MATCH (x)-/{}FWD{}/-(y) ON g", "(".repeat(tower), ")*".repeat(tower)),
+        path_of("FWD", MAX_STATIC_HOPS + 44),
+        path_of("(FWD+BWD)", 40),
+    ]
+}
+
+#[test]
+fn texts_past_the_plan_bounds_are_compile_errors() {
+    let graph = figure1();
+    for text in past_the_plan_bounds() {
+        let clause = trpq::parser::parse_match(&text).expect("the text parses");
+        let err = compile(&clause).unwrap_err();
+        assert!(matches!(err, QueryError::UnsupportedFragment { .. }), "{err:?}");
+        never_panics(&text, &graph).unwrap();
+    }
+    // At the bounds they compile, and the plans pass the audit.
+    let tower = MAX_CLOSURE_DEPTH;
+    let at_the_bounds = [
+        format!("MATCH (x)-/{}FWD{}/-(y) ON g", "(".repeat(tower), ")*".repeat(tower)),
+        path_of("FWD", MAX_STATIC_HOPS),
+        path_of("(FWD+BWD)", MAX_PLANS.ilog2() as usize),
+    ];
+    for text in at_the_bounds {
+        let plan_set = compile(&trpq::parser::parse_match(&text).unwrap()).unwrap();
+        assert!(audit(&plan_set).is_ok(), "{text}");
+    }
 }
 
 #[test]
