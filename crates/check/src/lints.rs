@@ -101,6 +101,17 @@ pub fn all() -> Vec<Lint> {
             },
             check: check_lock_order,
         },
+        Lint {
+            id: "flat-row-view",
+            summary: "engine and live code read rows by index, never through the memoised flat row views",
+            fixture: "flat_row_view.rs",
+            fixture_path: "crates/live/src/fixture.rs",
+            applies: |p| {
+                (p.starts_with("crates/engine/src/") && p != "crates/engine/src/relations.rs")
+                    || p.starts_with("crates/live/src/")
+            },
+            check: check_flat_row_view,
+        },
     ]
 }
 
@@ -326,6 +337,30 @@ fn check_lock_order(path: &str, src: &Source) -> Vec<Finding> {
     out
 }
 
+// ---------------------------------------------------------------------------
+// flat-row-view
+
+fn check_flat_row_view(path: &str, src: &Source) -> Vec<Finding> {
+    const VIEWS: &[&str] = &[".node_rows()", ".edge_rows()"];
+    let mut out = Vec::new();
+    for (i, line) in src.lines.iter().enumerate() {
+        if src.in_test[i] || !contains_any(line, VIEWS) {
+            continue;
+        }
+        out.push(finding(
+            "flat-row-view",
+            path,
+            i,
+            "node_rows()/edge_rows() copy every row of the relation on their first call \
+             per version, so a refresh or a query calling them copies the graph each \
+             batch.  Read rows by index through GraphRelations::nodes()/edges() (take \
+             the view once, then .get(row)) or through row()/visit_rows_of"
+                .to_owned(),
+        ));
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -400,6 +435,20 @@ mod tests {
         let reentrant =
             "fn twice(&self) {\n    let a = self.lock();\n    let b = self.lock();\n}\n";
         assert_eq!(run("lock-order", "crates/live/src/epoch.rs", reentrant).len(), 1);
+    }
+
+    #[test]
+    fn flat_row_views_fire_outside_tests_and_outside_relations_only() {
+        let src = "fn hop(g: &GraphRelations) -> usize { g.edge_rows().len() + g.nodes().len() }\n#[cfg(test)]\nmod tests {\n    fn t(g: &GraphRelations) -> usize { g.node_rows().len() }\n}\n";
+        let findings = run("flat-row-view", "crates/engine/src/steps/structural.rs", src);
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert_eq!(findings[0].line, 1, "the test-gated read is fine");
+        assert_eq!(run("flat-row-view", "crates/live/src/query.rs", src).len(), 1);
+        let sorted = "fn k(g: &GraphRelations) -> usize { g.node_rows_sorted_by_id().len() }\n";
+        assert!(run("flat-row-view", "crates/engine/src/executor.rs", sorted).is_empty());
+        let lint = all().into_iter().find(|l| l.id == "flat-row-view").unwrap();
+        assert!(!(lint.applies)("crates/engine/src/relations.rs"), "the views' own module");
+        assert!(!(lint.applies)("tests/row_apply.rs"), "integration tests may read them");
     }
 
     #[test]

@@ -19,9 +19,9 @@ use crate::relations::GraphRelations;
 /// index) is used by the closure fixpoint to keep its frontier canonical.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Position {
-    /// Index into [`GraphRelations::node_rows`].
+    /// Index into [`GraphRelations::nodes`].
     NodeRow(u32),
-    /// Index into [`GraphRelations::edge_rows`].
+    /// Index into [`GraphRelations::edges`].
     EdgeRow(u32),
 }
 

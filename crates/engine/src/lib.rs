@@ -66,6 +66,6 @@ pub use plan::{
 };
 pub use relations::{
     CanonicalRelations, DeltaStats, EdgeRow, GraphRelations, NodeRow, ObjectSegments, Props,
-    RelationStats,
+    RelationStats, Rows,
 };
 pub use steps::StepStats;

@@ -347,7 +347,7 @@ fn scan(relations: &GraphRelations) -> SchemaSummary {
     let mut ends: Vec<Vec<u8>> = Vec::new();
     for id in 0..relations.num_edges() as u32 {
         let Some(label) = edges.note(relations, EdgeId(id).into()) else { continue };
-        let edge = &relations.edge_rows()[relations.rows_of_edge(EdgeId(id))[0] as usize];
+        let edge = relations.edges().get(relations.rows_of_edge(EdgeId(id))[0]);
         if ends.len() <= label as usize {
             ends.push(vec![0; nodes.labels.len()]);
         }

@@ -199,21 +199,24 @@ pub struct CanonicalRelations {
 ///   of the G5 contact stream touches ≈ 4 500 of 122 000 edges, in 6 of the
 ///   120 edge chunks; its ≈ 670 touched nodes land in all 8 node chunks, so
 ///   a node-indexed column is still copied whole on that stream.
-/// - The rows of a relation stay one contiguous vector, because readers
-///   scan them as slices ([`GraphRelations::node_rows`]).  A delta that
-///   appends rows copies the whole vector once, into an allocation that fits
-///   the batch, but a row clone is a plain copy plus two reference-count
-///   bumps (the label and the shared properties), with no allocation.
-/// - The liveness flags stay flat too: one byte a row, so copying them is a
+/// - The rows of a relation are append-only chunks of 1024 rows (see
+///   `RowChunks`): every chunk but the last is full and never written again,
+///   so a delta that appends rows copies the spine and the partial tail
+///   chunk, and shares every sealed chunk with the snapshot; a row clone is
+///   a plain copy plus two reference-count bumps (the label and the shared
+///   properties), with no allocation.  Readers index the rows through
+///   [`GraphRelations::nodes`] / [`GraphRelations::edges`].
+/// - The liveness flags stay flat: one byte a row, so copying them is a
 ///   `memcpy`, and the masked Step 1 scans test them row by row, where a
 ///   chunk lookup per row would cost more than the copy saves.
 ///
 /// The relations also carry a memo of what is derived from them: their
-/// [`SchemaSummary`] — the statistics the semantic optimizer reads — and the
-/// two key-sorted row permutations.  Nothing computes either at load or on a
-/// delta: the first reader of a *version* of the relations computes it once
-/// and every later call, on this value or on any clone, snapshot or pinned
-/// epoch of the same version, reads it back.
+/// [`SchemaSummary`] — the statistics the semantic optimizer reads — the two
+/// key-sorted row permutations and the two flat row views
+/// ([`GraphRelations::node_rows`]).  Nothing computes any of them at load or
+/// on a delta: the first reader of a *version* of the relations computes it
+/// once and every later call, on this value or on any clone, snapshot or
+/// pinned epoch of the same version, reads it back.
 #[derive(Debug, Clone)]
 pub struct GraphRelations {
     domain: Interval,
@@ -237,14 +240,14 @@ pub struct GraphRelations {
 #[derive(Debug, Clone)]
 struct Relation<R> {
     /// The rows, live and dead.
-    rows: Arc<Vec<R>>,
-    // Liveness of every row.  A delta tombstones the rows whose state a batch
-    // changed instead of compacting the row vector (a bulk load, the delta
-    // that creates every object, retracts none), so every other row keeps its
-    // index, which is what lets live query maintenance reuse cached results.
-    // Tombstoned rows are unreachable through every index and permutation;
-    // only direct slice access (`node_rows()` / `edge_rows()`) can still
-    // observe them.
+    rows: RowChunks<R>,
+    // Liveness of every row, one flat vector.  A delta tombstones the rows
+    // whose state a batch changed instead of compacting the rows (a bulk load,
+    // the delta that creates every object, retracts none), so every other row
+    // keeps its index, which is what lets live query maintenance reuse cached
+    // results.  Tombstoned rows are unreachable through every index and
+    // permutation; only reading rows by index (`nodes()` / `edges()`, or the
+    // flat views) can still observe them.
     live: Arc<Vec<bool>>,
     /// The number of tombstoned rows.
     dead: usize,
@@ -259,7 +262,7 @@ struct Relation<R> {
 impl<R> Default for Relation<R> {
     fn default() -> Self {
         Relation {
-            rows: Arc::default(),
+            rows: RowChunks::default(),
             live: Arc::default(),
             dead: 0,
             names: Column::default(),
@@ -275,6 +278,8 @@ struct VersionMemo {
     schema: OnceLock<Arc<SchemaSummary>>,
     node_rows_sorted_by_id: OnceLock<Vec<u32>>,
     edge_rows_sorted_by_src: OnceLock<Vec<u32>>,
+    node_rows: OnceLock<Vec<NodeRow>>,
+    edge_rows: OnceLock<Vec<EdgeRow>>,
 }
 
 /// Elements per chunk of a [`Column`].  A write through a shared column
@@ -284,7 +289,9 @@ struct VersionMemo {
 /// chunk of 24-byte elements (a `String`, a `Vec`, an `IntervalSet`) holds
 /// 24 KiB of headers and the spine of a 100 000-object column is 98 pointers,
 /// so a batch touching `k` objects copies under 1 KiB of spine plus at most
-/// `k` chunks — never more than the column.
+/// `k` chunks — never more than the column.  Rows come in chunks of the same
+/// size ([`RowChunks`]), where an append copies the spine and at most one
+/// partial chunk.
 const CHUNK: usize = 1024;
 
 /// A copy-on-write column of per-object data: fixed-size chunks, each behind
@@ -368,6 +375,106 @@ impl<T: Clone> Column<T> {
     /// cloned from the other.
     fn is_shared_with(&self, other: &Column<T>) -> bool {
         Arc::ptr_eq(&self.chunks, &other.chunks)
+    }
+}
+
+/// The rows of one relation: append-only chunks of [`CHUNK`] rows, each behind
+/// its own [`Arc`], under an `Arc`'d spine.  Every chunk but the last is full,
+/// and a full chunk is sealed: nothing writes it again.  Appending copies the
+/// spine and rebuilds the partial tail chunk, with the new rows, at exactly
+/// its size; it moves no sealed chunk, so a snapshot keeps sharing every one,
+/// and dropping a version frees only the chunks it alone held.  Unlike a
+/// [`Column`], whose chunks are written in place, a chunk here is a boxed
+/// slice: reading a row costs one lookup in the spine and none in a chunk
+/// header.
+#[derive(Debug, Clone)]
+struct RowChunks<R> {
+    chunks: Arc<Vec<Arc<[R]>>>,
+    len: usize,
+}
+
+impl<R> Default for RowChunks<R> {
+    fn default() -> Self {
+        RowChunks { chunks: Arc::default(), len: 0 }
+    }
+}
+
+impl<R: Clone> RowChunks<R> {
+    /// Appends `added`, moving them into fresh chunks of exactly their size.
+    fn append(&mut self, added: Vec<R>) {
+        if added.is_empty() {
+            return;
+        }
+        self.len += added.len();
+        let spine = Arc::make_mut(&mut self.chunks);
+        let mut added = added.into_iter();
+        if let Some(tail) = spine.last_mut().filter(|tail| tail.len() < CHUNK) {
+            let room = CHUNK - tail.len();
+            *tail = tail.iter().cloned().chain(added.by_ref().take(room)).collect();
+        }
+        while added.len() > 0 {
+            spine.push(added.by_ref().take(CHUNK).collect());
+        }
+    }
+
+    fn view(&self) -> Rows<'_, R> {
+        Rows { chunks: &self.chunks, len: self.len }
+    }
+}
+
+/// The rows of one relation, read by index: row `i` is row `i % CHUNK` of
+/// chunk `i / CHUNK` (see [`GraphRelations::nodes`]).  A hot loop takes the
+/// view once and reads every row through it, so each read is one lookup in
+/// the spine and one in the chunk.
+#[derive(Debug)]
+pub struct Rows<'a, R> {
+    chunks: &'a [Arc<[R]>],
+    len: usize,
+}
+
+impl<R> Clone for Rows<'_, R> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<R> Copy for Rows<'_, R> {}
+
+impl<'a, R> Rows<'a, R> {
+    /// The number of rows, live or dead.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True if the relation has no row.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The row at index `row`, live or dead.
+    #[inline]
+    pub fn get(&self, row: u32) -> &'a R {
+        let row = row as usize;
+        &self.chunks[row / CHUNK][row % CHUNK]
+    }
+
+    /// Every row, live or dead, in index order, chunk by chunk.
+    pub fn iter(&self) -> impl Iterator<Item = &'a R> + 'a {
+        self.chunks.iter().flat_map(|chunk| chunk.iter())
+    }
+
+    /// Calls `visit` with the index and the row of every row whose flag in
+    /// `live` is set, chunk by chunk.
+    fn visit_live(&self, live: &[bool], mut visit: impl FnMut(u32, &'a R)) {
+        debug_assert_eq!(live.len(), self.len);
+        let starts = (0u32..).step_by(CHUNK);
+        for ((chunk, flags), start) in self.chunks.iter().zip(live.chunks(CHUNK)).zip(starts) {
+            for ((row, &live), index) in chunk.iter().zip(flags).zip(start..) {
+                if live {
+                    visit(index, row);
+                }
+            }
+        }
     }
 }
 
@@ -606,9 +713,10 @@ impl GraphRelations {
     /// and no more (see the struct docs): of each per-object column, the chunks
     /// holding a touched object whose rows or existence changed and the tail
     /// chunk when objects are created; of a relation it appends rows to, the
-    /// row vector (row clones allocate nothing), and of a relation it appends
-    /// to or retracts from, its liveness flags.  A batch touching only edges
-    /// copies no node column, and one that changes no row copies no row.
+    /// spine of its row chunks and the partial tail chunk, never a sealed one
+    /// (row clones allocate nothing); and of a relation it appends to or
+    /// retracts from, its liveness flags.  A batch touching only edges copies
+    /// no node column, and one that changes no row copies no row.
     pub fn apply_delta(&mut self, graph: &Itpg, touched: &[Object]) -> DeltaStats {
         let (old_nodes, old_edges) = (self.num_nodes(), self.num_edges());
         debug_assert!(graph.num_nodes() >= old_nodes && graph.num_edges() >= old_edges);
@@ -675,13 +783,13 @@ impl GraphRelations {
         self.domain = domain;
 
         // Every write below goes through `Arc::make_mut`, `Column` or
-        // `append_rows`: each writes in place while the storage is uniquely
-        // owned and copies it exactly once when a pinned snapshot still shares
-        // it.  Each relation has its own pass, so a change touching only one
-        // relation never copies the other's columns, and the two append to
-        // disjoint row vectors, so the pass order does not change any row
-        // index.  Both share one interner: a label or a property list the two
-        // relations hold alike is one allocation.
+        // `RowChunks::append`: each writes in place while the storage is
+        // uniquely owned and copies what it writes exactly once when a pinned
+        // snapshot still shares it.  Each relation has its own pass, so a
+        // change touching only one relation never copies the other's columns,
+        // and the two append to disjoint rows, so the pass order does not
+        // change any row index.  Both share one interner: a label or a
+        // property list the two relations hold alike is one allocation.
         let mut interner = Interner::default();
         let old_nodes = self.num_nodes();
         let (node_rows_added, node_rows_retracted) =
@@ -725,17 +833,34 @@ impl GraphRelations {
         self.domain
     }
 
-    /// The physical rows of the Nodes relation.  After [`GraphRelations::apply_delta`]
-    /// the slice may contain tombstoned rows (see [`GraphRelations::is_node_row_live`]);
-    /// rows reached through the indexes and permutations are always live.
-    pub fn node_rows(&self) -> &[NodeRow] {
-        &self.nodes.rows
+    /// The rows of the Nodes relation, read by index.  After
+    /// [`GraphRelations::apply_delta`] they may include tombstoned rows (see
+    /// [`GraphRelations::is_node_row_live`]); rows reached through the indexes
+    /// and permutations are always live.
+    pub fn nodes(&self) -> Rows<'_, NodeRow> {
+        self.nodes.rows.view()
     }
 
-    /// The physical rows of the Edges relation (see [`GraphRelations::node_rows`] on
-    /// tombstones).
+    /// The rows of the Edges relation, read by index (see
+    /// [`GraphRelations::nodes`] on tombstones).
+    pub fn edges(&self) -> Rows<'_, EdgeRow> {
+        self.edges.rows.view()
+    }
+
+    /// The rows of the Nodes relation as one flat slice, tombstoned rows
+    /// included: a copy of every row, made on the first call per version (see
+    /// the struct docs).  Read only by tests and the benchmark's traced
+    /// code; everything else reads rows by index through
+    /// [`GraphRelations::nodes`], since a refresh calling this would copy
+    /// every row each version.
+    pub fn node_rows(&self) -> &[NodeRow] {
+        self.memo.node_rows.get_or_init(|| self.nodes().iter().cloned().collect())
+    }
+
+    /// The rows of the Edges relation as one flat slice, memoised per version
+    /// (see [`GraphRelations::node_rows`]).
     pub fn edge_rows(&self) -> &[EdgeRow] {
-        &self.edges.rows
+        self.memo.edge_rows.get_or_init(|| self.edges().iter().cloned().collect())
     }
 
     /// True if the node row at this index has not been retracted by a delta.
@@ -750,7 +875,7 @@ impl GraphRelations {
 
     /// The indices of all live node rows — the seed rows of Step 1 evaluation.
     pub fn seed_rows(&self) -> Vec<u32> {
-        let (rows, live) = (self.nodes.rows.len() as u32, &self.nodes.live);
+        let (rows, live) = (self.nodes.rows.len as u32, &self.nodes.live);
         if self.nodes.dead == 0 {
             (0..rows).collect()
         } else {
@@ -788,8 +913,8 @@ impl GraphRelations {
     /// The row at `position`, as what the rows of both relations share.
     pub(crate) fn row(&self, position: Position) -> RowRef<'_> {
         match position {
-            Position::NodeRow(r) => self.nodes.rows[r as usize].shared(),
-            Position::EdgeRow(r) => self.edges.rows[r as usize].shared(),
+            Position::NodeRow(r) => self.nodes().get(r).shared(),
+            Position::EdgeRow(r) => self.edges().get(r).shared(),
         }
     }
 
@@ -803,15 +928,20 @@ impl GraphRelations {
     }
 
     /// Calls `visit` with every live row of the node or the edge relation, in
-    /// index order.
+    /// index order, chunk by chunk.
     pub(crate) fn visit_live_rows<'a>(
         &'a self,
         on_nodes: bool,
-        visit: impl FnMut(Position, RowRef<'a>),
+        mut visit: impl FnMut(Position, RowRef<'a>),
     ) {
-        let flags = if on_nodes { &self.nodes.live } else { &self.edges.live };
-        let live = (0..).zip(flags.iter()).filter_map(|(row, &live)| live.then_some(row));
-        self.visit(on_nodes, live, visit);
+        match on_nodes {
+            true => self.nodes().visit_live(&self.nodes.live, |r, row| {
+                visit(Position::NodeRow(r), row.shared());
+            }),
+            false => self.edges().visit_live(&self.edges.live, |r, row| {
+                visit(Position::EdgeRow(r), row.shared());
+            }),
+        }
     }
 
     /// Calls `visit` with the rows at `indices` of the node or the edge
@@ -822,10 +952,10 @@ impl GraphRelations {
         indices: impl Iterator<Item = u32>,
         mut visit: impl FnMut(Position, RowRef<'a>),
     ) {
-        let (nodes, edges) = (&self.nodes.rows, &self.edges.rows);
+        let (nodes, edges) = (self.nodes(), self.edges());
         match on_nodes {
-            true => indices.for_each(|r| visit(Position::NodeRow(r), nodes[r as usize].shared())),
-            false => indices.for_each(|r| visit(Position::EdgeRow(r), edges[r as usize].shared())),
+            true => indices.for_each(|r| visit(Position::NodeRow(r), nodes.get(r).shared())),
+            false => indices.for_each(|r| visit(Position::EdgeRow(r), edges.get(r).shared())),
         }
     }
 
@@ -833,8 +963,8 @@ impl GraphRelations {
     /// node or the edge relation.
     pub(crate) fn row_counts(&self, on_nodes: bool) -> (usize, usize) {
         let (rows, dead) = match on_nodes {
-            true => (self.nodes.rows.len(), self.nodes.dead),
-            false => (self.edges.rows.len(), self.edges.dead),
+            true => (self.nodes.rows.len, self.nodes.dead),
+            false => (self.edges.rows.len, self.edges.dead),
         };
         (rows, rows - dead)
     }
@@ -853,18 +983,20 @@ impl GraphRelations {
     /// ties broken by row index.  Computed on the first call per version (see
     /// the struct docs).  Read only by the benchmark's merge kernels.
     pub fn node_rows_sorted_by_id(&self) -> &[u32] {
-        self.memo.node_rows_sorted_by_id.get_or_init(|| {
-            sorted_permutation(&self.nodes.rows_by_id, |r| self.nodes.rows[r as usize].interval)
-        })
+        let nodes = self.nodes();
+        self.memo
+            .node_rows_sorted_by_id
+            .get_or_init(|| sorted_permutation(&self.nodes.rows_by_id, |r| nodes.get(r).interval))
     }
 
     /// Live row indices of the Edges relation sorted by `(source node,
     /// interval)`, ties broken by row index.  Computed on the first call per
     /// version.  Read only by the benchmark's merge kernels.
     pub fn edge_rows_sorted_by_src(&self) -> &[u32] {
-        self.memo.edge_rows_sorted_by_src.get_or_init(|| {
-            sorted_permutation(&self.by_src, |r| self.edges.rows[r as usize].interval)
-        })
+        let edges = self.edges();
+        self.memo
+            .edge_rows_sorted_by_src
+            .get_or_init(|| sorted_permutation(&self.by_src, |r| edges.get(r).interval))
     }
 
     /// The coalesced existence intervals of an object.
@@ -918,7 +1050,7 @@ impl GraphRelations {
 impl<R: Row> Relation<R> {
     /// Of the five columns, the number `self` shares whole with `other`.
     fn shared_columns(&self, other: &Relation<R>) -> usize {
-        usize::from(Arc::ptr_eq(&self.rows, &other.rows))
+        usize::from(Arc::ptr_eq(&self.rows.chunks, &other.rows.chunks))
             + usize::from(Arc::ptr_eq(&self.live, &other.live))
             + usize::from(self.names.is_shared_with(&other.names))
             + usize::from(self.rows_by_id.is_shared_with(&other.rows_by_id))
@@ -927,8 +1059,8 @@ impl<R: Row> Relation<R> {
 
     /// The live rows, sorted by `(object, interval)`.
     fn canonical_rows(&self) -> Vec<R> {
-        let live = self.rows.iter().zip(self.live.iter()).filter(|(_, &live)| live);
-        let mut rows: Vec<R> = live.map(|(row, _)| row.clone()).collect();
+        let mut rows = Vec::with_capacity(self.rows.len - self.dead);
+        self.rows.view().visit_live(&self.live, |_, row| rows.push(row.clone()));
         rows.sort_by_key(|row| (row.shared().object, row.shared().interval));
         rows
     }
@@ -945,7 +1077,7 @@ impl<R: Row> Relation<R> {
     ) -> (usize, usize) {
         // A changed object is rewritten in place; a created one's entries are
         // appended once per column, so they must come in id order.
-        let (old, base) = (self.names.len(), self.rows.len());
+        let (old, base) = (self.names.len(), self.rows.len);
         // The object's new row list, rebuilt per object.
         let mut list = Vec::new();
         let mut added: Vec<R> = Vec::new();
@@ -957,7 +1089,7 @@ impl<R: Row> Relation<R> {
             debug_assert!(!is_new || index == old + names.len(), "created in id order");
             let label = interner.intern(object.label);
             let (retracted_before, added_before) = (retracted.len(), added.len());
-            let rows = &self.rows;
+            let rows = self.rows.view();
             rederive(
                 object.segments,
                 if is_new { &[] } else { self.rows_by_id.get(index) },
@@ -972,7 +1104,7 @@ impl<R: Row> Relation<R> {
             );
             debug_assert!(in_interval_order(&list, |row| match (row as usize).checked_sub(base) {
                 Some(new) => added[new].shared().interval,
-                None => rows[row as usize].shared().interval,
+                None => rows.get(row).shared().interval,
             }));
             let appended = (base + added_before) as u32..(base + added.len()) as u32;
             changed(ends, &retracted[retracted_before..], appended);
@@ -994,7 +1126,7 @@ impl<R: Row> Relation<R> {
         self.dead += retracted.len();
         tombstone(&mut self.live, &retracted, base + added.len());
         let counts = (added.len(), retracted.len());
-        append_rows(&mut self.rows, added);
+        self.rows.append(added);
         counts
     }
 }
@@ -1027,7 +1159,7 @@ fn walk_order(
 fn rederive<R: Row, P: SegmentProps>(
     segments: impl Iterator<Item = (Interval, P)>,
     old: &[u32],
-    rows: &[R],
+    rows: Rows<'_, R>,
     list: &mut Vec<u32>,
     retracted: &mut Vec<u32>,
     mut append: impl FnMut(Interval, P) -> u32,
@@ -1036,13 +1168,12 @@ fn rederive<R: Row, P: SegmentProps>(
     let mut old = old.iter().copied().peekable();
     for (segment, props) in segments {
         // Rows starting before the segment match none of it or later ones.
-        let starts_before =
-            |&row: &u32| rows[row as usize].shared().interval.start() < segment.start();
+        let starts_before = |&row: &u32| rows.get(row).shared().interval.start() < segment.start();
         while let Some(row) = old.next_if(starts_before) {
             retracted.push(row);
         }
         let same = |&row: &u32| {
-            let row = rows[row as usize].shared();
+            let row = rows.get(row).shared();
             row.interval == segment && props.held_by(row.props)
         };
         list.push(match old.next_if(same) {
@@ -1071,27 +1202,6 @@ fn tombstone(live: &mut Arc<Vec<bool>>, retracted: &[u32], rows: usize) {
 /// True if `rows` are in interval order: each row ends before the next starts.
 fn in_interval_order(rows: &[u32], interval: impl Fn(u32) -> Interval) -> bool {
     rows.windows(2).all(|w| interval(w[0]).end() < interval(w[1]).start())
-}
-
-/// Appends `added` to a copy-on-write row vector.  An empty vector is
-/// replaced by `added`, so a bulk load moves no row.  A vector a snapshot still
-/// shares is copied once, into an allocation that already fits `added`:
-/// `Arc::make_mut` would copy it at its length and then move every row again
-/// to grow it.
-fn append_rows<R: Clone>(rows: &mut Arc<Vec<R>>, added: Vec<R>) {
-    if added.is_empty() {
-        return;
-    }
-    if rows.is_empty() {
-        *rows = Arc::new(added);
-    } else if let Some(rows) = Arc::get_mut(rows) {
-        rows.extend(added);
-    } else {
-        let mut copy = Vec::with_capacity(rows.len() + added.len());
-        copy.extend_from_slice(rows);
-        copy.extend(added);
-        *rows = Arc::new(copy);
-    }
 }
 
 /// Flattens per-key adjacency lists (indexed by ascending key) into one key-sorted
@@ -1232,13 +1342,8 @@ mod tests {
             .add_existence("e1", iv(7, 8));
         let applied = itpg.apply_batch(&batch).unwrap();
         let stats = rel.apply_delta(&itpg, &applied.touched);
-        let appended_only = |node_rows_added, edge_rows_added| DeltaStats {
-            node_rows_added,
-            edge_rows_added,
-            ..DeltaStats::default()
-        };
         // Bob's [10,12] and Zed's [2,8]; e9's [6,7] and e1's [7,8].
-        assert_eq!(stats, appended_only(2, 2));
+        assert_eq!(stats, appended(2, 2));
 
         assert_delta_invariants(&rel);
         let bulk = GraphRelations::from_itpg(&itpg);
@@ -1256,7 +1361,7 @@ mod tests {
         second.set_property("n9", "risk", "high", iv(3, 4)).add_existence("e9", iv(3, 3));
         let applied = itpg.apply_batch(&second).unwrap();
         let stats = rel.apply_delta(&itpg, &applied.touched);
-        assert_eq!(stats, DeltaStats { node_rows_retracted: 1, ..appended_only(3, 1) });
+        assert_eq!(stats, DeltaStats { node_rows_retracted: 1, ..appended(3, 1) });
         assert!(zed.iter().all(|&row| !rel.is_node_row_live(row)));
         assert_delta_invariants(&rel);
         assert_eq!(rel.canonical_snapshot(), GraphRelations::from_itpg(&itpg).canonical_snapshot());
@@ -1584,6 +1689,58 @@ mod tests {
         assert_eq!(again.shared_columns(&rel), 9);
         assert_eq!(again.canonical_snapshot(), before);
         assert_eq!(rel.canonical_snapshot(), GraphRelations::from_itpg(&itpg).canonical_snapshot());
+
+        // Rows: a delta that appends rows to both relations while a snapshot
+        // is held copies their spines and partial tail chunks, and holds every
+        // sealed chunk as the very chunk the snapshot holds.
+        let mut itpg = ring(2 * CHUNK + 5);
+        let mut rel = GraphRelations::from_itpg(&itpg);
+        let pinned = rel.snapshot();
+        let before = pinned.canonical_snapshot();
+        let mut batch = tgraph::Batch::new(1);
+        batch.set_property("n3", "risk", "high", iv(10, 20)).add_existence("e7", iv(8, 9));
+        let applied = itpg.apply_batch(&batch).unwrap();
+        let stats = rel.apply_delta(&itpg, &applied.touched);
+        assert_eq!(stats, DeltaStats { node_rows_retracted: 1, ..appended(2, 1) });
+        assert_eq!(sealed_chunks_shared(&pinned.nodes.rows, &rel.nodes.rows), (2, 2));
+        assert_eq!(sealed_chunks_shared(&pinned.edges.rows, &rel.edges.rows), (2, 2));
+        assert!(!Arc::ptr_eq(&pinned.nodes.rows.chunks[2], &rel.nodes.rows.chunks[2]));
+        assert_eq!(chunk_lens(&pinned.nodes.rows), [CHUNK, CHUNK, 5]);
+        assert_eq!(chunk_lens(&rel.nodes.rows), [CHUNK, CHUNK, 7]);
+        assert_eq!(pinned.canonical_snapshot(), before);
+        assert_eq!(rel.canonical_snapshot(), GraphRelations::from_itpg(&itpg).canonical_snapshot());
+    }
+
+    /// The delta stats of a change that only appends rows.
+    fn appended(node_rows_added: usize, edge_rows_added: usize) -> DeltaStats {
+        DeltaStats { node_rows_added, edge_rows_added, ..DeltaStats::default() }
+    }
+
+    /// Of the sealed (full) row chunks of `a`, how many `b` holds as the very
+    /// same chunk, and how many there are.
+    fn sealed_chunks_shared<R>(a: &RowChunks<R>, b: &RowChunks<R>) -> (usize, usize) {
+        let sealed = || a.chunks.iter().take_while(|chunk| chunk.len() == CHUNK);
+        let shared = sealed().zip(b.chunks.iter()).filter(|(x, y)| Arc::ptr_eq(x, y)).count();
+        (shared, sealed().count())
+    }
+
+    /// The number of rows in each row chunk.
+    fn chunk_lens<R>(rows: &RowChunks<R>) -> Vec<usize> {
+        rows.chunks.iter().map(|chunk| chunk.len()).collect()
+    }
+
+    #[test]
+    fn a_bulk_load_fills_row_chunks_exactly() {
+        let rel = GraphRelations::from_itpg(&ring(3 * CHUNK + 5));
+        assert_eq!(chunk_lens(&rel.nodes.rows), [CHUNK, CHUNK, CHUNK, 5]);
+        assert_eq!(chunk_lens(&rel.edges.rows), [CHUNK, CHUNK, CHUNK, 5]);
+        assert_eq!((rel.nodes().len(), rel.edges().len()), (3 * CHUNK + 5, 3 * CHUNK + 5));
+        // The chunks hold the load's rows, in its order, and nothing else.
+        assert_bulk_layout(&rel);
+        assert_eq!(rel.nodes().iter().cloned().collect::<Vec<_>>(), rel.node_rows());
+        assert_eq!(rel.edges().iter().cloned().collect::<Vec<_>>(), rel.edge_rows());
+        let empty = GraphRelations::from_itpg(&Itpg::empty(iv(1, 2)));
+        assert!(empty.nodes.rows.chunks.is_empty() && empty.nodes().is_empty());
     }
 
     /// `nodes` people, each meeting the next one round a ring: one edge per node.
@@ -1675,7 +1832,13 @@ mod tests {
         // from the fourth chunk into the fifth, and touches existing ones.
         let mut itpg = ring(3 * CHUNK + CHUNK / 2);
         let mut rel = GraphRelations::from_itpg(&itpg);
-        let mut pinned = vec![(rel.snapshot(), rel.canonical_snapshot())];
+        // Each snapshot beside what it held when taken: its content and its
+        // numbers of rows, all and live, per relation.
+        let version = |rel: &GraphRelations| {
+            let counts = [rel.row_counts(true), rel.row_counts(false)];
+            (rel.snapshot(), rel.canonical_snapshot(), counts)
+        };
+        let mut pinned = vec![version(&rel)];
         for epoch in 1..=3u64 {
             let mut batch = tgraph::Batch::new(epoch);
             for i in 0..300 {
@@ -1691,12 +1854,20 @@ mod tests {
                 .add_existence(format!("e{}", 900 * epoch), iv(8, 9));
             let applied = itpg.apply_batch(&batch).unwrap();
             rel.apply_delta(&itpg, &applied.touched);
-            pinned.push((rel.snapshot(), rel.canonical_snapshot()));
+            pinned.push(version(&rel));
         }
         assert_eq!(rel.nodes.names.chunks.len(), 5);
         assert_eq!(rel.edges.names.chunks.len(), 5);
-        for (epoch, (snapshot, canonical)) in pinned.iter().enumerate() {
+        // The rows crossed from their fourth chunk into the fifth while the
+        // snapshots of the earlier batches were held.
+        assert_eq!(chunk_lens(&pinned[1].0.nodes.rows).len(), 4);
+        assert_eq!(chunk_lens(&rel.nodes.rows).len(), 5);
+        assert_eq!(chunk_lens(&rel.edges.rows).len(), 5);
+        for (epoch, (snapshot, canonical, counts)) in pinned.iter().enumerate() {
             assert_eq!(&snapshot.canonical_snapshot(), canonical, "the snapshot of batch {epoch}");
+            let now = [snapshot.row_counts(true), snapshot.row_counts(false)];
+            assert_eq!(&now, counts, "the snapshot of batch {epoch}");
+            assert_eq!(snapshot.nodes().iter().count(), counts[0].0);
         }
         assert_delta_invariants(&rel);
         assert_eq!(rel.canonical_snapshot(), GraphRelations::from_itpg(&itpg).canonical_snapshot());
@@ -1782,6 +1953,9 @@ mod tests {
             rel.node_rows_sorted_by_id(),
             rel.snapshot().node_rows_sorted_by_id()
         ));
+        // The flat row views too: one copy per version, shared by snapshots.
+        assert!(std::ptr::eq(rel.node_rows(), rel.snapshot().node_rows()));
+        assert_eq!(pinned.edge_rows().len() + 2, rel.edge_rows().len());
     }
 
     #[test]

@@ -402,9 +402,9 @@ const INLINE: u32 = u32::MAX;
 impl Reached {
     /// Starts the next state's reached set.
     fn start(&mut self, graph: &GraphRelations) {
-        let rows = graph.node_rows().len() + graph.edge_rows().len();
+        let rows = graph.nodes().len() + graph.edges().len();
         if self.slots.is_empty() {
-            self.edge_base = graph.node_rows().len();
+            self.edge_base = graph.nodes().len();
             let vacant = Slot { generation: 0, split: INLINE, cover: Interval::point(0) };
             self.slots = vec![vacant; rows];
         }

@@ -184,30 +184,30 @@ pub(crate) fn hop_from(
     viable: impl Fn(u32) -> bool,
     mut land: impl FnMut(Position, Interval),
 ) -> usize {
-    let (node_rows, edge_rows) = (graph.node_rows(), graph.edge_rows());
+    let (nodes, edges) = (graph.nodes(), graph.edges());
     match position {
         Position::NodeRow(r) => {
-            let node = node_rows[r as usize].node;
+            let node = nodes.get(r).node;
             let adjacent = match direction {
                 HopDirection::Forward => graph.out_edge_rows(node),
                 HopDirection::Backward => graph.in_edge_rows(node),
             };
             for &row in adjacent.iter().filter(|&&row| viable(row)) {
-                if let Some(interval) = interval.intersect(&edge_rows[row as usize].interval) {
+                if let Some(interval) = interval.intersect(&edges.get(row).interval) {
                     land(Position::EdgeRow(row), interval);
                 }
             }
             adjacent.len()
         }
         Position::EdgeRow(r) => {
-            let edge = &edge_rows[r as usize];
+            let edge = edges.get(r);
             let endpoint = match direction {
                 HopDirection::Forward => edge.tgt,
                 HopDirection::Backward => edge.src,
             };
             let states = graph.rows_of_node(endpoint);
             for &row in states.iter().filter(|&&row| viable(row)) {
-                if let Some(interval) = interval.intersect(&node_rows[row as usize].interval) {
+                if let Some(interval) = interval.intersect(&nodes.get(row).interval) {
                     land(Position::NodeRow(row), interval);
                 }
             }

@@ -18,6 +18,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 use engine::bindings::BindingTable;
 use engine::GraphRelations;
@@ -137,13 +138,14 @@ impl EpochManager {
     }
 
     /// Publishes the next epoch and retires every older epoch with no pinned
-    /// readers.  Returns the new version.
+    /// readers.  Returns the new version and the time spent freeing the
+    /// retired epochs, the last step of the publish.
     pub(crate) fn publish(
         self: &Arc<Self>,
         epoch: Option<u64>,
         relations: GraphRelations,
         tables: Vec<Arc<BindingTable>>,
-    ) -> u64 {
+    ) -> (u64, Duration) {
         crate::sched::yield_point("epoch:publish");
         let mut inner = self.lock();
         let version = inner.current + 1;
@@ -172,8 +174,9 @@ impl EpochManager {
             metrics.retained.add(1 - retired as i64);
         }
         drop(inner);
+        let retiring = obs::Stopwatch::start();
         drop(freed);
-        version
+        (version, retiring.elapsed())
     }
 
     /// Pins the current epoch: the returned guard keeps its snapshot retained
@@ -246,7 +249,7 @@ impl EpochManager {
             drop(inner);
             (snapshot.epoch, snapshot.relations.snapshot(), snapshot.tables.clone())
         };
-        self.publish(epoch, relations, tables)
+        self.publish(epoch, relations, tables).0
     }
 
     fn unpin(&self, version: u64) {
@@ -346,7 +349,7 @@ mod tests {
 
     fn republish(manager: &Arc<EpochManager>, epoch: u64) -> u64 {
         let relations = GraphRelations::from_itpg(&Itpg::empty(Interval::of(1, 10)));
-        manager.publish(Some(epoch), relations, Vec::new())
+        manager.publish(Some(epoch), relations, Vec::new()).0
     }
 
     #[test]

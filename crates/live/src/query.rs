@@ -241,7 +241,7 @@ impl QueryState {
             pending_nodes: Vec::new(),
             pending_ends: Vec::new(),
             pending_times: IntervalSet::empty(),
-            rows_seen: graph.node_rows().len(),
+            rows_seen: graph.nodes().len(),
         }
     }
 
@@ -316,7 +316,7 @@ impl QueryState {
         let (nodes, ends) =
             (std::mem::take(&mut self.pending_nodes), std::mem::take(&mut self.pending_ends));
         let times = std::mem::take(&mut self.pending_times);
-        let rows_seen = std::mem::replace(&mut self.rows_seen, graph.node_rows().len());
+        let rows_seen = std::mem::replace(&mut self.rows_seen, graph.nodes().len());
         let step_stats = StepStats::default();
         let num_slots = self.plan_set.variables.len();
         let mut delta = CacheDelta::default();
@@ -343,10 +343,9 @@ impl QueryState {
                 None => graph.seed_rows(),
             };
             if plan.is_purely_structural() {
-                let node_rows = graph.node_rows();
+                let nodes = graph.nodes();
                 seeds.retain(|&row| {
-                    row as usize >= rows_seen
-                        || times.intersects_interval(&node_rows[row as usize].interval)
+                    row as usize >= rows_seen || times.intersects_interval(&nodes.get(row).interval)
                 });
             } else {
                 stats.fallback_full |= hops.is_none();
@@ -471,12 +470,12 @@ fn affected_nodes(
     if hops >= 1 {
         levels.push(ends.iter().copied().filter(|&n| first_visit(n)).collect());
     }
-    let edges = graph.edge_rows();
+    let edges = graph.edges();
     for distance in 2..=hops {
         let mut next = Vec::new();
         for &node in &levels[distance - 2] {
-            let out = graph.out_edge_rows(node).iter().map(|&row| edges[row as usize].tgt);
-            let into = graph.in_edge_rows(node).iter().map(|&row| edges[row as usize].src);
+            let out = graph.out_edge_rows(node).iter().map(|&row| edges.get(row).tgt);
+            let into = graph.in_edge_rows(node).iter().map(|&row| edges.get(row).src);
             next.extend(out.chain(into).filter(|&n| first_visit(n)));
         }
         if next.is_empty() && levels[distance - 1].is_empty() {

@@ -63,7 +63,8 @@ use crate::query::{LiveQueryId, RefreshStats};
 
 /// What one [`ServeGraph::ingest`] call did: the writer-side ingestion stats,
 /// the refresh stats of every maintained query, and the version of the epoch
-/// the result was published as and how long publishing it took.
+/// the result was published as, how long publishing it took and how long
+/// freeing the epochs it retired took.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IngestReport {
     /// Graph- and row-level ingestion outcome (see [`crate::LiveGraph::apply`]).
@@ -72,8 +73,11 @@ pub struct IngestReport {
     pub refreshes: Vec<RefreshStats>,
     /// The version of the newly published epoch.
     pub version: u64,
-    /// Wall-clock time spent publishing that epoch.
+    /// Wall-clock time spent publishing that epoch, without `retire`.
     pub publish: Duration,
+    /// Wall-clock time spent freeing the epochs the publish retired: the
+    /// relations and tables that no newer epoch shares.
+    pub retire: Duration,
 }
 
 /// The shared serving handle: a mutex-serialised writer [`LiveGraph`] plus the
@@ -161,13 +165,14 @@ impl ServeGraph {
         let fallbacks = refreshes.iter().filter(|r| r.fallback_full).count() as u64;
         self.fallback_refreshes.fetch_add(fallbacks, Ordering::Relaxed);
         let published = Stopwatch::start();
-        let version = self.publish(&writer);
-        let publish = published.elapsed();
+        let (version, retire) = self.publish(&writer);
+        let publish = published.elapsed().saturating_sub(retire);
         if self.options.telemetry {
             let metrics = crate::telemetry::live_metrics();
             metrics.ingest_publish_seconds.record(obs::duration_nanos(publish));
+            metrics.ingest_retire_seconds.record(obs::duration_nanos(retire));
         }
-        Ok(IngestReport { ingest, refreshes, version, publish })
+        Ok(IngestReport { ingest, refreshes, version, publish, retire })
     }
 
     /// Pins the current epoch for reading (see [`EpochManager::pin`]).
@@ -208,7 +213,9 @@ impl ServeGraph {
         &self.options
     }
 
-    fn publish(&self, writer: &LiveGraph) -> u64 {
+    /// Publishes the writer's state; returns what [`EpochManager::publish`]
+    /// returns.
+    fn publish(&self, writer: &LiveGraph) -> (u64, Duration) {
         self.epochs.publish(writer.epoch(), writer.relations().snapshot(), writer.table_handles())
     }
 

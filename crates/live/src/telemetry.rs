@@ -38,6 +38,9 @@ pub(crate) struct LiveMetrics {
     /// `tpath_live_ingest_phase_seconds{phase="publish"}` — publishing the
     /// ingest's epoch (`IngestReport::publish`).
     pub ingest_publish_seconds: Arc<Histogram>,
+    /// `tpath_live_ingest_phase_seconds{phase="retire"}` — freeing the
+    /// epochs that publish retired (`IngestReport::retire`).
+    pub ingest_retire_seconds: Arc<Histogram>,
     /// `tpath_live_refreshes_total{kind="delta"}` — refreshes that re-ran
     /// only the seed rows the pending batches can have changed.
     pub refreshes_delta: Arc<Counter>,
@@ -126,7 +129,7 @@ pub(crate) fn live_metrics() -> &'static LiveMetrics {
         let ingest_phase = |phase: &'static str| {
             reg.latency_histogram(
                 "tpath_live_ingest_phase_seconds",
-                "Ingest latency per phase: validate, write and publish.",
+                "Ingest latency per phase: validate, write, publish and retire.",
                 &[("phase", phase)],
             )
         };
@@ -145,6 +148,7 @@ pub(crate) fn live_metrics() -> &'static LiveMetrics {
             ingest_validate_seconds: ingest_phase("validate"),
             ingest_write_seconds: ingest_phase("write"),
             ingest_publish_seconds: ingest_phase("publish"),
+            ingest_retire_seconds: ingest_phase("retire"),
             refreshes_delta: reg.counter(
                 "tpath_live_refreshes_total",
                 refreshes_help,

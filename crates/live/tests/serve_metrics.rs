@@ -131,7 +131,7 @@ fn worker_pool_recording_matches_serial_replay_without_locking() {
         let report = graph.ingest(&batch).unwrap();
         let elapsed = watch.elapsed();
         // The ingest's phases are disjoint pieces of it.
-        let phases = report.ingest.validate + report.ingest.write + report.publish;
+        let phases = report.ingest.validate + report.ingest.write + report.publish + report.retire;
         assert!(phases <= elapsed, "{phases:?} of phases in a {elapsed:?} ingest");
         let published = report.version;
         assert_eq!(scans.get(), base_scans, "ingest and publish scan nothing");
@@ -184,6 +184,7 @@ fn worker_pool_recording_matches_serial_replay_without_locking() {
         "tpath_live_ingest_phase_seconds_bucket{phase=\"validate\",le=\"+Inf\"} ",
         "tpath_live_ingest_phase_seconds_bucket{phase=\"write\",le=\"+Inf\"} ",
         "tpath_live_ingest_phase_seconds_bucket{phase=\"publish\",le=\"+Inf\"} ",
+        "tpath_live_ingest_phase_seconds_bucket{phase=\"retire\",le=\"+Inf\"} ",
     ] {
         assert!(lines.iter().any(|line| line.starts_with(series)), "scrape is missing {series:?}");
     }

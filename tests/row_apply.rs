@@ -44,10 +44,10 @@ fn physical(rel: &GraphRelations) -> Physical {
     let objects = || node_ids().map(Object::Node).chain(edge_ids().map(Object::Edge));
     Physical {
         domain: rel.domain(),
-        nodes: rel.node_rows().to_vec(),
-        edges: rel.edge_rows().to_vec(),
-        node_live: (0..rel.node_rows().len() as u32).map(|r| rel.is_node_row_live(r)).collect(),
-        edge_live: (0..rel.edge_rows().len() as u32).map(|r| rel.is_edge_row_live(r)).collect(),
+        nodes: rel.nodes().iter().cloned().collect(),
+        edges: rel.edges().iter().cloned().collect(),
+        node_live: (0..rel.nodes().len() as u32).map(|r| rel.is_node_row_live(r)).collect(),
+        edge_live: (0..rel.edges().len() as u32).map(|r| rel.is_edge_row_live(r)).collect(),
         rows_of_node: node_ids().map(|n| rel.rows_of_node(n).to_vec()).collect(),
         rows_of_edge: edge_ids().map(|e| rel.rows_of_edge(e).to_vec()).collect(),
         out_edges: node_ids().map(|n| rel.out_edge_rows(n).to_vec()).collect(),
@@ -227,4 +227,45 @@ fn each_listed_case_matches_the_reference_replay() {
     assert_eq!(rejected, 4);
     assert_eq!(live.object_by_name("c"), Some(Object::Node(NodeId(2))));
     assert!(live.relations().rows_of_edge(EdgeId(0)).len() == 3, "the split made three rows");
+}
+
+/// Batches that append more than a chunk of rows (1024) to each relation,
+/// and retract some, while a snapshot of every earlier version is held: after
+/// each batch, each snapshot still equals the relations it was taken of.
+#[test]
+fn held_snapshots_keep_their_version_while_batches_append_past_a_chunk() {
+    const PEOPLE: usize = 400;
+    let mut live = LiveGraph::new(iv(0, 9));
+    let mut oracle = Oracle::new(iv(0, 9));
+    let mut held: Vec<(GraphRelations, Physical)> = Vec::new();
+    for epoch in 1..=4u64 {
+        let mut b = Batch::new(epoch);
+        for i in 0..PEOPLE {
+            let person = format!("p{epoch}_{i}");
+            b.add_node(&person, "Person").add_existence(&person, iv(1, 9)).set_property(
+                &person,
+                "risk",
+                "low",
+                iv(1, 9),
+            );
+            // Each meets the next of their own batch, and the last batch's
+            // first eighth turn high-risk from 6 on: one row retracted, two
+            // appended each.
+            let (contact, next) =
+                (format!("m{epoch}_{i}"), format!("p{epoch}_{}", (i + 1) % PEOPLE));
+            b.add_edge(&contact, "meets", &person, next).add_existence(&contact, iv(2, 5));
+            if epoch > 1 && i < PEOPLE / 8 {
+                b.set_property(format!("p{}_{i}", epoch - 1), "risk", "high", iv(6, 9));
+            }
+        }
+        held.push((live.relations().snapshot(), physical(live.relations())));
+        apply_both(&mut live, &mut oracle, &b).unwrap();
+        for (version, (snapshot, then)) in held.iter().enumerate() {
+            assert_eq!(&physical(snapshot), then, "the snapshot before batch {}", version + 1);
+        }
+    }
+    let rel = live.relations();
+    assert_eq!(rel.nodes().len(), 4 * PEOPLE + 3 * 2 * (PEOPLE / 8));
+    assert_eq!(rel.edges().len(), 4 * PEOPLE);
+    assert!(held[2].1.nodes.len() < 1024 && held[3].1.nodes.len() > 1024, "crossed in batch 3");
 }
