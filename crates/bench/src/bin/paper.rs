@@ -12,6 +12,9 @@
 //! `TPATH_SCALE_DIVISOR` divides the person counts of Table I (default 25, so the
 //! sweep runs 50 … 4,000 persons instead of 1,000 … 100,000); set it to 1 to
 //! reproduce the paper's sizes exactly if you have the memory and patience.
+//!
+//! Figure 3, the paper's sweep over thread counts, has no subcommand: a query runs on
+//! the thread that asks for it.
 
 use engine::{ExecutionOptions, GraphRelations, QueryStats};
 use obs::Stopwatch;
@@ -65,9 +68,8 @@ fn measure(id: QueryId, graph: &GraphRelations, options: &ExecutionOptions) -> Q
 fn print_preamble(experiment: &str) {
     println!("# {experiment}");
     println!(
-        "# scale divisor = {} (set TPATH_SCALE_DIVISOR=1 for the paper's full sizes), threads = {}",
-        scale_divisor(),
-        ExecutionOptions::default().parallelism.threads()
+        "# scale divisor = {} (set TPATH_SCALE_DIVISOR=1 for the paper's full sizes)",
+        scale_divisor()
     );
 }
 
@@ -225,7 +227,7 @@ mod tests {
         let (graph, _) = build_graph(ContactTracingConfig::with_persons(120));
         let stats = graph.stats();
         assert!(stats.nodes > 0 && stats.temporal_nodes >= stats.nodes);
-        let m = measure(QueryId::Q1, &graph, &ExecutionOptions::sequential());
+        let m = measure(QueryId::Q1, &graph, &ExecutionOptions::default());
         assert!(m.output_rows > 0);
         assert!(m.total_time >= m.interval_time);
     }

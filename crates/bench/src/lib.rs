@@ -35,7 +35,7 @@ pub fn peak_rss_bytes() -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use engine::{ExecutionOptions, GraphRelations};
+    use engine::GraphRelations;
     use workload::ContactTracingConfig;
 
     #[test]
@@ -44,7 +44,7 @@ mod tests {
         let graph = GraphRelations::from_itpg(&itpg);
         for text in [REACH_QUERY_TEXT, RECUR_QUERY_TEXT] {
             let query = engine::Query::parse(text).unwrap();
-            let stats = query.with_options(ExecutionOptions::sequential()).run(&graph).stats();
+            let stats = query.run(&graph).stats();
             assert!(stats.total_time >= stats.interval_time, "{text}");
         }
     }

@@ -112,6 +112,19 @@ pub fn all() -> Vec<Lint> {
             },
             check: check_flat_row_view,
         },
+        Lint {
+            id: "query-threads",
+            summary: "a query runs on the thread that asks for it: no thread spawned on the query path",
+            fixture: "query_threads.rs",
+            fixture_path: "crates/engine/src/fixture.rs",
+            applies: |p| {
+                ["crates/engine/src/", "crates/dataflow/src/", "crates/live/src/"]
+                    .iter()
+                    .any(|prefix| p.starts_with(prefix))
+                    && !matches!(p, "crates/live/src/serve.rs" | "crates/live/src/sched.rs")
+            },
+            check: check_query_threads,
+        },
     ]
 }
 
@@ -361,6 +374,32 @@ fn check_flat_row_view(path: &str, src: &Source) -> Vec<Finding> {
     out
 }
 
+// ---------------------------------------------------------------------------
+// query-threads
+
+fn check_query_threads(path: &str, src: &Source) -> Vec<Finding> {
+    const SPAWNS: &[&str] =
+        &["thread::spawn", "thread::scope", "thread::Builder", "available_parallelism"];
+    let mut out = Vec::new();
+    for (i, line) in src.lines.iter().enumerate() {
+        if src.in_test[i] || !contains_any(line, SPAWNS) {
+            continue;
+        }
+        out.push(finding(
+            "query-threads",
+            path,
+            i,
+            "spawns threads (or sizes a pool by the core count) on the query path; a \
+             query runs on the thread that asks for it, and two threads lost to one on \
+             every benchmark workload.  Concurrency lives in the server's worker pool \
+             (crates/live/src/serve.rs); parallelism within a query comes back only \
+             chosen by the code, with a benchmark workload on each side of the choice"
+                .to_owned(),
+        ));
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -449,6 +488,22 @@ mod tests {
         let lint = all().into_iter().find(|l| l.id == "flat-row-view").unwrap();
         assert!(!(lint.applies)("crates/engine/src/relations.rs"), "the views' own module");
         assert!(!(lint.applies)("tests/row_apply.rs"), "integration tests may read them");
+    }
+
+    #[test]
+    fn query_threads_fire_on_the_query_path_outside_tests_only() {
+        let src = "fn run(rows: &[u32]) {\n    std::thread::scope(|s| { s.spawn(|| rows.len()); });\n}\nfn cores() -> usize { std::thread::available_parallelism().map_or(1, |n| n.get()) }\n#[cfg(test)]\nmod tests {\n    fn t() { std::thread::spawn(|| ()).join().unwrap(); }\n}\n";
+        let findings = run("query-threads", "crates/engine/src/executor.rs", src);
+        assert_eq!(findings.iter().map(|f| f.line).collect::<Vec<_>>(), [2, 4], "{findings:?}");
+        assert_eq!(run("query-threads", "crates/live/src/query.rs", src).len(), 2);
+        assert_eq!(run("query-threads", "crates/dataflow/src/sorted.rs", src).len(), 2);
+        let prose = "// no thread::spawn here\nconst HELP: &str = \"thread::scope\";\n";
+        assert!(run("query-threads", "crates/engine/src/lib.rs", prose).is_empty());
+        let lint = all().into_iter().find(|l| l.id == "query-threads").unwrap();
+        assert!(!(lint.applies)("crates/live/src/serve.rs"), "the server's worker pool");
+        assert!(!(lint.applies)("crates/live/src/sched.rs"), "the model checker's scheduler");
+        assert!(!(lint.applies)("crates/live/tests/epoch_lifecycle.rs"), "integration tests");
+        assert!(!(lint.applies)("crates/bench/src/bin/paper.rs"), "the harnesses");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The merge machinery for sorted runs.
 //!
-//! [`kway_merge_dedup`] combines several sorted runs (for example the per-chunk
-//! outputs of the parallel executor) into one sorted, duplicate-free run with a
+//! [`kway_merge_dedup`] combines several sorted runs (for example the Step-3
+//! expansions of a query's plan alternatives) into one sorted, duplicate-free run with a
 //! binary heap instead of re-sorting the concatenation; `coalesce_sorted` is the
 //! linear pass behind [`crate::operators::coalesce::coalesce`].
 
@@ -35,7 +35,7 @@ fn kway_merge<T: Ord>(runs: Vec<Vec<T>>) -> Vec<T> {
 
 /// Merges sorted runs into one sorted sequence in which equal elements (within or
 /// across runs) are emitted once — the order-exploiting rewrite of
-/// `concatenate + sort + dedup` used to combine per-worker outputs.
+/// `concatenate + sort + dedup` used to combine per-alternative outputs.
 pub fn kway_merge_dedup<T: Ord>(runs: Vec<Vec<T>>) -> Vec<T> {
     let mut out = kway_merge(runs);
     out.dedup();

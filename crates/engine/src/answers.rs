@@ -34,7 +34,7 @@ use crate::chain::Chain;
 use crate::executor::{execute_answers, ExecutionOptions, QueryOutput, QueryStats};
 use crate::plan::{EnginePlan, PlanSet, TemporalLink};
 use crate::relations::GraphRelations;
-use crate::steps::expand::expand_chunk_sorted;
+use crate::steps::expand::expand_sorted;
 use dataflow::kway_merge_dedup;
 
 /// How [`Query::run`] shapes its answers.
@@ -603,11 +603,8 @@ impl AnswerCursor {
             }
             let p = &self.pending[self.next_pending];
             self.next_pending += 1;
-            let run = expand_chunk_sorted(
-                &self.plans[p.plan],
-                self.num_slots,
-                std::slice::from_ref(&p.chain),
-            );
+            let run =
+                expand_sorted(&self.plans[p.plan], self.num_slots, std::slice::from_ref(&p.chain));
             if let Some(first) = run.first() {
                 if frontier.as_ref().is_none_or(|row| first < row) {
                     frontier = Some(first.clone());
@@ -733,7 +730,7 @@ mod tests {
     fn cursor_streams_the_materialized_table_in_order() {
         let g = relations();
         for query in QUERIES {
-            let q = Query::parse(query).unwrap().with_options(ExecutionOptions::sequential());
+            let q = Query::parse(query).unwrap().with_options(ExecutionOptions::default());
             let table = q.run(&g).into_table().expect("default mode materialises");
             let mut cursor =
                 q.with_mode(AnswerMode::Enumerate).run(&g).into_cursor().expect("cursor mode");
@@ -751,7 +748,7 @@ mod tests {
         // rows must not expand every chain.
         let q = Query::parse("MATCH (x:Person)-/(FWD/:meets/FWD)*/-(y:Person) ON g")
             .unwrap()
-            .with_options(ExecutionOptions::sequential())
+            .with_options(ExecutionOptions::default())
             .with_mode(AnswerMode::Enumerate);
         let table = q.clone().with_mode(AnswerMode::Materialized).run(&g).into_table().unwrap();
         let mut answers = q.run(&g);
@@ -775,7 +772,7 @@ mod tests {
     fn compact_answers_match_the_table_projection() {
         let g = relations();
         for query in QUERIES {
-            let q = Query::parse(query).unwrap().with_options(ExecutionOptions::sequential());
+            let q = Query::parse(query).unwrap().with_options(ExecutionOptions::default());
             let table = q.run(&g).into_table().unwrap();
             let answers = q.with_mode(AnswerMode::Compact).run(&g);
             assert_eq!(answers.mode(), AnswerMode::Compact);
@@ -790,7 +787,7 @@ mod tests {
         let g = relations();
         let answers = Query::parse(QUERIES[2])
             .unwrap()
-            .with_options(ExecutionOptions::sequential())
+            .with_options(ExecutionOptions::default())
             .with_mode(AnswerMode::Compact)
             .run(&g);
         let compact = answers.into_compact().unwrap();

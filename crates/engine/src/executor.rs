@@ -1,12 +1,12 @@
 //! The query executor: runs compiled plans over the interval relations, following the
 //! three-step architecture of Section VI (structural interval evaluation → interval
-//! temporal pruning → point expansion), with chunked data parallelism over the seed
-//! rows.  A plan with an *existential suffix* — anything after its last bound
-//! variable — runs that suffix backwards, once, as exact per-row time sets
+//! temporal pruning → point expansion), on the thread that asks for the query.  A
+//! plan with an *existential suffix* — anything after its last bound variable — runs
+//! that suffix backwards, once, as exact per-row time sets
 //! ([`crate::steps::viability`]), and matches forward only up to the last `Bind`.
-//! Within a worker, every plan takes its seeds through Steps 1–2 in batches
-//! (`SEED_BATCH`) so the intermediate vectors stay small, and the worker keeps the
-//! structural closure's scratch from one batch to the next.  The first batch of a
+//! Every plan takes its seeds through Steps 1–2 in batches (`SEED_BATCH`) so the
+//! intermediate vectors stay small, and one call keeps the structural closure's
+//! scratch from one batch to the next.  The first batch of a
 //! fixpoint-free plan also tells the rest what the plan is like: when it throws most
 //! of its traversals away at a later filter, the remaining batches may run under
 //! backward viability masks, built only when the filter they would anchor on is
@@ -20,7 +20,7 @@ use std::time::Duration;
 
 use obs::{Span, Stopwatch};
 
-use dataflow::{kway_merge_dedup, par_chunk_flat_map, Parallelism};
+use dataflow::kway_merge_dedup;
 
 use crate::answers::{compact_from_chains, AnswerCursor, AnswerMode, AnswerSet, Answers};
 use crate::bindings::{Binding, BindingTable};
@@ -29,7 +29,7 @@ use crate::plan::analyze::{analyze, SchemaSummary};
 use crate::plan::{EnginePlan, PlanSet, TemporalLink};
 use crate::relations::GraphRelations;
 use crate::steps::closure::{apply_time_closure, Reached};
-use crate::steps::expand::expand_chunk_sorted;
+use crate::steps::expand::expand_sorted;
 use crate::steps::structural::apply_segment;
 use crate::steps::temporal::apply_shift;
 use crate::steps::viability::Viability;
@@ -38,8 +38,6 @@ use crate::steps::StepStats;
 /// Knobs controlling the execution of a query.
 #[derive(Debug, Clone, Copy)]
 pub struct ExecutionOptions {
-    /// Degree of data parallelism for the interval evaluation and the point expansion.
-    pub parallelism: Parallelism,
     /// How [`execute_answers`] (and [`crate::answers::Query::run`]) shapes its
     /// answers: a materialised table, compact per-pair interval sets, or a lazy
     /// enumeration cursor.  [`execute`] always materialises and ignores this knob.
@@ -61,24 +59,17 @@ pub struct ExecutionOptions {
 
 impl Default for ExecutionOptions {
     fn default() -> Self {
-        ExecutionOptions {
-            parallelism: Parallelism::available(),
-            answer_mode: AnswerMode::Materialized,
-            optimize: true,
-            telemetry: true,
-        }
+        ExecutionOptions { answer_mode: AnswerMode::Materialized, optimize: true, telemetry: true }
     }
 }
 
 impl ExecutionOptions {
-    /// Runs everything on the calling thread.
-    pub fn sequential() -> Self {
-        ExecutionOptions { parallelism: Parallelism::sequential(), ..Default::default() }
-    }
-
-    /// Uses exactly `threads` worker threads.
-    pub fn with_threads(threads: usize) -> Self {
-        ExecutionOptions { parallelism: Parallelism::with_threads(threads), ..Default::default() }
+    /// The same as [`ExecutionOptions::default`], whatever `threads` says: a query
+    /// runs on the thread that asks for it.  Kept only because the benchmark's
+    /// `user_options` still calls `with_threads(1)`; ROADMAP item 3, the next
+    /// change to the benchmark, switches that call to `default()` and removes this.
+    pub fn with_threads(_threads: usize) -> Self {
+        ExecutionOptions::default()
     }
 
     /// Selects the answer mode for [`execute_answers`].
@@ -235,20 +226,17 @@ fn run_interval_phase(
     }
     let step_stats = StepStats { timed: options.telemetry, ..StepStats::default() };
     let start = Stopwatch::start();
-    let per_plan_chains: Vec<Vec<Chain>> = plan_set
-        .plans
-        .iter()
-        .map(|plan| run_plan(plan, graph, options.parallelism, &step_stats))
-        .collect();
+    let per_plan_chains: Vec<Vec<Chain>> =
+        plan_set.plans.iter().map(|plan| run_plan(plan, graph, &step_stats)).collect();
     let interval_time = start.elapsed();
     let interval_rows = per_plan_chains.iter().map(Vec::len).sum();
     IntervalPhase { per_plan_chains, interval_time, interval_rows, step_stats, start }
 }
 
 /// Step 3: expands the interval-level chains into the full binding table, then
-/// finalises and records the measurements.  Every worker emits an ordered,
-/// deduplicated run; the final table is their k-way merge, so no post-union sort
-/// is needed.
+/// finalises and records the measurements.  Every plan alternative expands into one
+/// ordered, deduplicated run; the final table is their k-way merge, so no post-union
+/// sort is needed.
 fn materialize(
     plan_set: &PlanSet,
     options: &ExecutionOptions,
@@ -256,12 +244,12 @@ fn materialize(
 ) -> QueryOutput {
     let step3 = Span::enter(options.telemetry.then(|| &crate::telemetry::metrics().span_step3));
     let num_slots = plan_set.variables.len();
-    let mut runs: Vec<Vec<Vec<Binding>>> = Vec::new();
-    for (plan, chains) in plan_set.plans.iter().zip(&phase.per_plan_chains) {
-        runs.extend(par_chunk_flat_map(chains, options.parallelism, |chunk| {
-            vec![expand_chunk_sorted(plan, num_slots, chunk)]
-        }));
-    }
+    let runs: Vec<Vec<Vec<Binding>>> = plan_set
+        .plans
+        .iter()
+        .zip(&phase.per_plan_chains)
+        .map(|(plan, chains)| expand_sorted(plan, num_slots, chains))
+        .collect();
     let table = BindingTable::from_rows(plan_set.variables.clone(), kway_merge_dedup(runs));
     step3.finish();
     let stats = phase.finish(table.len());
@@ -318,16 +306,11 @@ pub fn execute_answers(
     }
 }
 
-/// Runs Steps 1–2 of a single plan: seeds the first segment with every live node row
-/// (chunked across worker threads), then alternates structural segments and temporal
-/// links (plain shifts or time-aware closures).
-fn run_plan(
-    plan: &EnginePlan,
-    graph: &GraphRelations,
-    parallelism: Parallelism,
-    stats: &StepStats,
-) -> Vec<Chain> {
-    run_plan_seeded(plan, graph, &graph.seed_rows(), parallelism, stats)
+/// Runs Steps 1–2 of a single plan: seeds the first segment with every live node row,
+/// then alternates structural segments and temporal links (plain shifts or time-aware
+/// closures).
+fn run_plan(plan: &EnginePlan, graph: &GraphRelations, stats: &StepStats) -> Vec<Chain> {
+    run_plan_seeded(plan, graph, &graph.seed_rows(), stats)
 }
 
 /// Runs Steps 1–2 of a single plan from an explicit set of seed node rows.
@@ -344,7 +327,6 @@ pub fn run_plan_seeded(
     plan: &EnginePlan,
     graph: &GraphRelations,
     seed_rows: &[u32],
-    parallelism: Parallelism,
     stats: &StepStats,
 ) -> Vec<Chain> {
     // Seeded execution bypasses `run_interval_phase`, so it audits its plan
@@ -354,7 +336,7 @@ pub fn run_plan_seeded(
         let issues = crate::plan::audit::audit_plan(plan, None);
         assert!(issues.is_empty(), "refusing to execute a malformed plan: {issues:?}");
     }
-    run_plan_batched(plan, graph, seed_rows, parallelism, stats, SEED_BATCH)
+    run_plan_batched(plan, graph, seed_rows, stats, SEED_BATCH)
 }
 
 /// Seed rows a pipeline takes through Steps 1–2 at a time.
@@ -383,24 +365,25 @@ const SEED_BATCH: usize = 1024;
 /// [`run_plan_seeded`] with the batch length as a parameter, for the tests that
 /// pin chains and counters on graphs far smaller than [`SEED_BATCH`] rows.
 ///
-/// Every plan takes its seeds batch by batch across the workers, and each worker
-/// keeps one closure scratch for all its batches.  A plan with an existential suffix
-/// is split at its last `Bind`: the suffix is walked back exactly, once, on the
-/// calling thread ([`Viability::build_suffix`], counted as a built pass), and the
+/// Every plan takes its seeds batch by batch, in one loop that keeps one closure
+/// scratch for all its batches and writes straight into the returned vector.  A plan
+/// with an existential suffix is split at its last `Bind`: the suffix is walked back
+/// exactly, once ([`Viability::build_suffix`], counted as a built pass), and the
 /// prefix runs cut to its times, under its masks.  Otherwise a plan with a fixpoint,
 /// and any seeds that fit one batch, run unmasked.  Anything else runs its first
-/// batch on the calling thread as the *sample* that sets the scan limit of
-/// [`viability_gate`], then the rest under whatever masks the gate built.  Masks
-/// never change the chains or their order, which is by seed whatever the batching.
+/// batch as the *sample* that sets the scan limit of [`viability_gate`], then the
+/// rest under whatever masks the gate built.  Masks never change the chains or their
+/// order, which is by seed whatever the batching.
 pub(crate) fn run_plan_batched(
     plan: &EnginePlan,
     graph: &GraphRelations,
     seed_rows: &[u32],
-    parallelism: Parallelism,
     stats: &StepStats,
     batch_len: usize,
 ) -> Vec<Chain> {
     let mut chains = Vec::with_capacity(seed_rows.len());
+    // Sized to the graph at its first use; the graph is the same for the call.
+    let mut reached = Reached::default();
     let suffix = Viability::build_suffix(plan, graph, stats);
     let gate;
     let (plan, seed_rows, viability) = match &suffix {
@@ -412,9 +395,8 @@ pub(crate) fn run_plan_batched(
         None if plan.has_fixpoint() || seed_rows.len() <= batch_len => (plan, seed_rows, None),
         None => {
             let (sample, rest) = seed_rows.split_at(batch_len);
-            // Nothing else counts into `stats` while the calling thread runs the sample.
             let before = stats.hop_cursors.load(Ordering::Relaxed);
-            run_batch(plan, graph, sample, None, &mut Reached::default(), stats, &mut chains);
+            run_batch(plan, graph, sample, None, &mut reached, stats, &mut chains);
             let traversals = stats.hop_cursors.load(Ordering::Relaxed) - before;
             let waste = traversals.saturating_sub(chains.len() * plan.hop_count());
             let scan_limit =
@@ -423,22 +405,8 @@ pub(crate) fn run_plan_batched(
             (plan, rest, gate.as_ref())
         }
     };
-    let run_batches = |rows: &[u32], chains: &mut Vec<Chain>| {
-        // Sized to the graph at its first use; the graph is the same for the call.
-        let mut reached = Reached::default();
-        for batch in rows.chunks(batch_len) {
-            run_batch(plan, graph, batch, viability, &mut reached, stats, chains);
-        }
-    };
-    if parallelism.threads() <= 1 {
-        // Straight into the caller's vector: no second copy of the chains.
-        run_batches(seed_rows, &mut chains);
-    } else {
-        chains.extend(par_chunk_flat_map(seed_rows, parallelism, |rows| {
-            let mut chains = Vec::with_capacity(rows.len());
-            run_batches(rows, &mut chains);
-            chains
-        }));
+    for batch in seed_rows.chunks(batch_len) {
+        run_batch(plan, graph, batch, viability, &mut reached, stats, &mut chains);
     }
     chains
 }
@@ -610,12 +578,9 @@ mod tests {
     #[test]
     fn structural_query_returns_interval_bindings() {
         let g = relations();
-        let out = execute_text(
-            "MATCH (x:Person {risk = 'high'}) ON g",
-            &g,
-            &ExecutionOptions::sequential(),
-        )
-        .unwrap();
+        let out =
+            execute_text("MATCH (x:Person {risk = 'high'}) ON g", &g, &ExecutionOptions::default())
+                .unwrap();
         assert_eq!(out.stats.output_rows, 1);
         assert_eq!(names(&g, &out), vec![vec!["mia".to_string(), "[1, 10]".into()]]);
         assert_eq!(out.stats.interval_rows, 1);
@@ -628,7 +593,7 @@ mod tests {
         let out = execute_text(
             "MATCH (x:Person {risk = 'high'})-[z:meets]->(y:Person {risk = 'low'}) ON g",
             &g,
-            &ExecutionOptions::sequential(),
+            &ExecutionOptions::default(),
         )
         .unwrap();
         assert_eq!(out.stats.output_rows, 1);
@@ -652,7 +617,7 @@ mod tests {
         let out = execute_text(
             "MATCH (x:Person {risk = 'high'})-/FWD/:meets/FWD/NEXT*/-({test = 'pos'}) ON g",
             &g,
-            &ExecutionOptions::sequential(),
+            &ExecutionOptions::default(),
         )
         .unwrap();
         // Mia met Eve at times 2 and 3; Eve tested positive at 8-10, reachable via NEXT*.
@@ -669,7 +634,7 @@ mod tests {
         let out = execute_text(
             "MATCH (x:Person {test = 'pos'})-/PREV*/FWD/:visits/FWD/-(z:Room) ON g",
             &g,
-            &ExecutionOptions::sequential(),
+            &ExecutionOptions::default(),
         )
         .unwrap();
         let rows = names(&g, &out);
@@ -686,7 +651,7 @@ mod tests {
         let out = execute_text(
             "MATCH (x:Person {risk = 'high'})-/(FWD/:meets/FWD)*/-(y:Person) ON g",
             &g,
-            &ExecutionOptions::sequential(),
+            &ExecutionOptions::default(),
         )
         .unwrap();
         // Zero iterations keep mia over her whole row; one meets-hop reaches eve over
@@ -711,7 +676,7 @@ mod tests {
         let plus = execute_text(
             "MATCH (x:Person {risk = 'high'})-/(FWD/:meets/FWD)[1,_]/-(y:Person) ON g",
             &g,
-            &ExecutionOptions::sequential(),
+            &ExecutionOptions::default(),
         )
         .unwrap();
         assert_eq!(
@@ -724,7 +689,7 @@ mod tests {
         let temporal = execute_text(
             "MATCH (x:Person {risk = 'high'})-/(FWD/:meets/FWD)[1,3]/NEXT*/-({test = 'pos'}) ON g",
             &g,
-            &ExecutionOptions::sequential(),
+            &ExecutionOptions::default(),
         )
         .unwrap();
         assert_eq!(
@@ -742,7 +707,7 @@ mod tests {
         let out = execute_text(
             "MATCH (x:Person {risk = 'high'})-/(FWD/:meets/FWD/NEXT*)[1,_]/-({test = 'pos'}) ON g",
             &g,
-            &ExecutionOptions::sequential(),
+            &ExecutionOptions::default(),
         )
         .unwrap();
         assert_eq!(
@@ -757,7 +722,7 @@ mod tests {
         let strict = execute_text(
             "MATCH (x:Person {risk = 'high'})-/(FWD/:meets/FWD/NEXT)*/-({test = 'pos'}) ON g",
             &g,
-            &ExecutionOptions::sequential(),
+            &ExecutionOptions::default(),
         )
         .unwrap();
         assert_eq!(strict.stats.output_rows, 0);
@@ -784,15 +749,15 @@ mod tests {
             b.add_existence(edge, during).unwrap();
         }
         let g = GraphRelations::from_itpg(&b.domain(all).build().unwrap());
-        let sequential = ExecutionOptions::sequential();
+        let options = ExecutionOptions::default();
         // Matched forward, one row per path...
         let bound = "MATCH (x:Person)-[:meets]->(y:Person {risk = 'high'}) ON g";
-        let forward = execute_text(bound, &g, &sequential).unwrap();
+        let forward = execute_text(bound, &g, &options).unwrap();
         let paths = [["ann", "[2, 4]", "bob", "[2, 4]"], ["ann", "[3, 6]", "cal", "[3, 6]"]];
         assert_eq!(names(&g, &forward), paths);
         // ...walked back, one row per maximal piece of ann's row: the same snapshots.
         let suffix = "MATCH (x:Person)-[:meets]->(:Person {risk = 'high'}) ON g";
-        assert_eq!(names(&g, &execute_text(suffix, &g, &sequential).unwrap()), [["ann", "[2, 6]"]]);
+        assert_eq!(names(&g, &execute_text(suffix, &g, &options).unwrap()), [["ann", "[2, 6]"]]);
     }
 
     #[test]
@@ -803,7 +768,7 @@ mod tests {
             "MATCH (x)-/FWD[3,1]/-(y) ON g",
             "MATCH (x:Person)-/(FWD/:meets/FWD)[2,0]/-(y) ON g",
         ] {
-            let out = execute_text(query, &g, &ExecutionOptions::sequential()).unwrap();
+            let out = execute_text(query, &g, &ExecutionOptions::default()).unwrap();
             assert_eq!(out.stats.output_rows, 0, "{query}");
             assert_eq!(out.stats.interval_rows, 0, "{query}");
         }
@@ -816,31 +781,11 @@ mod tests {
             "MATCH (x:Person {risk = 'high'})-\
              /(FWD/:meets/FWD + FWD/:visits/FWD)/NEXT*/-({test = 'pos'}) ON g",
             &g,
-            &ExecutionOptions::sequential(),
+            &ExecutionOptions::default(),
         )
         .unwrap();
         // Only the meets alternative matches (mia does not visit the room).
         assert_eq!(out.stats.output_rows, 2);
-    }
-
-    #[test]
-    fn parallel_execution_matches_sequential() {
-        let g = relations();
-        for query in [
-            "MATCH (x:Person) ON g",
-            "MATCH (x:Person {risk = 'high'})-/FWD/:meets/FWD/NEXT*/-({test = 'pos'}) ON g",
-            "MATCH (x:Person {test = 'pos'})-/PREV*/FWD/:visits/FWD/-(z:Room) ON g",
-            "MATCH (x:Person)-/(FWD/:meets/FWD)*/-(y:Person) ON g",
-            "MATCH (x:Person)-/(FWD/:meets/FWD + FWD/:visits/FWD)*/-(y) ON g",
-            "MATCH (x)-/FWD*/-(y) ON g",
-            "MATCH (x:Person {risk = 'high'})-/(FWD/:meets/FWD/NEXT*)[1,_]/-({test = 'pos'}) ON g",
-            "MATCH (x:Person)-/(FWD/:meets/FWD/NEXT)[0,2]/-(y:Person) ON g",
-            "MATCH (x:Person)-/(BWD/:meets/BWD/PREV)*/-(y:Person) ON g",
-        ] {
-            let seq = execute_text(query, &g, &ExecutionOptions::sequential()).unwrap();
-            let par = execute_text(query, &g, &ExecutionOptions::with_threads(4)).unwrap();
-            assert_eq!(seq.table, par.table, "query {query}");
-        }
     }
 
     /// `people` persons in a ring, each meeting the next three, every third one
@@ -907,19 +852,13 @@ mod tests {
         ] {
             for plan in &plans(text) {
                 let batched = StepStats::default();
-                let chains = run_plan_seeded(plan, &g, &seeds, Parallelism::sequential(), &batched);
+                let chains = run_plan_seeded(plan, &g, &seeds, &batched);
                 // Slices no longer than a batch run as one batch each: no sample,
                 // no gate, no mask.
                 let (mut expected, mut sliced) = (Vec::new(), [0; 3]);
                 for slice in seeds.chunks(slice_len) {
                     let stats = StepStats::default();
-                    expected.extend(run_plan_seeded(
-                        plan,
-                        &g,
-                        slice,
-                        Parallelism::sequential(),
-                        &stats,
-                    ));
+                    expected.extend(run_plan_seeded(plan, &g, slice, &stats));
                     for (sum, count) in sliced.iter_mut().zip(work(&stats)) {
                         *sum += count;
                     }
@@ -953,11 +892,11 @@ mod tests {
         // its forward pass makes no hop: every chain ends in the segment of `x`.
         let q9 = &plans(Q9)[0];
         let whole = StepStats::default();
-        let chains = run_plan_seeded(q9, &g, &seeds, Parallelism::sequential(), &whole);
+        let chains = run_plan_seeded(q9, &g, &seeds, &whole);
         let mut sliced = Vec::new();
         for slice in seeds.chunks(slice_len) {
             let stats = StepStats::default();
-            sliced.extend(run_plan_seeded(q9, &g, slice, Parallelism::sequential(), &stats));
+            sliced.extend(run_plan_seeded(q9, &g, slice, &stats));
             assert_eq!(viability_outcomes(&stats), (1, 1));
         }
         assert_eq!(chains, sliced);
@@ -975,7 +914,7 @@ mod tests {
         // node row.
         let plan = &plans("MATCH (x:Person)-[z:visits]->(y:Person) ON g")[0];
         let stats = StepStats::default();
-        let chains = run_plan_seeded(plan, &g, &seeds, Parallelism::sequential(), &stats);
+        let chains = run_plan_seeded(plan, &g, &seeds, &stats);
         assert!(chains.is_empty());
         assert!(stats.hop_cursors.load(Ordering::Relaxed) > 0, "every traversal is wasted");
         assert_eq!(viability_outcomes(&stats), (0, 1));
@@ -1061,48 +1000,35 @@ mod tests {
     #[test]
     fn masked_batches_return_the_unmasked_chains_in_the_same_order() {
         use QueryId::{Q10, Q11, Q12, Q5, Q9};
-        let sequential = Parallelism::sequential();
         for (high_residue, low_yield) in [(0, &[Q9, Q10, Q11, Q12][..]), (1, &[Q5][..])] {
             let g = contact(high_residue);
             let seeds = g.seed_rows();
             let mut answered = 0;
             for id in QueryId::ALL {
                 // As written, Q9–Q12 walk their suffix back once per call: the same
-                // chains whatever the batching and the threads.
+                // chains whatever the batching.
                 let suffixed = matches!(id, Q9 | Q10 | Q11 | Q12);
                 for plan in crate::queries::plan_for(id).plans.iter().filter(|_| suffixed) {
                     let one = StepStats::default();
-                    let expected =
-                        run_plan_batched(plan, &g, &seeds, sequential, &one, seeds.len());
+                    let expected = run_plan_batched(plan, &g, &seeds, &one, seeds.len());
                     assert_eq!(viability_outcomes(&one), (1, 1), "{}", id.name());
-                    for (batch_len, threads) in [(1, 1), (3, 1), (3, 4)] {
+                    for batch_len in [1, 3] {
                         let stats = StepStats::default();
-                        let parallelism = Parallelism::with_threads(threads);
-                        let chains =
-                            run_plan_batched(plan, &g, &seeds, parallelism, &stats, batch_len);
-                        assert_eq!(chains, expected, "{} × {batch_len} × {threads}", id.name());
+                        let chains = run_plan_batched(plan, &g, &seeds, &stats, batch_len);
+                        assert_eq!(chains, expected, "{} × {batch_len}", id.name());
                         assert_eq!(viability_outcomes(&stats), (1, 1), "{}", id.name());
                     }
                 }
                 for plan in &bound_last(id) {
                     // All seeds in one batch: the run no mask can touch.
                     let plain = StepStats::default();
-                    let expected = run_plan_batched(
-                        plan,
-                        &g,
-                        &seeds,
-                        Parallelism::sequential(),
-                        &plain,
-                        seeds.len(),
-                    );
+                    let expected = run_plan_batched(plan, &g, &seeds, &plain, seeds.len());
                     assert_eq!(viability_outcomes(&plain), (0, 0));
                     answered += usize::from(!expected.is_empty());
-                    for (batch_len, threads) in [(1, 1), (3, 1), (8, 1), (3, 4)] {
-                        let context = format!("{} × {batch_len} × {threads} threads", id.name());
+                    for batch_len in [1, 3, 8] {
+                        let context = format!("{} × {batch_len}", id.name());
                         let stats = StepStats::default();
-                        let parallelism = Parallelism::with_threads(threads);
-                        let chains =
-                            run_plan_batched(plan, &g, &seeds, parallelism, &stats, batch_len);
+                        let chains = run_plan_batched(plan, &g, &seeds, &stats, batch_len);
                         assert_eq!(chains, expected, "{context}");
                         let (masked, outcomes) = viability_outcomes(&stats);
                         assert_eq!(outcomes, 1, "{context}");
@@ -1152,37 +1078,28 @@ mod tests {
         let window = "MATCH (x:Person {risk = 'high'})-/(FWD/:meets/FWD)[2,3]/-(y:Person) ON g";
         for g in [contact(0), contact(1), ring(150)] {
             let seeds = g.seed_rows();
-            // RECUR as written runs its closure backwards only, once per call, and
-            // hands every worker the same times.
+            // RECUR as written runs its closure backwards only, once per call.
             let recur = &plans(RECUR)[0];
-            let runs = [1, 2, 8].map(|threads| {
-                let stats = StepStats::default();
-                let parallelism = Parallelism::with_threads(threads);
-                let chains = run_plan_seeded(recur, &g, &seeds, parallelism, &stats);
-                assert_eq!(viability_outcomes(&stats), (1, 1), "RECUR on {threads} threads");
-                let rounds = stats.time_closure_rounds.load(Ordering::Relaxed);
-                assert!(rounds > 0, "the backward fixpoint counts its rounds");
-                chains
-            });
-            assert!(!runs[0].is_empty() && runs.iter().all(|chains| *chains == runs[0]));
-            assert!(runs[0].iter().all(|chain| chain.lags.is_empty()), "no closure crossed");
+            let stats = StepStats::default();
+            let chains = run_plan_seeded(recur, &g, &seeds, &stats);
+            assert_eq!(viability_outcomes(&stats), (1, 1), "RECUR");
+            let rounds = stats.time_closure_rounds.load(Ordering::Relaxed);
+            assert!(rounds > 0, "the backward fixpoint counts its rounds");
+            assert!(!chains.is_empty());
+            assert!(chains.iter().all(|chain| chain.lags.is_empty()), "no closure crossed");
             for text in FIXPOINTS.iter().chain([&window]).chain(&OFF_SEED) {
                 let plan = &plans(text)[0];
                 assert!(plan.has_fixpoint());
                 // All seeds in one batch and no masks.
                 let plain = StepStats::default();
-                let sequential = Parallelism::sequential();
-                let expected = run_plan_batched(plan, &g, &seeds, sequential, &plain, seeds.len());
+                let expected = run_plan_batched(plan, &g, &seeds, &plain, seeds.len());
                 assert!(!expected.is_empty(), "{text}");
                 let time_rounds =
                     |stats: &StepStats| stats.time_closure_rounds.load(Ordering::Relaxed);
-                let sliced = [(1, 1), (3, 1), (8, 1), (1, 4), (3, 4), (8, 4)];
-                let one_each = [1, 2, 8].map(|threads| (SEED_BATCH, threads));
-                for (batch_len, threads) in sliced.into_iter().chain(one_each) {
-                    let context = format!("{text} × {batch_len} × {threads} threads");
+                for batch_len in [1, 3, 8, SEED_BATCH] {
+                    let context = format!("{text} × {batch_len}");
                     let stats = StepStats::default();
-                    let parallelism = Parallelism::with_threads(threads);
-                    let chains = run_plan_batched(plan, &g, &seeds, parallelism, &stats, batch_len);
+                    let chains = run_plan_batched(plan, &g, &seeds, &stats, batch_len);
                     assert_eq!(chains, expected, "{context}");
                     assert_eq!(viability_outcomes(&stats), (0, 0), "{context}: no gate");
                     // A start state runs once per batch that reaches it: the seed
@@ -1195,7 +1112,7 @@ mod tests {
                     }
                     // The band fixpoint moves a batch's start states through the
                     // rounds together: each batch runs as many as its deepest.
-                    if batch_len >= seeds.len() && threads == 1 {
+                    if batch_len >= seeds.len() {
                         assert_eq!(time_rounds(&stats), time_rounds(&plain), "{context}");
                     } else {
                         assert!(time_rounds(&stats) >= time_rounds(&plain), "{context}");
@@ -1209,7 +1126,7 @@ mod tests {
     fn benchmark_queries_run_on_the_tiny_graph() {
         let g = relations();
         for id in QueryId::ALL {
-            let out = execute_query(id, &g, &ExecutionOptions::sequential());
+            let out = execute_query(id, &g, &ExecutionOptions::default());
             assert_eq!(out.stats.output_rows, out.table.len(), "{}", id.name());
         }
     }

@@ -9,11 +9,11 @@
 //! Structural repetition (`(FWD/:meets/FWD)*` and friends) runs as an interval-aware
 //! transitive-closure fixpoint inside Step 1, and repetition of groups *mixing*
 //! structural and temporal navigation (`(FWD/NEXT)*` and friends) runs as a
-//! time-aware band fixpoint linking two segments ([`steps::closure`]).  Evaluation is
-//! data-parallel over chunks of the input relation.
+//! time-aware band fixpoint linking two segments ([`steps::closure`]).  A query runs
+//! on the thread that asks for it; the seed rows go through Steps 1–2 in batches.
 //!
 //! ```
-//! use engine::{ExecutionOptions, GraphRelations, Query};
+//! use engine::{GraphRelations, Query};
 //! use tgraph::{Interval, ItpgBuilder};
 //!
 //! let mut b = ItpgBuilder::new();
@@ -22,10 +22,7 @@
 //! b.set_property(ann, "risk", "high", Interval::of(1, 9)).unwrap();
 //! let graph = GraphRelations::from_itpg(&b.build().unwrap());
 //!
-//! let answers = Query::parse("MATCH (x:Person {risk = 'high'}) ON g")
-//!     .unwrap()
-//!     .with_options(ExecutionOptions::sequential())
-//!     .run(&graph);
+//! let answers = Query::parse("MATCH (x:Person {risk = 'high'}) ON g").unwrap().run(&graph);
 //! assert_eq!(answers.stats().output_rows, 1);
 //! ```
 //!

@@ -1406,7 +1406,7 @@ mod tests {
             let output = crate::executor::execute(
                 &plan_set,
                 &g,
-                &crate::executor::ExecutionOptions::sequential(),
+                &crate::executor::ExecutionOptions::default(),
             );
             assert!(
                 (output.stats.interval_rows as u128) <= analysis.bounds[0].max_rows,

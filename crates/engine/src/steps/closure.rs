@@ -17,7 +17,7 @@
 //! accumulated coverage grows monotonically and the loop terminates.  The body runs
 //! depth-first per delta entry, with no intermediate vectors, and a derived state is
 //! checked against the reached set on the spot: one slot per node row and per edge
-//! row, which each executor worker allocates once and keeps for every batch it runs,
+//! row, which one executor call allocates once and keeps for every batch it runs,
 //! stamped with the state's generation, so the next state starts from an empty set
 //! without clearing anything (a row's coverage is one inline interval until it
 //! splits into an [`IntervalSet`]).  A closure nested in the body depends on its
@@ -374,7 +374,7 @@ impl Tally {
 /// state clears nothing.  A row covered by one interval keeps it inline; a row whose
 /// coverage splits moves it into an [`IntervalSet`].  The slots are sized to the
 /// graph at the first state, so an owner keeps one only while it reads one graph:
-/// an executor worker for one call, a nested closure for one call of its outer one.
+/// the executor for one call, a nested closure for one call of its outer one.
 #[derive(Debug, Default)]
 pub(crate) struct Reached {
     /// Node rows first, then edge rows.

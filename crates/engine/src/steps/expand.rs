@@ -33,16 +33,12 @@ pub fn expand_chains(
     }
 }
 
-/// Expands one chunk of chains into a sorted, deduplicated run of binding rows.
+/// Expands chains into a sorted, deduplicated run of binding rows.
 ///
-/// This is the executor's unit of Step-3 work: each parallel worker returns an ordered
-/// run, and the final binding table is assembled with a k-way merge of the runs
-/// instead of sorting their concatenation.
-pub fn expand_chunk_sorted(
-    plan: &EnginePlan,
-    num_slots: usize,
-    chains: &[Chain],
-) -> Vec<Vec<Binding>> {
+/// This is the executor's unit of Step-3 work: each plan alternative expands into one
+/// ordered run, and the final binding table is assembled with a k-way merge of the
+/// runs instead of sorting their concatenation.
+pub fn expand_sorted(plan: &EnginePlan, num_slots: usize, chains: &[Chain]) -> Vec<Vec<Binding>> {
     let mut rows = Vec::new();
     expand_chains(plan, num_slots, chains, &mut rows);
     rows.sort_unstable();
@@ -216,7 +212,7 @@ mod tests {
 
     /// The sorted, deduplicated `(x, y)` time points one chain expands to.
     fn point_pairs(plan: &EnginePlan, chain: Chain) -> Vec<(Time, Time)> {
-        expand_chunk_sorted(plan, 2, &[chain])
+        expand_sorted(plan, 2, &[chain])
             .iter()
             .map(|r| (r[0].time.as_point().unwrap(), r[1].time.as_point().unwrap()))
             .collect()
@@ -279,7 +275,7 @@ mod tests {
             interval: iv(8, 9),
         };
         let plan = shifted_plan(Shift { forward: true, min: 0, max: Some(2) });
-        let rows = expand_chunk_sorted(&plan, 1, &[chain]);
+        let rows = expand_sorted(&plan, 1, &[chain]);
         // Only departure times 6, 7 … wait: departures are [0,6] and arrivals [8,9]
         // with a maximum shift of 2, so only t0 = 6 (→ 8) is feasible.
         let times: Vec<Time> = rows.iter().map(|r| r[0].time.as_point().unwrap()).collect();

@@ -10,9 +10,9 @@ pub mod viability;
 
 use std::sync::atomic::{AtomicU64, AtomicUsize};
 
-/// Counters accumulated while running Steps 1–2, shared across the executor's worker
-/// threads (hence the atomics).  Each is a plain sum of what ran, so the counts of
-/// seed batches run one by one add up to those of the batches run together.
+/// Counters accumulated while running Steps 1–2.  Each is a plain sum of what ran, so
+/// the counts of seed batches run one by one add up to those of the batches run
+/// together.
 #[derive(Debug, Default)]
 pub struct StepStats {
     /// Closure fixpoint rounds executed: one per application of a

@@ -68,7 +68,7 @@
 //! is bounded by the graph — a row crosses each plan step at most once.  Nothing here
 //! is kept: the executor builds the masks of one plan inside one `run_plan_seeded`
 //! call — for a plan with an existential suffix always, for a plan without fixpoints
-//! under the scan limit its gate sets — shares them by reference across its workers,
+//! under the scan limit its gate sets — reads them for every seed batch of the call,
 //! and drops them with it.
 
 use std::sync::atomic::Ordering;

@@ -48,7 +48,7 @@ fn one_scan_per_relations_version() {
         "Span wall time.",
         &[("span", "query/analyze/schema_scan")],
     );
-    let options = ExecutionOptions::sequential();
+    let options = ExecutionOptions::default();
 
     // Loading computes nothing: the scan is still owed, and exactly one of the
     // 48 executions pays it.

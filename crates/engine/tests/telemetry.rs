@@ -85,7 +85,7 @@ fn telemetry_gates_and_peak_buffered_retention() {
     let before = queries.get();
     let answers = Query::parse(QUERY)
         .unwrap()
-        .with_options(ExecutionOptions::sequential().with_telemetry(false))
+        .with_options(ExecutionOptions::default().with_telemetry(false))
         .run(&graph);
     let expected_rows = answers.stats().output_rows;
     assert!(expected_rows >= 1);
@@ -94,7 +94,7 @@ fn telemetry_gates_and_peak_buffered_retention() {
 
     // An enabled run counts the execution.
     let answers =
-        Query::parse(QUERY).unwrap().with_options(ExecutionOptions::sequential()).run(&graph);
+        Query::parse(QUERY).unwrap().with_options(ExecutionOptions::default()).run(&graph);
     assert_eq!(answers.stats().output_rows, expected_rows);
     assert_eq!(queries.get(), before + 1);
     drop(answers);
@@ -103,7 +103,7 @@ fn telemetry_gates_and_peak_buffered_retention() {
     let hop_cursors = reg.counter("tpath_engine_hop_cursors_total", "Hop join outputs.", &[]);
     let hops_before = hop_cursors.get();
     let run_hops = |telemetry| {
-        let options = ExecutionOptions::sequential().with_telemetry(telemetry);
+        let options = ExecutionOptions::default().with_telemetry(telemetry);
         Query::parse(HOP_QUERY).unwrap().with_options(options).run(&graph).stats().interval_rows
     };
     assert_eq!(run_hops(false), 1);
@@ -124,7 +124,7 @@ fn telemetry_gates_and_peak_buffered_retention() {
     let (built, skipped, rows) = viability();
     let hops_before = hop_cursors.get();
     let run_low_yield = |telemetry| {
-        let options = ExecutionOptions::sequential().with_telemetry(telemetry);
+        let options = ExecutionOptions::default().with_telemetry(telemetry);
         Query::parse(LOW_YIELD_QUERY).unwrap().with_options(options).run(&three_batches).stats()
     };
     let matches = run_low_yield(false).interval_rows;
@@ -156,7 +156,7 @@ fn telemetry_gates_and_peak_buffered_retention() {
     );
     let closure_work = || (time_rounds.get(), closure_span.snapshot().count);
     let run_closure = |text, telemetry| {
-        let options = ExecutionOptions::sequential().with_telemetry(telemetry);
+        let options = ExecutionOptions::default().with_telemetry(telemetry);
         Query::parse(text).unwrap().with_options(options).run(&small).stats()
     };
     let (before, work_before) = (viability(), closure_work());
@@ -185,7 +185,7 @@ fn telemetry_gates_and_peak_buffered_retention() {
     let peak_before = peak_hist.snapshot();
     let mut answers = Query::parse(QUERY)
         .unwrap()
-        .with_options(ExecutionOptions::sequential())
+        .with_options(ExecutionOptions::default())
         .with_mode(AnswerMode::Enumerate)
         .run(&graph);
     {

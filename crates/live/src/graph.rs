@@ -141,7 +141,7 @@ impl LiveGraph {
     /// computed immediately (a full evaluation); subsequent [`LiveGraph::refresh`]
     /// calls keep it in sync with applied batches.
     pub fn register(&mut self, plan_set: PlanSet) -> LiveQueryId {
-        let state = QueryState::build(plan_set, &self.relations, self.options.parallelism);
+        let state = QueryState::build(plan_set, &self.relations);
         self.queries.push(state);
         LiveQueryId(self.queries.len() - 1)
     }
@@ -160,8 +160,7 @@ impl LiveGraph {
     /// Folds every batch applied since the last refresh into the query's
     /// maintained answer.  A refresh with nothing pending is a cheap no-op.
     pub fn refresh(&mut self, id: LiveQueryId) -> RefreshStats {
-        let stats =
-            self.queries[id.0].refresh(&self.relations, self.options.parallelism, self.last_epoch);
+        let stats = self.queries[id.0].refresh(&self.relations, self.last_epoch);
         if self.options.telemetry {
             let metrics = crate::telemetry::live_metrics();
             if stats.fallback_full {
@@ -257,7 +256,7 @@ mod tests {
     #[test]
     fn maintained_answers_track_the_stream() {
         let mut graph =
-            LiveGraph::with_options(Itpg::empty(iv(1, 10)), ExecutionOptions::sequential());
+            LiveGraph::with_options(Itpg::empty(iv(1, 10)), ExecutionOptions::default());
         let q = graph.register_text(Q9ISH).unwrap();
         assert!(graph.table(q).is_empty());
 
@@ -281,8 +280,7 @@ mod tests {
         // The maintained answer matches a from-scratch execution exactly.
         let scratch = GraphRelations::from_itpg(&oracle(iv(1, 10), &batches));
         let clause = trpq::parser::parse_match(Q9ISH).unwrap();
-        let expected =
-            execute(&compile(&clause).unwrap(), &scratch, &ExecutionOptions::sequential());
+        let expected = execute(&compile(&clause).unwrap(), &scratch, &ExecutionOptions::default());
         assert_eq!(graph.table(q), &expected.table);
     }
 
@@ -293,7 +291,7 @@ mod tests {
             "MATCH (x:Person)-/(FWD/:meets/FWD/NEXT)*/NEXT*/-({test = 'pos'}) ON live";
         // Over a domain this wide, RECUR's time-advancing closure has no hop
         // bound the sweep may use.
-        let options = ExecutionOptions::sequential();
+        let options = ExecutionOptions::default();
         let mut graph = LiveGraph::with_options(Itpg::empty(iv(1, 1000)), options);
         let reach = graph.register_text(REACH).unwrap();
         let recur = graph.register_text(RECUR).unwrap();
@@ -335,7 +333,7 @@ mod tests {
     #[test]
     fn a_row_two_seeds_produce_survives_one_of_them_leaving() {
         const HIGH: &str = "MATCH (:Person {risk = 'high'})-/FWD/:meets/FWD/-(y) ON live";
-        let options = ExecutionOptions::sequential();
+        let options = ExecutionOptions::default();
         let mut graph = LiveGraph::with_options(Itpg::empty(iv(1, 10)), options);
         let q = graph.register_text(HIGH).unwrap();
         // ann and bob are both high-risk and both meet cat at time 3, so cat's

@@ -21,7 +21,6 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
-use dataflow::Parallelism;
 use engine::bindings::{Binding, BindingTable};
 use engine::chain::Chain;
 use engine::plan::{EnginePlan, PlanSet};
@@ -142,14 +141,12 @@ impl PlanCache {
     /// result in: first the cached rows of every seed row that is dead or in
     /// `seeds` move onto `delta.minus`, then the new expansions are appended,
     /// and copied onto `delta.plus`.
-    #[allow(clippy::too_many_arguments)]
     fn rerun(
         &mut self,
         plan: &EnginePlan,
         num_slots: usize,
         graph: &GraphRelations,
         seeds: &[u32],
-        parallelism: Parallelism,
         step_stats: &StepStats,
         delta: &mut CacheDelta,
     ) {
@@ -162,7 +159,7 @@ impl PlanCache {
         // Chains come back grouped by seed; each run of one seed's chains is
         // expanded onto the end of the cache and tagged with its seed row.
         let fresh = cached.rows.len();
-        let chains = run_plan_seeded(plan, graph, seeds, parallelism, step_stats);
+        let chains = run_plan_seeded(plan, graph, seeds, step_stats);
         for run in chains.chunk_by(|a: &Chain, b: &Chain| a.seed == b.seed) {
             expand_chains(plan, num_slots, run, &mut cached.rows);
             cached.seeds.resize(cached.rows.len(), run[0].seed);
@@ -211,11 +208,7 @@ impl QueryState {
     /// Compiles the initial state of a registered query: a full evaluation of
     /// every plan, cached with the seed row of each binding row, merged into an
     /// empty table.
-    pub(crate) fn build(
-        plan_set: PlanSet,
-        graph: &GraphRelations,
-        parallelism: Parallelism,
-    ) -> Self {
+    pub(crate) fn build(plan_set: PlanSet, graph: &GraphRelations) -> Self {
         let step_stats = StepStats::default();
         let num_slots = plan_set.variables.len();
         let seeds = graph.seed_rows();
@@ -227,7 +220,7 @@ impl QueryState {
                 bounds_domain: graph.domain(),
                 cached: SeedRows::default(),
             };
-            cache.rerun(plan, num_slots, graph, &seeds, parallelism, &step_stats, &mut delta);
+            cache.rerun(plan, num_slots, graph, &seeds, &step_stats, &mut delta);
             plans.push(cache);
         }
         let mut table = Arc::new(BindingTable::new(plan_set.variables.clone()));
@@ -300,12 +293,7 @@ impl QueryState {
     /// rests on rows only ever appending: a compaction that renumbers node rows
     /// must reset `rows_seen` (re-running everything) or remap the cached seed
     /// rows.
-    pub(crate) fn refresh(
-        &mut self,
-        graph: &GraphRelations,
-        parallelism: Parallelism,
-        epoch: Option<u64>,
-    ) -> RefreshStats {
+    pub(crate) fn refresh(&mut self, graph: &GraphRelations, epoch: Option<u64>) -> RefreshStats {
         let started = obs::Stopwatch::start();
         let mut stats = RefreshStats { epoch, ..Default::default() };
         if self.pending_nodes.is_empty() && self.pending_ends.is_empty() {
@@ -353,7 +341,7 @@ impl QueryState {
             stats.seed_rows += seeds.len();
             stats.seeding += seeding.elapsed();
             let rerun = obs::Stopwatch::start();
-            cache.rerun(plan, num_slots, graph, &seeds, parallelism, &step_stats, &mut delta);
+            cache.rerun(plan, num_slots, graph, &seeds, &step_stats, &mut delta);
             stats.rerun += rerun.elapsed();
         }
         let merge = obs::Stopwatch::start();

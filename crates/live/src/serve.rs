@@ -658,10 +658,8 @@ mod tests {
 
     #[test]
     fn served_answers_match_direct_execution() {
-        let graph = Arc::new(ServeGraph::with_options(
-            Itpg::empty(iv(1, 10)),
-            ExecutionOptions::sequential(),
-        ));
+        let graph =
+            Arc::new(ServeGraph::with_options(Itpg::empty(iv(1, 10)), ExecutionOptions::default()));
         let q = graph.register_text(Q9ISH).unwrap();
         let server = Server::start(Arc::clone(&graph), 2);
         for batch in story() {
@@ -677,7 +675,7 @@ mod tests {
         let expected = execute(
             &compile(&trpq::parser::parse_match(Q9ISH).unwrap()).unwrap(),
             adhoc.epoch.relations(),
-            &ExecutionOptions::sequential(),
+            &ExecutionOptions::default(),
         );
         assert_eq!(adhoc.answer.rows().unwrap(), &expected.table);
         assert_eq!(maintained.answer.rows().unwrap(), &expected.table);
@@ -687,10 +685,8 @@ mod tests {
 
     #[test]
     fn all_answer_modes_are_served() {
-        let graph = Arc::new(ServeGraph::with_options(
-            Itpg::empty(iv(1, 10)),
-            ExecutionOptions::sequential(),
-        ));
+        let graph =
+            Arc::new(ServeGraph::with_options(Itpg::empty(iv(1, 10)), ExecutionOptions::default()));
         let server = Server::start(Arc::clone(&graph), 2);
         for batch in story() {
             graph.ingest(&batch).unwrap();

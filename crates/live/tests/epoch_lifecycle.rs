@@ -155,7 +155,7 @@ fn concurrent_readers_never_observe_half_applied_batches() {
     }
 
     let graph =
-        Arc::new(ServeGraph::with_options(Itpg::empty(iv(0, 1)), ExecutionOptions::sequential()));
+        Arc::new(ServeGraph::with_options(Itpg::empty(iv(0, 1)), ExecutionOptions::default()));
     let done = AtomicBool::new(false);
     let verified = AtomicUsize::new(0);
     std::thread::scope(|scope| {

@@ -30,7 +30,7 @@ const QUERY: &str = "MATCH (x:Person) ON live";
 fn populated_graph() -> Arc<ServeGraph> {
     let graph = Arc::new(ServeGraph::with_options(
         Itpg::empty(Interval::of(1, 10)),
-        ExecutionOptions::sequential(),
+        ExecutionOptions::default(),
     ));
     let mut batch = Batch::new(1);
     batch.add_node("ann", "Person").add_existence("ann", Interval::of(1, 9));

@@ -28,7 +28,7 @@ const HEALTHY: &str = "MATCH (x:Person) ON live";
 
 fn populated_graph() -> Arc<ServeGraph> {
     let graph =
-        Arc::new(ServeGraph::with_options(Itpg::empty(iv(1, 10)), ExecutionOptions::sequential()));
+        Arc::new(ServeGraph::with_options(Itpg::empty(iv(1, 10)), ExecutionOptions::default()));
     let mut batch = Batch::new(1);
     batch.add_node("ann", "Person").add_existence("ann", iv(1, 9));
     graph.ingest(&batch).unwrap();

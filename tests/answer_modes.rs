@@ -119,7 +119,7 @@ proptest! {
     #[test]
     fn answer_modes_agree_on_random_graphs(spec in graph_spec_strategy()) {
         let graph = GraphRelations::from_itpg(&build_graph(&spec));
-        let options = ExecutionOptions::sequential();
+        let options = ExecutionOptions::default();
         for id in QueryId::ALL {
             let query = Query::benchmark(id).with_options(options);
             check_modes(&query, &graph, id.name());

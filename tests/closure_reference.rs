@@ -131,7 +131,7 @@ fn mixed_query_strategy() -> impl Strategy<Value = String> {
 fn engine_pairs(graph: &GraphRelations, query: &str) -> BTreeSet<(TemporalObject, TemporalObject)> {
     let out = engine::Query::parse(query)
         .expect("closure queries compile onto the engine")
-        .with_options(ExecutionOptions::sequential())
+        .with_options(ExecutionOptions::default())
         .run(graph)
         .into_output()
         .expect("the default mode materialises");

@@ -5,8 +5,8 @@
 //! match the very same path forward.  So on random ITPGs, `MATCH (x:Person)-/P/-(…)`
 //! must answer exactly the `x`-projection of `MATCH (x:Person)-/P/-(y …)` — compared
 //! point by point, since a purely structural plan answers with one interval row per
-//! maximal piece rather than one per path — in all three answer modes, on 1, 2 and 8
-//! threads, before and after a delta that tombstones every node row.
+//! maximal piece rather than one per path — in all three answer modes, before and
+//! after a delta that tombstones every node row.
 //!
 //! `P` ranges over the mixed structural/temporal bodies of
 //! `tests/closure_reference.rs` under `*`, `[1,_]` and `[n,m]` windows with `n > 0`,
@@ -20,7 +20,7 @@ use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
-use engine::{AnswerMode, Binding, ExecutionOptions, GraphRelations, Query, TimeRef};
+use engine::{AnswerMode, Binding, GraphRelations, Query, TimeRef};
 use tgraph::{Batch, Interval, IntervalSet, Itpg, ItpgBuilder, Object, Time};
 
 const MAX_TIME: Time = 9;
@@ -189,19 +189,11 @@ fn check(graph: &GraphRelations, prefix: &str, path: &str, end: &str) -> Result<
     );
     let width = if prefix.is_empty() { 1 } else { 2 };
     let bound = Query::parse(&forward).expect("the bound form compiles");
-    let expected = points(
-        &bound.with_options(ExecutionOptions::sequential()),
-        graph,
-        AnswerMode::Materialized,
-        width,
-    );
+    let expected = points(&bound, graph, AnswerMode::Materialized, width);
     let written = Query::parse(&suffix).expect("the suffix form compiles");
-    for threads in [1, 2, 8] {
-        let query = written.clone().with_options(ExecutionOptions::with_threads(threads));
-        for mode in [AnswerMode::Materialized, AnswerMode::Enumerate, AnswerMode::Compact] {
-            let actual = points(&query, graph, mode, width);
-            prop_assert_eq!(&actual, &expected, "{} in {:?} on {} threads", suffix, mode, threads);
-        }
+    for mode in [AnswerMode::Materialized, AnswerMode::Enumerate, AnswerMode::Compact] {
+        let actual = points(&written, graph, mode, width);
+        prop_assert_eq!(&actual, &expected, "{} in {:?}", suffix, mode);
     }
     Ok(())
 }

@@ -6,8 +6,8 @@
 //!   `from_itpg` build of the final graph;
 //! * **(b) maintenance** — after every batch, every maintained query answer
 //!   (Q1–Q12 plus the REACH structural closure and the RECUR time-aware
-//!   closure) equals a from-scratch `execute` on the materialized graph, on one
-//!   worker and on two, through a tail of batches overwriting properties at
+//!   closure) equals a from-scratch `execute` on the materialized graph,
+//!   through a tail of batches overwriting properties at
 //!   times already ingested, extending stays and splitting rows so that new
 //!   rows lie at times a batch misses; each refresh's `rows_added` and
 //!   `rows_retracted` are the set differences of consecutive from-scratch
@@ -255,64 +255,62 @@ proptest! {
             names.push(name.to_string());
         }
 
-        for options in [ExecutionOptions::sequential(), ExecutionOptions::with_threads(2)] {
-            let mut live =
-                LiveGraph::with_options(Itpg::empty(Interval::of(0, MAX_TIME)), options);
-            // The reference semantics, replaying every batch the live graph takes.
-            let mut oracle = Itpg::empty(Interval::of(0, MAX_TIME));
-            let handles: Vec<_> = plan_sets.iter().map(|p| live.register(p.clone())).collect();
-            // The from-scratch answers at the previous epoch.
-            let mut previous: Vec<BindingTable> =
-                handles.iter().map(|&handle| live.table(handle).clone()).collect();
-            let check = |live: &mut LiveGraph,
-                         oracle: &mut Itpg,
-                         previous: &mut [BindingTable],
-                         batch: &Batch|
-             -> Result<(), TestCaseError> {
-                live.apply(batch).expect("generated batches are valid");
-                oracle.apply_batch(batch).expect("the oracle takes what the live graph took");
-                let refreshed = live.refresh_all();
-                let scratch = GraphRelations::from_itpg(oracle);
-                for (index, (plan_set, name)) in plan_sets.iter().zip(&names).enumerate() {
-                    let expected = execute(plan_set, &scratch, &options);
-                    prop_assert_eq!(
-                        live.table(handles[index]),
-                        &expected.table,
-                        "{} at epoch {:?} on {:?} diverged",
-                        name,
-                        live.epoch(),
-                        options.parallelism
-                    );
-                    prop_assert_eq!(refreshed[index].output_rows, expected.table.len());
-                    let before = &previous[index];
-                    prop_assert_eq!(
-                        (refreshed[index].rows_added, refreshed[index].rows_retracted),
-                        (rows_not_in(&expected.table, before), rows_not_in(before, &expected.table)),
-                        "{} at epoch {:?} miscounted its change",
-                        name,
-                        live.epoch()
-                    );
-                    previous[index] = expected.table;
-                }
-                Ok(())
-            };
-            for batch in &batches {
-                check(&mut live, &mut oracle, &mut previous, batch)?;
+        let options = ExecutionOptions::default();
+        let mut live =
+            LiveGraph::with_options(Itpg::empty(Interval::of(0, MAX_TIME)), options);
+        // The reference semantics, replaying every batch the live graph takes.
+        let mut oracle = Itpg::empty(Interval::of(0, MAX_TIME));
+        let handles: Vec<_> = plan_sets.iter().map(|p| live.register(p.clone())).collect();
+        // The from-scratch answers at the previous epoch.
+        let mut previous: Vec<BindingTable> =
+            handles.iter().map(|&handle| live.table(handle).clone()).collect();
+        let check = |live: &mut LiveGraph,
+                     oracle: &mut Itpg,
+                     previous: &mut [BindingTable],
+                     batch: &Batch|
+         -> Result<(), TestCaseError> {
+            live.apply(batch).expect("generated batches are valid");
+            oracle.apply_batch(batch).expect("the oracle takes what the live graph took");
+            let refreshed = live.refresh_all();
+            let scratch = GraphRelations::from_itpg(oracle);
+            for (index, (plan_set, name)) in plan_sets.iter().zip(&names).enumerate() {
+                let expected = execute(plan_set, &scratch, &options);
+                prop_assert_eq!(
+                    live.table(handles[index]),
+                    &expected.table,
+                    "{} at epoch {:?} diverged",
+                    name,
+                    live.epoch()
+                );
+                prop_assert_eq!(refreshed[index].output_rows, expected.table.len());
+                let before = &previous[index];
+                prop_assert_eq!(
+                    (refreshed[index].rows_added, refreshed[index].rows_retracted),
+                    (rows_not_in(&expected.table, before), rows_not_in(before, &expected.table)),
+                    "{} at epoch {:?} miscounted its change",
+                    name,
+                    live.epoch()
+                );
+                previous[index] = expected.table;
             }
-            for (index, spec) in nodes.iter().enumerate() {
-                if let Some(batch) = flip_batch(&live, index, spec, flips[index]) {
-                    check(&mut live, &mut oracle, &mut previous, &batch)?;
-                }
+            Ok(())
+        };
+        for batch in &batches {
+            check(&mut live, &mut oracle, &mut previous, batch)?;
+        }
+        for (index, spec) in nodes.iter().enumerate() {
+            if let Some(batch) = flip_batch(&live, index, spec, flips[index]) {
+                check(&mut live, &mut oracle, &mut previous, &batch)?;
             }
-            for (index, spec) in nodes.iter().enumerate() {
-                if let Some(batch) = return_batch(&live, index, spec) {
-                    check(&mut live, &mut oracle, &mut previous, &batch)?;
-                }
+        }
+        for (index, spec) in nodes.iter().enumerate() {
+            if let Some(batch) = return_batch(&live, index, spec) {
+                check(&mut live, &mut oracle, &mut previous, &batch)?;
             }
-            for (index, spec) in nodes.iter().enumerate() {
-                if let Some(batch) = split_batch(&live, index, spec) {
-                    check(&mut live, &mut oracle, &mut previous, &batch)?;
-                }
+        }
+        for (index, spec) in nodes.iter().enumerate() {
+            if let Some(batch) = split_batch(&live, index, spec) {
+                check(&mut live, &mut oracle, &mut previous, &batch)?;
             }
         }
     }

@@ -12,7 +12,7 @@ fn graph() -> GraphRelations {
 
 fn run(id: QueryId, graph: &GraphRelations) -> QueryOutput {
     engine::Query::benchmark(id)
-        .with_options(ExecutionOptions::sequential())
+        .with_options(ExecutionOptions::default())
         .run(graph)
         .into_output()
         .expect("the default mode materialises")
@@ -21,7 +21,7 @@ fn run(id: QueryId, graph: &GraphRelations) -> QueryOutput {
 fn run_text(text: &str, graph: &GraphRelations) -> QueryOutput {
     engine::Query::parse(text)
         .expect("query runs")
-        .with_options(ExecutionOptions::sequential())
+        .with_options(ExecutionOptions::default())
         .run(graph)
         .into_output()
         .expect("the default mode materialises")

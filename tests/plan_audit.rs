@@ -89,7 +89,7 @@ proptest! {
         let clause = parse_match(&text).expect("generated query is well-formed");
         if let Ok(plan_set) = compile(&clause) {
             let graph = tiny_graph();
-            engine::execute(&plan_set, &graph, &ExecutionOptions::sequential());
+            engine::execute(&plan_set, &graph, &ExecutionOptions::default());
         }
     }
 

@@ -27,7 +27,6 @@ use std::sync::atomic::Ordering;
 
 use proptest::prelude::*;
 
-use dataflow::Parallelism;
 use engine::{
     analyze, run_plan_seeded, AnswerMode, Binding, DiagnosticKind, EnginePlan, ExecutionOptions,
     GraphRelations, Query, SchemaSummary, StepStats,
@@ -136,7 +135,7 @@ fn check_equivalence(query: &Query, graph: &GraphRelations, label: &str) {
 
 /// [`check_equivalence`] for Q1–Q12 + REACH + RECUR.
 fn check_all_queries(graph: &GraphRelations, context: &str) {
-    let options = ExecutionOptions::sequential();
+    let options = ExecutionOptions::default();
     for id in QueryId::ALL {
         let query = Query::benchmark(id).with_options(options);
         check_equivalence(&query, graph, &format!("{} {context}", id.name()));
@@ -220,7 +219,7 @@ proptest! {
         // The growth batches are drawn from an oracle replaying what the live
         // graph takes.
         let mut oracle = build_graph(&spec);
-        let mut live = LiveGraph::with_options(oracle.clone(), ExecutionOptions::sequential());
+        let mut live = LiveGraph::with_options(oracle.clone(), ExecutionOptions::default());
         // Fill the memo of the version each batch is about to replace.
         check_all_queries(live.relations(), "before any batch");
         for step in 0..3 {
@@ -237,7 +236,7 @@ proptest! {
     fn cardinality_bounds_dominate_actual_rows(spec in graph_spec_strategy()) {
         let graph = GraphRelations::from_itpg(&build_graph(&spec));
         let schema = SchemaSummary::of(&graph);
-        let options = ExecutionOptions::sequential().with_optimize(false);
+        let options = ExecutionOptions::default().with_optimize(false);
         for id in QueryId::ALL {
             let plan_set = engine::queries::plan_for(id);
             let analysis = analyze(&plan_set, &schema);
@@ -271,7 +270,7 @@ proptest! {
         cuts.push(seeds.len());
         cuts.sort_unstable();
         let run = |plan: &EnginePlan, rows: &[u32]| {
-            run_plan_seeded(plan, &graph, rows, Parallelism::sequential(), &StepStats::default())
+            run_plan_seeded(plan, &graph, rows, &StepStats::default())
         };
         let closures = [REACH, RECUR].map(|text| Query::parse(text).expect("compiles"));
         let queries = QueryId::ALL.iter().map(|&id| Query::benchmark(id)).chain(closures);
@@ -309,7 +308,7 @@ fn x_bindings(query: Query, graph: &GraphRelations) -> BTreeSet<Binding> {
 }
 
 /// A query that ends existentially after `x` — Q9–Q12 or RECUR as written — run
-/// whole on 1, 2 and 8 threads and slice by slice: one exact backward pass per call,
+/// whole and slice by slice: one exact backward pass per call,
 /// the same chains every way, and the answers of its bound form projected onto `x`.
 fn check_suffix_runs(label: &str, text: &str, graph: &GraphRelations, slice_len: usize) {
     let written = Query::parse(text).expect("compiles");
@@ -318,19 +317,16 @@ fn check_suffix_runs(label: &str, text: &str, graph: &GraphRelations, slice_len:
         let mut pieces = Vec::new();
         for slice in seeds.chunks(slice_len) {
             let stats = StepStats::default();
-            pieces.extend(run_plan_seeded(plan, graph, slice, Parallelism::sequential(), &stats));
+            pieces.extend(run_plan_seeded(plan, graph, slice, &stats));
             assert_eq!(viability_outcomes(&stats), (1, 1), "{label}: one pass per call");
         }
         assert!(!pieces.is_empty(), "{label}");
         assert!(pieces.iter().all(|chain| chain.seg_intervals.is_empty()), "{label}");
-        for threads in [1, 2, 8] {
-            let stats = StepStats::default();
-            let parallelism = Parallelism::with_threads(threads);
-            let whole = run_plan_seeded(plan, graph, &seeds, parallelism, &stats);
-            assert_eq!(whole, pieces, "{label} on {threads} threads");
-            assert_eq!(viability_outcomes(&stats), (1, 1), "{label}");
-            assert!(stats.viability_rows_visited.load(Ordering::Relaxed) > 0, "{label}");
-        }
+        let stats = StepStats::default();
+        let whole = run_plan_seeded(plan, graph, &seeds, &stats);
+        assert_eq!(whole, pieces, "{label}");
+        assert_eq!(viability_outcomes(&stats), (1, 1), "{label}");
+        assert!(stats.viability_rows_visited.load(Ordering::Relaxed) > 0, "{label}");
     }
     let bound = Query::parse(&bound_last(text)).expect("the bound form compiles");
     assert_eq!(x_bindings(written, graph), x_bindings(bound, graph), "{label}");
@@ -343,7 +339,7 @@ fn check_suffix_runs(label: &str, text: &str, graph: &GraphRelations, slice_len:
 /// low-yield sample pays for its anchor's scan: run whole, each of Q1–Q12 with its
 /// last node bound must return the chains of its seeds run slice by slice (a
 /// slice is a single batch, which never samples and never masks), in the same
-/// order, on 1, 2 and 8 threads sharing the masks; and the gate must have built
+/// order; and the gate must have built
 /// masks for exactly the queries whose sample batch wastes its traversals on a
 /// filter at the far end of the plan: Q5 and Q9–Q12.  Q9–Q12 as written take the
 /// exact suffix walk instead ([`check_suffix_runs`]).
@@ -365,35 +361,26 @@ fn masked_runs_return_the_chains_of_their_unmasked_slices() {
             let mut pieces = Vec::new();
             let sliced = StepStats::default();
             for slice in seeds.chunks(slice_len) {
-                pieces.extend(run_plan_seeded(
-                    plan,
-                    &graph,
-                    slice,
-                    Parallelism::sequential(),
-                    &sliced,
-                ));
+                pieces.extend(run_plan_seeded(plan, &graph, slice, &sliced));
             }
             assert_eq!(viability_outcomes(&sliced), (0, 0), "{}: slices never sample", id.name());
-            for threads in [1, 2, 8] {
-                let stats = StepStats::default();
-                let parallelism = Parallelism::with_threads(threads);
-                let whole = run_plan_seeded(plan, &graph, &seeds, parallelism, &stats);
-                assert_eq!(whole, pieces, "{} on {threads} threads", id.name());
-                let (masked, outcomes) = viability_outcomes(&stats);
-                assert_eq!(outcomes, 1, "{}: one gate decision per run", id.name());
-                let low_yield = matches!(
-                    id,
-                    QueryId::Q5 | QueryId::Q9 | QueryId::Q10 | QueryId::Q11 | QueryId::Q12
-                );
-                assert_eq!(masked == 1, low_yield, "{} on {threads} threads", id.name());
-                let traversals = stats.hop_cursors.load(Ordering::Relaxed);
-                let unmasked = sliced.hop_cursors.load(Ordering::Relaxed);
-                if low_yield {
-                    assert!(traversals < unmasked, "{}: {traversals} of {unmasked}", id.name());
-                    assert!(stats.viability_rows_visited.load(Ordering::Relaxed) > 0);
-                } else {
-                    assert_eq!(traversals, unmasked, "{}", id.name());
-                }
+            let stats = StepStats::default();
+            let whole = run_plan_seeded(plan, &graph, &seeds, &stats);
+            assert_eq!(whole, pieces, "{}", id.name());
+            let (masked, outcomes) = viability_outcomes(&stats);
+            assert_eq!(outcomes, 1, "{}: one gate decision per run", id.name());
+            let low_yield = matches!(
+                id,
+                QueryId::Q5 | QueryId::Q9 | QueryId::Q10 | QueryId::Q11 | QueryId::Q12
+            );
+            assert_eq!(masked == 1, low_yield, "{}", id.name());
+            let traversals = stats.hop_cursors.load(Ordering::Relaxed);
+            let unmasked = sliced.hop_cursors.load(Ordering::Relaxed);
+            if low_yield {
+                assert!(traversals < unmasked, "{}: {traversals} of {unmasked}", id.name());
+                assert!(stats.viability_rows_visited.load(Ordering::Relaxed) > 0);
+            } else {
+                assert_eq!(traversals, unmasked, "{}", id.name());
             }
         }
     }
@@ -402,9 +389,8 @@ fn masked_runs_return_the_chains_of_their_unmasked_slices() {
 /// A plan with a fixpoint that binds its last node runs unmasked, whatever its
 /// last filter keeps.  On the paper's G1 (1 000 persons, deterministic) RECUR's
 /// `(y {test = 'pos'})` keeps few rows and REACH's `(y:Person)` nearly all: neither
-/// records a gate outcome or visits a row, and each returns the same chains on 1, 2
-/// and 8 threads.  RECUR as written ends after `x` and takes the exact suffix walk
-/// instead.
+/// records a gate outcome or visits a row, and each returns chains.  RECUR as
+/// written ends after `x` and takes the exact suffix walk instead.
 #[test]
 fn fixpoint_plans_run_unmasked_whatever_their_anchor() {
     let config = workload::ScaleFactor::G1.paper_config().with_seed(20);
@@ -414,16 +400,11 @@ fn fixpoint_plans_run_unmasked_whatever_their_anchor() {
     for text in [bound_last(RECUR), REACH.to_owned()] {
         let query = Query::parse(&text).expect("compiles");
         let plan = &query.plan_set().plans[0];
-        let mut answers = Vec::new();
-        for threads in [1, 2, 8] {
-            let stats = StepStats::default();
-            let parallelism = Parallelism::with_threads(threads);
-            answers.push(run_plan_seeded(plan, &graph, &seeds, parallelism, &stats));
-            assert_eq!(viability_outcomes(&stats), (0, 0), "{text}");
-            assert_eq!(stats.viability_rows_visited.load(Ordering::Relaxed), 0, "{text}");
-        }
-        assert!(!answers[0].is_empty(), "{text}");
-        assert!(answers.iter().all(|chains| *chains == answers[0]), "{text}");
+        let stats = StepStats::default();
+        let chains = run_plan_seeded(plan, &graph, &seeds, &stats);
+        assert_eq!(viability_outcomes(&stats), (0, 0), "{text}");
+        assert_eq!(stats.viability_rows_visited.load(Ordering::Relaxed), 0, "{text}");
+        assert!(!chains.is_empty(), "{text}");
     }
 }
 

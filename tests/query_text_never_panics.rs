@@ -80,7 +80,7 @@ fn exercise(text: &str, graph: &GraphRelations, schema: &SchemaSummary) {
     assert!(audit(&plan_set).is_ok(), "{text} compiles to a plan set the audit refuses");
     let _ = analyze(&plan_set, schema);
     for mode in [AnswerMode::Materialized, AnswerMode::Compact, AnswerMode::Enumerate] {
-        let options = ExecutionOptions::sequential().with_mode(mode).with_telemetry(false);
+        let options = ExecutionOptions::default().with_mode(mode).with_telemetry(false);
         if let Some(cursor) = execute_answers(&plan_set, graph, &options).into_cursor() {
             cursor.for_each(drop);
         }

@@ -51,7 +51,7 @@ fn workload_batches() -> Vec<Batch> {
 fn pinned_snapshot_reads_equal_from_scratch_execution() {
     let batches = workload_batches();
     let suite = suite();
-    let options = ExecutionOptions::sequential();
+    let options = ExecutionOptions::default();
     let graph = ServeGraph::with_options(Itpg::empty(Interval::of(0, 1)), options);
     let ids: Vec<_> = suite.iter().map(|(_, plan)| graph.register(plan.clone())).collect();
 
@@ -93,7 +93,7 @@ fn pinned_snapshot_reads_equal_from_scratch_execution() {
 fn concurrent_serving_agrees_with_the_pinned_epoch() {
     let batches = workload_batches();
     let suite = suite();
-    let options = ExecutionOptions::sequential();
+    let options = ExecutionOptions::default();
 
     // From-scratch reference relations per epoch, computed up front.
     let mut reference = Itpg::empty(Interval::of(0, 1));
