@@ -12,3 +12,7 @@ pub fn run_seeds(seed_rows: &[u32]) -> usize {
         handles.into_iter().map(|handle| handle.join().unwrap_or(0)).sum()
     })
 }
+
+/// VIOLATION: counts one query's seed rows in an atomic; a query runs on one
+/// thread, so its counters are plain integers passed by `&mut`.
+pub static SEEDS_RUN: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);

@@ -114,7 +114,7 @@ pub fn all() -> Vec<Lint> {
         },
         Lint {
             id: "query-threads",
-            summary: "a query runs on the thread that asks for it: no thread spawned on the query path",
+            summary: "a query runs on the thread that asks for it: no thread spawned and no atomic counter on the query path",
             fixture: "query_threads.rs",
             fixture_path: "crates/engine/src/fixture.rs",
             applies: |p| {
@@ -382,22 +382,44 @@ fn check_query_threads(path: &str, src: &Source) -> Vec<Finding> {
         &["thread::spawn", "thread::scope", "thread::Builder", "available_parallelism"];
     let mut out = Vec::new();
     for (i, line) in src.lines.iter().enumerate() {
-        if src.in_test[i] || !contains_any(line, SPAWNS) {
+        if src.in_test[i] {
             continue;
         }
-        out.push(finding(
-            "query-threads",
-            path,
-            i,
-            "spawns threads (or sizes a pool by the core count) on the query path; a \
-             query runs on the thread that asks for it, and two threads lost to one on \
-             every benchmark workload.  Concurrency lives in the server's worker pool \
-             (crates/live/src/serve.rs); parallelism within a query comes back only \
-             chosen by the code, with a benchmark workload on each side of the choice"
-                .to_owned(),
-        ));
+        if contains_any(line, SPAWNS) {
+            out.push(finding(
+                "query-threads",
+                path,
+                i,
+                "spawns threads (or sizes a pool by the core count) on the query path; a \
+                 query runs on the thread that asks for it, and two threads lost to one on \
+                 every benchmark workload.  Concurrency lives in the server's worker pool \
+                 (crates/live/src/serve.rs); parallelism within a query comes back only \
+                 chosen by the code, with a benchmark workload on each side of the choice"
+                    .to_owned(),
+            ));
+        } else if names_an_atomic(line) {
+            out.push(finding(
+                "query-threads",
+                path,
+                i,
+                "an atomic on the query path; a query runs on the thread that asks for it, \
+                 so its counters are plain integers passed by &mut (engine::StepStats).  \
+                 Counters other threads read belong to the server (crates/live/src/serve.rs) \
+                 or to the obs registry"
+                    .to_owned(),
+            ));
+        }
     }
     out
+}
+
+/// True if `line` names `std::sync::atomic` or an `Atomic*` type: the word `Atomic`
+/// at the start of an identifier.
+fn names_an_atomic(line: &str) -> bool {
+    line.contains("sync::atomic")
+        || line
+            .match_indices("Atomic")
+            .any(|(at, _)| !line[..at].ends_with(|c: char| c.is_alphanumeric() || c == '_'))
 }
 
 #[cfg(test)]
@@ -497,7 +519,11 @@ mod tests {
         assert_eq!(findings.iter().map(|f| f.line).collect::<Vec<_>>(), [2, 4], "{findings:?}");
         assert_eq!(run("query-threads", "crates/live/src/query.rs", src).len(), 2);
         assert_eq!(run("query-threads", "crates/dataflow/src/sorted.rs", src).len(), 2);
-        let prose = "// no thread::spawn here\nconst HELP: &str = \"thread::scope\";\n";
+        let atomics = "use std::sync::atomic::Ordering;\nstatic ROWS: AtomicUsize = AtomicUsize::new(0);\nfn f(n: NonAtomicCount) {}\n#[cfg(test)]\nmod tests {\n    static T: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);\n}\n";
+        let findings = run("query-threads", "crates/engine/src/steps/mod.rs", atomics);
+        assert_eq!(findings.iter().map(|f| f.line).collect::<Vec<_>>(), [1, 2], "{findings:?}");
+        assert_eq!(run("query-threads", "crates/live/src/query.rs", atomics).len(), 2);
+        let prose = "// no thread::spawn here, no AtomicUsize\nconst HELP: &str = \"thread::scope, sync::atomic\";\n";
         assert!(run("query-threads", "crates/engine/src/lib.rs", prose).is_empty());
         let lint = all().into_iter().find(|l| l.id == "query-threads").unwrap();
         assert!(!(lint.applies)("crates/live/src/serve.rs"), "the server's worker pool");

@@ -1,12 +1,13 @@
 //! # dataflow — interval-relational dataflow substrate
 //!
-//! The small dataflow layer of the TRPQ engine (Section VI of the paper).  The
-//! engine runs one operator of it, the k-way merge of sorted runs
-//! ([`kway_merge_dedup`]), standing in for the paper's use of Itertools.  The
-//! paper's Rayon has no counterpart: a query runs on the thread that asks for it.  The
-//! temporally-aligned hash joins ([`operators::join`]), sort-merge joins
-//! ([`mod@operators::merge_join`]) and temporal coalescing
-//! ([`mod@operators::coalesce`]) run only in the benchmark's kernel timings.
+//! The operators a dataflow implementation of the paper's engine (Section VI) is
+//! built from: temporally-aligned hash joins ([`operators::join`]), sort-merge joins
+//! ([`mod@operators::merge_join`]), temporal coalescing
+//! ([`mod@operators::coalesce`]) and the k-way merge of sorted runs
+//! ([`kway_merge_dedup`]), which stands in for the paper's use of Itertools.  The
+//! engine runs none of them: a query runs on the thread that asks for it, its hops
+//! probe adjacency indexes built at load time, and its Step 3 is one sort.  They run
+//! only in the benchmark's kernel timings.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

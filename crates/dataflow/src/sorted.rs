@@ -1,9 +1,8 @@
 //! The merge machinery for sorted runs.
 //!
-//! [`kway_merge_dedup`] combines several sorted runs (for example the Step-3
-//! expansions of a query's plan alternatives) into one sorted, duplicate-free run with a
-//! binary heap instead of re-sorting the concatenation; `coalesce_sorted` is the
-//! linear pass behind [`crate::operators::coalesce::coalesce`].
+//! [`kway_merge_dedup`] combines several sorted runs into one sorted, duplicate-free
+//! run with a binary heap instead of re-sorting the concatenation; `coalesce_sorted`
+//! is the linear pass behind [`crate::operators::coalesce::coalesce`].
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

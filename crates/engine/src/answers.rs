@@ -9,10 +9,10 @@
 //! * **[`AnswerMode::Materialized`]** (default) — the full [`BindingTable`], exactly
 //!   what [`crate::executor::execute`] produces.
 //! * **[`AnswerMode::Enumerate`]** — an [`AnswerCursor`]: a pull-based iterator that
-//!   runs Steps 1–2 eagerly but performs Step-3 expansion lazily, one
-//!   [`Chain`] batch at a time, k-way-merging the sorted per-chain runs so rows
-//!   stream out in the table's canonical order with bounded delay and without ever
-//!   buffering more than the chains whose outputs overlap the current position.
+//!   runs Steps 1–2 eagerly but performs Step-3 expansion lazily, one due
+//!   [`Chain`] at a time, into one min-heap of rows, so rows stream out in the
+//!   table's canonical order with bounded delay and without ever buffering more
+//!   than the chains whose outputs overlap the current position.
 //! * **[`AnswerMode::Compact`]** — [`CompactAnswers`]: per-`(source, target)`
 //!   coalesced [`IntervalSet`]s computed straight from the interval-level chains,
 //!   skipping Step-3 entirely (the compressed answer sets of *Compact Answers to
@@ -21,7 +21,7 @@
 //! The enumeration order and the compact projection are both pinned against the
 //! materialised table by `tests/answer_modes.rs` on random graphs.
 
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 
 use tgraph::{Interval, IntervalSet, Object};
@@ -34,8 +34,7 @@ use crate::chain::Chain;
 use crate::executor::{execute_answers, ExecutionOptions, QueryOutput, QueryStats};
 use crate::plan::{EnginePlan, PlanSet, TemporalLink};
 use crate::relations::GraphRelations;
-use crate::steps::expand::expand_sorted;
-use dataflow::kway_merge_dedup;
+use crate::steps::expand::expand_chains;
 
 /// How [`Query::run`] shapes its answers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -445,11 +444,10 @@ fn feasible_window(
 /// The cursor owns the interval-level chains of Steps 1–2.  Every chain has a
 /// cheap *lower bound* on the rows it can produce (its bound objects at each
 /// segment interval's start); chains are kept sorted by that bound and expanded
-/// only once the merge frontier reaches it.  Chains opened together are merged
-/// into a single deduplicated run, and runs are k-way merged through a min-heap —
-/// so the delay between two rows is bounded by one chain-batch expansion, and the
-/// buffered rows are bounded by the (deduplicated) output of the chains whose row
-/// ranges overlap the current position, never the full table.
+/// only once the smallest buffered row reaches it.  Expanded rows wait in one
+/// min-heap, so the delay between two rows is bounded by the expansion of the
+/// chains that come due, and the buffered rows by the output of the chains whose
+/// row ranges overlap the current position, never the full table.
 #[derive(Debug)]
 pub struct AnswerCursor {
     columns: Vec<String>,
@@ -458,11 +456,10 @@ pub struct AnswerCursor {
     /// Unopened chains, ascending by `lower`; `next_pending` indexes the first.
     pending: Vec<PendingChain>,
     next_pending: usize,
-    /// Open runs, min-heap by current head row.
-    heap: BinaryHeap<OpenRun>,
-    last: Option<Vec<Binding>>,
+    /// Expanded rows not yet emitted, smallest first.  A row two chains expand to
+    /// sits in it twice.
+    heap: BinaryHeap<Reverse<Vec<Binding>>>,
     rows_yielded: usize,
-    buffered_rows: usize,
     peak_buffered_rows: usize,
     /// Whether the drop handler folds this cursor's yield count and buffering
     /// high-water mark into the metric registry — the only place those
@@ -476,40 +473,6 @@ struct PendingChain {
     lower: Vec<Binding>,
     plan: usize,
     chain: Chain,
-}
-
-/// An opened, sorted, deduplicated run with a cursor; ordered by head row
-/// (reversed, so [`BinaryHeap`] pops the minimum).
-#[derive(Debug)]
-struct OpenRun {
-    rows: Vec<Vec<Binding>>,
-    next: usize,
-}
-
-impl OpenRun {
-    fn head(&self) -> &[Binding] {
-        &self.rows[self.next]
-    }
-}
-
-impl PartialEq for OpenRun {
-    fn eq(&self, other: &Self) -> bool {
-        self.head() == other.head()
-    }
-}
-
-impl Eq for OpenRun {}
-
-impl PartialOrd for OpenRun {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for OpenRun {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other.head().cmp(self.head())
-    }
 }
 
 impl AnswerCursor {
@@ -539,9 +502,7 @@ impl AnswerCursor {
             pending,
             next_pending: 0,
             heap: BinaryHeap::new(),
-            last: None,
             rows_yielded: 0,
-            buffered_rows: 0,
             peak_buffered_rows: 0,
             telemetry,
         }
@@ -566,58 +527,27 @@ impl AnswerCursor {
 
     /// Pulls the next `n` rows (fewer if the answers run out).
     pub fn page(&mut self, n: usize) -> Vec<Vec<Binding>> {
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            match self.next() {
-                Some(row) => out.push(row),
-                None => break,
-            }
-        }
-        out
+        self.by_ref().take(n).collect()
     }
 
-    /// Opens every pending chain whose lower bound does not exceed the merge
-    /// frontier, merging the freshly expanded runs into one deduplicated run.
+    /// Expands every pending chain whose lower bound does not exceed the smallest
+    /// buffered row into the heap.
     ///
     /// After this returns, every still-unopened chain has a lower bound strictly
-    /// greater than the heap's minimum head — so that head row is safe to emit.
+    /// greater than the heap's minimum — so every copy of that row is already in
+    /// the heap, and it is safe to emit.
     fn open_due(&mut self) {
-        if self.next_pending >= self.pending.len() {
-            return;
-        }
-        // The merge frontier: the smallest row any open run can still produce.
-        let mut frontier: Option<Vec<Binding>> = self.heap.peek().map(|run| run.head().to_vec());
-        if let Some(ref row) = frontier {
-            if self.pending[self.next_pending].lower > *row {
-                return;
-            }
-        }
-        let mut batch: Vec<Vec<Vec<Binding>>> = Vec::new();
-        while self.next_pending < self.pending.len() {
-            let due = match &frontier {
-                None => true,
-                Some(row) => self.pending[self.next_pending].lower <= *row,
-            };
-            if !due {
+        let mut rows = Vec::new();
+        while let Some(due) = self.pending.get(self.next_pending) {
+            if self.heap.peek().is_some_and(|Reverse(min)| due.lower > *min) {
                 break;
             }
-            let p = &self.pending[self.next_pending];
             self.next_pending += 1;
-            let run =
-                expand_sorted(&self.plans[p.plan], self.num_slots, std::slice::from_ref(&p.chain));
-            if let Some(first) = run.first() {
-                if frontier.as_ref().is_none_or(|row| first < row) {
-                    frontier = Some(first.clone());
-                }
-                batch.push(run);
-            }
+            let chain = std::slice::from_ref(&due.chain);
+            expand_chains(&self.plans[due.plan], self.num_slots, chain, &mut rows);
+            self.heap.extend(rows.drain(..).map(Reverse));
         }
-        if !batch.is_empty() {
-            let merged = kway_merge_dedup(batch);
-            self.buffered_rows += merged.len();
-            self.peak_buffered_rows = self.peak_buffered_rows.max(self.buffered_rows);
-            self.heap.push(OpenRun { rows: merged, next: 0 });
-        }
+        self.peak_buffered_rows = self.peak_buffered_rows.max(self.heap.len());
     }
 }
 
@@ -639,23 +569,14 @@ impl Iterator for AnswerCursor {
     type Item = Vec<Binding>;
 
     fn next(&mut self) -> Option<Vec<Binding>> {
-        loop {
-            self.open_due();
-            let mut run = self.heap.pop()?;
-            let row = std::mem::take(&mut run.rows[run.next]);
-            run.next += 1;
-            self.buffered_rows -= 1;
-            if run.next < run.rows.len() {
-                self.heap.push(run);
-            }
-            // Runs are deduplicated individually; duplicates across runs arrive
-            // consecutively in the (globally non-decreasing) merged stream.
-            if self.last.as_ref() != Some(&row) {
-                self.last = Some(row.clone());
-                self.rows_yielded += 1;
-                return Some(row);
-            }
+        self.open_due();
+        let Reverse(row) = self.heap.pop()?;
+        // Every copy of the minimum is in the heap (see `open_due`): drop the rest.
+        while self.heap.peek().is_some_and(|Reverse(next)| *next == row) {
+            self.heap.pop();
         }
+        self.rows_yielded += 1;
+        Some(row)
     }
 }
 
@@ -692,18 +613,22 @@ mod tests {
         Interval::of(a, b)
     }
 
-    /// The miniature contact-tracing graph of the executor tests.
+    /// The miniature contact-tracing graph of the executor tests, plus a second
+    /// meeting of mia and eve over the same times: two edges, so two chains of one
+    /// plan expand to the same rows.
     fn tiny() -> Itpg {
         let mut b = ItpgBuilder::new();
         let mia = b.add_node("mia", "Person").unwrap();
         let eve = b.add_node("eve", "Person").unwrap();
         let room = b.add_node("room", "Room").unwrap();
         let meets = b.add_edge("meets1", "meets", mia, eve).unwrap();
+        let again = b.add_edge("meets2", "meets", mia, eve).unwrap();
         let visits = b.add_edge("visits1", "visits", eve, room).unwrap();
         b.add_existence(mia, iv(1, 10)).unwrap();
         b.add_existence(eve, iv(1, 10)).unwrap();
         b.add_existence(room, iv(1, 10)).unwrap();
         b.add_existence(meets, iv(2, 3)).unwrap();
+        b.add_existence(again, iv(2, 3)).unwrap();
         b.add_existence(visits, iv(5, 6)).unwrap();
         b.set_property(mia, "risk", "high", iv(1, 10)).unwrap();
         b.set_property(eve, "risk", "low", iv(1, 10)).unwrap();
@@ -724,7 +649,52 @@ mod tests {
         "MATCH (x:Person {risk = 'high'})-/(FWD/:meets/FWD/NEXT*)[1,_]/-({test = 'pos'}) ON g",
         "MATCH (x:Person)-/(FWD/:meets/FWD + FWD/:visits/FWD)*/-(y) ON g",
         "MATCH (x)-/NEXT[3,1]/-(y) ON g",
+        PARALLEL,
+        ALTERNATIVES,
     ];
+
+    /// A row twice from one plan: once through each of the two meetings.
+    const PARALLEL: &str = "MATCH (x:Person)-/FWD/:meets/FWD/NEXT/-(y:Person) ON g";
+
+    /// A row twice across plan alternatives: a meeting is also an edge.
+    const ALTERNATIVES: &str = "MATCH (x:Person)-/(FWD/:meets/FWD + FWD/FWD)/-(y:Person) ON g";
+
+    /// The rows each chain of each plan alternative of `text` expands to.
+    fn expansions(g: &GraphRelations, text: &str) -> Vec<Vec<Vec<Vec<Binding>>>> {
+        let query = Query::parse(text).unwrap();
+        let plan_set = query.plan_set();
+        let num_slots = plan_set.variables.len();
+        let mut stats = crate::steps::StepStats::default();
+        let seeds = g.seed_rows();
+        let per_plan = plan_set.plans.iter().map(|plan| {
+            let chains = crate::executor::run_plan_seeded(plan, g, &seeds, &mut stats);
+            let expand = |chain: &Chain| {
+                let mut rows = Vec::new();
+                expand_chains(plan, num_slots, std::slice::from_ref(chain), &mut rows);
+                rows
+            };
+            chains.iter().map(expand).collect()
+        });
+        per_plan.collect()
+    }
+
+    #[test]
+    fn the_duplicate_queries_expand_a_row_twice() {
+        let g = relations();
+        let shared = |a: &[Vec<Binding>], b: &[Vec<Binding>]| a.iter().any(|row| b.contains(row));
+        // Both copies come from chains of one plan...
+        let parallel = expansions(&g, PARALLEL);
+        assert_eq!(parallel.len(), 1);
+        let chains = &parallel[0];
+        assert!(chains.len() == 2 && shared(&chains[0], &chains[1]), "{chains:?}");
+        // ...or from two plan alternatives.
+        let alternatives: Vec<Vec<Vec<Binding>>> =
+            expansions(&g, ALTERNATIVES).into_iter().map(|plan| plan.concat()).collect();
+        assert_eq!(alternatives.len(), 2);
+        assert!(shared(&alternatives[0], &alternatives[1]), "{alternatives:?}");
+        let table = Query::parse(ALTERNATIVES).unwrap().run(&g).into_table().unwrap();
+        assert!(table.len() < alternatives.concat().len());
+    }
 
     #[test]
     fn cursor_streams_the_materialized_table_in_order() {
@@ -763,8 +733,10 @@ mod tests {
         );
         // Honest stats: output_rows tracks what was actually yielded.
         assert_eq!(answers.stats().output_rows, 2);
-        let rest: Vec<_> = answers.cursor_mut().unwrap().collect();
-        assert_eq!(rest.len(), table.len() - 2);
+        // A page longer than what is left returns the rest, without reserving it.
+        let rest = answers.cursor_mut().unwrap().page(usize::MAX);
+        assert_eq!(rest.as_slice(), &table.rows()[2..]);
+        assert!(answers.cursor_mut().unwrap().page(usize::MAX).is_empty());
         assert_eq!(answers.stats().output_rows, table.len());
     }
 

@@ -98,8 +98,8 @@ impl BindingTable {
     }
 
     /// Creates a table directly from rows; every row must have exactly one binding
-    /// per column.  The rows are taken as-is — callers providing pre-sorted runs
-    /// (e.g. a k-way merge of per-alternative runs) keep their order.
+    /// per column.  The rows are taken as-is, in the order given (Step 3 hands over
+    /// its rows sorted and deduplicated).
     pub fn from_rows(columns: Vec<String>, rows: Vec<Vec<Binding>>) -> Self {
         debug_assert!(rows.iter().all(|row| row.len() == columns.len()));
         BindingTable { columns, rows }

@@ -15,21 +15,18 @@
 //! batch's [`Trail`]; the owned [`Chain`]s everything downstream consumes are built at
 //! the end of the batch, for the cursors that survived it.
 
-use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 use obs::{Span, Stopwatch};
 
-use dataflow::kway_merge_dedup;
-
 use crate::answers::{compact_from_chains, AnswerCursor, AnswerMode, AnswerSet, Answers};
-use crate::bindings::{Binding, BindingTable};
+use crate::bindings::BindingTable;
 use crate::chain::{Chain, Cursor, Trail};
 use crate::plan::analyze::{analyze, SchemaSummary};
 use crate::plan::{EnginePlan, PlanSet, TemporalLink};
 use crate::relations::GraphRelations;
 use crate::steps::closure::{apply_time_closure, Reached};
-use crate::steps::expand::expand_sorted;
+use crate::steps::expand::expand_chains;
 use crate::steps::structural::apply_segment;
 use crate::steps::temporal::apply_shift;
 use crate::steps::viability::Viability;
@@ -173,8 +170,8 @@ impl IntervalPhase {
             total_time: self.start.elapsed(),
             interval_rows: self.interval_rows,
             output_rows,
-            closure_rounds: self.step_stats.closure_rounds.load(Ordering::Relaxed),
-            time_rounds: self.step_stats.time_closure_rounds.load(Ordering::Relaxed),
+            closure_rounds: self.step_stats.closure_rounds,
+            time_rounds: self.step_stats.time_closure_rounds,
             peak_buffered_rows: 0,
         }
     }
@@ -194,16 +191,16 @@ impl IntervalPhase {
         m.rows_output.add(stats.output_rows as u64);
         m.closure_rounds.add(stats.closure_rounds as u64);
         m.time_rounds.add(stats.time_rounds as u64);
-        m.joins_hash.add(self.step_stats.hop_probes.load(Ordering::Relaxed) as u64);
-        m.hop_cursors.add(self.step_stats.hop_cursors.load(Ordering::Relaxed) as u64);
+        m.joins_hash.add(self.step_stats.hop_probes as u64);
+        m.hop_cursors.add(self.step_stats.hop_cursors as u64);
         for (counter, count) in [
-            (&m.viability_built, &self.step_stats.viability_built),
-            (&m.viability_skipped, &self.step_stats.viability_skipped),
-            (&m.viability_rows, &self.step_stats.viability_rows_visited),
+            (&m.viability_built, self.step_stats.viability_built),
+            (&m.viability_skipped, self.step_stats.viability_skipped),
+            (&m.viability_rows, self.step_stats.viability_rows_visited),
         ] {
-            counter.add(count.load(Ordering::Relaxed) as u64);
+            counter.add(count as u64);
         }
-        let closure_nanos = self.step_stats.closure_nanos.load(Ordering::Relaxed);
+        let closure_nanos = self.step_stats.closure_nanos;
         if closure_nanos > 0 {
             m.span_closure.record(closure_nanos);
         }
@@ -224,19 +221,18 @@ fn run_interval_phase(
     if let Err(error) = crate::plan::audit::audit(plan_set) {
         panic!("refusing to execute a malformed plan set: {error}");
     }
-    let step_stats = StepStats { timed: options.telemetry, ..StepStats::default() };
+    let mut step_stats = StepStats { timed: options.telemetry, ..StepStats::default() };
     let start = Stopwatch::start();
     let per_plan_chains: Vec<Vec<Chain>> =
-        plan_set.plans.iter().map(|plan| run_plan(plan, graph, &step_stats)).collect();
+        plan_set.plans.iter().map(|plan| run_plan(plan, graph, &mut step_stats)).collect();
     let interval_time = start.elapsed();
     let interval_rows = per_plan_chains.iter().map(Vec::len).sum();
     IntervalPhase { per_plan_chains, interval_time, interval_rows, step_stats, start }
 }
 
-/// Step 3: expands the interval-level chains into the full binding table, then
-/// finalises and records the measurements.  Every plan alternative expands into one
-/// ordered, deduplicated run; the final table is their k-way merge, so no post-union
-/// sort is needed.
+/// Step 3: expands the interval-level chains of every plan alternative into one
+/// vector of binding rows, sorts and deduplicates it into the full binding table,
+/// then finalises and records the measurements.
 fn materialize(
     plan_set: &PlanSet,
     options: &ExecutionOptions,
@@ -244,13 +240,13 @@ fn materialize(
 ) -> QueryOutput {
     let step3 = Span::enter(options.telemetry.then(|| &crate::telemetry::metrics().span_step3));
     let num_slots = plan_set.variables.len();
-    let runs: Vec<Vec<Vec<Binding>>> = plan_set
-        .plans
-        .iter()
-        .zip(&phase.per_plan_chains)
-        .map(|(plan, chains)| expand_sorted(plan, num_slots, chains))
-        .collect();
-    let table = BindingTable::from_rows(plan_set.variables.clone(), kway_merge_dedup(runs));
+    let mut rows = Vec::new();
+    for (plan, chains) in plan_set.plans.iter().zip(&phase.per_plan_chains) {
+        expand_chains(plan, num_slots, chains, &mut rows);
+    }
+    rows.sort_unstable();
+    rows.dedup();
+    let table = BindingTable::from_rows(plan_set.variables.clone(), rows);
     step3.finish();
     let stats = phase.finish(table.len());
     phase.record_metrics(&stats, options.telemetry);
@@ -309,7 +305,7 @@ pub fn execute_answers(
 /// Runs Steps 1–2 of a single plan: seeds the first segment with every live node row,
 /// then alternates structural segments and temporal links (plain shifts or time-aware
 /// closures).
-fn run_plan(plan: &EnginePlan, graph: &GraphRelations, stats: &StepStats) -> Vec<Chain> {
+fn run_plan(plan: &EnginePlan, graph: &GraphRelations, stats: &mut StepStats) -> Vec<Chain> {
     run_plan_seeded(plan, graph, &graph.seed_rows(), stats)
 }
 
@@ -327,7 +323,7 @@ pub fn run_plan_seeded(
     plan: &EnginePlan,
     graph: &GraphRelations,
     seed_rows: &[u32],
-    stats: &StepStats,
+    stats: &mut StepStats,
 ) -> Vec<Chain> {
     // Seeded execution bypasses `run_interval_phase`, so it audits its plan
     // itself (without slot-range information — there is no plan set here).
@@ -378,7 +374,7 @@ pub(crate) fn run_plan_batched(
     plan: &EnginePlan,
     graph: &GraphRelations,
     seed_rows: &[u32],
-    stats: &StepStats,
+    stats: &mut StepStats,
     batch_len: usize,
 ) -> Vec<Chain> {
     let mut chains = Vec::with_capacity(seed_rows.len());
@@ -387,21 +383,15 @@ pub(crate) fn run_plan_batched(
     let suffix = Viability::build_suffix(plan, graph, stats);
     let gate;
     let (plan, seed_rows, viability) = match &suffix {
-        Some((prefix, viability)) => {
-            stats.viability_built.fetch_add(1, Ordering::Relaxed);
-            stats.viability_rows_visited.fetch_add(viability.rows_visited, Ordering::Relaxed);
-            (prefix, seed_rows, Some(viability))
-        }
+        Some((prefix, viability)) => (prefix, seed_rows, Some(viability)),
         None if plan.has_fixpoint() || seed_rows.len() <= batch_len => (plan, seed_rows, None),
         None => {
             let (sample, rest) = seed_rows.split_at(batch_len);
-            let before = stats.hop_cursors.load(Ordering::Relaxed);
+            let before = stats.hop_cursors;
             run_batch(plan, graph, sample, None, &mut reached, stats, &mut chains);
-            let traversals = stats.hop_cursors.load(Ordering::Relaxed) - before;
-            let waste = traversals.saturating_sub(chains.len() * plan.hop_count());
-            let scan_limit =
-                if 2 * waste > traversals { waste * rest.len().div_ceil(batch_len) } else { 0 };
-            gate = viability_gate(plan, graph, scan_limit, stats);
+            let traversals = stats.hop_cursors - before;
+            let batches = rest.len().div_ceil(batch_len);
+            gate = viability_gate(plan, graph, traversals, chains.len(), batches, stats);
             (plan, rest, gate.as_ref())
         }
     };
@@ -414,13 +404,15 @@ pub(crate) fn run_plan_batched(
 /// Decides whether the remaining batches of a fixpoint-free plan that binds its last
 /// node run under backward viability masks ([`crate::steps::viability`]), builds
 /// them if so, and counts the outcome — built or skipped — with the rows the backward
-/// pass visited.  There is no option: the inputs are the plan, the graph, and
-/// `scan_limit`, the most live rows the pass may scan for its anchor.  Masks are all
-/// or nothing: the pass either reads no row, stops after the scan, or walks back to
-/// the seeds.  (Two kinds of plan never come here.  A plan with an existential
-/// suffix — Q9–Q12, RECUR — has its suffix walked back exactly and the rest masked
-/// from there, whatever the filters keep, unless the rest holds a closure.  Any other
-/// plan with a fixpoint runs unmasked.)
+/// pass visited.  There is no option: the inputs are the plan, the graph, and what
+/// the plan's sample batch did — `traversals` hop outputs, of which `survivors`
+/// chains came through — with `batches` left to run; from them comes the scan limit,
+/// the most live rows the pass may scan for its anchor.  Masks are all or nothing:
+/// the pass either reads no row, stops after the scan, or walks back to the seeds.
+/// (Two kinds of plan never come here.  A plan with an existential suffix — Q9–Q12,
+/// RECUR — has its suffix walked back exactly and the rest masked from there,
+/// whatever the filters keep, unless the rest holds a closure.  Any other plan with
+/// a fixpoint runs unmasked.)
 ///
 /// *Anchor: at most half of its relation's live rows, for every plan.*  A mask
 /// removes only rows from which the anchor cannot be reached, so an anchor that
@@ -428,12 +420,11 @@ pub(crate) fn run_plan_batched(
 /// [`crate::steps::viability`]).  The benchmark's masked anchor sits far from the
 /// line: Q5's keeps ≈ 18 % of the node rows (high-risk persons).
 ///
-/// *Scan limit.*  The plan passes what its sample batch says the remaining batches
-/// will waste.  A survivor went through every hop of the plan, so of the sample's
-/// traversals (hop outputs) `survivors × hops` were useful and the rest were thrown
-/// away by a later filter.  A mask removes wasted traversals only, so a sample that
+/// *Scan limit.*  What the sample batch says the remaining batches will waste.  A
+/// survivor went through every hop of the plan, so of the sample's traversals
+/// `survivors × hops` were useful and the rest were thrown away by a later filter.  A mask removes wasted traversals only, so a sample that
 /// wastes at most half cannot even halve the work, and the limit is 0.  Otherwise
-/// it is `waste × remaining_batches`: a row the scan reads and a traversal the
+/// it is `waste × batches`: a row the scan reads and a traversal the
 /// forward pass wastes both cost one row-struct read (≈ 85–120 ns at G6), so the
 /// expected waste must pay for the scan.  On a G6 graph (26 792 node rows, 27
 /// batches) the sample wastes nothing for Q1–Q4 and Q6, which make no hops, and
@@ -449,17 +440,14 @@ pub(crate) fn run_plan_batched(
 fn viability_gate(
     plan: &EnginePlan,
     graph: &GraphRelations,
-    scan_limit: usize,
-    stats: &StepStats,
+    traversals: usize,
+    survivors: usize,
+    batches: usize,
+    stats: &mut StepStats,
 ) -> Option<Viability> {
-    let outcome = Viability::build(plan, graph, scan_limit);
-    let (counter, visited) = match &outcome {
-        Ok(built) => (&stats.viability_built, built.rows_visited),
-        Err(visited) => (&stats.viability_skipped, *visited),
-    };
-    counter.fetch_add(1, Ordering::Relaxed);
-    stats.viability_rows_visited.fetch_add(visited, Ordering::Relaxed);
-    outcome.ok()
+    let waste = traversals.saturating_sub(survivors * plan.hop_count());
+    let scan_limit = if 2 * waste > traversals { waste * batches } else { 0 };
+    Viability::build(plan, graph, scan_limit, stats)
 }
 
 /// Steps 1–2 of one plan from one batch of seed rows: the surviving cursors are
@@ -474,7 +462,7 @@ fn run_batch(
     rows: &[u32],
     viability: Option<&Viability>,
     reached: &mut Reached,
-    stats: &StepStats,
+    stats: &mut StepStats,
     chains: &mut Vec<Chain>,
 ) {
     let mut trail = Trail::default();
@@ -818,8 +806,8 @@ mod tests {
 
     /// `(passes that built masks, gate outcomes of any kind)`.
     fn viability_outcomes(stats: &StepStats) -> (usize, usize) {
-        let masked = stats.viability_built.load(Ordering::Relaxed);
-        (masked, masked + stats.viability_skipped.load(Ordering::Relaxed))
+        let masked = stats.viability_built;
+        (masked, masked + stats.viability_skipped)
     }
 
     /// Q9 as the benchmark writes it — an existential suffix after `x` — and with its
@@ -831,8 +819,7 @@ mod tests {
 
     /// `[hop_probes, hop_cursors, closure_rounds]`.
     fn work(stats: &StepStats) -> [usize; 3] {
-        [&stats.hop_probes, &stats.hop_cursors, &stats.closure_rounds]
-            .map(|counter| counter.load(Ordering::Relaxed))
+        [stats.hop_probes, stats.hop_cursors, stats.closure_rounds]
     }
 
     #[test]
@@ -851,14 +838,14 @@ mod tests {
             REACH,
         ] {
             for plan in &plans(text) {
-                let batched = StepStats::default();
-                let chains = run_plan_seeded(plan, &g, &seeds, &batched);
+                let mut batched = StepStats::default();
+                let chains = run_plan_seeded(plan, &g, &seeds, &mut batched);
                 // Slices no longer than a batch run as one batch each: no sample,
                 // no gate, no mask.
                 let (mut expected, mut sliced) = (Vec::new(), [0; 3]);
                 for slice in seeds.chunks(slice_len) {
-                    let stats = StepStats::default();
-                    expected.extend(run_plan_seeded(plan, &g, slice, &stats));
+                    let mut stats = StepStats::default();
+                    expected.extend(run_plan_seeded(plan, &g, slice, &mut stats));
                     for (sum, count) in sliced.iter_mut().zip(work(&stats)) {
                         *sum += count;
                     }
@@ -891,12 +878,12 @@ mod tests {
         // Q9 as written walks its suffix back once per call, one batch or many, and
         // its forward pass makes no hop: every chain ends in the segment of `x`.
         let q9 = &plans(Q9)[0];
-        let whole = StepStats::default();
-        let chains = run_plan_seeded(q9, &g, &seeds, &whole);
+        let mut whole = StepStats::default();
+        let chains = run_plan_seeded(q9, &g, &seeds, &mut whole);
         let mut sliced = Vec::new();
         for slice in seeds.chunks(slice_len) {
-            let stats = StepStats::default();
-            sliced.extend(run_plan_seeded(q9, &g, slice, &stats));
+            let mut stats = StepStats::default();
+            sliced.extend(run_plan_seeded(q9, &g, slice, &mut stats));
             assert_eq!(viability_outcomes(&stats), (1, 1));
         }
         assert_eq!(chains, sliced);
@@ -913,12 +900,12 @@ mod tests {
         // traversals away at `:visits` — but the anchor, `(y:Person)`, keeps every
         // node row.
         let plan = &plans("MATCH (x:Person)-[z:visits]->(y:Person) ON g")[0];
-        let stats = StepStats::default();
-        let chains = run_plan_seeded(plan, &g, &seeds, &stats);
+        let mut stats = StepStats::default();
+        let chains = run_plan_seeded(plan, &g, &seeds, &mut stats);
         assert!(chains.is_empty());
-        assert!(stats.hop_cursors.load(Ordering::Relaxed) > 0, "every traversal is wasted");
+        assert!(stats.hop_cursors > 0, "every traversal is wasted");
         assert_eq!(viability_outcomes(&stats), (0, 1));
-        let visited = stats.viability_rows_visited.load(Ordering::Relaxed);
+        let visited = stats.viability_rows_visited;
         assert_eq!(visited, g.stats().temporal_nodes, "the scan and nothing else");
     }
 
@@ -1009,40 +996,34 @@ mod tests {
                 // chains whatever the batching.
                 let suffixed = matches!(id, Q9 | Q10 | Q11 | Q12);
                 for plan in crate::queries::plan_for(id).plans.iter().filter(|_| suffixed) {
-                    let one = StepStats::default();
-                    let expected = run_plan_batched(plan, &g, &seeds, &one, seeds.len());
+                    let mut one = StepStats::default();
+                    let expected = run_plan_batched(plan, &g, &seeds, &mut one, seeds.len());
                     assert_eq!(viability_outcomes(&one), (1, 1), "{}", id.name());
                     for batch_len in [1, 3] {
-                        let stats = StepStats::default();
-                        let chains = run_plan_batched(plan, &g, &seeds, &stats, batch_len);
+                        let mut stats = StepStats::default();
+                        let chains = run_plan_batched(plan, &g, &seeds, &mut stats, batch_len);
                         assert_eq!(chains, expected, "{} × {batch_len}", id.name());
                         assert_eq!(viability_outcomes(&stats), (1, 1), "{}", id.name());
                     }
                 }
                 for plan in &bound_last(id) {
                     // All seeds in one batch: the run no mask can touch.
-                    let plain = StepStats::default();
-                    let expected = run_plan_batched(plan, &g, &seeds, &plain, seeds.len());
+                    let mut plain = StepStats::default();
+                    let expected = run_plan_batched(plan, &g, &seeds, &mut plain, seeds.len());
                     assert_eq!(viability_outcomes(&plain), (0, 0));
                     answered += usize::from(!expected.is_empty());
                     for batch_len in [1, 3, 8] {
                         let context = format!("{} × {batch_len}", id.name());
-                        let stats = StepStats::default();
-                        let chains = run_plan_batched(plan, &g, &seeds, &stats, batch_len);
+                        let mut stats = StepStats::default();
+                        let chains = run_plan_batched(plan, &g, &seeds, &mut stats, batch_len);
                         assert_eq!(chains, expected, "{context}");
                         let (masked, outcomes) = viability_outcomes(&stats);
                         assert_eq!(outcomes, 1, "{context}");
-                        let (whole, unmasked) = (&stats.hop_cursors, &plain.hop_cursors);
-                        assert!(
-                            whole.load(Ordering::Relaxed) <= unmasked.load(Ordering::Relaxed),
-                            "{context}"
-                        );
+                        let (whole, unmasked) = (stats.hop_cursors, plain.hop_cursors);
+                        assert!(whole <= unmasked, "{context}");
                         if low_yield.contains(&id) {
                             assert_eq!(masked, 1, "{context}: the sample wastes its traversals");
-                            assert!(
-                                whole.load(Ordering::Relaxed) < unmasked.load(Ordering::Relaxed),
-                                "{context}"
-                            );
+                            assert!(whole < unmasked, "{context}");
                         }
                     }
                 }
@@ -1080,10 +1061,10 @@ mod tests {
             let seeds = g.seed_rows();
             // RECUR as written runs its closure backwards only, once per call.
             let recur = &plans(RECUR)[0];
-            let stats = StepStats::default();
-            let chains = run_plan_seeded(recur, &g, &seeds, &stats);
+            let mut stats = StepStats::default();
+            let chains = run_plan_seeded(recur, &g, &seeds, &mut stats);
             assert_eq!(viability_outcomes(&stats), (1, 1), "RECUR");
-            let rounds = stats.time_closure_rounds.load(Ordering::Relaxed);
+            let rounds = stats.time_closure_rounds;
             assert!(rounds > 0, "the backward fixpoint counts its rounds");
             assert!(!chains.is_empty());
             assert!(chains.iter().all(|chain| chain.lags.is_empty()), "no closure crossed");
@@ -1091,15 +1072,13 @@ mod tests {
                 let plan = &plans(text)[0];
                 assert!(plan.has_fixpoint());
                 // All seeds in one batch and no masks.
-                let plain = StepStats::default();
-                let expected = run_plan_batched(plan, &g, &seeds, &plain, seeds.len());
+                let mut plain = StepStats::default();
+                let expected = run_plan_batched(plan, &g, &seeds, &mut plain, seeds.len());
                 assert!(!expected.is_empty(), "{text}");
-                let time_rounds =
-                    |stats: &StepStats| stats.time_closure_rounds.load(Ordering::Relaxed);
                 for batch_len in [1, 3, 8, SEED_BATCH] {
                     let context = format!("{text} × {batch_len}");
-                    let stats = StepStats::default();
-                    let chains = run_plan_batched(plan, &g, &seeds, &stats, batch_len);
+                    let mut stats = StepStats::default();
+                    let chains = run_plan_batched(plan, &g, &seeds, &mut stats, batch_len);
                     assert_eq!(chains, expected, "{context}");
                     assert_eq!(viability_outcomes(&stats), (0, 0), "{context}: no gate");
                     // A start state runs once per batch that reaches it: the seed
@@ -1112,10 +1091,12 @@ mod tests {
                     }
                     // The band fixpoint moves a batch's start states through the
                     // rounds together: each batch runs as many as its deepest.
+                    let (rounds, unbatched) =
+                        (stats.time_closure_rounds, plain.time_closure_rounds);
                     if batch_len >= seeds.len() {
-                        assert_eq!(time_rounds(&stats), time_rounds(&plain), "{context}");
+                        assert_eq!(rounds, unbatched, "{context}");
                     } else {
-                        assert!(time_rounds(&stats) >= time_rounds(&plain), "{context}");
+                        assert!(rounds >= unbatched, "{context}");
                     }
                 }
             }

@@ -58,7 +58,6 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
-use std::sync::atomic::Ordering;
 
 use tgraph::{Interval, IntervalSet, Time};
 
@@ -100,12 +99,12 @@ pub(crate) fn apply_closure<C: StructuralCursor>(
     cursors: Vec<C>,
     closure: &ClosureOp,
     reached: &mut Reached,
-    stats: &StepStats,
+    stats: &mut StepStats,
 ) -> Vec<C> {
     let watch = stats.timed.then(obs::Stopwatch::start);
     let out = apply_closure_untimed(graph, cursors, closure, reached, stats);
     if let Some(watch) = watch {
-        stats.closure_nanos.fetch_add(watch.elapsed_nanos(), Ordering::Relaxed);
+        stats.closure_nanos += watch.elapsed_nanos();
     }
     out
 }
@@ -115,7 +114,7 @@ fn apply_closure_untimed<C: StructuralCursor>(
     cursors: Vec<C>,
     closure: &ClosureOp,
     reached: &mut Reached,
-    stats: &StepStats,
+    stats: &mut StepStats,
 ) -> Vec<C> {
     debug_assert!(
         !closure.is_time_crossing(),
@@ -123,16 +122,14 @@ fn apply_closure_untimed<C: StructuralCursor>(
     );
     let (distinct, seed_of) = dedup_seeds(&cursors);
     let mut fixpoint = Fixpoint::new(graph, closure, std::mem::take(reached));
-    let mut tally = Tally::default();
     let mut results = Vec::new();
     let mut result_of = Vec::with_capacity(distinct.len());
     for &(position, interval) in &distinct {
         let start = results.len();
-        fixpoint.run(position, interval, &mut tally, &mut results);
+        fixpoint.run(position, interval, stats, &mut results);
         result_of.push(start..results.len());
     }
     *reached = fixpoint.reached;
-    tally.record(stats);
 
     // Emit per input cursor, in input order: cursors sharing a start state share its
     // result instead of having re-derived it.
@@ -199,12 +196,12 @@ impl<'a> Fixpoint<'a> {
     }
 
     /// Runs the start state `(position, interval)` to its fixpoint, counting into
-    /// `tally`, and appends its result to `out`, sorted by `(position, interval)`.
+    /// `stats`, and appends its result to `out`, sorted by `(position, interval)`.
     fn run(
         &mut self,
         position: Position,
         interval: Interval,
-        tally: &mut Tally,
+        stats: &mut StepStats,
         out: &mut Vec<(Position, Interval)>,
     ) {
         let closure = self.closure;
@@ -223,9 +220,9 @@ impl<'a> Fixpoint<'a> {
         // depth level only.
         self.accumulate = false;
         while self.round < closure.min as usize {
-            self.apply_body(tally);
+            self.apply_body(stats);
             if self.frontier.is_empty() {
-                tally.rounds += self.round;
+                stats.closure_rounds += self.round;
                 return;
             }
         }
@@ -240,10 +237,10 @@ impl<'a> Fixpoint<'a> {
         self.accumulate = true;
         let mut remaining = closure.max.map(|m| m - closure.min);
         while !self.frontier.is_empty() && remaining != Some(0) {
-            self.apply_body(tally);
+            self.apply_body(stats);
             remaining = remaining.map(|r| r - 1);
         }
-        tally.rounds += self.round;
+        stats.closure_rounds += self.round;
         self.reached.emit(out);
     }
 
@@ -251,12 +248,12 @@ impl<'a> Fixpoint<'a> {
     /// it derives (phase 1) or newly reaches (phase 2), coalesced, is the next
     /// frontier.  Coalescing makes the frontier a canonical function of the points
     /// derived, so every round — and every count — is independent of derivation order.
-    fn apply_body(&mut self, tally: &mut Tally) {
+    fn apply_body(&mut self, stats: &mut StepStats) {
         self.next.clear();
         let frontier = std::mem::take(&mut self.frontier);
         for &(position, interval) in &frontier {
             for alternative in 0..self.closure.alternatives.len() {
-                self.walk(alternative, 0, position, interval, tally);
+                self.walk(alternative, 0, position, interval, stats);
             }
         }
         self.frontier = std::mem::replace(&mut self.next, frontier);
@@ -275,7 +272,7 @@ impl<'a> Fixpoint<'a> {
         step: usize,
         position: Position,
         interval: Interval,
-        tally: &mut Tally,
+        stats: &mut StepStats,
     ) {
         let (graph, closure) = (self.graph, self.closure);
         let Some(op) = closure.alternatives[alternative].get(step) else {
@@ -289,11 +286,11 @@ impl<'a> Fixpoint<'a> {
         match op {
             ClosureStep::Micro(MicroOp::Filter(filter)) => {
                 if let Some(interval) = filter_interval(graph, position, interval, filter) {
-                    self.walk(alternative, step + 1, position, interval, tally);
+                    self.walk(alternative, step + 1, position, interval, stats);
                 }
             }
             ClosureStep::Micro(MicroOp::Hop(direction)) => {
-                tally.hop_probes += 1;
+                stats.hop_probes += 1;
                 hop_from(
                     graph,
                     position,
@@ -301,8 +298,8 @@ impl<'a> Fixpoint<'a> {
                     *direction,
                     |_| true,
                     |position, interval| {
-                        tally.hop_cursors += 1;
-                        self.walk(alternative, step + 1, position, interval, tally);
+                        stats.hop_cursors += 1;
+                        self.walk(alternative, step + 1, position, interval, stats);
                     },
                 );
             }
@@ -319,13 +316,13 @@ impl<'a> Fixpoint<'a> {
                     Some(result) => result.clone(),
                     None => {
                         let start = nested.results.len();
-                        nested.fixpoint.run(position, interval, tally, &mut nested.results);
+                        nested.fixpoint.run(position, interval, stats, &mut nested.results);
                         nested.seen.insert((position, interval), start..nested.results.len());
                         start..nested.results.len()
                     }
                 };
                 for &(position, interval) in &nested.results[result] {
-                    self.walk(alternative, step + 1, position, interval, tally);
+                    self.walk(alternative, step + 1, position, interval, stats);
                 }
                 self.nested[flat] = Some(nested);
             }
@@ -350,23 +347,6 @@ fn coalesce(entries: &mut Vec<(Position, Interval)>) {
         }
         merge
     });
-}
-
-/// What one call ran, over every start state and nested closure, added to
-/// [`StepStats`] when the call ends.
-#[derive(Debug, Default)]
-struct Tally {
-    rounds: usize,
-    hop_probes: usize,
-    hop_cursors: usize,
-}
-
-impl Tally {
-    fn record(&self, stats: &StepStats) {
-        stats.closure_rounds.fetch_add(self.rounds, Ordering::Relaxed);
-        stats.hop_probes.fetch_add(self.hop_probes, Ordering::Relaxed);
-        stats.hop_cursors.fetch_add(self.hop_cursors, Ordering::Relaxed);
-    }
 }
 
 /// The coverage one start state has reached: a slot per node row and per edge row,
@@ -630,7 +610,7 @@ fn apply_band_steps(
     mut bands: Vec<BandState>,
     closure: &ClosureOp,
     alternative: usize,
-    stats: &StepStats,
+    stats: &mut StepStats,
 ) -> Vec<BandState> {
     for step in &closure.alternatives[alternative] {
         if bands.is_empty() {
@@ -661,9 +641,9 @@ fn apply_band_round(
     graph: &GraphRelations,
     mut frontier: Vec<BandState>,
     closure: &ClosureOp,
-    stats: &StepStats,
+    stats: &mut StepStats,
 ) -> Vec<BandState> {
-    stats.time_closure_rounds.fetch_add(1, Ordering::Relaxed);
+    stats.time_closure_rounds += 1;
     let mut produced = Vec::new();
     for index in 0..closure.alternatives.len() {
         let input = if index + 1 == closure.alternatives.len() {
@@ -720,7 +700,7 @@ fn run_band_fixpoint(
     graph: &GraphRelations,
     seeds: Vec<BandState>,
     closure: &ClosureOp,
-    stats: &StepStats,
+    stats: &mut StepStats,
 ) -> Vec<BandState> {
     if seeds.is_empty() || closure.max.is_some_and(|m| m < closure.min) {
         return Vec::new();
@@ -819,12 +799,12 @@ pub fn apply_time_closure(
     cursors: Vec<Cursor>,
     closure: &ClosureOp,
     trail: &mut Trail,
-    stats: &StepStats,
+    stats: &mut StepStats,
 ) -> Vec<Cursor> {
     let watch = stats.timed.then(obs::Stopwatch::start);
     let out = apply_time_closure_untimed(graph, cursors, closure, trail, stats);
     if let Some(watch) = watch {
-        stats.closure_nanos.fetch_add(watch.elapsed_nanos(), Ordering::Relaxed);
+        stats.closure_nanos += watch.elapsed_nanos();
     }
     out
 }
@@ -834,7 +814,7 @@ fn apply_time_closure_untimed(
     cursors: Vec<Cursor>,
     closure: &ClosureOp,
     trail: &mut Trail,
-    stats: &StepStats,
+    stats: &mut StepStats,
 ) -> Vec<Cursor> {
     if cursors.is_empty() || closure.max.is_some_and(|m| m < closure.min) {
         return Vec::new();
@@ -933,14 +913,14 @@ mod tests {
     }
 
     fn run(graph: &GraphRelations, seeds: Vec<Cursor>, op: &ClosureOp) -> Vec<Cursor> {
-        run_counted(graph, seeds, op, &StepStats::default())
+        run_counted(graph, seeds, op, &mut StepStats::default())
     }
 
     fn run_counted(
         graph: &GraphRelations,
         seeds: Vec<Cursor>,
         op: &ClosureOp,
-        stats: &StepStats,
+        stats: &mut StepStats,
     ) -> Vec<Cursor> {
         apply_closure(graph, seeds, op, &mut Reached::default(), stats)
     }
@@ -948,7 +928,7 @@ mod tests {
     /// Crosses the closure and spells the arrivals out as chains.
     fn run_time(graph: &GraphRelations, seeds: Vec<Cursor>, op: &ClosureOp) -> Vec<Chain> {
         let mut trail = Trail::default();
-        let out = apply_time_closure(graph, seeds, op, &mut trail, &StepStats::default());
+        let out = apply_time_closure(graph, seeds, op, &mut trail, &mut StepStats::default());
         out.iter().map(|c| trail.materialize(c)).collect()
     }
 
@@ -1008,12 +988,12 @@ mod tests {
         b.add_existence(e1, iv(2, 5)).unwrap();
         b.add_existence(e2, iv(4, 7)).unwrap();
         let g = GraphRelations::from_itpg(&b.domain(iv(0, 9)).build().unwrap());
-        let stats = StepStats::default();
-        let out = run_counted(&g, vec![Cursor::seed(row_of(&g, "a"), &g)], &star(), &stats);
+        let mut stats = StepStats::default();
+        let out = run_counted(&g, vec![Cursor::seed(row_of(&g, "a"), &g)], &star(), &mut stats);
         // a over its whole row (0 steps; the [4,5] round trip adds no new coverage),
         // b over the edge window [2,5].
         assert_eq!(reached(&g, &out), vec![("a".to_owned(), iv(0, 9)), ("b".to_owned(), iv(2, 5))]);
-        assert!(stats.closure_rounds.load(Ordering::Relaxed) >= 2);
+        assert!(stats.closure_rounds >= 2);
     }
 
     #[test]
@@ -1061,38 +1041,38 @@ mod tests {
         // rounds: the fixpoint is seeded once per distinct start state.
         let g = chain_graph();
         let seed = || Cursor::seed(row_of(&g, "a"), &g);
-        let single_stats = StepStats::default();
-        let single = run_counted(&g, vec![seed()], &star(), &single_stats);
-        let dup_stats = StepStats::default();
-        let dup = run_counted(&g, vec![seed(), seed()], &star(), &dup_stats);
+        let mut single_stats = StepStats::default();
+        let single = run_counted(&g, vec![seed()], &star(), &mut single_stats);
+        let mut dup_stats = StepStats::default();
+        let dup = run_counted(&g, vec![seed(), seed()], &star(), &mut dup_stats);
         assert_eq!(
-            single_stats.closure_rounds.load(Ordering::Relaxed),
-            dup_stats.closure_rounds.load(Ordering::Relaxed),
+            single_stats.closure_rounds, dup_stats.closure_rounds,
             "duplicate seeds added fixpoint rounds"
         );
         // Both input cursors still receive the full result.
         assert_eq!(dup.len(), 2 * single.len());
 
         // Same for the time-aware fixpoint.
-        let single_stats = StepStats::default();
-        apply_time_closure(&g, vec![seed()], &mixed_star(), &mut Trail::default(), &single_stats);
-        let dup_stats = StepStats::default();
+        let mut single_stats = StepStats::default();
+        apply_time_closure(
+            &g,
+            vec![seed()],
+            &mixed_star(),
+            &mut Trail::default(),
+            &mut single_stats,
+        );
+        let mut dup_stats = StepStats::default();
         let dup_seeds = vec![seed(), seed()];
-        apply_time_closure(&g, dup_seeds, &mixed_star(), &mut Trail::default(), &dup_stats);
+        apply_time_closure(&g, dup_seeds, &mixed_star(), &mut Trail::default(), &mut dup_stats);
         assert_eq!(
-            single_stats.time_closure_rounds.load(Ordering::Relaxed),
-            dup_stats.time_closure_rounds.load(Ordering::Relaxed),
+            single_stats.time_closure_rounds, dup_stats.time_closure_rounds,
             "duplicate seeds added time-crossing rounds"
         );
     }
 
     /// `(closure_rounds, hop_cursors, hop_probes)`.
     fn counts(stats: &StepStats) -> (usize, usize, usize) {
-        (
-            stats.closure_rounds.load(Ordering::Relaxed),
-            stats.hop_cursors.load(Ordering::Relaxed),
-            stats.hop_probes.load(Ordering::Relaxed),
-        )
+        (stats.closure_rounds, stats.hop_cursors, stats.hop_probes)
     }
 
     #[test]
@@ -1101,8 +1081,8 @@ mod tests {
         // rounds, two hops a round for three of them.  From c: d, then the probe.
         let g = chain_graph();
         let seeds = vec![Cursor::seed(row_of(&g, "c"), &g), Cursor::seed(row_of(&g, "a"), &g)];
-        let stats = StepStats::default();
-        let out = run_counted(&g, seeds, &star(), &stats);
+        let mut stats = StepStats::default();
+        let out = run_counted(&g, seeds, &star(), &mut stats);
         assert_eq!(
             reached(&g, &out),
             vec![
@@ -1125,8 +1105,8 @@ mod tests {
         let g = chain_graph();
         let window = ClosureOp::structural(vec![meets_hop()], 2, Some(3));
         let seeds = vec![Cursor::seed(row_of(&g, "a"), &g), Cursor::seed(row_of(&g, "c"), &g)];
-        let stats = StepStats::default();
-        let out = run_counted(&g, seeds, &window, &stats);
+        let mut stats = StepStats::default();
+        let out = run_counted(&g, seeds, &window, &mut stats);
         assert_eq!(reached(&g, &out), vec![("c".to_owned(), iv(4, 6)), ("d".to_owned(), iv(5, 5))]);
         assert!(out.iter().all(|c| c.seed == row_of(&g, "a")));
         // Rounds: 3 from a, 2 from c.  Hops: 6 + 2.  Probes: 6 + 3.
@@ -1166,8 +1146,8 @@ mod tests {
             ("c", "d", 0, 9),
             ("d", "e", 0, 9),
         ]);
-        let stats = StepStats::default();
-        let out = run_counted(&g, vec![Cursor::seed(row_of(&g, "a"), &g)], &star(), &stats);
+        let mut stats = StepStats::default();
+        let out = run_counted(&g, vec![Cursor::seed(row_of(&g, "a"), &g)], &star(), &mut stats);
         let everyone = ["a", "b", "c", "d", "e"].map(|name| (name.to_owned(), iv(0, 9)));
         assert_eq!(reached(&g, &out), everyone);
         // Hops: 6 in round 0, 8 in round 1, then 6 from b's three new pieces and 2
@@ -1190,8 +1170,8 @@ mod tests {
         let nested = MicroOp::Closure(ClosureOp::structural(vec![meets_hop()], 1, Some(2)));
         let union = ClosureOp::structural(vec![vec![nested], backward], 0, None);
         let seeds = vec![Cursor::seed(row_of(&g, "b"), &g), Cursor::seed(row_of(&g, "c"), &g)];
-        let stats = StepStats::default();
-        let out = run_counted(&g, seeds, &union, &stats);
+        let mut stats = StepStats::default();
+        let out = run_counted(&g, seeds, &union, &mut stats);
         assert_eq!(
             reached(&g, &out),
             vec![
@@ -1249,8 +1229,13 @@ mod tests {
         // The cursor arrives with one entry of its own, shared by its four bands.
         let mut seed = Cursor::seed(row_of(&g, "a"), &g);
         seed.bind(0, &g, &mut trail);
-        let out =
-            apply_time_closure(&g, vec![seed], &mixed_star(), &mut trail, &StepStats::default());
+        let out = apply_time_closure(
+            &g,
+            vec![seed],
+            &mixed_star(),
+            &mut trail,
+            &mut StepStats::default(),
+        );
         assert_eq!(out.len(), 4);
         assert_eq!(trail.len(), 1 + 2 * out.len());
         for cursor in &out {

@@ -22,8 +22,6 @@
 //! read — no match landing there could reach the end of the plan.  The closure
 //! fixpoints run unmasked.
 
-use std::sync::atomic::Ordering;
-
 use tgraph::Interval;
 
 use crate::chain::{Cursor, Position, Trail};
@@ -85,7 +83,7 @@ pub(crate) fn apply_segment(
     viable: Option<&SegmentMasks>,
     reached: &mut Reached,
     trail: &mut Trail,
-    stats: &StepStats,
+    stats: &mut StepStats,
 ) -> Vec<Cursor> {
     let mut current = cursors;
     for (index, op) in segment.ops.iter().enumerate() {
@@ -121,7 +119,7 @@ pub(crate) fn apply_op<C: StructuralCursor>(
     cursors: Vec<C>,
     op: &MicroOp,
     landing: Option<&RowMask>,
-    stats: &StepStats,
+    stats: &mut StepStats,
 ) -> Vec<C> {
     match op {
         MicroOp::Filter(filter) => {
@@ -156,7 +154,7 @@ fn apply_hop<C: StructuralCursor>(
     cursors: &[C],
     direction: HopDirection,
     viable: impl Fn(u32) -> bool,
-    stats: &StepStats,
+    stats: &mut StepStats,
 ) -> Vec<C> {
     let mut out = Vec::with_capacity(cursors.len());
     for cursor in cursors {
@@ -165,8 +163,8 @@ fn apply_hop<C: StructuralCursor>(
             out.push(cursor.moved_to(position, interval))
         });
     }
-    stats.hop_probes.fetch_add(cursors.len(), Ordering::Relaxed);
-    stats.hop_cursors.fetch_add(out.len(), Ordering::Relaxed);
+    stats.hop_probes += cursors.len();
+    stats.hop_cursors += out.len();
     out
 }
 
@@ -274,9 +272,16 @@ mod tests {
     fn apply_to_all_nodes(graph: &GraphRelations, segment: &Segment) -> Vec<Chain> {
         let seeds = (0..graph.node_rows().len() as u32).map(|r| Cursor::seed(r, graph)).collect();
         let mut trail = Trail::default();
-        let stats = StepStats::default();
-        let cursors =
-            apply_segment(graph, seeds, segment, None, &mut Reached::default(), &mut trail, &stats);
+        let mut stats = StepStats::default();
+        let cursors = apply_segment(
+            graph,
+            seeds,
+            segment,
+            None,
+            &mut Reached::default(),
+            &mut trail,
+            &mut stats,
+        );
         cursors.iter().map(|c| trail.materialize(c)).collect()
     }
 

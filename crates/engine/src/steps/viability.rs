@@ -71,8 +71,6 @@
 //! under the scan limit its gate sets — reads them for every seed batch of the call,
 //! and drops them with it.
 
-use std::sync::atomic::Ordering;
-
 use tgraph::{Interval, Object};
 
 use crate::chain::Position;
@@ -265,43 +263,47 @@ pub(crate) struct Viability {
     /// For a plan with an existential suffix, the exact times per row at its last
     /// `Bind` from which the suffix finishes.
     suffix: Option<TimeSet>,
-    /// Row indices the pass looked at: the live rows of its dense scan plus every
-    /// row or piece it reversed and every adjacent row it tested.
-    pub(crate) rows_visited: usize,
 }
 
 impl Viability {
     /// Walks `plan`, which has no fixpoint, backwards from its last selective filter —
-    /// the *anchor* — to its seeds, leaving a mask at every step.  `Err` carries the
-    /// rows visited when the pass builds nothing:
+    /// the *anchor* — to its seeds, leaving a mask at every step.  Counts the outcome
+    /// in `stats`, built or skipped, with the row indices the pass looked at: the
+    /// live rows of its dense scan plus every row it reversed and every adjacent row
+    /// it tested.  The pass builds nothing:
     ///
-    /// * `Err(0)`, reading no row, when the plan has no filter that selects rows, or
-    ///   an anchor whose relation has more than `scan_limit` live rows;
-    /// * `Err(live)`, after the dense scan of those `live` rows, when the anchor keeps
-    ///   more than half of them ([`anchor_is_selective`]).
+    /// * reading no row, when the plan has no filter that selects rows, or an anchor
+    ///   whose relation has more than `scan_limit` live rows;
+    /// * after the dense scan of the anchor's relation, when the anchor keeps more
+    ///   than half of its live rows ([`anchor_is_selective`]).
     pub(crate) fn build(
         plan: &EnginePlan,
         graph: &GraphRelations,
         scan_limit: usize,
-    ) -> Result<Self, usize> {
+        stats: &mut StepStats,
+    ) -> Option<Self> {
         debug_assert!(!plan.has_fixpoint(), "the row-level walk never enters a closure");
         let steps = steps_back(plan);
-        let (anchor, filter, on_nodes) = steps
-            .iter()
-            .enumerate()
-            .find_map(|(index, back)| match back.step {
-                Step::Op(_, MicroOp::Filter(filter)) if anchors(filter, back.on_nodes) => {
-                    Some((index, filter, back.on_nodes))
-                }
-                _ => None,
-            })
-            .ok_or(0usize)?;
+        let anchor = steps.iter().enumerate().find_map(|(index, back)| match back.step {
+            Step::Op(_, MicroOp::Filter(filter)) if anchors(filter, back.on_nodes) => {
+                Some((index, filter, back.on_nodes))
+            }
+            _ => None,
+        });
         let mut pass = Pass { graph, visited: 0 };
-        let kept = pass.scan_rows(filter, on_nodes, scan_limit)?;
-        let mut segments = unconstrained(plan);
-        let seeds = pass.rows_back(&steps[anchor + 1..], kept, &mut segments);
-        segments[0].entry = Some(seeds);
-        Ok(Viability { segments, suffix: None, rows_visited: pass.visited })
+        let built = anchor.and_then(|(anchor, filter, on_nodes)| {
+            let kept = pass.scan_rows(filter, on_nodes, scan_limit)?;
+            let mut segments = unconstrained(plan);
+            let seeds = pass.rows_back(&steps[anchor + 1..], kept, &mut segments);
+            segments[0].entry = Some(seeds);
+            Some(Viability { segments, suffix: None })
+        });
+        match built {
+            Some(_) => stats.viability_built += 1,
+            None => stats.viability_skipped += 1,
+        }
+        stats.viability_rows_visited += pass.visited;
+        built
     }
 
     /// Splits a plan with an existential suffix at its last `Bind` and walks the
@@ -313,12 +315,13 @@ impl Viability {
     /// follows the last `Bind` (or the plan binds nothing), or when a closure body
     /// does not return to the kind of row it started on or nests another closure.
     ///
-    /// The backward closure fixpoints count their rounds and their time in `stats`,
-    /// as the forward ones do.
+    /// A walk counts in `stats` as a built pass, with the rows it visited; its
+    /// backward closure fixpoints count their rounds and their time, as the forward
+    /// ones do.
     pub(crate) fn build_suffix(
         plan: &EnginePlan,
         graph: &GraphRelations,
-        stats: &StepStats,
+        stats: &mut StepStats,
     ) -> Option<(EnginePlan, Self)> {
         if !plan.closures().all(keeps_row_kind) {
             return None;
@@ -343,8 +346,9 @@ impl Viability {
             let seeds = pass.rows_back(&steps[split + 1..], kept, &mut segments);
             segments[0].entry = Some(seeds);
         }
-        let viability = Viability { segments, suffix: Some(times), rows_visited: pass.visited };
-        Some((prefix, viability))
+        stats.viability_built += 1;
+        stats.viability_rows_visited += pass.visited;
+        Some((prefix, Viability { segments, suffix: Some(times) }))
     }
 
     /// The masks of the segment at `index`.
@@ -477,26 +481,22 @@ impl Pass<'_> {
         });
     }
 
-    /// The row-level walk's anchor: the live rows that pass `filter`.  `Err(0)`,
-    /// reading nothing, if the relation has more than `scan_limit` live rows;
-    /// `Err(live)` if the filter keeps more than half of them.
+    /// The row-level walk's anchor: the live rows that pass `filter`.  `None`,
+    /// reading nothing, if the relation has more than `scan_limit` live rows, or
+    /// after the scan if the filter keeps more than half of them.
     fn scan_rows(
         &mut self,
         filter: &ObjFilter,
         on_nodes: bool,
         scan_limit: usize,
-    ) -> Result<RowMask, usize> {
+    ) -> Option<RowMask> {
         let live = self.graph.row_counts(on_nodes).1;
         if live > scan_limit {
-            return Err(0);
+            return None;
         }
         let mut mask = self.empty(on_nodes);
         self.scan(filter, on_nodes, |row, _| mask.insert(row));
-        if anchor_is_selective(mask.len(), live) {
-            Ok(mask)
-        } else {
-            Err(live)
-        }
+        anchor_is_selective(mask.len(), live).then_some(mask)
     }
 
     /// The exact walk's start: the live rows that pass `filter`, each over its
@@ -634,7 +634,7 @@ impl Pass<'_> {
     /// times, per row just before the first of them, from which the plan finishes.
     /// `None` while nothing constrains them yet: every live row over its whole
     /// interval, which a step that moves the cursor scans for before reversing.
-    fn times_back(&mut self, steps: &[BackStep<'_>], stats: &StepStats) -> Option<TimeSet> {
+    fn times_back(&mut self, steps: &[BackStep<'_>], stats: &mut StepStats) -> Option<TimeSet> {
         let mut current: Option<TimeSet> = None;
         for back in steps {
             let on_nodes = back.on_nodes;
@@ -735,16 +735,12 @@ impl Pass<'_> {
         closure: &ClosureOp,
         after: TimeSet,
         on_nodes: bool,
-        stats: &StepStats,
+        stats: &mut StepStats,
     ) -> TimeSet {
         let watch = stats.timed.then(obs::Stopwatch::start);
-        let rounds = if closure.is_time_crossing() {
-            &stats.time_closure_rounds
-        } else {
-            &stats.closure_rounds
-        };
-        let round = |pass: &mut Self, set: &TimeSet| {
-            rounds.fetch_add(1, Ordering::Relaxed);
+        let mut rounds = 0;
+        let mut round = |pass: &mut Self, set: &TimeSet| {
+            rounds += 1;
             pass.pre_body(closure, set, on_nodes)
         };
         let viable = 'fixpoint: {
@@ -768,8 +764,13 @@ impl Pass<'_> {
             }
             viable
         };
+        if closure.is_time_crossing() {
+            stats.time_closure_rounds += rounds;
+        } else {
+            stats.closure_rounds += rounds;
+        }
         if let Some(watch) = watch {
-            stats.closure_nanos.fetch_add(watch.elapsed_nanos(), Ordering::Relaxed);
+            stats.closure_nanos += watch.elapsed_nanos();
         }
         viable
     }
@@ -880,7 +881,13 @@ mod tests {
     }
 
     fn build_all(plan: &EnginePlan, graph: &GraphRelations) -> Viability {
-        Viability::build(plan, graph, usize::MAX).expect("the plan has a selective anchor")
+        Viability::build(plan, graph, usize::MAX, &mut StepStats::default())
+            .expect("the plan has a selective anchor")
+    }
+
+    /// `(passes built, passes skipped, rows visited)`.
+    fn outcome(stats: &StepStats) -> (usize, usize, usize) {
+        (stats.viability_built, stats.viability_skipped, stats.viability_rows_visited)
     }
 
     #[test]
@@ -982,7 +989,9 @@ mod tests {
             }],
             links: vec![],
         };
-        assert_eq!(Viability::build(&unselective, &graph, usize::MAX).err(), Some(0));
+        let mut stats = StepStats::default();
+        assert!(Viability::build(&unselective, &graph, usize::MAX, &mut stats).is_none());
+        assert_eq!(outcome(&stats), (0, 1, 0));
         // Filters that select nothing after the anchor do not hide it.
         let mut anchored = unselective.clone();
         anchored.segments[0].ops[2] =
@@ -999,7 +1008,7 @@ mod tests {
              -/FWD/:meets/FWD/NEXT*/-({test = 'pos'}) ON g",
         );
         let (prefix, built) =
-            Viability::build_suffix(&behind, &graph, &StepStats::default()).expect("a suffix");
+            Viability::build_suffix(&behind, &graph, &mut StepStats::default()).expect("a suffix");
         assert!(prefix.has_fixpoint());
         let times = built.suffix().expect("the suffix's times");
         let ann = graph.rows_of_node(graph.node_rows()[0].node)[0];
@@ -1100,13 +1109,15 @@ mod tests {
                 .map(|mask| mask.expect("every step chooses under a mask").rows().collect())
         };
         let live = graph.stats().temporal_nodes;
-        let refused = Viability::build(&q9, &graph, live - 1);
-        assert_eq!(refused.err(), Some(0), "one live row too many, so nothing is read");
-        let at_limit = Viability::build(&q9, &graph, live).expect("the scan fits");
-        let unlimited = build_all(&q9, &graph);
+        let mut refused = StepStats::default();
+        assert!(Viability::build(&q9, &graph, live - 1, &mut refused).is_none());
+        assert_eq!(outcome(&refused), (0, 1, 0), "one live row too many, so nothing is read");
+        let (mut fits, mut whole) = (StepStats::default(), StepStats::default());
+        let at_limit = Viability::build(&q9, &graph, live, &mut fits).expect("the scan fits");
+        let unlimited = Viability::build(&q9, &graph, usize::MAX, &mut whole).unwrap();
         assert_eq!(masks(&at_limit), masks(&unlimited));
-        assert_eq!(at_limit.rows_visited, unlimited.rows_visited);
-        assert!(at_limit.rows_visited > live, "the walk goes on past the scan");
+        assert_eq!(outcome(&fits), outcome(&whole));
+        assert!(fits.viability_rows_visited > live, "the walk goes on past the scan");
     }
 
     #[test]
@@ -1146,7 +1157,7 @@ mod tests {
     /// The exact times `text`'s existential suffix leaves at its last `Bind`, named by
     /// the node each row describes.
     fn times_of(graph: &GraphRelations, text: &str) -> Vec<(String, Interval)> {
-        let (_, built) = Viability::build_suffix(&plan(text), graph, &StepStats::default())
+        let (_, built) = Viability::build_suffix(&plan(text), graph, &mut StepStats::default())
             .expect("the plan has an existential suffix");
         let times = built.suffix().expect("a suffix walk leaves times");
         assert!(times.pieces.iter().all(|&(row, _)| graph.is_node_row_live(row)), "{text}");
@@ -1201,7 +1212,7 @@ mod tests {
         assert_eq!(times_of(&graph, &backward), [("dee".to_owned(), iv(2, 4))]);
         // The forward pass runs `[filter x, bind x]` from ann's row only.
         let (prefix, built) =
-            Viability::build_suffix(&plan(Q9), &graph, &StepStats::default()).unwrap();
+            Viability::build_suffix(&plan(Q9), &graph, &mut StepStats::default()).unwrap();
         assert_eq!(prefix.segments.len(), 1);
         assert_eq!(prefix.segments[0].ops.len(), 2);
         let seeds = built.segment(0).entry().expect("the walk reaches the seeds");
@@ -1213,7 +1224,7 @@ mod tests {
             "MATCH (:Person {risk = 'high'})-/FWD/:meets/FWD/-({test = 'pos'}) ON g",
             "MATCH (x:Person {risk = 'high'})-/FWD*/-({test = 'pos'}) ON g",
         ] {
-            let refused = Viability::build_suffix(&plan(text), &graph, &StepStats::default());
+            let refused = Viability::build_suffix(&plan(text), &graph, &mut StepStats::default());
             assert!(refused.is_none(), "{text}");
         }
     }
@@ -1249,19 +1260,19 @@ mod tests {
         let open = "MATCH (x:Person)-/(FWD/:meets/FWD)[1,_]/-({test = 'pos'}) ON g";
         assert_eq!(names(open), ["p0", "p1", "p2", "p3"]);
         // Two meetings, each followed by one step forward: from p2, ending by 9.
-        let stats = StepStats::default();
+        let mut stats = StepStats::default();
         let timed = plan("MATCH (x:Person)-/(FWD/:meets/FWD/NEXT)[2,2]/-({test = 'pos'}) ON g");
-        let (_, built) = Viability::build_suffix(&timed, &graph, &stats).unwrap();
+        let (_, built) = Viability::build_suffix(&timed, &graph, &mut stats).unwrap();
         let times = built.suffix().unwrap();
         let p2 = graph.rows_of_node(graph.node_rows()[2].node)[0];
         assert_eq!(times.pieces, [(p2, iv(0, 7))]);
         // Exactly the two depth rounds, counted as the forward fixpoint's kind.
-        assert_eq!(stats.time_closure_rounds.load(Ordering::Relaxed), 2);
-        assert_eq!(stats.closure_rounds.load(Ordering::Relaxed), 0);
-        let stats = StepStats::default();
-        Viability::build_suffix(&plan(window), &graph, &stats).unwrap();
-        assert!(stats.closure_rounds.load(Ordering::Relaxed) >= 2);
-        assert_eq!(stats.time_closure_rounds.load(Ordering::Relaxed), 0);
+        assert_eq!(stats.time_closure_rounds, 2);
+        assert_eq!(stats.closure_rounds, 0);
+        let mut stats = StepStats::default();
+        Viability::build_suffix(&plan(window), &graph, &mut stats).unwrap();
+        assert!(stats.closure_rounds >= 2);
+        assert_eq!(stats.time_closure_rounds, 0);
     }
 
     #[test]
@@ -1285,7 +1296,7 @@ mod tests {
         // `times_of` asserts every piece sits on a live row.
         assert_eq!(texts.map(|text| times_of(&graph, text)), before);
         let (_, built) =
-            Viability::build_suffix(&plan(texts[0]), &graph, &StepStats::default()).unwrap();
+            Viability::build_suffix(&plan(texts[0]), &graph, &mut StepStats::default()).unwrap();
         let seeds = built.segment(0).entry().unwrap();
         assert!(seeds.len() > 0 && seeds.rows().all(|row| graph.is_node_row_live(row)));
     }

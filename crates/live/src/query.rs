@@ -17,7 +17,6 @@
 //! replaces out of the caches and merges them, with the re-run's rows, into the
 //! table as one counted delta (`merge_delta`), so it sorts only what changed.
 
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -147,7 +146,7 @@ impl PlanCache {
         num_slots: usize,
         graph: &GraphRelations,
         seeds: &[u32],
-        step_stats: &StepStats,
+        step_stats: &mut StepStats,
         delta: &mut CacheDelta,
     ) {
         debug_assert!(seeds.windows(2).all(|w| w[0] < w[1]), "seed rows ascend");
@@ -209,7 +208,7 @@ impl QueryState {
     /// every plan, cached with the seed row of each binding row, merged into an
     /// empty table.
     pub(crate) fn build(plan_set: PlanSet, graph: &GraphRelations) -> Self {
-        let step_stats = StepStats::default();
+        let mut step_stats = StepStats::default();
         let num_slots = plan_set.variables.len();
         let seeds = graph.seed_rows();
         let mut delta = CacheDelta::default();
@@ -220,7 +219,7 @@ impl QueryState {
                 bounds_domain: graph.domain(),
                 cached: SeedRows::default(),
             };
-            cache.rerun(plan, num_slots, graph, &seeds, &step_stats, &mut delta);
+            cache.rerun(plan, num_slots, graph, &seeds, &mut step_stats, &mut delta);
             plans.push(cache);
         }
         let mut table = Arc::new(BindingTable::new(plan_set.variables.clone()));
@@ -305,7 +304,7 @@ impl QueryState {
             (std::mem::take(&mut self.pending_nodes), std::mem::take(&mut self.pending_ends));
         let times = std::mem::take(&mut self.pending_times);
         let rows_seen = std::mem::replace(&mut self.rows_seen, graph.nodes().len());
-        let step_stats = StepStats::default();
+        let mut step_stats = StepStats::default();
         let num_slots = self.plan_set.variables.len();
         let mut delta = CacheDelta::default();
         for (plan, cache) in self.plan_set.plans.iter().zip(&mut self.plans) {
@@ -341,7 +340,7 @@ impl QueryState {
             stats.seed_rows += seeds.len();
             stats.seeding += seeding.elapsed();
             let rerun = obs::Stopwatch::start();
-            cache.rerun(plan, num_slots, graph, &seeds, &step_stats, &mut delta);
+            cache.rerun(plan, num_slots, graph, &seeds, &mut step_stats, &mut delta);
             stats.rerun += rerun.elapsed();
         }
         let merge = obs::Stopwatch::start();
@@ -349,8 +348,8 @@ impl QueryState {
             merge_delta(&mut self.table, &mut self.counts, delta);
         stats.merge = merge.elapsed();
         stats.output_rows = self.table.len();
-        stats.closure_rounds = step_stats.closure_rounds.load(Ordering::Relaxed);
-        stats.time_rounds = step_stats.time_closure_rounds.load(Ordering::Relaxed);
+        stats.closure_rounds = step_stats.closure_rounds;
+        stats.time_rounds = step_stats.time_closure_rounds;
         stats.duration = started.elapsed();
         stats
     }

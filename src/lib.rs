@@ -7,8 +7,6 @@
 //!   ([`tgraph::Itpg`]), whose point-wise reading is the paper's point-based graph;
 //! * [`trpq`] — the `NavL[PC,NOI]` query language: AST, practical `MATCH` syntax,
 //!   fragments, complexity, and the paper's reference evaluation algorithms;
-//! * [`dataflow`] — the interval-relational operators, of which the engine runs the
-//!   k-way merge of sorted runs;
 //! * [`engine`] — the interval-based three-step query engine of Section VI;
 //! * [`live`] — live graphs: streaming ingestion of epoched mutation batches,
 //!   incremental maintenance of registered queries, and concurrent serving —
@@ -32,7 +30,6 @@
 //! assert_eq!(answers.stats().output_rows, 3);
 //! ```
 
-pub use dataflow;
 pub use engine;
 pub use live;
 pub use tgraph;

@@ -23,7 +23,6 @@
 //! per call, and answer what their bound forms answer, projected onto `x`.
 
 use std::collections::BTreeSet;
-use std::sync::atomic::Ordering;
 
 use proptest::prelude::*;
 
@@ -270,7 +269,7 @@ proptest! {
         cuts.push(seeds.len());
         cuts.sort_unstable();
         let run = |plan: &EnginePlan, rows: &[u32]| {
-            run_plan_seeded(plan, &graph, rows, &StepStats::default())
+            run_plan_seeded(plan, &graph, rows, &mut StepStats::default())
         };
         let closures = [REACH, RECUR].map(|text| Query::parse(text).expect("compiles"));
         let queries = QueryId::ALL.iter().map(|&id| Query::benchmark(id)).chain(closures);
@@ -291,8 +290,8 @@ proptest! {
 
 /// `(passes that built masks, gate outcomes of any kind)`.
 fn viability_outcomes(stats: &StepStats) -> (usize, usize) {
-    let masked = stats.viability_built.load(Ordering::Relaxed);
-    (masked, masked + stats.viability_skipped.load(Ordering::Relaxed))
+    let masked = stats.viability_built;
+    (masked, masked + stats.viability_skipped)
 }
 
 /// A query text with its anonymous last node `({test = 'pos'})` bound to `y`, so
@@ -316,17 +315,17 @@ fn check_suffix_runs(label: &str, text: &str, graph: &GraphRelations, slice_len:
     for plan in &written.plan_set().plans {
         let mut pieces = Vec::new();
         for slice in seeds.chunks(slice_len) {
-            let stats = StepStats::default();
-            pieces.extend(run_plan_seeded(plan, graph, slice, &stats));
+            let mut stats = StepStats::default();
+            pieces.extend(run_plan_seeded(plan, graph, slice, &mut stats));
             assert_eq!(viability_outcomes(&stats), (1, 1), "{label}: one pass per call");
         }
         assert!(!pieces.is_empty(), "{label}");
         assert!(pieces.iter().all(|chain| chain.seg_intervals.is_empty()), "{label}");
-        let stats = StepStats::default();
-        let whole = run_plan_seeded(plan, graph, &seeds, &stats);
+        let mut stats = StepStats::default();
+        let whole = run_plan_seeded(plan, graph, &seeds, &mut stats);
         assert_eq!(whole, pieces, "{label}");
         assert_eq!(viability_outcomes(&stats), (1, 1), "{label}");
-        assert!(stats.viability_rows_visited.load(Ordering::Relaxed) > 0, "{label}");
+        assert!(stats.viability_rows_visited > 0, "{label}");
     }
     let bound = Query::parse(&bound_last(text)).expect("the bound form compiles");
     assert_eq!(x_bindings(written, graph), x_bindings(bound, graph), "{label}");
@@ -359,13 +358,13 @@ fn masked_runs_return_the_chains_of_their_unmasked_slices() {
         }
         for plan in &query.plan_set().plans {
             let mut pieces = Vec::new();
-            let sliced = StepStats::default();
+            let mut sliced = StepStats::default();
             for slice in seeds.chunks(slice_len) {
-                pieces.extend(run_plan_seeded(plan, &graph, slice, &sliced));
+                pieces.extend(run_plan_seeded(plan, &graph, slice, &mut sliced));
             }
             assert_eq!(viability_outcomes(&sliced), (0, 0), "{}: slices never sample", id.name());
-            let stats = StepStats::default();
-            let whole = run_plan_seeded(plan, &graph, &seeds, &stats);
+            let mut stats = StepStats::default();
+            let whole = run_plan_seeded(plan, &graph, &seeds, &mut stats);
             assert_eq!(whole, pieces, "{}", id.name());
             let (masked, outcomes) = viability_outcomes(&stats);
             assert_eq!(outcomes, 1, "{}: one gate decision per run", id.name());
@@ -374,11 +373,11 @@ fn masked_runs_return_the_chains_of_their_unmasked_slices() {
                 QueryId::Q5 | QueryId::Q9 | QueryId::Q10 | QueryId::Q11 | QueryId::Q12
             );
             assert_eq!(masked == 1, low_yield, "{}", id.name());
-            let traversals = stats.hop_cursors.load(Ordering::Relaxed);
-            let unmasked = sliced.hop_cursors.load(Ordering::Relaxed);
+            let traversals = stats.hop_cursors;
+            let unmasked = sliced.hop_cursors;
             if low_yield {
                 assert!(traversals < unmasked, "{}: {traversals} of {unmasked}", id.name());
-                assert!(stats.viability_rows_visited.load(Ordering::Relaxed) > 0);
+                assert!(stats.viability_rows_visited > 0);
             } else {
                 assert_eq!(traversals, unmasked, "{}", id.name());
             }
@@ -400,10 +399,10 @@ fn fixpoint_plans_run_unmasked_whatever_their_anchor() {
     for text in [bound_last(RECUR), REACH.to_owned()] {
         let query = Query::parse(&text).expect("compiles");
         let plan = &query.plan_set().plans[0];
-        let stats = StepStats::default();
-        let chains = run_plan_seeded(plan, &graph, &seeds, &stats);
+        let mut stats = StepStats::default();
+        let chains = run_plan_seeded(plan, &graph, &seeds, &mut stats);
         assert_eq!(viability_outcomes(&stats), (0, 0), "{text}");
-        assert_eq!(stats.viability_rows_visited.load(Ordering::Relaxed), 0, "{text}");
+        assert_eq!(stats.viability_rows_visited, 0, "{text}");
         assert!(!chains.is_empty(), "{text}");
     }
 }
