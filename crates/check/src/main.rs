@@ -4,10 +4,11 @@
 //!
 //! * `--workspace` (default): run the repo-specific source lints over every
 //!   `.rs` file, filtered through `crates/check/allow.list`.
-//! * `--plans`: compile-audit the built-in benchmark plans (Q1–Q12) with the
-//!   engine's static plan auditor.
+//! * `--plans`: compile the built-in benchmark plans (Q1–Q12), which the
+//!   engine's plan constructors audit, and report their hop depths and closure
+//!   nesting.
 //! * `--self-test`: prove each lint still catches its seeded-violation
-//!   fixture, and that the plan auditor still rejects a broken plan.
+//!   fixture, and that the plan constructor still rejects a broken plan.
 //!
 //! Hand-rolled on std only: the build environment has no registry access, so
 //! there is no syn/quote/clippy-plugin machinery here — see `src/lexer.rs`

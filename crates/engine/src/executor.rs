@@ -214,17 +214,10 @@ fn run_interval_phase(
     graph: &GraphRelations,
     options: &ExecutionOptions,
 ) -> IntervalPhase {
-    // Every debug execution audits its plan set: a malformed plan (hand-built,
-    // or corrupted by a future compiler bug) is rejected with a diagnostic
-    // instead of panicking deep inside a step.
-    #[cfg(debug_assertions)]
-    if let Err(error) = crate::plan::audit::audit(plan_set) {
-        panic!("refusing to execute a malformed plan set: {error}");
-    }
     let mut step_stats = StepStats { timed: options.telemetry, ..StepStats::default() };
     let start = Stopwatch::start();
     let per_plan_chains: Vec<Vec<Chain>> =
-        plan_set.plans.iter().map(|plan| run_plan(plan, graph, &mut step_stats)).collect();
+        plan_set.plans().iter().map(|plan| run_plan(plan, graph, &mut step_stats)).collect();
     let interval_time = start.elapsed();
     let interval_rows = per_plan_chains.iter().map(Vec::len).sum();
     IntervalPhase { per_plan_chains, interval_time, interval_rows, step_stats, start }
@@ -239,14 +232,14 @@ fn materialize(
     phase: &IntervalPhase,
 ) -> QueryOutput {
     let step3 = Span::enter(options.telemetry.then(|| &crate::telemetry::metrics().span_step3));
-    let num_slots = plan_set.variables.len();
+    let num_slots = plan_set.variables().len();
     let mut rows = Vec::new();
-    for (plan, chains) in plan_set.plans.iter().zip(&phase.per_plan_chains) {
+    for (plan, chains) in plan_set.plans().iter().zip(&phase.per_plan_chains) {
         expand_chains(plan, num_slots, chains, &mut rows);
     }
     rows.sort_unstable();
     rows.dedup();
-    let table = BindingTable::from_rows(plan_set.variables.clone(), rows);
+    let table = BindingTable::from_rows(plan_set.variables().to_vec(), rows);
     step3.finish();
     let stats = phase.finish(table.len());
     phase.record_metrics(&stats, options.telemetry);
@@ -325,13 +318,6 @@ pub fn run_plan_seeded(
     seed_rows: &[u32],
     stats: &mut StepStats,
 ) -> Vec<Chain> {
-    // Seeded execution bypasses `run_interval_phase`, so it audits its plan
-    // itself (without slot-range information — there is no plan set here).
-    #[cfg(debug_assertions)]
-    {
-        let issues = crate::plan::audit::audit_plan(plan, None);
-        assert!(issues.is_empty(), "refusing to execute a malformed plan: {issues:?}");
-    }
     run_plan_batched(plan, graph, seed_rows, stats, SEED_BATCH)
 }
 
@@ -474,10 +460,10 @@ fn run_batch(
             rows.iter().filter(|&&r| mask.contains(r)).map(|&r| Cursor::seed(r, graph)).collect()
         }
     };
-    for (index, segment) in plan.segments.iter().enumerate() {
+    for (index, segment) in plan.segments().iter().enumerate() {
         let viable = masks(index);
         if index > 0 {
-            cursors = match &plan.links[index - 1] {
+            cursors = match &plan.links()[index - 1] {
                 TemporalLink::Shift(shift) => {
                     let landing = viable.and_then(|next| next.entry());
                     apply_shift(graph, cursors, shift, landing, &mut trail)
@@ -801,7 +787,10 @@ mod tests {
     }
 
     fn plans(text: &str) -> Vec<EnginePlan> {
-        crate::compiler::compile(&trpq::parser::parse_match(text).unwrap()).unwrap().plans
+        crate::compiler::compile(&trpq::parser::parse_match(text).unwrap())
+            .unwrap()
+            .plans()
+            .to_vec()
     }
 
     /// `(passes that built masks, gate outcomes of any kind)`.
@@ -995,7 +984,7 @@ mod tests {
                 // As written, Q9–Q12 walk their suffix back once per call: the same
                 // chains whatever the batching.
                 let suffixed = matches!(id, Q9 | Q10 | Q11 | Q12);
-                for plan in crate::queries::plan_for(id).plans.iter().filter(|_| suffixed) {
+                for plan in crate::queries::plan_for(id).plans().iter().filter(|_| suffixed) {
                     let mut one = StepStats::default();
                     let expected = run_plan_batched(plan, &g, &seeds, &mut one, seeds.len());
                     assert_eq!(viability_outcomes(&one), (1, 1), "{}", id.name());

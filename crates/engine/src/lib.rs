@@ -56,7 +56,7 @@ pub use plan::analyze::{
     analyze, static_bounds, Analysis, Diagnostic, DiagnosticKind, PlanBounds, SchemaSummary,
     Severity,
 };
-pub use plan::audit::{audit, audit_plan, AuditError, AuditIssue, AuditReport};
+pub use plan::audit::{AuditError, AuditIssue};
 pub use plan::{
     ClosureOp, ClosureStep, EnginePlan, HopDirection, MicroOp, ObjFilter, PlanSet, Segment, Shift,
     TemporalLink,

@@ -199,19 +199,6 @@ pub struct Segment {
     pub ops: Vec<MicroOp>,
 }
 
-impl Segment {
-    /// The variable slots bound inside this segment.
-    pub fn bound_slots(&self) -> Vec<usize> {
-        self.ops
-            .iter()
-            .filter_map(|op| match op {
-                MicroOp::Bind(slot) => Some(*slot),
-                _ => None,
-            })
-            .collect()
-    }
-}
-
 /// A temporal move between two segments: `NEXT[min, max]` (forward) or
 /// `PREV[min, max]` (backward) on the object the previous segment ended on, walking
 /// only through time points at which that object exists.
@@ -378,17 +365,36 @@ impl TemporalLink {
     }
 }
 
-/// A complete plan: segments joined by temporal links.  `links.len()` is always
-/// `segments.len() - 1`.
-#[derive(Debug, Clone, PartialEq, Default)]
+/// A complete plan: segments joined by temporal links.  [`EnginePlan::new`] is the
+/// only way to build one and refuses what the [`audit`] refuses, so `links().len()`
+/// is always `segments().len() - 1`.
+#[derive(Debug, Clone, PartialEq)]
 pub struct EnginePlan {
-    /// The structural segments.
-    pub segments: Vec<Segment>,
-    /// The temporal links between consecutive segments.
-    pub links: Vec<TemporalLink>,
+    segments: Vec<Segment>,
+    links: Vec<TemporalLink>,
 }
 
 impl EnginePlan {
+    /// Builds a plan, or refuses it with every defect the audit finds but a slot
+    /// out of range, which needs the variables that [`PlanSet::new`] has.
+    pub fn new(
+        segments: Vec<Segment>,
+        links: Vec<TemporalLink>,
+    ) -> Result<Self, audit::AuditError> {
+        let plan = EnginePlan { segments, links };
+        audit::audit_plan(&plan).map(|()| plan)
+    }
+
+    /// The structural segments.
+    pub fn segments(&self) -> &[Segment] {
+        &self.segments
+    }
+
+    /// The temporal links between consecutive segments.
+    pub fn links(&self) -> &[TemporalLink] {
+        &self.links
+    }
+
     /// True if the plan has no temporal navigation (queries Q1–Q5 of the paper); its
     /// results stay temporally coalesced.
     pub fn is_purely_structural(&self) -> bool {
@@ -422,7 +428,9 @@ impl EnginePlan {
     }
 
     /// The plan up to and including op `op` of segment `segment`: the segments
-    /// before it, its ops up to `op`, and the links between them.
+    /// before it, its ops up to `op`, and the links between them.  A prefix of a
+    /// valid plan is valid (one link per pair of segments, every check holds of a
+    /// part of what it held of), so it skips [`EnginePlan::new`].
     pub(crate) fn prefix(&self, segment: usize, op: usize) -> EnginePlan {
         let mut segments = self.segments[..=segment].to_vec();
         segments[segment].ops.truncate(op + 1);
@@ -451,15 +459,29 @@ impl EnginePlan {
 /// shared variable slots.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanSet {
-    /// The union alternatives.
-    pub plans: Vec<EnginePlan>,
-    /// Variable names, indexed by slot.
-    pub variables: Vec<String>,
-    /// The graph name the query addresses (`ON …`).
-    pub graph: String,
+    plans: Vec<EnginePlan>,
+    variables: Vec<String>,
 }
 
 impl PlanSet {
+    /// Builds a plan set, or refuses it for more than [`audit::MAX_PLANS`] plans or
+    /// a slot past `variables`.  No plans at all is valid: the compiler builds that
+    /// for a clause whose every alternative is unsatisfiable.
+    pub fn new(plans: Vec<EnginePlan>, variables: Vec<String>) -> Result<Self, audit::AuditError> {
+        let plan_set = PlanSet { plans, variables };
+        audit::audit_plan_set(&plan_set).map(|()| plan_set)
+    }
+
+    /// The union alternatives.
+    pub fn plans(&self) -> &[EnginePlan] {
+        &self.plans
+    }
+
+    /// Variable names, indexed by slot.
+    pub fn variables(&self) -> &[String] {
+        &self.variables
+    }
+
     /// True if no alternative uses temporal navigation.
     pub fn is_purely_structural(&self) -> bool {
         self.plans.iter().all(EnginePlan::is_purely_structural)
@@ -649,15 +671,15 @@ mod tests {
 
     #[test]
     fn plan_structural_classification() {
-        let plain = EnginePlan { segments: vec![Segment::default()], links: vec![] };
+        let plain = EnginePlan::new(vec![Segment::default()], vec![]).unwrap();
         assert!(plain.is_purely_structural());
-        let shifted = EnginePlan {
-            segments: vec![Segment::default(), Segment::default()],
-            links: vec![TemporalLink::Shift(Shift { forward: true, min: 0, max: None })],
-        };
+        let shifted = EnginePlan::new(
+            vec![Segment::default(), Segment::default()],
+            vec![TemporalLink::Shift(Shift { forward: true, min: 0, max: None })],
+        )
+        .unwrap();
         assert!(!shifted.is_purely_structural());
-        let set =
-            PlanSet { plans: vec![plain, shifted], variables: vec!["x".into()], graph: "g".into() };
+        let set = PlanSet::new(vec![plain, shifted], vec!["x".into()]).unwrap();
         assert!(!set.is_purely_structural());
     }
 }

@@ -503,10 +503,6 @@ impl PlanBounds {
     fn empty() -> Self {
         PlanBounds { max_hops: Some(0), max_rows: 0 }
     }
-
-    fn unknown() -> Self {
-        PlanBounds { max_hops: None, max_rows: u128::MAX }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -544,11 +540,11 @@ impl Analysis {
 /// Analyzes every plan of a set against a schema summary.
 pub fn analyze(plan_set: &PlanSet, schema: &SchemaSummary) -> Analysis {
     let mut pass = Pass::new(schema);
-    let mut bounds = Vec::with_capacity(plan_set.plans.len());
-    let mut optimized_plans = Vec::with_capacity(plan_set.plans.len());
+    let mut bounds = Vec::with_capacity(plan_set.plans().len());
+    let mut optimized_plans = Vec::with_capacity(plan_set.plans().len());
     let mut diagnostics = Vec::new();
     let mut pruned_plans = 0usize;
-    for (index, plan) in plan_set.plans.iter().enumerate() {
+    for (index, plan) in plan_set.plans().iter().enumerate() {
         let (rewritten, plan_bounds) = pass.analyze_plan(plan);
         diagnostics.extend(pass.diagnostics.drain(..).map(|mut d| {
             d.plan = Some(index);
@@ -560,10 +556,13 @@ pub fn analyze(plan_set: &PlanSet, schema: &SchemaSummary) -> Analysis {
             None => pruned_plans += 1,
         }
     }
+    // Fewer plans over the same variables, binding no slot the input did not.
+    let optimized = PlanSet::new(optimized_plans, plan_set.variables().to_vec())
+        .expect("the optimizer keeps a valid plan set valid");
     Analysis {
         diagnostics,
         bounds,
-        optimized: PlanSet { plans: optimized_plans, ..plan_set.clone() },
+        optimized,
         pruned_plans,
         pruned_alternatives: pass.pruned_alternatives,
         tightened_closures: pass.tightened_closures,
@@ -698,11 +697,6 @@ impl<'a> Pass<'a> {
     /// Analyzes (and rewrites) a single plan.  Returns `None` instead of a
     /// rewritten plan when the plan is statically empty.
     fn analyze_plan(&mut self, plan: &EnginePlan) -> (Option<EnginePlan>, PlanBounds) {
-        // Malformed plans (wrong link arity) are the audit's business; the
-        // analyzer stays conservative and claims nothing about them.
-        if plan.segments.is_empty() || plan.links.len() + 1 != plan.segments.len() {
-            return (Some(plan.clone()), PlanBounds::unknown());
-        }
         let domain = self.schema.domain;
         let mut state = self.schema.all_nodes();
         let mut window = domain;
@@ -848,7 +842,11 @@ impl<'a> Pass<'a> {
             }
             segments.push(Segment { ops });
         }
-        (Some(EnginePlan { segments, links }), PlanBounds { max_hops: hops, max_rows: rows })
+        // Every rewrite above keeps the plan audit-clean (see `closure_pass`): a
+        // refusal here would be a rewrite whose answers the pinned invariant
+        // optimized ≡ unoptimized (`tests/plan_optimizer.rs`) could not hold.
+        let rewritten = EnginePlan::new(segments, links).expect("rewrites keep a plan valid");
+        (Some(rewritten), PlanBounds { max_hops: hops, max_rows: rows })
     }
 
     fn filter_state(&self, state: &AbsState, filter: &ObjFilter) -> AbsState {

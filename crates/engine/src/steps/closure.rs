@@ -326,10 +326,10 @@ impl<'a> Fixpoint<'a> {
                 }
                 self.nested[flat] = Some(nested);
             }
-            // Fails identically in debug and release: a binding inside a repetition has
+            // `EnginePlan::new` refuses a binding inside a repetition: it would have
             // nowhere to be recorded.
             ClosureStep::Micro(MicroOp::Bind(_)) => {
-                unreachable!("the compiler places a Bind only in a segment")
+                unreachable!("a plan binds only in its segments")
             }
             ClosureStep::Shift(_) => unreachable!("structural closures contain no temporal steps"),
         }

@@ -27,7 +27,7 @@ pub fn expand_chains(
     rows: &mut Vec<Vec<Binding>>,
 ) {
     let lag_indices = plan.lag_indices();
-    let mut times: Vec<Time> = Vec::with_capacity(plan.segments.len());
+    let mut times: Vec<Time> = Vec::with_capacity(plan.segments().len());
     for chain in chains {
         expand_chain(plan, &lag_indices, num_slots, chain, &mut times, rows);
     }
@@ -86,7 +86,7 @@ impl Expansion<'_> {
     /// time `to` for this chain: a plain shift checks its step bounds, a time-aware
     /// closure checks the time skew the chain recorded while crossing it.
     fn link_admits(&self, segment: usize, from: Time, to: Time) -> bool {
-        match &self.plan.links[segment - 1] {
+        match &self.plan.links()[segment - 1] {
             TemporalLink::Shift(shift) => shift.admits(from, to),
             TemporalLink::Closure(_) => {
                 debug_assert!(
@@ -168,7 +168,7 @@ mod tests {
     use super::*;
     use crate::bindings::TimeRef;
     use crate::chain::{BoundVar, Position, TimeLag};
-    use crate::plan::{ClosureOp, Segment, Shift};
+    use crate::plan::{ClosureOp, ClosureStep, Segment, Shift};
     use tgraph::{Interval, NodeId, Object};
 
     fn iv(a: u64, b: u64) -> Interval {
@@ -176,21 +176,18 @@ mod tests {
     }
 
     fn structural_plan() -> EnginePlan {
-        EnginePlan { segments: vec![Segment::default()], links: vec![] }
+        EnginePlan::new(vec![Segment::default()], vec![]).unwrap()
     }
 
     fn shifted_plan(shift: Shift) -> EnginePlan {
-        EnginePlan {
-            segments: vec![Segment::default(), Segment::default()],
-            links: vec![TemporalLink::Shift(shift)],
-        }
+        EnginePlan::new(vec![Segment::default(); 2], vec![TemporalLink::Shift(shift)]).unwrap()
     }
 
+    /// Expansion reads only that the link is a closure, not its body.
     fn closure_plan() -> EnginePlan {
-        EnginePlan {
-            segments: vec![Segment::default(), Segment::default()],
-            links: vec![TemporalLink::Closure(ClosureOp::structural(vec![vec![]], 0, None))],
-        }
+        let next = ClosureStep::Shift(Shift { forward: true, min: 1, max: Some(1) });
+        let closure = ClosureOp { alternatives: vec![vec![next]], min: 0, max: None };
+        EnginePlan::new(vec![Segment::default(); 2], vec![TemporalLink::Closure(closure)]).unwrap()
     }
 
     fn obj() -> Object {

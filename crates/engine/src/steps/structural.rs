@@ -125,9 +125,9 @@ pub(crate) fn apply_op<C: StructuralCursor>(
         MicroOp::Filter(filter) => {
             cursors.into_iter().filter_map(|cursor| apply_filter(graph, cursor, filter)).collect()
         }
-        // Fails identically in debug and release: silently dropping a binding would
-        // corrupt query output without a diagnostic.
-        MicroOp::Bind(_) => unreachable!("the compiler places a Bind only in a segment"),
+        // `EnginePlan::new` refuses a binding inside a repetition, the only place
+        // this is reached from; silently dropping it would corrupt query output.
+        MicroOp::Bind(_) => unreachable!("a plan binds only in its segments"),
         // Two copies of the join: the one every unmasked batch or closure runs tests
         // nothing per adjacent row.
         MicroOp::Hop(direction) => match landing {

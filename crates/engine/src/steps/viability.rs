@@ -364,7 +364,7 @@ impl Viability {
 
 /// No mask anywhere in `plan` yet.
 fn unconstrained(plan: &EnginePlan) -> Vec<SegmentMasks> {
-    plan.segments
+    plan.segments()
         .iter()
         .map(|segment| SegmentMasks {
             entry: None,
@@ -396,13 +396,14 @@ enum Step<'p> {
 fn steps_back(plan: &EnginePlan) -> Vec<BackStep<'_>> {
     let mut steps = Vec::new();
     let mut on_nodes = plan.hop_count() % 2 == 0;
-    for (segment, ops) in plan.segments.iter().enumerate().rev() {
+    for (segment, ops) in plan.segments().iter().enumerate().rev() {
         for (op, micro) in ops.ops.iter().enumerate().rev() {
             steps.push(BackStep { segment, on_nodes, step: Step::Op(op, micro) });
             on_nodes ^= matches!(micro, MicroOp::Hop(_));
         }
         if segment > 0 {
-            steps.push(BackStep { segment, on_nodes, step: Step::Link(&plan.links[segment - 1]) });
+            let link = &plan.links()[segment - 1];
+            steps.push(BackStep { segment, on_nodes, step: Step::Link(link) });
         }
     }
     steps
@@ -795,11 +796,10 @@ impl Pass<'_> {
                         kind = !kind;
                     }
                     ClosureStep::Shift(shift) => set = self.reverse_shift_times(&set, shift, kind),
-                    // Fails identically in debug and release, as the forward
-                    // evaluator does: a binding inside a repetition has nowhere
-                    // to be recorded.
+                    // `EnginePlan::new` refuses a binding inside a repetition:
+                    // it would have nowhere to be recorded.
                     ClosureStep::Micro(MicroOp::Bind(_)) => {
-                        unreachable!("the compiler places a Bind only in a segment")
+                        unreachable!("a plan binds only in its segments")
                     }
                     // Nested closures were refused.
                     ClosureStep::Micro(MicroOp::Closure(_)) => {}
@@ -827,9 +827,9 @@ mod tests {
 
     fn plan(text: &str) -> EnginePlan {
         let clause = trpq::parser::parse_match(text).expect("parses");
-        let mut plans = crate::compiler::compile(&clause).expect("compiles").plans;
-        assert_eq!(plans.len(), 1, "{text}");
-        plans.remove(0)
+        let plan_set = crate::compiler::compile(&clause).expect("compiles");
+        assert_eq!(plan_set.plans().len(), 1, "{text}");
+        plan_set.plans()[0].clone()
     }
 
     /// Ann and dee are high-risk, bob tests positive from time 8 (two rows), cal and
@@ -977,25 +977,20 @@ mod tests {
         let graph = GraphRelations::from_itpg(&contacts());
         // No filter that tells rows apart: the kind of row is fixed by the plan.
         let kind_only = |node| ObjFilter { require_node: Some(node), ..Default::default() };
-        let unselective = EnginePlan {
-            segments: vec![Segment {
-                ops: vec![
-                    MicroOp::Filter(ObjFilter::default()),
-                    MicroOp::Hop(HopDirection::Forward),
-                    MicroOp::Filter(kind_only(false)),
-                    MicroOp::Hop(HopDirection::Forward),
-                    MicroOp::Filter(kind_only(true)),
-                ],
-            }],
-            links: vec![],
-        };
+        let mut ops = vec![
+            MicroOp::Filter(ObjFilter::default()),
+            MicroOp::Hop(HopDirection::Forward),
+            MicroOp::Filter(kind_only(false)),
+            MicroOp::Hop(HopDirection::Forward),
+            MicroOp::Filter(kind_only(true)),
+        ];
+        let unselective = EnginePlan::new(vec![Segment { ops: ops.clone() }], vec![]).unwrap();
         let mut stats = StepStats::default();
         assert!(Viability::build(&unselective, &graph, usize::MAX, &mut stats).is_none());
         assert_eq!(outcome(&stats), (0, 1, 0));
         // Filters that select nothing after the anchor do not hide it.
-        let mut anchored = unselective.clone();
-        anchored.segments[0].ops[2] =
-            MicroOp::Filter(ObjFilter { label: Some("visits".into()), ..Default::default() });
+        ops[2] = MicroOp::Filter(ObjFilter { label: Some("visits".into()), ..Default::default() });
+        let anchored = EnginePlan::new(vec![Segment { ops }], vec![]).unwrap();
         let built = build_all(&anchored, &graph);
         assert_eq!(edge_rows_named(&graph, built.segment(0).landing(1).unwrap()), ["v1"]);
         assert!(built.segment(0).landing(3).is_none(), "unconstrained past the anchor");
@@ -1014,7 +1009,9 @@ mod tests {
         let ann = graph.rows_of_node(graph.node_rows()[0].node)[0];
         assert_eq!(times.pieces, [(ann, iv(2, 3))]);
         assert!(built.segment(0).entry().is_none(), "no seed mask behind a closure");
-        assert!((0..prefix.segments[0].ops.len()).all(|op| built.segment(0).landing(op).is_none()));
+        assert!(
+            (0..prefix.segments()[0].ops.len()).all(|op| built.segment(0).landing(op).is_none())
+        );
     }
 
     /// Eve exists on [1, 5] and again on [10, 30]: high-risk until 14, positive on
@@ -1213,8 +1210,8 @@ mod tests {
         // The forward pass runs `[filter x, bind x]` from ann's row only.
         let (prefix, built) =
             Viability::build_suffix(&plan(Q9), &graph, &mut StepStats::default()).unwrap();
-        assert_eq!(prefix.segments.len(), 1);
-        assert_eq!(prefix.segments[0].ops.len(), 2);
+        assert_eq!(prefix.segments().len(), 1);
+        assert_eq!(prefix.segments()[0].ops.len(), 2);
         let seeds = built.segment(0).entry().expect("the walk reaches the seeds");
         assert_eq!(node_rows_named(&graph, seeds), [("ann".to_owned(), iv(1, 10))]);
         // A plan whose last `Bind` ends it, that binds nothing, or whose closure body

@@ -209,11 +209,11 @@ impl QueryState {
     /// empty table.
     pub(crate) fn build(plan_set: PlanSet, graph: &GraphRelations) -> Self {
         let mut step_stats = StepStats::default();
-        let num_slots = plan_set.variables.len();
+        let num_slots = plan_set.variables().len();
         let seeds = graph.seed_rows();
         let mut delta = CacheDelta::default();
-        let mut plans = Vec::with_capacity(plan_set.plans.len());
-        for plan in &plan_set.plans {
+        let mut plans = Vec::with_capacity(plan_set.plans().len());
+        for plan in plan_set.plans() {
             let mut cache = PlanCache {
                 bounds: engine::static_bounds(plan, graph.domain()),
                 bounds_domain: graph.domain(),
@@ -222,7 +222,7 @@ impl QueryState {
             cache.rerun(plan, num_slots, graph, &seeds, &mut step_stats, &mut delta);
             plans.push(cache);
         }
-        let mut table = Arc::new(BindingTable::new(plan_set.variables.clone()));
+        let mut table = Arc::new(BindingTable::new(plan_set.variables().to_vec()));
         let mut counts = Vec::new();
         merge_delta(&mut table, &mut counts, delta);
         QueryState {
@@ -305,9 +305,9 @@ impl QueryState {
         let times = std::mem::take(&mut self.pending_times);
         let rows_seen = std::mem::replace(&mut self.rows_seen, graph.nodes().len());
         let mut step_stats = StepStats::default();
-        let num_slots = self.plan_set.variables.len();
+        let num_slots = self.plan_set.variables().len();
         let mut delta = CacheDelta::default();
-        for (plan, cache) in self.plan_set.plans.iter().zip(&mut self.plans) {
+        for (plan, cache) in self.plan_set.plans().iter().zip(&mut self.plans) {
             let seeding = obs::Stopwatch::start();
             if cache.bounds_domain != graph.domain() {
                 // The domain widened since the bounds were cached; the closure
@@ -485,23 +485,24 @@ mod tests {
         let domain = Interval::of(0, 10);
         let hop = MicroOp::Hop(HopDirection::Forward);
         let filter = MicroOp::Filter(ObjFilter::default());
-        let plain = EnginePlan {
-            segments: vec![Segment { ops: vec![filter.clone(), hop.clone(), hop.clone()] }],
-            links: vec![],
-        };
+        let plain = EnginePlan::new(
+            vec![Segment { ops: vec![filter.clone(), hop.clone(), hop.clone()] }],
+            vec![],
+        )
+        .unwrap();
         assert_eq!(seeding_hops(&engine::static_bounds(&plain, domain)), Some(2));
-        let shifted = EnginePlan {
-            segments: vec![Segment { ops: vec![hop.clone()] }, Segment { ops: vec![hop.clone()] }],
-            links: vec![TemporalLink::Shift(Shift { forward: true, min: 0, max: None })],
-        };
+        let shifted = EnginePlan::new(
+            vec![Segment { ops: vec![hop.clone()] }, Segment { ops: vec![hop.clone()] }],
+            vec![TemporalLink::Shift(Shift { forward: true, min: 0, max: None })],
+        )
+        .unwrap();
         assert_eq!(seeding_hops(&engine::static_bounds(&shifted, domain)), Some(2));
         // An unbounded structural closure has no hop bound: its refresh looks
         // among every live row, narrowed by the batch's times.
         let closure = engine::plan::ClosureOp::structural(vec![vec![hop.clone()]], 0, None);
-        let with_closure = EnginePlan {
-            segments: vec![Segment { ops: vec![MicroOp::Closure(closure)] }],
-            links: vec![],
-        };
+        let with_closure =
+            EnginePlan::new(vec![Segment { ops: vec![MicroOp::Closure(closure)] }], vec![])
+                .unwrap();
         assert_eq!(seeding_hops(&engine::static_bounds(&with_closure, domain)), None);
         // A time-advancing closure is span-bounded — delta seeding applies...
         let advancing = engine::plan::ClosureOp {
@@ -513,10 +514,11 @@ mod tests {
             min: 0,
             max: None,
         };
-        let with_time_closure = EnginePlan {
-            segments: vec![Segment::default(), Segment::default()],
-            links: vec![TemporalLink::Closure(advancing.clone())],
-        };
+        let with_time_closure = EnginePlan::new(
+            vec![Segment::default(), Segment::default()],
+            vec![TemporalLink::Closure(advancing)],
+        )
+        .unwrap();
         assert_eq!(seeding_hops(&engine::static_bounds(&with_time_closure, domain)), Some(20));
         // ...until the domain is so wide that the sweep would dwarf the
         // recompute it replaces.
@@ -646,7 +648,7 @@ mod tests {
         // hops of `da`'s endpoints.
         let two_hops = graph.register_text("MATCH (x)-/FWD/:meets/FWD/-(y) ON live").unwrap();
         let hops = seeding_hops(&engine::static_bounds(
-            &graph.plan_set(two_hops).plans[0],
+            &graph.plan_set(two_hops).plans()[0],
             graph.relations().domain(),
         ));
         assert_eq!(hops, Some(2));

@@ -395,6 +395,11 @@ impl Server {
     /// Spawns `workers` worker threads serving queries against `graph`.
     /// At least one worker is always spawned.
     pub fn start(graph: Arc<ServeGraph>, workers: usize) -> Self {
+        Server::with_handler(graph, workers, handle)
+    }
+
+    /// [`Server::start`] with workers that answer each request with `handler`.
+    fn with_handler(graph: Arc<ServeGraph>, workers: usize, handler: Handler) -> Self {
         let telemetry = graph.options().telemetry;
         let (tx, rx) = mpsc::channel::<Job>();
         let rx = Arc::new(Mutex::new(rx));
@@ -404,7 +409,7 @@ impl Server {
                 let graph = Arc::clone(&graph);
                 let rx = Arc::clone(&rx);
                 let closed = Arc::clone(&closed);
-                thread::spawn(move || worker_loop(&graph, &rx, &closed))
+                thread::spawn(move || worker_loop(&graph, &rx, &closed, handler))
             })
             .collect();
         Server { tx: Mutex::new(Some(tx)), closed, workers: handles, telemetry }
@@ -472,7 +477,16 @@ impl Drop for Server {
     }
 }
 
-fn worker_loop(graph: &ServeGraph, rx: &Mutex<mpsc::Receiver<Job>>, closed: &AtomicBool) {
+/// What a worker does with one request: [`handle`] it, in every server but the
+/// ones this module's tests start to prove that a panic is contained.
+type Handler = fn(&ServeGraph, Request) -> Result<Response, LiveError>;
+
+fn worker_loop(
+    graph: &ServeGraph,
+    rx: &Mutex<mpsc::Receiver<Job>>,
+    closed: &AtomicBool,
+    handler: Handler,
+) {
     let metrics = graph.options().telemetry.then(crate::telemetry::serve_metrics);
     if let Some(metrics) = metrics {
         metrics.workers.add(1);
@@ -499,7 +513,12 @@ fn worker_loop(graph: &ServeGraph, rx: &Mutex<mpsc::Receiver<Job>>, closed: &Ato
                     // Abortive close: drain queued jobs without executing them.
                     Err(LiveError::ServerClosed)
                 } else {
-                    contained(graph, job.request)
+                    // Contain a panic: it becomes `WorkerPanicked` on this job's
+                    // ticket and the thread serves on.  The handler only reads the
+                    // shared graph (snapshots are immutable, the writer mutex
+                    // recovers from poisoning), so unwinding tears no shared state.
+                    panic::catch_unwind(AssertUnwindSafe(|| handler(graph, job.request)))
+                        .unwrap_or_else(|p| Err(LiveError::WorkerPanicked(panic_message(&p))))
                 };
                 if let Some(metrics) = metrics {
                     metrics.busy_workers.sub(1);
@@ -522,17 +541,6 @@ fn worker_loop(graph: &ServeGraph, rx: &Mutex<mpsc::Receiver<Job>>, closed: &Ato
             }
         }
     }
-}
-
-/// Executes one request with panic containment: a panicking execution becomes
-/// [`LiveError::WorkerPanicked`] on the requester's ticket and the worker
-/// thread survives to serve the next job.
-fn contained(graph: &ServeGraph, request: Request) -> Result<Response, LiveError> {
-    // `handle` only reads the shared graph (snapshots are immutable and the
-    // writer mutex recovers from poisoning), so unwinding cannot leave shared
-    // state torn — the unwind-safety assertion is sound.
-    panic::catch_unwind(AssertUnwindSafe(|| handle(graph, request)))
-        .unwrap_or_else(|payload| Err(LiveError::WorkerPanicked(panic_message(&payload))))
 }
 
 /// Renders a panic payload the way the default hook would.
@@ -752,6 +760,78 @@ mod tests {
             ticket
         };
         assert!(ticket.wait().is_ok(), "queued work drains before shutdown");
+        server.shutdown();
+    }
+
+    const HEALTHY: &str = "MATCH (x:Person) ON live";
+
+    fn populated_graph() -> Arc<ServeGraph> {
+        let graph =
+            Arc::new(ServeGraph::with_options(Itpg::empty(iv(1, 10)), ExecutionOptions::default()));
+        let mut batch = Batch::new(1);
+        batch.add_node("ann", "Person").add_existence("ann", iv(1, 9));
+        graph.ingest(&batch).unwrap();
+        graph
+    }
+
+    fn healthy_request() -> Request {
+        Request::AdHoc { text: HEALTHY.into(), mode: AnswerMode::Materialized }
+    }
+
+    /// A valid plan cannot panic a worker, so these servers inject the fault:
+    /// their workers panic on every compiled request and `handle` the rest.
+    fn panics_on_compiled(graph: &ServeGraph, request: Request) -> Result<Response, LiveError> {
+        if let Request::Compiled { .. } = request {
+            panic!("injected fault: a compiled request panics its worker");
+        }
+        handle(graph, request)
+    }
+
+    fn panicking_request() -> Request {
+        let plan = compile(&trpq::parser::parse_match(HEALTHY).unwrap()).unwrap();
+        Request::Compiled { plan: Arc::new(plan), mode: AnswerMode::Materialized }
+    }
+
+    #[test]
+    fn a_panicking_request_is_contained_and_the_worker_survives() {
+        let graph = populated_graph();
+        let server = Server::with_handler(Arc::clone(&graph), 1, panics_on_compiled);
+        let err = server.submit(panicking_request()).wait().unwrap_err();
+        let LiveError::WorkerPanicked(message) = err else {
+            panic!("expected WorkerPanicked, got: {err:?}");
+        };
+        assert!(!message.is_empty(), "the panic payload is carried to the requester");
+        // One worker only: the very thread that just unwound must serve this.
+        let response = server.submit(healthy_request()).wait().unwrap();
+        assert!(!response.answer.rows().unwrap().is_empty());
+        server.shutdown();
+    }
+
+    #[test]
+    fn panicking_requests_do_not_take_down_neighbours() {
+        let graph = populated_graph();
+        let server = Server::with_handler(Arc::clone(&graph), 2, panics_on_compiled);
+        let tickets: Vec<_> = (0..6)
+            .map(|i| {
+                if i % 2 == 0 {
+                    server.submit(panicking_request())
+                } else {
+                    server.submit(healthy_request())
+                }
+            })
+            .collect();
+        for (i, ticket) in tickets.into_iter().enumerate() {
+            let result = ticket.wait();
+            if i % 2 == 0 {
+                assert!(
+                    matches!(result, Err(LiveError::WorkerPanicked(_))),
+                    "ticket {i}: {result:?}"
+                );
+            } else {
+                let response = result.unwrap_or_else(|e| panic!("ticket {i} failed: {e}"));
+                assert!(!response.answer.rows().unwrap().is_empty());
+            }
+        }
         server.shutdown();
     }
 }

@@ -1,20 +1,18 @@
-//! Deterministic fault-handling tests for the query server: worker-panic
-//! containment, hostile ad-hoc query text (non-ASCII, nested past the
-//! parser's bound, or a repetition tower past the plan audit's) answered with
-//! an error, abortive close, and graceful shutdown draining.
+//! Deterministic fault-handling tests for the query server: hostile ad-hoc
+//! query text (non-ASCII, nested past the parser's bound, or a repetition
+//! tower past the plan audit's) answered with an error, abortive close, and
+//! graceful shutdown draining.
 //!
-//! The panic tests submit a request whose execution panics *deterministically*
-//! in every build profile: the plan smuggles a `Bind` inside a closure body,
-//! which the debug-mode plan audit rejects up front.  In release, whichever
-//! evaluator reaches the body refuses it with an `unreachable!`: the closure
-//! sits after the plan's last `Bind`, so it is an existential suffix and the
-//! backward suffix walk meets it first, and the forward closure evaluator
-//! refuses it the same way.  Either way the worker thread unwinds and the
-//! server must contain it.
+//! A malformed plan never reaches a worker: `Request::Compiled` carries a
+//! `PlanSet`, and the plan constructors refuse a malformed plan in every build
+//! profile.  The plan that once panicked a worker — a `Bind` smuggled inside
+//! a closure body — is refused where it is built.  Worker-panic containment is
+//! tested in `serve.rs`'s own tests, on servers whose workers panic on
+//! purpose.
 
 use std::sync::Arc;
 
-use engine::plan::{ClosureOp, ClosureStep, MicroOp};
+use engine::plan::{ClosureOp, ClosureStep, EnginePlan, MicroOp};
 use engine::{compile, AnswerMode, ExecutionOptions};
 use live::serve::{Request, ServeGraph, Server};
 use live::LiveError;
@@ -39,34 +37,28 @@ fn healthy_request() -> Request {
     Request::AdHoc { text: HEALTHY.into(), mode: AnswerMode::Materialized }
 }
 
-/// A pre-compiled request whose execution panics deterministically (see the
-/// module docs).  It must reach the server as `Request::Compiled`: the parser
-/// and compiler can never produce this shape, which is exactly why the
-/// executor treats it as a hard internal error.
-fn panicking_request() -> Request {
-    let mut plan = compile(&trpq::parser::parse_match(HEALTHY).unwrap()).unwrap();
+/// The plan that once panicked a worker in release builds, a `Bind` inside a
+/// closure body, is refused at construction with an issue naming the closure.
+#[test]
+fn a_bind_inside_a_closure_is_refused_at_construction() {
+    let plan_set = compile(&trpq::parser::parse_match(HEALTHY).unwrap()).unwrap();
+    let plan = &plan_set.plans()[0];
+    let mut segments = plan.segments().to_vec();
     let bad = ClosureOp {
         alternatives: vec![vec![ClosureStep::Micro(MicroOp::Bind(0))]],
         min: 1,
         max: Some(1),
     };
-    plan.plans[0].segments[0].ops.push(MicroOp::Closure(bad));
-    Request::Compiled { plan: Arc::new(plan), mode: AnswerMode::Materialized }
-}
-
-#[test]
-fn a_panicking_request_is_contained_and_the_worker_survives() {
-    let graph = populated_graph();
-    let server = Server::start(Arc::clone(&graph), 1);
-    let err = server.submit(panicking_request()).wait().unwrap_err();
-    let LiveError::WorkerPanicked(message) = err else {
-        panic!("expected WorkerPanicked, got: {err:?}");
-    };
-    assert!(!message.is_empty(), "the panic payload is carried to the requester");
-    // One worker only: the very thread that just unwound must serve this.
-    let response = server.submit(healthy_request()).wait().unwrap();
-    assert!(!response.answer.rows().unwrap().is_empty());
-    server.shutdown();
+    segments[0].ops.push(MicroOp::Closure(bad));
+    let closure_at = format!("segment 0, op {}", segments[0].ops.len() - 1);
+    let error = EnginePlan::new(segments, plan.links().to_vec()).unwrap_err();
+    let binds = error
+        .issues
+        .iter()
+        .find(|issue| issue.message.contains("closure alternative 0 binds slot 0"))
+        .unwrap_or_else(|| panic!("{error}"));
+    assert_eq!(binds.location, closure_at);
+    assert_eq!(binds.plan, None);
 }
 
 #[test]
@@ -108,31 +100,6 @@ fn non_ascii_query_text_is_an_error_not_a_panic() {
         let request = Request::AdHoc { text: text.into(), mode: AnswerMode::Materialized };
         let err = server.submit(request).wait().unwrap_err();
         assert!(matches!(err, LiveError::Query(trpq::QueryError::Parse { .. })), "{text}: {err:?}");
-    }
-    server.shutdown();
-}
-
-#[test]
-fn panicking_requests_do_not_take_down_neighbours() {
-    let graph = populated_graph();
-    let server = Server::start(Arc::clone(&graph), 2);
-    let tickets: Vec<_> = (0..6)
-        .map(|i| {
-            if i % 2 == 0 {
-                server.submit(panicking_request())
-            } else {
-                server.submit(healthy_request())
-            }
-        })
-        .collect();
-    for (i, ticket) in tickets.into_iter().enumerate() {
-        let result = ticket.wait();
-        if i % 2 == 0 {
-            assert!(matches!(result, Err(LiveError::WorkerPanicked(_))), "ticket {i}: {result:?}");
-        } else {
-            let response = result.unwrap_or_else(|e| panic!("ticket {i} failed: {e}"));
-            assert!(!response.answer.rows().unwrap().is_empty());
-        }
     }
     server.shutdown();
 }

@@ -1,11 +1,10 @@
-//! Fuzzed plan-audit tests: the static analyzer (`engine::plan::audit`) must
-//! accept every plan the compiler produces — over randomly generated surface
-//! queries spanning the whole practical fragment — and must reject every
-//! random structural mutation that breaks one of the invariants the executor
-//! and live maintenance rely on.
+//! Fuzzed plan-audit tests: the plan constructors, which run the static
+//! analyzer (`engine::plan::audit`), must accept every plan the compiler
+//! produces — over randomly generated surface queries spanning the whole
+//! practical fragment — and must refuse every random structural mutation that
+//! breaks one of the invariants the executor and live maintenance rely on.
 
-use engine::plan::audit::{audit, hop_depth};
-use engine::plan::{ClosureOp, MicroOp, PlanSet, Shift, TemporalLink};
+use engine::plan::{ClosureOp, EnginePlan, MicroOp, PlanSet, Segment, Shift, TemporalLink};
 use engine::{compile, ExecutionOptions, GraphRelations};
 use proptest::prelude::*;
 use tgraph::{Interval, ItpgBuilder};
@@ -60,29 +59,21 @@ fn tiny_graph() -> GraphRelations {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Every compilable query yields a plan set the audit certifies: the
+    /// Every generated query compiles, so its plan set passed the audit: the
     /// compiler's normalization (degenerate/unsatisfiable indicators dropped,
     /// closures placed by time-crossing, links matching segment arity) is
-    /// exactly what the analyzer checks.
+    /// exactly what the analyzer checks.  The generated texts bind two
+    /// distinct variables and expand to far fewer than `MAX_PLANS` plans, the
+    /// compiler's other two refusals.
     #[test]
     fn compiled_plans_always_pass_the_audit(path in path_strategy()) {
         let text = format!("MATCH (x:Person)-/{path}/-(y) ON g");
         let clause = parse_match(&text).expect("generated query is well-formed");
-        // Some surface forms are rejected at compile time (e.g. a path that is
-        // pure time navigation under an outer star); those never reach the
-        // executor, so only successful compilations are audited.
-        if let Ok(plan_set) = compile(&clause) {
-            let report = audit(&plan_set)
-                .unwrap_or_else(|e| panic!("compiled plan set failed the audit for {text}: {e}"));
-            prop_assert_eq!(report.hop_depths.len(), plan_set.plans.len());
-            for (plan, hops) in plan_set.plans.iter().zip(&report.hop_depths) {
-                prop_assert_eq!(hop_depth(plan), *hops);
-            }
-        }
+        let compiled = compile(&clause);
+        prop_assert!(compiled.is_ok(), "the audit refused the plans of {}: {:?}", text, compiled);
     }
 
-    /// An audited plan set executes without panicking (the executor's own
-    /// debug-assertion audit agrees with the standalone one).
+    /// A compiled plan set executes without panicking.
     #[test]
     fn audited_plans_execute(path in path_strategy()) {
         let text = format!("MATCH (x:Person)-/{path}/-(y) ON g");
@@ -93,60 +84,65 @@ proptest! {
         }
     }
 
-    /// Every invariant-breaking mutation of a well-formed plan is rejected
-    /// with a diagnostic naming the defect.
+    /// Every invariant-breaking mutation of a well-formed plan is refused
+    /// with a diagnostic naming the defect: by `EnginePlan::new`, or, for the
+    /// out-of-range slot that only the variables reveal, by `PlanSet::new`,
+    /// which names the plan.
     #[test]
     fn mutated_plans_always_fail_the_audit(mutation in 0..8usize, path in path_strategy()) {
         let text = format!("MATCH (x:Person)-/{path}/-(y) ON g");
         let clause = parse_match(&text).expect("generated query is well-formed");
         let Ok(plan_set) = compile(&clause) else { return Ok(()) };
-        if plan_set.plans.is_empty() {
-            return Ok(());
-        }
-        let broken = break_plan(plan_set, mutation);
-        let error = audit(&broken).expect_err("a broken plan must be rejected");
+        let Some(first) = plan_set.plans().first() else { return Ok(()) };
+        let (segments, links) = break_plan(first, mutation);
+        let built = EnginePlan::new(segments, links);
+        let error = if mutation == 6 {
+            let mut plans = plan_set.plans().to_vec();
+            plans[0] = built.expect("a plan alone has no variables to range-check its slots");
+            PlanSet::new(plans, plan_set.variables().to_vec())
+                .expect_err("a slot past the variables must be rejected")
+        } else {
+            built.expect_err("a broken plan must be rejected")
+        };
         prop_assert!(!error.issues.is_empty());
         for issue in &error.issues {
-            prop_assert!(issue.plan.is_some(), "issues name the offending plan");
+            prop_assert_eq!(issue.plan, (mutation == 6).then_some(0), "only a set names plans");
             prop_assert!(!issue.message.is_empty());
         }
     }
 }
 
-/// Applies one of eight invariant-breaking mutations to the first plan.
-fn break_plan(mut plan_set: PlanSet, mutation: usize) -> PlanSet {
+/// Applies one of eight invariant-breaking mutations to copies of a plan's
+/// segments and links.
+fn break_plan(plan: &EnginePlan, mutation: usize) -> (Vec<Segment>, Vec<TemporalLink>) {
     let unsat = Shift { forward: true, min: 3, max: Some(1) };
-    let plan = &mut plan_set.plans[0];
+    let (mut segments, mut links) = (plan.segments().to_vec(), plan.links().to_vec());
     match mutation {
         // Link-arity violations.
-        0 => plan.segments.push(engine::plan::Segment::default()),
-        1 => plan.links.push(TemporalLink::Shift(unsat)),
+        0 => segments.push(Segment::default()),
+        1 => links.push(TemporalLink::Shift(unsat)),
         // Unsatisfiable / degenerate operators the compiler normalizes away.
         2 => {
-            plan.segments.push(engine::plan::Segment::default());
-            plan.links.push(TemporalLink::Shift(unsat));
+            segments.push(Segment::default());
+            links.push(TemporalLink::Shift(unsat));
         }
-        3 => plan.segments[0].ops.push(MicroOp::Closure(ClosureOp::structural(
-            vec![vec![]],
-            0,
-            None,
-        ))),
-        4 => plan.segments[0].ops.push(MicroOp::Closure(ClosureOp {
+        3 => segments[0].ops.push(MicroOp::Closure(ClosureOp::structural(vec![vec![]], 0, None))),
+        4 => segments[0].ops.push(MicroOp::Closure(ClosureOp {
             alternatives: vec![],
             min: 0,
             max: None,
         })),
-        5 => plan.segments[0].ops.push(MicroOp::Closure(ClosureOp::structural(
+        5 => segments[0].ops.push(MicroOp::Closure(ClosureOp::structural(
             vec![vec![MicroOp::Hop(engine::plan::HopDirection::Forward)]],
             1,
             Some(1),
         ))),
         // Binding violations: out-of-range slot, then a duplicate bind.
-        6 => plan.segments[0].ops.push(MicroOp::Bind(usize::MAX)),
+        6 => segments[0].ops.push(MicroOp::Bind(usize::MAX)),
         _ => {
-            plan.segments[0].ops.push(MicroOp::Bind(0));
-            plan.segments[0].ops.push(MicroOp::Bind(0));
+            segments[0].ops.push(MicroOp::Bind(0));
+            segments[0].ops.push(MicroOp::Bind(0));
         }
     }
-    plan_set
+    (segments, links)
 }

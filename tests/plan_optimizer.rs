@@ -274,7 +274,7 @@ proptest! {
         let closures = [REACH, RECUR].map(|text| Query::parse(text).expect("compiles"));
         let queries = QueryId::ALL.iter().map(|&id| Query::benchmark(id)).chain(closures);
         for (index, query) in queries.enumerate() {
-            for plan in &query.plan_set().plans {
+            for plan in query.plan_set().plans() {
                 let whole = run(plan, &seeds[..]);
                 let mut pieces = Vec::new();
                 let mut from = 0;
@@ -312,7 +312,7 @@ fn x_bindings(query: Query, graph: &GraphRelations) -> BTreeSet<Binding> {
 fn check_suffix_runs(label: &str, text: &str, graph: &GraphRelations, slice_len: usize) {
     let written = Query::parse(text).expect("compiles");
     let seeds = graph.seed_rows();
-    for plan in &written.plan_set().plans {
+    for plan in written.plan_set().plans() {
         let mut pieces = Vec::new();
         for slice in seeds.chunks(slice_len) {
             let mut stats = StepStats::default();
@@ -356,7 +356,7 @@ fn masked_runs_return_the_chains_of_their_unmasked_slices() {
         if query.plan_set() != Query::benchmark(id).plan_set() {
             check_suffix_runs(id.name(), id.text(), &graph, slice_len);
         }
-        for plan in &query.plan_set().plans {
+        for plan in query.plan_set().plans() {
             let mut pieces = Vec::new();
             let mut sliced = StepStats::default();
             for slice in seeds.chunks(slice_len) {
@@ -398,7 +398,7 @@ fn fixpoint_plans_run_unmasked_whatever_their_anchor() {
     check_suffix_runs("RECUR", RECUR, &graph, 256);
     for text in [bound_last(RECUR), REACH.to_owned()] {
         let query = Query::parse(&text).expect("compiles");
-        let plan = &query.plan_set().plans[0];
+        let plan = &query.plan_set().plans()[0];
         let mut stats = StepStats::default();
         let chains = run_plan_seeded(plan, &graph, &seeds, &mut stats);
         assert_eq!(viability_outcomes(&stats), (0, 0), "{text}");

@@ -1,8 +1,8 @@
 //! Query text never panics the engine: arbitrary strings, multi-byte characters
 //! included, and mutated texts of the benchmark queries Q1–Q12 and the REACH /
-//! RECUR closure workloads go through parse → `compile` → `audit` → `analyze`,
-//! and every text that compiles also passes the audit and runs on the Figure 1
-//! graph in all three answer modes, its cursor drained.  Each call must return
+//! RECUR closure workloads go through parse → `compile` → `analyze`, and every
+//! text that compiles (its plans built by the audited constructors) runs on the
+//! Figure 1 graph in all three answer modes, its cursor drained.  Each call must return
 //! `Ok` or `Err`.  Mutations also splice in nested groups, up to twice the
 //! nesting bound [`MAX_GROUP_DEPTH`], and runs of union groups, up to past the
 //! plan bound [`MAX_PLANS`]; text at the nesting bound runs through every stage
@@ -15,7 +15,7 @@ use proptest::prelude::*;
 
 use engine::plan::audit::{MAX_CLOSURE_DEPTH, MAX_PLANS, MAX_STATIC_HOPS};
 use engine::{
-    analyze, audit, compile, execute_answers, AnswerMode, ExecutionOptions, GraphRelations, Query,
+    analyze, compile, execute_answers, AnswerMode, ExecutionOptions, GraphRelations, Query,
     SchemaSummary,
 };
 use trpq::error::QueryError;
@@ -77,7 +77,6 @@ fn seeds() -> Vec<&'static str> {
 fn exercise(text: &str, graph: &GraphRelations, schema: &SchemaSummary) {
     let Ok(clause) = trpq::parser::parse_match(text) else { return };
     let Ok(plan_set) = compile(&clause) else { return };
-    assert!(audit(&plan_set).is_ok(), "{text} compiles to a plan set the audit refuses");
     let _ = analyze(&plan_set, schema);
     for mode in [AnswerMode::Materialized, AnswerMode::Compact, AnswerMode::Enumerate] {
         let options = ExecutionOptions::default().with_mode(mode).with_telemetry(false);
@@ -223,8 +222,7 @@ fn nesting_at_the_bound_runs_through_every_stage() {
             let levels = MAX_GROUP_DEPTH - group_depth(seed);
             let Some(text) = nest(seed, levels, wrap) else { continue };
             assert_eq!(group_depth(&text), MAX_GROUP_DEPTH);
-            let plan_set = compile(&trpq::parser::parse_match(&text).unwrap()).unwrap();
-            assert!(audit(&plan_set).is_ok(), "{text}");
+            compile(&trpq::parser::parse_match(&text).unwrap()).unwrap();
             exercise(&text, &graph, &schema);
             let deeper = nest(seed, levels + 1, wrap).unwrap();
             let err = trpq::parser::parse_match(&deeper).unwrap_err();
@@ -238,14 +236,22 @@ fn path_of(item: &str, count: usize) -> String {
     format!("MATCH (x:Person)-/{}/-(y) ON g", vec![item; count].join("/"))
 }
 
+/// `count` hops and then a closure whose body matches nothing on Figure 1:
+/// the optimizer drops it, which leaves a plan of `count` hops and no closure
+/// (for an even `count`, which ends the hops on a node).
+fn hops_then_dead_closure(count: usize) -> String {
+    format!("MATCH (x:Person)-/{}/(FWD/:nothing/FWD)*/-(y) ON g", vec!["FWD"; count].join("/"))
+}
+
 /// Texts that parse but whose plans pass a bound: a repetition tower one
-/// deeper than the audit accepts, one hop more than it accepts, and unions
-/// that multiply past the plan bound.
-fn past_the_plan_bounds() -> [String; 3] {
+/// deeper than the audit accepts, one hop more than it accepts (also with a
+/// closure behind the hops), and unions that multiply past the plan bound.
+fn past_the_plan_bounds() -> [String; 4] {
     let tower = MAX_CLOSURE_DEPTH + 1;
     [
         format!("MATCH (x)-/{}FWD{}/-(y) ON g", "(".repeat(tower), ")*".repeat(tower)),
         path_of("FWD", MAX_STATIC_HOPS + 44),
+        hops_then_dead_closure(MAX_STATIC_HOPS + 2),
         path_of("(FWD+BWD)", 40),
     ]
 }
@@ -259,7 +265,7 @@ fn texts_past_the_plan_bounds_are_compile_errors() {
         assert!(matches!(err, QueryError::UnsupportedFragment { .. }), "{err:?}");
         never_panics(&text, &graph).unwrap();
     }
-    // At the bounds they compile, and the plans pass the audit.
+    // At the bounds they compile: the plans pass the audit.
     let tower = MAX_CLOSURE_DEPTH;
     let at_the_bounds = [
         format!("MATCH (x)-/{}FWD{}/-(y) ON g", "(".repeat(tower), ")*".repeat(tower)),
@@ -267,9 +273,16 @@ fn texts_past_the_plan_bounds_are_compile_errors() {
         path_of("(FWD+BWD)", MAX_PLANS.ilog2() as usize),
     ];
     for text in at_the_bounds {
-        let plan_set = compile(&trpq::parser::parse_match(&text).unwrap()).unwrap();
-        assert!(audit(&plan_set).is_ok(), "{text}");
+        let compiled = compile(&trpq::parser::parse_match(&text).unwrap());
+        assert!(compiled.is_ok(), "{text}: {compiled:?}");
     }
+    // The optimizer rebuilds the plan without its dead closure, through the
+    // plan constructor, and the rebuilt plan is within the hop bound too.
+    let text = hops_then_dead_closure(MAX_STATIC_HOPS);
+    let plan_set = compile(&trpq::parser::parse_match(&text).unwrap()).unwrap();
+    let optimized = analyze(&plan_set, &SchemaSummary::of(&graph)).optimized;
+    assert_eq!(optimized.plans().len(), 1);
+    assert!(!optimized.plans()[0].has_fixpoint(), "the dead closure is dropped");
 }
 
 #[test]
