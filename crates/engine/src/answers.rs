@@ -32,9 +32,9 @@ use trpq::Result;
 use crate::bindings::{Binding, BindingTable, TimeRef};
 use crate::chain::Chain;
 use crate::executor::{execute_answers, ExecutionOptions, QueryOutput, QueryStats};
-use crate::plan::{EnginePlan, PlanSet, TemporalLink};
+use crate::plan::{EnginePlan, PlanSet};
 use crate::relations::GraphRelations;
-use crate::steps::expand::expand_chains;
+use crate::steps::expand::{expand_chains, ChainView};
 
 /// How [`Query::run`] shapes its answers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -335,21 +335,13 @@ impl CompactAnswers {
 }
 
 /// Builds compact answers from the interval-level chains of every plan, without
-/// expanding a single row.
-///
-/// Per chain, the target's answer times are the *feasible* time points of its
-/// segment: the segment's interval intersected with the backward-propagated
-/// admissibility window of all later segments.  Forward feasibility needs no
-/// check — the executor's interval construction guarantees every point of a
-/// segment's final interval is reachable from some point of its predecessor
-/// (shift windows are unions of per-departure windows; time-closure bands are
-/// normalised so every arrival has an admissible departure) — so interval-wise
-/// backward propagation is exact.
+/// expanding a single row: per chain, the target's answer times are the times of
+/// its segment from which every later segment can be completed
+/// ([`ChainView::compact`]).
 pub(crate) fn compact_from_chains(
     plan_set: &PlanSet,
     per_plan_chains: &[Vec<Chain>],
 ) -> CompactAnswers {
-    let num_slots = plan_set.variables().len();
     let mut compact = CompactAnswers {
         columns: (
             plan_set.variables().first().cloned().unwrap_or_default(),
@@ -357,81 +349,14 @@ pub(crate) fn compact_from_chains(
         ),
         pairs: BTreeMap::new(),
     };
-    if num_slots == 0 {
-        return compact;
-    }
     for (plan, chains) in plan_set.plans().iter().zip(per_plan_chains) {
-        let lag_indices = plan.lag_indices();
         for chain in chains {
-            let (Some(source), Some(target)) = (
-                chain.bound.iter().find(|b| b.slot == 0),
-                chain.bound.iter().find(|b| b.slot as usize == num_slots - 1),
-            ) else {
-                debug_assert!(false, "first or last variable slot was never bound");
-                continue;
-            };
-            if plan.is_purely_structural() {
-                compact.insert(source.object, target.object, chain.interval);
-                continue;
-            }
-            let intervals = chain.all_segment_intervals();
-            if let Some(window) =
-                feasible_window(plan, chain, &lag_indices, &intervals, target.segment as usize)
-            {
-                compact.insert(source.object, target.object, window);
+            if let Some((source, target, window)) = ChainView::new(plan, chain).compact() {
+                compact.insert(source, target, window);
             }
         }
     }
     compact
-}
-
-/// The time points of `segment` from which all *later* segments can be assigned
-/// consistent time points: interval-wise backward propagation of the link
-/// constraints from the last segment, exact because each link's preimage of an
-/// interval is an interval.
-fn feasible_window(
-    plan: &EnginePlan,
-    chain: &Chain,
-    lag_indices: &[Option<usize>],
-    intervals: &[Interval],
-    segment: usize,
-) -> Option<Interval> {
-    let mut window = *intervals.last().expect("chains cover at least one segment");
-    for i in (segment..intervals.len() - 1).rev() {
-        // `window` holds the feasible times of segment i + 1; pull it back through
-        // the link between segments i and i + 1 (arrival − departure bounds, as
-        // signed arithmetic to survive open-ended and backward links).
-        let (lo, hi) = match &plan.links()[i] {
-            TemporalLink::Shift(shift) => {
-                if shift.forward {
-                    let lo = match shift.max {
-                        Some(m) => window.start() as i128 - m as i128,
-                        None => i128::MIN,
-                    };
-                    (lo, window.end() as i128 - shift.min as i128)
-                } else {
-                    let hi = match shift.max {
-                        Some(m) => window.end() as i128 + m as i128,
-                        None => i128::MAX,
-                    };
-                    (window.start() as i128 + shift.min as i128, hi)
-                }
-            }
-            TemporalLink::Closure(_) => {
-                let index = lag_indices[i].expect("closure links carry a lag index");
-                let lag = chain.lags[index];
-                (window.start() as i128 - lag.hi, window.end() as i128 - lag.lo)
-            }
-        };
-        let own = intervals[i];
-        let lo = lo.max(own.start() as i128);
-        let hi = hi.min(own.end() as i128);
-        if lo > hi {
-            return None;
-        }
-        window = Interval::of(lo as u64, hi as u64);
-    }
-    Some(window)
 }
 
 // ---------------------------------------------------------------------------
@@ -451,7 +376,6 @@ fn feasible_window(
 #[derive(Debug)]
 pub struct AnswerCursor {
     columns: Vec<String>,
-    num_slots: usize,
     plans: Vec<EnginePlan>,
     /// Unopened chains, ascending by `lower`; `next_pending` indexes the first.
     pending: Vec<PendingChain>,
@@ -484,20 +408,17 @@ impl AnswerCursor {
         per_plan_chains: Vec<Vec<Chain>>,
         telemetry: bool,
     ) -> Self {
-        let num_slots = plan_set.variables().len();
         let mut pending = Vec::new();
         for (plan_index, chains) in per_plan_chains.into_iter().enumerate() {
             let plan = &plan_set.plans()[plan_index];
             for chain in chains {
-                if let Some(lower) = lower_bound_row(plan, num_slots, &chain) {
-                    pending.push(PendingChain { lower, plan: plan_index, chain });
-                }
+                let lower = ChainView::new(plan, &chain).lower_bound();
+                pending.push(PendingChain { lower, plan: plan_index, chain });
             }
         }
         pending.sort_by(|a, b| a.lower.cmp(&b.lower));
         AnswerCursor {
             columns: plan_set.variables().to_vec(),
-            num_slots,
             plans: plan_set.plans().to_vec(),
             pending,
             next_pending: 0,
@@ -544,7 +465,7 @@ impl AnswerCursor {
             }
             self.next_pending += 1;
             let chain = std::slice::from_ref(&due.chain);
-            expand_chains(&self.plans[due.plan], self.num_slots, chain, &mut rows);
+            expand_chains(&self.plans[due.plan], chain, &mut rows);
             self.heap.extend(rows.drain(..).map(Reverse));
         }
         self.peak_buffered_rows = self.peak_buffered_rows.max(self.heap.len());
@@ -578,30 +499,6 @@ impl Iterator for AnswerCursor {
         self.rows_yielded += 1;
         Some(row)
     }
-}
-
-/// A row that compares less than or equal to every row `chain` can produce.
-///
-/// Structural plans expand a chain into exactly one row, which is its own bound.
-/// Temporal plans bind each slot's object at some time point inside its segment's
-/// interval, so binding every slot at its interval's *start* is component-wise (and
-/// therefore lexicographically) below every produced row.
-fn lower_bound_row(plan: &EnginePlan, num_slots: usize, chain: &Chain) -> Option<Vec<Binding>> {
-    let mut row = Vec::with_capacity(num_slots);
-    let structural = plan.is_purely_structural();
-    let intervals = if structural { Vec::new() } else { chain.all_segment_intervals() };
-    for slot in 0..num_slots {
-        let Some(var) = chain.bound.iter().find(|b| b.slot as usize == slot) else {
-            debug_assert!(false, "variable slot {slot} was never bound");
-            return None;
-        };
-        if structural {
-            row.push(Binding::over_interval(var.object, chain.interval));
-        } else {
-            row.push(Binding::at_point(var.object, intervals[var.segment as usize].start()));
-        }
-    }
-    Some(row)
 }
 
 #[cfg(test)]
@@ -663,14 +560,13 @@ mod tests {
     fn expansions(g: &GraphRelations, text: &str) -> Vec<Vec<Vec<Vec<Binding>>>> {
         let query = Query::parse(text).unwrap();
         let plan_set = query.plan_set();
-        let num_slots = plan_set.variables().len();
         let mut stats = crate::steps::StepStats::default();
         let seeds = g.seed_rows();
         let per_plan = plan_set.plans().iter().map(|plan| {
             let chains = crate::executor::run_plan_seeded(plan, g, &seeds, &mut stats);
             let expand = |chain: &Chain| {
                 let mut rows = Vec::new();
-                expand_chains(plan, num_slots, std::slice::from_ref(chain), &mut rows);
+                expand_chains(plan, std::slice::from_ref(chain), &mut rows);
                 rows
             };
             chains.iter().map(expand).collect()

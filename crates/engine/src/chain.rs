@@ -2,13 +2,20 @@
 //!
 //! Steps 1–2 carry a match as a [`Cursor`]: a fixed-width `Copy` value holding only
 //! what a hop or a filter reads and writes (row, accumulated interval, segment
-//! index).  What a match has *recorded* — variable bindings, the final interval of
-//! every finished segment, the time skew of every closure boundary crossed — is
+//! index).  What a match has *recorded* — the objects it bound, the final interval
+//! of every finished segment, the time skew of every closure boundary crossed — is
 //! appended to the batch's [`Trail`], a parent-linked arena the cursor points into.
 //! A hop is therefore a plain copy, a cursor a filter drops costs nothing, and the
 //! cursors a step fans one match out to share their history.  Only a cursor that
 //! survives every step is spelled out, once, as the owned [`Chain`] that Step 3 and
 //! the answer shapes consume.
+//!
+//! What is the same for every match of a plan — which variable binds in which
+//! segment, where each link's time skew comes from — is not recorded at all: it is
+//! the plan's [`ChainLayout`](crate::plan::ChainLayout), worked out once when the
+//! plan is built, and a chain is read through it.
+
+use std::ops::Deref;
 
 use tgraph::{Interval, Object, Time};
 
@@ -82,49 +89,59 @@ impl TimeLag {
         let delta = to as i128 - from as i128;
         self.lo <= delta && delta <= self.hi
     }
+
+    /// The times of `within` from which some time of `arrival` is reached with a
+    /// skew the lag admits, if any: `[arrival.start − hi, arrival.end − lo]`
+    /// clamped to `within`.  Exact, since the pre-image of an interval under a
+    /// band of skews is an interval.
+    pub fn departure_into(&self, arrival: Interval, within: Interval) -> Option<Interval> {
+        let lo = (arrival.start() as i128).saturating_sub(self.hi).max(within.start() as i128);
+        let hi = (arrival.end() as i128).saturating_sub(self.lo).min(within.end() as i128);
+        (lo <= hi).then(|| Interval::of(lo as u64, hi as u64))
+    }
 }
 
-/// One binding recorded while matching: `(variable slot, segment index, object)`.
-/// The binding time is the time point eventually chosen for that segment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BoundVar {
-    /// Variable slot (index into [`crate::plan::PlanSet::variables`]).
-    pub slot: u32,
-    /// The segment during which the variable was bound.
-    pub segment: u32,
-    /// The bound node or edge.
-    pub object: Object,
-}
-
-/// A partially (or fully) matched pattern instance.
+/// A matched pattern instance, as Steps 1–2 leave it: only what varies from one
+/// match of its plan to the next.  The plan's
+/// [`ChainLayout`](crate::plan::ChainLayout) says what each entry is.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Chain {
     /// The node row this chain was seeded at (Step 1 seeds one chain per live node
     /// row).  Live query maintenance groups chains by the seed's node to reuse
     /// results of seeds a delta cannot have affected.
     pub seed: u32,
-    /// Final validity intervals of the segments completed so far, in order.
-    pub seg_intervals: Vec<Interval>,
-    /// The admissible time skew of every time-crossing closure boundary crossed so
-    /// far, in crossing order.  Plain shift boundaries carry their constraint in the
-    /// plan ([`crate::plan::TemporalLink::Shift`]) and contribute no entry here.
+    /// The bound objects, in the plan's bind order
+    /// ([`ChainLayout::binds`](crate::plan::ChainLayout::binds)).
+    pub bound: Vec<Object>,
+    /// The validity interval of each segment the chain covers, in segment order
+    /// (the current one last): the intersection of the validity intervals of every
+    /// row traversed and every filter applied in that segment.
+    pub intervals: Intervals,
+    /// The admissible time skew of every time-crossing closure boundary crossed,
+    /// in crossing order.  Plain shift boundaries carry their constraint in the
+    /// plan ([`crate::plan::LinkLag::Fixed`]) and contribute no entry here.
     pub lags: Vec<TimeLag>,
-    /// Variables bound so far.
-    pub bound: Vec<BoundVar>,
-    /// The cursor position within the current segment.
-    pub position: Position,
-    /// The validity interval of the current segment so far: the intersection of the
-    /// validity intervals of every row traversed and every filter applied since the
-    /// segment started.
-    pub interval: Interval,
 }
 
-impl Chain {
-    /// All segment intervals including the (finished) current one.
-    pub fn all_segment_intervals(&self) -> Vec<Interval> {
-        let mut out = self.seg_intervals.clone();
-        out.push(self.interval);
-        out
+/// The interval of each segment a chain covers, read as one slice.  Most chains
+/// cover one segment (every chain of a plan without temporal links), and theirs is
+/// held inline: spelling such a chain out allocates only its bound objects.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Intervals {
+    /// The interval of a chain's only segment.
+    One(Interval),
+    /// The intervals of two or more segments.
+    Many(Vec<Interval>),
+}
+
+impl Deref for Intervals {
+    type Target = [Interval];
+
+    fn deref(&self) -> &[Interval] {
+        match self {
+            Intervals::One(interval) => std::slice::from_ref(interval),
+            Intervals::Many(intervals) => intervals,
+        }
     }
 }
 
@@ -144,7 +161,8 @@ pub struct Cursor {
     pub segment: u32,
     /// The cursor position within the current segment.
     pub position: Position,
-    /// The validity interval of the current segment so far ([`Chain::interval`]).
+    /// The validity interval of the current segment so far (the last of
+    /// [`Chain::intervals`]).
     pub interval: Interval,
 }
 
@@ -163,10 +181,10 @@ impl Cursor {
         }
     }
 
-    /// Records a variable binding at the current position.
-    pub fn bind(&mut self, slot: u32, graph: &GraphRelations, trail: &mut Trail) {
-        let var = BoundVar { slot, segment: self.segment, object: self.position.object(graph) };
-        self.trail = trail.record(self.trail, TrailEvent::Bind(var));
+    /// Records the object at the current position as the plan's next binding.
+    pub fn bind(&mut self, graph: &GraphRelations, trail: &mut Trail) {
+        let object = self.position.object(graph);
+        self.trail = trail.record(self.trail, TrailEvent::Bind(object));
     }
 
     /// The cursor starting the next segment at `position`, its history continuing
@@ -181,9 +199,9 @@ impl Cursor {
 /// One thing a match recorded on its way through Steps 1–2.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TrailEvent {
-    /// A variable was bound ([`Chain::bound`]).
-    Bind(BoundVar),
-    /// A segment finished over this interval ([`Chain::seg_intervals`]).
+    /// The next variable was bound to this object ([`Chain::bound`]).
+    Bind(Object),
+    /// A segment finished over this interval ([`Chain::intervals`]).
     SegmentEnd(Interval),
     /// A time-crossing closure boundary was crossed with this skew ([`Chain::lags`]).
     Lag(TimeLag),
@@ -193,7 +211,8 @@ pub enum TrailEvent {
 /// [`TrailEvent`]s, each linked to the event recorded before it by the same match.
 /// Matches that fan out from a common prefix share its entries, and entries of
 /// matches that died are simply never visited again; the whole arena is dropped with
-/// its batch.
+/// its batch.  An event records only what varies between matches: a bind records
+/// its object, since the plan fixes its slot and segment.
 #[derive(Debug, Default)]
 pub struct Trail {
     events: Vec<(u32, TrailEvent)>,
@@ -223,30 +242,29 @@ impl Trail {
     /// Spells a cursor out as the owned [`Chain`] it stands for: one walk up the
     /// parent links, every component in recording order.
     pub fn materialize(&self, cursor: &Cursor) -> Chain {
-        let mut seg_intervals = Vec::with_capacity(cursor.segment as usize);
-        let mut lags = Vec::new();
-        let mut bound = Vec::new();
+        let mut intervals = Vec::with_capacity(cursor.segment as usize);
+        let (mut bound, mut lags) = (Vec::new(), Vec::new());
         let mut at = cursor.trail;
         while at != Self::ROOT {
             let (parent, event) = self.events[at as usize];
             match event {
-                TrailEvent::Bind(var) => bound.push(var),
-                TrailEvent::SegmentEnd(interval) => seg_intervals.push(interval),
+                TrailEvent::Bind(object) => bound.push(object),
+                TrailEvent::SegmentEnd(interval) => intervals.push(interval),
                 TrailEvent::Lag(lag) => lags.push(lag),
             }
             at = parent;
         }
-        seg_intervals.reverse();
-        lags.reverse();
         bound.reverse();
-        Chain {
-            seed: cursor.seed,
-            seg_intervals,
-            lags,
-            bound,
-            position: cursor.position,
-            interval: cursor.interval,
-        }
+        lags.reverse();
+        let intervals = match cursor.segment {
+            0 => Intervals::One(cursor.interval),
+            _ => {
+                intervals.reverse();
+                intervals.push(cursor.interval);
+                Intervals::Many(intervals)
+            }
+        };
+        Chain { seed: cursor.seed, bound, intervals, lags }
     }
 }
 
@@ -259,8 +277,8 @@ mod tests {
         Interval::of(a, b)
     }
 
-    fn var(slot: u32, segment: u32) -> BoundVar {
-        BoundVar { slot, segment, object: Object::Node(NodeId(slot)) }
+    fn node(id: u32) -> Object {
+        Object::Node(NodeId(id))
     }
 
     #[test]
@@ -275,16 +293,16 @@ mod tests {
         };
         // A cursor that recorded nothing is a chain with empty history.
         let bare = trail.materialize(&root);
-        assert_eq!((bare.seed, bare.position, bare.interval), (7, root.position, iv(0, 9)));
-        assert!(bare.bound.is_empty() && bare.seg_intervals.is_empty() && bare.lags.is_empty());
+        assert_eq!((bare.seed, &*bare.intervals), (7, &[iv(0, 9)][..]));
+        assert!(bare.bound.is_empty() && bare.lags.is_empty());
 
         // Shared prefix: bind x, end segment 0.  Then two branches: a plain shift
         // arrival that binds y, and a closure crossing that ends a second segment,
         // records a lag, crosses again and binds z.
-        let x = trail.record(root.trail, TrailEvent::Bind(var(0, 0)));
+        let x = trail.record(root.trail, TrailEvent::Bind(node(0)));
         let ended = trail.record(x, TrailEvent::SegmentEnd(iv(1, 3)));
         let left = Cursor {
-            trail: trail.record(ended, TrailEvent::Bind(var(1, 1))),
+            trail: trail.record(ended, TrailEvent::Bind(node(1))),
             segment: 1,
             position: Position::EdgeRow(2),
             interval: iv(4, 5),
@@ -295,7 +313,7 @@ mod tests {
         let mut at = trail.record(ended, TrailEvent::Lag(first));
         at = trail.record(at, TrailEvent::SegmentEnd(iv(2, 2)));
         at = trail.record(at, TrailEvent::Lag(second));
-        at = trail.record(at, TrailEvent::Bind(var(2, 2)));
+        at = trail.record(at, TrailEvent::Bind(node(2)));
         let right = Cursor { trail: at, segment: 2, interval: iv(6, 8), ..root };
         assert_eq!(trail.len(), 7);
 
@@ -303,25 +321,21 @@ mod tests {
             trail.materialize(&left),
             Chain {
                 seed: 7,
-                seg_intervals: vec![iv(1, 3)],
+                bound: vec![node(0), node(1)],
+                intervals: Intervals::Many(vec![iv(1, 3), iv(4, 5)]),
                 lags: vec![],
-                bound: vec![var(0, 0), var(1, 1)],
-                position: Position::EdgeRow(2),
-                interval: iv(4, 5),
             }
         );
         assert_eq!(
             trail.materialize(&right),
             Chain {
                 seed: 7,
-                seg_intervals: vec![iv(1, 3), iv(2, 2)],
+                bound: vec![node(0), node(2)],
+                intervals: Intervals::Many(vec![iv(1, 3), iv(2, 2), iv(6, 8)]),
                 lags: vec![first, second],
-                bound: vec![var(0, 0), var(2, 2)],
-                position: Position::NodeRow(7),
-                interval: iv(6, 8),
             }
         );
         // Materialising reads the trail; the other leaf is still intact.
-        assert_eq!(trail.materialize(&left).bound, vec![var(0, 0), var(1, 1)]);
+        assert_eq!(trail.materialize(&left).bound, vec![node(0), node(1)]);
     }
 }

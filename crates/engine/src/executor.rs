@@ -226,16 +226,11 @@ fn run_interval_phase(
 /// Step 3: expands the interval-level chains of every plan alternative into one
 /// vector of binding rows, sorts and deduplicates it into the full binding table,
 /// then finalises and records the measurements.
-fn materialize(
-    plan_set: &PlanSet,
-    options: &ExecutionOptions,
-    phase: &IntervalPhase,
-) -> QueryOutput {
+fn materialize(plan_set: &PlanSet, options: &ExecutionOptions, phase: &IntervalPhase) -> Answers {
     let step3 = Span::enter(options.telemetry.then(|| &crate::telemetry::metrics().span_step3));
-    let num_slots = plan_set.variables().len();
     let mut rows = Vec::new();
     for (plan, chains) in plan_set.plans().iter().zip(&phase.per_plan_chains) {
-        expand_chains(plan, num_slots, chains, &mut rows);
+        expand_chains(plan, chains, &mut rows);
     }
     rows.sort_unstable();
     rows.dedup();
@@ -243,7 +238,7 @@ fn materialize(
     step3.finish();
     let stats = phase.finish(table.len());
     phase.record_metrics(&stats, options.telemetry);
-    QueryOutput { table, stats }
+    Answers::new(AnswerSet::Table(table), stats)
 }
 
 /// Executes a compiled plan set over a graph, materialising the full binding table
@@ -253,9 +248,11 @@ pub fn execute(
     graph: &GraphRelations,
     options: &ExecutionOptions,
 ) -> QueryOutput {
-    let plan_set = effective_plan_set(plan_set, graph, options);
-    let phase = run_interval_phase(&plan_set, graph, options);
-    materialize(&plan_set, options, &phase)
+    let options = options.with_mode(AnswerMode::Materialized);
+    let Some(output) = execute_answers(plan_set, graph, &options).into_output() else {
+        unreachable!("the materialized mode answers with a table")
+    };
+    output
 }
 
 /// Executes a compiled plan set over a graph, shaping the answers according to
@@ -271,10 +268,7 @@ pub fn execute_answers(
     let telemetry = options.telemetry;
     let phase = run_interval_phase(plan_set, graph, options);
     match options.answer_mode {
-        AnswerMode::Materialized => {
-            let QueryOutput { table, stats } = materialize(plan_set, options, &phase);
-            Answers::new(AnswerSet::Table(table), stats)
-        }
+        AnswerMode::Materialized => materialize(plan_set, options, &phase),
         AnswerMode::Compact => {
             let span = Span::enter(telemetry.then(|| &crate::telemetry::metrics().span_compact));
             let compact = compact_from_chains(plan_set, &phase.per_plan_chains);
@@ -876,7 +870,7 @@ mod tests {
             assert_eq!(viability_outcomes(&stats), (1, 1));
         }
         assert_eq!(chains, sliced);
-        assert!(!chains.is_empty() && chains.iter().all(|chain| chain.seg_intervals.is_empty()));
+        assert!(!chains.is_empty() && chains.iter().all(|chain| chain.intervals.len() == 1));
         assert_eq!(viability_outcomes(&whole), (1, 1));
         assert_eq!(work(&whole)[..2], [0, 0]);
     }

@@ -10,6 +10,8 @@
 use tgraph::{Interval, Time, Value};
 use trpq::parser::{CmpOp, Constraint};
 
+use crate::chain::TimeLag;
+
 pub mod analyze;
 pub mod audit;
 
@@ -339,6 +341,16 @@ impl Shift {
         };
         delta >= self.min as u64 && self.max.is_none_or(|m| delta <= m as u64)
     }
+
+    /// The step bounds as a signed arrival − departure skew, an open bound
+    /// unbounded: [`TimeLag::admits`] then agrees with [`Shift::admits`].
+    pub fn lag(&self) -> TimeLag {
+        let (min, max) = (i128::from(self.min), self.max.map_or(i128::MAX, i128::from));
+        match self.forward {
+            true => TimeLag { lo: min, hi: max },
+            false => TimeLag { lo: -max, hi: -min },
+        }
+    }
 }
 
 /// The temporal connection between two consecutive segments of a plan: either a plain
@@ -365,24 +377,102 @@ impl TemporalLink {
     }
 }
 
-/// A complete plan: segments joined by temporal links.  [`EnginePlan::new`] is the
-/// only way to build one and refuses what the [`audit`] refuses, so `links().len()`
-/// is always `segments().len() - 1`.
+/// Where a chain finds the time skew across one link of its plan.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LinkLag {
+    /// A plain shift: the same skew for every chain ([`Shift::lag`]).
+    Fixed(TimeLag),
+    /// A time-crossing closure: the chain's recorded lag at this index
+    /// ([`crate::chain::Chain::lags`]).
+    Recorded(usize),
+}
+
+/// What a plan fixes about every match of it, worked out once when the plan is
+/// built: where each variable binds and where each link's time skew is found.  A
+/// [`Chain`](crate::chain::Chain) records only what varies, read through this.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ChainLayout {
+    binds: Vec<(usize, usize)>,
+    by_slot: Vec<usize>,
+    links: Vec<LinkLag>,
+    last_bound_segment: usize,
+}
+
+impl ChainLayout {
+    fn of(segments: &[Segment], links: &[TemporalLink]) -> Self {
+        let ops =
+            segments.iter().enumerate().flat_map(|(i, s)| s.ops.iter().map(move |op| (i, op)));
+        let binds: Vec<(usize, usize)> = ops
+            .filter_map(|(segment, op)| match op {
+                MicroOp::Bind(slot) => Some((*slot, segment)),
+                _ => None,
+            })
+            .collect();
+        let mut by_slot: Vec<usize> = (0..binds.len()).collect();
+        by_slot.sort_by_key(|&bind| binds[bind].0);
+        let mut recorded = 0;
+        let links = links
+            .iter()
+            .map(|link| match link {
+                TemporalLink::Shift(shift) => LinkLag::Fixed(shift.lag()),
+                TemporalLink::Closure(_) => {
+                    recorded += 1;
+                    LinkLag::Recorded(recorded - 1)
+                }
+            })
+            .collect();
+        let last_bound_segment = binds.iter().map(|&(_, segment)| segment).max().unwrap_or(0);
+        ChainLayout { binds, by_slot, links, last_bound_segment }
+    }
+
+    /// The `(slot, segment)` of every `Bind`, in plan order: the order of
+    /// [`Chain::bound`](crate::chain::Chain::bound).
+    pub fn binds(&self) -> &[(usize, usize)] {
+        &self.binds
+    }
+
+    /// The index into [`ChainLayout::binds`] of every bound slot, by ascending
+    /// slot: in a [`PlanSet`], which refuses a slot left unbound, slot `s`'s bind.
+    pub fn by_slot(&self) -> &[usize] {
+        &self.by_slot
+    }
+
+    /// Per link, where a chain finds its time skew.
+    pub fn links(&self) -> &[LinkLag] {
+        &self.links
+    }
+
+    /// The last segment that binds a variable (0 if none does).
+    pub fn last_bound_segment(&self) -> usize {
+        self.last_bound_segment
+    }
+}
+
+/// A complete plan: segments joined by temporal links, and the layout of its
+/// chains.  [`EnginePlan::new`] is the only way to build one and refuses what the
+/// [`audit`] refuses, so `links().len()` is always `segments().len() - 1`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EnginePlan {
     segments: Vec<Segment>,
     links: Vec<TemporalLink>,
+    layout: ChainLayout,
 }
 
 impl EnginePlan {
     /// Builds a plan, or refuses it with every defect the audit finds but a slot
-    /// out of range, which needs the variables that [`PlanSet::new`] has.
+    /// out of range or left unbound, which needs the variables that
+    /// [`PlanSet::new`] has.
     pub fn new(
         segments: Vec<Segment>,
         links: Vec<TemporalLink>,
     ) -> Result<Self, audit::AuditError> {
-        let plan = EnginePlan { segments, links };
+        let plan = EnginePlan::laid_out(segments, links);
         audit::audit_plan(&plan).map(|()| plan)
+    }
+
+    fn laid_out(segments: Vec<Segment>, links: Vec<TemporalLink>) -> Self {
+        let layout = ChainLayout::of(&segments, &links);
+        EnginePlan { segments, links, layout }
     }
 
     /// The structural segments.
@@ -393,6 +483,11 @@ impl EnginePlan {
     /// The temporal links between consecutive segments.
     pub fn links(&self) -> &[TemporalLink] {
         &self.links
+    }
+
+    /// Where the plan's chains record what they bind and cross.
+    pub fn layout(&self) -> &ChainLayout {
+        &self.layout
     }
 
     /// True if the plan has no temporal navigation (queries Q1–Q5 of the paper); its
@@ -430,28 +525,11 @@ impl EnginePlan {
     /// The plan up to and including op `op` of segment `segment`: the segments
     /// before it, its ops up to `op`, and the links between them.  A prefix of a
     /// valid plan is valid (one link per pair of segments, every check holds of a
-    /// part of what it held of), so it skips [`EnginePlan::new`].
+    /// part of what it held of), so it skips the audit.
     pub(crate) fn prefix(&self, segment: usize, op: usize) -> EnginePlan {
         let mut segments = self.segments[..=segment].to_vec();
         segments[segment].ops.truncate(op + 1);
-        EnginePlan { segments, links: self.links[..segment].to_vec() }
-    }
-
-    /// Per link, the index into a chain's recorded lags
-    /// ([`crate::chain::Chain::lags`]): closure links record one each, in crossing
-    /// order, plain shifts none.
-    pub fn lag_indices(&self) -> Vec<Option<usize>> {
-        self.links
-            .iter()
-            .scan(0usize, |next, link| match link {
-                TemporalLink::Shift(_) => Some(None),
-                TemporalLink::Closure(_) => {
-                    let index = *next;
-                    *next += 1;
-                    Some(Some(index))
-                }
-            })
-            .collect()
+        EnginePlan::laid_out(segments, self.links[..segment].to_vec())
     }
 }
 
@@ -464,9 +542,10 @@ pub struct PlanSet {
 }
 
 impl PlanSet {
-    /// Builds a plan set, or refuses it for more than [`audit::MAX_PLANS`] plans or
-    /// a slot past `variables`.  No plans at all is valid: the compiler builds that
-    /// for a clause whose every alternative is unsatisfiable.
+    /// Builds a plan set, or refuses it for more than [`audit::MAX_PLANS`] plans, a
+    /// slot past `variables` or a slot some plan leaves unbound.  No plans at all is
+    /// valid: the compiler builds that for a clause whose every alternative is
+    /// unsatisfiable.
     pub fn new(plans: Vec<EnginePlan>, variables: Vec<String>) -> Result<Self, audit::AuditError> {
         let plan_set = PlanSet { plans, variables };
         audit::audit_plan_set(&plan_set).map(|()| plan_set)
@@ -667,19 +746,56 @@ mod tests {
         let exactly_one_back = Shift { forward: false, min: 1, max: Some(1) };
         assert!(exactly_one_back.admits(9, 8));
         assert!(!exactly_one_back.admits(9, 9));
+        // As a signed skew the bounds admit the same moves.
+        for shift in [next, prev_star, exactly_one_back, Shift { forward: true, min: 2, max: None }]
+        {
+            for (from, to) in (0..12).flat_map(|from| (0..12).map(move |to| (from, to))) {
+                assert_eq!(shift.lag().admits(from, to), shift.admits(from, to), "{shift:?}");
+            }
+        }
     }
 
     #[test]
     fn plan_structural_classification() {
-        let plain = EnginePlan::new(vec![Segment::default()], vec![]).unwrap();
+        let binds_x = || Segment { ops: vec![MicroOp::Bind(0)] };
+        let plain = EnginePlan::new(vec![binds_x()], vec![]).unwrap();
         assert!(plain.is_purely_structural());
         let shifted = EnginePlan::new(
-            vec![Segment::default(), Segment::default()],
+            vec![binds_x(), Segment::default()],
             vec![TemporalLink::Shift(Shift { forward: true, min: 0, max: None })],
         )
         .unwrap();
         assert!(!shifted.is_purely_structural());
         let set = PlanSet::new(vec![plain, shifted], vec!["x".into()]).unwrap();
         assert!(!set.is_purely_structural());
+    }
+
+    #[test]
+    fn the_layout_places_binds_and_lags() {
+        // y in segment 2, x in segment 0; a shift, then a time-crossing closure.
+        let next = ClosureStep::Shift(Shift { forward: true, min: 1, max: Some(1) });
+        let closure = ClosureOp { alternatives: vec![vec![next]], min: 0, max: None };
+        let shift = Shift { forward: false, min: 1, max: Some(3) };
+        let plan = EnginePlan::new(
+            vec![
+                Segment { ops: vec![MicroOp::Bind(1)] },
+                Segment::default(),
+                Segment { ops: vec![MicroOp::Bind(0)] },
+            ],
+            vec![TemporalLink::Shift(shift), TemporalLink::Closure(closure)],
+        )
+        .unwrap();
+        let layout = plan.layout();
+        assert_eq!(layout.binds(), [(1, 0), (0, 2)]);
+        assert_eq!(layout.by_slot(), [1, 0]);
+        assert_eq!(
+            layout.links(),
+            [LinkLag::Fixed(TimeLag { lo: -3, hi: -1 }), LinkLag::Recorded(0)]
+        );
+        assert_eq!(layout.last_bound_segment(), 2);
+        // A prefix is laid out as if built whole.
+        let prefix = plan.prefix(0, 0);
+        assert_eq!(prefix.layout().binds(), [(1, 0)]);
+        assert!(prefix.layout().links().is_empty());
     }
 }

@@ -625,11 +625,8 @@ fn band_scale(w: TimeLag, min: u32, max: Option<u32>) -> TimeLag {
 
 /// The signed displacement window of a single shift.
 fn shift_band(shift: &Shift) -> TimeLag {
-    if shift.forward {
-        band(shift.min as i128, shift.max.map_or(INF, |m| m as i128))
-    } else {
-        band(-shift.max.map_or(INF, |m| m as i128), -(shift.min as i128))
-    }
+    let lag = shift.lag();
+    band(lag.lo, lag.hi)
 }
 
 /// Advances an absolute time window by a displacement band, clamped to the
@@ -685,10 +682,12 @@ impl<'a> Pass<'a> {
         Pass { schema, diagnostics: Vec::new(), pruned_alternatives: 0, tightened_closures: 0 }
     }
 
-    fn diag(&mut self, location: &str, kind: DiagnosticKind, message: String) {
+    /// Records a diagnostic; `location` is rendered only here, so a pass that
+    /// records none formats no location.
+    fn diag(&mut self, location: &dyn fmt::Display, kind: DiagnosticKind, message: String) {
         self.diagnostics.push(Diagnostic {
             plan: None,
-            location: location.to_owned(),
+            location: location.to_string(),
             kind,
             message,
         });
@@ -708,7 +707,6 @@ impl<'a> Pass<'a> {
 
         for (seg_index, segment) in plan.segments.iter().enumerate() {
             if seg_index > 0 {
-                let location = format!("link {}", seg_index - 1);
                 let link_band = match &plan.links[seg_index - 1] {
                     TemporalLink::Shift(shift) => {
                         rows = rows.saturating_mul(total_rows);
@@ -716,7 +714,12 @@ impl<'a> Pass<'a> {
                         shift_band(shift)
                     }
                     TemporalLink::Closure(closure) => {
-                        let outcome = self.closure_pass(closure, &state, &location, true);
+                        let outcome = self.closure_pass(
+                            closure,
+                            &state,
+                            &format_args!("link {}", seg_index - 1),
+                            true,
+                        );
                         if outcome.exit.is_empty() {
                             return (None, PlanBounds::empty());
                         }
@@ -744,7 +747,7 @@ impl<'a> Pass<'a> {
                     Some(next) => next,
                     None => {
                         self.diag(
-                            &format!("link {}", seg_index - 1),
+                            &format_args!("link {}", seg_index - 1),
                             DiagnosticKind::InfeasibleBand,
                             format!(
                                 "the admissible lag window {} empties the reachable \
@@ -768,10 +771,9 @@ impl<'a> Pass<'a> {
                     local = local.and_then(|w| filter.clamp_interval(w));
                 }
             }
-            let location = format!("segment {seg_index}");
             let Some(local) = local else {
                 self.diag(
-                    &location,
+                    &format_args!("segment {seg_index}"),
                     DiagnosticKind::EmptyPlan,
                     "the segment's time constraints admit no time point of the \
                      domain (constant-folded): the plan relates nothing"
@@ -783,7 +785,7 @@ impl<'a> Pass<'a> {
                 Some(next) => next,
                 None => {
                     self.diag(
-                        &location,
+                        &format_args!("segment {seg_index}"),
                         DiagnosticKind::InfeasibleBand,
                         format!(
                             "the segment's time constraints restrict its snapshot to \
@@ -798,7 +800,6 @@ impl<'a> Pass<'a> {
 
             let mut ops: Vec<MicroOp> = Vec::with_capacity(segment.ops.len());
             for (op_index, op) in segment.ops.iter().enumerate() {
-                let location = format!("segment {seg_index}, op {op_index}");
                 match op {
                     MicroOp::Hop(direction) => {
                         state = state
@@ -815,7 +816,12 @@ impl<'a> Pass<'a> {
                     }
                     MicroOp::Bind(_) => ops.push(op.clone()),
                     MicroOp::Closure(closure) => {
-                        let outcome = self.closure_pass(closure, &state, &location, false);
+                        let outcome = self.closure_pass(
+                            closure,
+                            &state,
+                            &format_args!("segment {seg_index}, op {op_index}"),
+                            false,
+                        );
                         if outcome.exit.is_empty() {
                             return (None, PlanBounds::empty());
                         }
@@ -831,7 +837,7 @@ impl<'a> Pass<'a> {
                 }
                 if state.is_empty() {
                     self.diag(
-                        &location,
+                        &format_args!("segment {seg_index}, op {op_index}"),
                         DiagnosticKind::EmptyPlan,
                         "no object of the graph schema survives this operation: the \
                          label-alphabet reachability analysis proves the plan empty"
@@ -865,7 +871,7 @@ impl<'a> Pass<'a> {
         &mut self,
         closure: &ClosureOp,
         entry: &AbsState,
-        location: &str,
+        location: &dyn fmt::Display,
         is_link: bool,
     ) -> ClosureOutcome {
         let span = self.schema.span();
@@ -881,7 +887,7 @@ impl<'a> Pass<'a> {
             let band_feasible = windows[index].lo <= span && windows[index].hi >= -span;
             if !structurally_live {
                 self.diag(
-                    &format!("{location}, alternative {index}"),
+                    &format_args!("{location}, alternative {index}"),
                     DiagnosticKind::DeadAlternative,
                     "the alternative matches no object reachable at any iteration \
                      (label-alphabet reachability): it can never fire and pruning it \
@@ -890,7 +896,7 @@ impl<'a> Pass<'a> {
                 );
             } else if !band_feasible {
                 self.diag(
-                    &format!("{location}, alternative {index}"),
+                    &format_args!("{location}, alternative {index}"),
                     DiagnosticKind::InfeasibleBand,
                     format!(
                         "one application of the alternative displaces time by \

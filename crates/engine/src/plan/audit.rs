@@ -153,10 +153,14 @@ pub(crate) fn audit_plan(plan: &EnginePlan) -> Result<(), AuditError> {
 }
 
 /// The checks of [`PlanSet::new`], which only the set can make: at most
-/// [`MAX_PLANS`] plans, and every bound slot indexes its variables.
+/// [`MAX_PLANS`] plans, each binding every variable slot of the set and no
+/// other.  [`EnginePlan::new`] has already refused a slot bound twice, so each
+/// slot is bound exactly once, which Step 3 relies on to read a row's objects
+/// through [`ChainLayout::by_slot`](crate::plan::ChainLayout::by_slot).
 pub(crate) fn audit_plan_set(plan_set: &PlanSet) -> Result<(), AuditError> {
     let mut issues = Vec::new();
-    let (plans, slots) = (plan_set.plans(), plan_set.variables().len());
+    let (plans, variables) = (plan_set.plans(), plan_set.variables());
+    let slots = variables.len();
     if plans.len() > MAX_PLANS {
         issues.push(issue(
             &"plans",
@@ -176,6 +180,14 @@ pub(crate) fn audit_plan_set(plan_set: &PlanSet) -> Result<(), AuditError> {
             );
             let issue = issue(&format_args!("segment {seg_index}, op {op_index}"), message);
             issues.push(AuditIssue { plan: Some(index), ..issue });
+        }
+        let bound = |slot| plan.layout().binds().iter().any(|&(bound, _)| bound == slot);
+        for (slot, name) in variables.iter().enumerate().filter(|&(slot, _)| !bound(slot)) {
+            let message = format!(
+                "slot {slot} (`{name}`) is never bound; every plan of a set binds \
+                 every variable, since a binding row has a column for each"
+            );
+            issues.push(AuditIssue { plan: Some(index), ..issue(&"binds", message) });
         }
     }
     refuse_any(issues)
@@ -547,6 +559,22 @@ mod tests {
         segments[1].ops.push(MicroOp::Bind(0));
         let err = EnginePlan::new(segments, links).unwrap_err();
         assert!(err.issues[0].message.contains("bound twice"), "{err}");
+    }
+
+    #[test]
+    fn a_plan_leaving_a_slot_unbound_is_refused_by_its_set() {
+        // The second plan binds x but not y: alone it is a valid plan, in a set
+        // of two variables it leaves a column empty.
+        let (segments, links, variables) = base();
+        let whole = EnginePlan::new(segments.clone(), links.clone()).unwrap();
+        let mut without_y = segments;
+        without_y[1].ops.retain(|op| *op != MicroOp::Bind(1));
+        let partial = EnginePlan::new(without_y, links).unwrap();
+        assert!(PlanSet::new(vec![whole.clone()], variables.clone()).is_ok());
+        let err = PlanSet::new(vec![whole, partial], variables).unwrap_err();
+        assert_eq!(err.issues.len(), 1, "{err}");
+        assert_eq!((err.issues[0].plan, err.issues[0].location.as_str()), (Some(1), "binds"));
+        assert!(err.issues[0].message.contains("slot 1 (`y`) is never bound"), "{err}");
     }
 
     #[test]

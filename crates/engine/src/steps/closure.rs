@@ -925,11 +925,15 @@ mod tests {
         apply_closure(graph, seeds, op, &mut Reached::default(), stats)
     }
 
-    /// Crosses the closure and spells the arrivals out as chains.
-    fn run_time(graph: &GraphRelations, seeds: Vec<Cursor>, op: &ClosureOp) -> Vec<Chain> {
+    /// Crosses the closure: the arrivals, each with the chain it spells out.
+    fn run_time(
+        graph: &GraphRelations,
+        seeds: Vec<Cursor>,
+        op: &ClosureOp,
+    ) -> Vec<(Cursor, Chain)> {
         let mut trail = Trail::default();
         let out = apply_time_closure(graph, seeds, op, &mut trail, &mut StepStats::default());
-        out.iter().map(|c| trail.materialize(c)).collect()
+        out.iter().map(|c| (*c, trail.materialize(c))).collect()
     }
 
     #[test]
@@ -1201,12 +1205,12 @@ mod tests {
         // admit the traversal and at which (shifted) arrival times it lands.
         let summary: Vec<(String, Interval, Interval, TimeLag)> = out
             .iter()
-            .map(|c| {
+            .map(|(c, chain)| {
                 (
                     g.object_name(c.position.object(&g)).to_owned(),
-                    *c.seg_intervals.last().unwrap(),
+                    chain.intervals[0],
                     c.interval,
-                    *c.lags.last().unwrap(),
+                    *chain.lags.last().unwrap(),
                 )
             })
             .collect();
@@ -1228,7 +1232,7 @@ mod tests {
         let mut trail = Trail::default();
         // The cursor arrives with one entry of its own, shared by its four bands.
         let mut seed = Cursor::seed(row_of(&g, "a"), &g);
-        seed.bind(0, &g, &mut trail);
+        seed.bind(&g, &mut trail);
         let out = apply_time_closure(
             &g,
             vec![seed],
@@ -1240,7 +1244,7 @@ mod tests {
         assert_eq!(trail.len(), 1 + 2 * out.len());
         for cursor in &out {
             let chain = trail.materialize(cursor);
-            assert_eq!((chain.bound.len(), chain.seg_intervals.len(), chain.lags.len()), (1, 1, 1));
+            assert_eq!((chain.bound.len(), chain.intervals.len(), chain.lags.len()), (1, 2, 1));
             assert_eq!((cursor.seed, cursor.segment), (seed.seed, 1));
         }
     }
@@ -1251,7 +1255,8 @@ mod tests {
         let body = mixed_star();
         let exactly_two = ClosureOp { min: 2, max: Some(2), ..body.clone() };
         let out = run_time(&g, vec![Cursor::seed(row_of(&g, "a"), &g)], &exactly_two);
-        let names: Vec<&str> = out.iter().map(|c| g.object_name(c.position.object(&g))).collect();
+        let names: Vec<&str> =
+            out.iter().map(|(c, _)| g.object_name(c.position.object(&g))).collect();
         assert_eq!(names, vec!["c"]);
         let unsat = ClosureOp { min: 3, max: Some(1), ..body };
         assert!(run_time(&g, vec![Cursor::seed(row_of(&g, "a"), &g)], &unsat).is_empty());
@@ -1273,12 +1278,12 @@ mod tests {
         let op = ClosureOp { alternatives: vec![steps], min: 1, max: Some(1) };
         let out = run_time(&g, vec![Cursor::seed(row_of(&g, "b"), &g)], &op);
         assert_eq!(out.len(), 1);
-        let chain = &out[0];
-        assert_eq!(g.object_name(chain.position.object(&g)), "a");
+        let (cursor, chain) = &out[0];
+        assert_eq!(g.object_name(cursor.position.object(&g)), "a");
         // Departures on the a—b window [1,6] (b's side), arrivals one earlier [0,5].
-        assert_eq!(chain.seg_intervals.last(), Some(&iv(1, 6)));
-        assert_eq!(chain.interval, iv(0, 5));
-        assert_eq!(chain.lags.last(), Some(&TimeLag { lo: -1, hi: -1 }));
+        assert_eq!(*chain.intervals, [iv(1, 6), iv(0, 5)]);
+        assert_eq!(cursor.interval, iv(0, 5));
+        assert_eq!(chain.lags, [TimeLag { lo: -1, hi: -1 }]);
     }
 
     #[test]

@@ -90,9 +90,9 @@ pub(crate) fn apply_segment(
         match op {
             // A segment is the only place the compiler puts a binding, and the only
             // cursor with somewhere to record one is the executor's.
-            MicroOp::Bind(slot) => {
+            MicroOp::Bind(_) => {
                 for cursor in &mut current {
-                    cursor.bind(*slot as u32, graph, trail);
+                    cursor.bind(graph, trail);
                 }
             }
             MicroOp::Closure(closure) => {
@@ -242,7 +242,6 @@ pub(crate) fn filter_interval(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chain::Chain;
     use tgraph::{Interval, ItpgBuilder, Value};
     use trpq::parser::Constraint;
 
@@ -267,9 +266,9 @@ mod tests {
         GraphRelations::from_itpg(&b.domain(iv(1, 11)).build().unwrap())
     }
 
-    /// Applies the segment to one seed cursor per node row and spells the survivors
-    /// out as chains.
-    fn apply_to_all_nodes(graph: &GraphRelations, segment: &Segment) -> Vec<Chain> {
+    /// Applies the segment to one seed cursor per node row: the survivors, and the
+    /// trail they recorded to.
+    fn apply_to_all_nodes(graph: &GraphRelations, segment: &Segment) -> (Vec<Cursor>, Trail) {
         let seeds = (0..graph.node_rows().len() as u32).map(|r| Cursor::seed(r, graph)).collect();
         let mut trail = Trail::default();
         let mut stats = StepStats::default();
@@ -282,7 +281,7 @@ mod tests {
             &mut trail,
             &mut stats,
         );
-        cursors.iter().map(|c| trail.materialize(c)).collect()
+        (cursors, trail)
     }
 
     #[test]
@@ -294,18 +293,20 @@ mod tests {
             &[Constraint::Prop("risk".into(), Value::str("high"))],
         );
         let segment = Segment { ops: vec![MicroOp::Filter(filter), MicroOp::Bind(0)] };
-        let result = apply_to_all_nodes(&g, &segment);
+        let (result, trail) = apply_to_all_nodes(&g, &segment);
         assert_eq!(result.len(), 1);
-        assert_eq!(g.object_name(result[0].position.object(&g)), "bob");
+        let bob = result[0].position.object(&g);
+        assert_eq!(g.object_name(bob), "bob");
         assert_eq!(result[0].interval, iv(1, 9));
-        assert_eq!(result[0].bound.len(), 1);
+        assert_eq!(trail.materialize(&result[0]).bound, [bob]);
 
         let time_filter = ObjFilter::from_pattern(
             Some(true),
             None,
             &[Constraint::Time(trpq::parser::CmpOp::Lt, 4)],
         );
-        let clamped = apply_to_all_nodes(&g, &Segment { ops: vec![MicroOp::Filter(time_filter)] });
+        let (clamped, _) =
+            apply_to_all_nodes(&g, &Segment { ops: vec![MicroOp::Filter(time_filter)] });
         // Every node row survives but clamped below time 4; the Room row starts at 3.
         assert_eq!(clamped.len(), 3);
         assert!(clamped.iter().all(|c| c.interval.end() <= 3));
@@ -327,7 +328,7 @@ mod tests {
                 MicroOp::Hop(HopDirection::Forward),
             ],
         };
-        let result = apply_to_all_nodes(&g, &segment);
+        let (result, _) = apply_to_all_nodes(&g, &segment);
         assert_eq!(result.len(), 1);
         assert_eq!(g.object_name(result[0].position.object(&g)), "bob");
         // Interval is the intersection of ann [1,9], meets [5,6], bob [1,9].
@@ -346,7 +347,7 @@ mod tests {
                 MicroOp::Hop(HopDirection::Backward),
             ],
         };
-        let result = apply_to_all_nodes(&g, &segment);
+        let (result, _) = apply_to_all_nodes(&g, &segment);
         assert_eq!(result.len(), 1);
         assert_eq!(g.object_name(result[0].position.object(&g)), "bob");
         assert_eq!(result[0].interval, iv(6, 8));
@@ -362,6 +363,6 @@ mod tests {
             ],
         };
         // The room has no outgoing edges.
-        assert!(apply_to_all_nodes(&g, &segment).is_empty());
+        assert!(apply_to_all_nodes(&g, &segment).0.is_empty());
     }
 }

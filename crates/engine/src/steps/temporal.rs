@@ -84,12 +84,13 @@ mod tests {
         GraphRelations::from_itpg(&b.domain(iv(0, 12)).build().unwrap())
     }
 
-    /// Shifts the seed cursor of one node row and spells the arrivals out as chains.
-    fn shift_from(graph: &GraphRelations, row: usize, shift: &Shift) -> Vec<Chain> {
+    /// Shifts the seed cursor of one node row: the arrivals, each with the chain it
+    /// spells out.
+    fn shift_from(graph: &GraphRelations, row: usize, shift: &Shift) -> Vec<(Cursor, Chain)> {
         let mut trail = Trail::default();
         let shifted =
             apply_shift(graph, vec![Cursor::seed(row as u32, graph)], shift, None, &mut trail);
-        shifted.iter().map(|c| trail.materialize(c)).collect()
+        shifted.iter().map(|c| (*c, trail.materialize(c))).collect()
     }
 
     #[test]
@@ -104,15 +105,15 @@ mod tests {
         assert_eq!(Cursor::seed(pos_row as u32, &g).interval, iv(7, 8));
         // PREV*: arrival anywhere earlier within the existence interval [2,8].
         let shifted = shift_from(&g, pos_row, &Shift { forward: false, min: 0, max: None });
-        let intervals: Vec<Interval> = shifted.iter().map(|c| c.interval).collect();
+        let intervals: Vec<Interval> = shifted.iter().map(|(c, _)| c.interval).collect();
         assert_eq!(intervals.len(), 2); // lands on the [2,6] row and the [7,8] row
         assert!(intervals.contains(&iv(2, 6)));
         assert!(intervals.contains(&iv(7, 8)));
-        assert!(shifted.iter().all(|c| c.seg_intervals == vec![iv(7, 8)]));
+        assert!(shifted.iter().all(|(c, chain)| *chain.intervals == [iv(7, 8), c.interval]));
 
         // PREV[0,1]: at most one step back.
         let shifted = shift_from(&g, pos_row, &Shift { forward: false, min: 0, max: Some(1) });
-        let intervals: Vec<Interval> = shifted.iter().map(|c| c.interval).collect();
+        let intervals: Vec<Interval> = shifted.iter().map(|(c, _)| c.interval).collect();
         assert!(intervals.contains(&iv(6, 6)));
         assert!(intervals.contains(&iv(7, 8)));
     }
@@ -123,7 +124,7 @@ mod tests {
         // NEXT* from the [2,6] state: can reach up to time 8, but never the [10,11]
         // state across the gap.
         let shifted = shift_from(&g, 0, &Shift { forward: true, min: 0, max: None });
-        assert!(shifted.iter().all(|c| c.interval.end() <= 8));
+        assert!(shifted.iter().all(|(c, _)| c.interval.end() <= 8));
         assert_eq!(shifted.len(), 2);
     }
 
@@ -135,7 +136,7 @@ mod tests {
         let shifted = shift_from(&g, 0, &Shift { forward: true, min: 5, max: None });
         // Arrival window is [7, 8]: reachable only from departure times 2 or 3.
         assert_eq!(shifted.len(), 1);
-        assert_eq!(shifted[0].interval, iv(7, 8));
+        assert_eq!(shifted[0].0.interval, iv(7, 8));
         // A shift larger than the existence interval yields nothing.
         assert!(shift_from(&g, 0, &Shift { forward: true, min: 12, max: Some(20) }).is_empty());
     }

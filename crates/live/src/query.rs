@@ -143,7 +143,6 @@ impl PlanCache {
     fn rerun(
         &mut self,
         plan: &EnginePlan,
-        num_slots: usize,
         graph: &GraphRelations,
         seeds: &[u32],
         step_stats: &mut StepStats,
@@ -160,7 +159,7 @@ impl PlanCache {
         let fresh = cached.rows.len();
         let chains = run_plan_seeded(plan, graph, seeds, step_stats);
         for run in chains.chunk_by(|a: &Chain, b: &Chain| a.seed == b.seed) {
-            expand_chains(plan, num_slots, run, &mut cached.rows);
+            expand_chains(plan, run, &mut cached.rows);
             cached.seeds.resize(cached.rows.len(), run[0].seed);
         }
         delta.plus.extend_from_slice(&cached.rows[fresh..]);
@@ -209,7 +208,6 @@ impl QueryState {
     /// empty table.
     pub(crate) fn build(plan_set: PlanSet, graph: &GraphRelations) -> Self {
         let mut step_stats = StepStats::default();
-        let num_slots = plan_set.variables().len();
         let seeds = graph.seed_rows();
         let mut delta = CacheDelta::default();
         let mut plans = Vec::with_capacity(plan_set.plans().len());
@@ -219,7 +217,7 @@ impl QueryState {
                 bounds_domain: graph.domain(),
                 cached: SeedRows::default(),
             };
-            cache.rerun(plan, num_slots, graph, &seeds, &mut step_stats, &mut delta);
+            cache.rerun(plan, graph, &seeds, &mut step_stats, &mut delta);
             plans.push(cache);
         }
         let mut table = Arc::new(BindingTable::new(plan_set.variables().to_vec()));
@@ -305,7 +303,6 @@ impl QueryState {
         let times = std::mem::take(&mut self.pending_times);
         let rows_seen = std::mem::replace(&mut self.rows_seen, graph.nodes().len());
         let mut step_stats = StepStats::default();
-        let num_slots = self.plan_set.variables().len();
         let mut delta = CacheDelta::default();
         for (plan, cache) in self.plan_set.plans().iter().zip(&mut self.plans) {
             let seeding = obs::Stopwatch::start();
@@ -340,7 +337,7 @@ impl QueryState {
             stats.seed_rows += seeds.len();
             stats.seeding += seeding.elapsed();
             let rerun = obs::Stopwatch::start();
-            cache.rerun(plan, num_slots, graph, &seeds, &mut step_stats, &mut delta);
+            cache.rerun(plan, graph, &seeds, &mut step_stats, &mut delta);
             stats.rerun += rerun.elapsed();
         }
         let merge = obs::Stopwatch::start();

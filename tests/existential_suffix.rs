@@ -15,6 +15,12 @@
 //! last bound variable is `x`, or a `w` that a structural closure leads to from `x`
 //! — a prefix the forward pass runs unmasked — and then the suffix form must answer
 //! the `(x, w)`-projection of its bound form.
+//!
+//! Two closure shapes have a suffix the backward walk refuses: a body with an odd
+//! hop count, and a nested closure.  Their suffix form matches forward to the end,
+//! so its chains end in unbound segments, which Step 3 reads only to narrow the
+//! last bound segment to the times they can be completed from; the second property
+//! pins that path the same way.
 
 use std::collections::BTreeSet;
 
@@ -60,6 +66,17 @@ fn graph_spec_strategy() -> impl Strategy<Value = GraphSpec> {
     let nodes = prop::collection::vec((existence_strategy(), positive), 2..6);
     let edges =
         prop::collection::vec((0..5usize, 0..5usize, interval_strategy(), any::<bool>()), 0..12);
+    (nodes, edges).prop_map(|(nodes, edges)| GraphSpec { nodes, edges })
+}
+
+/// A denser random contact graph: more and longer-lived edges, so paths through a
+/// time-crossing closure exist.
+fn dense_graph_spec_strategy() -> impl Strategy<Value = GraphSpec> {
+    let positive =
+        (any::<bool>(), interval_strategy()).prop_map(|(pos, window)| pos.then_some(window));
+    let long = (0..=3u64, 2..=6u64).prop_map(|(start, len)| Interval::of(start, start + len));
+    let nodes = prop::collection::vec((existence_strategy(), positive), 3..6);
+    let edges = prop::collection::vec((0..5usize, 0..5usize, long, any::<bool>()), 6..16);
     (nodes, edges).prop_map(|(nodes, edges)| GraphSpec { nodes, edges })
 }
 
@@ -123,6 +140,10 @@ const ENDS: [&str; 3] = ["{test = 'pos'}", ":Person", ""];
 /// to `w`.
 const PREFIXES: [&str; 2] = ["", "-/(FWD/:meets/FWD)[0,2]/-(w:Person)"];
 
+/// Closures whose suffix the backward walk refuses: an odd hop count (a match
+/// alternates between node and edge rows), and a nested closure.
+const REFUSED: [&str; 2] = ["(FWD/NEXT)[1,4]", "((FWD/:meets/FWD)[1,2]/NEXT)[1,_]"];
+
 fn pick(choices: &'static [&'static str]) -> impl Strategy<Value = &'static str> {
     (0..choices.len()).prop_map(move |index| choices[index])
 }
@@ -140,6 +161,18 @@ fn path_strategy() -> impl Strategy<Value = String> {
         parts.clone(),
         (parts.clone(), parts).prop_map(|(first, second)| format!("{first}/{second}")),
     ]
+}
+
+/// A path between `x` and the last node through a refused closure, maybe
+/// followed by a temporal step.
+fn refused_path_strategy() -> impl Strategy<Value = String> {
+    (pick(&REFUSED), pick(&TEMPORAL), any::<bool>()).prop_map(|(closure, tail, tailed)| {
+        if tailed {
+            format!("{closure}/{tail}")
+        } else {
+            closure.to_owned()
+        }
+    })
 }
 
 /// Every point a query answers on its first `width` variables, whatever the answer
@@ -222,5 +255,15 @@ proptest! {
         let applied = itpg.apply_batch(&batch).expect("renaming is a valid batch");
         graph.apply_delta(&itpg, &applied.touched);
         check(&graph, prefix, &path, end)?;
+    }
+
+    #[test]
+    fn a_refused_suffix_answers_the_projection_of_the_forward_match(
+        spec in dense_graph_spec_strategy(),
+        prefix in pick(&PREFIXES),
+        path in refused_path_strategy(),
+        end in pick(&ENDS),
+    ) {
+        check(&GraphRelations::from_itpg(&build_graph(&spec)), prefix, &path, end)?;
     }
 }

@@ -86,33 +86,34 @@ proptest! {
 
     /// Every invariant-breaking mutation of a well-formed plan is refused
     /// with a diagnostic naming the defect: by `EnginePlan::new`, or, for the
-    /// out-of-range slot that only the variables reveal, by `PlanSet::new`,
-    /// which names the plan.
+    /// out-of-range slot and the dropped bind that only the variables reveal,
+    /// by `PlanSet::new`, which names the plan.
     #[test]
-    fn mutated_plans_always_fail_the_audit(mutation in 0..8usize, path in path_strategy()) {
+    fn mutated_plans_always_fail_the_audit(mutation in 0..9usize, path in path_strategy()) {
         let text = format!("MATCH (x:Person)-/{path}/-(y) ON g");
         let clause = parse_match(&text).expect("generated query is well-formed");
         let Ok(plan_set) = compile(&clause) else { return Ok(()) };
         let Some(first) = plan_set.plans().first() else { return Ok(()) };
         let (segments, links) = break_plan(first, mutation);
         let built = EnginePlan::new(segments, links);
-        let error = if mutation == 6 {
+        let in_set = matches!(mutation, 6 | 8);
+        let error = if in_set {
             let mut plans = plan_set.plans().to_vec();
-            plans[0] = built.expect("a plan alone has no variables to range-check its slots");
+            plans[0] = built.expect("a plan alone has no variables to check its slots against");
             PlanSet::new(plans, plan_set.variables().to_vec())
-                .expect_err("a slot past the variables must be rejected")
+                .expect_err("a slot past the variables, or one left unbound, must be rejected")
         } else {
             built.expect_err("a broken plan must be rejected")
         };
         prop_assert!(!error.issues.is_empty());
         for issue in &error.issues {
-            prop_assert_eq!(issue.plan, (mutation == 6).then_some(0), "only a set names plans");
+            prop_assert_eq!(issue.plan, in_set.then_some(0), "only a set names plans");
             prop_assert!(!issue.message.is_empty());
         }
     }
 }
 
-/// Applies one of eight invariant-breaking mutations to copies of a plan's
+/// Applies one of nine invariant-breaking mutations to copies of a plan's
 /// segments and links.
 fn break_plan(plan: &EnginePlan, mutation: usize) -> (Vec<Segment>, Vec<TemporalLink>) {
     let unsat = Shift { forward: true, min: 3, max: Some(1) };
@@ -137,12 +138,14 @@ fn break_plan(plan: &EnginePlan, mutation: usize) -> (Vec<Segment>, Vec<Temporal
             1,
             Some(1),
         ))),
-        // Binding violations: out-of-range slot, then a duplicate bind.
+        // Binding violations: out-of-range slot, a duplicate bind, a missing one.
         6 => segments[0].ops.push(MicroOp::Bind(usize::MAX)),
-        _ => {
+        7 => {
             segments[0].ops.push(MicroOp::Bind(0));
             segments[0].ops.push(MicroOp::Bind(0));
         }
+        // A slot left unbound: the first segment's binds, x's among them, dropped.
+        _ => segments[0].ops.retain(|op| !matches!(op, MicroOp::Bind(_))),
     }
     (segments, links)
 }

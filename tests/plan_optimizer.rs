@@ -320,7 +320,7 @@ fn check_suffix_runs(label: &str, text: &str, graph: &GraphRelations, slice_len:
             assert_eq!(viability_outcomes(&stats), (1, 1), "{label}: one pass per call");
         }
         assert!(!pieces.is_empty(), "{label}");
-        assert!(pieces.iter().all(|chain| chain.seg_intervals.is_empty()), "{label}");
+        assert!(pieces.iter().all(|chain| chain.intervals.len() == 1), "{label}");
         let mut stats = StepStats::default();
         let whole = run_plan_seeded(plan, graph, &seeds, &mut stats);
         assert_eq!(whole, pieces, "{label}");
