@@ -193,6 +193,7 @@ impl IntervalPhase {
         m.time_rounds.add(stats.time_rounds as u64);
         m.joins_hash.add(self.step_stats.hop_probes as u64);
         m.hop_cursors.add(self.step_stats.hop_cursors as u64);
+        m.hop_rows_scanned.add(self.step_stats.hop_rows_scanned as u64);
         for (counter, count) in [
             (&m.viability_built, self.step_stats.viability_built),
             (&m.viability_skipped, self.step_stats.viability_skipped),
@@ -800,9 +801,9 @@ mod tests {
     const Q9_Y: &str =
         "MATCH (x:Person {risk = 'high'})-/FWD/:meets/FWD/NEXT*/-(y {test = 'pos'}) ON g";
 
-    /// `[hop_probes, hop_cursors, closure_rounds]`.
-    fn work(stats: &StepStats) -> [usize; 3] {
-        [stats.hop_probes, stats.hop_cursors, stats.closure_rounds]
+    /// `[hop_probes, hop_cursors, closure_rounds, hop_rows_scanned]`.
+    fn work(stats: &StepStats) -> [usize; 4] {
+        [stats.hop_probes, stats.hop_cursors, stats.closure_rounds, stats.hop_rows_scanned]
     }
 
     #[test]
@@ -825,7 +826,7 @@ mod tests {
                 let chains = run_plan_seeded(plan, &g, &seeds, &mut batched);
                 // Slices no longer than a batch run as one batch each: no sample,
                 // no gate, no mask.
-                let (mut expected, mut sliced) = (Vec::new(), [0; 3]);
+                let (mut expected, mut sliced) = (Vec::new(), [0; 4]);
                 for slice in seeds.chunks(slice_len) {
                     let mut stats = StepStats::default();
                     expected.extend(run_plan_seeded(plan, &g, slice, &mut stats));

@@ -300,30 +300,13 @@ impl Shift {
     /// `[arrival.start − max, arrival.end − min]` for forward shifts and
     /// `[arrival.start + min, arrival.end + max]` for backward ones, an open-ended
     /// bound running to the edge of `within`, clamped to `within` — the pre-image of
-    /// [`Shift::arrival_from_interval`].
+    /// [`Shift::arrival_from_interval`], and that of the shift's [`Shift::lag`]
+    /// ([`TimeLag::departure_into`]) when some step count satisfies it.
     pub fn departure_into(&self, arrival: Interval, within: Interval) -> Option<Interval> {
         if self.is_unsatisfiable() {
             return None;
         }
-        let (lo, hi) = if self.forward {
-            let hi = arrival.end().checked_sub(self.min as u64)?;
-            let lo = match self.max {
-                Some(m) => arrival.start().saturating_sub(m as u64),
-                None => within.start(),
-            };
-            (lo, hi)
-        } else {
-            let lo = arrival.start().checked_add(self.min as u64)?;
-            let hi = match self.max {
-                Some(m) => arrival.end().saturating_add(m as u64),
-                None => within.end(),
-            };
-            (lo, hi)
-        };
-        if lo > hi {
-            return None;
-        }
-        Interval::of(lo, hi).intersect(&within)
+        self.lag().departure_into(arrival, within)
     }
 
     /// True if moving from `from` to `to` respects the step bounds and direction.
@@ -751,6 +734,62 @@ mod tests {
         {
             for (from, to) in (0..12).flat_map(|from| (0..12).map(move |to| (from, to))) {
                 assert_eq!(shift.lag().admits(from, to), shift.admits(from, to), "{shift:?}");
+            }
+        }
+    }
+
+    /// The pre-image [`Shift::departure_into`] computed by hand before it read
+    /// the shift's lag: `[arrival.start − max, arrival.end − min]` forward and
+    /// `[arrival.start + min, arrival.end + max]` backward, in `u64`.
+    fn departure_into_by_hand(
+        shift: Shift,
+        arrival: Interval,
+        within: Interval,
+    ) -> Option<Interval> {
+        if shift.is_unsatisfiable() {
+            return None;
+        }
+        let (min, max) = (shift.min as u64, shift.max.map(u64::from));
+        let (lo, hi) = if shift.forward {
+            let hi = arrival.end().checked_sub(min)?;
+            (max.map_or(within.start(), |m| arrival.start().saturating_sub(m)), hi)
+        } else {
+            let lo = arrival.start().checked_add(min)?;
+            (lo, max.map_or(within.end(), |m| arrival.end().saturating_add(m)))
+        };
+        if lo > hi {
+            return None;
+        }
+        Interval::of(lo, hi).intersect(&within)
+    }
+
+    #[test]
+    fn a_shifts_pre_image_is_its_lags() {
+        let big = Time::MAX;
+        let mut shifts = Vec::new();
+        for forward in [true, false] {
+            for min in [0, 1, 2, 5, u32::MAX] {
+                for max in [None, Some(0), Some(1), Some(3), Some(7), Some(u32::MAX)] {
+                    shifts.push(Shift { forward, min, max });
+                }
+            }
+        }
+        let mut intervals: Vec<Interval> =
+            (0..12).flat_map(|a| (a..12).map(move |b| Interval::of(a, b))).collect();
+        let high = [big - 9, big - 3, big - 1, big];
+        intervals.extend(high.iter().flat_map(|&a| {
+            high.iter().filter(move |&&b| b >= a).map(move |&b| Interval::of(a, b))
+        }));
+        intervals.extend([Interval::of(0, big), Interval::of(3, big), Interval::of(0, big - 1)]);
+        for shift in &shifts {
+            for &arrival in &intervals {
+                for &within in &intervals {
+                    assert_eq!(
+                        shift.departure_into(arrival, within),
+                        departure_into_by_hand(*shift, arrival, within),
+                        "{shift:?} into {arrival:?} within {within:?}"
+                    );
+                }
             }
         }
     }

@@ -193,9 +193,13 @@ pub struct CanonicalRelations {
 /// How much a write copies depends on the column:
 ///
 /// - The eight per-object columns (three per relation and the two adjacency
-///   lists) are chunked (see `Column`): a delta copies only the chunks holding
-///   an object whose rows or existence it changed, plus the tail chunk when it
-///   creates objects.  The last batch
+///   lists) come in chunks of 1024 objects under an `Arc`'d spine.  A
+///   relation's names and existence are a `Column`, a chunk of values each;
+///   its row lists and the two adjacency lists are a `ListColumn`, a chunk
+///   one flat `u32` array of list ends and row indices, so a list allocates
+///   nothing of its own.  A delta copies only the chunks holding an object
+///   whose rows or existence it changed, plus the tail chunk when it creates
+///   objects.  The last batch
 ///   of the G5 contact stream touches ≈ 4 500 of 122 000 edges, in 6 of the
 ///   120 edge chunks; its ≈ 670 touched nodes land in all 8 node chunks, so
 ///   a node-indexed column is still copied whole on that stream.
@@ -223,9 +227,9 @@ pub struct GraphRelations {
     nodes: Relation<NodeRow>,
     edges: Relation<EdgeRow>,
     /// Per node, the rows of the edges whose source it is.
-    by_src: Column<Vec<u32>>,
+    by_src: ListColumn,
     /// Per node, the rows of the edges whose target it is.
-    by_tgt: Column<Vec<u32>>,
+    by_tgt: ListColumn,
     // What is derived from *this version* of the relations.  The cells sit
     // behind one `Arc` so that clones share them: a bare `OnceLock` would be
     // cloned empty into every snapshot, each reader would compute again and
@@ -254,7 +258,7 @@ struct Relation<R> {
     /// Per object, its display name.
     names: Column<String>,
     /// Per object, its rows in interval order.
-    rows_by_id: Column<Vec<u32>>,
+    rows_by_id: ListColumn,
     /// Per object, its coalesced existence.
     existence: Column<IntervalSet>,
 }
@@ -266,7 +270,7 @@ impl<R> Default for Relation<R> {
             live: Arc::default(),
             dead: 0,
             names: Column::default(),
-            rows_by_id: Column::default(),
+            rows_by_id: ListColumn::default(),
             existence: Column::default(),
         }
     }
@@ -282,11 +286,11 @@ struct VersionMemo {
     edge_rows: OnceLock<Vec<EdgeRow>>,
 }
 
-/// Elements per chunk of a [`Column`].  A write through a shared column
-/// copies the spine, one pointer per chunk, and the chunk written, so the size
-/// trades the two: larger chunks copy more elements per touched object,
-/// smaller ones a longer spine and more allocations per batch.  At 1024, a
-/// chunk of 24-byte elements (a `String`, a `Vec`, an `IntervalSet`) holds
+/// Objects per chunk of a [`Column`] or a [`ListColumn`].  A write through a
+/// shared column copies the spine, one pointer per chunk, and the chunks
+/// written, so the size trades the two: larger chunks copy more per touched
+/// object, smaller ones a longer spine and more allocations per batch.  At
+/// 1024, a chunk of 24-byte elements (a `String`, an `IntervalSet`) holds
 /// 24 KiB of headers and the spine of a 100 000-object column is 98 pointers,
 /// so a batch touching `k` objects copies under 1 KiB of spine plus at most
 /// `k` chunks — never more than the column.  Rows come in chunks of the same
@@ -294,9 +298,11 @@ struct VersionMemo {
 /// partial chunk.
 const CHUNK: usize = 1024;
 
-/// A copy-on-write column of per-object data: fixed-size chunks, each behind
-/// its own [`Arc`], under an `Arc`'d spine.  Cloning it is one reference-count
-/// bump; writing through a clone copies the spine and the one chunk written.
+/// A copy-on-write column of per-object values (the names and existence of a
+/// relation): fixed-size chunks, each behind its own [`Arc`], under an
+/// `Arc`'d spine.  Cloning it is one reference-count bump; writing through a
+/// clone copies the spine and the one chunk written.  Row lists, which are
+/// variable-length, are a [`ListColumn`] instead.
 #[derive(Debug, Clone, Default)]
 struct Column<T> {
     chunks: Arc<Vec<Arc<Vec<T>>>>,
@@ -317,15 +323,6 @@ impl<T: Clone> Column<T> {
     fn get_mut(&mut self, index: usize) -> &mut T {
         let chunk = &mut Arc::make_mut(&mut self.chunks)[index / CHUNK];
         &mut Arc::make_mut(chunk)[index % CHUNK]
-    }
-
-    /// The element at `index`, writable as [`Column::get_mut`] makes it, or
-    /// past the end the element of `pending` (not yet appended) that lands there.
-    fn get_mut_or<'a>(&'a mut self, pending: &'a mut [T], index: usize) -> &'a mut T {
-        match index.checked_sub(self.len) {
-            Some(pending_index) => &mut pending[pending_index],
-            None => self.get_mut(index),
-        }
     }
 
     /// Sets the element at `index` to `value`, writing (and so copying, see
@@ -375,6 +372,238 @@ impl<T: Clone> Column<T> {
     /// cloned from the other.
     fn is_shared_with(&self, other: &Column<T>) -> bool {
         Arc::ptr_eq(&self.chunks, &other.chunks)
+    }
+}
+
+/// A copy-on-write column of per-object row lists: chunks of [`CHUNK`]
+/// objects under an `Arc`'d spine, each chunk one flat `Arc<[u32]>` holding
+/// the lists of its objects as a compressed sparse row table,
+///
+/// ```text
+/// [n, 0, end_0, …, end_{n-1}, list_0 … list_{n-1}]
+/// ```
+///
+/// so list `j` of a chunk is entries `end_{j-1}..end_j` past the `n + 2`
+/// header words (the word before `end_0` is its start).  A list costs its entries and one offset, with no allocation
+/// of its own, and reading one follows the spine and the chunk, nothing
+/// else.  A chunk is never written in place: a write rebuilds each chunk
+/// holding a changed list once, at exactly its size, and shares every other
+/// chunk with the clones of the column.
+#[derive(Debug, Clone, Default)]
+struct ListColumn {
+    chunks: Arc<Vec<Arc<[u32]>>>,
+    len: usize,
+}
+
+impl ListColumn {
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    /// The list of object `index`.
+    #[inline]
+    fn get(&self, index: usize) -> &[u32] {
+        list_in(&self.chunks[index / CHUNK], index % CHUNK)
+    }
+
+    /// Every list, in object order.
+    fn iter(&self) -> impl Iterator<Item = &[u32]> {
+        self.chunks.iter().flat_map(|chunk| (0..lists_in(chunk)).map(|j| list_in(chunk, j)))
+    }
+
+    /// Replaces the lists of existing objects, each paired with its new list
+    /// in `edits` (any order, each object once): copies the spine and
+    /// rebuilds each chunk holding an edited object once, if a clone of the
+    /// column still shares them, and no other chunk.
+    fn replace(&mut self, mut edits: Vec<(usize, Vec<u32>)>) {
+        if edits.is_empty() {
+            return;
+        }
+        edits.sort_unstable_by_key(|&(object, _)| object);
+        debug_assert!(edits.windows(2).all(|w| w[0].0 < w[1].0), "each object once");
+        debug_assert!(edits.last().is_some_and(|&(object, _)| object < self.len));
+        let spine = Arc::make_mut(&mut self.chunks);
+        for group in edits.chunk_by(|a, b| a.0 / CHUNK == b.0 / CHUNK) {
+            let written = group[0].0 / CHUNK;
+            let old = &spine[written];
+            let count = lists_in(old);
+            let data = group.iter().fold(data_in(old), |data, (object, list)| {
+                data - list_in(old, object % CHUNK).len() + list.len()
+            });
+            let mut edited = group.iter().peekable();
+            let lists =
+                (0..count).map(|j| match edited.next_if(|(object, _)| object % CHUNK == j) {
+                    Some((_, list)) => list.as_slice(),
+                    None => list_in(old, j),
+                });
+            spine[written] = new_chunk(count, data, lists);
+        }
+    }
+
+    /// Appends the lists of `created`, one object each: copies the spine and
+    /// rebuilds the tail chunk, with as many as fill it, if a clone of the
+    /// column still shares them, and builds fresh chunks for the rest.
+    fn extend(&mut self, created: &StagedLists) {
+        let total = created.len();
+        if total == 0 {
+            return;
+        }
+        self.len += total;
+        let spine = Arc::make_mut(&mut self.chunks);
+        let mut next = 0;
+        if let Some(tail) = spine.last_mut().filter(|tail| lists_in(tail) < CHUNK) {
+            let old = lists_in(tail);
+            next = (CHUNK - old).min(total);
+            let data = data_in(tail) + created.data_len(0..next);
+            let lists = (0..old).map(|j| list_in(tail, j)).chain((0..next).map(|i| created.get(i)));
+            *tail = new_chunk(old + next, data, lists);
+        }
+        while next < total {
+            let taken = next..(next + CHUNK).min(total);
+            let data = created.data_len(taken.clone());
+            spine.push(new_chunk(taken.len(), data, taken.clone().map(|i| created.get(i))));
+            next = taken.end;
+        }
+    }
+
+    /// True while neither `self` nor `other` has been written since one was
+    /// cloned from the other.
+    fn is_shared_with(&self, other: &ListColumn) -> bool {
+        Arc::ptr_eq(&self.chunks, &other.chunks)
+    }
+}
+
+/// The number of lists in a [`ListColumn`] chunk.
+fn lists_in(chunk: &[u32]) -> usize {
+    chunk[0] as usize
+}
+
+/// The number of entries of all lists in a [`ListColumn`] chunk.
+fn data_in(chunk: &[u32]) -> usize {
+    chunk.len() - 2 - lists_in(chunk)
+}
+
+/// List `j` of a [`ListColumn`] chunk.
+#[inline]
+fn list_in(chunk: &[u32], j: usize) -> &[u32] {
+    let header = 2 + chunk[0] as usize;
+    let (start, end) = (chunk[1 + j] as usize, chunk[2 + j] as usize);
+    &chunk[header + start..header + end]
+}
+
+/// A [`ListColumn`] chunk of the `count` lists `lists`, whose entries number
+/// `data`, in one allocation.
+fn new_chunk<'a>(count: usize, data: usize, lists: impl Iterator<Item = &'a [u32]>) -> Arc<[u32]> {
+    debug_assert!(count <= CHUNK && u32::try_from(data).is_ok());
+    // An iterator of known length: the `Arc` is allocated once, at its size.
+    let mut chunk: Arc<[u32]> = std::iter::repeat_n(0, 2 + count + data).collect();
+    let words = Arc::get_mut(&mut chunk).expect("a fresh chunk has one owner");
+    words[0] = count as u32;
+    let (ends, entries) = words[2..].split_at_mut(count);
+    let mut end = 0;
+    for (slot, list) in ends.iter_mut().zip(lists) {
+        entries[end..end + list.len()].copy_from_slice(list);
+        end += list.len();
+        *slot = end as u32;
+    }
+    debug_assert_eq!(end, data, "the lists hold `data` entries");
+    chunk
+}
+
+/// Row lists staged for a [`ListColumn::extend`], one per created object, in
+/// object order: where each list ends, after a 0 (as in a chunk), and their
+/// entries back to back.
+#[derive(Debug)]
+struct StagedLists {
+    ends: Vec<u32>,
+    data: Vec<u32>,
+}
+
+impl Default for StagedLists {
+    fn default() -> Self {
+        StagedLists { ends: vec![0], data: Vec::new() }
+    }
+}
+
+impl StagedLists {
+    fn len(&self) -> usize {
+        self.ends.len() - 1
+    }
+
+    /// Stages `list` as the next object's.
+    fn push(&mut self, list: &[u32]) {
+        self.data.extend_from_slice(list);
+        self.ends.push(self.data.len() as u32);
+    }
+
+    /// The list staged for object `i`.
+    fn get(&self, i: usize) -> &[u32] {
+        &self.data[self.ends[i] as usize..self.ends[i + 1] as usize]
+    }
+
+    /// The number of entries of the lists staged for `objects`.
+    fn data_len(&self, objects: Range<usize>) -> usize {
+        (self.ends[objects.end] - self.ends[objects.start]) as usize
+    }
+
+    /// The lists of `count` objects as `(object, entry)` pairs list them: by
+    /// object, each list in pair order.  One counting pass, no comparison.
+    fn bucketed(count: usize, pairs: &[(u32, u32)]) -> StagedLists {
+        // Object `o`'s entries counted at `o + 2` and summed up make `o + 1`
+        // its list's start: placing each entry there moves it on to the end.
+        let mut ends = vec![0u32; count + 2];
+        for &(object, _) in pairs {
+            ends[object as usize + 2] += 1;
+        }
+        for i in 1..ends.len() {
+            ends[i] += ends[i - 1];
+        }
+        let mut data = vec![0; pairs.len()];
+        for &(object, entry) in pairs {
+            let cursor = &mut ends[object as usize + 1];
+            data[*cursor as usize] = entry;
+            *cursor += 1;
+        }
+        ends.pop();
+        StagedLists { ends, data }
+    }
+}
+
+/// What one write does to a node-keyed adjacency column (`by_src` or
+/// `by_tgt`): the lists of existing nodes it changes, edited in edge order
+/// and applied chunk by chunk at the end, and the rows of the nodes it
+/// creates, bucketed by node at the end.
+#[derive(Debug, Default)]
+struct AdjacencyEdits {
+    /// Each edited existing node's new list: first a copy of its old one.
+    lists: HashMap<usize, Vec<u32>>,
+    /// `(created node − old nodes, row)` for each row a created node gains,
+    /// in the order it gains them.
+    created: Vec<(u32, u32)>,
+}
+
+impl AdjacencyEdits {
+    /// `node`'s list in `column` loses the rows `gone` and gains the rows
+    /// `new` at its end; its other rows stay where they are.
+    fn change(&mut self, column: &ListColumn, node: usize, gone: &[u32], new: Range<u32>) {
+        if let Some(created) = node.checked_sub(column.len()) {
+            // Only an existing edge retracts rows, and its ends existed before.
+            debug_assert!(gone.is_empty(), "a created node loses no row");
+            self.created.extend(new.map(|row| (created as u32, row)));
+            return;
+        }
+        let list = self.lists.entry(node).or_insert_with(|| column.get(node).to_vec());
+        if !gone.is_empty() {
+            list.retain(|row| !gone.contains(row));
+        }
+        list.extend(new);
+    }
+
+    /// Writes the changes into `column`, whose nodes beyond its end number
+    /// `created`.
+    fn apply(self, column: &mut ListColumn, created: usize) {
+        column.replace(self.lists.into_iter().collect());
+        column.extend(&StagedLists::bucketed(created, &self.created));
     }
 }
 
@@ -650,8 +879,8 @@ impl GraphRelations {
             domain: graph.domain(),
             nodes: Relation::default(),
             edges: Relation::default(),
-            by_src: Column::default(),
-            by_tgt: Column::default(),
+            by_src: ListColumn::default(),
+            by_tgt: ListColumn::default(),
             memo: Arc::default(),
         };
         // Every object lies past the end of empty relations, so the delta
@@ -782,10 +1011,11 @@ impl GraphRelations {
         self.memo = Arc::default();
         self.domain = domain;
 
-        // Every write below goes through `Arc::make_mut`, `Column` or
-        // `RowChunks::append`: each writes in place while the storage is
-        // uniquely owned and copies what it writes exactly once when a pinned
-        // snapshot still shares it.  Each relation has its own pass, so a
+        // Every write below goes through `Arc::make_mut`, `Column`,
+        // `ListColumn` or `RowChunks::append`: each writes in place (a list
+        // column rebuilds a written chunk) while the storage is uniquely owned
+        // and copies what it writes exactly once when a pinned snapshot still
+        // shares it.  Each relation has its own pass, so a
         // change touching only one relation never copies the other's columns,
         // and the two append to disjoint rows, so the pass order does not
         // change any row index.  Both share one interner: a label or a
@@ -795,10 +1025,10 @@ impl GraphRelations {
         let (node_rows_added, node_rows_retracted) =
             self.nodes.write(nodes, &mut interner, |_, _, _| {});
 
-        // The adjacency lists of created nodes, which the edge pass fills.
-        let mut created_out = vec![Vec::new(); self.num_nodes() - old_nodes];
-        let mut created_in = created_out.clone();
-        let (by_src, by_tgt) = (&mut self.by_src, &mut self.by_tgt);
+        // The adjacency changes, staged over the edge pass and written once
+        // at its end: `by_src` and `by_tgt` still list the old nodes.
+        let (mut out, mut into) = (AdjacencyEdits::default(), AdjacencyEdits::default());
+        let (by_src, by_tgt) = (&self.by_src, &self.by_tgt);
         let (edge_rows_added, edge_rows_retracted) =
             self.edges.write(edges, &mut interner, |(src, tgt), gone, new| {
                 // The adjacency lists lose the retracted rows and gain the
@@ -808,18 +1038,12 @@ impl GraphRelations {
                 if gone.is_empty() && new.is_empty() {
                     return;
                 }
-                for adjacency in [
-                    by_src.get_mut_or(&mut created_out, src.index()),
-                    by_tgt.get_mut_or(&mut created_in, tgt.index()),
-                ] {
-                    if !gone.is_empty() {
-                        adjacency.retain(|row| !gone.contains(row));
-                    }
-                    adjacency.extend(new.clone());
-                }
+                out.change(by_src, src.index(), gone, new.clone());
+                into.change(by_tgt, tgt.index(), gone, new);
             });
-        self.by_src.extend(created_out);
-        self.by_tgt.extend(created_in);
+        let created = self.num_nodes() - old_nodes;
+        out.apply(&mut self.by_src, created);
+        into.apply(&mut self.by_tgt, created);
         DeltaStats { node_rows_added, node_rows_retracted, edge_rows_added, edge_rows_retracted }
     }
 
@@ -1082,7 +1306,10 @@ impl<R: Row> Relation<R> {
         let mut list = Vec::new();
         let mut added: Vec<R> = Vec::new();
         let mut retracted = Vec::new();
-        let (mut names, mut row_lists, mut existence) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut names, mut created_lists, mut existence) =
+            (Vec::new(), StagedLists::default(), Vec::new());
+        // The new lists of the existing objects whose rows changed.
+        let mut edited_lists = Vec::new();
         for object in objects {
             let (index, ends) = (object.index, object.ends);
             let is_new = index >= old;
@@ -1110,10 +1337,12 @@ impl<R: Row> Relation<R> {
             changed(ends, &retracted[retracted_before..], appended);
             if is_new {
                 names.push(object.name.to_owned());
-                row_lists.push(std::mem::take(&mut list));
+                created_lists.push(&list);
                 existence.push(object.existence.into_owned());
             } else {
-                self.rows_by_id.set(index, &list);
+                if self.rows_by_id.get(index) != list.as_slice() {
+                    edited_lists.push((index, list.clone()));
+                }
                 match object.existence {
                     Cow::Borrowed(known) => self.existence.set(index, known),
                     Cow::Owned(known) => self.existence.put(index, known),
@@ -1121,7 +1350,8 @@ impl<R: Row> Relation<R> {
             }
         }
         self.names.extend(names);
-        self.rows_by_id.extend(row_lists);
+        self.rows_by_id.replace(edited_lists);
+        self.rows_by_id.extend(&created_lists);
         self.existence.extend(existence);
         self.dead += retracted.len();
         tombstone(&mut self.live, &retracted, base + added.len());
@@ -1206,12 +1436,12 @@ fn in_interval_order(rows: &[u32], interval: impl Fn(u32) -> Interval) -> bool {
 
 /// Flattens per-key adjacency lists (indexed by ascending key) into one key-sorted
 /// row permutation, ordering each key group by interval and then row index.
-fn sorted_permutation<F: Fn(u32) -> Interval>(by_key: &Column<Vec<u32>>, interval: F) -> Vec<u32> {
-    let mut out = Vec::with_capacity(by_key.iter().map(Vec::len).sum());
+fn sorted_permutation<F: Fn(u32) -> Interval>(by_key: &ListColumn, interval: F) -> Vec<u32> {
+    let mut out = Vec::with_capacity(by_key.iter().map(<[u32]>::len).sum());
     for rows in by_key.iter() {
-        let mut group = rows.clone();
-        group.sort_by_key(|&r| (interval(r), r));
-        out.extend(group);
+        let start = out.len();
+        out.extend_from_slice(rows);
+        out[start..].sort_by_key(|&r| (interval(r), r));
     }
     out
 }
@@ -1219,6 +1449,7 @@ fn sorted_permutation<F: Fn(u32) -> Interval>(by_key: &Column<Vec<u32>>, interva
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use tgraph::ItpgBuilder;
 
     fn iv(a: u64, b: u64) -> Interval {
@@ -1757,26 +1988,135 @@ mod tests {
         b.domain(iv(1, 30)).build().unwrap()
     }
 
-    /// The number of chunk positions at which `a` and `b` do not hold the very
-    /// same chunk, counting a chunk only one of them has.
-    fn chunks_apart<T>(a: &Column<T>, b: &Column<T>) -> usize {
-        let (a, b) = (&a.chunks, &b.chunks);
-        a.iter().zip(b.iter()).filter(|(x, y)| !Arc::ptr_eq(x, y)).count()
-            + a.len().abs_diff(b.len())
+    /// The number of chunk positions at which the spines `a` and `b` do not
+    /// hold the very same chunk, counting a chunk only one of them has.
+    fn chunks_apart<C: ?Sized>(a: &[Arc<C>], b: &[Arc<C>]) -> usize {
+        a.iter().zip(b).filter(|(x, y)| !Arc::ptr_eq(x, y)).count() + a.len().abs_diff(b.len())
     }
 
     /// The eight chunked columns of two relations values, side by side.
     fn chunk_distances(a: &GraphRelations, b: &GraphRelations) -> [(&'static str, usize); 8] {
+        let (an, bn, ae, be) = (&a.nodes, &b.nodes, &a.edges, &b.edges);
         [
-            ("node_names", chunks_apart(&a.nodes.names, &b.nodes.names)),
-            ("edge_names", chunks_apart(&a.edges.names, &b.edges.names)),
-            ("node_rows_by_id", chunks_apart(&a.nodes.rows_by_id, &b.nodes.rows_by_id)),
-            ("edge_rows_by_id", chunks_apart(&a.edges.rows_by_id, &b.edges.rows_by_id)),
-            ("edge_rows_by_src", chunks_apart(&a.by_src, &b.by_src)),
-            ("edge_rows_by_tgt", chunks_apart(&a.by_tgt, &b.by_tgt)),
-            ("node_existence", chunks_apart(&a.nodes.existence, &b.nodes.existence)),
-            ("edge_existence", chunks_apart(&a.edges.existence, &b.edges.existence)),
+            ("node_names", chunks_apart(&an.names.chunks, &bn.names.chunks)),
+            ("edge_names", chunks_apart(&ae.names.chunks, &be.names.chunks)),
+            ("node_rows_by_id", chunks_apart(&an.rows_by_id.chunks, &bn.rows_by_id.chunks)),
+            ("edge_rows_by_id", chunks_apart(&ae.rows_by_id.chunks, &be.rows_by_id.chunks)),
+            ("edge_rows_by_src", chunks_apart(&a.by_src.chunks, &b.by_src.chunks)),
+            ("edge_rows_by_tgt", chunks_apart(&a.by_tgt.chunks, &b.by_tgt.chunks)),
+            ("node_existence", chunks_apart(&an.existence.chunks, &bn.existence.chunks)),
+            ("edge_existence", chunks_apart(&ae.existence.chunks, &be.existence.chunks)),
         ]
+    }
+
+    /// A row list, often empty.
+    fn list_strategy() -> BoxedStrategy<Vec<u32>> {
+        prop_oneof![Just(Vec::new()), prop::collection::vec(0..5000u32, 1..6)]
+    }
+
+    /// `count` row lists, `count` drawn from `size`.
+    fn lists_strategy(size: std::ops::Range<usize>) -> BoxedStrategy<Vec<Vec<u32>>> {
+        prop::collection::vec(list_strategy(), size)
+    }
+
+    /// One write to a list column: edits of existing objects, `(pick, list)`
+    /// replacing the list of object `pick % len` (the last edit of an object
+    /// wins), then the lists of the objects it creates, staged one by one or
+    /// bucketed from `(object, entry)` pairs.
+    type ListWrite = (Vec<(usize, Vec<u32>)>, Vec<Vec<u32>>, bool);
+
+    fn step_strategy() -> BoxedStrategy<ListWrite> {
+        let edits = prop::collection::vec((any::<usize>(), list_strategy()), 0..5);
+        let created = prop_oneof![lists_strategy(0..4), lists_strategy(1000..1100)];
+        (edits, created, any::<bool>()).boxed()
+    }
+
+    /// `lists` staged for a [`ListColumn::extend`]: pushed one by one, or
+    /// bucketed from their `(object, entry)` pairs, interleaved across lists.
+    fn staged(lists: &[Vec<u32>], bucketed: bool) -> StagedLists {
+        if !bucketed {
+            let mut staged = StagedLists::default();
+            lists.iter().for_each(|list| staged.push(list));
+            return staged;
+        }
+        let mut pairs: Vec<(u32, u32)> = Vec::new();
+        for depth in 0..lists.iter().map(Vec::len).max().unwrap_or(0) {
+            let at_depth = lists
+                .iter()
+                .enumerate()
+                .filter_map(|(object, list)| list.get(depth).map(|&entry| (object as u32, entry)));
+            pairs.extend(at_depth);
+        }
+        StagedLists::bucketed(lists.len(), &pairs)
+    }
+
+    /// True if every chunk of `column` holds its `n` lists as the header
+    /// `[n, 0, end_0, …]` says, full except for the last, and nothing more.
+    fn laid_out(column: &ListColumn) -> bool {
+        let chunks = &column.chunks;
+        let counts: Vec<usize> = chunks.iter().map(|chunk| lists_in(chunk)).collect();
+        let full = counts.iter().rev().skip(1).all(|&count| count == CHUNK);
+        let exact = chunks.iter().all(|chunk| {
+            let ends = &chunk[1..2 + lists_in(chunk)];
+            ends[0] == 0
+                && ends.windows(2).all(|w| w[0] <= w[1])
+                && *ends.last().unwrap() as usize == data_in(chunk)
+        });
+        full && exact && counts.iter().sum::<usize>() == column.len()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn a_list_column_agrees_with_a_model_and_copies_only_the_chunks_it_writes(
+            initial in prop_oneof![
+                lists_strategy(0..1),
+                lists_strategy(1..2),
+                lists_strategy(1023..1024),
+                lists_strategy(1024..1025),
+                lists_strategy(1025..1026),
+                lists_strategy(2000..4200),
+            ],
+            bucketed in any::<bool>(),
+            steps in prop::collection::vec(step_strategy(), 1..5),
+        ) {
+            let mut column = ListColumn::default();
+            column.extend(&staged(&initial, bucketed));
+            let mut model = initial;
+            for (edits, created, bucketed) in steps {
+                let (pinned, before) = (column.clone(), model.clone());
+                let mut edited = std::collections::BTreeMap::new();
+                if !model.is_empty() {
+                    edited.extend(edits.into_iter().map(|(pick, list)| (pick % model.len(), list)));
+                }
+                for (&object, list) in &edited {
+                    model[object].clone_from(list);
+                }
+                let old_len = model.len();
+                model.extend(created.iter().cloned());
+                // Written: each chunk holding an edited object, and from the
+                // old tail on when objects are created.
+                let mut written: HashSet<usize> = edited.keys().map(|object| object / CHUNK).collect();
+                if !created.is_empty() {
+                    written.extend(old_len / CHUNK..model.len().div_ceil(CHUNK));
+                }
+                column.replace(edited.into_iter().collect());
+                column.extend(&staged(&created, bucketed));
+
+                prop_assert!(laid_out(&column));
+                prop_assert_eq!(column.len(), model.len());
+                prop_assert_eq!(column.iter().collect::<Vec<_>>(), model.iter().map(Vec::as_slice).collect::<Vec<_>>());
+                prop_assert!((0..model.len()).all(|i| column.get(i) == model[i]));
+                prop_assert_eq!(pinned.iter().collect::<Vec<_>>(), before.iter().map(Vec::as_slice).collect::<Vec<_>>());
+                for (c, chunk) in pinned.chunks.iter().enumerate() {
+                    let shared = Arc::ptr_eq(chunk, &column.chunks[c]);
+                    prop_assert_eq!(shared, !written.contains(&c), "chunk {}", c);
+                }
+                prop_assert_eq!(chunks_apart(&pinned.chunks, &column.chunks), written.len());
+                prop_assert_eq!(pinned.is_shared_with(&column), written.is_empty());
+            }
+        }
     }
 
     #[test]

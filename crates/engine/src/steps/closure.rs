@@ -291,7 +291,7 @@ impl<'a> Fixpoint<'a> {
             }
             ClosureStep::Micro(MicroOp::Hop(direction)) => {
                 stats.hop_probes += 1;
-                hop_from(
+                stats.hop_rows_scanned += hop_from(
                     graph,
                     position,
                     interval,
@@ -1074,9 +1074,9 @@ mod tests {
         );
     }
 
-    /// `(closure_rounds, hop_cursors, hop_probes)`.
-    fn counts(stats: &StepStats) -> (usize, usize, usize) {
-        (stats.closure_rounds, stats.hop_cursors, stats.hop_probes)
+    /// `(closure_rounds, hop_cursors, hop_probes, hop_rows_scanned)`.
+    fn counts(stats: &StepStats) -> (usize, usize, usize, usize) {
+        (stats.closure_rounds, stats.hop_cursors, stats.hop_probes, stats.hop_rows_scanned)
     }
 
     #[test]
@@ -1099,7 +1099,10 @@ mod tests {
             ]
         );
         // Rounds: 4 + 2.  Hops: 6 + 2.  Probes: two a round but one in each last.
-        assert_eq!(counts(&stats), (6, 8, 10));
+        // Rows scanned: one per hop.  On this chain every node has one row over the
+        // whole domain and every edge row a probe reads meets the cursor, so a probe
+        // reads exactly the rows it keeps (and d's probe reads none).
+        assert_eq!(counts(&stats), (6, 8, 10, 8));
     }
 
     #[test]
@@ -1113,8 +1116,9 @@ mod tests {
         let out = run_counted(&g, seeds, &window, &mut stats);
         assert_eq!(reached(&g, &out), vec![("c".to_owned(), iv(4, 6)), ("d".to_owned(), iv(5, 5))]);
         assert!(out.iter().all(|c| c.seed == row_of(&g, "a")));
-        // Rounds: 3 from a, 2 from c.  Hops: 6 + 2.  Probes: 6 + 3.
-        assert_eq!(counts(&stats), (5, 8, 9));
+        // Rounds: 3 from a, 2 from c.  Hops: 6 + 2.  Probes: 6 + 3.  Rows scanned:
+        // one per hop, as on every walk of this chain.
+        assert_eq!(counts(&stats), (5, 8, 9, 8));
     }
 
     /// Persons `a`…`e` on [0,9], joined by `meets` edges `(source, target, start, end)`.
@@ -1156,8 +1160,10 @@ mod tests {
         assert_eq!(reached(&g, &out), everyone);
         // Hops: 6 in round 0, 8 in round 1, then 6 from b's three new pieces and 2
         // from d's one — five uncoalesced pieces of d would make 10.  Probes, one per
-        // row a hop leaves: 4, then 7, then 6 + 2, then e's.
-        assert_eq!(counts(&stats), (4, 22, 20));
+        // row a hop leaves: 4, then 7, then 6 + 2, then e's.  Rows scanned: one per
+        // hop — every node has one row over [0,9], and every edge a probe reads
+        // meets the piece it is read from.
+        assert_eq!(counts(&stats), (4, 22, 20, 22));
     }
 
     #[test]
@@ -1193,7 +1199,24 @@ mod tests {
         // closure from b (2, 4, 4), then from a (2, 4, 4), c (2, 2, 3) and d (1, 0,
         // 1).  From c: the outer loop (3, 6, 7); the nested closure from c (2, 2, 3),
         // b over [4, 8] (2, 4, 4) and a (2, 4, 4) — d's result is already known.
-        assert_eq!(counts(&stats), (18, 32, 37));
+        // Rows scanned: one per hop, as on every walk of this chain.
+        assert_eq!(counts(&stats), (18, 32, 37, 32));
+    }
+
+    #[test]
+    fn a_probe_counts_every_row_it_reads_not_only_those_it_keeps() {
+        // From a: b over [1,2].  Of b's three out-edges only the one to d, over
+        // [1,1], meets [1,2]; those to c and e are read and dropped.  d has none.
+        let g =
+            meets_graph(&[("a", "b", 1, 2), ("b", "d", 1, 1), ("b", "c", 5, 6), ("b", "e", 7, 8)]);
+        let mut stats = StepStats::default();
+        let out = run_counted(&g, vec![Cursor::seed(row_of(&g, "a"), &g)], &star(), &mut stats);
+        let expected = [("a", iv(0, 9)), ("b", iv(1, 2)), ("d", iv(1, 1))];
+        assert_eq!(reached(&g, &out), expected.map(|(name, at)| (name.to_owned(), at)));
+        // Rounds: a, b, d.  Hops: two a round but none in the last.  Probes: a, its
+        // edge, b, its edge to d, d.  Rows scanned: per probe its out-edges (1, 3,
+        // 0 for a, b, d) or its endpoint's one row (1 per edge): 1 + 1 + 3 + 1 + 0.
+        assert_eq!(counts(&stats), (3, 4, 5, 6));
     }
 
     #[test]

@@ -35,6 +35,13 @@ pub struct StepStats {
     /// viability masks count the traversals they made, not the ones the masks
     /// spared them.
     pub hop_cursors: usize,
+    /// Adjacent rows the structural hops read, inside and outside closures: a
+    /// probe of a node row reads its node's out- or in-edge list, one of an
+    /// edge row the row list of its endpoint node.  This over
+    /// [`StepStats::hop_cursors`] is how many rows a hop reads per row it
+    /// keeps.  The backward viability walk charges its own reads to
+    /// [`StepStats::viability_rows_visited`] instead.
+    pub hop_rows_scanned: usize,
     /// Backward viability passes ([`viability`]) that walked the whole plan back to
     /// its seeds.  This and the two counters below move once per
     /// `run_plan_seeded` call that takes a fixpoint-free plan through more than one

@@ -159,9 +159,10 @@ fn apply_hop<C: StructuralCursor>(
     let mut out = Vec::with_capacity(cursors.len());
     for cursor in cursors {
         let (position, interval) = (cursor.position(), cursor.interval());
-        hop_from(graph, position, interval, direction, &viable, |position, interval| {
-            out.push(cursor.moved_to(position, interval))
-        });
+        stats.hop_rows_scanned +=
+            hop_from(graph, position, interval, direction, &viable, |position, interval| {
+                out.push(cursor.moved_to(position, interval))
+            });
     }
     stats.hop_probes += cursors.len();
     stats.hop_cursors += out.len();

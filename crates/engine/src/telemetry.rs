@@ -72,6 +72,10 @@ pub(crate) struct EngineMetrics {
     /// `rows_total{stage="interval"}` over this is the yield of Steps 1–2:
     /// the share of traversals that survived every later filter.
     pub hop_cursors: Arc<Counter>,
+    /// `tpath_engine_hop_rows_scanned_total` — adjacent rows those hops read
+    /// ([`crate::StepStats::hop_rows_scanned`]); over `hop_cursors` it is
+    /// how many rows a hop reads per row it keeps.
+    pub hop_rows_scanned: Arc<Counter>,
     /// `tpath_engine_viability_passes_total{outcome="built"}` — backward
     /// viability passes that reached the seeds — among them every exact walk of
     /// an existential suffix.
@@ -157,6 +161,11 @@ pub(crate) fn metrics() -> &'static EngineMetrics {
             hop_cursors: reg.counter(
                 "tpath_engine_hop_cursors_total",
                 "Cursors produced by structural hop joins (traversals made by Steps 1-2).",
+                &[],
+            ),
+            hop_rows_scanned: reg.counter(
+                "tpath_engine_hop_rows_scanned_total",
+                "Adjacent rows read by structural hop joins, kept or not.",
                 &[],
             ),
             viability_built: passes("built"),

@@ -101,15 +101,19 @@ fn telemetry_gates_and_peak_buffered_retention() {
 
     // Hop outputs are flushed once per execution, and only by an enabled one.
     let hop_cursors = reg.counter("tpath_engine_hop_cursors_total", "Hop join outputs.", &[]);
-    let hops_before = hop_cursors.get();
+    let scanned = reg.counter("tpath_engine_hop_rows_scanned_total", "Adjacent rows read.", &[]);
+    let (hops_before, scanned_before) = (hop_cursors.get(), scanned.get());
     let run_hops = |telemetry| {
         let options = ExecutionOptions::default().with_telemetry(telemetry);
         Query::parse(HOP_QUERY).unwrap().with_options(options).run(&graph).stats().interval_rows
     };
     assert_eq!(run_hops(false), 1);
     assert_eq!(hop_cursors.get(), hops_before, "telemetry = false must record nothing");
+    assert_eq!(scanned.get(), scanned_before, "telemetry = false must record nothing");
     assert_eq!(run_hops(true), 1);
     assert_eq!(hop_cursors.get(), hops_before + 2, "node → edge → node, one cursor each");
+    // Four seeds, of which only ann has an out-edge, then the meeting's endpoint.
+    assert_eq!(scanned.get(), scanned_before + 2, "one edge row, then bob's one row");
 
     // A multi-batch run of a fixpoint-free plan records one gate outcome, and
     // the rows its backward pass visited: here the sample batch wastes its

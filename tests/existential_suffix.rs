@@ -236,7 +236,7 @@ proptest! {
 
     #[test]
     fn an_existential_suffix_answers_the_projection_of_the_forward_match(
-        spec in graph_spec_strategy(),
+        spec in prop_oneof![graph_spec_strategy(), dense_graph_spec_strategy()],
         prefix in pick(&PREFIXES),
         path in path_strategy(),
         end in pick(&ENDS),
